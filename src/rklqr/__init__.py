@@ -9,7 +9,17 @@ Modules:
   cli      - command-line harness (solve / order-study / tableau / gradcheck)
 """
 
-from . import cli, dlqr, errors, ilqr, oracle, problem, tableau
+from . import dlqr, errors, ilqr, oracle, problem, tableau
 
 __all__ = ["cli", "dlqr", "errors", "ilqr", "oracle", "problem", "tableau"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # cli loads on first use: ``python -m rklqr.cli`` warns when the package
+    # has already imported the module it is about to run as __main__
+    if name == "cli":
+        import importlib
+
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -172,11 +172,11 @@ def write_order_study_csv(path, study: OrderStudy):
 
 
 def write_iterate_log_csv(path, log):
-    lines = ["iter,Jd,grad_inf_norm,step_norm,alpha"]
+    lines = ["iter,Jd,grad_inf_norm,step_norm,alpha,slope"]
     for rec in log:
         lines.append(
             f"{rec.iteration},{rec.Jd:.17g},{rec.grad_inf_norm:.17g},"
-            f"{rec.step_norm:.17g},{rec.alpha:.17g}"
+            f"{rec.step_norm:.17g},{rec.alpha:.17g},{rec.slope:.17g}"
         )
     _write_lines(path, lines)
 

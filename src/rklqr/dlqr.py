@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import RiccatiFailure, StepTooLarge
 from .problem import LQProblem
@@ -55,10 +54,10 @@ class DiscreteLQSystem:
 
 @dataclass(frozen=True)
 class RiccatiPass:
-    """Value-function matrices M_k (N+1 of them) and feedback gains L_k (N)."""
+    """Value-function matrices M_k and feedback gains L_k, stacked over steps."""
 
-    M: list
-    L: list
+    M: np.ndarray  # (N+1, n, n)
+    L: np.ndarray  # (N, s*m, n)
 
 
 @dataclass(frozen=True)
@@ -103,67 +102,88 @@ def assemble(prob: LQProblem, tab: ButcherTableau, N: int) -> DiscreteLQSystem:
     return DiscreteLQSystem(prob=prob, tab=tab, N=N, h=h, E=E, F=F, G=G, H=H, Qh=Qh, Rh=Rh, Sh=Sh)
 
 
-def _sym(mat):
-    return 0.5 * (mat + mat.T)
+def factor_fails(factor, mat) -> bool:
+    """Whether ``factor`` raises LinAlgError on ``mat`` or leaves a non-finite entry.
 
-
-def _feedback_gain(E, F, G, H, Qh, Rh, Sh, M_next):
-    """Gain L = -K^{-1}(F'QhE + Sh'E + H'M+G) with K the stage Hessian.
-
-    Returns (L, K); raises on indefinite K.  The Sh terms vanish for S = 0,
-    recovering the plain inner matrix F'QhF + Rh + H'M+H.
+    numpy's Cholesky passes NaN through without raising.
     """
-    K = F.T @ Qh @ F + Rh + H.T @ M_next @ H
-    rhs = F.T @ Qh @ E + H.T @ M_next @ G
-    if Sh is not None:
-        K = K + F.T @ Sh + Sh.T @ F
-        rhs = rhs + Sh.T @ E
-    K = _sym(K)
     try:
-        cho = scipy.linalg.cho_factor(K)
-    except scipy.linalg.LinAlgError:
-        raise RiccatiFailure("stage Hessian is not positive definite") from None
-    return -scipy.linalg.cho_solve(cho, rhs), K
+        return not np.isfinite(factor(mat)).all()
+    except np.linalg.LinAlgError:
+        return True
 
 
-def _value_update(E, F, G, H, Qh, Rh, Sh, M_next, L):
-    """One backward step of the value-function matrix recursion."""
-    EFL = E + F @ L
-    GHL = G + H @ L
-    M = EFL.T @ Qh @ EFL + L.T @ Rh @ L + GHL.T @ M_next @ GHL
+def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, failure):
+    """Backward sweep of V_k(z) = 1/2 z'P_k z over stacked step operators.
+
+    X_k = E_k z + F_k U and z_{k+1} = G_k z + H_k U, stage cost
+    1/2 X'QhX + X'ShU + 1/2 U'RhU.  A leading axis of length 1 marks a
+    step-invariant operator, broadcast to N without copying.  Returns P
+    (N+1, d, d) from P_N = M_N and gains (N, sm, d) with U_k = gains_k z_k.
+    The stage Hessians are checked positive definite after the sweep;
+    ``failure`` names the first bad step in sweep order (largest k).
+    """
+    Ft = np.swapaxes(F, 1, 2)
+    FtQ = Ft @ Qh
+    Kc = FtQ @ F + Rh
+    Lc = FtQ @ E
     if Sh is not None:
-        cross = EFL.T @ Sh @ L
-        M = M + cross + cross.T
-    return _sym(M)
+        FtS = Ft @ Sh
+        Kc = Kc + FtS + np.swapaxes(FtS, 1, 2)
+        Lc = Lc + Sh.T @ E
+    Wc = np.swapaxes(E, 1, 2) @ Qh @ E
+    Kc, Lc, Wc, G, H = (np.broadcast_to(a, (N,) + a.shape[1:]) for a in (Kc, Lc, Wc, G, H))
+    Gt, Ht = np.swapaxes(G, 1, 2), np.swapaxes(H, 1, 2)
+    d, sm = G.shape[-1], F.shape[-1]
+    P = np.empty((N + 1, d, d))
+    P[N] = M_N
+    gains = np.empty((N, sm, d))
+    K = np.empty((N, sm, sm))
+
+    def failed(start):
+        k = next((j for j in range(N - 1, start - 1, -1) if factor_fails(np.linalg.cholesky, K[j])), None)
+        return failure(f"stage Hessian not positive definite at step {k}")
+
+    for k in range(N - 1, -1, -1):
+        HP = Ht[k] @ P[k + 1]
+        K[k] = Kc[k] + HP @ H[k]
+        lin = Lc[k] + HP @ G[k]
+        try:
+            sol = np.linalg.solve(K[k], lin)
+        except np.linalg.LinAlgError:
+            raise failed(k) from None
+        Pk = Wc[k] + Gt[k] @ P[k + 1] @ G[k] - lin.T @ sol
+        P[k] = 0.5 * (Pk + Pk.T)
+        gains[k] = -sol
+    if factor_fails(np.linalg.cholesky, K):
+        raise failed(0)
+    return P, gains
 
 
 def riccati_backward(sys: DiscreteLQSystem, prob: LQProblem = None) -> RiccatiPass:
-    """Backward value-function recursion from M_N = M down to M_0, collecting gains."""
+    """Backward value-function recursion from M_N = M down to M_0, collecting gains.
+
+    The step-invariant, zero-offset case of ``value_sweep``.
+    """
     prob = sys.prob if prob is None else prob
-    E, F, G, H, Qh, Rh, Sh = sys.E, sys.F, sys.G, sys.H, sys.Qh, sys.Rh, sys.Sh
-    M = [None] * (sys.N + 1)
-    L = [None] * sys.N
-    M[sys.N] = prob.M.copy()
-    for k in range(sys.N - 1, -1, -1):
-        L[k], _ = _feedback_gain(E, F, G, H, Qh, Rh, Sh, M[k + 1])
-        M[k] = _value_update(E, F, G, H, Qh, Rh, Sh, M[k + 1], L[k])
+    M, L = value_sweep(sys.E[None], sys.F[None], sys.G[None], sys.H[None],
+                       sys.Qh, sys.Rh, sys.Sh, prob.M, sys.N, RiccatiFailure)
     return RiccatiPass(M=M, L=L)
 
 
 def rollout(sys: DiscreteLQSystem, riccati: RiccatiPass, x0=None) -> DiscreteTrajectory:
     """Roll the feedback law forward and recover stage and node quantities."""
     prob = sys.prob
-    n, m, N = prob.n, prob.m, sys.N
+    n, N = prob.n, sys.N
     x0 = prob.x0 if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    x = np.zeros((N + 1, n))
-    X = np.zeros((N, sys.E.shape[0]))
-    U = np.zeros((N, sys.F.shape[1]))
+    closed = sys.G + sys.H @ riccati.L  # x_{k+1} = (G + H L_k) x_k
+    x = np.empty((N + 1, n))
     x[0] = x0
     for k in range(N):
-        U[k] = riccati.L[k] @ x[k]
-        X[k] = sys.E @ x[k] + sys.F @ U[k]
-        x[k + 1] = sys.G @ x[k] + sys.H @ U[k]
-    p = np.einsum("kij,kj->ki", np.asarray(riccati.M), x)
+        x[k + 1] = closed[k] @ x[k]
+    U = (riccati.L @ x[:-1, :, None])[..., 0]
+    X = x[:-1] @ sys.E.T + U @ sys.F.T
+    p = (riccati.M @ x[..., None])[..., 0]
     u = node_controls(prob, x, p)
     return DiscreteTrajectory(x=x, X=X, U=U, p=p, u=u, h=sys.h)
 
@@ -184,13 +204,15 @@ def solve(prob: LQProblem, tab: ButcherTableau, N: int):
     return sys, rp, rollout(sys, rp)
 
 
+def running_cost(Qh, Rh, Sh, X, U) -> float:
+    """Sum over steps of 1/2 X_k'QhX_k + X_k'ShU_k + 1/2 U_k'RhU_k for stacked X, U."""
+    total = 0.5 * np.sum((X @ Qh) * X) + 0.5 * np.sum((U @ Rh) * U)
+    if Sh is not None:
+        total += np.sum((X @ Sh) * U)
+    return float(total)
+
+
 def discrete_cost(sys: DiscreteLQSystem, traj: DiscreteTrajectory) -> float:
     """Direct evaluation of the discrete cost along a trajectory."""
-    total = 0.0
-    for k in range(sys.N):
-        Xk, Uk = traj.X[k], traj.U[k]
-        total += 0.5 * (Xk @ sys.Qh @ Xk) + 0.5 * (Uk @ sys.Rh @ Uk)
-        if sys.Sh is not None:
-            total += Xk @ sys.Sh @ Uk
     xN = traj.x[-1]
-    return float(total + 0.5 * xN @ sys.prob.M @ xN)
+    return running_cost(sys.Qh, sys.Rh, sys.Sh, traj.X, traj.U) + float(0.5 * xN @ sys.prob.M @ xN)

@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import tableau as tableau_mod
-from .dlqr import stage_cost_blocks
+from .dlqr import factor_fails, running_cost, stage_cost_blocks, value_sweep
 from .errors import (
     BackwardFailure,
     CostateFailure,
@@ -58,10 +57,6 @@ class LinearizedStep:
     tangent plane; D1/D2 vanish when the underlying maps are linear.
     """
 
-    A1: np.ndarray
-    A2: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
     E: np.ndarray
     F: np.ndarray
     G: np.ndarray
@@ -71,13 +66,36 @@ class LinearizedStep:
 
 
 @dataclass(frozen=True)
-class AffineBackwardPass:
-    """Affine value data V_k(x) = 1/2 x'M_k x + Y_k'x + const and gains."""
+class Linearization:
+    """The LinearizedStep data of all N steps, stacked along a leading axis.
 
-    M: list  # N+1 symmetric matrices
-    Y: list  # N+1 vectors
-    U1: list  # N feedback gain matrices (s*m, n)
-    U2: list  # N feedforward vectors (s*m,)
+    len() is N; an integer index gives one step's LinearizedStep of views
+    (so iteration yields every step) and a slice the Linearization of those steps.
+    """
+
+    E: np.ndarray  # (N, s*n, n)
+    F: np.ndarray  # (N, s*n, s*m)
+    G: np.ndarray  # (N, n, n)
+    H: np.ndarray  # (N, n, s*m)
+    D1: np.ndarray  # (N, s*n)
+    D2: np.ndarray  # (N, n)
+
+    def __len__(self):
+        return self.E.shape[0]
+
+    def __getitem__(self, k):
+        cls = Linearization if isinstance(k, slice) else LinearizedStep
+        return cls(self.E[k], self.F[k], self.G[k], self.H[k], self.D1[k], self.D2[k])
+
+
+@dataclass(frozen=True)
+class AffineBackwardPass:
+    """Affine value data V_k(x) = 1/2 x'M_k x + Y_k'x + const and gains, stacked over steps."""
+
+    M: np.ndarray  # (N+1, n, n)
+    Y: np.ndarray  # (N+1, n)
+    U1: np.ndarray  # (N, s*m, n) feedback gains
+    U2: np.ndarray  # (N, s*m) feedforward terms
 
 
 @dataclass(frozen=True)
@@ -100,29 +118,11 @@ class IterateRecord:
     slope: float  # directional derivative J_d'(U)' dU, negative for descent
 
 
-def _running_cost(prob, xs, us, b, h):
-    """h * sum_i b_i C(x_i, u_i) over the stage values of one step."""
-    S = cross_term(prob)
-    total = 0.0
-    for i in range(b.size):
-        xi, ui = xs[i], us[i]
-        ci = 0.5 * (xi @ prob.Q @ xi) + 0.5 * (ui @ prob.R @ ui)
-        if S is not None:
-            ci += xi @ S @ ui
-        total += b[i] * ci
-    return h * total
-
-
 def evaluate_cost(prob, tab, U, X, x) -> float:
     """Discrete cost of arbitrary (U, X, x) stacks (not necessarily feasible)."""
-    N = U.shape[0]
-    h = prob.tf / N
-    n, m = prob.n, prob.m
-    total = 0.0
-    for k in range(N):
-        total += _running_cost(prob, X[k].reshape(-1, n), U[k].reshape(-1, m), tab.b, h)
+    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, prob.tf / U.shape[0])
     xN = x[-1]
-    return float(total + 0.5 * xN @ prob.M @ xN)
+    return running_cost(Qh, Rh, Sh, X, U) + float(0.5 * xN @ prob.M @ xN)
 
 
 def make_state(prob, tab, U, X, x) -> IterateState:
@@ -173,129 +173,101 @@ def rollout(prob, tab, N: int, U) -> IterateState:
     x = np.zeros((N + 1, n))
     X = np.zeros((N, s * n))
     x[0] = prob.x0
-    cost = 0.0
     for k in range(N):
-        us = U[k].reshape(s, m)
-        xs, fs = _solve_stages(prob, tab, x[k], us, h)
+        xs, fs = _solve_stages(prob, tab, x[k], U[k].reshape(s, m), h)
         X[k] = xs.ravel()
         x[k + 1] = x[k] + h * (tab.b @ fs)
-        cost += _running_cost(prob, xs, us, tab.b, h)
-    xN = x[N]
-    Jd = float(cost + 0.5 * xN @ prob.M @ xN)
-    return IterateState(U=U, X=X, x=x, Jd=Jd, h=h)
+    return IterateState(U=U, X=X, x=x, Jd=evaluate_cost(prob, tab, U, X, x), h=h)
 
 
-def linearize(prob, tab, state: IterateState):
-    """Tangent-plane step data at every step of the iterate."""
+def _stage_jacobians(jac, state, n, m):
+    """jac(x_ki, u_ki) at every internal stage, shape (N, s, n, *)."""
+    points = zip(state.X.reshape(-1, n), state.U.reshape(-1, m))
+    J = np.array([jac(xi, ui) for xi, ui in points])
+    return J.reshape(state.N, -1, *J.shape[1:])
+
+
+def linearize(prob, tab, state: IterateState) -> Linearization:
+    """Tangent-plane step data at every step of the iterate, stacked over steps."""
     n, m, s = prob.n, prob.m, tab.s
     h, N = state.h, state.N
-    a, b = tab.a, tab.b
-    Z = np.tile(np.eye(n), (s, 1))
-    steps = []
-    for k in range(N):
-        xs = state.X[k].reshape(s, n)
-        us = state.U[k].reshape(s, m)
-        Jx = np.array([prob.jac_x(xs[i], us[i]) for i in range(s)])  # (s, n, n)
-        Ju = np.array([prob.jac_u(xs[i], us[i]) for i in range(s)])  # (s, n, m)
-        # block (i, j) of A1 is h a_ij Jx_j; same pattern for A2 with Ju
-        A1 = (h * a[:, :, None, None] * Jx[None, :]).transpose(0, 2, 1, 3).reshape(s * n, s * n)
-        A2 = (h * a[:, :, None, None] * Ju[None, :]).transpose(0, 2, 1, 3).reshape(s * n, s * m)
-        B = (h * b[:, None, None] * Jx).transpose(1, 0, 2).reshape(n, s * n)
-        C = (h * b[:, None, None] * Ju).transpose(1, 0, 2).reshape(n, s * m)
-        try:
-            EF = np.linalg.solve(np.eye(s * n) - A1, np.hstack([Z, A2]))
-        except np.linalg.LinAlgError:
-            raise StepTooLarge(f"singular stage coupling at step {k}, h = {h!r}", h=h) from None
-        E, F = EF[:, :n], EF[:, n:]
-        G = np.eye(n) + B @ E
-        H = B @ F + C
-        D1 = state.X[k] - E @ state.x[k] - F @ state.U[k]
-        D2 = state.x[k + 1] - G @ state.x[k] - H @ state.U[k]
-        steps.append(LinearizedStep(A1=A1, A2=A2, B=B, C=C, E=E, F=F, G=G, H=H, D1=D1, D2=D2))
-    return steps
+    # (k, row r, stage j, col c) layout of the stage Jacobians
+    Jx = _stage_jacobians(prob.jac_x, state, n, m).transpose(0, 2, 1, 3)
+    Ju = _stage_jacobians(prob.jac_u, state, n, m).transpose(0, 2, 1, 3)
+    # A1_ij = h a_ij Jx_j (coupling I - A1), A2_ij = h a_ij Ju_j, B_j = h b_j Jx_j, C_j = h b_j Ju_j
+    ha = (h * tab.a)[:, None, :, None]
+    hb = (h * tab.b)[:, None]
+    coupling = np.eye(s * n) - (ha * Jx[:, None]).reshape(N, s * n, s * n)
+    A2 = (ha * Ju[:, None]).reshape(N, s * n, s * m)
+    B = (hb * Jx).reshape(N, n, s * n)
+    C = (hb * Ju).reshape(N, n, s * m)
+    Z = np.broadcast_to(np.tile(np.eye(n), (s, 1)), (N, s * n, n))
+    try:
+        EF = np.linalg.solve(coupling, np.concatenate([Z, A2], axis=2))
+    except np.linalg.LinAlgError:
+        k = next((j for j in range(N) if factor_fails(np.linalg.inv, coupling[j])), None)
+        raise StepTooLarge(f"singular stage coupling at step {k}, h = {h!r}", h=h) from None
+    E, F = EF[:, :, :n], EF[:, :, n:]
+    G = np.eye(n) + B @ E
+    H = B @ F + C
+    xk, Uk = state.x[:-1, :, None], state.U[:, :, None]
+    D1 = state.X - (E @ xk + F @ Uk)[..., 0]
+    D2 = state.x[1:] - (G @ xk + H @ Uk)[..., 0]
+    return Linearization(E=E, F=F, G=G, H=H, D1=D1, D2=D2)
 
 
-def backward(prob, tab, steps) -> AffineBackwardPass:
+def backward(prob, tab, steps: Linearization) -> AffineBackwardPass:
     """Backward recursion of the affine-quadratic value function.
 
     Produces feedback U_k = U1_k x_k + U2_k minimizing the cost over the
-    tangent plane.  The scalar value offset is never needed and not tracked.
+    tangent plane.  The offsets D1/D2 fold into the step operators of the
+    augmented state z = [x; 1], whose value matrix P_k carries M_k in its
+    leading block and Y_k in its last column.
     """
-    N = len(steps)
-    h = prob.tf / N
-    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, h)
-    M = [None] * (N + 1)
-    Y = [None] * (N + 1)
-    U1 = [None] * N
-    U2 = [None] * N
-    M[N] = prob.M.copy()
-    Y[N] = np.zeros(prob.n)
-    for k in range(N - 1, -1, -1):
-        st = steps[k]
-        E, F, G, H, D1, D2 = st.E, st.F, st.G, st.H, st.D1, st.D2
-        K = F.T @ Qh @ F + Rh + H.T @ M[k + 1] @ H
-        lin_x = F.T @ Qh @ E + H.T @ M[k + 1] @ G
-        lin_0 = F.T @ Qh @ D1 + H.T @ (M[k + 1] @ D2 + Y[k + 1])
-        if Sh is not None:
-            K = K + F.T @ Sh + Sh.T @ F
-            lin_x = lin_x + Sh.T @ E
-            lin_0 = lin_0 + Sh.T @ D1
-        K = 0.5 * (K + K.T)
-        try:
-            cho = scipy.linalg.cho_factor(K)
-        except scipy.linalg.LinAlgError:
-            raise BackwardFailure(f"stage Hessian not positive definite at step {k}") from None
-        U1[k] = -scipy.linalg.cho_solve(cho, lin_x)
-        U2[k] = -scipy.linalg.cho_solve(cho, lin_0)
-        EFL = E + F @ U1[k]
-        GHL = G + H @ U1[k]
-        Xoff = F @ U2[k] + D1
-        xoff = H @ U2[k] + D2
-        Mk = EFL.T @ Qh @ EFL + U1[k].T @ Rh @ U1[k] + GHL.T @ M[k + 1] @ GHL
-        Yk = EFL.T @ (Qh @ Xoff) + U1[k].T @ (Rh @ U2[k]) + GHL.T @ (M[k + 1] @ xoff + Y[k + 1])
-        if Sh is not None:
-            cross = EFL.T @ Sh @ U1[k]
-            Mk = Mk + cross + cross.T
-            Yk = Yk + EFL.T @ (Sh @ U2[k]) + U1[k].T @ (Sh.T @ Xoff)
-        M[k] = 0.5 * (Mk + Mk.T)
-        Y[k] = Yk
-    return AffineBackwardPass(M=M, Y=Y, U1=U1, U2=U2)
+    N, n = len(steps), prob.n
+    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, prob.tf / N)
+    below = ((0, 0), (0, 1), (0, 0))  # pads a zero row under each step's block
+    Ea = np.concatenate([steps.E, steps.D1[:, :, None]], axis=2)
+    Ga = np.pad(np.concatenate([steps.G, steps.D2[:, :, None]], axis=2), below)
+    Ga[:, n, n] = 1.0
+    Ha = np.pad(steps.H, below)
+    P, gains = value_sweep(Ea, steps.F, Ga, Ha, Qh, Rh, Sh, np.pad(prob.M, (0, 1)), N, BackwardFailure)
+    return AffineBackwardPass(M=P[:, :n, :n], Y=P[:, :n, n], U1=gains[:, :, :n], U2=gains[:, :, n])
 
 
-def direction(state: IterateState, bp: AffineBackwardPass, steps) -> np.ndarray:
+def direction(state: IterateState, bp: AffineBackwardPass, steps: Linearization) -> np.ndarray:
     """Forward sweep of the affine feedback; returns Utilde - U."""
-    N = state.N
-    U_new = np.empty_like(state.U)
-    xt = state.x[0].copy()
-    for k in range(N):
-        st = steps[k]
-        U_new[k] = bp.U1[k] @ xt + bp.U2[k]
-        xt = st.G @ xt + st.H @ U_new[k] + st.D2
-    return U_new - state.U
+    # closed loop x_{k+1} = (G + H U1) x_k + (H U2 + D2)
+    closed = steps.G + steps.H @ bp.U1
+    offset = (steps.H @ bp.U2[:, :, None])[..., 0] + steps.D2
+    xt = np.empty_like(state.x)
+    xt[0] = state.x[0]
+    for k in range(state.N):
+        xt[k + 1] = closed[k] @ xt[k] + offset[k]
+    return (bp.U1 @ xt[:-1, :, None])[..., 0] + bp.U2 - state.U
 
 
 def gradient(prob, tab, state: IterateState, steps=None) -> np.ndarray:
     """Exact gradient of the discrete cost in the stage controls, shape (N, s*m).
 
-    Backward adjoint accumulation through the linearized step chain; the
+    Backward adjoint accumulation lam_k = E_k'w_k + G_k'lam_{k+1} through the
+    linearized step chain, w_k being the stage-state cost gradient; the
     states are treated as functions of U via the stage equations.
     """
     if steps is None:
         steps = linearize(prob, tab, state)
-    N = state.N
     Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, state.h)
-    g = np.empty_like(state.U)
-    lam = prob.M @ state.x[-1]
-    for k in range(N - 1, -1, -1):
-        st = steps[k]
-        w = Qh @ state.X[k]
-        gk = Rh @ state.U[k]
-        if Sh is not None:
-            w = w + Sh @ state.U[k]
-            gk = gk + Sh.T @ state.X[k]
-        g[k] = st.F.T @ w + gk + st.H.T @ lam
-        lam = st.E.T @ w + st.G.T @ lam
-    return g
+    w = state.X @ Qh
+    g = state.U @ Rh
+    if Sh is not None:
+        w = w + state.U @ Sh.T
+        g = g + state.X @ Sh
+    Ew = (w[:, None, :] @ steps.E)[:, 0]
+    lam = np.empty_like(state.x)
+    lam[-1] = prob.M @ state.x[-1]
+    for k in range(state.N - 1, -1, -1):
+        lam[k] = Ew[k] + lam[k + 1] @ steps.G[k]
+    return g + (w[:, None, :] @ steps.F)[:, 0] + (lam[1:, None, :] @ steps.H)[:, 0]
 
 
 def line_search(prob, tab, state: IterateState, dU, slope=None, c1=1e-4, min_alpha=2.0**-30):
@@ -357,47 +329,41 @@ def costates(prob, tab, state: IterateState, adj=None) -> CostateTrajectory:
 
     At each step the node costate p_k and stage costates p_ki solve one
     dense (s+1)n linear system built from the adjoint coefficients,
-    terminal condition p_N = M x_N.
+    terminal condition p_N = M x_N.  One batched solve gives every step's
+    z_k = T_k p_{k+1} + c_k; only the recursion p_k = z_k[:n] is a loop.
     """
     if adj is None:
         adj = tableau_mod.adjoint(tab)
     n, m, s = prob.n, prob.m, tab.s
     N, h = state.N, state.h
-    b, abar = tab.b, adj.abar
     S = cross_term(prob)
-    p = np.zeros((N + 1, n))
-    p_stage = np.zeros((N, s * n))
-    p[N] = prob.M @ state.x[N]
     dim = (s + 1) * n
+    JxT = np.swapaxes(_stage_jacobians(prob.jac_x, state, n, m), 2, 3)
+    w = state.X.reshape(N, s, n) @ prob.Q  # running-cost state gradient
+    if S is not None:
+        w += state.U.reshape(N, s, m) @ S.T
+    # block rows: node [I, -h b_j Jx_j'] and stage i [-I, delta_ij I + h abar_ij Jx_j']
+    wts = h * np.vstack([tab.b, -adj.abar])
+    mat = np.zeros((N, s + 1, n, s + 1, n))
+    mat[:, :, :, 1:] = -wts[:, None, :, None] * JxT.transpose(0, 2, 1, 3)[:, None]
+    unit = np.eye(s + 1)
+    unit[1:, 0] = -1.0
+    mat = mat.reshape(N, dim, dim) + np.kron(unit, np.eye(n))
+    rhs = np.zeros((N, dim, n + 1))
+    rhs[:, :n, :n] = np.eye(n)
+    rhs[:, :, n] = (wts @ w).reshape(N, dim)
+    try:
+        Tc = np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError:
+        k = next((j for j in range(N - 1, -1, -1) if factor_fails(np.linalg.inv, mat[j])), None)
+        raise CostateFailure(f"singular costate system at step {k}, h = {h!r}") from None
+    T, c = Tc[:, :, :n], Tc[:, :, n]
+    p = np.empty((N + 1, n))
+    p[N] = prob.M @ state.x[N]
     for k in range(N - 1, -1, -1):
-        xs = state.X[k].reshape(s, n)
-        us = state.U[k].reshape(s, m)
-        JxT = np.array([prob.jac_x(xs[i], us[i]).T for i in range(s)])
-        w = np.array([prob.Q @ xs[i] for i in range(s)])  # running-cost state gradient
-        if S is not None:
-            w += us @ S.T
-        mat = np.zeros((dim, dim))
-        rhs = np.zeros(dim)
-        mat[:n, :n] = np.eye(n)
-        rhs[:n] = p[k + 1] + h * (b @ w)
-        for j in range(s):
-            mat[:n, (j + 1) * n : (j + 2) * n] = -h * b[j] * JxT[j]
-        for i in range(s):
-            r = (i + 1) * n
-            mat[r : r + n, :n] = -np.eye(n)
-            rhs[r : r + n] = -h * (abar[i] @ w)
-            for j in range(s):
-                blk = h * abar[i, j] * JxT[j]
-                if i == j:
-                    blk = blk + np.eye(n)
-                mat[r : r + n, (j + 1) * n : (j + 2) * n] = blk
-        try:
-            z = np.linalg.solve(mat, rhs)
-        except np.linalg.LinAlgError:
-            raise CostateFailure(f"singular costate system at step {k}, h = {h!r}") from None
-        p[k] = z[:n]
-        p_stage[k] = z[n:]
-    return CostateTrajectory(p=p, p_stage=p_stage)
+        p[k] = T[k, :n] @ p[k + 1] + c[k, :n]
+    z = (T @ p[1:, :, None])[..., 0] + c
+    return CostateTrajectory(p=p, p_stage=z[:, n:])
 
 
 def node_controls(prob, state: IterateState, cost: CostateTrajectory,
@@ -408,22 +374,19 @@ def node_controls(prob, state: IterateState, cost: CostateTrajectory,
     otherwise a Newton iteration with finite-difference Jacobian runs from
     the first-stage control of the step.
     """
-    N = state.N
-    m = prob.m
+    N, m = state.N, prob.m
+    if getattr(prob, "control_affine", True):  # linear problems are affine
+        Bx = np.array([prob.input_matrix(xk) for xk in state.x])
+        rhs = (cost.p[:, None, :] @ Bx)[:, 0]
+        S = cross_term(prob)
+        if S is not None:
+            rhs = rhs + state.x @ S
+        return -np.linalg.solve(prob.R, rhs.T).T
     s = state.U.shape[1] // m
-    S = cross_term(prob)
     u = np.zeros((N + 1, m))
-    affine = getattr(prob, "control_affine", True)  # linear problems are affine
     for k in range(N + 1):
-        xk, pk = state.x[k], cost.p[k]
-        if affine:
-            rhs = prob.input_matrix(xk).T @ pk
-            if S is not None:
-                rhs = rhs + S.T @ xk
-            u[k] = -np.linalg.solve(prob.R, rhs)
-            continue
         guess = state.U[k, :m] if k < N else state.U[N - 1, (s - 1) * m :]
-        u[k] = _newton_node_control(prob, xk, pk, guess, newton_tol, newton_maxit, k)
+        u[k] = _newton_node_control(prob, state.x[k], cost.p[k], guess, newton_tol, newton_maxit, k)
     return u
 
 

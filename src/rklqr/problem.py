@@ -25,7 +25,13 @@ _SYM_TOL = 1e-12
 _PSD_TOL = 1e-10
 
 
-def _check_cost_matrices(Q, R, M):
+def _check_inputs(tf, Q, R, M, **others):
+    """Reject non-finite data, a horizon that is not positive, and bad cost matrices."""
+    for label, val in dict(others, Q=Q, R=R, M=M, tf=tf).items():
+        if not np.isfinite(val).all():
+            raise ValueError(f"{label} must be finite")
+    if tf <= 0:
+        raise ValueError("tf must be positive")
     for label, mat in (("Q", Q), ("R", R), ("M", M)):
         if np.max(np.abs(mat - mat.T), initial=0.0) > _SYM_TOL * (1 + np.max(np.abs(mat), initial=0.0)):
             raise ValueError(f"{label} must be symmetric")
@@ -62,9 +68,7 @@ class LQProblem:
         M = np.asarray(self.M, dtype=float).reshape(n, n)
         S = np.zeros((n, m)) if self.S is None else np.asarray(self.S, dtype=float).reshape(n, m)
         x0 = np.asarray(self.x0, dtype=float).reshape(n)
-        _check_cost_matrices(Q, R, M)
-        if self.tf <= 0:
-            raise ValueError("tf must be positive")
+        _check_inputs(self.tf, Q, R, M, A=A, B=B, S=S, x0=x0)
         for key, val in (("A", A), ("B", B), ("Q", Q), ("R", R), ("M", M), ("S", S), ("x0", x0)):
             val.setflags(write=False)
             object.__setattr__(self, key, val)
@@ -120,9 +124,7 @@ class NonlinearProblem:
         m = R.shape[0]
         Q = np.asarray(self.Q, dtype=float).reshape(n, n)
         M = np.asarray(self.M, dtype=float).reshape(n, n)
-        _check_cost_matrices(Q, R, M)
-        if self.tf <= 0:
-            raise ValueError("tf must be positive")
+        _check_inputs(self.tf, Q, R, M, x0=x0)
         for key, val in (("Q", Q), ("R", R), ("M", M), ("x0", x0)):
             val.setflags(write=False)
             object.__setattr__(self, key, val)

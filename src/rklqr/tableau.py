@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,8 +62,10 @@ class ButcherTableau:
         if a.shape != (s, s):
             raise ValueError(f"a must be {s}x{s}, got {a.shape}")
         c_derived = a.sum(axis=1)
-        if self.c is not None:
-            c_given = np.atleast_1d(np.asarray(self.c, dtype=float))
+        c_given = None if self.c is None else np.atleast_1d(np.asarray(self.c, dtype=float))
+        if not all(np.isfinite(v).all() for v in (a, b, c_given) if v is not None):
+            raise ValueError("tableau coefficients must be finite")
+        if c_given is not None:
             if c_given.shape != (s,):
                 raise ValueError(f"c must have length {s}")
             if np.max(np.abs(c_given - c_derived)) > COEFF_TOL:
@@ -77,7 +80,7 @@ class ButcherTableau:
     def s(self) -> int:
         return self.b.size
 
-    @property
+    @cached_property
     def is_explicit(self) -> bool:
         return not np.triu(self.a).any()
 

@@ -1,5 +1,10 @@
 """CLI surface: slope fitting, subcommands, CSV formats, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -62,9 +67,10 @@ class TestSolveCommand:
                        "--steps", "50", "--out", str(out), "--log", str(log)])
         assert rc == 0
         lines = log.read_text().strip().splitlines()
-        assert lines[0] == "iter,Jd,grad_inf_norm,step_norm,alpha"
+        assert lines[0] == "iter,Jd,grad_inf_norm,step_norm,alpha,slope"
         jds = [float(row.split(",")[1]) for row in lines[1:]]
         assert all(a >= b for a, b in zip(jds, jds[1:]))
+        assert all(float(row.split(",")[5]) < 0 for row in lines[1:])  # descent directions
         assert "iterations =" in capsys.readouterr().out
 
     def test_unknown_problem_exits_2(self, capsys):
@@ -118,6 +124,16 @@ def _predicted_orders(report: str):
     lines = report.splitlines()
     start = next(i for i, ln in enumerate(lines) if ln.split()[:2] == ["i", "q1"]) + 1
     return [int(ln.split()[-1]) for ln in lines[start:] if ln.strip()]
+
+
+def test_module_entry_point_emits_no_runtime_warning():
+    # python -m rklqr.cli must not find rklqr.cli already imported by the package
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "rklqr.cli", "tableau", "--method", "methodB"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0 and "method methodB" in out.stdout
+    assert "RuntimeWarning" not in out.stderr
 
 
 class TestTableauCommand:

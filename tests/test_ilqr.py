@@ -111,7 +111,6 @@ class TestLinearize:
         steps = ilqr.linearize(prob, tab, state)
         for k, st in enumerate(steps):
             Jx = prob.jac_x(state.X[k], state.U[k])
-            np.testing.assert_allclose(st.A1, 0.0, atol=0)
             np.testing.assert_allclose(st.E, np.eye(2), atol=0)
             np.testing.assert_allclose(st.F, 0.0, atol=0)
             np.testing.assert_allclose(st.G, np.eye(2) + h * Jx, atol=1e-14)
@@ -172,8 +171,9 @@ class TestBackwardAndDirection:
         prob = pendulum()
         tab = builtin("methodB")
         state = ilqr.rollout(prob, tab, 1, np.array([[0.3, -0.2, 0.1]]))
-        st = ilqr.linearize(prob, tab, state)[0]
-        bp = ilqr.backward(prob, tab, [st])
+        steps = ilqr.linearize(prob, tab, state)
+        st = steps[0]
+        bp = ilqr.backward(prob, tab, steps[:1])
         h = state.h
         Qh, Rh, _ = dlqr.stage_cost_blocks(prob, tab.b, h)
         K = st.F.T @ Qh @ st.F + Rh + st.H.T @ prob.M @ st.H

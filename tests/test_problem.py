@@ -1,5 +1,6 @@
 """Builtin problem definitions and their dynamics/cost consistency."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -108,6 +109,29 @@ class TestValidation:
                 A=np.zeros((2, 2)), B=np.eye(2), Q=[[1.0, 0.3], [0.0, 1.0]],
                 R=np.eye(2), M=np.zeros((2, 2)), x0=[1.0, 0.0], tf=1.0,
             )
+
+    @pytest.mark.parametrize("field, value", [
+        ("tf", np.nan), ("tf", np.inf), ("A", [[np.nan]]), ("B", [[np.inf]]),
+        ("Q", [[np.nan]]), ("S", [[np.nan]]), ("R", [[np.inf]]), ("M", [[np.nan]]), ("x0", [np.nan]),
+    ])
+    def test_non_finite_lq_data_rejected(self, field, value):
+        data = dict(A=[[0.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], M=[[0.0]], x0=[1.0], tf=1.0)
+        data[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            LQProblem(**data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tf", np.nan), ("x0", [np.inf, 0.0]), ("M", np.full((2, 2), np.nan)),
+    ])
+    def test_non_finite_nonlinear_data_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(pendulum(), **{field: value})
+
+    def test_non_finite_spec_rejected(self):
+        data = {"kind": "lq", "n": 1, "m": 1, "A": [0], "B": [1], "Q": [1], "R": [1],
+                "M": [0], "x0": [1], "tf": float("nan")}
+        with pytest.raises(ValueError, match="finite"):
+            load_problem(data)
 
     def test_as_nonlinear_refuses_cross_term(self):
         prob, _ = example31()

@@ -54,6 +54,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="row sums"):
             ButcherTableau(a=[[0, 0], [1, 0]], b=[0.5, 0.5], c=[0.0, 0.9])
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(a=[[0.0]], b=[np.nan]),
+        dict(a=[[np.inf]], b=[1.0]),
+        dict(a=[[0, 0], [1, 0]], b=[0.5, 0.5], c=[0.0, np.nan]),
+    ])
+    def test_non_finite_coefficients_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            ButcherTableau(**kwargs)
+
     def test_c_recomputed_from_a(self):
         tab = ButcherTableau(a=[[0, 0], [1, 0]], b=[0.5, 0.5], c=[0.0, 1.0])
         np.testing.assert_array_equal(tab.c, [0.0, 1.0])
@@ -243,3 +252,9 @@ class TestLoadTableau:
     def test_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
             load_tableau({"s": 2, "a": [0, 0, 1], "b": [0.5, 0.5]})
+
+    def test_non_finite_file_rejected(self, tmp_path):
+        path = tmp_path / "tab.json"
+        path.write_text('{"s": 1, "a": [0], "b": [NaN]}')  # json accepts NaN
+        with pytest.raises(ValueError, match="finite"):
+            load_tableau(str(path))
