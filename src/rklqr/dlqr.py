@@ -113,16 +113,80 @@ def factor_fails(factor, mat) -> bool:
         return True
 
 
-def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, failure):
-    """Backward sweep of V_k(z) = 1/2 z'P_k z over stacked step operators.
+def suffix_scan(elems, combine):
+    """Suffix products S_k = e_k ∘ e_{k+1} ∘ … ∘ e_{L-1} of L stacked elements.
 
-    X_k = E_k z + F_k U and z_{k+1} = G_k z + H_k U, stage cost
-    1/2 X'QhX + X'ShU + 1/2 U'RhU.  A leading axis of length 1 marks a
-    step-invariant operator, broadcast to N without copying.  Returns P
-    (N+1, d, d) from P_N = M_N and gains (N, sm, d) with U_k = gains_k z_k.
-    The stage Hessians are checked positive definite after the sweep;
-    ``failure`` names the first bad step in sweep order (largest k).
+    ``elems`` is a tuple of arrays stacked along a leading axis of length L;
+    ``combine(earlier, later)`` is associative and works on such tuples in
+    batch.  Odd-even reduction: combine neighbour pairs, recurse on the L/2
+    pairs, then fill the odd slots with one more batched combine.  That is
+    about 2L element products in 2 log2(L) calls of ``combine``.
     """
+    L = elems[0].shape[0]
+    if L == 1:
+        return elems
+    half = L // 2
+    pairs = combine(tuple(e[0:2 * half:2] for e in elems), tuple(e[1:2 * half:2] for e in elems))
+    if L % 2:
+        pairs = tuple(np.concatenate([p, e[-1:]]) for p, e in zip(pairs, elems))
+    tails = suffix_scan(pairs, combine)
+    del pairs
+    out = tuple(np.empty(e.shape) for e in elems)
+    for o, t in zip(out, tails):
+        o[0::2] = t
+    # an odd slot 2i+1 below the last is e_{2i+1} ∘ S_{2i+2}
+    inner = len(tails[0]) - 1
+    if inner:
+        filled = combine(tuple(e[1:2 * inner:2] for e in elems), tuple(t[1:] for t in tails))
+        for o, f in zip(out, filled):
+            o[1:2 * inner:2] = f
+    if L % 2 == 0:
+        for o, e in zip(out, elems):
+            o[-1] = e[-1]
+    return out
+
+
+def _compose_affine(earlier, later):
+    """The affine map v -> A_e (A_l v + c_l) + c_e: ``later`` applies first."""
+    Ae, ce = earlier
+    Al, cl = later
+    return Ae @ Al, (Ae @ cl[..., None])[..., 0] + ce
+
+
+def affine_scan(A, c, v, reverse=False):
+    """Every iterate of v_{k+1} = A_k v_k + c_k from v_0 = v, shape (L+1, n).
+
+    With ``reverse`` the recursion runs backward instead, v_k = A_k v_{k+1} + c_k
+    from v_L = v.  The start value enters as the constant map (0, v), so each
+    suffix composition of the maps is the constant map of one iterate.
+    """
+    L, n = c.shape
+    if not reverse:
+        A, c = A[::-1], c[::-1]
+    A = np.concatenate([A, np.zeros((1, n, n))])
+    c = np.concatenate([c, np.reshape(v, (1, n))])
+    out = suffix_scan((A, c), _compose_affine)[1]
+    return out if reverse else out[::-1]
+
+
+def _riccati_combine(earlier, later):
+    """Join the value-function elements (A, C, J) of two adjacent step ranges.
+
+    Särkkä and García-Fernández, "Temporal parallelization of dynamic
+    programming and linear quadratic control", IEEE TAC 2023, with the
+    offsets b and eta zero: X = (I + C_i J_j)^{-1} [A_i, C_i A_j'].
+    """
+    Ai, Ci, Ji = earlier
+    Aj, Cj, Jj = later
+    d = Ai.shape[-1]
+    rhs = np.concatenate([Ai, Ci @ np.swapaxes(Aj, 1, 2)], axis=2)
+    X = np.linalg.solve(np.eye(d) + Ci @ Jj, rhs)
+    XA, XC = X[..., :d], X[..., d:]
+    return Aj @ XA, Aj @ XC + Cj, np.swapaxes(XA, 1, 2) @ Jj @ Ai + Ji
+
+
+def _stage_products(E, F, Qh, Rh, Sh):
+    """Stage Hessian Kc, cross block Lc and state block Wc of the stage cost in (z, U)."""
     Ft = np.swapaxes(F, 1, 2)
     FtQ = Ft @ Qh
     Kc = FtQ @ F + Rh
@@ -132,18 +196,63 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, failure):
         Kc = Kc + FtS + np.swapaxes(FtS, 1, 2)
         Lc = Lc + Sh.T @ E
     Wc = np.swapaxes(E, 1, 2) @ Qh @ E
-    Kc, Lc, Wc, G, H = (np.broadcast_to(a, (N,) + a.shape[1:]) for a in (Kc, Lc, Wc, G, H))
+    return Kc, Lc, Wc
+
+
+def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, failure):
+    """Backward sweep of V_k(z) = 1/2 z'P_k z over stacked step operators.
+
+    X_k = E_k z + F_k U and z_{k+1} = G_k z + H_k U, stage cost
+    1/2 X'QhX + X'ShU + 1/2 U'RhU.  A leading axis of length 1 marks a
+    step-invariant operator, broadcast to N without copying.  Returns P
+    (N+1, d, d) from P_N = M_N and gains (N, sm, d) with U_k = gains_k z_k.
+
+    P comes from the Riccati scan (``_riccati_combine``) after the cross
+    term is eliminated with Kc^{-1}; the gains then follow in one batch.
+    The scan needs every Kc positive definite.  Where one is not, or the
+    scan breaks down, ``sequential_sweep`` runs instead.  The stage
+    Hessians are checked positive definite; ``failure`` names the first
+    bad step in sweep order (largest k).
+    """
+    Kc, Lc, Wc = _stage_products(E, F, Qh, Rh, Sh)
+    if factor_fails(np.linalg.cholesky, Kc):
+        return sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N, failure)
+    d = G.shape[-1]
+    Ht = np.swapaxes(H, 1, 2)
+    KiL, KiH = np.split(np.linalg.solve(Kc, np.concatenate([Lc, Ht], axis=2)), 2, axis=2)
+    elems = (G - H @ KiL, H @ KiH, Wc - np.swapaxes(Lc, 1, 2) @ KiL)
+    elems = tuple(np.concatenate([np.broadcast_to(e, (N, d, d)), np.broadcast_to(t, (1, d, d))])
+                  for e, t in zip(elems, (0.0, 0.0, M_N)))
+    try:
+        P = suffix_scan(elems, _riccati_combine)[2]
+    except np.linalg.LinAlgError:
+        P = None
+    if P is None or not np.isfinite(P).all():
+        return sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N, failure)
+    P = 0.5 * (P + np.swapaxes(P, 1, 2))
+    HP = Ht @ P[1:]
+    K = Kc + HP @ H
+    if factor_fails(np.linalg.cholesky, K):
+        raise _first_failure(K, failure)
+    return P, -np.linalg.solve(K, Lc + HP @ G)
+
+
+def _first_failure(K, failure, start=0):
+    """``failure`` naming the largest k >= start whose stage Hessian K[k] is not positive definite."""
+    k = next((j for j in range(len(K) - 1, start - 1, -1) if factor_fails(np.linalg.cholesky, K[j])), None)
+    return failure(f"stage Hessian not positive definite at step {k}")
+
+
+def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, failure):
+    """``value_sweep`` as a loop of N steps: the reference, and the fallback where the scan cannot run."""
+    Kc, Lc, Wc = (np.broadcast_to(a, (N,) + a.shape[1:]) for a in _stage_products(E, F, Qh, Rh, Sh))
+    G, H = (np.broadcast_to(a, (N,) + a.shape[1:]) for a in (G, H))
     Gt, Ht = np.swapaxes(G, 1, 2), np.swapaxes(H, 1, 2)
     d, sm = G.shape[-1], F.shape[-1]
     P = np.empty((N + 1, d, d))
     P[N] = M_N
     gains = np.empty((N, sm, d))
     K = np.empty((N, sm, sm))
-
-    def failed(start):
-        k = next((j for j in range(N - 1, start - 1, -1) if factor_fails(np.linalg.cholesky, K[j])), None)
-        return failure(f"stage Hessian not positive definite at step {k}")
-
     for k in range(N - 1, -1, -1):
         HP = Ht[k] @ P[k + 1]
         K[k] = Kc[k] + HP @ H[k]
@@ -151,12 +260,12 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, failure):
         try:
             sol = np.linalg.solve(K[k], lin)
         except np.linalg.LinAlgError:
-            raise failed(k) from None
+            raise _first_failure(K, failure, k) from None
         Pk = Wc[k] + Gt[k] @ P[k + 1] @ G[k] - lin.T @ sol
         P[k] = 0.5 * (Pk + Pk.T)
         gains[k] = -sol
     if factor_fails(np.linalg.cholesky, K):
-        raise failed(0)
+        raise _first_failure(K, failure)
     return P, gains
 
 
@@ -177,10 +286,7 @@ def rollout(sys: DiscreteLQSystem, riccati: RiccatiPass, x0=None) -> DiscreteTra
     n, N = prob.n, sys.N
     x0 = prob.x0 if x0 is None else np.asarray(x0, dtype=float).reshape(n)
     closed = sys.G + sys.H @ riccati.L  # x_{k+1} = (G + H L_k) x_k
-    x = np.empty((N + 1, n))
-    x[0] = x0
-    for k in range(N):
-        x[k + 1] = closed[k] @ x[k]
+    x = affine_scan(closed, np.zeros((N, n)), x0)
     U = (riccati.L @ x[:-1, :, None])[..., 0]
     X = x[:-1] @ sys.E.T + U @ sys.F.T
     p = (riccati.M @ x[..., None])[..., 0]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tableau as tableau_mod
-from .dlqr import factor_fails, running_cost, stage_cost_blocks, value_sweep
+from .dlqr import affine_scan, factor_fails, running_cost, stage_cost_blocks, value_sweep
 from .errors import (
     BackwardFailure,
     CostateFailure,
@@ -32,6 +32,10 @@ from .problem import cross_term
 
 STAGE_FP_TOL = 1e-12
 STAGE_FP_MAXIT = 100
+# Near the optimum c1 alpha slope falls below the rounding error of Jd, so an
+# exact Armijo test would accept or reject a good step by luck.  The test
+# allows this many units of roundoff in |Jd|.
+ARMIJO_ROUNDING = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -240,10 +244,7 @@ def direction(state: IterateState, bp: AffineBackwardPass, steps: Linearization)
     # closed loop x_{k+1} = (G + H U1) x_k + (H U2 + D2)
     closed = steps.G + steps.H @ bp.U1
     offset = (steps.H @ bp.U2[:, :, None])[..., 0] + steps.D2
-    xt = np.empty_like(state.x)
-    xt[0] = state.x[0]
-    for k in range(state.N):
-        xt[k + 1] = closed[k] @ xt[k] + offset[k]
+    xt = affine_scan(closed, offset, state.x[0])
     return (bp.U1 @ xt[:-1, :, None])[..., 0] + bp.U2 - state.U
 
 
@@ -263,10 +264,7 @@ def gradient(prob, tab, state: IterateState, steps=None) -> np.ndarray:
         w = w + state.U @ Sh.T
         g = g + state.X @ Sh
     Ew = (w[:, None, :] @ steps.E)[:, 0]
-    lam = np.empty_like(state.x)
-    lam[-1] = prob.M @ state.x[-1]
-    for k in range(state.N - 1, -1, -1):
-        lam[k] = Ew[k] + lam[k + 1] @ steps.G[k]
+    lam = affine_scan(np.swapaxes(steps.G, 1, 2), Ew, prob.M @ state.x[-1], reverse=True)
     return g + (w[:, None, :] @ steps.F)[:, 0] + (lam[1:, None, :] @ steps.H)[:, 0]
 
 
@@ -274,7 +272,8 @@ def line_search(prob, tab, state: IterateState, dU, slope=None, c1=1e-4, min_alp
     """Backtracking Armijo along the feasible curve through U + alpha dU.
 
     Accepts the first alpha in 1, 1/2, 1/4, ... with
-    Jd(alpha) <= Jd + c1 alpha slope; each trial is a fresh rollout.
+    Jd(alpha) <= Jd + c1 alpha slope + ARMIJO_ROUNDING |Jd|; each trial is
+    a fresh rollout.
     """
     dU = np.asarray(dU, dtype=float).reshape(state.U.shape)
     if not np.any(dU):
@@ -282,9 +281,10 @@ def line_search(prob, tab, state: IterateState, dU, slope=None, c1=1e-4, min_alp
     if slope is None:
         slope = float(np.sum(gradient(prob, tab, state) * dU))
     alpha = 1.0
+    slack = ARMIJO_ROUNDING * abs(state.Jd)
     while alpha >= min_alpha:
         trial = rollout(prob, tab, state.N, state.U + alpha * dU)
-        if trial.Jd <= state.Jd + c1 * alpha * slope:
+        if trial.Jd <= state.Jd + c1 * alpha * slope + slack:
             return alpha, trial
         alpha *= 0.5
     raise LineSearchFailed(f"no sufficient decrease above alpha = {min_alpha!r}")
@@ -330,7 +330,7 @@ def costates(prob, tab, state: IterateState, adj=None) -> CostateTrajectory:
     At each step the node costate p_k and stage costates p_ki solve one
     dense (s+1)n linear system built from the adjoint coefficients,
     terminal condition p_N = M x_N.  One batched solve gives every step's
-    z_k = T_k p_{k+1} + c_k; only the recursion p_k = z_k[:n] is a loop.
+    z_k = T_k p_{k+1} + c_k, and a scan of p_k = z_k[:n] gives the costates.
     """
     if adj is None:
         adj = tableau_mod.adjoint(tab)
@@ -358,10 +358,7 @@ def costates(prob, tab, state: IterateState, adj=None) -> CostateTrajectory:
         k = next((j for j in range(N - 1, -1, -1) if factor_fails(np.linalg.inv, mat[j])), None)
         raise CostateFailure(f"singular costate system at step {k}, h = {h!r}") from None
     T, c = Tc[:, :, :n], Tc[:, :, n]
-    p = np.empty((N + 1, n))
-    p[N] = prob.M @ state.x[N]
-    for k in range(N - 1, -1, -1):
-        p[k] = T[k, :n] @ p[k + 1] + c[k, :n]
+    p = affine_scan(T[:, :n], c[:, :n], prob.M @ state.x[N], reverse=True)
     z = (T @ p[1:, :, None])[..., 0] + c
     return CostateTrajectory(p=p, p_stage=z[:, n:])
 

@@ -118,6 +118,11 @@ class NonlinearProblem:
     name: str = ""
 
     def __post_init__(self):
+        for label in ("f_fn", "jac_x_fn", "jac_u_fn"):
+            if not callable(getattr(self, label)):
+                raise ValueError(f"{label} must be callable")
+        if self.input_matrix_fn is not None and not callable(self.input_matrix_fn):
+            raise ValueError("input_matrix_fn must be callable or None")
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         n = x0.size
         R = np.atleast_2d(np.asarray(self.R, dtype=float))

@@ -1,5 +1,7 @@
 """ILQR: rollout, linearization, backward pass, line search, costates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,13 @@ class TestSolve:
         with pytest.raises(NotConverged) as exc:
             ilqr.solve(prob, builtin("methodB"), 20, max_iter=1)
         assert exc.value.state is not None and len(exc.value.log) == 1
+
+    def test_armijo_test_allows_for_rounding_near_the_optimum(self):
+        # without the roundoff allowance this start stalls in NotConverged:
+        # c1 alpha slope falls below the rounding error of Jd
+        prob = dataclasses.replace(pendulum(), x0=[1.04, 0.0])
+        _, log = ilqr.solve(prob, builtin("methodB"), 40, tol=1e-11)
+        assert len(log) <= 10
 
     def test_monotone_descent_on_pendulum(self):
         prob = pendulum()

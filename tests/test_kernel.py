@@ -1,4 +1,4 @@
-"""The stacked linearization and the shared backward kernel of DLQR and ILQR.
+"""The stacked linearization, the scans and the shared backward kernel of DLQR and ILQR.
 
 The per-step references below are the plain formulas the stacked code
 replaces; the batched versions must agree with them to rounding.
@@ -9,12 +9,12 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rklqr import dlqr, ilqr, oracle
 from rklqr.errors import BackwardFailure, RiccatiFailure, StepTooLarge
-from rklqr.problem import LQProblem, NonlinearProblem, example31, pendulum
+from rklqr.problem import LQProblem, NonlinearProblem, example31, pendulum, spring_oscillator
 from rklqr.tableau import ButcherTableau, builtin
 
 
@@ -97,7 +97,90 @@ def _random_lq(rng, n, m, tf):
     )
 
 
+def _reference_affine(A, c, v, reverse):
+    """The affine recursion as a loop, forward from v_0 or backward from v_L."""
+    L = len(c)
+    out = np.empty((L + 1, len(v)))
+    if reverse:
+        out[L] = v
+        for k in range(L - 1, -1, -1):
+            out[k] = A[k] @ out[k + 1] + c[k]
+    else:
+        out[0] = v
+        for k in range(L):
+            out[k + 1] = A[k] @ out[k] + c[k]
+    return out
+
+
 SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestScans:
+    @given(SEEDS, st.integers(1, 70), st.booleans())
+    @example(0, 1, False)
+    @example(1, 2, True)
+    @example(2, 32, False)
+    @example(3, 64, True)
+    @settings(max_examples=60, deadline=None)
+    def test_affine_scan_matches_loop(self, seed, L, reverse):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        # contractive maps keep the iterates and their rounding of order one
+        A = rng.uniform(-1.0, 1.0, (L, n, n)) / n
+        c, v = rng.standard_normal((L, n)), rng.standard_normal(n)
+        got = dlqr.affine_scan(A, c, v, reverse=reverse)
+        np.testing.assert_allclose(got, _reference_affine(A, c, v, reverse), rtol=1e-12, atol=1e-12)
+
+
+def _scan_raises(elems, combine):
+    raise np.linalg.LinAlgError("singular combine")
+
+
+def _scan_not_finite(elems, combine):
+    return tuple(np.full(e.shape, np.nan) for e in elems)
+
+
+class TestRiccatiScan:
+    @staticmethod
+    def _rel(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    def test_dlqr_matches_sequential_sweep(self, monkeypatch):
+        sys = dlqr.assemble(spring_oscillator(), builtin("methodC"), 4000)
+        scan = dlqr.riccati_backward(sys)
+        monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
+        loop = dlqr.riccati_backward(sys)
+        assert self._rel(scan.M, loop.M) < 1e-12 and self._rel(scan.L, loop.L) < 1e-12
+
+    def test_augmented_ilqr_matches_sequential_sweep(self, monkeypatch):
+        prob, tab, N = pendulum(), builtin("methodB"), 2000
+        state = ilqr.rollout(prob, tab, N, np.full((N, 3), -0.5))
+        steps = ilqr.linearize(prob, tab, state)
+        scan = ilqr.backward(prob, tab, steps)
+        monkeypatch.setattr(ilqr, "value_sweep", dlqr.sequential_sweep)
+        loop = ilqr.backward(prob, tab, steps)
+        for got, want in zip(vars(scan).values(), vars(loop).values()):
+            assert self._rel(got, want) < 1e-12
+
+    @pytest.mark.parametrize("broken", [_scan_raises, _scan_not_finite])
+    def test_scan_breakdown_falls_back_to_loop(self, monkeypatch, broken):
+        sys = dlqr.assemble(spring_oscillator(), builtin("methodB"), 50)
+        want = dlqr.riccati_backward(sys)
+        monkeypatch.setattr(dlqr, "suffix_scan", broken)
+        got = dlqr.riccati_backward(sys)
+        np.testing.assert_allclose(got.M, want.M, rtol=1e-12)
+        np.testing.assert_allclose(got.L, want.L, rtol=1e-12)
+
+    @pytest.mark.parametrize("sweep", ["value_sweep", "sequential_sweep"])
+    @pytest.mark.parametrize("name, step", [("euler", 48), ("methodB", 49)])
+    def test_failure_names_same_step_on_both_paths(self, monkeypatch, sweep, name, step):
+        # the cross term makes the running cost indefinite; Euler's Kc = hR is
+        # still positive definite, so its scan runs and the check after it fails
+        prob = LQProblem(A=[[0.0]], B=[[1.0]], Q=[[0.5]], S=[[3.0]], R=[[1.0]], M=[[0.0]],
+                         x0=[1.0], tf=40.0)
+        monkeypatch.setattr(dlqr, "value_sweep", getattr(dlqr, sweep))
+        with pytest.raises(RiccatiFailure, match=f"at step {step}$"):
+            dlqr.riccati_backward(dlqr.assemble(prob, builtin(name), 50))
 
 
 class TestStackedLinearization:

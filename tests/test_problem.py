@@ -127,6 +127,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             dataclasses.replace(pendulum(), **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("f_fn", None), ("jac_x_fn", None), ("jac_u_fn", "jac"), ("input_matrix_fn", 3),
+    ])
+    def test_non_callable_dynamics_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be callable"):
+            dataclasses.replace(pendulum(), **{field: value})
+
     def test_non_finite_spec_rejected(self):
         data = {"kind": "lq", "n": 1, "m": 1, "A": [0], "B": [1], "Q": [1], "R": [1],
                 "M": [0], "x0": [1], "tf": float("nan")}
