@@ -57,8 +57,9 @@ def solve_problem(prob, tab: ButcherTableau, N: int, tol=1e-8, max_iter=200):
     info carries Jd, iteration count, and the ILQR iterate log when present.
     """
     if isinstance(prob, LQProblem):
-        sysm, rp, traj = dlqr.solve(prob, tab, N)
-        return traj, {"Jd": dlqr.discrete_cost(sysm, traj), "iterations": 0, "log": []}
+        _, _, traj = dlqr.solve(prob, tab, N)
+        Jd = dlqr.discrete_cost(prob, tab, traj.U, traj.X, traj.x)
+        return traj, {"Jd": Jd, "iterations": 0, "log": []}
     state, log = ilqr.solve(prob, tab, N, tol=tol, max_iter=max_iter)
     cost = ilqr.costates(prob, tab, state)
     u = ilqr.node_controls(prob, state, cost)
@@ -121,7 +122,13 @@ def run_order_study(prob, tab: ButcherTableau, h_grid, target: str,
     when available, otherwise a methodC solve 'ref_refine' times finer than
     the smallest h.
     """
-    h_grid = sorted(set(float(h) for h in h_grid), reverse=True)
+    h_grid = [float(h) for h in h_grid]
+    for h in h_grid:
+        if not (np.isfinite(h) and h > 0):
+            raise ValueError(f"step {h!r} must be finite and positive")
+    if ref_refine < 1:
+        raise ValueError(f"ref_refine {ref_refine!r} must be >= 1")
+    h_grid = sorted(set(h_grid), reverse=True)
     if reference is None:
         reference = build_reference(prob, builtin("methodC"), min(h_grid) / ref_refine)
     samples = []

@@ -4,6 +4,11 @@ Pipeline: assemble the per-step stage/transition operators, recurse the
 quadratic value function backward for the feedback gains, then roll the
 closed loop forward and recover node controls from the costates
 p_k = M_k x_k via u = -R^{-1}(B'p + S'x).
+
+A linear-quadratic problem is the ILQR case with constant Jacobians and zero
+offsets, so ILQR calls the same step builder (``step_operators``), discrete
+cost (``discrete_cost``), closed-form node controls (``node_controls``),
+scans and backward kernel (``value_sweep``) from here.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RiccatiFailure, StepTooLarge
-from .problem import LQProblem
+from .problem import LQProblem, cross_term
 from .tableau import ButcherTableau
 
 
@@ -26,9 +31,53 @@ def stage_cost_blocks(prob, b: np.ndarray, h: float):
     d = np.diag(b)
     Qh = h * np.kron(d, prob.Q)
     Rh = h * np.kron(d, prob.R)
-    S = getattr(prob, "S", None)
-    Sh = h * np.kron(d, S) if S is not None and np.any(S) else None
+    S = cross_term(prob)
+    Sh = None if S is None else h * np.kron(d, S)
     return Qh, Rh, Sh
+
+
+def discrete_cost(prob, tab: ButcherTableau, U, X, x) -> float:
+    """Discrete cost of stacked stage controls U, stage states X and node states x.
+
+    The sum over steps of 1/2 X_k'QhX_k + X_k'ShU_k + 1/2 U_k'RhU_k plus
+    1/2 x_N'M x_N.  The stacks need not satisfy the dynamics.
+    """
+    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, prob.tf / U.shape[0])
+    total = 0.5 * np.sum((X @ Qh) * X) + 0.5 * np.sum((U @ Rh) * U)
+    if Sh is not None:
+        total += np.sum((X @ Sh) * U)
+    xN = x[-1]
+    return float(total) + float(0.5 * xN @ prob.M @ xN)
+
+
+def step_operators(Jx, Ju, tab: ButcherTableau, h: float):
+    """Step operators E, F, G, H of K steps from the stage Jacobians of f.
+
+    ``Jx`` (K, n, s, n) and ``Ju`` (K, n, s, m) hold the Jacobians at the s
+    stage points of each step, row index first: ``Jx[k, :, j]`` is jac_x at
+    stage j.  To first order X_k = E x_k + F U_k and
+    x_{k+1} = G x_k + H U_k, with the stage coupling I - A1, A1 = h a ⊗ Jx:
+    E = (I - A1)^{-1} Z, F = (I - A1)^{-1} (h a ⊗ Ju), G = I + (h b ⊗ Jx) E
+    and H = (h b ⊗ Jx) F + h b ⊗ Ju.  Raises StepTooLarge naming the first
+    step whose coupling is singular.
+    """
+    K, n, s, _ = Jx.shape
+    m = Ju.shape[-1]
+    # (k, stage row i, row r, stage col j, col c) blocks h a_ij J[k, r, j, c]
+    ha = (h * tab.a)[:, None, :, None]
+    hb = (h * tab.b)[:, None]
+    coupling = np.eye(s * n) - (ha * Jx[:, None]).reshape(K, s * n, s * n)
+    A2 = (ha * Ju[:, None]).reshape(K, s * n, s * m)
+    B = (hb * Jx).reshape(K, n, s * n)
+    C = (hb * Ju).reshape(K, n, s * m)
+    Z = np.broadcast_to(np.tile(np.eye(n), (s, 1)), (K, s * n, n))
+    try:
+        EF = np.linalg.solve(coupling, np.concatenate([Z, A2], axis=2))
+    except np.linalg.LinAlgError:
+        k = next((j for j in range(K) if factor_fails(np.linalg.inv, coupling[j])), None)
+        raise StepTooLarge(f"singular stage coupling at step {k}, h = {h!r}", h=h) from None
+    E, F = EF[:, :, :n], EF[:, :, n:]
+    return E, F, np.eye(n) + B @ E, B @ F + C
 
 
 @dataclass(frozen=True)
@@ -40,7 +89,6 @@ class DiscreteLQSystem:
     """
 
     prob: LQProblem
-    tab: ButcherTableau
     N: int
     h: float
     E: np.ndarray
@@ -71,35 +119,23 @@ class DiscreteTrajectory:
     u: np.ndarray  # (N+1, m) node controls
     h: float
 
-    @property
-    def times(self):
-        return self.h * np.arange(self.x.shape[0])
-
 
 def assemble(prob: LQProblem, tab: ButcherTableau, N: int) -> DiscreteLQSystem:
     """Build the step operators for N steps of the given tableau.
 
-    E = (I - hA(x)a)^{-1} Z blocks etc.; raises StepTooLarge when the
-    stage-coupling matrix is singular (never happens for explicit tableaus).
+    ``step_operators`` with the constant Jacobians A and B broadcast to one
+    step without copying; raises StepTooLarge when the stage-coupling matrix
+    is singular (never happens for explicit tableaus).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     n, m, s = prob.n, prob.m, tab.s
     h = prob.tf / N
-    Z = np.tile(np.eye(n), (s, 1))
-    coupling = np.eye(s * n) - h * np.kron(tab.a, prob.A)
-    rhs = np.hstack([Z, h * np.kron(tab.a, prob.B)])
-    try:
-        EF = np.linalg.solve(coupling, rhs)
-    except np.linalg.LinAlgError:
-        raise StepTooLarge(f"singular stage coupling at h = {h!r}", h=h) from None
-    E, F = EF[:, :n], EF[:, n:]
-    bA = h * np.kron(tab.b[None, :], prob.A)  # (n, s*n) row of weighted A blocks
-    bB = h * np.kron(tab.b[None, :], prob.B)
-    G = np.eye(n) + bA @ E
-    H = bA @ F + bB
+    Jx = np.broadcast_to(prob.A[None, :, None], (1, n, s, n))
+    Ju = np.broadcast_to(prob.B[None, :, None], (1, n, s, m))
+    E, F, G, H = (op[0] for op in step_operators(Jx, Ju, tab, h))
     Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, h)
-    return DiscreteLQSystem(prob=prob, tab=tab, N=N, h=h, E=E, F=F, G=G, H=H, Qh=Qh, Rh=Rh, Sh=Sh)
+    return DiscreteLQSystem(prob=prob, N=N, h=h, E=E, F=F, G=G, H=H, Qh=Qh, Rh=Rh, Sh=Sh)
 
 
 def factor_fails(factor, mat) -> bool:
@@ -269,14 +305,13 @@ def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, failure):
     return P, gains
 
 
-def riccati_backward(sys: DiscreteLQSystem, prob: LQProblem = None) -> RiccatiPass:
+def riccati_backward(sys: DiscreteLQSystem) -> RiccatiPass:
     """Backward value-function recursion from M_N = M down to M_0, collecting gains.
 
     The step-invariant, zero-offset case of ``value_sweep``.
     """
-    prob = sys.prob if prob is None else prob
     M, L = value_sweep(sys.E[None], sys.F[None], sys.G[None], sys.H[None],
-                       sys.Qh, sys.Rh, sys.Sh, prob.M, sys.N, RiccatiFailure)
+                       sys.Qh, sys.Rh, sys.Sh, sys.prob.M, sys.N, RiccatiFailure)
     return RiccatiPass(M=M, L=L)
 
 
@@ -290,15 +325,20 @@ def rollout(sys: DiscreteLQSystem, riccati: RiccatiPass, x0=None) -> DiscreteTra
     U = (riccati.L @ x[:-1, :, None])[..., 0]
     X = x[:-1] @ sys.E.T + U @ sys.F.T
     p = (riccati.M @ x[..., None])[..., 0]
-    u = node_controls(prob, x, p)
+    u = node_controls(prob, x, p, prob.B)
     return DiscreteTrajectory(x=x, X=X, U=U, p=p, u=u, h=sys.h)
 
 
-def node_controls(prob: LQProblem, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Node controls u_k = -R^{-1}(B'p_k + S'x_k) for every node 0..N."""
-    rhs = p @ prob.B
-    S = getattr(prob, "S", None)
-    if S is not None and np.any(S):
+def node_controls(prob, x: np.ndarray, p: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Node controls u_k = -R^{-1}(B_k'p_k + S'x_k) for every node 0..N.
+
+    The closed form of the stationarity equation for control-affine
+    dynamics.  ``B`` is one input matrix (n, m) shared by every node, or a
+    stack (N+1, n, m) with one per node.
+    """
+    rhs = (p[:, None, :] @ B)[:, 0]
+    S = cross_term(prob)
+    if S is not None:
         rhs = rhs + x @ S
     return -np.linalg.solve(prob.R, rhs.T).T
 
@@ -308,17 +348,3 @@ def solve(prob: LQProblem, tab: ButcherTableau, N: int):
     sys = assemble(prob, tab, N)
     rp = riccati_backward(sys)
     return sys, rp, rollout(sys, rp)
-
-
-def running_cost(Qh, Rh, Sh, X, U) -> float:
-    """Sum over steps of 1/2 X_k'QhX_k + X_k'ShU_k + 1/2 U_k'RhU_k for stacked X, U."""
-    total = 0.5 * np.sum((X @ Qh) * X) + 0.5 * np.sum((U @ Rh) * U)
-    if Sh is not None:
-        total += np.sum((X @ Sh) * U)
-    return float(total)
-
-
-def discrete_cost(sys: DiscreteLQSystem, traj: DiscreteTrajectory) -> float:
-    """Direct evaluation of the discrete cost along a trajectory."""
-    xN = traj.x[-1]
-    return running_cost(sys.Qh, sys.Rh, sys.Sh, traj.X, traj.U) + float(0.5 * xN @ sys.prob.M @ xN)

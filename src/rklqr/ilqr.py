@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dlqr
 from . import tableau as tableau_mod
-from .dlqr import affine_scan, factor_fails, running_cost, stage_cost_blocks, value_sweep
+from .dlqr import affine_scan, discrete_cost, factor_fails, stage_cost_blocks, step_operators, value_sweep
 from .errors import (
     BackwardFailure,
     CostateFailure,
@@ -26,13 +27,16 @@ from .errors import (
     NodeControlFailure,
     NotConverged,
     RolloutDiverged,
-    StepTooLarge,
 )
 from .problem import cross_term
 
 STAGE_FP_TOL = 1e-12
 STAGE_FP_MAXIT = 100
-# Near the optimum c1 alpha slope falls below the rounding error of Jd, so an
+NEWTON_TOL = 1e-12
+NEWTON_MAXIT = 50
+ARMIJO_C1 = 1e-4
+MIN_ALPHA = 2.0**-30
+# Near the optimum ARMIJO_C1 alpha slope falls below the rounding error of Jd, so an
 # exact Armijo test would accept or reject a good step by luck.  The test
 # allows this many units of roundoff in |Jd|.
 ARMIJO_ROUNDING = 8 * np.finfo(float).eps
@@ -122,19 +126,12 @@ class IterateRecord:
     slope: float  # directional derivative J_d'(U)' dU, negative for descent
 
 
-def evaluate_cost(prob, tab, U, X, x) -> float:
-    """Discrete cost of arbitrary (U, X, x) stacks (not necessarily feasible)."""
-    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, prob.tf / U.shape[0])
-    xN = x[-1]
-    return running_cost(Qh, Rh, Sh, X, U) + float(0.5 * xN @ prob.M @ xN)
-
-
 def make_state(prob, tab, U, X, x) -> IterateState:
     """Package existing stacks (e.g. from a direct solve) as an IterateState."""
     U = np.asarray(U, dtype=float).reshape(-1, tab.s * prob.m)
     X = np.asarray(X, dtype=float).reshape(U.shape[0], tab.s * prob.n)
     x = np.asarray(x, dtype=float).reshape(U.shape[0] + 1, prob.n)
-    return IterateState(U=U, X=X, x=x, Jd=evaluate_cost(prob, tab, U, X, x), h=prob.tf / U.shape[0])
+    return IterateState(U=U, X=X, x=x, Jd=discrete_cost(prob, tab, U, X, x), h=prob.tf / U.shape[0])
 
 
 def _solve_stages(prob, tab, xk, us, h):
@@ -181,7 +178,7 @@ def rollout(prob, tab, N: int, U) -> IterateState:
         xs, fs = _solve_stages(prob, tab, x[k], U[k].reshape(s, m), h)
         X[k] = xs.ravel()
         x[k + 1] = x[k] + h * (tab.b @ fs)
-    return IterateState(U=U, X=X, x=x, Jd=evaluate_cost(prob, tab, U, X, x), h=h)
+    return IterateState(U=U, X=X, x=x, Jd=discrete_cost(prob, tab, U, X, x), h=h)
 
 
 def _stage_jacobians(jac, state, n, m):
@@ -193,27 +190,11 @@ def _stage_jacobians(jac, state, n, m):
 
 def linearize(prob, tab, state: IterateState) -> Linearization:
     """Tangent-plane step data at every step of the iterate, stacked over steps."""
-    n, m, s = prob.n, prob.m, tab.s
-    h, N = state.h, state.N
+    n, m = prob.n, prob.m
     # (k, row r, stage j, col c) layout of the stage Jacobians
     Jx = _stage_jacobians(prob.jac_x, state, n, m).transpose(0, 2, 1, 3)
     Ju = _stage_jacobians(prob.jac_u, state, n, m).transpose(0, 2, 1, 3)
-    # A1_ij = h a_ij Jx_j (coupling I - A1), A2_ij = h a_ij Ju_j, B_j = h b_j Jx_j, C_j = h b_j Ju_j
-    ha = (h * tab.a)[:, None, :, None]
-    hb = (h * tab.b)[:, None]
-    coupling = np.eye(s * n) - (ha * Jx[:, None]).reshape(N, s * n, s * n)
-    A2 = (ha * Ju[:, None]).reshape(N, s * n, s * m)
-    B = (hb * Jx).reshape(N, n, s * n)
-    C = (hb * Ju).reshape(N, n, s * m)
-    Z = np.broadcast_to(np.tile(np.eye(n), (s, 1)), (N, s * n, n))
-    try:
-        EF = np.linalg.solve(coupling, np.concatenate([Z, A2], axis=2))
-    except np.linalg.LinAlgError:
-        k = next((j for j in range(N) if factor_fails(np.linalg.inv, coupling[j])), None)
-        raise StepTooLarge(f"singular stage coupling at step {k}, h = {h!r}", h=h) from None
-    E, F = EF[:, :, :n], EF[:, :, n:]
-    G = np.eye(n) + B @ E
-    H = B @ F + C
+    E, F, G, H = step_operators(Jx, Ju, tab, state.h)
     xk, Uk = state.x[:-1, :, None], state.U[:, :, None]
     D1 = state.X - (E @ xk + F @ Uk)[..., 0]
     D2 = state.x[1:] - (G @ xk + H @ Uk)[..., 0]
@@ -268,12 +249,12 @@ def gradient(prob, tab, state: IterateState, steps=None) -> np.ndarray:
     return g + (w[:, None, :] @ steps.F)[:, 0] + (lam[1:, None, :] @ steps.H)[:, 0]
 
 
-def line_search(prob, tab, state: IterateState, dU, slope=None, c1=1e-4, min_alpha=2.0**-30):
+def line_search(prob, tab, state: IterateState, dU, slope=None):
     """Backtracking Armijo along the feasible curve through U + alpha dU.
 
-    Accepts the first alpha in 1, 1/2, 1/4, ... with
-    Jd(alpha) <= Jd + c1 alpha slope + ARMIJO_ROUNDING |Jd|; each trial is
-    a fresh rollout.
+    Accepts the first alpha in 1, 1/2, ..., MIN_ALPHA with
+    Jd(alpha) <= Jd + ARMIJO_C1 alpha slope + ARMIJO_ROUNDING |Jd|; each
+    trial is a fresh rollout.
     """
     dU = np.asarray(dU, dtype=float).reshape(state.U.shape)
     if not np.any(dU):
@@ -282,12 +263,12 @@ def line_search(prob, tab, state: IterateState, dU, slope=None, c1=1e-4, min_alp
         slope = float(np.sum(gradient(prob, tab, state) * dU))
     alpha = 1.0
     slack = ARMIJO_ROUNDING * abs(state.Jd)
-    while alpha >= min_alpha:
+    while alpha >= MIN_ALPHA:
         trial = rollout(prob, tab, state.N, state.U + alpha * dU)
-        if trial.Jd <= state.Jd + c1 * alpha * slope + slack:
+        if trial.Jd <= state.Jd + ARMIJO_C1 * alpha * slope + slack:
             return alpha, trial
         alpha *= 0.5
-    raise LineSearchFailed(f"no sufficient decrease above alpha = {min_alpha!r}")
+    raise LineSearchFailed(f"no sufficient decrease above alpha = {MIN_ALPHA!r}")
 
 
 def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200):
@@ -297,6 +278,8 @@ def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200):
     iterate and a per-iteration log.  Raises NotConverged (carrying the last
     state and log) when max_iter is exhausted.
     """
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if U0 is None:
         U0 = np.zeros((N, tab.s * prob.m))
     state = rollout(prob, tab, N, U0)
@@ -324,7 +307,7 @@ def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200):
     raise NotConverged(f"gradient norm above {tol!r} after {max_iter} iterations", state=state, log=log)
 
 
-def costates(prob, tab, state: IterateState, adj=None) -> CostateTrajectory:
+def costates(prob, tab, state: IterateState) -> CostateTrajectory:
     """Back-substitute the discrete adjoint system along a solved iterate.
 
     At each step the node costate p_k and stage costates p_ki solve one
@@ -332,8 +315,7 @@ def costates(prob, tab, state: IterateState, adj=None) -> CostateTrajectory:
     terminal condition p_N = M x_N.  One batched solve gives every step's
     z_k = T_k p_{k+1} + c_k, and a scan of p_k = z_k[:n] gives the costates.
     """
-    if adj is None:
-        adj = tableau_mod.adjoint(tab)
+    adj = tableau_mod.adjoint(tab)
     n, m, s = prob.n, prob.m, tab.s
     N, h = state.N, state.h
     S = cross_term(prob)
@@ -363,38 +345,33 @@ def costates(prob, tab, state: IterateState, adj=None) -> CostateTrajectory:
     return CostateTrajectory(p=p, p_stage=z[:, n:])
 
 
-def node_controls(prob, state: IterateState, cost: CostateTrajectory,
-                  newton_tol=1e-12, newton_maxit=50) -> np.ndarray:
+def node_controls(prob, state: IterateState, cost: CostateTrajectory) -> np.ndarray:
     """Node controls from the stationarity equation Ju(x,u)'p + Ru (+ S'x) = 0.
 
-    Control-affine dynamics admit the closed form u = -R^{-1}(B(x)'p + S'x);
-    otherwise a Newton iteration with finite-difference Jacobian runs from
-    the first-stage control of the step.
+    Control-affine dynamics admit the closed form ``dlqr.node_controls``
+    with B(x_k) at each node; otherwise a Newton iteration with
+    finite-difference Jacobian runs from the first-stage control of the step.
     """
     N, m = state.N, prob.m
     if getattr(prob, "control_affine", True):  # linear problems are affine
         Bx = np.array([prob.input_matrix(xk) for xk in state.x])
-        rhs = (cost.p[:, None, :] @ Bx)[:, 0]
-        S = cross_term(prob)
-        if S is not None:
-            rhs = rhs + state.x @ S
-        return -np.linalg.solve(prob.R, rhs.T).T
+        return dlqr.node_controls(prob, state.x, cost.p, Bx)
     s = state.U.shape[1] // m
     u = np.zeros((N + 1, m))
     for k in range(N + 1):
         guess = state.U[k, :m] if k < N else state.U[N - 1, (s - 1) * m :]
-        u[k] = _newton_node_control(prob, state.x[k], cost.p[k], guess, newton_tol, newton_maxit, k)
+        u[k] = _newton_node_control(prob, state.x[k], cost.p[k], guess, k)
     return u
 
 
-def _newton_node_control(prob, x, p, u0, tol, maxit, index):
+def _newton_node_control(prob, x, p, u0, index):
     def resid(u):
         return prob.jac_u(x, u).T @ p + prob.R @ u
 
     u = np.array(u0, dtype=float)
-    for _ in range(maxit):
+    for _ in range(NEWTON_MAXIT):
         g = resid(u)
-        if np.abs(g).max(initial=0.0) < tol:
+        if np.abs(g).max(initial=0.0) < NEWTON_TOL:
             return u
         m = u.size
         J = np.empty((m, m))

@@ -181,25 +181,6 @@ def cross_term(prob) -> Optional[np.ndarray]:
     return S
 
 
-def as_nonlinear(prob: LQProblem) -> NonlinearProblem:
-    """Wrap an LQ problem (S = 0 only) in the nonlinear interface."""
-    if cross_term(prob) is not None:
-        raise ValueError("cross-term problems cannot drop S; use the LQProblem directly")
-    A, B = prob.A, prob.B
-    return NonlinearProblem(
-        f_fn=lambda x, u: A @ x + B @ u,
-        jac_x_fn=lambda x, u: A,
-        jac_u_fn=lambda x, u: B,
-        input_matrix_fn=lambda x: B,
-        Q=prob.Q,
-        R=prob.R,
-        M=prob.M,
-        x0=prob.x0,
-        tf=prob.tf,
-        name=prob.name or "lq",
-    )
-
-
 # ---------------------------------------------------------------------------
 # builtin problems
 # ---------------------------------------------------------------------------

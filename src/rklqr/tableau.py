@@ -160,7 +160,7 @@ def stage_orders(tab: ButcherTableau, adj: AdjointTableau, i: int, r: int) -> St
     row = i - 1
     q1 = _largest_condition_order(tab.a[row], tab.c, tab.c[row], r)
     q2 = _largest_condition_order(adj.abar[row], tab.c, tab.c[row], r)
-    c_match = bool(abs(tab.c[row] - adj.cbar[row]) <= CC_MATCH_TOL)
+    c_match = bool(check_cc(tab, adj)[row])
     n = min(q1, q2, r) if c_match else 1
     return StageOrderReport(stage=i, q1=q1, q2=q2, c_match=c_match, predicted_order=n)
 

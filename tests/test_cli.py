@@ -82,6 +82,13 @@ class TestSolveCommand:
         rc = cli.main(["solve", "--problem", "spring", "--method", "rk99", "--steps", "4"])
         assert rc == 2
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    @pytest.mark.parametrize("problem", ["spring", "pendulum"])
+    def test_nonpositive_steps_exit_2(self, capsys, problem, steps):
+        rc = cli.main(["solve", "--problem", problem, "--method", "methodB", "--steps", steps])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: N must be >= 1\n"
+
     def test_missing_args_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["solve", "--problem", "spring"])
@@ -113,6 +120,18 @@ class TestOrderStudyCommand:
         rc = cli.main(["order-study", "--problem", "example31", "--method", "methodA",
                        "--h-grid", "0.1,0.05,0.025", "--target", "everything"])
         assert rc == 2
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--h-grid", "0.1,0.05,0"], "step 0.0 must be finite and positive"),
+        (["--h-grid", "0.1,nan,0.04"], "step nan must be finite and positive"),
+        (["--h-grid", "0.1,-0.05,0.04"], "step -0.05 must be finite and positive"),
+        (["--h-grid", "0.1,inf,0.04"], "step inf must be finite and positive"),
+        (["--h-grid", "0.1,0.05,0.04", "--ref-refine", "0"], "ref_refine 0 must be >= 1"),
+    ], ids=["zero-h", "nan-h", "negative-h", "inf-h", "zero-refine"])
+    def test_bad_step_or_refinement_exits_2(self, capsys, extra, message):
+        rc = cli.main(["order-study", "--problem", "pendulum", "--method", "methodB", *extra])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_stage_out_of_range_exits_2(self):
         rc = cli.main(["order-study", "--problem", "example31", "--method", "methodA",

@@ -166,7 +166,7 @@ class TestRollout:
         sysm = dlqr.assemble(prob, builtin("methodB"), 50)
         rp = dlqr.riccati_backward(sysm)
         traj = dlqr.rollout(sysm, rp)
-        direct = dlqr.discrete_cost(sysm, traj)
+        direct = dlqr.discrete_cost(prob, builtin("methodB"), traj.U, traj.X, traj.x)
         value = 0.5 * prob.x0 @ rp.M[0] @ prob.x0
         assert direct == pytest.approx(value, abs=1e-10)
 

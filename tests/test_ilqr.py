@@ -9,7 +9,6 @@ from rklqr import dlqr, ilqr
 from rklqr.errors import NotConverged, RolloutDiverged
 from rklqr.problem import (
     NonlinearProblem,
-    as_nonlinear,
     cross_term,
     example31,
     pendulum,
@@ -442,9 +441,8 @@ class TestNodeControls:
 class TestLQAsNonlinear:
     def test_wrapped_problem_one_shot(self):
         lq = spring_oscillator()
-        prob = as_nonlinear(lq)
         tab = builtin("methodA")
-        state, log = ilqr.solve(prob, tab, 50)
+        state, log = ilqr.solve(lq, tab, 50)
         assert len(log) == 1 and log[0].alpha == 1.0
         _, _, traj = dlqr.solve(lq, tab, 50)
         np.testing.assert_allclose(state.U, traj.U, atol=1e-10)

@@ -184,19 +184,39 @@ class TestRiccatiScan:
 
 
 class TestStackedLinearization:
-    @given(SEEDS)
-    @settings(max_examples=30, deadline=None)
-    def test_matches_per_step_reference(self, seed):
+    @given(SEEDS, st.booleans())
+    @example(0, True)
+    @example(1, False)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_step_reference(self, seed, linear):
+        # linear: a random LQ problem with a cross term, at random stacks (its
+        # Jacobians do not depend on the point), under a random explicit
+        # tableau or trapezoidal; dlqr.assemble must give the same operators
         rng = np.random.default_rng(seed)
-        tab = _random_explicit_tableau(rng, int(rng.integers(1, 4)))
         N = int(rng.integers(1, 6))
-        prob = pendulum()
-        state = ilqr.rollout(prob, tab, N, 0.5 * rng.standard_normal((N, tab.s)))
+        if linear:
+            prob = _random_lq(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)),
+                              tf=float(rng.uniform(0.5, 1.5)))
+            tab = (builtin("trapezoidal") if rng.integers(2)
+                   else _random_explicit_tableau(rng, int(rng.integers(1, 4))))
+            U, X, x = (rng.standard_normal(shape) for shape in
+                       ((N, tab.s * prob.m), (N, tab.s * prob.n), (N + 1, prob.n)))
+            state = ilqr.make_state(prob, tab, U, X, x)
+        else:
+            prob = pendulum()
+            tab = _random_explicit_tableau(rng, int(rng.integers(1, 4)))
+            state = ilqr.rollout(prob, tab, N, 0.5 * rng.standard_normal((N, tab.s)))
         steps = ilqr.linearize(prob, tab, state)
+        ref = _reference_linearize(prob, tab, state)
         scale = 1.0 + np.abs(state.X).max()
-        for st_new, ref in zip(steps, _reference_linearize(prob, tab, state)):
-            for got, want in zip(vars(st_new).values(), ref):
+        for st_new, want_step in zip(steps, ref):
+            for got, want in zip(vars(st_new).values(), want_step):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * scale)
+        if linear:
+            sysm = dlqr.assemble(prob, tab, N)
+            for want_step in ref:
+                for got, want in zip((sysm.E, sysm.F, sysm.G, sysm.H), want_step):
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
     def test_indexing_gives_views_of_the_stacks(self):
         prob = pendulum()

@@ -9,7 +9,6 @@ import pytest
 from rklqr.errors import NotFound
 from rklqr.problem import (
     LQProblem,
-    as_nonlinear,
     builtin_problem,
     cross_term,
     example31,
@@ -73,7 +72,7 @@ class TestPendulum:
         assert prob.control_affine
         np.testing.assert_array_equal(prob.input_matrix(prob.x0), [[0.0], [1.0]])
 
-    @pytest.mark.parametrize("prob_factory", [pendulum, lambda: as_nonlinear(spring_oscillator())])
+    @pytest.mark.parametrize("prob_factory", [pendulum, lambda: spring_oscillator()])
     def test_jacobians_match_finite_differences(self, prob_factory):
         prob = prob_factory()
         rng = np.random.default_rng(7)
@@ -139,11 +138,6 @@ class TestValidation:
                 "M": [0], "x0": [1], "tf": float("nan")}
         with pytest.raises(ValueError, match="finite"):
             load_problem(data)
-
-    def test_as_nonlinear_refuses_cross_term(self):
-        prob, _ = example31()
-        with pytest.raises(ValueError, match="cross-term"):
-            as_nonlinear(prob)
 
 
 class TestLoading:
