@@ -61,9 +61,9 @@ def solve_problem(prob, tab: ButcherTableau, N: int, tol=1e-8, max_iter=200):
         Jd = dlqr.discrete_cost(prob, tab, traj.U, traj.X, traj.x)
         return traj, {"Jd": Jd, "iterations": 0, "log": []}
     state, log = ilqr.solve(prob, tab, N, tol=tol, max_iter=max_iter)
-    cost = ilqr.costates(prob, tab, state)
-    u = ilqr.node_controls(prob, state, cost)
-    traj = dlqr.DiscreteTrajectory(x=state.x, X=state.X, U=state.U, p=cost.p, u=u, h=state.h)
+    p = ilqr.costates(prob, tab, state)
+    u = ilqr.node_controls(prob, state, p)
+    traj = dlqr.DiscreteTrajectory(x=state.x, X=state.X, U=state.U, p=p, u=u, h=state.h)
     return traj, {"Jd": state.Jd, "iterations": len(log), "log": log}
 
 
@@ -123,6 +123,8 @@ def run_order_study(prob, tab: ButcherTableau, h_grid, target: str,
     the smallest h.
     """
     h_grid = [float(h) for h in h_grid]
+    if not h_grid:
+        raise ValueError("the step grid is empty")
     for h in h_grid:
         if not (np.isfinite(h) and h > 0):
             raise ValueError(f"step {h!r} must be finite and positive")

@@ -269,14 +269,9 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, failure):
     HP = Ht @ P[1:]
     K = Kc + HP @ H
     if factor_fails(np.linalg.cholesky, K):
-        raise _first_failure(K, failure)
+        k = max(j for j in range(len(K)) if factor_fails(np.linalg.cholesky, K[j]))
+        raise failure(f"stage Hessian not positive definite at step {k}")
     return P, -np.linalg.solve(K, Lc + HP @ G)
-
-
-def _first_failure(K, failure, start=0):
-    """``failure`` naming the largest k >= start whose stage Hessian K[k] is not positive definite."""
-    k = next((j for j in range(len(K) - 1, start - 1, -1) if factor_fails(np.linalg.cholesky, K[j])), None)
-    return failure(f"stage Hessian not positive definite at step {k}")
 
 
 def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, failure):
@@ -288,20 +283,16 @@ def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, failure):
     P = np.empty((N + 1, d, d))
     P[N] = M_N
     gains = np.empty((N, sm, d))
-    K = np.empty((N, sm, sm))
     for k in range(N - 1, -1, -1):
         HP = Ht[k] @ P[k + 1]
-        K[k] = Kc[k] + HP @ H[k]
+        K = Kc[k] + HP @ H[k]
+        if factor_fails(np.linalg.cholesky, K):
+            raise failure(f"stage Hessian not positive definite at step {k}")
         lin = Lc[k] + HP @ G[k]
-        try:
-            sol = np.linalg.solve(K[k], lin)
-        except np.linalg.LinAlgError:
-            raise _first_failure(K, failure, k) from None
+        sol = np.linalg.solve(K, lin)
         Pk = Wc[k] + Gt[k] @ P[k + 1] @ G[k] - lin.T @ sol
         P[k] = 0.5 * (Pk + Pk.T)
         gains[k] = -sol
-    if factor_fails(np.linalg.cholesky, K):
-        raise _first_failure(K, failure)
     return P, gains
 
 

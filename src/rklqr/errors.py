@@ -50,10 +50,6 @@ class NotConverged(SolverError):
         self.log = log if log is not None else []
 
 
-class CostateFailure(SolverError):
-    """Per-step costate system is singular."""
-
-
 class NodeControlFailure(SolverError):
     """Newton iteration for a node control did not converge."""
 
@@ -63,7 +59,7 @@ class NodeControlFailure(SolverError):
 
 
 class OracleFailure(SolverError):
-    """Direct KKT solve failed (singular system)."""
+    """A direct solve of the oracle failed (singular KKT or costate system)."""
 
 
 class NeedsReference(SolverError):

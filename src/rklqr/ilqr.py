@@ -6,9 +6,10 @@ backward value recursion plus forward sweep, and backtracks along the
 feasible curve U + alpha (Utilde - U).  The search direction equals
 -W(U)^{-1} J_d'(U), so the loop is a quasi-Newton method.
 
-After convergence, node controls are recovered from the costates of the
-discrete adjoint system (back-substituted with the tableau's symplectic
-partner) through the stationarity equation Ju'p + Ru = 0.
+The node costates come from the scan that gives the gradient, the discrete
+adjoint p_k = E_k'w_k + G_k'p_{k+1} from p_N = M x_N; by Hager's equivalence
+they are the costates of the symplectic partitioned RK method.  The node
+controls solve the stationarity equation Ju'p + Ru = 0.
 """
 
 from __future__ import annotations
@@ -18,17 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dlqr
-from . import tableau as tableau_mod
-from .dlqr import affine_scan, discrete_cost, factor_fails, stage_cost_blocks, step_operators, value_sweep
-from .errors import (
-    BackwardFailure,
-    CostateFailure,
-    LineSearchFailed,
-    NodeControlFailure,
-    NotConverged,
-    RolloutDiverged,
-)
-from .problem import cross_term
+from .dlqr import affine_scan, discrete_cost, stage_cost_blocks, step_operators, value_sweep
+from .errors import BackwardFailure, LineSearchFailed, NodeControlFailure, NotConverged, RolloutDiverged
 
 STAGE_FP_TOL = 1e-12
 STAGE_FP_MAXIT = 100
@@ -107,14 +99,6 @@ class AffineBackwardPass:
 
 
 @dataclass(frozen=True)
-class CostateTrajectory:
-    """Node costates p_k and stacked internal-stage costates p_ki."""
-
-    p: np.ndarray  # (N+1, n)
-    p_stage: np.ndarray  # (N, s*n)
-
-
-@dataclass(frozen=True)
 class IterateRecord:
     """One accepted iteration of solve(): cost after the step plus diagnostics."""
 
@@ -168,6 +152,8 @@ def _solve_stages(prob, tab, xk, us, h):
 
 def rollout(prob, tab, N: int, U) -> IterateState:
     """Integrate the discrete dynamics under stage controls U and price them."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     n, m, s = prob.n, prob.m, tab.s
     h = prob.tf / N
     U = np.asarray(U, dtype=float).reshape(N, s * m)
@@ -229,24 +215,27 @@ def direction(state: IterateState, bp: AffineBackwardPass, steps: Linearization)
     return (bp.U1 @ xt[:-1, :, None])[..., 0] + bp.U2 - state.U
 
 
+def _running_cost_gradients(prob, tab, state: IterateState):
+    """Gradients (w, r) of the running cost in the stage states X and the stage controls U."""
+    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, state.h)
+    w, r = state.X @ Qh, state.U @ Rh
+    if Sh is not None:
+        w, r = w + state.U @ Sh.T, r + state.X @ Sh
+    return w, r
+
+
 def gradient(prob, tab, state: IterateState, steps=None) -> np.ndarray:
     """Exact gradient of the discrete cost in the stage controls, shape (N, s*m).
 
-    Backward adjoint accumulation lam_k = E_k'w_k + G_k'lam_{k+1} through the
-    linearized step chain, w_k being the stage-state cost gradient; the
-    states are treated as functions of U via the stage equations.
+    The states are functions of U via the stage equations, so by the chain
+    rule through the linearized steps g_k = r_k + F_k'w_k + H_k'p_{k+1},
+    with (w, r) the running-cost gradients and p the ``costates``.
     """
     if steps is None:
         steps = linearize(prob, tab, state)
-    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, state.h)
-    w = state.X @ Qh
-    g = state.U @ Rh
-    if Sh is not None:
-        w = w + state.U @ Sh.T
-        g = g + state.X @ Sh
-    Ew = (w[:, None, :] @ steps.E)[:, 0]
-    lam = affine_scan(np.swapaxes(steps.G, 1, 2), Ew, prob.M @ state.x[-1], reverse=True)
-    return g + (w[:, None, :] @ steps.F)[:, 0] + (lam[1:, None, :] @ steps.H)[:, 0]
+    w, r = _running_cost_gradients(prob, tab, state)
+    p = costates(prob, tab, state, steps)
+    return r + (w[:, None, :] @ steps.F)[:, 0] + (p[1:, None, :] @ steps.H)[:, 0]
 
 
 def line_search(prob, tab, state: IterateState, dU, slope=None):
@@ -307,45 +296,24 @@ def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200):
     raise NotConverged(f"gradient norm above {tol!r} after {max_iter} iterations", state=state, log=log)
 
 
-def costates(prob, tab, state: IterateState) -> CostateTrajectory:
-    """Back-substitute the discrete adjoint system along a solved iterate.
+def costates(prob, tab, state: IterateState, steps=None) -> np.ndarray:
+    """Node costates p_k of the iterate, shape (N+1, n): the discrete adjoint of the cost.
 
-    At each step the node costate p_k and stage costates p_ki solve one
-    dense (s+1)n linear system built from the adjoint coefficients,
-    terminal condition p_N = M x_N.  One batched solve gives every step's
-    z_k = T_k p_{k+1} + c_k, and a scan of p_k = z_k[:n] gives the costates.
+    One reverse scan of p_k = E_k'w_k + G_k'p_{k+1} from p_N = M x_N, w_k
+    being the running-cost gradient in the stage states.  Without ``steps``,
+    E and G are built from jac_x alone.
     """
-    adj = tableau_mod.adjoint(tab)
-    n, m, s = prob.n, prob.m, tab.s
-    N, h = state.N, state.h
-    S = cross_term(prob)
-    dim = (s + 1) * n
-    JxT = np.swapaxes(_stage_jacobians(prob.jac_x, state, n, m), 2, 3)
-    w = state.X.reshape(N, s, n) @ prob.Q  # running-cost state gradient
-    if S is not None:
-        w += state.U.reshape(N, s, m) @ S.T
-    # block rows: node [I, -h b_j Jx_j'] and stage i [-I, delta_ij I + h abar_ij Jx_j']
-    wts = h * np.vstack([tab.b, -adj.abar])
-    mat = np.zeros((N, s + 1, n, s + 1, n))
-    mat[:, :, :, 1:] = -wts[:, None, :, None] * JxT.transpose(0, 2, 1, 3)[:, None]
-    unit = np.eye(s + 1)
-    unit[1:, 0] = -1.0
-    mat = mat.reshape(N, dim, dim) + np.kron(unit, np.eye(n))
-    rhs = np.zeros((N, dim, n + 1))
-    rhs[:, :n, :n] = np.eye(n)
-    rhs[:, :, n] = (wts @ w).reshape(N, dim)
-    try:
-        Tc = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError:
-        k = next((j for j in range(N - 1, -1, -1) if factor_fails(np.linalg.inv, mat[j])), None)
-        raise CostateFailure(f"singular costate system at step {k}, h = {h!r}") from None
-    T, c = Tc[:, :, :n], Tc[:, :, n]
-    p = affine_scan(T[:, :n], c[:, :n], prob.M @ state.x[N], reverse=True)
-    z = (T @ p[1:, :, None])[..., 0] + c
-    return CostateTrajectory(p=p, p_stage=z[:, n:])
+    if steps is None:
+        Jx = _stage_jacobians(prob.jac_x, state, prob.n, prob.m).transpose(0, 2, 1, 3)
+        E, _, G, _ = step_operators(Jx, Jx[..., :0], tab, state.h)  # no control columns
+    else:
+        E, G = steps.E, steps.G
+    w, _ = _running_cost_gradients(prob, tab, state)
+    Ew = (w[:, None, :] @ E)[:, 0]
+    return affine_scan(np.swapaxes(G, 1, 2), Ew, prob.M @ state.x[-1], reverse=True)
 
 
-def node_controls(prob, state: IterateState, cost: CostateTrajectory) -> np.ndarray:
+def node_controls(prob, state: IterateState, p: np.ndarray) -> np.ndarray:
     """Node controls from the stationarity equation Ju(x,u)'p + Ru (+ S'x) = 0.
 
     Control-affine dynamics admit the closed form ``dlqr.node_controls``
@@ -355,12 +323,12 @@ def node_controls(prob, state: IterateState, cost: CostateTrajectory) -> np.ndar
     N, m = state.N, prob.m
     if getattr(prob, "control_affine", True):  # linear problems are affine
         Bx = np.array([prob.input_matrix(xk) for xk in state.x])
-        return dlqr.node_controls(prob, state.x, cost.p, Bx)
+        return dlqr.node_controls(prob, state.x, p, Bx)
     s = state.U.shape[1] // m
     u = np.zeros((N + 1, m))
     for k in range(N + 1):
         guess = state.U[k, :m] if k < N else state.U[N - 1, (s - 1) * m :]
-        u[k] = _newton_node_control(prob, state.x[k], cost.p[k], guess, k)
+        u[k] = _newton_node_control(prob, state.x[k], p[k], guess, k)
     return u
 
 

@@ -3,6 +3,8 @@
 qp_solve assembles the full discretized problem as one equality-constrained
 QP and solves its KKT system in a single dense factorization; it shares no
 recursion with the feedback pipeline, so agreement is a real cross-check.
+adjoint_costates back-substitutes the symplectic partitioned RK costate
+system, the reference for Hager's equivalence with the solver's adjoint.
 grad_fd / grad_exact / quasi_newton provide three mutually independent
 routes to the cost gradient and the quasi-Newton metric W(U); the scalar
 curve demo reproduces the 1-D counterexample that bounds the iteration's
@@ -17,8 +19,10 @@ import numpy as np
 import scipy.linalg
 
 from . import ilqr
+from .dlqr import stage_cost_blocks
 from .errors import OracleFailure
 from .problem import cross_term
+from .tableau import adjoint
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,14 @@ class QuasiNewtonData:
     Y: np.ndarray  # gradient of the discrete cost at U
     C: float  # cost value at U
     direction: np.ndarray  # -W^{-1} Y
+
+
+@dataclass(frozen=True)
+class AdjointCostates:
+    """Node costates p_k and stacked internal-stage costates p_ki of the SPRK method."""
+
+    p: np.ndarray  # (N+1, n)
+    p_stage: np.ndarray  # (N, s*n)
 
 
 @dataclass(frozen=True)
@@ -156,8 +168,42 @@ def qp_solve(prob, tab, N: int) -> QPSolution:
     )
 
 
+def adjoint_costates(prob, tab, state) -> AdjointCostates:
+    """Back-substitute the SPRK costate system along an iterate, one step at a time.
+
+    With the tableau's symplectic partner abar and g_j = Jx_j'p_kj + w_j,
+    w_j the running-cost gradient at stage state j, step k solves the dense
+    (s+1)n system p_{k+1} = p_k - h sum_j b_j g_j,
+    p_ki = p_k - h sum_j abar_ij g_j for p_k and the p_ki, from p_N = M x_N.
+    """
+    n, m, s = prob.n, prob.m, tab.s
+    N, h = state.N, state.h
+    S = cross_term(prob)
+    wts = h * np.vstack([tab.b, -adjoint(tab).abar])  # rows: node, then stage i
+    base = np.eye((s + 1) * n)
+    base[n:, :n] = -np.tile(np.eye(n), (s, 1))
+    p, p_stage = np.empty((N + 1, n)), np.empty((N, s * n))
+    p[N] = prob.M @ state.x[N]
+    for k in range(N - 1, -1, -1):
+        xs, us = state.X[k].reshape(s, n), state.U[k].reshape(s, m)
+        JxT = np.array([prob.jac_x(xs[j], us[j]).T for j in range(s)])
+        w = xs @ prob.Q + (0.0 if S is None else us @ S.T)
+        mat = base.copy()
+        mat[:, n:] -= np.einsum("rj,jab->rajb", wts, JxT).reshape((s + 1) * n, s * n)
+        rhs = (wts @ w).ravel()
+        rhs[:n] += p[k + 1]
+        try:
+            z = np.linalg.solve(mat, rhs)
+        except np.linalg.LinAlgError:
+            raise OracleFailure(f"singular costate system at step {k}, h = {h!r}") from None
+        p[k], p_stage[k] = z[:n], z[n:]
+    return AdjointCostates(p=p, p_stage=p_stage)
+
+
 def grad_fd(prob, tab, N: int, U, eps=None) -> np.ndarray:
     """Central-difference gradient of the discrete cost, component by component."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     U = np.asarray(U, dtype=float).reshape(N, tab.s * prob.m)
     if eps is None:
         eps = 1e-6 * (1.0 + np.linalg.norm(U))
@@ -191,8 +237,6 @@ def grad_exact(prob, tab, N: int, U) -> np.ndarray:
     """Exact cost gradient assembled from dense step sensitivities."""
     state = ilqr.rollout(prob, tab, N, U)
     steps = ilqr.linearize(prob, tab, state)
-    from .dlqr import stage_cost_blocks
-
     Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, state.h)
     stage_sens, PN = _sensitivities(prob, tab, state, steps)
     blk = state.U.shape[1]
@@ -218,8 +262,6 @@ def quasi_newton(prob, tab, N: int, U) -> QuasiNewtonData:
     """
     state = ilqr.rollout(prob, tab, N, U)
     steps = ilqr.linearize(prob, tab, state)
-    from .dlqr import stage_cost_blocks
-
     Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, state.h)
     stage_sens, PN = _sensitivities(prob, tab, state, steps)
     blk = state.U.shape[1]

@@ -133,8 +133,8 @@ def test_criterion_05_oracle_equivalence():
                 np.testing.assert_allclose(qp.X, traj.X, atol=1e-9)
                 np.testing.assert_allclose(qp.x, traj.x, atol=1e-9)
                 state = ilqr.make_state(prob, tab, qp.U, qp.X, qp.x)
-                cost = ilqr.costates(prob, tab, state)
-                np.testing.assert_allclose(qp.lam, cost.p[1:], atol=1e-9)
+                p = ilqr.costates(prob, tab, state)
+                np.testing.assert_allclose(qp.lam, p[1:], atol=1e-9)
     _pass("criterion 5: DLQR == KKT solve and multipliers == costates (1e-9)")
 
 
@@ -210,8 +210,8 @@ def test_criterion_11_pendulum_initial_control_convergence():
         vals = []
         for N in Ns:
             state, _ = ilqr.solve(prob, tab, N)
-            cost = ilqr.costates(prob, tab, state)
-            vals.append(ilqr.node_controls(prob, state, cost)[0, 0])
+            p = ilqr.costates(prob, tab, state)
+            vals.append(ilqr.node_controls(prob, state, p)[0, 0])
         u0[name] = np.array(vals)
     # methodB initial control is settled to well under 1e-3 by N = 200
     assert abs(u0["methodB"][1] - u0["methodB"][3]) < 1e-3

@@ -127,7 +127,8 @@ class TestOrderStudyCommand:
         (["--h-grid", "0.1,-0.05,0.04"], "step -0.05 must be finite and positive"),
         (["--h-grid", "0.1,inf,0.04"], "step inf must be finite and positive"),
         (["--h-grid", "0.1,0.05,0.04", "--ref-refine", "0"], "ref_refine 0 must be >= 1"),
-    ], ids=["zero-h", "nan-h", "negative-h", "inf-h", "zero-refine"])
+        (["--h-grid", ","], "the step grid is empty"),
+    ], ids=["zero-h", "nan-h", "negative-h", "inf-h", "zero-refine", "empty-grid"])
     def test_bad_step_or_refinement_exits_2(self, capsys, extra, message):
         rc = cli.main(["order-study", "--problem", "pendulum", "--method", "methodB", *extra])
         assert rc == 2

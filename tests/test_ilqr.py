@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rklqr import dlqr, ilqr
+from rklqr import dlqr, ilqr, oracle
 from rklqr.errors import NotConverged, RolloutDiverged
 from rklqr.problem import (
     NonlinearProblem,
@@ -48,6 +48,13 @@ class TestRollout:
             np.testing.assert_allclose(state.X[k], X, atol=1e-12)
             x = sysm.G @ x + sysm.H @ U[k]
             np.testing.assert_allclose(state.x[k + 1], x, atol=1e-12)
+
+    def test_zero_steps_rejected(self):
+        prob, tab = pendulum(), builtin("methodB")
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            ilqr.rollout(prob, tab, 0, np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            oracle.grad_fd(prob, tab, 0, np.zeros((0, 3)))
 
     def test_uncontrolled_pendulum_matches_direct_integration(self):
         prob = pendulum()
@@ -326,8 +333,8 @@ class TestCostates:
         tab = builtin("methodB")
         sysm, rp, traj = dlqr.solve(prob, tab, 50)
         state = ilqr.make_state(prob, tab, traj.U, traj.X, traj.x)
-        cost = ilqr.costates(prob, tab, state)
-        np.testing.assert_allclose(cost.p, traj.p, atol=1e-9)
+        p = ilqr.costates(prob, tab, state)
+        np.testing.assert_allclose(p, traj.p, atol=1e-9)
 
     def test_zero_cost_zero_costates(self):
         prob = NonlinearProblem(
@@ -336,7 +343,8 @@ class TestCostates:
         )
         tab = builtin("methodA")
         state = ilqr.rollout(prob, tab, 6, np.zeros((6, 2)))
-        cost = ilqr.costates(prob, tab, state)
+        np.testing.assert_allclose(ilqr.costates(prob, tab, state), 0.0, atol=0)
+        cost = oracle.adjoint_costates(prob, tab, state)
         np.testing.assert_allclose(cost.p, 0.0, atol=0)
         np.testing.assert_allclose(cost.p_stage, 0.0, atol=0)
 
@@ -347,8 +355,8 @@ class TestCostates:
         for N in (5, 10, 20):
             _, _, traj = dlqr.solve(prob, tab, N)
             state = ilqr.make_state(prob, tab, traj.U, traj.X, traj.x)
-            cost = ilqr.costates(prob, tab, state)
-            errs.append(abs(cost.p[0, 0] - P_STAR_0))
+            p = ilqr.costates(prob, tab, state)
+            errs.append(abs(p[0, 0] - P_STAR_0))
         slope = np.polyfit(np.log([0.2, 0.1, 0.05]), np.log(errs), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.4)
 
@@ -357,7 +365,7 @@ class TestCostates:
         prob = pendulum()
         tab = builtin(name)
         state, _ = ilqr.solve(prob, tab, 30)
-        cost = ilqr.costates(prob, tab, state)
+        cost = oracle.adjoint_costates(prob, tab, state)
         pnorm = np.abs(cost.p).max()
         assert _costate_residual(prob, tab, state, cost) < 1e-10 * (1 + pnorm)
         np.testing.assert_allclose(cost.p[-1], prob.M @ state.x[-1], atol=0)
@@ -368,9 +376,9 @@ class TestNodeControls:
         prob = pendulum()
         tab = builtin("methodB")
         state, _ = ilqr.solve(prob, tab, 40)
-        cost = ilqr.costates(prob, tab, state)
-        u = ilqr.node_controls(prob, state, cost)
-        np.testing.assert_allclose(u[:, 0], -20.0 * cost.p[:, 1], atol=1e-14)
+        p = ilqr.costates(prob, tab, state)
+        u = ilqr.node_controls(prob, state, p)
+        np.testing.assert_allclose(u[:, 0], -20.0 * p[:, 1], atol=1e-14)
 
     def test_zero_costate_zero_control(self):
         prob = NonlinearProblem(
@@ -379,8 +387,8 @@ class TestNodeControls:
         )
         tab = builtin("methodA")
         state = ilqr.rollout(prob, tab, 6, np.zeros((6, 2)))
-        cost = ilqr.costates(prob, tab, state)
-        u = ilqr.node_controls(prob, state, cost)
+        p = ilqr.costates(prob, tab, state)
+        u = ilqr.node_controls(prob, state, p)
         np.testing.assert_allclose(u, 0.0, atol=0)
 
     def test_linear_agrees_with_dlqr(self):
@@ -388,8 +396,8 @@ class TestNodeControls:
         tab = builtin("methodA")
         sysm, rp, traj = dlqr.solve(prob, tab, 40)
         state = ilqr.make_state(prob, tab, traj.U, traj.X, traj.x)
-        cost = ilqr.costates(prob, tab, state)
-        u = ilqr.node_controls(prob, state, cost)
+        p = ilqr.costates(prob, tab, state)
+        u = ilqr.node_controls(prob, state, p)
         np.testing.assert_allclose(u, traj.u, atol=1e-9)
 
     def test_newton_path_solves_stationarity(self):
@@ -409,10 +417,10 @@ class TestNodeControls:
         tab = builtin("methodB")
         rng = np.random.default_rng(2)
         state = ilqr.rollout(prob, tab, 10, 0.1 * rng.standard_normal((10, 3)))
-        cost = ilqr.costates(prob, tab, state)
-        u = ilqr.node_controls(prob, state, cost)
+        p = ilqr.costates(prob, tab, state)
+        u = ilqr.node_controls(prob, state, p)
         for k in range(state.N + 1):
-            resid = ju(state.x[k], u[k]).T @ cost.p[k] + prob.R @ u[k]
+            resid = ju(state.x[k], u[k]).T @ p[k] + prob.R @ u[k]
             assert np.abs(resid).max() < 1e-10
 
     def test_newton_reports_unsolvable_stationarity(self):
@@ -432,9 +440,9 @@ class TestNodeControls:
         tab = builtin("methodB")
         rng = np.random.default_rng(2)
         state = ilqr.rollout(prob, tab, 10, 0.3 * rng.standard_normal((10, 3)))
-        cost = ilqr.costates(prob, tab, state)
+        p = ilqr.costates(prob, tab, state)
         with pytest.raises(NodeControlFailure) as exc:
-            ilqr.node_controls(prob, state, cost)
+            ilqr.node_controls(prob, state, p)
         assert exc.value.index is not None
 
 

@@ -5,6 +5,7 @@ replaces; the batched versions must agree with them to rounding.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,32 @@ class TestStackedLinearization:
         assert exc.value.h == 0.5
 
 
+class TestHagerEquivalence:
+    @given(SEEDS, st.booleans())
+    @example(0, True)
+    @example(1, False)
+    @settings(max_examples=60, deadline=None)
+    def test_adjoint_scan_matches_sprk_costates(self, seed, linear):
+        # Hager: the discrete adjoint of the direct approach is the costate system
+        # of the symplectic partner; it holds at any iterate, not just the optimum
+        rng = np.random.default_rng(seed)
+        tab = (builtin("trapezoidal") if rng.integers(2)
+               else _random_explicit_tableau(rng, int(rng.integers(1, 5))))
+        if linear:
+            N = int(rng.integers(1, 7))
+            prob = _random_lq(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)),
+                              tf=float(rng.uniform(0.5, 1.5)))
+        else:
+            N = int(rng.integers(4, 13))
+            prob = pendulum()
+        state = ilqr.rollout(prob, tab, N, rng.standard_normal((N, tab.s * prob.m)))
+        want = oracle.adjoint_costates(prob, tab, state).p
+        # with and without the linearization the solver builds for the gradient
+        for steps in (None, ilqr.linearize(prob, tab, state)):
+            got = ilqr.costates(prob, tab, state, steps)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 class TestBackwardKernel:
     @given(SEEDS)
     @settings(max_examples=40, deadline=None)
@@ -301,6 +328,15 @@ class TestBackwardKernel:
         tab = ButcherTableau(a=[[0, 0], [1, 0]], b=weights)
         with pytest.raises(BackwardFailure, match="at step 3$"):
             ilqr.backward(prob, tab, self._weighted_steps(bad=(0, 3)))
+
+    def test_loop_stops_at_first_bad_step(self):
+        # the midpoint rule weights stage 1 by 0, so every Kc is singular and the loop
+        # runs; it must raise at the first step whose K fails, before NaNs spread
+        tab = ButcherTableau(a=[[0, 0], [0.5, 0]], b=[0, 1], name="midpoint")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BackwardFailure, match="at step 196$"):
+                ilqr.solve(pendulum(), tab, 200)
 
     def test_riccati_failure_names_step(self):
         bad = ButcherTableau(a=[[0, 0], [1, 0]], b=[1.5, -0.5])

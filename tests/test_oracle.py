@@ -52,8 +52,8 @@ class TestQPSolve:
         tab = builtin("methodB")
         qp = oracle.qp_solve(prob, tab, 5)
         state = ilqr.make_state(prob, tab, qp.U, qp.X, qp.x)
-        cost = ilqr.costates(prob, tab, state)
-        np.testing.assert_allclose(qp.lam, cost.p[1:], atol=1e-9)
+        p = ilqr.costates(prob, tab, state)
+        np.testing.assert_allclose(qp.lam, p[1:], atol=1e-9)
 
     @pytest.mark.parametrize("name,N", list(_probe_grid()))
     def test_kkt_residual_bound(self, name, N):
