@@ -114,6 +114,16 @@ def max_stage_error(traj, tab: ButcherTableau, reference, stage: int) -> float:
     return worst
 
 
+def _parse_target(target: str, s: int):
+    """Stage index i of "stage:<i>" (1 <= i <= s), or None for "node"."""
+    if target == "node":
+        return None
+    kind, _, index = target.partition(":")
+    if kind == "stage" and index.isdecimal() and 1 <= int(index) <= s:
+        return int(index)
+    raise ValueError(f"unknown target {target!r} (use node or stage:<i> with 1 <= i <= {s})")
+
+
 def run_order_study(prob, tab: ButcherTableau, h_grid, target: str,
                     reference=None, ref_refine: int = 40) -> OrderStudy:
     """Solve at each h and fit the convergence slope of the requested error.
@@ -130,6 +140,7 @@ def run_order_study(prob, tab: ButcherTableau, h_grid, target: str,
             raise ValueError(f"step {h!r} must be finite and positive")
     if ref_refine < 1:
         raise ValueError(f"ref_refine {ref_refine!r} must be >= 1")
+    stage = _parse_target(target, tab.s)
     h_grid = sorted(set(h_grid), reverse=True)
     if reference is None:
         reference = build_reference(prob, builtin("methodC"), min(h_grid) / ref_refine)
@@ -139,12 +150,10 @@ def run_order_study(prob, tab: ButcherTableau, h_grid, target: str,
         if N < 1 or abs(prob.tf / h - N) > 1e-9:
             raise ValueError(f"step {h!r} does not divide tf = {prob.tf!r}")
         traj, _ = solve_problem(prob, tab, N)
-        if target == "node":
+        if stage is None:
             err = max_node_error(traj, reference)
-        elif target.startswith("stage:"):
-            err = max_stage_error(traj, tab, reference, int(target.split(":", 1)[1]))
         else:
-            raise ValueError(f"unknown target {target!r} (use node or stage:<i>)")
+            err = max_stage_error(traj, tab, reference, stage)
         samples.append((prob.tf / N, err))
     return OrderStudy(method=tab.name, target=target, samples=samples,
                       fitted_slope=fit_order(samples))

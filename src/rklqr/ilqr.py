@@ -119,29 +119,18 @@ def make_state(prob, tab, U, X, x) -> IterateState:
 
 
 def _solve_stages(prob, tab, xk, us, h):
-    """Stage states x_ki = x_k + h sum_j a_ij f(x_kj, u_kj) for one step.
+    """Stage states x_ki = x_k + h sum_j a_ij f(x_kj, u_kj) of one step of an implicit tableau.
 
-    Explicit tableaus resolve by forward substitution; implicit ones by
-    fixed-point iteration (tolerance STAGE_FP_TOL, cap STAGE_FP_MAXIT).
+    Fixed-point iteration (tolerance STAGE_FP_TOL, cap STAGE_FP_MAXIT);
+    returns the stage states and their f values, both (s, n).
     """
     s, n = tab.s, prob.n
-    a = tab.a
     xs = np.empty((s, n))
-    if tab.is_explicit:
-        fs = np.empty((s, n))
-        for i in range(s):
-            xi = xk.copy()
-            for j in range(i):
-                if a[i, j] != 0.0:
-                    xi = xi + (h * a[i, j]) * fs[j]
-            xs[i] = xi
-            fs[i] = prob.f(xi, us[i])
-        return xs, fs
     xs[:] = xk
     scale = 1.0 + np.abs(xk).max(initial=0.0)
     for _ in range(STAGE_FP_MAXIT):
         fs = np.array([prob.f(xs[i], us[i]) for i in range(s)])
-        new = xk[None, :] + h * (a @ fs)
+        new = xk[None, :] + h * (tab.a @ fs)
         delta = np.abs(new - xs).max()
         xs = new
         if delta <= 0.1 * STAGE_FP_TOL * scale:
@@ -151,35 +140,53 @@ def _solve_stages(prob, tab, xk, us, h):
 
 
 def rollout(prob, tab, N: int, U) -> IterateState:
-    """Integrate the discrete dynamics under stage controls U and price them."""
+    """Integrate the discrete dynamics under stage controls U and price them.
+
+    Explicit tableaus resolve each step's stages by forward substitution,
+    x_ki = x_k + sum_j (h a_ij) f_kj over the nonzero a_ij; implicit ones by
+    ``_solve_stages``.  Stage states and f values go straight into (N, s, n) stacks.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     n, m, s = prob.n, prob.m, tab.s
     h = prob.tf / N
     U = np.asarray(U, dtype=float).reshape(N, s * m)
-    x = np.zeros((N + 1, n))
-    X = np.zeros((N, s * n))
+    Us = U.reshape(N, s, m)
+    x = np.empty((N + 1, n))
+    X = np.empty((N, s, n))
+    fs = np.empty((N, s, n))
     x[0] = prob.x0
+    f, b = prob.f, tab.b
+    rows = None
+    if tab.is_explicit:
+        rows = [[(j, h * tab.a[i, j]) for j in range(i) if tab.a[i, j] != 0.0] for i in range(s)]
     for k in range(N):
-        xs, fs = _solve_stages(prob, tab, x[k], U[k].reshape(s, m), h)
-        X[k] = xs.ravel()
-        x[k + 1] = x[k] + h * (tab.b @ fs)
+        xk, Xk, Fk, Uk = x[k], X[k], fs[k], Us[k]
+        if rows is None:
+            Xk[:], Fk[:] = _solve_stages(prob, tab, xk, Uk, h)
+        else:
+            for i, row in enumerate(rows):
+                xi = xk
+                for j, c in row:
+                    xi = xi + c * Fk[j]
+                Xk[i] = xi
+                Fk[i] = f(xi, Uk[i])
+        x[k + 1] = xk + h * (b @ Fk)
+    X = X.reshape(N, s * n)
     return IterateState(U=U, X=X, x=x, Jd=discrete_cost(prob, tab, U, X, x), h=h)
 
 
-def _stage_jacobians(jac, state, n, m):
-    """jac(x_ki, u_ki) at every internal stage, shape (N, s, n, *)."""
-    points = zip(state.X.reshape(-1, n), state.U.reshape(-1, m))
-    J = np.array([jac(xi, ui) for xi, ui in points])
-    return J.reshape(state.N, -1, *J.shape[1:])
+def _stage_jacobians(prob, state):
+    """Jacobians of f at every internal stage, (N, n, s, *) in step_operators' layout."""
+    n, m = prob.n, prob.m
+    Jx, Ju = prob.stage_jacobians(state.X.reshape(-1, n), state.U.reshape(-1, m))
+    # (k, stage j, row r, col c) -> (k, row r, stage j, col c)
+    return tuple(J.reshape(state.N, -1, *J.shape[1:]).transpose(0, 2, 1, 3) for J in (Jx, Ju))
 
 
 def linearize(prob, tab, state: IterateState) -> Linearization:
     """Tangent-plane step data at every step of the iterate, stacked over steps."""
-    n, m = prob.n, prob.m
-    # (k, row r, stage j, col c) layout of the stage Jacobians
-    Jx = _stage_jacobians(prob.jac_x, state, n, m).transpose(0, 2, 1, 3)
-    Ju = _stage_jacobians(prob.jac_u, state, n, m).transpose(0, 2, 1, 3)
+    Jx, Ju = _stage_jacobians(prob, state)
     E, F, G, H = step_operators(Jx, Ju, tab, state.h)
     xk, Uk = state.x[:-1, :, None], state.U[:, :, None]
     D1 = state.X - (E @ xk + F @ Uk)[..., 0]
@@ -301,10 +308,10 @@ def costates(prob, tab, state: IterateState, steps=None) -> np.ndarray:
 
     One reverse scan of p_k = E_k'w_k + G_k'p_{k+1} from p_N = M x_N, w_k
     being the running-cost gradient in the stage states.  Without ``steps``,
-    E and G are built from jac_x alone.
+    E and G are built from one ``stage_jacobians`` call, using Jx alone.
     """
     if steps is None:
-        Jx = _stage_jacobians(prob.jac_x, state, prob.n, prob.m).transpose(0, 2, 1, 3)
+        Jx, _ = _stage_jacobians(prob, state)
         E, _, G, _ = step_operators(Jx, Jx[..., :0], tab, state.h)  # no control columns
     else:
         E, G = steps.E, steps.G

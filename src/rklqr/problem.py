@@ -1,8 +1,11 @@
 """Continuous-time quadratic optimal-control problem definitions.
 
-Both problem classes expose the same dynamics surface (``f``, ``jac_x``,
-``jac_u``) so the discrete solvers can treat a linear problem as a special
-case of the nonlinear one.  Costs are
+Both problem classes expose the same dynamics surface so the discrete
+solvers can treat a linear problem as a special case of the nonlinear one:
+``f``, ``jac_x`` and ``jac_u`` at one point (x, u), and ``stage_jacobians``,
+which returns the Jacobians at a stack of P points as arrays (P, n, n) and
+(P, n, m) in one call.  ILQR linearizes through ``stage_jacobians``; the
+per-point callbacks serve the oracle and the Newton node controls.  Costs are
 
     integral of  1/2 x'Qx + x'Su + 1/2 u'Ru  dt  +  1/2 x(tf)'M x(tf)
 
@@ -95,6 +98,11 @@ class LQProblem:
     def input_matrix(self, x):
         return self.B
 
+    def stage_jacobians(self, X, U):
+        """A and B broadcast to the P points of X (P, n), without copying."""
+        P, n, m = X.shape[0], self.n, self.m
+        return np.broadcast_to(self.A, (P, n, n)), np.broadcast_to(self.B, (P, n, m))
+
 
 @dataclass(frozen=True)
 class NonlinearProblem:
@@ -103,6 +111,9 @@ class NonlinearProblem:
     ``f_fn`` maps (x, u) to an n-vector; ``jac_x_fn`` / ``jac_u_fn`` are its
     Jacobians.  ``input_matrix_fn``, when given, marks the dynamics as
     control-affine and returns B(x) with f(x, u) = f0(x) + B(x) u.
+    ``jacobians_fn``, when given, maps stacked points X (P, n) and U (P, m)
+    to the stacked Jacobians (Jx (P, n, n), Ju (P, n, m)) in one call;
+    without it ``stage_jacobians`` calls jac_x and jac_u point by point.
     All callables must be pure.
     """
 
@@ -115,14 +126,17 @@ class NonlinearProblem:
     x0: np.ndarray
     tf: float
     input_matrix_fn: Optional[Callable] = None
+    jacobians_fn: Optional[Callable] = None
     name: str = ""
 
     def __post_init__(self):
         for label in ("f_fn", "jac_x_fn", "jac_u_fn"):
             if not callable(getattr(self, label)):
                 raise ValueError(f"{label} must be callable")
-        if self.input_matrix_fn is not None and not callable(self.input_matrix_fn):
-            raise ValueError("input_matrix_fn must be callable or None")
+        for label in ("input_matrix_fn", "jacobians_fn"):
+            fn = getattr(self, label)
+            if fn is not None and not callable(fn):
+                raise ValueError(f"{label} must be callable or None")
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         n = x0.size
         R = np.atleast_2d(np.asarray(self.R, dtype=float))
@@ -160,6 +174,19 @@ class NonlinearProblem:
         if self.input_matrix_fn is None:
             raise AttributeError("dynamics are not flagged control-affine")
         return np.asarray(self.input_matrix_fn(x), dtype=float)
+
+    def stage_jacobians(self, X, U):
+        """Jacobians (Jx (P, n, n), Ju (P, n, m)) of f at the P points of X (P, n) and U (P, m)."""
+        P, n, m = X.shape[0], self.n, self.m
+        if self.jacobians_fn is None:
+            Jx = np.array([self.jac_x(x, u) for x, u in zip(X, U)]).reshape(P, n, n)
+            Ju = np.array([self.jac_u(x, u) for x, u in zip(X, U)]).reshape(P, n, m)
+            return Jx, Ju
+        Jx, Ju = (np.asarray(J, dtype=float) for J in self.jacobians_fn(X, U))
+        if Jx.shape != (P, n, n) or Ju.shape != (P, n, m):
+            raise ValueError(f"jacobians_fn must return Jx of shape (P, n, n) = {(P, n, n)} and "
+                             f"Ju of shape (P, n, m) = {(P, n, m)}, not {Jx.shape} and {Ju.shape}")
+        return Jx, Ju
 
 
 @dataclass(frozen=True)
@@ -243,6 +270,14 @@ def _pendulum_input_matrix(x):
     return _PENDULUM_JU
 
 
+def _pendulum_jacobians(X, U):
+    P = X.shape[0]
+    Jx = np.zeros((P, 2, 2))
+    Jx[:, 0, 1] = 1.0
+    Jx[:, 1, 0] = np.cos(X[:, 0])
+    return Jx, np.broadcast_to(_PENDULUM_JU, (P, 2, 1))
+
+
 def pendulum() -> NonlinearProblem:
     """Inverted pendulum (theta, omega) steered to rest over [0, 4].
 
@@ -254,6 +289,7 @@ def pendulum() -> NonlinearProblem:
         jac_x_fn=_pendulum_jac_x,
         jac_u_fn=_pendulum_jac_u,
         input_matrix_fn=_pendulum_input_matrix,
+        jacobians_fn=_pendulum_jacobians,
         Q=np.zeros((2, 2)),
         R=[[0.05]],
         M=5.0 * np.eye(2),

@@ -134,6 +134,18 @@ class TestOrderStudyCommand:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("target", ["bogus", "stage:9", "stage:x", "stage:0"])
+    def test_bad_target_rejected_before_any_solve(self, monkeypatch, capsys, target):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the target was checked")
+
+        monkeypatch.setattr(cli, "solve_problem", no_solve)
+        rc = cli.main(["order-study", "--problem", "pendulum", "--method", "methodB",
+                       "--h-grid", "0.1,0.05,0.04", "--target", target])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown target {target!r} (use node or stage:<i> with 1 <= i <= 3)\n")
+
     def test_stage_out_of_range_exits_2(self):
         rc = cli.main(["order-study", "--problem", "example31", "--method", "methodA",
                        "--h-grid", "0.1,0.05,0.025", "--target", "stage:7"])

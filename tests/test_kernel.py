@@ -98,6 +98,44 @@ def _random_lq(rng, n, m, tf):
     )
 
 
+def _reference_rollout(prob, tab, N, U):
+    """Stage and node states by the per-step stage solve of the unbatched rollout."""
+    n, m, s = prob.n, prob.m, tab.s
+    h = prob.tf / N
+    a = tab.a
+    x = np.zeros((N + 1, n))
+    X = np.zeros((N, s * n))
+    x[0] = prob.x0
+    for k in range(N):
+        xk, us = x[k], U[k].reshape(s, m)
+        xs = np.empty((s, n))
+        if tab.is_explicit:
+            fs = np.empty((s, n))
+            for i in range(s):
+                xi = xk.copy()
+                for j in range(i):
+                    if a[i, j] != 0.0:
+                        xi = xi + (h * a[i, j]) * fs[j]
+                xs[i] = xi
+                fs[i] = prob.f(xi, us[i])
+        else:
+            xs[:] = xk
+            scale = 1.0 + np.abs(xk).max(initial=0.0)
+            for _ in range(ilqr.STAGE_FP_MAXIT):
+                fs = np.array([prob.f(xs[i], us[i]) for i in range(s)])
+                new = xk[None, :] + h * (a @ fs)
+                delta = np.abs(new - xs).max()
+                xs = new
+                if delta <= 0.1 * ilqr.STAGE_FP_TOL * scale:
+                    fs = np.array([prob.f(xs[i], us[i]) for i in range(s)])
+                    break
+            else:
+                raise AssertionError("reference stage fixed point did not contract")
+        X[k] = xs.ravel()
+        x[k + 1] = x[k] + h * (tab.b @ fs)
+    return X, x
+
+
 def _reference_affine(A, c, v, reverse):
     """The affine recursion as a loop, forward from v_0 or backward from v_L."""
     L = len(c)
@@ -244,6 +282,37 @@ class TestStackedLinearization:
         with pytest.raises(StepTooLarge, match="step 2, h = 0.5") as exc:
             ilqr.linearize(prob, tab, state)
         assert exc.value.h == 0.5
+
+
+class TestLeanRollout:
+    @given(SEEDS, st.booleans(), st.sampled_from(["random", "methodC", "trapezoidal"]))
+    @example(0, False, "random")
+    @example(1, True, "methodC")
+    @example(2, False, "trapezoidal")
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_step_reference_exactly(self, seed, linear, kind):
+        # same operations in the same order as the per-step stage solve, so no rounding slack
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            # explicit, with some entries below the diagonal exactly zero
+            s = int(rng.integers(1, 5))
+            a = np.tril(rng.uniform(-1.0, 1.0, (s, s)) * (rng.uniform(size=(s, s)) < 0.6), -1)
+            w = rng.uniform(0.1, 1.0, s)
+            tab = ButcherTableau(a=a, b=w / w.sum(), name="random")
+        else:
+            tab = builtin(kind)
+        if linear:
+            prob = _random_lq(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)),
+                              tf=float(rng.uniform(0.5, 1.5)))
+        else:
+            prob = pendulum()
+        N = int(rng.integers(4, 30))
+        U = rng.standard_normal((N, tab.s * prob.m))
+        state = ilqr.rollout(prob, tab, N, U)
+        X, x = _reference_rollout(prob, tab, N, U)
+        np.testing.assert_array_equal(state.X, X)
+        np.testing.assert_array_equal(state.x, x)
+        assert state.Jd == dlqr.discrete_cost(prob, tab, U, X, x)
 
 
 class TestHagerEquivalence:

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rklqr.errors import NotFound
 from rklqr.problem import (
@@ -93,6 +96,51 @@ class TestPendulum:
                 np.testing.assert_allclose(fd, Ju[:, col], rtol=1e-5, atol=1e-7)
 
 
+POINTS = st.integers(1, 50).flatmap(
+    lambda P: st.tuples(
+        arrays(float, (P, 2), elements=st.floats(-1e3, 1e3)),
+        arrays(float, (P, 1), elements=st.floats(-1e3, 1e3)),
+    )
+)
+
+
+class TestStageJacobians:
+    @given(POINTS)
+    @settings(max_examples=100, deadline=None)
+    def test_pendulum_batch_matches_per_point_stack(self, points):
+        prob, (X, U) = pendulum(), points
+        Jx, Ju = prob.stage_jacobians(X, U)
+        np.testing.assert_allclose(Jx, [prob.jac_x(x, u) for x, u in zip(X, U)], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(Ju, [prob.jac_u(x, u) for x, u in zip(X, U)], rtol=0, atol=1e-15)
+
+    @given(POINTS)
+    @settings(max_examples=50, deadline=None)
+    def test_without_jacobians_fn_loops_per_point(self, points):
+        prob, (X, U) = dataclasses.replace(pendulum(), jacobians_fn=None), points
+        Jx, Ju = prob.stage_jacobians(X, U)
+        np.testing.assert_array_equal(Jx, [prob.jac_x(x, u) for x, u in zip(X, U)])
+        np.testing.assert_array_equal(Ju, [prob.jac_u(x, u) for x, u in zip(X, U)])
+
+    @given(POINTS)
+    @settings(max_examples=50, deadline=None)
+    def test_linear_problem_broadcasts_A_and_B(self, points):
+        prob, (X, U) = spring_oscillator(), points
+        Jx, Ju = prob.stage_jacobians(X, U)
+        np.testing.assert_array_equal(Jx, np.broadcast_to(prob.A, (len(X), 2, 2)))
+        np.testing.assert_array_equal(Ju, np.broadcast_to(prob.B, (len(X), 2, 1)))
+        assert np.shares_memory(Jx, prob.A) and np.shares_memory(Ju, prob.B)
+
+    @pytest.mark.parametrize("result", [
+        lambda X, U: (np.zeros((len(X), 2, 2)), np.zeros((len(X), 1, 2))),
+        lambda X, U: (np.zeros((2, 2)), np.zeros((len(X), 2, 1))),
+    ], ids=["transposed-Ju", "unstacked-Jx"])
+    def test_wrong_shape_rejected(self, result):
+        prob = dataclasses.replace(pendulum(), jacobians_fn=result)
+        with pytest.raises(ValueError, match=r"jacobians_fn must return Jx of shape \(P, n, n\) = "
+                                             r"\(3, 2, 2\) and Ju of shape \(P, n, m\) = \(3, 2, 1\)"):
+            prob.stage_jacobians(np.zeros((3, 2)), np.zeros((3, 1)))
+
+
 class TestValidation:
     def test_indefinite_R_rejected(self):
         with pytest.raises(ValueError, match="positive definite"):
@@ -128,6 +176,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("f_fn", None), ("jac_x_fn", None), ("jac_u_fn", "jac"), ("input_matrix_fn", 3),
+        ("jacobians_fn", 3),
     ])
     def test_non_callable_dynamics_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be callable"):
