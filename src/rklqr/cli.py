@@ -172,36 +172,36 @@ def write_trajectory_csv(path, traj):
         + [f"u_{i + 1}" for i in range(m)]
         + [f"p_{i + 1}" for i in range(n)]
     )
-    lines = [",".join(header)]
-    for k in range(traj.x.shape[0]):
-        vals = [str(k), f"{k * traj.h:.17g}"]
-        vals += [f"{v:.17g}" for v in traj.x[k]]
-        vals += [f"{v:.17g}" for v in traj.u[k]]
-        vals += [f"{v:.17g}" for v in traj.p[k]]
-        lines.append(",".join(vals))
-    _write_lines(path, lines)
+    k = np.arange(traj.x.shape[0])
+    _write_table(path, header, np.column_stack([k, k * traj.h, traj.x, traj.u, traj.p]))
 
 
 def write_order_study_csv(path, study: OrderStudy):
-    lines = ["h,max_error"]
-    for h, err in study.samples:
-        lines.append(f"{h:.17g},{err:.17g}")
-    _write_lines(path, lines)
+    _write_table(path, ["h", "max_error"], study.samples)
 
 
 def write_iterate_log_csv(path, log):
-    lines = ["iter,Jd,grad_inf_norm,step_norm,alpha,slope"]
-    for rec in log:
-        lines.append(
-            f"{rec.iteration},{rec.Jd:.17g},{rec.grad_inf_norm:.17g},"
-            f"{rec.step_norm:.17g},{rec.alpha:.17g},{rec.slope:.17g}"
-        )
-    _write_lines(path, lines)
+    header = ["iter", "Jd", "grad_inf_norm", "step_norm", "alpha", "slope"]
+    _write_table(path, header, [(rec.iteration, rec.Jd, rec.grad_inf_norm, rec.step_norm,
+                                 rec.alpha, rec.slope) for rec in log])
 
 
-def _write_lines(path, lines):
+_TABLE_BLOCK = 1024  # rows formatted per block by _write_table
+
+
+def _write_table(path, header, rows):
+    """Write a header line and one line per row, every value as %.17g.
+
+    Integer-valued floats such as the step index print as integers.  Rows go
+    through Python floats in blocks, so the whole table is never held as
+    Python objects.
+    """
+    rows = np.asarray(rows, dtype=float)
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(rows), _TABLE_BLOCK):
+            fh.writelines(row % tuple(r) for r in rows[i:i + _TABLE_BLOCK].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
                                   description="Feedback solvers for RK-discretized quadratic optimal control")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, steps=True):
+    def common(p):
         p.add_argument("--problem", required=True, help="builtin name or JSON spec file")
         p.add_argument("--method", required=True, help="builtin name or JSON tableau file")
-        if steps:
-            p.add_argument("--steps", type=int, required=True, help="number of RK steps N")
 
     p = sub.add_parser("solve", help="solve one problem and emit the trajectory CSV")
     common(p)
+    p.add_argument("--steps", type=int, required=True, help="number of RK steps N")
     p.add_argument("--out", help="trajectory CSV path")
     p.add_argument("--log", help="iterate log CSV path (nonlinear solves)")
     p.add_argument("--tol", type=float, default=1e-8)
@@ -332,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("order-study", help="empirical convergence order of a control error")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--method", required=True)
+    common(p)
     p.add_argument("--h-grid", required=True, help="comma-separated step sizes")
     p.add_argument("--target", default="node", help="node or stage:<i>")
     p.add_argument("--out", help="study CSV path")
@@ -348,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the exact gradient")
     common(p)
+    p.add_argument("--steps", type=int, required=True, help="number of RK steps N")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
     return top

@@ -18,22 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RiccatiFailure, StepTooLarge
-from .problem import LQProblem, cross_term
+from .problem import LQProblem
 from .tableau import ButcherTableau
 
 
 def stage_cost_blocks(prob, b: np.ndarray, h: float):
-    """Block-diagonal stage cost weights (Qh, Rh, Sh), scaled by h b_i.
+    """Block-diagonal stage cost weights (Qh, Rh, Sh) = h kron(diag b, (Q, R, S)).
 
-    Sh is None when the problem has no cross term, so the plain formulas
-    apply without extra zero products.
+    Every problem carries S, zero when it has no cross term, so the three
+    blocks are always arrays and the cost formulas take no branch.
     """
     d = np.diag(b)
-    Qh = h * np.kron(d, prob.Q)
-    Rh = h * np.kron(d, prob.R)
-    S = cross_term(prob)
-    Sh = None if S is None else h * np.kron(d, S)
-    return Qh, Rh, Sh
+    return tuple(h * np.kron(d, W) for W in (prob.Q, prob.R, prob.S))
 
 
 def discrete_cost(prob, tab: ButcherTableau, U, X, x) -> float:
@@ -43,9 +39,7 @@ def discrete_cost(prob, tab: ButcherTableau, U, X, x) -> float:
     1/2 x_N'M x_N.  The stacks need not satisfy the dynamics.
     """
     Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, prob.tf / U.shape[0])
-    total = 0.5 * np.sum((X @ Qh) * X) + 0.5 * np.sum((U @ Rh) * U)
-    if Sh is not None:
-        total += np.sum((X @ Sh) * U)
+    total = 0.5 * np.sum((X @ Qh) * X) + 0.5 * np.sum((U @ Rh) * U) + np.sum((X @ Sh) * U)
     xN = x[-1]
     return float(total) + float(0.5 * xN @ prob.M @ xN)
 
@@ -85,7 +79,7 @@ class DiscreteLQSystem:
     """Step-invariant operators of the discretized linear problem.
 
     X_k = E x_k + F U_k and x_{k+1} = G x_k + H U_k, with stage cost blocks
-    Qh, Rh and optional cross block Sh.
+    Qh, Rh and Sh.
     """
 
     prob: LQProblem
@@ -225,12 +219,9 @@ def _stage_products(E, F, Qh, Rh, Sh):
     """Stage Hessian Kc, cross block Lc and state block Wc of the stage cost in (z, U)."""
     Ft = np.swapaxes(F, 1, 2)
     FtQ = Ft @ Qh
-    Kc = FtQ @ F + Rh
-    Lc = FtQ @ E
-    if Sh is not None:
-        FtS = Ft @ Sh
-        Kc = Kc + FtS + np.swapaxes(FtS, 1, 2)
-        Lc = Lc + Sh.T @ E
+    FtS = Ft @ Sh
+    Kc = FtQ @ F + Rh + FtS + np.swapaxes(FtS, 1, 2)
+    Lc = FtQ @ E + Sh.T @ E
     Wc = np.swapaxes(E, 1, 2) @ Qh @ E
     return Kc, Lc, Wc
 
@@ -306,13 +297,12 @@ def riccati_backward(sys: DiscreteLQSystem) -> RiccatiPass:
     return RiccatiPass(M=M, L=L)
 
 
-def rollout(sys: DiscreteLQSystem, riccati: RiccatiPass, x0=None) -> DiscreteTrajectory:
-    """Roll the feedback law forward and recover stage and node quantities."""
+def rollout(sys: DiscreteLQSystem, riccati: RiccatiPass) -> DiscreteTrajectory:
+    """Roll the feedback law forward from x0 and recover stage and node quantities."""
     prob = sys.prob
     n, N = prob.n, sys.N
-    x0 = prob.x0 if x0 is None else np.asarray(x0, dtype=float).reshape(n)
     closed = sys.G + sys.H @ riccati.L  # x_{k+1} = (G + H L_k) x_k
-    x = affine_scan(closed, np.zeros((N, n)), x0)
+    x = affine_scan(closed, np.zeros((N, n)), prob.x0)
     U = (riccati.L @ x[:-1, :, None])[..., 0]
     X = x[:-1] @ sys.E.T + U @ sys.F.T
     p = (riccati.M @ x[..., None])[..., 0]
@@ -327,10 +317,7 @@ def node_controls(prob, x: np.ndarray, p: np.ndarray, B: np.ndarray) -> np.ndarr
     dynamics.  ``B`` is one input matrix (n, m) shared by every node, or a
     stack (N+1, n, m) with one per node.
     """
-    rhs = (p[:, None, :] @ B)[:, 0]
-    S = cross_term(prob)
-    if S is not None:
-        rhs = rhs + x @ S
+    rhs = (p[:, None, :] @ B)[:, 0] + x @ prob.S
     return -np.linalg.solve(prob.R, rhs.T).T
 
 

@@ -225,10 +225,7 @@ def direction(state: IterateState, bp: AffineBackwardPass, steps: Linearization)
 def _running_cost_gradients(prob, tab, state: IterateState):
     """Gradients (w, r) of the running cost in the stage states X and the stage controls U."""
     Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, state.h)
-    w, r = state.X @ Qh, state.U @ Rh
-    if Sh is not None:
-        w, r = w + state.U @ Sh.T, r + state.X @ Sh
-    return w, r
+    return state.X @ Qh + state.U @ Sh.T, state.U @ Rh + state.X @ Sh
 
 
 def gradient(prob, tab, state: IterateState, steps=None) -> np.ndarray:
@@ -321,7 +318,7 @@ def costates(prob, tab, state: IterateState, steps=None) -> np.ndarray:
 
 
 def node_controls(prob, state: IterateState, p: np.ndarray) -> np.ndarray:
-    """Node controls from the stationarity equation Ju(x,u)'p + Ru (+ S'x) = 0.
+    """Node controls from the stationarity equation Ju(x,u)'p + Ru + S'x = 0.
 
     Control-affine dynamics admit the closed form ``dlqr.node_controls``
     with B(x_k) at each node; otherwise a Newton iteration with
@@ -341,7 +338,7 @@ def node_controls(prob, state: IterateState, p: np.ndarray) -> np.ndarray:
 
 def _newton_node_control(prob, x, p, u0, index):
     def resid(u):
-        return prob.jac_u(x, u).T @ p + prob.R @ u
+        return prob.jac_u(x, u).T @ p + prob.R @ u + prob.S.T @ x
 
     u = np.array(u0, dtype=float)
     for _ in range(NEWTON_MAXIT):

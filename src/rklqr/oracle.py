@@ -21,7 +21,6 @@ import scipy.linalg
 from . import ilqr
 from .dlqr import stage_cost_blocks
 from .errors import OracleFailure
-from .problem import cross_term
 from .tableau import adjoint
 
 
@@ -84,12 +83,11 @@ def qp_solve(prob, tab, N: int) -> QPSolution:
     h = prob.tf / N
     a, b = tab.a, tab.b
     A, B = prob.A, prob.B
-    S = cross_term(prob)
 
     d = np.diag(b)
     Qh = h * np.kron(d, prob.Q)
     Rh = h * np.kron(d, prob.R)
-    Sh = h * np.kron(d, S) if S is not None else None
+    Sh = h * np.kron(d, prob.S)
     Acal = h * np.kron(a, A)
     Bcal = h * np.kron(a, B)
     Bt = h * np.kron(b[None, :], A)  # node update weights on stage states
@@ -106,9 +104,8 @@ def qp_solve(prob, tab, N: int) -> QPSolution:
         ix = slice(nu + k * s * n, nu + (k + 1) * s * n)
         P[iu, iu] = Rh
         P[ix, ix] = Qh
-        if Sh is not None:
-            P[np.ix_(range(ix.start, ix.stop), range(iu.start, iu.stop))] = Sh
-            P[np.ix_(range(iu.start, iu.stop), range(ix.start, ix.stop))] = Sh.T
+        P[ix, iu] = Sh
+        P[iu, ix] = Sh.T
     ixN = slice(nu + nx + (N - 1) * n, nz)
     P[ixN, ixN] += prob.M
 
@@ -178,7 +175,6 @@ def adjoint_costates(prob, tab, state) -> AdjointCostates:
     """
     n, m, s = prob.n, prob.m, tab.s
     N, h = state.N, state.h
-    S = cross_term(prob)
     wts = h * np.vstack([tab.b, -adjoint(tab).abar])  # rows: node, then stage i
     base = np.eye((s + 1) * n)
     base[n:, :n] = -np.tile(np.eye(n), (s, 1))
@@ -187,7 +183,7 @@ def adjoint_costates(prob, tab, state) -> AdjointCostates:
     for k in range(N - 1, -1, -1):
         xs, us = state.X[k].reshape(s, n), state.U[k].reshape(s, m)
         JxT = np.array([prob.jac_x(xs[j], us[j]).T for j in range(s)])
-        w = xs @ prob.Q + (0.0 if S is None else us @ S.T)
+        w = xs @ prob.Q + us @ prob.S.T
         mat = base.copy()
         mat[:, n:] -= np.einsum("rj,jab->rajb", wts, JxT).reshape((s + 1) * n, s * n)
         rhs = (wts @ w).ravel()
@@ -200,13 +196,15 @@ def adjoint_costates(prob, tab, state) -> AdjointCostates:
     return AdjointCostates(p=p, p_stage=p_stage)
 
 
-def grad_fd(prob, tab, N: int, U, eps=None) -> np.ndarray:
-    """Central-difference gradient of the discrete cost, component by component."""
+def grad_fd(prob, tab, N: int, U) -> np.ndarray:
+    """Central-difference gradient of the discrete cost, component by component.
+
+    The step is 1e-6 (1 + |U|) in every component.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     U = np.asarray(U, dtype=float).reshape(N, tab.s * prob.m)
-    if eps is None:
-        eps = 1e-6 * (1.0 + np.linalg.norm(U))
+    eps = 1e-6 * (1.0 + np.linalg.norm(U))
     g = np.zeros_like(U)
     for idx in np.ndindex(U.shape):
         up = U.copy()
@@ -242,11 +240,8 @@ def grad_exact(prob, tab, N: int, U) -> np.ndarray:
     blk = state.U.shape[1]
     Y = np.zeros(blk * N)
     for k in range(N):
-        w = Qh @ state.X[k]
-        own = Rh @ state.U[k]
-        if Sh is not None:
-            w = w + Sh @ state.U[k]
-            own = own + Sh.T @ state.X[k]
+        w = Qh @ state.X[k] + Sh @ state.U[k]
+        own = Rh @ state.U[k] + Sh.T @ state.X[k]
         Y += stage_sens[k].T @ w
         Y[k * blk : (k + 1) * blk] += own
     Y += PN.T @ (prob.M @ state.x[-1])
@@ -256,9 +251,9 @@ def grad_exact(prob, tab, N: int, U) -> np.ndarray:
 def quasi_newton(prob, tab, N: int, U) -> QuasiNewtonData:
     """Assemble the dense quadratic model (W, Y, C) at U and its minimizer step.
 
-    W = F'(U)' Qcal F'(U) + Rcal + dx_N' M dx_N (plus cross blocks when the
-    problem carries one); Y is the gradient; the returned direction is
-    -W^{-1} Y.  Small instances only.
+    W = F'(U)' Qcal F'(U) + Rcal + dx_N' M dx_N plus the cross blocks of Scal;
+    Y is the gradient; the returned direction is -W^{-1} Y.  Small instances
+    only.
     """
     state = ilqr.rollout(prob, tab, N, U)
     steps = ilqr.linearize(prob, tab, state)
@@ -271,14 +266,11 @@ def quasi_newton(prob, tab, N: int, U) -> QuasiNewtonData:
     for k in range(N):
         Rk = stage_sens[k]
         W += Rk.T @ Qh @ Rk
-        w = Qh @ state.X[k]
-        own = Rh @ state.U[k]
-        if Sh is not None:
-            cols = slice(k * blk, (k + 1) * blk)
-            W[:, cols] += Rk.T @ Sh
-            W[cols, :] += Sh.T @ Rk
-            w = w + Sh @ state.U[k]
-            own = own + Sh.T @ state.X[k]
+        cols = slice(k * blk, (k + 1) * blk)
+        W[:, cols] += Rk.T @ Sh
+        W[cols, :] += Sh.T @ Rk
+        w = Qh @ state.X[k] + Sh @ state.U[k]
+        own = Rh @ state.U[k] + Sh.T @ state.X[k]
         Y += Rk.T @ w
         Y[k * blk : (k + 1) * blk] += own
     W += PN.T @ prob.M @ PN
@@ -288,15 +280,15 @@ def quasi_newton(prob, tab, N: int, U) -> QuasiNewtonData:
     return QuasiNewtonData(W=W, Y=Y, C=state.Jd, direction=direction)
 
 
-def scalar_curve_demo(u0: float, tol=1e-10, max_iter=100, force_full_step=False,
-                      c1=1e-4) -> ScalarCurveTrace:
+def scalar_curve_demo(u0: float, tol=1e-10, max_iter=100, force_full_step=False) -> ScalarCurveTrace:
     """Minimize 1/2 x^2 + 1/2 u^2 on the curve x = u^2 + 1 by the same iteration.
 
     The closest point to the origin is u* = 0.  Steps follow
     u <- u - alpha Y(u)/W(u) with W = 1 + g'(u)^2 and Y = j'(u), Armijo
-    backtracking unless force_full_step pins alpha = 1.  The curvature gap
-    |j'' - W| = |g'' g| = 2 at u* keeps the contraction ratio bounded away
-    from zero, so convergence is linear, never superlinear.
+    backtracking with the solver's ARMIJO_C1 unless force_full_step pins
+    alpha = 1.  The curvature gap |j'' - W| = |g'' g| = 2 at u* keeps the
+    contraction ratio bounded away from zero, so convergence is linear, never
+    superlinear.
 
     j(u) = 1/2 u^4 + 3/2 u^2 + 1/2, so the Armijo decrease is evaluated in
     the expanded difference form j(c) - j(u); subtracting the constant 1/2
@@ -327,7 +319,7 @@ def scalar_curve_demo(u0: float, tol=1e-10, max_iter=100, force_full_step=False,
             alpha = 1.0
         else:
             alpha = 1.0
-            while jdiff(u + alpha * d, u) > c1 * alpha * Y * d:
+            while jdiff(u + alpha * d, u) > ilqr.ARMIJO_C1 * alpha * Y * d:
                 alpha *= 0.5
                 if alpha < 2.0**-30:
                     raise OracleFailure("curve demo line search failed")

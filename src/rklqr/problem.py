@@ -9,15 +9,17 @@ per-point callbacks serve the oracle and the Newton node controls.  Costs are
 
     integral of  1/2 x'Qx + x'Su + 1/2 u'Ru  dt  +  1/2 x(tf)'M x(tf)
 
-with the cross term S only available on the linear class (S = 0 recovers the
-plain quadratic form).
+and every problem carries the cross term S as a read-only (n, m) array: the
+linear class takes it as an option and stores zeros without one, the nonlinear
+class always holds zeros.  The solvers use S unconditionally; a zero S adds
+exact zero products and leaves every finite result unchanged.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,7 +51,7 @@ def _check_inputs(tf, Q, R, M, **others):
 
 @dataclass(frozen=True)
 class LQProblem:
-    """Linear dynamics xdot = Ax + Bu with quadratic cost (optional cross S)."""
+    """Linear dynamics xdot = Ax + Bu with quadratic cost; S defaults to zeros."""
 
     A: np.ndarray
     B: np.ndarray
@@ -106,7 +108,7 @@ class LQProblem:
 
 @dataclass(frozen=True)
 class NonlinearProblem:
-    """Nonlinear dynamics xdot = f(x, u) with plain quadratic cost (no cross term).
+    """Nonlinear dynamics xdot = f(x, u) with plain quadratic cost.
 
     ``f_fn`` maps (x, u) to an n-vector; ``jac_x_fn`` / ``jac_u_fn`` are its
     Jacobians.  ``input_matrix_fn``, when given, marks the dynamics as
@@ -114,7 +116,8 @@ class NonlinearProblem:
     ``jacobians_fn``, when given, maps stacked points X (P, n) and U (P, m)
     to the stacked Jacobians (Jx (P, n, n), Ju (P, n, m)) in one call;
     without it ``stage_jacobians`` calls jac_x and jac_u point by point.
-    All callables must be pure.
+    All callables must be pure.  ``S`` is not a constructor argument: it is
+    always the read-only zero cross term of shape (n, m).
     """
 
     f_fn: Callable
@@ -128,6 +131,7 @@ class NonlinearProblem:
     input_matrix_fn: Optional[Callable] = None
     jacobians_fn: Optional[Callable] = None
     name: str = ""
+    S: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for label in ("f_fn", "jac_x_fn", "jac_u_fn"):
@@ -144,7 +148,8 @@ class NonlinearProblem:
         Q = np.asarray(self.Q, dtype=float).reshape(n, n)
         M = np.asarray(self.M, dtype=float).reshape(n, n)
         _check_inputs(self.tf, Q, R, M, x0=x0)
-        for key, val in (("Q", Q), ("R", R), ("M", M), ("x0", x0)):
+        S = np.zeros((n, m))
+        for key, val in (("Q", Q), ("R", R), ("M", M), ("x0", x0), ("S", S)):
             val.setflags(write=False)
             object.__setattr__(self, key, val)
         object.__setattr__(self, "tf", float(self.tf))
@@ -189,25 +194,6 @@ class NonlinearProblem:
         return Jx, Ju
 
 
-@dataclass(frozen=True)
-class AnalyticReference:
-    """Closed-form optimal control u*(t), callable on [0, tf]."""
-
-    u_star: Callable
-    label: str = ""
-
-    def __call__(self, t):
-        return self.u_star(t)
-
-
-def cross_term(prob) -> Optional[np.ndarray]:
-    """State-control cross cost S of a problem, or None when absent/zero."""
-    S = getattr(prob, "S", None)
-    if S is None or not np.any(S):
-        return None
-    return S
-
-
 # ---------------------------------------------------------------------------
 # builtin problems
 # ---------------------------------------------------------------------------
@@ -230,7 +216,7 @@ def example31():
     def u_star(t):
         return (0.5 * math.exp(t) - 1.5 * math.exp(2.0 - t)) / denom
 
-    return prob, AnalyticReference(u_star=u_star, label="example31 closed form")
+    return prob, u_star
 
 
 def spring_oscillator() -> LQProblem:

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from rklqr import cli
+from rklqr.dlqr import DiscreteTrajectory
 from rklqr.errors import NoFit
+from rklqr.ilqr import IterateRecord
 
 # expected max internal-control errors for the scalar benchmark (3 significant
 # digits), methodC stage 4 and methodA stage 1, at the listed step sizes
@@ -93,6 +95,44 @@ class TestSolveCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(["solve", "--problem", "spring"])
         assert exc.value.code == 2
+
+
+# awkward values for the %.17g writer: signed zero, extreme exponents,
+# integer-valued floats and values that need all 17 digits
+ODD_VALUES = [-0.0, 1e-300, 1e300, 3.0, -2.0, 0.1, -1 / 3, 2.0**60, 5e-324]
+
+
+def _lines(header, rows):
+    return "".join(",".join(r) + "\n" for r in [header, *rows])
+
+
+class TestCsvWriters:
+    def test_trajectory_bytes(self, tmp_path):
+        N, h = 8, 0.1
+        vals = np.resize(ODD_VALUES, (N + 1, 5))
+        x, u, p = vals[:, :2], vals[:, 2:3], vals[:, 3:]
+        traj = DiscreteTrajectory(x=x, X=None, U=None, p=p, u=u, h=h)
+        path = tmp_path / "traj.csv"
+        cli.write_trajectory_csv(path, traj)
+        rows = [[str(k), f"{k * h:.17g}"] + [f"{v:.17g}" for v in vals[k]] for k in range(N + 1)]
+        expected = _lines(["k", "t", "x_1", "x_2", "u_1", "p_1", "p_2"], rows)
+        assert path.read_bytes() == expected.encode()
+
+    def test_order_study_bytes(self, tmp_path):
+        samples = list(zip(ODD_VALUES[::-1], ODD_VALUES))
+        path = tmp_path / "study.csv"
+        cli.write_order_study_csv(path, cli.OrderStudy("m", "node", samples, 1.0))
+        expected = _lines(["h", "max_error"], [[f"{h:.17g}", f"{e:.17g}"] for h, e in samples])
+        assert path.read_bytes() == expected.encode()
+
+    def test_iterate_log_bytes(self, tmp_path):
+        recs = [IterateRecord(i + 1, *np.roll(ODD_VALUES, i)[:5]) for i in range(12)]
+        path = tmp_path / "log.csv"
+        cli.write_iterate_log_csv(path, recs)
+        rows = [[str(r.iteration)] + [f"{v:.17g}" for v in (r.Jd, r.grad_inf_norm, r.step_norm,
+                                                              r.alpha, r.slope)] for r in recs]
+        expected = _lines(["iter", "Jd", "grad_inf_norm", "step_norm", "alpha", "slope"], rows)
+        assert path.read_bytes() == expected.encode()
 
 
 class TestOrderStudyCommand:

@@ -1,5 +1,7 @@
 """DLQR pipeline: assembly, Riccati recursion, rollout, value identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -141,10 +143,10 @@ class TestRiccati:
 
 class TestRollout:
     def test_zero_initial_state(self):
-        prob = spring_oscillator()
+        prob = dataclasses.replace(spring_oscillator(), x0=np.zeros(2))
         sysm = dlqr.assemble(prob, builtin("methodB"), 10)
         rp = dlqr.riccati_backward(sysm)
-        traj = dlqr.rollout(sysm, rp, x0=np.zeros(2))
+        traj = dlqr.rollout(sysm, rp)
         assert np.all(traj.x == 0) and np.all(traj.U == 0) and np.all(traj.u == 0)
 
     def test_transition_identities(self):

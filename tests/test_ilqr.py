@@ -9,7 +9,6 @@ from rklqr import dlqr, ilqr, oracle
 from rklqr.errors import NotConverged, RolloutDiverged
 from rklqr.problem import (
     NonlinearProblem,
-    cross_term,
     example31,
     pendulum,
     spring_oscillator,
@@ -306,7 +305,7 @@ class TestSolve:
 def _costate_residual(prob, tab, state, cost):
     """Worst residual of the adjoint recursion over all steps and stages."""
     adj = adjoint(tab)
-    S = cross_term(prob)
+    S = prob.S
     n, m, s = prob.n, prob.m, tab.s
     h = state.h
     worst = 0.0

@@ -12,8 +12,8 @@ from hypothesis.extra.numpy import arrays
 from rklqr.errors import NotFound
 from rklqr.problem import (
     LQProblem,
+    NonlinearProblem,
     builtin_problem,
-    cross_term,
     example31,
     load_problem,
     pendulum,
@@ -61,10 +61,24 @@ class TestSpringOscillator:
         np.testing.assert_array_equal(prob.M, 10.0 * np.eye(2))
         np.testing.assert_array_equal(prob.Q, np.eye(2))
         assert prob.tf == 40.0
-        assert cross_term(prob) is None
+        assert not prob.S.any()
 
 
 class TestPendulum:
+    def test_cross_term_is_read_only_zero_data(self):
+        prob = pendulum()
+        moved = dataclasses.replace(prob, x0=[0.5, 0.0])
+        for p in (prob, moved):
+            assert p.S.shape == (2, 1) and not p.S.any()
+            assert not p.S.flags.writeable
+
+    def test_cross_term_is_not_an_argument(self):
+        prob = pendulum()
+        args = {f.name: getattr(prob, f.name) for f in dataclasses.fields(prob) if f.init}
+        NonlinearProblem(**args)
+        with pytest.raises(TypeError, match="'S'"):
+            NonlinearProblem(**args, S=np.ones((2, 1)))
+
     def test_dynamics_values(self):
         prob = pendulum()
         f = prob.f(np.array([math.pi / 3, 0.0]), np.array([0.0]))
