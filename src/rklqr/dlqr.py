@@ -52,24 +52,40 @@ def step_operators(Jx, Ju, tab: ButcherTableau, h: float):
     stage j.  To first order X_k = E x_k + F U_k and
     x_{k+1} = G x_k + H U_k, with the stage coupling I - A1, A1 = h a ⊗ Jx:
     E = (I - A1)^{-1} Z, F = (I - A1)^{-1} (h a ⊗ Ju), G = I + (h b ⊗ Jx) E
-    and H = (h b ⊗ Jx) F + h b ⊗ Ju.  Raises StepTooLarge naming the first
-    step whose coupling is singular.
+    and H = (h b ⊗ Jx) F + h b ⊗ Ju.
+
+    An explicit tableau makes the coupling unit lower triangular, so its
+    stage rows come by forward substitution over ``tab.nonzero_rows``:
+    [E_i | F_i] = [I | 0] + sum_j h a_ij (Jx_j [E_j | F_j] + Ju_j in U_j's
+    columns).  An implicit one takes a batched solve, which raises
+    StepTooLarge naming the first step whose coupling is singular.
     """
     K, n, s, _ = Jx.shape
     m = Ju.shape[-1]
-    # (k, stage row i, row r, stage col j, col c) blocks h a_ij J[k, r, j, c]
-    ha = (h * tab.a)[:, None, :, None]
     hb = (h * tab.b)[:, None]
-    coupling = np.eye(s * n) - (ha * Jx[:, None]).reshape(K, s * n, s * n)
-    A2 = (ha * Ju[:, None]).reshape(K, s * n, s * m)
     B = (hb * Jx).reshape(K, n, s * n)
     C = (hb * Ju).reshape(K, n, s * m)
-    Z = np.broadcast_to(np.tile(np.eye(n), (s, 1)), (K, s * n, n))
-    try:
-        EF = np.linalg.solve(coupling, np.concatenate([Z, A2], axis=2))
-    except np.linalg.LinAlgError:
-        k = next((j for j in range(K) if factor_fails(np.linalg.inv, coupling[j])), None)
-        raise StepTooLarge(f"singular stage coupling at step {k}, h = {h!r}", h=h) from None
+    if tab.is_explicit:
+        EF = np.zeros((K, s, n, n + s * m))
+        EF[:, :, :, :n] = np.eye(n)
+        for i, row in enumerate(tab.nonzero_rows):
+            for j, a in row:
+                # [E_j | F_j] has no columns of U_j or later stages yet
+                w, c = n + j * m, h * a
+                EF[:, i, :, :w] += c * (Jx[:, :, j] @ EF[:, j, :, :w])
+                EF[:, i, :, w:w + m] += c * Ju[:, :, j]
+        EF = EF.reshape(K, s * n, n + s * m)
+    else:
+        # (k, stage row i, row r, stage col j, col c) blocks h a_ij J[k, r, j, c]
+        ha = (h * tab.a)[:, None, :, None]
+        coupling = np.eye(s * n) - (ha * Jx[:, None]).reshape(K, s * n, s * n)
+        A2 = (ha * Ju[:, None]).reshape(K, s * n, s * m)
+        Z = np.broadcast_to(np.tile(np.eye(n), (s, 1)), (K, s * n, n))
+        try:
+            EF = np.linalg.solve(coupling, np.concatenate([Z, A2], axis=2))
+        except np.linalg.LinAlgError:
+            k = next((j for j in range(K) if factor_fails(np.linalg.inv, coupling[j])), None)
+            raise StepTooLarge(f"singular stage coupling at step {k}, h = {h!r}", h=h) from None
     E, F = EF[:, :, :n], EF[:, :, n:]
     return E, F, np.eye(n) + B @ E, B @ F + C
 

@@ -118,24 +118,29 @@ def make_state(prob, tab, U, X, x) -> IterateState:
     return IterateState(U=U, X=X, x=x, Jd=discrete_cost(prob, tab, U, X, x), h=prob.tf / U.shape[0])
 
 
-def _solve_stages(prob, tab, xk, us, h):
+def _solve_stages(prob, tab, xk, us, h, xs, fs):
     """Stage states x_ki = x_k + h sum_j a_ij f(x_kj, u_kj) of one step of an implicit tableau.
 
-    Fixed-point iteration (tolerance STAGE_FP_TOL, cap STAGE_FP_MAXIT);
-    returns the stage states and their f values, both (s, n).
+    Fixed-point iteration (tolerance STAGE_FP_TOL, cap STAGE_FP_MAXIT) that
+    writes the stage states and their f values into ``xs`` and ``fs``, both
+    (s, n).  The first sweep evaluates f at x_k for every stage.  A stage
+    whose row of a is zero stays at x_k + h·0 = x_k, so its f value cannot
+    change and later sweeps evaluate f only at the other stages.
     """
-    s, n = tab.s, prob.n
-    xs = np.empty((s, n))
+    f = prob.f
+    live = [i for i, row in enumerate(tab.nonzero_rows) if row]
     xs[:] = xk
+    for i in range(tab.s):
+        fs[i] = f(xk, us[i])
     scale = 1.0 + np.abs(xk).max(initial=0.0)
     for _ in range(STAGE_FP_MAXIT):
-        fs = np.array([prob.f(xs[i], us[i]) for i in range(s)])
         new = xk[None, :] + h * (tab.a @ fs)
         delta = np.abs(new - xs).max()
-        xs = new
+        xs[:] = new
+        for i in live:
+            fs[i] = f(xs[i], us[i])
         if delta <= 0.1 * STAGE_FP_TOL * scale:
-            fs = np.array([prob.f(xs[i], us[i]) for i in range(s)])
-            return xs, fs
+            return
     raise RolloutDiverged(f"stage fixed point did not contract at h = {h!r}")
 
 
@@ -143,8 +148,9 @@ def rollout(prob, tab, N: int, U) -> IterateState:
     """Integrate the discrete dynamics under stage controls U and price them.
 
     Explicit tableaus resolve each step's stages by forward substitution,
-    x_ki = x_k + sum_j (h a_ij) f_kj over the nonzero a_ij; implicit ones by
-    ``_solve_stages``.  Stage states and f values go straight into (N, s, n) stacks.
+    x_ki = x_k + sum_j (h a_ij) f_kj over the nonzero a_ij of
+    ``tab.nonzero_rows``; implicit ones by ``_solve_stages``.  Stage states
+    and f values go straight into (N, s, n) stacks.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -159,11 +165,11 @@ def rollout(prob, tab, N: int, U) -> IterateState:
     f, b = prob.f, tab.b
     rows = None
     if tab.is_explicit:
-        rows = [[(j, h * tab.a[i, j]) for j in range(i) if tab.a[i, j] != 0.0] for i in range(s)]
+        rows = [[(j, h * a) for j, a in row] for row in tab.nonzero_rows]
     for k in range(N):
         xk, Xk, Fk, Uk = x[k], X[k], fs[k], Us[k]
         if rows is None:
-            Xk[:], Fk[:] = _solve_stages(prob, tab, xk, Uk, h)
+            _solve_stages(prob, tab, xk, Uk, h, Xk, Fk)
         else:
             for i, row in enumerate(rows):
                 xi = xk
@@ -325,7 +331,7 @@ def node_controls(prob, state: IterateState, p: np.ndarray) -> np.ndarray:
     finite-difference Jacobian runs from the first-stage control of the step.
     """
     N, m = state.N, prob.m
-    if getattr(prob, "control_affine", True):  # linear problems are affine
+    if prob.control_affine:
         Bx = np.array([prob.input_matrix(xk) for xk in state.x])
         return dlqr.node_controls(prob, state.x, p, Bx)
     s = state.U.shape[1] // m

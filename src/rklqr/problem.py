@@ -87,6 +87,11 @@ class LQProblem:
     def m(self) -> int:
         return self.B.shape[1]
 
+    @property
+    def control_affine(self) -> bool:
+        """Always True: linear dynamics are affine in u."""
+        return True
+
     # dynamics surface shared with NonlinearProblem
     def f(self, x, u):
         return self.A @ x + self.B @ u

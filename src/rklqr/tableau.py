@@ -84,6 +84,17 @@ class ButcherTableau:
     def is_explicit(self) -> bool:
         return not np.triu(self.a).any()
 
+    @cached_property
+    def nonzero_rows(self) -> tuple:
+        """The ``(j, a_ij)`` pairs of the nonzero entries of each row i of a, in order of j.
+
+        The zero pattern of a decides the stage work: an explicit stage sums
+        over its pairs only, and a stage whose row is empty is x_k itself, so
+        an implicit solve never evaluates f there again.  Tuples of Python
+        floats, so the pattern is as read-only as a.
+        """
+        return tuple(tuple((j, float(v)) for j, v in enumerate(row) if v != 0.0) for row in self.a)
+
     def __repr__(self):
         return f"ButcherTableau(name={self.name!r}, s={self.s})"
 

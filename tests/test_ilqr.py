@@ -93,6 +93,24 @@ class TestRollout:
             x = sysm.G @ x + sysm.H @ U[k]
         np.testing.assert_allclose(state.x[-1], x, atol=1e-10)
 
+    def test_zero_row_stage_evaluated_once_per_step(self):
+        # trapezoidal's first row of a is zero, so stage 1 is x_k itself: the
+        # fixed point evaluates f there on its first sweep only
+        base = pendulum()
+        controls = []
+
+        def counting_f(x, u):
+            controls.append(float(u[0]))
+            return base.f_fn(x, u)
+
+        prob = dataclasses.replace(base, f_fn=counting_f)
+        N = 40
+        U = np.tile([-0.25, 0.5], (N, 1))
+        state = ilqr.rollout(prob, builtin("trapezoidal"), N, U)
+        assert controls.count(-0.25) == N
+        assert controls.count(0.5) > N and len(controls) == controls.count(-0.25) + controls.count(0.5)
+        np.testing.assert_array_equal(state.X[:, :2], state.x[:-1])
+
     def test_implicit_rollout_diverges_for_huge_step(self):
         prob = pendulum()
         with pytest.raises(RolloutDiverged):

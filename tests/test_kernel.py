@@ -86,6 +86,23 @@ def _random_explicit_tableau(rng, s):
     return ButcherTableau(a=a, b=w / w.sum(), name="random")
 
 
+def _sparse_explicit_tableau(rng):
+    """Random explicit tableau with some entries below the diagonal exactly zero."""
+    s = int(rng.integers(1, 5))
+    a = np.tril(rng.uniform(-1.0, 1.0, (s, s)) * (rng.uniform(size=(s, s)) < 0.6), -1)
+    w = rng.uniform(0.1, 1.0, s)
+    return ButcherTableau(a=a, b=w / w.sum(), name="random")
+
+
+def _explicit_tableau(rng, kind):
+    """An explicit tableau of the given kind: dense random, random with zeros, or a builtin."""
+    if kind == "dense":
+        return _random_explicit_tableau(rng, int(rng.integers(1, 4)))
+    if kind == "sparse":
+        return _sparse_explicit_tableau(rng)
+    return builtin(kind)
+
+
 def _random_lq(rng, n, m, tf):
     """Random dynamics with a strictly convex running cost that has a cross term."""
     root = rng.standard_normal((n + m, n + m))
@@ -152,6 +169,7 @@ def _reference_affine(A, c, v, reverse):
 
 
 SEEDS = st.integers(0, 2**32 - 1)
+EXPLICIT_KINDS = ["dense", "sparse", "euler", "methodA", "methodB", "methodC"]
 
 
 class TestScans:
@@ -223,27 +241,30 @@ class TestRiccatiScan:
 
 
 class TestStackedLinearization:
-    @given(SEEDS, st.booleans())
-    @example(0, True)
-    @example(1, False)
-    @settings(max_examples=40, deadline=None)
-    def test_matches_per_step_reference(self, seed, linear):
+    @given(SEEDS, st.booleans(), st.sampled_from(EXPLICIT_KINDS))
+    @example(0, True, "dense")
+    @example(1, False, "dense")
+    @example(2, True, "sparse")
+    @example(3, False, "methodC")
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_step_reference(self, seed, linear, kind):
         # linear: a random LQ problem with a cross term, at random stacks (its
-        # Jacobians do not depend on the point), under a random explicit
-        # tableau or trapezoidal; dlqr.assemble must give the same operators
+        # Jacobians do not depend on the point), under an explicit tableau of
+        # the drawn kind or trapezoidal; dlqr.assemble must give the same
+        # operators.  Explicit tableaus take step_operators' forward
+        # substitution, trapezoidal its batched solve.
         rng = np.random.default_rng(seed)
         N = int(rng.integers(1, 6))
         if linear:
             prob = _random_lq(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)),
                               tf=float(rng.uniform(0.5, 1.5)))
-            tab = (builtin("trapezoidal") if rng.integers(2)
-                   else _random_explicit_tableau(rng, int(rng.integers(1, 4))))
+            tab = builtin("trapezoidal") if rng.integers(2) else _explicit_tableau(rng, kind)
             U, X, x = (rng.standard_normal(shape) for shape in
                        ((N, tab.s * prob.m), (N, tab.s * prob.n), (N + 1, prob.n)))
             state = ilqr.make_state(prob, tab, U, X, x)
         else:
             prob = pendulum()
-            tab = _random_explicit_tableau(rng, int(rng.integers(1, 4)))
+            tab = _explicit_tableau(rng, kind)
             state = ilqr.rollout(prob, tab, N, 0.5 * rng.standard_normal((N, tab.s)))
         steps = ilqr.linearize(prob, tab, state)
         ref = _reference_linearize(prob, tab, state)
@@ -285,20 +306,22 @@ class TestStackedLinearization:
 
 
 class TestLeanRollout:
-    @given(SEEDS, st.booleans(), st.sampled_from(["random", "methodC", "trapezoidal"]))
+    @given(SEEDS, st.booleans(), st.sampled_from(["random", "methodC", "trapezoidal", "lobatto3a"]))
     @example(0, False, "random")
     @example(1, True, "methodC")
     @example(2, False, "trapezoidal")
+    @example(3, True, "lobatto3a")
     @settings(max_examples=60, deadline=None)
     def test_matches_per_step_reference_exactly(self, seed, linear, kind):
-        # same operations in the same order as the per-step stage solve, so no rounding slack
+        # same operations in the same order as the per-step stage solve, so no
+        # rounding slack; the implicit kinds skip f at their zero first row
         rng = np.random.default_rng(seed)
         if kind == "random":
-            # explicit, with some entries below the diagonal exactly zero
-            s = int(rng.integers(1, 5))
-            a = np.tril(rng.uniform(-1.0, 1.0, (s, s)) * (rng.uniform(size=(s, s)) < 0.6), -1)
-            w = rng.uniform(0.1, 1.0, s)
-            tab = ButcherTableau(a=a, b=w / w.sum(), name="random")
+            tab = _sparse_explicit_tableau(rng)
+        elif kind == "lobatto3a":
+            # 3-stage Lobatto IIIA: a zero first row above implicit ones
+            tab = ButcherTableau(a=[[0, 0, 0], [5 / 24, 1 / 3, -1 / 24], [1 / 6, 2 / 3, 1 / 6]],
+                                 b=[1 / 6, 2 / 3, 1 / 6], name="lobatto3a")
         else:
             tab = builtin(kind)
         if linear:

@@ -63,6 +63,10 @@ class TestSpringOscillator:
         assert prob.tf == 40.0
         assert not prob.S.any()
 
+    def test_linear_dynamics_are_control_affine(self):
+        # ILQR's node controls read the flag on every problem, with no default
+        assert spring_oscillator().control_affine is True
+
 
 class TestPendulum:
     def test_cross_term_is_read_only_zero_data(self):
