@@ -48,8 +48,8 @@ def step_operators(Jx, Ju, tab: ButcherTableau, h: float):
     """Step operators E, F, G, H of K steps from the stage Jacobians of f.
 
     ``Jx`` (K, n, s, n) and ``Ju`` (K, n, s, m) hold the Jacobians at the s
-    stage points of each step, row index first: ``Jx[k, :, j]`` is jac_x at
-    stage j.  To first order X_k = E x_k + F U_k and
+    stage points of each step, row index first: ``Jx[k, :, j]`` is the
+    x-Jacobian at stage j.  To first order X_k = E x_k + F U_k and
     x_{k+1} = G x_k + H U_k, with the stage coupling I - A1, A1 = h a ⊗ Jx:
     E = (I - A1)^{-1} Z, F = (I - A1)^{-1} (h a ⊗ Ju), G = I + (h b ⊗ Jx) E
     and H = (h b ⊗ Jx) F + h b ⊗ Ju.

@@ -50,27 +50,11 @@ class IterateState:
 
 
 @dataclass(frozen=True)
-class LinearizedStep:
-    """Jacobian data of one discrete step at the linearization point.
-
-    X_k = E x_k + F U_k + D1 and x_{k+1} = G x_k + H U_k + D2 describe the
-    tangent plane; D1/D2 vanish when the underlying maps are linear.
-    """
-
-    E: np.ndarray
-    F: np.ndarray
-    G: np.ndarray
-    H: np.ndarray
-    D1: np.ndarray
-    D2: np.ndarray
-
-
-@dataclass(frozen=True)
 class Linearization:
-    """The LinearizedStep data of all N steps, stacked along a leading axis.
+    """Jacobian data of all N steps at the linearization point, stacked along a leading axis.
 
-    len() is N; an integer index gives one step's LinearizedStep of views
-    (so iteration yields every step) and a slice the Linearization of those steps.
+    X_k = E_k x_k + F_k U_k + D1_k and x_{k+1} = G_k x_k + H_k U_k + D2_k
+    describe the tangent plane; D1/D2 vanish when the underlying maps are linear.
     """
 
     E: np.ndarray  # (N, s*n, n)
@@ -79,13 +63,6 @@ class Linearization:
     H: np.ndarray  # (N, n, s*m)
     D1: np.ndarray  # (N, s*n)
     D2: np.ndarray  # (N, n)
-
-    def __len__(self):
-        return self.E.shape[0]
-
-    def __getitem__(self, k):
-        cls = Linearization if isinstance(k, slice) else LinearizedStep
-        return cls(self.E[k], self.F[k], self.G[k], self.H[k], self.D1[k], self.D2[k])
 
 
 @dataclass(frozen=True)
@@ -208,7 +185,7 @@ def backward(prob, tab, steps: Linearization) -> AffineBackwardPass:
     augmented state z = [x; 1], whose value matrix P_k carries M_k in its
     leading block and Y_k in its last column.
     """
-    N, n = len(steps), prob.n
+    N, n = steps.E.shape[0], prob.n
     Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, prob.tf / N)
     below = ((0, 0), (0, 1), (0, 0))  # pads a zero row under each step's block
     Ea = np.concatenate([steps.E, steps.D1[:, :, None]], axis=2)
@@ -248,18 +225,17 @@ def gradient(prob, tab, state: IterateState, steps=None) -> np.ndarray:
     return r + (w[:, None, :] @ steps.F)[:, 0] + (p[1:, None, :] @ steps.H)[:, 0]
 
 
-def line_search(prob, tab, state: IterateState, dU, slope=None):
+def line_search(prob, tab, state: IterateState, dU, slope: float):
     """Backtracking Armijo along the feasible curve through U + alpha dU.
 
-    Accepts the first alpha in 1, 1/2, ..., MIN_ALPHA with
+    ``slope`` is the directional derivative J_d'(U)' dU.  Accepts the first
+    alpha in 1, 1/2, ..., MIN_ALPHA with
     Jd(alpha) <= Jd + ARMIJO_C1 alpha slope + ARMIJO_ROUNDING |Jd|; each
     trial is a fresh rollout.
     """
     dU = np.asarray(dU, dtype=float).reshape(state.U.shape)
     if not np.any(dU):
         return 1.0, state
-    if slope is None:
-        slope = float(np.sum(gradient(prob, tab, state) * dU))
     alpha = 1.0
     slack = ARMIJO_ROUNDING * abs(state.Jd)
     while alpha >= MIN_ALPHA:
@@ -292,7 +268,7 @@ def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200):
         bp = backward(prob, tab, steps)
         dU = direction(state, bp, steps)
         slope = float(np.sum(g * dU))
-        alpha, state = line_search(prob, tab, state, dU, slope=slope)
+        alpha, state = line_search(prob, tab, state, dU, slope)
         log.append(
             IterateRecord(
                 iteration=it,
@@ -327,12 +303,13 @@ def node_controls(prob, state: IterateState, p: np.ndarray) -> np.ndarray:
     """Node controls from the stationarity equation Ju(x,u)'p + Ru + S'x = 0.
 
     Control-affine dynamics admit the closed form ``dlqr.node_controls``
-    with B(x_k) at each node; otherwise a Newton iteration with
-    finite-difference Jacobian runs from the first-stage control of the step.
+    with B(x_k) = Ju(x_k, 0) at every node from one ``stage_jacobians`` call;
+    otherwise a Newton iteration with finite-difference Jacobian runs from the
+    first-stage control of the step.
     """
     N, m = state.N, prob.m
     if prob.control_affine:
-        Bx = np.array([prob.input_matrix(xk) for xk in state.x])
+        _, Bx = prob.stage_jacobians(state.x, np.zeros((N + 1, m)))
         return dlqr.node_controls(prob, state.x, p, Bx)
     s = state.U.shape[1] // m
     u = np.zeros((N + 1, m))
@@ -344,7 +321,8 @@ def node_controls(prob, state: IterateState, p: np.ndarray) -> np.ndarray:
 
 def _newton_node_control(prob, x, p, u0, index):
     def resid(u):
-        return prob.jac_u(x, u).T @ p + prob.R @ u + prob.S.T @ x
+        _, Ju = prob.stage_jacobians(x[None], u[None])
+        return Ju[0].T @ p + prob.R @ u + prob.S.T @ x
 
     u = np.array(u0, dtype=float)
     for _ in range(NEWTON_MAXIT):

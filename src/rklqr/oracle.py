@@ -180,12 +180,13 @@ def adjoint_costates(prob, tab, state) -> AdjointCostates:
     base[n:, :n] = -np.tile(np.eye(n), (s, 1))
     p, p_stage = np.empty((N + 1, n)), np.empty((N, s * n))
     p[N] = prob.M @ state.x[N]
+    Jx, _ = prob.stage_jacobians(state.X.reshape(-1, n), state.U.reshape(-1, m))
+    JxT = np.swapaxes(Jx, 1, 2).reshape(N, s, n, n)
     for k in range(N - 1, -1, -1):
         xs, us = state.X[k].reshape(s, n), state.U[k].reshape(s, m)
-        JxT = np.array([prob.jac_x(xs[j], us[j]).T for j in range(s)])
         w = xs @ prob.Q + us @ prob.S.T
         mat = base.copy()
-        mat[:, n:] -= np.einsum("rj,jab->rajb", wts, JxT).reshape((s + 1) * n, s * n)
+        mat[:, n:] -= np.einsum("rj,jab->rajb", wts, JxT[k]).reshape((s + 1) * n, s * n)
         rhs = (wts @ w).ravel()
         rhs[:n] += p[k + 1]
         try:
@@ -222,12 +223,12 @@ def _sensitivities(prob, tab, state, steps):
     blk = state.U.shape[1]
     P = np.zeros((n, blk * N))
     stage_sens = []
-    for k, st in enumerate(steps):
-        Rk = st.E @ P
-        Rk[:, k * blk : (k + 1) * blk] += st.F
+    for k in range(N):
+        Rk = steps.E[k] @ P
+        Rk[:, k * blk : (k + 1) * blk] += steps.F[k]
         stage_sens.append(Rk)
-        P = st.G @ P
-        P[:, k * blk : (k + 1) * blk] += st.H
+        P = steps.G[k] @ P
+        P[:, k * blk : (k + 1) * blk] += steps.H[k]
     return stage_sens, P
 
 

@@ -2,10 +2,9 @@
 
 Both problem classes expose the same dynamics surface so the discrete
 solvers can treat a linear problem as a special case of the nonlinear one:
-``f``, ``jac_x`` and ``jac_u`` at one point (x, u), and ``stage_jacobians``,
-which returns the Jacobians at a stack of P points as arrays (P, n, n) and
-(P, n, m) in one call.  ILQR linearizes through ``stage_jacobians``; the
-per-point callbacks serve the oracle and the Newton node controls.  Costs are
+``f`` at one point (x, u), and ``stage_jacobians``, which returns the
+Jacobians of f at a stack of P points as arrays (P, n, n) and (P, n, m) in
+one call.  It is the only way the solvers read a Jacobian.  Costs are
 
     integral of  1/2 x'Qx + x'Su + 1/2 u'Ru  dt  +  1/2 x(tf)'M x(tf)
 
@@ -20,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -96,12 +95,6 @@ class LQProblem:
     def f(self, x, u):
         return self.A @ x + self.B @ u
 
-    def jac_x(self, x, u):
-        return self.A
-
-    def jac_u(self, x, u):
-        return self.B
-
     def input_matrix(self, x):
         return self.B
 
@@ -115,12 +108,10 @@ class LQProblem:
 class NonlinearProblem:
     """Nonlinear dynamics xdot = f(x, u) with plain quadratic cost.
 
-    ``f_fn`` maps (x, u) to an n-vector; ``jac_x_fn`` / ``jac_u_fn`` are its
-    Jacobians.  ``input_matrix_fn``, when given, marks the dynamics as
-    control-affine and returns B(x) with f(x, u) = f0(x) + B(x) u.
-    ``jacobians_fn``, when given, maps stacked points X (P, n) and U (P, m)
-    to the stacked Jacobians (Jx (P, n, n), Ju (P, n, m)) in one call;
-    without it ``stage_jacobians`` calls jac_x and jac_u point by point.
+    ``f_fn`` maps one point (x, u) to an n-vector.  ``jac_x_fn`` and
+    ``jac_u_fn`` map stacked points X (P, n) and U (P, m) to the stacked
+    Jacobians of f, Jx (P, n, n) and Ju (P, n, m).  ``control_affine`` marks
+    f(x, u) = f0(x) + B(x) u; ``input_matrix(x)`` is then Ju at (x, 0).
     All callables must be pure.  ``S`` is not a constructor argument: it is
     always the read-only zero cross term of shape (n, m).
     """
@@ -133,8 +124,7 @@ class NonlinearProblem:
     M: np.ndarray
     x0: np.ndarray
     tf: float
-    input_matrix_fn: Optional[Callable] = None
-    jacobians_fn: Optional[Callable] = None
+    control_affine: bool = False
     name: str = ""
     S: np.ndarray = field(init=False, repr=False)
 
@@ -142,10 +132,8 @@ class NonlinearProblem:
         for label in ("f_fn", "jac_x_fn", "jac_u_fn"):
             if not callable(getattr(self, label)):
                 raise ValueError(f"{label} must be callable")
-        for label in ("input_matrix_fn", "jacobians_fn"):
-            fn = getattr(self, label)
-            if fn is not None and not callable(fn):
-                raise ValueError(f"{label} must be callable or None")
+        if not isinstance(self.control_affine, bool):
+            raise ValueError("control_affine must be a bool")
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         n = x0.size
         R = np.atleast_2d(np.asarray(self.R, dtype=float))
@@ -167,35 +155,24 @@ class NonlinearProblem:
     def m(self) -> int:
         return self.R.shape[0]
 
-    @property
-    def control_affine(self) -> bool:
-        return self.input_matrix_fn is not None
-
     def f(self, x, u):
         return np.asarray(self.f_fn(x, u), dtype=float)
 
-    def jac_x(self, x, u):
-        return np.asarray(self.jac_x_fn(x, u), dtype=float)
-
-    def jac_u(self, x, u):
-        return np.asarray(self.jac_u_fn(x, u), dtype=float)
-
     def input_matrix(self, x):
-        if self.input_matrix_fn is None:
+        """B(x) of control-affine dynamics: Ju at the one point (x, 0)."""
+        if not self.control_affine:
             raise AttributeError("dynamics are not flagged control-affine")
-        return np.asarray(self.input_matrix_fn(x), dtype=float)
+        _, Ju = self.stage_jacobians(np.asarray(x, dtype=float).reshape(1, self.n), np.zeros((1, self.m)))
+        return Ju[0]
 
     def stage_jacobians(self, X, U):
         """Jacobians (Jx (P, n, n), Ju (P, n, m)) of f at the P points of X (P, n) and U (P, m)."""
         P, n, m = X.shape[0], self.n, self.m
-        if self.jacobians_fn is None:
-            Jx = np.array([self.jac_x(x, u) for x, u in zip(X, U)]).reshape(P, n, n)
-            Ju = np.array([self.jac_u(x, u) for x, u in zip(X, U)]).reshape(P, n, m)
-            return Jx, Ju
-        Jx, Ju = (np.asarray(J, dtype=float) for J in self.jacobians_fn(X, U))
-        if Jx.shape != (P, n, n) or Ju.shape != (P, n, m):
-            raise ValueError(f"jacobians_fn must return Jx of shape (P, n, n) = {(P, n, n)} and "
-                             f"Ju of shape (P, n, m) = {(P, n, m)}, not {Jx.shape} and {Ju.shape}")
+        Jx = np.asarray(self.jac_x_fn(X, U), dtype=float)
+        Ju = np.asarray(self.jac_u_fn(X, U), dtype=float)
+        for label, J, shape in (("jac_x_fn", Jx, (P, n, n)), ("jac_u_fn", Ju, (P, n, m))):
+            if J.shape != shape:
+                raise ValueError(f"{label} must return shape {shape} for P = {P} points, not {J.shape}")
         return Jx, Ju
 
 
@@ -246,27 +223,18 @@ def _pendulum_f(x, u):
     return np.array([x[1], math.sin(x[0]) + u[0]])
 
 
-def _pendulum_jac_x(x, u):
-    return np.array([[0.0, 1.0], [math.cos(x[0]), 0.0]])
-
-
 _PENDULUM_JU = np.array([[0.0], [1.0]])
 
 
-def _pendulum_jac_u(x, u):
-    return _PENDULUM_JU
-
-
-def _pendulum_input_matrix(x):
-    return _PENDULUM_JU
-
-
-def _pendulum_jacobians(X, U):
-    P = X.shape[0]
-    Jx = np.zeros((P, 2, 2))
+def _pendulum_jac_x(X, U):
+    Jx = np.zeros((X.shape[0], 2, 2))
     Jx[:, 0, 1] = 1.0
     Jx[:, 1, 0] = np.cos(X[:, 0])
-    return Jx, np.broadcast_to(_PENDULUM_JU, (P, 2, 1))
+    return Jx
+
+
+def _pendulum_jac_u(X, U):
+    return np.broadcast_to(_PENDULUM_JU, (X.shape[0], 2, 1))
 
 
 def pendulum() -> NonlinearProblem:
@@ -279,8 +247,7 @@ def pendulum() -> NonlinearProblem:
         f_fn=_pendulum_f,
         jac_x_fn=_pendulum_jac_x,
         jac_u_fn=_pendulum_jac_u,
-        input_matrix_fn=_pendulum_input_matrix,
-        jacobians_fn=_pendulum_jacobians,
+        control_affine=True,
         Q=np.zeros((2, 2)),
         R=[[0.05]],
         M=5.0 * np.eye(2),

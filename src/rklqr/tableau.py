@@ -46,13 +46,13 @@ def _frozen(arr):
 class ButcherTableau:
     """Coefficients (a, b, c) of an s-stage Runge-Kutta method.
 
-    c is always recomputed as the row sums of a; a caller-supplied c is only
-    accepted as a cross-check.  Weights must sum to one.
+    c is not a constructor argument: it is always the row sums of a.
+    Weights must sum to one.
     """
 
     a: np.ndarray
     b: np.ndarray
-    c: np.ndarray = field(default=None)
+    c: np.ndarray = field(init=False)
     name: str = ""
 
     def __post_init__(self):
@@ -61,20 +61,13 @@ class ButcherTableau:
         s = b.size
         if a.shape != (s, s):
             raise ValueError(f"a must be {s}x{s}, got {a.shape}")
-        c_derived = a.sum(axis=1)
-        c_given = None if self.c is None else np.atleast_1d(np.asarray(self.c, dtype=float))
-        if not all(np.isfinite(v).all() for v in (a, b, c_given) if v is not None):
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("tableau coefficients must be finite")
-        if c_given is not None:
-            if c_given.shape != (s,):
-                raise ValueError(f"c must have length {s}")
-            if np.max(np.abs(c_given - c_derived)) > COEFF_TOL:
-                raise ValueError("c does not match the row sums of a")
         if abs(b.sum() - 1.0) > COEFF_TOL:
             raise ValueError(f"weights must sum to 1, got {b.sum()!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", _frozen(c_derived))
+        object.__setattr__(self, "c", _frozen(a.sum(axis=1)))
 
     @property
     def s(self) -> int:

@@ -21,8 +21,8 @@ P_STAR_0 = 0.4136709340400075  # costate of the scalar benchmark at t = 0
 def _constant_state_problem():
     return NonlinearProblem(
         f_fn=lambda x, u: np.zeros(2),
-        jac_x_fn=lambda x, u: np.zeros((2, 2)),
-        jac_u_fn=lambda x, u: np.zeros((2, 1)),
+        jac_x_fn=lambda X, U: np.zeros((len(X), 2, 2)),
+        jac_u_fn=lambda X, U: np.zeros((len(X), 2, 1)),
         Q=np.eye(2),
         R=[[1.0]],
         M=3.0 * np.eye(2),
@@ -124,9 +124,9 @@ class TestLinearize:
         rng = np.random.default_rng(11)
         state = ilqr.rollout(prob, tab, 6, rng.standard_normal((6, 3)))
         scale = 1.0 + np.abs(state.X).max()  # h = 20/3 lets states grow large
-        for st in ilqr.linearize(prob, tab, state):
-            np.testing.assert_allclose(st.D1, 0.0, atol=1e-13 * scale)
-            np.testing.assert_allclose(st.D2, 0.0, atol=1e-13 * scale)
+        steps = ilqr.linearize(prob, tab, state)
+        np.testing.assert_allclose(steps.D1, 0.0, atol=1e-13 * scale)
+        np.testing.assert_allclose(steps.D2, 0.0, atol=1e-13 * scale)
 
     def test_euler_blocks(self):
         prob = pendulum()
@@ -134,12 +134,11 @@ class TestLinearize:
         state = ilqr.rollout(prob, tab, 4, np.zeros((4, 1)))
         h = state.h
         steps = ilqr.linearize(prob, tab, state)
-        for k, st in enumerate(steps):
-            Jx = prob.jac_x(state.X[k], state.U[k])
-            np.testing.assert_allclose(st.E, np.eye(2), atol=0)
-            np.testing.assert_allclose(st.F, 0.0, atol=0)
-            np.testing.assert_allclose(st.G, np.eye(2) + h * Jx, atol=1e-14)
-            np.testing.assert_allclose(st.H, h * prob.jac_u(state.X[k], state.U[k]), atol=1e-14)
+        Jx, Ju = prob.stage_jacobians(state.X, state.U)  # Euler: one stage per step
+        np.testing.assert_allclose(steps.E, np.broadcast_to(np.eye(2), (4, 2, 2)), atol=0)
+        np.testing.assert_allclose(steps.F, 0.0, atol=0)
+        np.testing.assert_allclose(steps.G, np.eye(2) + h * Jx, atol=1e-14)
+        np.testing.assert_allclose(steps.H, h * Ju, atol=1e-14)
 
     def test_upright_pendulum_jacobian_block(self):
         prob = NonlinearProblem(
@@ -148,20 +147,23 @@ class TestLinearize:
         )
         tab = builtin("euler")
         state = ilqr.rollout(prob, tab, 4, np.zeros((4, 1)))
-        st = ilqr.linearize(prob, tab, state)[0]
-        np.testing.assert_allclose(st.G, np.eye(2) + state.h * np.array([[0, 1], [1, 0]]), atol=1e-14)
+        G = ilqr.linearize(prob, tab, state).G[0]
+        np.testing.assert_allclose(G, np.eye(2) + state.h * np.array([[0, 1], [1, 0]]), atol=1e-14)
 
 
 def prob_f(x, u):
     return np.array([x[1], np.sin(x[0]) + u[0]])
 
 
-def prob_jx(x, u):
-    return np.array([[0.0, 1.0], [np.cos(x[0]), 0.0]])
+def prob_jx(X, U):
+    Jx = np.zeros((len(X), 2, 2))
+    Jx[:, 0, 1] = 1.0
+    Jx[:, 1, 0] = np.cos(X[:, 0])
+    return Jx
 
 
-def prob_ju(x, u):
-    return np.array([[0.0], [1.0]])
+def prob_ju(X, U):
+    return np.broadcast_to([[0.0], [1.0]], (len(X), 2, 1))
 
 
 class TestBackwardAndDirection:
@@ -197,15 +199,15 @@ class TestBackwardAndDirection:
         tab = builtin("methodB")
         state = ilqr.rollout(prob, tab, 1, np.array([[0.3, -0.2, 0.1]]))
         steps = ilqr.linearize(prob, tab, state)
-        st = steps[0]
-        bp = ilqr.backward(prob, tab, steps[:1])
+        E, F, G, H, D1, D2 = (A[0] for A in vars(steps).values())
+        bp = ilqr.backward(prob, tab, steps)
         h = state.h
         Qh, Rh, _ = dlqr.stage_cost_blocks(prob, tab.b, h)
-        K = st.F.T @ Qh @ st.F + Rh + st.H.T @ prob.M @ st.H
+        K = F.T @ Qh @ F + Rh + H.T @ prob.M @ H
         U_opt = np.linalg.solve(
             K,
-            -(st.F.T @ Qh @ (st.E @ prob.x0 + st.D1)
-              + st.H.T @ prob.M @ (st.G @ prob.x0 + st.D2)),
+            -(F.T @ Qh @ (E @ prob.x0 + D1)
+              + H.T @ prob.M @ (G @ prob.x0 + D2)),
         )
         np.testing.assert_allclose(bp.U1[0] @ prob.x0 + bp.U2[0], U_opt, atol=1e-12)
 
@@ -273,14 +275,15 @@ class TestLineSearch:
         steps = ilqr.linearize(prob, tab, state)
         bp = ilqr.backward(prob, tab, steps)
         dU = ilqr.direction(state, bp, steps)
-        alpha, nxt = ilqr.line_search(prob, tab, state, dU)
+        slope = float(np.sum(ilqr.gradient(prob, tab, state, steps) * dU))
+        alpha, nxt = ilqr.line_search(prob, tab, state, dU, slope)
         assert alpha == 1.0 and nxt.Jd < state.Jd
 
     def test_zero_direction_returns_same_state(self):
         prob = pendulum()
         tab = builtin("euler")
         state = ilqr.rollout(prob, tab, 5, np.zeros((5, 1)))
-        alpha, nxt = ilqr.line_search(prob, tab, state, np.zeros((5, 1)))
+        alpha, nxt = ilqr.line_search(prob, tab, state, np.zeros((5, 1)), 0.0)
         assert alpha == 1.0 and nxt is state
 
 
@@ -331,9 +334,8 @@ def _costate_residual(prob, tab, state, cost):
         xs = state.X[k].reshape(s, n)
         us = state.U[k].reshape(s, m)
         ps = cost.p_stage[k].reshape(s, n)
-        grads = np.array(
-            [prob.jac_x(xs[i], us[i]).T @ ps[i] + prob.Q @ xs[i] for i in range(s)]
-        )
+        Jx, _ = prob.stage_jacobians(xs, us)
+        grads = np.array([Jx[i].T @ ps[i] + prob.Q @ xs[i] for i in range(s)])
         if S is not None:
             grads += us @ S.T
         r_node = cost.p[k + 1] - (cost.p[k] - h * tab.b @ grads)
@@ -388,6 +390,13 @@ class TestCostates:
         np.testing.assert_allclose(cost.p[-1], prob.M @ state.x[-1], atol=0)
 
 
+def _cubic_ju(X, U):
+    """Ju of the cubic control entry u + 0.1 u^3 in the second state equation."""
+    Ju = np.zeros((len(X), 2, 1))
+    Ju[:, 1, 0] = 1.0 + 0.3 * U[:, 0] ** 2
+    return Ju
+
+
 class TestNodeControls:
     def test_pendulum_closed_form(self):
         prob = pendulum()
@@ -424,11 +433,8 @@ class TestNodeControls:
         def f(x, u):
             return np.array([x[1], np.sin(x[0]) + u[0] + 0.1 * u[0] ** 3])
 
-        def ju(x, u):
-            return np.array([[0.0], [1.0 + 0.3 * u[0] ** 2]])
-
         prob = NonlinearProblem(
-            f_fn=f, jac_x_fn=prob_jx, jac_u_fn=ju,
+            f_fn=f, jac_x_fn=prob_jx, jac_u_fn=_cubic_ju,
             Q=np.zeros((2, 2)), R=[[2.0]], M=0.5 * np.eye(2), x0=[np.pi / 3, 0.0], tf=1.0,
         )
         tab = builtin("methodB")
@@ -436,8 +442,9 @@ class TestNodeControls:
         state = ilqr.rollout(prob, tab, 10, 0.1 * rng.standard_normal((10, 3)))
         p = ilqr.costates(prob, tab, state)
         u = ilqr.node_controls(prob, state, p)
+        _, Ju = prob.stage_jacobians(state.x, u)
         for k in range(state.N + 1):
-            resid = ju(state.x[k], u[k]).T @ p[k] + prob.R @ u[k]
+            resid = Ju[k].T @ p[k] + prob.R @ u[k]
             assert np.abs(resid).max() < 1e-10
 
     def test_newton_reports_unsolvable_stationarity(self):
@@ -447,11 +454,8 @@ class TestNodeControls:
         def f(x, u):
             return np.array([x[1], np.sin(x[0]) + u[0] + 0.1 * u[0] ** 3])
 
-        def ju(x, u):
-            return np.array([[0.0], [1.0 + 0.3 * u[0] ** 2]])
-
         prob = NonlinearProblem(
-            f_fn=f, jac_x_fn=prob_jx, jac_u_fn=ju,
+            f_fn=f, jac_x_fn=prob_jx, jac_u_fn=_cubic_ju,
             Q=np.zeros((2, 2)), R=[[0.5]], M=5 * np.eye(2), x0=[np.pi / 3, 0.0], tf=4.0,
         )
         tab = builtin("methodB")

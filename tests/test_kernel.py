@@ -31,8 +31,8 @@ def _reference_linearize(prob, tab, state):
         A2 = np.zeros((s * n, s * m))
         B = np.zeros((n, s * n))
         C = np.zeros((n, s * m))
-        for j in range(s):
-            Jx, Ju = prob.jac_x(xs[j], us[j]), prob.jac_u(xs[j], us[j])
+        Jxs, Jus = prob.stage_jacobians(xs, us)
+        for j, (Jx, Ju) in enumerate(zip(Jxs, Jus)):
             for i in range(s):
                 A1[i * n:(i + 1) * n, j * n:(j + 1) * n] = h * tab.a[i, j] * Jx
                 A2[i * n:(i + 1) * n, j * m:(j + 1) * m] = h * tab.a[i, j] * Ju
@@ -50,7 +50,7 @@ def _reference_linearize(prob, tab, state):
 
 def _reference_backward(prob, tab, steps):
     """Per-step affine value recursion with Cholesky-solved gains."""
-    N = len(steps)
+    N = steps.E.shape[0]
     Qh, Rh, Sh = dlqr.stage_cost_blocks(prob, tab.b, prob.tf / N)
     M, Y = [None] * (N + 1), [None] * (N + 1)
     U1, U2 = [None] * N, [None] * N
@@ -269,32 +269,21 @@ class TestStackedLinearization:
         steps = ilqr.linearize(prob, tab, state)
         ref = _reference_linearize(prob, tab, state)
         scale = 1.0 + np.abs(state.X).max()
-        for st_new, want_step in zip(steps, ref):
-            for got, want in zip(vars(st_new).values(), want_step):
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * scale)
+        for k, want_step in enumerate(ref):
+            for got, want in zip(vars(steps).values(), want_step):
+                np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=1e-13 * scale)
         if linear:
             sysm = dlqr.assemble(prob, tab, N)
             for want_step in ref:
                 for got, want in zip((sysm.E, sysm.F, sysm.G, sysm.H), want_step):
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
-    def test_indexing_gives_views_of_the_stacks(self):
-        prob = pendulum()
-        tab = builtin("methodB")
-        state = ilqr.rollout(prob, tab, 5, np.zeros((5, 3)))
-        steps = ilqr.linearize(prob, tab, state)
-        assert len(steps) == 5 and len(list(steps)) == 5
-        assert np.shares_memory(steps[3].G, steps.G) and steps[3].G.shape == (2, 2)
-        head = steps[1:3]
-        assert isinstance(head, ilqr.Linearization) and len(head) == 2
-        np.testing.assert_array_equal(head[0].H, steps[1].H)
-
     def test_singular_stage_coupling_names_step_and_h(self):
         # implicit Euler on xdot = x^2/2 + u: I - h x_k1 vanishes where the stage state is 1/h
         prob = NonlinearProblem(
             f_fn=lambda x, u: np.array([0.5 * x[0] ** 2 + u[0]]),
-            jac_x_fn=lambda x, u: np.array([[x[0]]]),
-            jac_u_fn=lambda x, u: np.array([[1.0]]),
+            jac_x_fn=lambda X, U: X[:, :, None],
+            jac_u_fn=lambda X, U: np.ones((len(X), 1, 1)),
             Q=[[1.0]], R=[[1.0]], M=[[0.0]], x0=[0.0], tf=2.0,
         )
         tab = ButcherTableau(a=[[1.0]], b=[1.0], name="implicit-euler")

@@ -25,6 +25,19 @@ U_STAR_0 = -0.9136709340400074
 U_STAR_1 = -0.23466673126689006
 
 
+def _stacked_points(bound):
+    """P = 1..50 stacked states (P, 2) and controls (P, 1) with entries in [-bound, bound]."""
+    return st.integers(1, 50).flatmap(
+        lambda P: st.tuples(
+            arrays(float, (P, 2), elements=st.floats(-bound, bound)),
+            arrays(float, (P, 1), elements=st.floats(-bound, bound)),
+        )
+    )
+
+
+POINTS = _stacked_points(1e3)
+
+
 class TestExample31:
     def test_fields(self):
         prob, ref = example31()
@@ -87,58 +100,32 @@ class TestPendulum:
         prob = pendulum()
         f = prob.f(np.array([math.pi / 3, 0.0]), np.array([0.0]))
         np.testing.assert_allclose(f, [0.0, math.sqrt(3) / 2], atol=1e-15)
-        np.testing.assert_array_equal(prob.jac_u(prob.x0, np.zeros(1)), [[0.0], [1.0]])
+        _, Ju = prob.stage_jacobians(prob.x0[None], np.zeros((1, 1)))
+        np.testing.assert_array_equal(Ju, [[[0.0], [1.0]]])
         assert prob.R[0, 0] == 0.05  # 0.025 u^2 == (1/2) u' (0.05) u
         np.testing.assert_array_equal(prob.M, 5.0 * np.eye(2))
         assert prob.control_affine
         np.testing.assert_array_equal(prob.input_matrix(prob.x0), [[0.0], [1.0]])
 
     @pytest.mark.parametrize("prob_factory", [pendulum, lambda: spring_oscillator()])
-    def test_jacobians_match_finite_differences(self, prob_factory):
-        prob = prob_factory()
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            x = rng.standard_normal(prob.n)
-            u = rng.standard_normal(prob.m)
-            Jx, Ju = prob.jac_x(x, u), prob.jac_u(x, u)
-            hx = 1e-6 * (1 + np.linalg.norm(x))
-            for col in range(prob.n):
-                e = np.zeros(prob.n)
-                e[col] = hx
-                fd = (prob.f(x + e, u) - prob.f(x - e, u)) / (2 * hx)
-                np.testing.assert_allclose(fd, Jx[:, col], rtol=1e-5, atol=1e-7)
-            for col in range(prob.m):
-                e = np.zeros(prob.m)
-                e[col] = hx
-                fd = (prob.f(x, u + e) - prob.f(x, u - e)) / (2 * hx)
-                np.testing.assert_allclose(fd, Ju[:, col], rtol=1e-5, atol=1e-7)
+    @given(points=_stacked_points(10.0))
+    @settings(max_examples=50, deadline=None)
+    def test_jacobians_match_finite_differences(self, prob_factory, points):
+        # central differences of the per-point f, column by column, at every stacked point
+        prob, (X, U) = prob_factory(), points
+        Jx, Ju = prob.stage_jacobians(X, U)
+        d = 1e-6
 
+        def central(dx, du):
+            return np.array([prob.f(x + dx, u + du) - prob.f(x - dx, u - du) for x, u in zip(X, U)]) / (2 * d)
 
-POINTS = st.integers(1, 50).flatmap(
-    lambda P: st.tuples(
-        arrays(float, (P, 2), elements=st.floats(-1e3, 1e3)),
-        arrays(float, (P, 1), elements=st.floats(-1e3, 1e3)),
-    )
-)
+        for col, e in enumerate(d * np.eye(prob.n)):
+            np.testing.assert_allclose(central(e, 0.0), Jx[:, :, col], rtol=1e-5, atol=1e-7)
+        for col, e in enumerate(d * np.eye(prob.m)):
+            np.testing.assert_allclose(central(0.0, e), Ju[:, :, col], rtol=1e-5, atol=1e-7)
 
 
 class TestStageJacobians:
-    @given(POINTS)
-    @settings(max_examples=100, deadline=None)
-    def test_pendulum_batch_matches_per_point_stack(self, points):
-        prob, (X, U) = pendulum(), points
-        Jx, Ju = prob.stage_jacobians(X, U)
-        np.testing.assert_allclose(Jx, [prob.jac_x(x, u) for x, u in zip(X, U)], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(Ju, [prob.jac_u(x, u) for x, u in zip(X, U)], rtol=0, atol=1e-15)
-
-    @given(POINTS)
-    @settings(max_examples=50, deadline=None)
-    def test_without_jacobians_fn_loops_per_point(self, points):
-        prob, (X, U) = dataclasses.replace(pendulum(), jacobians_fn=None), points
-        Jx, Ju = prob.stage_jacobians(X, U)
-        np.testing.assert_array_equal(Jx, [prob.jac_x(x, u) for x, u in zip(X, U)])
-        np.testing.assert_array_equal(Ju, [prob.jac_u(x, u) for x, u in zip(X, U)])
-
     @given(POINTS)
     @settings(max_examples=50, deadline=None)
     def test_linear_problem_broadcasts_A_and_B(self, points):
@@ -148,15 +135,34 @@ class TestStageJacobians:
         np.testing.assert_array_equal(Ju, np.broadcast_to(prob.B, (len(X), 2, 1)))
         assert np.shares_memory(Jx, prob.A) and np.shares_memory(Ju, prob.B)
 
-    @pytest.mark.parametrize("result", [
-        lambda X, U: (np.zeros((len(X), 2, 2)), np.zeros((len(X), 1, 2))),
-        lambda X, U: (np.zeros((2, 2)), np.zeros((len(X), 2, 1))),
+    @pytest.mark.parametrize("field, result, shapes", [
+        ("jac_u_fn", lambda X, U: np.zeros((len(X), 1, 2)), r"\(3, 2, 1\) for P = 3 points, not \(3, 1, 2\)"),
+        ("jac_x_fn", lambda X, U: np.zeros((2, 2)), r"\(3, 2, 2\) for P = 3 points, not \(2, 2\)"),
     ], ids=["transposed-Ju", "unstacked-Jx"])
-    def test_wrong_shape_rejected(self, result):
-        prob = dataclasses.replace(pendulum(), jacobians_fn=result)
-        with pytest.raises(ValueError, match=r"jacobians_fn must return Jx of shape \(P, n, n\) = "
-                                             r"\(3, 2, 2\) and Ju of shape \(P, n, m\) = \(3, 2, 1\)"):
+    def test_wrong_shape_rejected(self, field, result, shapes):
+        prob = dataclasses.replace(pendulum(), **{field: result})
+        with pytest.raises(ValueError, match=f"{field} must return shape {shapes}"):
             prob.stage_jacobians(np.zeros((3, 2)), np.zeros((3, 1)))
+
+    @given(POINTS)
+    @settings(max_examples=50, deadline=None)
+    def test_input_matrix_is_Ju_at_zero_control(self, points):
+        # the pendulum's B is constant; the second problem's B(x) = [0; cos x_1] is not
+        X, _ = points
+        varying = dataclasses.replace(
+            pendulum(),
+            f_fn=lambda x, u: np.array([x[1], math.sin(x[0]) + math.cos(x[0]) * u[0]]),
+            jac_u_fn=lambda X, U: np.stack([np.zeros(len(X)), np.cos(X[:, 0])], axis=1)[:, :, None],
+        )
+        for prob in (pendulum(), varying, spring_oscillator()):
+            _, Ju = prob.stage_jacobians(X, np.zeros((len(X), 1)))
+            for x, B in zip(X, Ju):
+                np.testing.assert_array_equal(prob.input_matrix(x), B)
+
+    def test_input_matrix_needs_control_affine_dynamics(self):
+        prob = dataclasses.replace(pendulum(), control_affine=False)
+        with pytest.raises(AttributeError, match="control-affine"):
+            prob.input_matrix(prob.x0)
 
 
 class TestValidation:
@@ -193,12 +199,16 @@ class TestValidation:
             dataclasses.replace(pendulum(), **{field: value})
 
     @pytest.mark.parametrize("field, value", [
-        ("f_fn", None), ("jac_x_fn", None), ("jac_u_fn", "jac"), ("input_matrix_fn", 3),
-        ("jacobians_fn", 3),
+        ("f_fn", None), ("jac_x_fn", None), ("jac_u_fn", "jac"),
     ])
     def test_non_callable_dynamics_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be callable"):
             dataclasses.replace(pendulum(), **{field: value})
+
+    @pytest.mark.parametrize("value", [1, "yes", None, np.True_], ids=["int", "str", "None", "numpy-bool"])
+    def test_non_bool_control_affine_rejected(self, value):
+        with pytest.raises(ValueError, match="control_affine must be a bool"):
+            dataclasses.replace(pendulum(), control_affine=value)
 
     def test_non_finite_spec_rejected(self):
         data = {"kind": "lq", "n": 1, "m": 1, "A": [0], "B": [1], "Q": [1], "R": [1],
