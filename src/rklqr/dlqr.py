@@ -90,7 +90,7 @@ def step_operators(Jx, Ju, tab: ButcherTableau, h: float):
     return E, F, np.eye(n) + B @ E, B @ F + C
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteLQSystem:
     """Step-invariant operators of the discretized linear problem.
 
@@ -110,7 +110,7 @@ class DiscreteLQSystem:
     Sh: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiccatiPass:
     """Value-function matrices M_k and feedback gains L_k, stacked over steps."""
 
@@ -118,7 +118,7 @@ class RiccatiPass:
     L: np.ndarray  # (N, s*m, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteTrajectory:
     """Closed-loop solution: node states/costates/controls and stage stacks."""
 

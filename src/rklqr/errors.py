@@ -30,7 +30,11 @@ class RiccatiFailure(SolverError):
 
 
 class RolloutDiverged(SolverError):
-    """Implicit stage equations did not contract within the iteration cap."""
+    """The rollout's Newton sweeps did not settle the stage equations at this step size."""
+
+    def __init__(self, message, h=None):
+        super().__init__(message)
+        self.h = h
 
 
 class BackwardFailure(SolverError):

@@ -22,8 +22,8 @@ from . import dlqr
 from .dlqr import affine_scan, discrete_cost, stage_cost_blocks, step_operators, value_sweep
 from .errors import BackwardFailure, LineSearchFailed, NodeControlFailure, NotConverged, RolloutDiverged
 
-STAGE_FP_TOL = 1e-12
-STAGE_FP_MAXIT = 100
+ROLLOUT_TOL = 1e-12
+ROLLOUT_MAXIT = 12  # sweeps a step may stay the first one unsettled
 NEWTON_TOL = 1e-12
 NEWTON_MAXIT = 50
 ARMIJO_C1 = 1e-4
@@ -34,7 +34,7 @@ MIN_ALPHA = 2.0**-30
 ARMIJO_ROUNDING = 8 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterateState:
     """A point on the feasible manifold: controls, stage states, node states."""
 
@@ -49,7 +49,7 @@ class IterateState:
         return self.U.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Linearization:
     """Jacobian data of all N steps at the linearization point, stacked along a leading axis.
 
@@ -65,7 +65,7 @@ class Linearization:
     D2: np.ndarray  # (N, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineBackwardPass:
     """Affine value data V_k(x) = 1/2 x'M_k x + Y_k'x + const and gains, stacked over steps."""
 
@@ -95,76 +95,64 @@ def make_state(prob, tab, U, X, x) -> IterateState:
     return IterateState(U=U, X=X, x=x, Jd=discrete_cost(prob, tab, U, X, x), h=prob.tf / U.shape[0])
 
 
-def _solve_stages(prob, tab, xk, us, h, xs, fs):
-    """Stage states x_ki = x_k + h sum_j a_ij f(x_kj, u_kj) of one step of an implicit tableau.
+def stage_controls(U, N: int, sm: int) -> np.ndarray:
+    """U as an (N, s·m) array; ValueError unless N >= 1 and U has N·s·m entries, all finite."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    U = np.asarray(U, dtype=float)
+    got = f"{U.size} entries" if U.size != N * sm else None if np.isfinite(U).all() else "a non-finite entry"
+    if got:
+        raise ValueError(f"U must hold N·s·m = {N * sm} finite stage controls, shape (N, s·m) = ({N}, {sm}); got {got}")
+    return U.reshape(N, sm)
 
-    Fixed-point iteration (tolerance STAGE_FP_TOL, cap STAGE_FP_MAXIT) that
-    writes the stage states and their f values into ``xs`` and ``fs``, both
-    (s, n).  The first sweep evaluates f at x_k for every stage.  A stage
-    whose row of a is zero stays at x_k + h·0 = x_k, so its f value cannot
-    change and later sweeps evaluate f only at the other stages.
-    """
-    f = prob.f
-    live = [i for i, row in enumerate(tab.nonzero_rows) if row]
-    xs[:] = xk
-    for i in range(tab.s):
-        fs[i] = f(xk, us[i])
-    scale = 1.0 + np.abs(xk).max(initial=0.0)
-    for _ in range(STAGE_FP_MAXIT):
-        new = xk[None, :] + h * (tab.a @ fs)
-        delta = np.abs(new - xs).max()
-        xs[:] = new
-        for i in live:
-            fs[i] = f(xs[i], us[i])
-        if delta <= 0.1 * STAGE_FP_TOL * scale:
-            return
-    raise RolloutDiverged(f"stage fixed point did not contract at h = {h!r}")
+
+def _by_step(J, N: int):
+    """Data at the N·s stage points, (N·s, n, c), in step_operators' layout (N, n, s, c)."""
+    return J.reshape(N, -1, *J.shape[1:]).transpose(0, 2, 1, 3)
 
 
 def rollout(prob, tab, N: int, U) -> IterateState:
     """Integrate the discrete dynamics under stage controls U and price them.
 
-    Explicit tableaus resolve each step's stages by forward substitution,
-    x_ki = x_k + sum_j (h a_ij) f_kj over the nonzero a_ij of
-    ``tab.nonzero_rows``; implicit ones by ``_solve_stages``.  Stage states
-    and f values go straight into (N, s, n) stacks.
+    Newton on the stage and node equations of all N steps at once, from every
+    state at x0.  A sweep linearizes f at the stage states X and passes the
+    offsets f - Jx X to ``step_operators`` as a one-column input per stage:
+    the node states of the next iterate are one ``affine_scan`` and its stage
+    states X' = E x_k + F 1.  A zero row of a gives E = I and F = 0, so the
+    stage is x_k.  The steps settle in causal order; the sweeps stop when no
+    stage state moves by more than ROLLOUT_TOL (1 + max |X|).  RolloutDiverged,
+    carrying h, names the first unsettled step once it has been first for
+    ROLLOUT_MAXIT sweeps, or once a state is not finite.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
     n, m, s = prob.n, prob.m, tab.s
+    U = stage_controls(U, N, s * m)
     h = prob.tf / N
-    U = np.asarray(U, dtype=float).reshape(N, s * m)
-    Us = U.reshape(N, s, m)
-    x = np.empty((N + 1, n))
-    X = np.empty((N, s, n))
-    fs = np.empty((N, s, n))
-    x[0] = prob.x0
-    f, b = prob.f, tab.b
-    rows = None
-    if tab.is_explicit:
-        rows = [[(j, h * a) for j, a in row] for row in tab.nonzero_rows]
-    for k in range(N):
-        xk, Xk, Fk, Uk = x[k], X[k], fs[k], Us[k]
-        if rows is None:
-            _solve_stages(prob, tab, xk, Uk, h, Xk, Fk)
-        else:
-            for i, row in enumerate(rows):
-                xi = xk
-                for j, c in row:
-                    xi = xi + c * Fk[j]
-                Xk[i] = xi
-                Fk[i] = f(xi, Uk[i])
-        x[k + 1] = xk + h * (b @ Fk)
-    X = X.reshape(N, s * n)
-    return IterateState(U=U, X=X, x=x, Jd=discrete_cost(prob, tab, U, X, x), h=h)
+    X = np.broadcast_to(prob.x0, (N * s, n))
+    front, stalled = 0, 0
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging iterate raises RolloutDiverged
+        while True:
+            Jx, _ = prob.stage_jacobians(X, U.reshape(-1, m))
+            offsets = prob.f(X, U.reshape(-1, m)) - (Jx @ X[:, :, None])[..., 0]
+            E, F, G, H = step_operators(_by_step(Jx, N), _by_step(offsets[:, :, None], N), tab, h)
+            x = affine_scan(G, H.sum(axis=2), prob.x0)
+            new = (E @ x[:-1, :, None])[..., 0] + F.sum(axis=2)
+            moved = np.abs(new - X.reshape(N, s * n)).max(axis=1)
+            X = new.reshape(N * s, n)
+            finite = np.isfinite(moved)
+            still = ~finite | (moved > ROLLOUT_TOL * (1.0 + np.abs(new[finite]).max(initial=0.0)))
+            if not still.any():
+                return IterateState(U=U, X=new, x=x, Jd=discrete_cost(prob, tab, U, new, x), h=h)
+            k = int(np.argmax(still))
+            front, stalled = max(front, k), 1 if k > front else stalled + 1
+            if stalled == ROLLOUT_MAXIT or not finite.all():
+                raise RolloutDiverged(f"stage equations unsolved at step {k}, h = {h!r}", h=h)
 
 
 def _stage_jacobians(prob, state):
     """Jacobians of f at every internal stage, (N, n, s, *) in step_operators' layout."""
     n, m = prob.n, prob.m
     Jx, Ju = prob.stage_jacobians(state.X.reshape(-1, n), state.U.reshape(-1, m))
-    # (k, stage j, row r, col c) -> (k, row r, stage j, col c)
-    return tuple(J.reshape(state.N, -1, *J.shape[1:]).transpose(0, 2, 1, 3) for J in (Jx, Ju))
+    return _by_step(Jx, state.N), _by_step(Ju, state.N)
 
 
 def linearize(prob, tab, state: IterateState) -> Linearization:
@@ -231,7 +219,7 @@ def line_search(prob, tab, state: IterateState, dU, slope: float):
     ``slope`` is the directional derivative J_d'(U)' dU.  Accepts the first
     alpha in 1, 1/2, ..., MIN_ALPHA with
     Jd(alpha) <= Jd + ARMIJO_C1 alpha slope + ARMIJO_ROUNDING |Jd|; each
-    trial is a fresh rollout.
+    trial is a fresh rollout, and one that raises RolloutDiverged is rejected.
     """
     dU = np.asarray(dU, dtype=float).reshape(state.U.shape)
     if not np.any(dU):
@@ -239,8 +227,11 @@ def line_search(prob, tab, state: IterateState, dU, slope: float):
     alpha = 1.0
     slack = ARMIJO_ROUNDING * abs(state.Jd)
     while alpha >= MIN_ALPHA:
-        trial = rollout(prob, tab, state.N, state.U + alpha * dU)
-        if trial.Jd <= state.Jd + ARMIJO_C1 * alpha * slope + slack:
+        try:
+            trial = rollout(prob, tab, state.N, state.U + alpha * dU)
+        except RolloutDiverged:
+            trial = None
+        if trial is not None and trial.Jd <= state.Jd + ARMIJO_C1 * alpha * slope + slack:
             return alpha, trial
         alpha *= 0.5
     raise LineSearchFailed(f"no sufficient decrease above alpha = {MIN_ALPHA!r}")

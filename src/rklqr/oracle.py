@@ -24,7 +24,7 @@ from .errors import OracleFailure
 from .tableau import adjoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QPSolution:
     """Direct KKT solution of the discretized linear-quadratic problem.
 
@@ -42,7 +42,7 @@ class QPSolution:
     data_norm: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiNewtonData:
     """Dense quadratic model of the cost over the tangent plane at U."""
 
@@ -52,7 +52,7 @@ class QuasiNewtonData:
     direction: np.ndarray  # -W^{-1} Y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjointCostates:
     """Node costates p_k and stacked internal-stage costates p_ki of the SPRK method."""
 
@@ -60,7 +60,7 @@ class AdjointCostates:
     p_stage: np.ndarray  # (N, s*n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarCurveTrace:
     """Iterates of the 1-D curve-fitting demo (closest point to the origin)."""
 
@@ -202,9 +202,7 @@ def grad_fd(prob, tab, N: int, U) -> np.ndarray:
 
     The step is 1e-6 (1 + |U|) in every component.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    U = np.asarray(U, dtype=float).reshape(N, tab.s * prob.m)
+    U = ilqr.stage_controls(U, N, tab.s * prob.m)
     eps = 1e-6 * (1.0 + np.linalg.norm(U))
     g = np.zeros_like(U)
     for idx in np.ndindex(U.shape):

@@ -2,9 +2,10 @@
 
 Both problem classes expose the same dynamics surface so the discrete
 solvers can treat a linear problem as a special case of the nonlinear one:
-``f`` at one point (x, u), and ``stage_jacobians``, which returns the
-Jacobians of f at a stack of P points as arrays (P, n, n) and (P, n, m) in
-one call.  It is the only way the solvers read a Jacobian.  Costs are
+``f``, which returns f at a stack of P points X (P, n), U (P, m) as an array
+(P, n), and ``stage_jacobians``, which returns the Jacobians of f there as
+arrays (P, n, n) and (P, n, m).  Each is one call for all P points, and they
+are the only ways the solvers read the dynamics.  Costs are
 
     integral of  1/2 x'Qx + x'Su + 1/2 u'Ru  dt  +  1/2 x(tf)'M x(tf)
 
@@ -48,7 +49,7 @@ def _check_inputs(tf, Q, R, M, **others):
             raise ValueError(f"{label} must be positive semidefinite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LQProblem:
     """Linear dynamics xdot = Ax + Bu with quadratic cost; S defaults to zeros."""
 
@@ -92,8 +93,9 @@ class LQProblem:
         return True
 
     # dynamics surface shared with NonlinearProblem
-    def f(self, x, u):
-        return self.A @ x + self.B @ u
+    def f(self, X, U):
+        """AX + BU at the P points of X (P, n) and U (P, m), stacked as (P, n)."""
+        return X @ self.A.T + U @ self.B.T
 
     def input_matrix(self, x):
         return self.B
@@ -104,15 +106,14 @@ class LQProblem:
         return np.broadcast_to(self.A, (P, n, n)), np.broadcast_to(self.B, (P, n, m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonlinearProblem:
     """Nonlinear dynamics xdot = f(x, u) with plain quadratic cost.
 
-    ``f_fn`` maps one point (x, u) to an n-vector.  ``jac_x_fn`` and
-    ``jac_u_fn`` map stacked points X (P, n) and U (P, m) to the stacked
-    Jacobians of f, Jx (P, n, n) and Ju (P, n, m).  ``control_affine`` marks
-    f(x, u) = f0(x) + B(x) u; ``input_matrix(x)`` is then Ju at (x, 0).
-    All callables must be pure.  ``S`` is not a constructor argument: it is
+    ``f_fn``, ``jac_x_fn`` and ``jac_u_fn`` map stacked points X (P, n) and
+    U (P, m) to f (P, n) and its stacked Jacobians Jx (P, n, n) and
+    Ju (P, n, m).  ``control_affine`` marks f(x, u) = f0(x) + B(x) u;
+    ``input_matrix(x)`` is then Ju at (x, 0).  All callables must be pure.  ``S`` is not a constructor argument: it is
     always the read-only zero cross term of shape (n, m).
     """
 
@@ -155,8 +156,12 @@ class NonlinearProblem:
     def m(self) -> int:
         return self.R.shape[0]
 
-    def f(self, x, u):
-        return np.asarray(self.f_fn(x, u), dtype=float)
+    def f(self, X, U):
+        """f at the P points of X (P, n) and U (P, m), stacked as (P, n)."""
+        F = np.asarray(self.f_fn(X, U), dtype=float)
+        if F.shape != X.shape:
+            raise ValueError(f"f_fn must return shape {X.shape} for P = {X.shape[0]} points, not {F.shape}")
+        return F
 
     def input_matrix(self, x):
         """B(x) of control-affine dynamics: Ju at the one point (x, 0)."""
@@ -219,8 +224,8 @@ def spring_oscillator() -> LQProblem:
     )
 
 
-def _pendulum_f(x, u):
-    return np.array([x[1], math.sin(x[0]) + u[0]])
+def _pendulum_f(X, U):
+    return np.column_stack([X[:, 1], np.sin(X[:, 0]) + U[:, 0]])
 
 
 _PENDULUM_JU = np.array([[0.0], [1.0]])

@@ -42,7 +42,7 @@ def _frozen(arr):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ButcherTableau:
     """Coefficients (a, b, c) of an s-stage Runge-Kutta method.
 
@@ -81,10 +81,10 @@ class ButcherTableau:
     def nonzero_rows(self) -> tuple:
         """The ``(j, a_ij)`` pairs of the nonzero entries of each row i of a, in order of j.
 
-        The zero pattern of a decides the stage work: an explicit stage sums
-        over its pairs only, and a stage whose row is empty is x_k itself, so
-        an implicit solve never evaluates f there again.  Tuples of Python
-        floats, so the pattern is as read-only as a.
+        ``dlqr.step_operators`` reads it: an explicit stage sums over its
+        pairs only, and a stage whose row is empty keeps [E_i | F_i] = [I | 0],
+        so it is x_k itself.  Tuples of Python floats, so the pattern is as
+        read-only as a.
         """
         return tuple(tuple((j, float(v)) for j, v in enumerate(row) if v != 0.0) for row in self.a)
 
@@ -92,7 +92,7 @@ class ButcherTableau:
         return f"ButcherTableau(name={self.name!r}, s={self.s})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjointTableau:
     """Costate-side coefficients (abar, bbar, cbar) of the symplectic pair."""
 

@@ -13,14 +13,14 @@ from rklqr.problem import (
     pendulum,
     spring_oscillator,
 )
-from rklqr.tableau import adjoint, builtin
+from rklqr.tableau import ButcherTableau, adjoint, builtin
 
 P_STAR_0 = 0.4136709340400075  # costate of the scalar benchmark at t = 0
 
 
 def _constant_state_problem():
     return NonlinearProblem(
-        f_fn=lambda x, u: np.zeros(2),
+        f_fn=lambda X, U: np.zeros_like(X),
         jac_x_fn=lambda X, U: np.zeros((len(X), 2, 2)),
         jac_u_fn=lambda X, U: np.zeros((len(X), 2, 1)),
         Q=np.eye(2),
@@ -66,7 +66,7 @@ class TestRollout:
             ks = np.zeros((3, 2))
             for i in range(3):
                 xi = x + h * tab.a[i, :i] @ ks[:i] if i else x
-                ks[i] = prob.f(xi, np.zeros(1))
+                ks[i] = prob.f(xi[None], np.zeros((1, 1)))[0]
             x = x + h * tab.b @ ks
         state = ilqr.rollout(prob, tab, N, np.zeros((N, 3)))
         np.testing.assert_allclose(state.x[-1], x, atol=1e-13)
@@ -93,28 +93,47 @@ class TestRollout:
             x = sysm.G @ x + sysm.H @ U[k]
         np.testing.assert_allclose(state.x[-1], x, atol=1e-10)
 
-    def test_zero_row_stage_evaluated_once_per_step(self):
-        # trapezoidal's first row of a is zero, so stage 1 is x_k itself: the
-        # fixed point evaluates f there on its first sweep only
-        base = pendulum()
-        controls = []
-
-        def counting_f(x, u):
-            controls.append(float(u[0]))
-            return base.f_fn(x, u)
-
-        prob = dataclasses.replace(base, f_fn=counting_f)
+    def test_zero_row_stage_is_the_node_state(self):
+        # trapezoidal's first row of a is zero, so stage 1 is x_k itself
+        prob = pendulum()
         N = 40
         U = np.tile([-0.25, 0.5], (N, 1))
         state = ilqr.rollout(prob, builtin("trapezoidal"), N, U)
-        assert controls.count(-0.25) == N
-        assert controls.count(0.5) > N and len(controls) == controls.count(-0.25) + controls.count(0.5)
         np.testing.assert_array_equal(state.X[:, :2], state.x[:-1])
 
     def test_implicit_rollout_diverges_for_huge_step(self):
         prob = pendulum()
         with pytest.raises(RolloutDiverged):
             ilqr.rollout(prob, builtin("trapezoidal"), 1, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("N, step", [(1, 0), (4, 3)])
+    def test_unsolvable_stage_equation_names_step_and_h(self, N, step):
+        # implicit Euler on xdot = x^2 + 1 + u from 0: the stage equation
+        # h X^2 - X + h + x_k = 0 has no real root once 4h (h + x_k) > 1,
+        # at h = 1 on the first step and at h = 1/4 on the fourth, where
+        # x_3 = 1.26 follows 0, 0.27 and 0.61
+        prob = NonlinearProblem(
+            f_fn=lambda X, U: X**2 + 1.0 + U,
+            jac_x_fn=lambda X, U: 2.0 * X[:, :, None],
+            jac_u_fn=lambda X, U: np.ones((len(X), 1, 1)),
+            Q=[[1.0]], R=[[1.0]], M=[[1.0]], x0=[0.0], tf=1.0,
+        )
+        tab = ButcherTableau(a=[[1.0]], b=[1.0], name="implicit-euler")
+        with pytest.raises(RolloutDiverged, match=f"step {step}, h = {1.0 / N!r}") as exc:
+            ilqr.rollout(prob, tab, N, np.zeros((N, 1)))
+        assert exc.value.h == 1.0 / N
+
+    @pytest.mark.parametrize("U, got", [
+        (np.zeros((10, 2)), "20 entries"),
+        (np.where(np.arange(30).reshape(10, 3) == 10, np.nan, 0.0), "a non-finite entry"),
+    ], ids=["wrong-size", "nan"])
+    def test_bad_stage_controls_rejected(self, U, got):
+        prob, tab = pendulum(), builtin("methodB")
+        msg = rf"U must hold N·s·m = 30 finite stage controls, shape \(N, s·m\) = \(10, 3\); got {got}$"
+        with pytest.raises(ValueError, match=msg):
+            ilqr.solve(prob, tab, 10, U0=U)
+        with pytest.raises(ValueError, match=msg):
+            oracle.grad_fd(prob, tab, 10, U)
 
 
 class TestLinearize:
@@ -151,8 +170,8 @@ class TestLinearize:
         np.testing.assert_allclose(G, np.eye(2) + state.h * np.array([[0, 1], [1, 0]]), atol=1e-14)
 
 
-def prob_f(x, u):
-    return np.array([x[1], np.sin(x[0]) + u[0]])
+def prob_f(X, U):
+    return np.column_stack([X[:, 1], np.sin(X[:, 0]) + U[:, 0]])
 
 
 def prob_jx(X, U):
@@ -315,12 +334,46 @@ class TestSolve:
         _, log = ilqr.solve(prob, builtin("methodB"), 40, tol=1e-11)
         assert len(log) <= 10
 
+    def test_diverging_trials_are_rejected(self, monkeypatch):
+        # xdot = x^2 + u escapes to infinity by t = 1 from x0 = 1 without
+        # control: the early full steps make rollouts that overflow, and the
+        # line search halves alpha past them
+        prob = _square_problem(tf=1.0, R=0.01)
+        diverged = []
+
+        def recording_rollout(*args):
+            try:
+                return rollout(*args)
+            except RolloutDiverged:
+                diverged.append(args[-1])
+                raise
+
+        rollout = ilqr.rollout
+        monkeypatch.setattr(ilqr, "rollout", recording_rollout)
+        state, log = ilqr.solve(prob, builtin("methodB"), 50)
+        assert len(log) == 40 and state.Jd == 0.053438400254766656
+        assert diverged
+
+    def test_diverging_first_rollout_raises(self):
+        with pytest.raises(RolloutDiverged, match="h = 0.05$"):
+            ilqr.solve(_square_problem(tf=2.5, R=1.0), builtin("methodB"), 50)
+
     def test_monotone_descent_on_pendulum(self):
         prob = pendulum()
         state, log = ilqr.solve(prob, builtin("methodB"), 60)
         jds = [rec.Jd for rec in log]
         assert all(a >= b for a, b in zip(jds, jds[1:]))
         assert all(rec.slope < 0 for rec in log)
+
+
+def _square_problem(tf, R):
+    """xdot = x^2 + u from x0 = 1, with Q = M = 1."""
+    return NonlinearProblem(
+        f_fn=lambda X, U: X**2 + U,
+        jac_x_fn=lambda X, U: 2.0 * X[:, :, None],
+        jac_u_fn=lambda X, U: np.ones((len(X), 1, 1)),
+        Q=[[1.0]], R=[[R]], M=[[1.0]], x0=[1.0], tf=tf,
+    )
 
 
 def _costate_residual(prob, tab, state, cost):
@@ -430,8 +483,8 @@ class TestNodeControls:
         # cubic control entry breaks the affine shortcut; Newton must solve
         # Ju(x,u)'p + Ru = 0 at every node.  Costates are kept small so the
         # stationarity quadratic 0.3 p_2 u^2 + R u + p_2 has a real root.
-        def f(x, u):
-            return np.array([x[1], np.sin(x[0]) + u[0] + 0.1 * u[0] ** 3])
+        def f(X, U):
+            return np.column_stack([X[:, 1], np.sin(X[:, 0]) + U[:, 0] + 0.1 * U[:, 0] ** 3])
 
         prob = NonlinearProblem(
             f_fn=f, jac_x_fn=prob_jx, jac_u_fn=_cubic_ju,
@@ -451,8 +504,8 @@ class TestNodeControls:
         # with a large costate the stationarity quadratic has no real root
         from rklqr.errors import NodeControlFailure
 
-        def f(x, u):
-            return np.array([x[1], np.sin(x[0]) + u[0] + 0.1 * u[0] ** 3])
+        def f(X, U):
+            return np.column_stack([X[:, 1], np.sin(X[:, 0]) + U[:, 0] + 0.1 * U[:, 0] ** 3])
 
         prob = NonlinearProblem(
             f_fn=f, jac_x_fn=prob_jx, jac_u_fn=_cubic_ju,

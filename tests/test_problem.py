@@ -19,6 +19,7 @@ from rklqr.problem import (
     pendulum,
     spring_oscillator,
 )
+from rklqr.tableau import builtin
 
 # closed-form control values, computed from u*(t) = (0.5 e^t - 1.5 e^(2-t)) / (0.5 + 1.5 e^2)
 U_STAR_0 = -0.9136709340400074
@@ -98,8 +99,8 @@ class TestPendulum:
 
     def test_dynamics_values(self):
         prob = pendulum()
-        f = prob.f(np.array([math.pi / 3, 0.0]), np.array([0.0]))
-        np.testing.assert_allclose(f, [0.0, math.sqrt(3) / 2], atol=1e-15)
+        f = prob.f(np.array([[math.pi / 3, 0.0]]), np.array([[0.0]]))
+        np.testing.assert_allclose(f, [[0.0, math.sqrt(3) / 2]], atol=1e-15)
         _, Ju = prob.stage_jacobians(prob.x0[None], np.zeros((1, 1)))
         np.testing.assert_array_equal(Ju, [[[0.0], [1.0]]])
         assert prob.R[0, 0] == 0.05  # 0.025 u^2 == (1/2) u' (0.05) u
@@ -111,13 +112,13 @@ class TestPendulum:
     @given(points=_stacked_points(10.0))
     @settings(max_examples=50, deadline=None)
     def test_jacobians_match_finite_differences(self, prob_factory, points):
-        # central differences of the per-point f, column by column, at every stacked point
+        # central differences of the stacked f, column by column, at every stacked point
         prob, (X, U) = prob_factory(), points
         Jx, Ju = prob.stage_jacobians(X, U)
         d = 1e-6
 
         def central(dx, du):
-            return np.array([prob.f(x + dx, u + du) - prob.f(x - dx, u - du) for x, u in zip(X, U)]) / (2 * d)
+            return (prob.f(X + dx, U + du) - prob.f(X - dx, U - du)) / (2 * d)
 
         for col, e in enumerate(d * np.eye(prob.n)):
             np.testing.assert_allclose(central(e, 0.0), Jx[:, :, col], rtol=1e-5, atol=1e-7)
@@ -144,6 +145,15 @@ class TestStageJacobians:
         with pytest.raises(ValueError, match=f"{field} must return shape {shapes}"):
             prob.stage_jacobians(np.zeros((3, 2)), np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("result, shapes", [
+        (lambda X, U: np.zeros(2), r"\(3, 2\) for P = 3 points, not \(2,\)"),
+        (lambda X, U: np.zeros((2, 3)), r"\(3, 2\) for P = 3 points, not \(2, 3\)"),
+    ], ids=["one-point", "transposed"])
+    def test_wrong_f_shape_rejected(self, result, shapes):
+        prob = dataclasses.replace(pendulum(), f_fn=result)
+        with pytest.raises(ValueError, match=f"f_fn must return shape {shapes}"):
+            prob.f(np.zeros((3, 2)), np.zeros((3, 1)))
+
     @given(POINTS)
     @settings(max_examples=50, deadline=None)
     def test_input_matrix_is_Ju_at_zero_control(self, points):
@@ -151,7 +161,7 @@ class TestStageJacobians:
         X, _ = points
         varying = dataclasses.replace(
             pendulum(),
-            f_fn=lambda x, u: np.array([x[1], math.sin(x[0]) + math.cos(x[0]) * u[0]]),
+            f_fn=lambda X, U: np.column_stack([X[:, 1], np.sin(X[:, 0]) + np.cos(X[:, 0]) * U[:, 0]]),
             jac_u_fn=lambda X, U: np.stack([np.zeros(len(X)), np.cos(X[:, 0])], axis=1)[:, :, None],
         )
         for prob in (pendulum(), varying, spring_oscillator()):
@@ -215,6 +225,15 @@ class TestValidation:
                 "M": [0], "x0": [1], "tf": float("nan")}
         with pytest.raises(ValueError, match="finite"):
             load_problem(data)
+
+
+@pytest.mark.parametrize("factory", [pendulum, spring_oscillator, lambda: builtin("methodB")],
+                         ids=["pendulum", "spring", "methodB"])
+def test_equality_is_identity(factory):
+    # the array fields would make a field-wise == raise on fresh instances
+    one, other = factory(), factory()
+    assert (one == other) is False and (one != other) is True
+    assert (one == one) is True
 
 
 class TestLoading:
