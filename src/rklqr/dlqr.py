@@ -57,8 +57,10 @@ def step_operators(Jx, Ju, tab: ButcherTableau, h: float):
     An explicit tableau makes the coupling unit lower triangular, so its
     stage rows come by forward substitution over ``tab.nonzero_rows``:
     [E_i | F_i] = [I | 0] + sum_j h a_ij (Jx_j [E_j | F_j] + Ju_j in U_j's
-    columns).  An implicit one takes a batched solve, which raises
-    StepTooLarge naming the first step whose coupling is singular.
+    columns).  An implicit one takes a batched solve over the stages whose
+    row of a is nonzero, which raises StepTooLarge naming the first step
+    whose coupling is singular.  Either way a zero-row stage is [I | 0]
+    exactly.
     """
     K, n, s, _ = Jx.shape
     m = Ju.shape[-1]
@@ -76,16 +78,26 @@ def step_operators(Jx, Ju, tab: ButcherTableau, h: float):
                 EF[:, i, :, w:w + m] += c * Ju[:, :, j]
         EF = EF.reshape(K, s * n, n + s * m)
     else:
-        # (k, stage row i, row r, stage col j, col c) blocks h a_ij J[k, r, j, c]
-        ha = (h * tab.a)[:, None, :, None]
-        coupling = np.eye(s * n) - (ha * Jx[:, None]).reshape(K, s * n, s * n)
-        A2 = (ha * Ju[:, None]).reshape(K, s * n, s * m)
-        Z = np.broadcast_to(np.tile(np.eye(n), (s, 1)), (K, s * n, n))
+        # only the stages with a nonzero row enter the solve; a zero-row
+        # stage j is x_k, so its h a_ij Jx_j terms join the x_k columns
+        live = [i for i, row in enumerate(tab.nonzero_rows) if row]
+        zero = [i for i, row in enumerate(tab.nonzero_rows) if not row]
+        r = len(live)
+        # (k, live row i, row, stage col j, col) blocks h a_ij J[k, row, j, col]
+        ha = (h * tab.a[live])[:, None, :, None]
+        AJ = ha * Jx[:, None]
+        coupling = np.eye(r * n) - AJ[:, :, :, live].reshape(K, r * n, r * n)
+        Z = (np.eye(n) + AJ[:, :, :, zero].sum(axis=3)).reshape(K, r * n, n)
+        A2 = (ha * Ju[:, None]).reshape(K, r * n, s * m)
         try:
-            EF = np.linalg.solve(coupling, np.concatenate([Z, A2], axis=2))
+            solved = np.linalg.solve(coupling, np.concatenate([Z, A2], axis=2))
         except np.linalg.LinAlgError:
             k = next((j for j in range(K) if factor_fails(np.linalg.inv, coupling[j])), None)
             raise StepTooLarge(f"singular stage coupling at step {k}, h = {h!r}", h=h) from None
+        EF = np.zeros((K, s, n, n + s * m))
+        EF[:, zero, :, :n] = np.eye(n)
+        EF[:, live] = solved.reshape(K, r, n, n + s * m)
+        EF = EF.reshape(K, s * n, n + s * m)
     E, F = EF[:, :, :n], EF[:, :, n:]
     return E, F, np.eye(n) + B @ E, B @ F + C
 

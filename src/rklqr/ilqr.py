@@ -20,7 +20,8 @@ import numpy as np
 
 from . import dlqr
 from .dlqr import affine_scan, discrete_cost, stage_cost_blocks, step_operators, value_sweep
-from .errors import BackwardFailure, LineSearchFailed, NodeControlFailure, NotConverged, RolloutDiverged
+from .errors import (BackwardFailure, LineSearchFailed, NodeControlFailure, NotConverged, RolloutDiverged,
+                     StepTooLarge)
 
 ROLLOUT_TOL = 1e-12
 ROLLOUT_MAXIT = 12  # sweeps a step may stay the first one unsettled
@@ -111,29 +112,35 @@ def _by_step(J, N: int):
     return J.reshape(N, -1, *J.shape[1:]).transpose(0, 2, 1, 3)
 
 
-def rollout(prob, tab, N: int, U) -> IterateState:
+def rollout(prob, tab, N: int, U, X=None) -> IterateState:
     """Integrate the discrete dynamics under stage controls U and price them.
 
-    Newton on the stage and node equations of all N steps at once, from every
-    state at x0.  A sweep linearizes f at the stage states X and passes the
+    Newton on the stage and node equations of all N steps at once, from the
+    stage states X (N, s*n), or from every state at x0 without them; the line
+    search starts each trial from the tangent-plane prediction of
+    ``direction``.  A sweep linearizes f at the stage states X and passes the
     offsets f - Jx X to ``step_operators`` as a one-column input per stage:
     the node states of the next iterate are one ``affine_scan`` and its stage
     states X' = E x_k + F 1.  A zero row of a gives E = I and F = 0, so the
     stage is x_k.  The steps settle in causal order; the sweeps stop when no
     stage state moves by more than ROLLOUT_TOL (1 + max |X|).  RolloutDiverged,
     carrying h, names the first unsettled step once it has been first for
-    ROLLOUT_MAXIT sweeps, or once a state is not finite.
+    ROLLOUT_MAXIT sweeps, once a state is not finite, or once an iterate
+    makes the stage coupling of a step singular.
     """
     n, m, s = prob.n, prob.m, tab.s
     U = stage_controls(U, N, s * m)
     h = prob.tf / N
-    X = np.broadcast_to(prob.x0, (N * s, n))
+    X = np.broadcast_to(prob.x0, (N * s, n)) if X is None else np.reshape(X, (N * s, n))
     front, stalled = 0, 0
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging iterate raises RolloutDiverged
         while True:
             Jx, _ = prob.stage_jacobians(X, U.reshape(-1, m))
             offsets = prob.f(X, U.reshape(-1, m)) - (Jx @ X[:, :, None])[..., 0]
-            E, F, G, H = step_operators(_by_step(Jx, N), _by_step(offsets[:, :, None], N), tab, h)
+            try:
+                E, F, G, H = step_operators(_by_step(Jx, N), _by_step(offsets[:, :, None], N), tab, h)
+            except StepTooLarge as exc:
+                raise RolloutDiverged(str(exc), h=h) from None
             x = affine_scan(G, H.sum(axis=2), prob.x0)
             new = (E @ x[:-1, :, None])[..., 0] + F.sum(axis=2)
             moved = np.abs(new - X.reshape(N, s * n)).max(axis=1)
@@ -184,13 +191,19 @@ def backward(prob, tab, steps: Linearization) -> AffineBackwardPass:
     return AffineBackwardPass(M=P[:, :n, :n], Y=P[:, :n, n], U1=gains[:, :, :n], U2=gains[:, :, n])
 
 
-def direction(state: IterateState, bp: AffineBackwardPass, steps: Linearization) -> np.ndarray:
-    """Forward sweep of the affine feedback; returns Utilde - U."""
+def direction(state: IterateState, bp: AffineBackwardPass, steps: Linearization):
+    """Forward sweep of the affine feedback; returns (Utilde - U, Xtilde - X).
+
+    Xtilde are the stage states on the tangent plane, so their change is
+    E (xtilde - x) + F (Utilde - U).
+    """
     # closed loop x_{k+1} = (G + H U1) x_k + (H U2 + D2)
     closed = steps.G + steps.H @ bp.U1
     offset = (steps.H @ bp.U2[:, :, None])[..., 0] + steps.D2
     xt = affine_scan(closed, offset, state.x[0])
-    return (bp.U1 @ xt[:-1, :, None])[..., 0] + bp.U2 - state.U
+    dU = (bp.U1 @ xt[:-1, :, None])[..., 0] + bp.U2 - state.U
+    dX = (steps.E @ (xt - state.x)[:-1, :, None] + steps.F @ dU[:, :, None])[..., 0]
+    return dU, dX
 
 
 def _running_cost_gradients(prob, tab, state: IterateState):
@@ -213,13 +226,15 @@ def gradient(prob, tab, state: IterateState, steps=None) -> np.ndarray:
     return r + (w[:, None, :] @ steps.F)[:, 0] + (p[1:, None, :] @ steps.H)[:, 0]
 
 
-def line_search(prob, tab, state: IterateState, dU, slope: float):
+def line_search(prob, tab, state: IterateState, dU, dX, slope: float):
     """Backtracking Armijo along the feasible curve through U + alpha dU.
 
     ``slope`` is the directional derivative J_d'(U)' dU.  Accepts the first
     alpha in 1, 1/2, ..., MIN_ALPHA with
-    Jd(alpha) <= Jd + ARMIJO_C1 alpha slope + ARMIJO_ROUNDING |Jd|; each
-    trial is a fresh rollout, and one that raises RolloutDiverged is rejected.
+    Jd(alpha) <= Jd + ARMIJO_C1 alpha slope + ARMIJO_ROUNDING |Jd|.  Each
+    trial is a rollout of U + alpha dU started from the tangent-plane stage
+    states X + alpha dX (``direction``), and one that raises RolloutDiverged
+    is rejected.
     """
     dU = np.asarray(dU, dtype=float).reshape(state.U.shape)
     if not np.any(dU):
@@ -228,7 +243,7 @@ def line_search(prob, tab, state: IterateState, dU, slope: float):
     slack = ARMIJO_ROUNDING * abs(state.Jd)
     while alpha >= MIN_ALPHA:
         try:
-            trial = rollout(prob, tab, state.N, state.U + alpha * dU)
+            trial = rollout(prob, tab, state.N, state.U + alpha * dU, state.X + alpha * dX)
         except RolloutDiverged:
             trial = None
         if trial is not None and trial.Jd <= state.Jd + ARMIJO_C1 * alpha * slope + slack:
@@ -257,9 +272,9 @@ def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200):
         if gnorm < tol:
             return state, log
         bp = backward(prob, tab, steps)
-        dU = direction(state, bp, steps)
+        dU, dX = direction(state, bp, steps)
         slope = float(np.sum(g * dU))
-        alpha, state = line_search(prob, tab, state, dU, slope)
+        alpha, state = line_search(prob, tab, state, dU, dX, slope)
         log.append(
             IterateRecord(
                 iteration=it,

@@ -159,7 +159,7 @@ def test_criterion_07_quasi_newton_identity(probe_set):
         qn = oracle.quasi_newton(prob, tab, N, U)
         state = ilqr.rollout(prob, tab, N, U)
         steps = ilqr.linearize(prob, tab, state)
-        dU = ilqr.direction(state, ilqr.backward(prob, tab, steps), steps)
+        dU, _ = ilqr.direction(state, ilqr.backward(prob, tab, steps), steps)
         rel = np.abs(dU.ravel() - qn.direction).max() / (1 + np.abs(qn.direction).max())
         worst = max(worst, rel)
         assert rel < 1e-8, (name, N, rel)

@@ -101,10 +101,13 @@ class TestRollout:
         state = ilqr.rollout(prob, builtin("trapezoidal"), N, U)
         np.testing.assert_array_equal(state.X[:, :2], state.x[:-1])
 
-    def test_implicit_rollout_diverges_for_huge_step(self):
-        prob = pendulum()
-        with pytest.raises(RolloutDiverged):
-            ilqr.rollout(prob, builtin("trapezoidal"), 1, np.zeros((1, 2)))
+    def test_singular_coupling_in_a_sweep_is_a_divergence(self):
+        # trapezoidal on xdot = x^2 + 1 + u from 0 at h = 1: the stage
+        # equation X^2 - 2X + 2 = 0 has no real root, and Newton's first
+        # update lands on X = 1, where the coupling 1 - h X is singular
+        with pytest.raises(RolloutDiverged, match="step 0, h = 1.0$") as exc:
+            ilqr.rollout(_square_plus_one(), builtin("trapezoidal"), 1, np.zeros((1, 2)))
+        assert exc.value.h == 1.0
 
     @pytest.mark.parametrize("N, step", [(1, 0), (4, 3)])
     def test_unsolvable_stage_equation_names_step_and_h(self, N, step):
@@ -112,16 +115,25 @@ class TestRollout:
         # h X^2 - X + h + x_k = 0 has no real root once 4h (h + x_k) > 1,
         # at h = 1 on the first step and at h = 1/4 on the fourth, where
         # x_3 = 1.26 follows 0, 0.27 and 0.61
-        prob = NonlinearProblem(
-            f_fn=lambda X, U: X**2 + 1.0 + U,
-            jac_x_fn=lambda X, U: 2.0 * X[:, :, None],
-            jac_u_fn=lambda X, U: np.ones((len(X), 1, 1)),
-            Q=[[1.0]], R=[[1.0]], M=[[1.0]], x0=[0.0], tf=1.0,
-        )
         tab = ButcherTableau(a=[[1.0]], b=[1.0], name="implicit-euler")
         with pytest.raises(RolloutDiverged, match=f"step {step}, h = {1.0 / N!r}") as exc:
-            ilqr.rollout(prob, tab, N, np.zeros((N, 1)))
+            ilqr.rollout(_square_plus_one(), tab, N, np.zeros((N, 1)))
         assert exc.value.h == 1.0 / N
+
+    @pytest.mark.parametrize("name", ["methodB", "methodC", "trapezoidal"])
+    @pytest.mark.parametrize("N", [8, 50])
+    def test_rollout_from_tangent_prediction_matches_cold_rollout(self, name, N):
+        prob, tab = pendulum(), builtin(name)
+        state = ilqr.rollout(prob, tab, N, np.zeros((N, tab.s)))
+        steps = ilqr.linearize(prob, tab, state)
+        dU, dX = ilqr.direction(state, ilqr.backward(prob, tab, steps), steps)
+        for alpha in (1.0, 0.5):
+            U = state.U + alpha * dU
+            warm = ilqr.rollout(prob, tab, N, U, state.X + alpha * dX)
+            cold = ilqr.rollout(prob, tab, N, U)
+            for got, want in ((warm.x, cold.x), (warm.X, cold.X)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+            assert warm.Jd == pytest.approx(cold.Jd, rel=1e-13)
 
     @pytest.mark.parametrize("U, got", [
         (np.zeros((10, 2)), "20 entries"),
@@ -236,7 +248,7 @@ class TestBackwardAndDirection:
         state, _ = ilqr.solve(prob, tab, 40, tol=1e-11)
         steps = ilqr.linearize(prob, tab, state)
         bp = ilqr.backward(prob, tab, steps)
-        dU = ilqr.direction(state, bp, steps)
+        dU, _ = ilqr.direction(state, bp, steps)
         assert np.abs(dU).max() < 1e-8
 
     def test_linear_problem_one_newton_step_hits_optimum(self):
@@ -246,9 +258,11 @@ class TestBackwardAndDirection:
         state = ilqr.rollout(prob, tab, N, np.zeros((N, 2)))
         steps = ilqr.linearize(prob, tab, state)
         bp = ilqr.backward(prob, tab, steps)
-        dU = ilqr.direction(state, bp, steps)
+        dU, dX = ilqr.direction(state, bp, steps)
         _, _, traj = dlqr.solve(prob, tab, N)
         np.testing.assert_allclose(state.U + dU, traj.U, atol=1e-10)
+        # linear dynamics: the tangent plane is the feasible set
+        np.testing.assert_allclose(state.X + dX, traj.X, atol=1e-10)
 
 
 class TestGradient:
@@ -293,16 +307,16 @@ class TestLineSearch:
         state = ilqr.rollout(prob, tab, N, np.zeros((N, 2)))
         steps = ilqr.linearize(prob, tab, state)
         bp = ilqr.backward(prob, tab, steps)
-        dU = ilqr.direction(state, bp, steps)
+        dU, dX = ilqr.direction(state, bp, steps)
         slope = float(np.sum(ilqr.gradient(prob, tab, state, steps) * dU))
-        alpha, nxt = ilqr.line_search(prob, tab, state, dU, slope)
+        alpha, nxt = ilqr.line_search(prob, tab, state, dU, dX, slope)
         assert alpha == 1.0 and nxt.Jd < state.Jd
 
     def test_zero_direction_returns_same_state(self):
         prob = pendulum()
         tab = builtin("euler")
         state = ilqr.rollout(prob, tab, 5, np.zeros((5, 1)))
-        alpha, nxt = ilqr.line_search(prob, tab, state, np.zeros((5, 1)), 0.0)
+        alpha, nxt = ilqr.line_search(prob, tab, state, np.zeros((5, 1)), np.zeros((5, 2)), 0.0)
         assert alpha == 1.0 and nxt is state
 
 
@@ -345,18 +359,32 @@ class TestSolve:
             try:
                 return rollout(*args)
             except RolloutDiverged:
-                diverged.append(args[-1])
+                diverged.append(args[3])  # U
                 raise
 
         rollout = ilqr.rollout
         monkeypatch.setattr(ilqr, "rollout", recording_rollout)
         state, log = ilqr.solve(prob, builtin("methodB"), 50)
-        assert len(log) == 40 and state.Jd == 0.053438400254766656
+        assert len(log) == 40 and state.Jd == pytest.approx(0.05343840025476666, rel=1e-15)
         assert diverged
 
     def test_diverging_first_rollout_raises(self):
         with pytest.raises(RolloutDiverged, match="h = 0.05$"):
             ilqr.solve(_square_problem(tf=2.5, R=1.0), builtin("methodB"), 50)
+
+    @pytest.mark.parametrize("name, N", [("methodB", 200), ("trapezoidal", 100)])
+    def test_warm_started_trials_save_f_calls(self, name, N):
+        # 5 iterations: the first rollout and 6 trials, each trial started
+        # from the tangent prediction (36 calls when every trial starts at x0)
+        base, calls = pendulum(), []
+
+        def counted(X, U):
+            calls.append(len(X))
+            return base.f_fn(X, U)
+
+        _, log = ilqr.solve(dataclasses.replace(base, f_fn=counted), builtin(name), N)
+        assert len(calls) == 28
+        assert [rec.alpha for rec in log] == [0.5, 1.0, 1.0, 1.0, 1.0]
 
     def test_monotone_descent_on_pendulum(self):
         prob = pendulum()
@@ -364,6 +392,16 @@ class TestSolve:
         jds = [rec.Jd for rec in log]
         assert all(a >= b for a, b in zip(jds, jds[1:]))
         assert all(rec.slope < 0 for rec in log)
+
+
+def _square_plus_one():
+    """xdot = x^2 + 1 + u from x0 = 0 over [0, 1], with Q = R = M = 1."""
+    return NonlinearProblem(
+        f_fn=lambda X, U: X**2 + 1.0 + U,
+        jac_x_fn=lambda X, U: 2.0 * X[:, :, None],
+        jac_u_fn=lambda X, U: np.ones((len(X), 1, 1)),
+        Q=[[1.0]], R=[[1.0]], M=[[1.0]], x0=[0.0], tf=1.0,
+    )
 
 
 def _square_problem(tf, R):

@@ -278,6 +278,16 @@ class TestStackedLinearization:
                 for got, want in zip((sysm.E, sysm.F, sysm.G, sysm.H), want_step):
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
+    def test_zero_row_stage_is_exact_where_the_implicit_solve_pivots(self):
+        # trapezoidal at the pendulum's x0 with h = 4: |h/2 Jx| > 1, so a
+        # solve over both stages would pivot and leave rounding in stage 1
+        prob, tab = pendulum(), builtin("trapezoidal")
+        n = prob.n
+        Jx, Ju = prob.stage_jacobians(np.tile(prob.x0, (2, 1)), np.zeros((2, prob.m)))
+        E, F, _, _ = dlqr.step_operators(ilqr._by_step(Jx, 1), ilqr._by_step(Ju, 1), tab, 4.0)
+        np.testing.assert_array_equal(E[0, :n], np.eye(n))
+        np.testing.assert_array_equal(F[0, :n], 0.0)
+
     def test_singular_stage_coupling_names_step_and_h(self):
         # implicit Euler on xdot = x^2/2 + u: I - h x_k1 vanishes where the stage state is 1/h
         prob = NonlinearProblem(
