@@ -33,15 +33,17 @@ class OrderStudy:
 def fit_order(samples) -> float:
     """Least-squares slope of log(error) against log(h).
 
-    Non-positive errors are dropped with a warning; fewer than three usable
-    samples raise NoFit.
+    Errors that are not finite and positive are dropped with a warning;
+    fewer than three usable samples raise NoFit.
     """
-    usable = [(h, e) for h, e in samples if e > 0.0]
+    usable = []
     for h, e in samples:
-        if e <= 0.0:
-            print(f"warning: dropping non-positive error {e!r} at h = {h!r}", file=sys.stderr)
+        if 0.0 < e < np.inf:
+            usable.append((h, e))
+        else:
+            print(f"warning: dropping error {e!r} at h = {h!r}: not finite and positive", file=sys.stderr)
     if len(usable) < 3:
-        raise NoFit(f"need >= 3 positive samples, have {len(usable)}")
+        raise NoFit(f"need >= 3 finite positive samples, have {len(usable)}")
     hs = np.log([h for h, _ in usable])
     es = np.log([e for _, e in usable])
     return float(np.polyfit(hs, es, 1)[0])
@@ -55,8 +57,10 @@ def solve_problem(prob, tab: ButcherTableau, N: int, tol=1e-8, max_iter=200):
     """Solve by DLQR (linear) or ILQR (nonlinear); returns (trajectory, info).
 
     info carries Jd, iteration count, and the ILQR iterate log when present.
+    tol and max_iter go through ``ilqr.check_stopping_rule`` for either kind.
     """
     if isinstance(prob, LQProblem):
+        ilqr.check_stopping_rule(tol, max_iter)
         _, _, traj = dlqr.solve(prob, tab, N)
         Jd = dlqr.discrete_cost(prob, tab, traj.U, traj.X, traj.x)
         return traj, {"Jd": Jd, "iterations": 0, "log": []}

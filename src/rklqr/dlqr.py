@@ -44,7 +44,7 @@ def discrete_cost(prob, tab: ButcherTableau, U, X, x) -> float:
     return float(total) + float(0.5 * xN @ prob.M @ xN)
 
 
-def step_operators(Jx, Ju, tab: ButcherTableau, h: float):
+def step_operators(Jx, Ju, tab: ButcherTableau, h: float, shared=False):
     """Step operators E, F, G, H of K steps from the stage Jacobians of f.
 
     ``Jx`` (K, n, s, n) and ``Ju`` (K, n, s, m) hold the Jacobians at the s
@@ -52,31 +52,41 @@ def step_operators(Jx, Ju, tab: ButcherTableau, h: float):
     x-Jacobian at stage j.  To first order X_k = E x_k + F U_k and
     x_{k+1} = G x_k + H U_k, with the stage coupling I - A1, A1 = h a ⊗ Jx:
     E = (I - A1)^{-1} Z, F = (I - A1)^{-1} (h a ⊗ Ju), G = I + (h b ⊗ Jx) E
-    and H = (h b ⊗ Jx) F + h b ⊗ Ju.
+    and H = (h b ⊗ Jx) F + h b ⊗ Ju.  U_k holds one m-column input per
+    stage, so F and H have s·m columns.  With ``shared`` every stage reads
+    the same m-column input instead, ``Ju[k, :, j]`` being stage j's
+    columns of it, and F and H have m columns: the sum over the stages of
+    the per-stage ones.
 
     An explicit tableau makes the coupling unit lower triangular, so its
     stage rows come by forward substitution over ``tab.nonzero_rows``:
-    [E_i | F_i] = [I | 0] + sum_j h a_ij (Jx_j [E_j | F_j] + Ju_j in U_j's
-    columns).  An implicit one takes a batched solve over the stages whose
-    row of a is nonzero, which raises StepTooLarge naming the first step
-    whose coupling is singular.  Either way a zero-row stage is [I | 0]
-    exactly.
+    [E_i | F_i] = [I | 0] + sum_j h a_ij (Jx_j [E_j | F_j] + Ju_j in the
+    input columns of stage j).  An implicit one takes a batched solve over
+    the stages whose row of a is nonzero, which raises StepTooLarge naming
+    (and carrying) the first step whose coupling is singular.  Either way a
+    zero-row stage is [I | 0] exactly.
     """
     K, n, s, _ = Jx.shape
     m = Ju.shape[-1]
+    width = n + (m if shared else s * m)  # columns of [E | F]
     hb = (h * tab.b)[:, None]
     B = (hb * Jx).reshape(K, n, s * n)
-    C = (hb * Ju).reshape(K, n, s * m)
+    C = np.einsum("j,knjm->knm", h * tab.b, Ju) if shared else (hb * Ju).reshape(K, n, s * m)
     if tab.is_explicit:
-        EF = np.zeros((K, s, n, n + s * m))
+        EF = np.zeros((K, s, n, width))
         EF[:, :, :, :n] = np.eye(n)
         for i, row in enumerate(tab.nonzero_rows):
             for j, a in row:
-                # [E_j | F_j] has no columns of U_j or later stages yet
-                w, c = n + j * m, h * a
-                EF[:, i, :, :w] += c * (Jx[:, :, j] @ EF[:, j, :, :w])
-                EF[:, i, :, w:w + m] += c * Ju[:, :, j]
-        EF = EF.reshape(K, s * n, n + s * m)
+                col = n if shared else n + j * m  # stage j's input columns
+                if tab.nonzero_rows[j]:
+                    # [E_j | F_j] has no input columns of stage j or later
+                    # yet, unless they are the shared ones
+                    w = col + m if shared else col
+                    EF[:, i, :, :w] += h * a * (Jx[:, :, j] @ EF[:, j, :, :w])
+                else:  # a zero-row stage j is [I | 0]
+                    EF[:, i, :, :n] += h * a * Jx[:, :, j]
+                EF[:, i, :, col:col + m] += h * a * Ju[:, :, j]
+        EF = EF.reshape(K, s * n, width)
     else:
         # only the stages with a nonzero row enter the solve; a zero-row
         # stage j is x_k, so its h a_ij Jx_j terms join the x_k columns
@@ -88,16 +98,19 @@ def step_operators(Jx, Ju, tab: ButcherTableau, h: float):
         AJ = ha * Jx[:, None]
         coupling = np.eye(r * n) - AJ[:, :, :, live].reshape(K, r * n, r * n)
         Z = (np.eye(n) + AJ[:, :, :, zero].sum(axis=3)).reshape(K, r * n, n)
-        A2 = (ha * Ju[:, None]).reshape(K, r * n, s * m)
+        if shared:
+            A2 = np.einsum("ij,knjm->kinm", h * tab.a[live], Ju).reshape(K, r * n, m)
+        else:
+            A2 = (ha * Ju[:, None]).reshape(K, r * n, s * m)
         try:
             solved = np.linalg.solve(coupling, np.concatenate([Z, A2], axis=2))
         except np.linalg.LinAlgError:
             k = next((j for j in range(K) if factor_fails(np.linalg.inv, coupling[j])), None)
-            raise StepTooLarge(f"singular stage coupling at step {k}, h = {h!r}", h=h) from None
-        EF = np.zeros((K, s, n, n + s * m))
+            raise StepTooLarge(f"singular stage coupling at step {k}, h = {h!r}", h=h, step=k) from None
+        EF = np.zeros((K, s, n, width))
         EF[:, zero, :, :n] = np.eye(n)
-        EF[:, live] = solved.reshape(K, r, n, n + s * m)
-        EF = EF.reshape(K, s * n, n + s * m)
+        EF[:, live] = solved.reshape(K, r, n, width)
+        EF = EF.reshape(K, s * n, width)
     E, F = EF[:, :, :n], EF[:, :, n:]
     return E, F, np.eye(n) + B @ E, B @ F + C
 

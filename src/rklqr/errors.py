@@ -20,9 +20,10 @@ class DegenerateFamily(SolverError):
 class StepTooLarge(SolverError):
     """The stage-coupling matrix I - A became singular at this step size."""
 
-    def __init__(self, message, h=None):
+    def __init__(self, message, h=None, step=None):
         super().__init__(message)
         self.h = h
+        self.step = step
 
 
 class RiccatiFailure(SolverError):

@@ -43,6 +43,19 @@ class TestFitOrder:
         with pytest.raises(NoFit):
             cli.fit_order([(0.1, 1.0), (0.05, 0.25)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_error_dropped_with_its_h(self, capsys, bad):
+        slope = cli.fit_order([(0.1, 1e-2), (0.05, bad), (0.04, 1e-3), (0.02, 1e-4)])
+        assert f"dropping error {bad!r} at h = 0.05" in capsys.readouterr().err
+        want = np.polyfit(np.log([0.1, 0.04, 0.02]), np.log([1e-2, 1e-3, 1e-4]), 1)[0]
+        assert slope == pytest.approx(want, abs=1e-12)
+
+    def test_two_nonfinite_errors_of_four_leave_no_fit(self, capsys):
+        with pytest.raises(NoFit, match="have 2$"):
+            cli.fit_order([(0.1, 1e-2), (0.05, np.nan), (0.04, np.inf), (0.02, 1e-4)])
+        err = capsys.readouterr().err
+        assert "at h = 0.05" in err and "at h = 0.04" in err
+
 
 class TestSolveCommand:
     def test_trajectory_csv_shape(self, tmp_path, capsys):
@@ -90,6 +103,18 @@ class TestSolveCommand:
         rc = cli.main(["solve", "--problem", problem, "--method", "methodB", "--steps", steps])
         assert rc == 2
         assert capsys.readouterr().err == "error: N must be >= 1\n"
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--tol", "nan"], "error: tol must be a number > 0, not nan\n"),
+        (["--tol", "0"], "error: tol must be a number > 0, not 0.0\n"),
+        (["--max-iter", "0"], "error: max_iter must be an int >= 1, not 0\n"),
+    ])
+    @pytest.mark.parametrize("problem", ["spring", "pendulum"])
+    def test_bad_stopping_rule_exits_2(self, capsys, problem, extra, message):
+        # the linear problem takes no iteration, but gets the same check
+        rc = cli.main(["solve", "--problem", problem, "--method", "methodB", "--steps", "50", *extra])
+        assert rc == 2
+        assert capsys.readouterr().err == message
 
     def test_missing_args_exit_2(self):
         with pytest.raises(SystemExit) as exc:

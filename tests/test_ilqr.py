@@ -386,6 +386,37 @@ class TestSolve:
         assert len(calls) == 28
         assert [rec.alpha for rec in log] == [0.5, 1.0, 1.0, 1.0, 1.0]
 
+    def test_sweeps_skip_the_settled_prefix(self):
+        # the same 28 batched f calls and step lengths as sweeps over all N
+        # steps, but a sweep passes f only the steps after the settled prefix
+        base, calls = pendulum(), []
+
+        def counted(X, U):
+            calls.append(len(X))
+            return base.f_fn(X, U)
+
+        tab, N = builtin("methodB"), 200
+        _, log = ilqr.solve(dataclasses.replace(base, f_fn=counted), tab, N)
+        assert len(calls) == 28
+        assert [rec.alpha for rec in log] == [0.5, 1.0, 1.0, 1.0, 1.0]
+        assert sum(calls) < 28 * N * tab.s
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tol": np.nan}, "tol must be a number > 0, not nan"),
+        ({"tol": 0.0}, "tol must be a number > 0, not 0.0"),
+        ({"tol": -np.inf}, "tol must be a number > 0, not -inf"),
+        ({"tol": "1e-8"}, "tol must be a number > 0, not '1e-8'"),
+        ({"max_iter": 0}, "max_iter must be an int >= 1, not 0"),
+        ({"max_iter": 2.5}, "max_iter must be an int >= 1, not 2.5"),
+    ])
+    def test_bad_stopping_rule_rejected_before_any_rollout(self, monkeypatch, kwargs, message):
+        def no_rollout(*args):
+            raise AssertionError("rollout before the stopping rule was checked")
+
+        monkeypatch.setattr(ilqr, "rollout", no_rollout)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ilqr.solve(pendulum(), builtin("methodB"), 10, **kwargs)
+
     def test_monotone_descent_on_pendulum(self):
         prob = pendulum()
         state, log = ilqr.solve(prob, builtin("methodB"), 60)

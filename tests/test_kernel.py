@@ -337,6 +337,50 @@ class TestLeanRollout:
         np.testing.assert_allclose(state.x, x, rtol=0, atol=slack)
         assert state.Jd == pytest.approx(dlqr.discrete_cost(prob, tab, U, X, x), rel=1e-10)
 
+    @pytest.mark.parametrize("name", ["euler", "methodA", "methodB", "methodC", "trapezoidal"])
+    def test_sweeps_on_the_unsettled_steps_match_per_step_reference(self, name):
+        # each sweep runs on the steps after the settled prefix only, so the
+        # batches passed to f shrink, and the states still match the reference
+        base, calls = pendulum(), []
+
+        def counted(X, U):
+            calls.append(len(X))
+            return base.f_fn(X, U)
+
+        tab, N = builtin(name), 60
+        U = np.random.default_rng(7).standard_normal((N, tab.s))
+        state = ilqr.rollout(dataclasses.replace(base, f_fn=counted), tab, N, U)
+        X, x = _reference_rollout(base, tab, N, U)
+        slack = 1e-12 * (1.0 + np.abs(x).max())
+        np.testing.assert_allclose(state.X, X, rtol=0, atol=slack)
+        np.testing.assert_allclose(state.x, x, rtol=0, atol=slack)
+        assert calls[0] == N * tab.s and calls[-1] < N * tab.s
+        assert calls == sorted(calls, reverse=True)
+
+    def test_diverging_tail_cannot_freeze_an_unsettled_prefix(self):
+        # explicit Euler on xdot = x^2 + u from x0 = 1, started 0.1 off the
+        # solution on the first half and at 100 on the second: the first
+        # sweeps send the tail to 5e8, 6e32 and 9e81.  Judged against
+        # 1 + max |X| over the whole trajectory, the prefix would count as
+        # settled while still off the solution and be frozen there; judged
+        # against the states up to each step, it keeps its sweeps and the
+        # rollout comes out exact
+        prob = NonlinearProblem(
+            f_fn=lambda X, U: X**2 + U,
+            jac_x_fn=lambda X, U: 2.0 * X[:, :, None],
+            jac_u_fn=lambda X, U: np.ones((len(X), 1, 1)),
+            Q=[[1.0]], R=[[1.0]], M=[[1.0]], x0=[1.0], tf=0.5,
+        )
+        tab, N = builtin("euler"), 20
+        U = np.zeros((N, 1))
+        X, x = _reference_rollout(prob, tab, N, U)
+        start = X + 0.1
+        start[N // 2:] = 100.0
+        state = ilqr.rollout(prob, tab, N, U, start)
+        slack = 1e-12 * (1.0 + np.abs(x).max())
+        np.testing.assert_allclose(state.X, X, rtol=0, atol=slack)
+        np.testing.assert_allclose(state.x, x, rtol=0, atol=slack)
+
 
 class TestHagerEquivalence:
     @given(SEEDS, st.booleans())
