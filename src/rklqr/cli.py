@@ -33,15 +33,15 @@ class OrderStudy:
 def fit_order(samples) -> float:
     """Least-squares slope of log(error) against log(h).
 
-    Errors that are not finite and positive are dropped with a warning;
-    fewer than three usable samples raise NoFit.
+    A sample whose step size or error is not finite and positive is
+    dropped with a warning; fewer than three usable samples raise NoFit.
     """
     usable = []
     for h, e in samples:
-        if 0.0 < e < np.inf:
+        if 0.0 < h < np.inf and 0.0 < e < np.inf:
             usable.append((h, e))
         else:
-            print(f"warning: dropping error {e!r} at h = {h!r}: not finite and positive", file=sys.stderr)
+            print(f"warning: dropping error {e!r} at h = {h!r}: both must be finite and positive", file=sys.stderr)
     if len(usable) < 3:
         raise NoFit(f"need >= 3 finite positive samples, have {len(usable)}")
     hs = np.log([h for h, _ in usable])

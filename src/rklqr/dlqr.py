@@ -8,7 +8,8 @@ p_k = M_k x_k via u = -R^{-1}(B'p + S'x).
 A linear-quadratic problem is the ILQR case with constant Jacobians and zero
 offsets, so ILQR calls the same step builder (``step_operators``), discrete
 cost (``discrete_cost``), closed-form node controls (``node_controls``),
-scans and backward kernel (``value_sweep``) from here.
+affine recursions (``affine_scan``, one LAPACK banded triangular solve) and
+backward kernel (``value_sweep``, a Riccati ``suffix_scan``) from here.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import RiccatiFailure, StepTooLarge
 from .problem import LQProblem
@@ -217,27 +219,28 @@ def suffix_scan(elems, combine):
     return out
 
 
-def _compose_affine(earlier, later):
-    """The affine map v -> A_e (A_l v + c_l) + c_e: ``later`` applies first."""
-    Ae, ce = earlier
-    Al, cl = later
-    return Ae @ Al, (Ae @ cl[..., None])[..., 0] + ce
-
-
 def affine_scan(A, c, v, reverse=False):
     """Every iterate of v_{k+1} = A_k v_k + c_k from v_0 = v, shape (L+1, n).
 
     With ``reverse`` the recursion runs backward instead, v_k = A_k v_{k+1} + c_k
-    from v_L = v.  The start value enters as the constant map (0, v), so each
-    suffix composition of the maps is the constant map of one iterate.
+    from v_L = v.  Either way it is one unit-triangular block-bidiagonal
+    system in [v_0; …; v_L], with -A_k at block (k+1, k), or (k, k+1) in
+    reverse, so LAPACK's banded solve ``dtbtrs`` (bandwidth 2n-1) does it by
+    substitution.  The band is built column-major, 2n entries per column, so
+    it reaches LAPACK uncopied.  Non-finite input comes out non-finite.
     """
     L, n = c.shape
-    if not reverse:
-        A, c = A[::-1], c[::-1]
-    A = np.concatenate([A, np.zeros((1, n, n))])
-    c = np.concatenate([c, np.reshape(v, (1, n))])
-    out = suffix_scan((A, c), _compose_affine)[1]
-    return out if reverse else out[::-1]
+    band = np.zeros((L + 1, n, 2 * n))  # [column block, column, band row]
+    blocks = band[1:] if reverse else band[:L]  # column block of -A_k
+    top = n - 1 if reverse else n  # band row of A_k[0, 0]; A_k[i, q] sits at top - q + i
+    for q in range(n):
+        blocks[:, q, top - q:top - q + n] = -A[:, :, q]
+    ends = (c, np.reshape(v, (1, n))) if reverse else (np.reshape(v, (1, n)), c)
+    out, info = dtbtrs(band.reshape(-1, 2 * n).T, np.concatenate(ends).reshape(-1, 1),
+                       uplo="U" if reverse else "L", diag="U", overwrite_b=True)
+    if info:
+        raise ValueError(f"dtbtrs rejected argument {-info}")
+    return out.reshape(L + 1, n)
 
 
 def _riccati_combine(earlier, later):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,22 @@ class TestFitOrder:
             cli.fit_order([(0.1, 1e-2), (0.05, np.nan), (0.04, np.inf), (0.02, 1e-4)])
         err = capsys.readouterr().err
         assert "at h = 0.05" in err and "at h = 0.04" in err
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -0.05], ids=["nan", "zero", "negative"])
+    def test_step_size_not_finite_and_positive_dropped(self, capsys, bad):
+        # the log of such an h is NaN or -inf, which least squares cannot fit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slope = cli.fit_order([(0.1, 1e-2), (bad, 1e-3), (0.04, 1e-3), (0.02, 1e-4)])
+        assert f"dropping error 0.001 at h = {bad!r}" in capsys.readouterr().err
+        want = np.polyfit(np.log([0.1, 0.04, 0.02]), np.log([1e-2, 1e-3, 1e-4]), 1)[0]
+        assert slope == pytest.approx(want, abs=1e-12)
+
+    def test_bad_step_sizes_leave_no_fit(self, capsys):
+        with pytest.raises(NoFit, match="have 2$"):
+            cli.fit_order([(0.1, 1e-2), (np.nan, 1e-3), (-0.04, 1e-3), (0.02, 1e-4)])
+        err = capsys.readouterr().err
+        assert "at h = nan" in err and "at h = -0.04" in err
 
 
 class TestSolveCommand:

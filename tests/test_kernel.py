@@ -13,7 +13,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rklqr import dlqr, ilqr, oracle
+from rklqr import cli, dlqr, ilqr, oracle
 from rklqr.errors import BackwardFailure, RiccatiFailure, StepTooLarge
 from rklqr.problem import LQProblem, NonlinearProblem, example31, pendulum, spring_oscillator
 from rklqr.tableau import ButcherTableau, builtin
@@ -187,6 +187,69 @@ class TestScans:
         c, v = rng.standard_normal((L, n)), rng.standard_normal(n)
         got = dlqr.affine_scan(A, c, v, reverse=reverse)
         np.testing.assert_allclose(got, _reference_affine(A, c, v, reverse), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("L, n", [(1, 1), (1, 6), (5000, 1), (5000, 2), (5000, 6)])
+    def test_affine_scan_matches_loop_relative_to_scale(self, L, n, reverse):
+        # rotations grown by 2e-4 a step: the iterates grow and their
+        # rounding does not decay, so the slack follows the largest one
+        rng = np.random.default_rng(10 * L + n)
+        A = 1.0002 * np.linalg.qr(rng.standard_normal((L, n, n)))[0]
+        c, v = rng.standard_normal((L, n)), rng.standard_normal(n)
+        want = _reference_affine(A, c, v, reverse)
+        got = dlqr.affine_scan(A, c, v, reverse=reverse)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["A", "c", "v"])
+    def test_non_finite_input_comes_out_non_finite(self, where, bad, reverse):
+        # rollout turns a non-finite iterate into RolloutDiverged, so the
+        # scan must pass it through without raising or warning
+        rng = np.random.default_rng(5)
+        args = {"A": rng.uniform(-0.5, 0.5, (9, 3, 3)), "c": rng.standard_normal((9, 3)),
+                "v": rng.standard_normal(3)}
+        args[where].flat[args[where].size // 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dlqr.affine_scan(args["A"], args["c"], args["v"], reverse=reverse)
+        assert got.shape == (10, 3) and not np.isfinite(got).all()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_affine_scan_leaves_its_inputs_alone(self, reverse):
+        rng = np.random.default_rng(6)
+        A, c, v = rng.standard_normal((40, 2, 2)), rng.standard_normal((40, 2)), rng.standard_normal(2)
+        kept = [a.copy() for a in (A, c, v)]
+        for a in (A, c, v):
+            a.setflags(write=False)
+        dlqr.affine_scan(A, c, v, reverse=reverse)
+        for a, k in zip((A, c, v), kept):
+            np.testing.assert_array_equal(a, k)
+
+    @pytest.mark.parametrize("method, N", [("methodB", 2000), ("trapezoidal", 400)])
+    def test_solve_matches_per_step_recursions(self, monkeypatch, method, N):
+        # a rollout sweeps until every step has settled, so the scan's
+        # rounding could change how many sweeps run; with every affine
+        # recursion a per-step loop instead, the solve must take the same
+        # iterations, step lengths and number of batched f calls (a step
+        # at the settling threshold may settle one sweep apart, so the
+        # batch sizes need not match)
+        def run():
+            base, calls = pendulum(), []
+
+            def counted(X, U):
+                calls.append(len(X))
+                return base.f_fn(X, U)
+
+            traj, info = cli.solve_problem(dataclasses.replace(base, f_fn=counted), builtin(method), N)
+            return traj, [r.alpha for r in info["log"]], calls
+
+        traj, alphas, calls = run()
+        monkeypatch.setattr(ilqr, "affine_scan", lambda A, c, v, reverse=False: _reference_affine(A, c, v, reverse))
+        ref, ref_alphas, ref_calls = run()
+        assert (alphas, len(calls)) == (ref_alphas, len(ref_calls))
+        for got, want in ((traj.x, ref.x), (traj.U, ref.U)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def _scan_raises(elems, combine):
