@@ -6,14 +6,15 @@ closed loop forward and recover node controls from the costates
 p_k = M_k x_k via u = -R^{-1}(B'p + S'x).
 
 A linear-quadratic problem is the ILQR case with constant Jacobians and zero
-offsets, so ILQR calls the same step builder (``step_operators``), discrete
-cost (``discrete_cost``), closed-form node controls (``node_controls``),
-affine recursions (``affine_scan``, one LAPACK banded triangular solve) and
-backward kernel (``value_sweep``, a Riccati ``suffix_scan``) from here.
+offsets, so ILQR calls the same step-count check (``check_steps``), step
+builder (``step_operators``), discrete cost (``discrete_cost``), affine
+recursions (``affine_scan``, one LAPACK banded triangular solve) and backward
+kernel (``value_sweep``, a Riccati ``suffix_scan``) from here.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,13 @@ from scipy.linalg.lapack import dtbtrs
 from .errors import RiccatiFailure, StepTooLarge
 from .problem import LQProblem
 from .tableau import ButcherTableau
+
+
+def check_steps(N):
+    """ValueError unless the step count N is an int >= 1."""
+    integral = isinstance(N, numbers.Integral) and not isinstance(N, bool)
+    if not integral or N < 1:
+        raise ValueError("N must be >= 1" if integral else f"N must be an int, not {N!r}")
 
 
 def stage_cost_blocks(prob, b: np.ndarray, h: float):
@@ -164,8 +172,7 @@ def assemble(prob: LQProblem, tab: ButcherTableau, N: int) -> DiscreteLQSystem:
     step without copying; raises StepTooLarge when the stage-coupling matrix
     is singular (never happens for explicit tableaus).
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    check_steps(N)
     n, m, s = prob.n, prob.m, tab.s
     h = prob.tf / N
     Jx = np.broadcast_to(prob.A[None, :, None], (1, n, s, n))
@@ -343,26 +350,14 @@ def riccati_backward(sys: DiscreteLQSystem) -> RiccatiPass:
 
 def rollout(sys: DiscreteLQSystem, riccati: RiccatiPass) -> DiscreteTrajectory:
     """Roll the feedback law forward from x0 and recover stage and node quantities."""
-    prob = sys.prob
-    n, N = prob.n, sys.N
+    prob, N = sys.prob, sys.N
     closed = sys.G + sys.H @ riccati.L  # x_{k+1} = (G + H L_k) x_k
-    x = affine_scan(closed, np.zeros((N, n)), prob.x0)
+    x = affine_scan(closed, np.zeros((N, prob.n)), prob.x0)
     U = (riccati.L @ x[:-1, :, None])[..., 0]
     X = x[:-1] @ sys.E.T + U @ sys.F.T
     p = (riccati.M @ x[..., None])[..., 0]
-    u = node_controls(prob, x, p, prob.B)
+    u = -np.linalg.solve(prob.R, (p @ prob.B + x @ prob.S).T).T  # the closed form of stationarity
     return DiscreteTrajectory(x=x, X=X, U=U, p=p, u=u, h=sys.h)
-
-
-def node_controls(prob, x: np.ndarray, p: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Node controls u_k = -R^{-1}(B_k'p_k + S'x_k) for every node 0..N.
-
-    The closed form of the stationarity equation for control-affine
-    dynamics.  ``B`` is one input matrix (n, m) shared by every node, or a
-    stack (N+1, n, m) with one per node.
-    """
-    rhs = (p[:, None, :] @ B)[:, 0] + x @ prob.S
-    return -np.linalg.solve(prob.R, rhs.T).T
 
 
 def solve(prob: LQProblem, tab: ButcherTableau, N: int):

@@ -9,7 +9,7 @@ feasible curve U + alpha (Utilde - U).  The search direction equals
 The node costates come from the scan that gives the gradient, the discrete
 adjoint p_k = E_k'w_k + G_k'p_{k+1} from p_N = M x_N; by Hager's equivalence
 they are the costates of the symplectic partitioned RK method.  The node
-controls solve the stationarity equation Ju'p + Ru = 0.
+controls solve the stationarity equation Ju'p + Ru + S'x = 0 by batched Newton.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dlqr
-from .dlqr import affine_scan, discrete_cost, stage_cost_blocks, step_operators, value_sweep
+from .dlqr import affine_scan, check_steps, discrete_cost, stage_cost_blocks, step_operators, value_sweep
 from .errors import (BackwardFailure, LineSearchFailed, NodeControlFailure, NotConverged, RolloutDiverged,
                      StepTooLarge)
 
@@ -98,9 +97,8 @@ def make_state(prob, tab, U, X, x) -> IterateState:
 
 
 def stage_controls(U, N: int, sm: int) -> np.ndarray:
-    """U as an (N, s·m) array; ValueError unless N >= 1 and U has N·s·m entries, all finite."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    """U as (N, s·m); ValueError unless N is an int >= 1 and U has N·s·m entries, all finite."""
+    check_steps(N)
     U = np.asarray(U, dtype=float)
     got = f"{U.size} entries" if U.size != N * sm else None if np.isfinite(U).all() else "a non-finite entry"
     if got:
@@ -299,8 +297,7 @@ def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200):
     ``check_stopping_rule`` rejects tol or max_iter.
     """
     check_stopping_rule(tol, max_iter)
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    check_steps(N)
     if U0 is None:
         U0 = np.zeros((N, tab.s * prob.m))
     state = rollout(prob, tab, N, U0)
@@ -346,44 +343,41 @@ def costates(prob, tab, state: IterateState, steps=None) -> np.ndarray:
 
 
 def node_controls(prob, state: IterateState, p: np.ndarray) -> np.ndarray:
-    """Node controls from the stationarity equation Ju(x,u)'p + Ru + S'x = 0.
+    """Node controls (N+1, m) from the stationarity equation g(u) = Ju(x,u)'p + Ru + S'x = 0.
 
-    Control-affine dynamics admit the closed form ``dlqr.node_controls``
-    with B(x_k) = Ju(x_k, 0) at every node from one ``stage_jacobians`` call;
-    otherwise a Newton iteration with finite-difference Jacobian runs from the
-    first-stage control of the step.
+    Batched Newton from each step's first-stage control (step N-1's last for
+    node N).  Each iteration makes one ``stage_jacobians`` call at the live
+    nodes and their 2m central-difference shifts, for D = d(Ju'p)/du, and
+    solves (R + D) u' = D u - Ju'p - S'x: D = 0 exactly for control-affine
+    dynamics, so the first step is the closed form.  A node settles once
+    max |g| <= NEWTON_TOL max(|Ju'p|, |Ru|, |S'x|).  NodeControlFailure names
+    the first node, in node order, whose system is singular, whose iterate or
+    residual is not finite, or that is unsettled after NEWTON_MAXIT iterations.
     """
     N, m = state.N, prob.m
-    if prob.control_affine:
-        _, Bx = prob.stage_jacobians(state.x, np.zeros((N + 1, m)))
-        return dlqr.node_controls(prob, state.x, p, Bx)
-    s = state.U.shape[1] // m
-    u = np.zeros((N + 1, m))
-    for k in range(N + 1):
-        guess = state.U[k, :m] if k < N else state.U[N - 1, (s - 1) * m :]
-        u[k] = _newton_node_control(prob, state.x[k], p[k], guess, k)
+    u = np.concatenate([state.U[:, :m], state.U[-1:, -m:]])
+    shifts = np.concatenate([np.zeros((1, m)), np.eye(m), -np.eye(m)])  # u, u + d e_l, u - d e_l
+    live, first = np.arange(N + 1), (N + 1, "")  # unsettled nodes; the first failing node and why
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a failure raises below
+        for _ in range(NEWTON_MAXIT):
+            x, ul, d = state.x[live], u[live], 1e-7 * (1.0 + np.abs(u[live]))
+            _, Ju = prob.stage_jacobians(np.repeat(x, 2 * m + 1, axis=0),
+                                         (ul[:, None] + shifts * d[:, None]).reshape(-1, m))
+            Jup = np.einsum("kqij,ki->kqj", Ju.reshape(len(live), 2 * m + 1, prob.n, m), p[live])
+            terms = np.stack([Jup[:, 0], ul @ prob.R.T, x @ prob.S])  # Ju'p, Ru, S'x; Ru is finite iff u is
+            finite = np.isfinite(terms).all(axis=(0, 2))
+            step = finite & (np.abs(terms.sum(axis=0)).max(axis=1) > NEWTON_TOL * np.abs(terms).max(axis=(0, 2)))
+            D = np.swapaxes(Jup[step, 1:m + 1] - Jup[step, m + 1:], 1, 2) / (2 * d[step, None])
+            J, rhs = prob.R + D, (D * ul[step, None]).sum(axis=2) - terms[0, step] - terms[2, step]
+            singular = np.linalg.slogdet(J)[0] == 0  # a zero pivot, which solve would reject
+            u[live[step][~singular]] = np.linalg.solve(J[~singular], rhs[~singular, :, None])[..., 0]
+            bad = {"non-finite iterate or residual": live[~finite], "singular Newton system": live[step][singular]}
+            first = min([first] + [(k[0], why) for why, k in bad.items() if k.size])
+            live = live[step & (live < first[0])]  # a singular node is never before the first failure
+            if not live.size:
+                break
+        else:
+            first = (live[0], "node control Newton stalled")
+    if first[0] <= N:
+        raise NodeControlFailure(f"{first[1]} at node {first[0]}", index=int(first[0]))
     return u
-
-
-def _newton_node_control(prob, x, p, u0, index):
-    def resid(u):
-        _, Ju = prob.stage_jacobians(x[None], u[None])
-        return Ju[0].T @ p + prob.R @ u + prob.S.T @ x
-
-    u = np.array(u0, dtype=float)
-    for _ in range(NEWTON_MAXIT):
-        g = resid(u)
-        if np.abs(g).max(initial=0.0) < NEWTON_TOL:
-            return u
-        m = u.size
-        J = np.empty((m, m))
-        for l in range(m):
-            d = 1e-7 * (1.0 + abs(u[l]))
-            e = np.zeros(m)
-            e[l] = d
-            J[:, l] = (resid(u + e) - resid(u - e)) / (2 * d)
-        try:
-            u = u - np.linalg.solve(J, g)
-        except np.linalg.LinAlgError:
-            raise NodeControlFailure(f"singular Newton system at node {index}", index=index) from None
-    raise NodeControlFailure(f"node control Newton stalled at node {index}", index=index)

@@ -262,6 +262,36 @@ def pendulum() -> NonlinearProblem:
     )
 
 
+def _pendulum_tanh_f(X, U):
+    return np.column_stack([X[:, 1], np.sin(X[:, 0]) + np.tanh(U[:, 0])])
+
+
+def _pendulum_tanh_jac_u(X, U):
+    Ju = np.zeros((X.shape[0], 2, 1))
+    Ju[:, 1, 0] = 1.0 - np.tanh(U[:, 0]) ** 2
+    return Ju
+
+
+def pendulum_tanh() -> NonlinearProblem:
+    """The pendulum with a saturating input, steered to rest over [0, 3].
+
+    thetadot = omega, omegadot = sin(theta) + tanh(u), which is not affine in
+    u; cost 1/2 x'x + 0.05 u^2 running (Q = I, R = 0.1) plus 2.5 x(tf)'x(tf)
+    terminal (M = 5 I); starts at theta = pi/3.
+    """
+    return NonlinearProblem(
+        f_fn=_pendulum_tanh_f,
+        jac_x_fn=_pendulum_jac_x,
+        jac_u_fn=_pendulum_tanh_jac_u,
+        Q=np.eye(2),
+        R=[[0.1]],
+        M=5.0 * np.eye(2),
+        x0=[math.pi / 3.0, 0.0],
+        tf=3.0,
+        name="pendulum_tanh",
+    )
+
+
 def builtin_problem(name: str):
     """Builtin problem by name; returns (problem, analytic reference or None)."""
     if name == "example31":
@@ -270,6 +300,8 @@ def builtin_problem(name: str):
         return spring_oscillator(), None
     if name == "pendulum":
         return pendulum(), None
+    if name == "pendulum_tanh":
+        return pendulum_tanh(), None
     raise NotFound(f"no builtin problem named {name!r}")
 
 
@@ -277,7 +309,7 @@ def load_problem(source):
     """Load a problem spec from a JSON file path or parsed dict.
 
     Keys: ``kind`` ("lq" or "builtin").  For "builtin": ``name`` in
-    {example31, spring, pendulum}.  For "lq": ``n``, ``m``, row-major
+    {example31, spring, pendulum, pendulum_tanh}.  For "lq": ``n``, ``m``, row-major
     matrices ``A``, ``B``, ``Q``, ``R``, ``M`` (optional ``S``), ``x0``,
     ``tf``.  Returns (problem, analytic reference or None).
     """

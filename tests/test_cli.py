@@ -13,6 +13,7 @@ from rklqr import cli
 from rklqr.dlqr import DiscreteTrajectory
 from rklqr.errors import NoFit
 from rklqr.ilqr import IterateRecord
+from rklqr.problem import builtin_problem
 
 # expected max internal-control errors for the scalar benchmark (3 significant
 # digits), methodC stage 4 and methodA stage 1, at the listed step sizes
@@ -104,6 +105,20 @@ class TestSolveCommand:
         assert all(a >= b for a, b in zip(jds, jds[1:]))
         assert all(float(row.split(",")[5]) < 0 for row in lines[1:])  # descent directions
         assert "iterations =" in capsys.readouterr().out
+
+    def test_pendulum_tanh_nodes_are_stationary(self, tmp_path, capsys):
+        # the builtin whose input is not affine: its node controls come from Newton
+        out = tmp_path / "tanh.csv"
+        rc = cli.main(["solve", "--problem", "pendulum_tanh", "--method", "methodB",
+                       "--steps", "200", "--out", str(out)])
+        assert rc == 0 and "N = 200" in capsys.readouterr().out
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert table.shape == (201, 7)
+        x, u, p = table[:, 2:4], table[:, 4:5], table[:, 5:7]
+        prob, _ = builtin_problem("pendulum_tanh")
+        _, Ju = prob.stage_jacobians(x, u)
+        Jup, Ru = (Ju * p[:, :, None]).sum(axis=1), u @ prob.R
+        assert np.all(np.abs(Jup + Ru) <= 1e-10 * np.maximum(np.abs(Jup), np.abs(Ru)))
 
     def test_unknown_problem_exits_2(self, capsys):
         rc = cli.main(["solve", "--problem", "nosuch", "--method", "methodA", "--steps", "4"])

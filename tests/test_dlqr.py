@@ -1,6 +1,7 @@
 """DLQR pipeline: assembly, Riccati recursion, rollout, value identities."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -192,3 +193,19 @@ class TestRollout:
         prob, _ = example31()
         _, _, traj = dlqr.solve(prob, builtin("methodB"), 10)
         assert traj.u[-1, 0] == pytest.approx(-0.5 * traj.x[-1, 0], abs=1e-14)
+
+
+class TestStepCount:
+    @pytest.mark.parametrize("N", [2.5, 10.0, True, None], ids=repr)
+    def test_non_integral_step_count_names_N(self, N):
+        with pytest.raises(ValueError, match=f"^N must be an int, not {re.escape(repr(N))}$"):
+            dlqr.solve(spring_oscillator(), builtin("methodB"), N)
+
+    @pytest.mark.parametrize("N", [0, -3, np.int64(0)])
+    def test_step_count_below_one(self, N):
+        with pytest.raises(ValueError, match="^N must be >= 1$"):
+            dlqr.assemble(spring_oscillator(), builtin("methodB"), N)
+
+    def test_numpy_integer_step_count_accepted(self):
+        _, _, traj = dlqr.solve(spring_oscillator(), builtin("methodB"), np.int64(5))
+        assert traj.u.shape == (6, 1)

@@ -1,16 +1,20 @@
 """ILQR: rollout, linearization, backward pass, line search, costates."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rklqr import dlqr, ilqr, oracle
-from rklqr.errors import NotConverged, RolloutDiverged
+from rklqr.errors import NodeControlFailure, NotConverged, RolloutDiverged
 from rklqr.problem import (
     NonlinearProblem,
     example31,
     pendulum,
+    pendulum_tanh,
     spring_oscillator,
 )
 from rklqr.tableau import ButcherTableau, adjoint, builtin
@@ -606,3 +610,228 @@ class TestLQAsNonlinear:
         assert len(log) == 1
         _, _, traj = dlqr.solve(prob, tab, 20)
         np.testing.assert_allclose(state.U, traj.U, atol=1e-12)
+
+
+def _cubic_problem():
+    """The cubic control entry u + 0.1 u^3 of ``test_newton_path_solves_stationarity``, with R = 2."""
+    def f(X, U):
+        return np.column_stack([X[:, 1], np.sin(X[:, 0]) + U[:, 0] + 0.1 * U[:, 0] ** 3])
+
+    return NonlinearProblem(f_fn=f, jac_x_fn=prob_jx, jac_u_fn=_cubic_ju, Q=np.zeros((2, 2)), R=[[2.0]],
+                            M=0.5 * np.eye(2), x0=[np.pi / 3, 0.0], tf=1.0)
+
+
+def _two_input_problem():
+    """omegadot = sin(theta) + u1 + 0.1 u1^3 + u2^2 / 2 with R = diag(2, 1).
+
+    Node stationarity is p2 (1 + 0.3 u1^2) + 2 u1 = 0 and (p2 + 1) u2 = 0:
+    p2 = 3 leaves the first without a real root, and p2 = -1 makes the
+    second vanish identically, so from u2 = 0 the Newton system is singular.
+    """
+    def f(X, U):
+        return np.column_stack([X[:, 1], np.sin(X[:, 0]) + U[:, 0] + 0.1 * U[:, 0] ** 3 + 0.5 * U[:, 1] ** 2])
+
+    def ju(X, U):
+        Ju = np.zeros((len(X), 2, 2))
+        Ju[:, 1, 0] = 1.0 + 0.3 * U[:, 0] ** 2
+        Ju[:, 1, 1] = U[:, 1]
+        return Ju
+
+    return NonlinearProblem(f_fn=f, jac_x_fn=prob_jx, jac_u_fn=ju, Q=np.zeros((2, 2)), R=np.diag([2.0, 1.0]),
+                            M=np.eye(2), x0=[0.5, 0.0], tf=1.0)
+
+
+def _scaled_pendulum(c):
+    """The pendulum with its input in other units: omegadot = sin(theta) + c u, R = 0.05 c^2, unflagged."""
+    return dataclasses.replace(
+        pendulum(), control_affine=False,
+        f_fn=lambda X, U: np.column_stack([X[:, 1], np.sin(X[:, 0]) + c * U[:, 0]]),
+        jac_u_fn=lambda X, U: np.broadcast_to([[0.0], [c]], (len(X), 2, 1)), R=[[0.05 * c * c]])
+
+
+def _node_state(prob, x, U):
+    """An iterate with node states x (N+1, n) whose stage controls U (N, s·m) hold the Newton guesses."""
+    N, s = U.shape[0], U.shape[1] // prob.m
+    return ilqr.IterateState(U=np.asarray(U, dtype=float), X=np.zeros((N, s * prob.n)),
+                             x=np.asarray(x, dtype=float), Jd=0.0, h=prob.tf / N)
+
+
+def _reference_newton(prob, x, p, u):
+    """Newton on one node's stationarity with the stopping rule of ``ilqr.node_controls``.
+
+    Returns (u, iterations) or (failure kind, iterations), an iteration
+    being one evaluation of the residual at an iterate.
+    """
+    def terms(v):
+        _, Ju = prob.stage_jacobians(x[None], v[None])
+        return Ju[0].T @ p, prob.R @ v, prob.S.T @ x
+
+    m = u.size
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(1, ilqr.NEWTON_MAXIT + 1):
+            a, b, c = terms(u)
+            g = a + b + c
+            if not (np.isfinite(u).all() and np.isfinite(g).all()):
+                return "non-finite", it
+            if np.abs(g).max() <= ilqr.NEWTON_TOL * max(np.abs(a).max(), np.abs(b).max(), np.abs(c).max()):
+                return u, it
+            D = np.empty((m, m))
+            for col in range(m):
+                e = np.zeros(m)
+                e[col] = 1e-7 * (1.0 + abs(u[col]))
+                D[:, col] = (terms(u + e)[0] - terms(u - e)[0]) / (2 * e[col])
+            try:
+                u = np.linalg.solve(prob.R + D, D @ u - a - c)
+            except np.linalg.LinAlgError:
+                return "singular", it
+    return "stalled", ilqr.NEWTON_MAXIT
+
+
+def _reference_node_controls(prob, state, p):
+    """Per-node loop of ``_reference_newton``: (u, iterations per node), or (failure kind, first failing node)."""
+    m = prob.m
+    guesses = np.concatenate([state.U[:, :m], state.U[-1:, -m:]])
+    out = [_reference_newton(prob, x, pk, u) for x, pk, u in zip(state.x, p, guesses)]
+    for k, (u, _) in enumerate(out):
+        if isinstance(u, str):
+            return u, k
+    return np.array([u for u, _ in out]), [it for _, it in out]
+
+
+def _batched_outcome(prob, state, p):
+    """ilqr.node_controls as the reference reports it: u, or (failure kind, node)."""
+    try:
+        return ilqr.node_controls(prob, state, p)
+    except NodeControlFailure as exc:
+        kind = next(k for k in ("non-finite", "singular", "stalled") if k in str(exc))
+        assert str(exc).endswith(f"at node {exc.index}")
+        return kind, exc.index
+
+
+def _recording(prob):
+    """prob with a jac_u_fn that records the number of points of every call."""
+    calls = []
+
+    def ju(X, U):
+        calls.append(len(X))
+        return prob.jac_u_fn(X, U)
+
+    return dataclasses.replace(prob, jac_u_fn=ju), calls
+
+
+class TestBatchedNodeControls:
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3, 1e6])
+    def test_settles_in_any_units(self, c):
+        # the same control problem with the input in other units: u = u_1 / c
+        tab, N = builtin("methodB"), 40
+        base, _ = ilqr.solve(pendulum(), tab, N)
+        prob = _scaled_pendulum(c)
+        state = ilqr.rollout(prob, tab, N, base.U / c)
+        p = ilqr.costates(prob, tab, state)
+        u = ilqr.node_controls(prob, state, p)
+        closed = -c * p[:, 1:] / prob.R[0, 0]
+        np.testing.assert_allclose(u, closed, rtol=0, atol=1e-12 * np.abs(closed).max())
+
+    @pytest.mark.parametrize("make", [_cubic_problem, pendulum_tanh, _two_input_problem])
+    def test_zero_costate_gives_exactly_zero(self, make):
+        # no term of the residual but Ru is left, so u = 0 is the answer and
+        # a purely relative stopping test would never settle a nonzero guess
+        prob = make()
+        rng = np.random.default_rng(4)
+        N = 7
+        state = _node_state(prob, rng.standard_normal((N + 1, 2)), 1.0 + rng.random((N, 2 * prob.m)))
+        u = ilqr.node_controls(prob, state, np.zeros((N + 1, 2)))
+        np.testing.assert_array_equal(u, 0.0)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["cubic", "tanh"]), st.integers(1, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_batched_matches_per_node_loop(self, seed, which, N):
+        # the cubic stationarity has no real root once |p2| > 1.83, so failures
+        # are compared too; on tanh, plain Newton cycles from some guesses
+        # once |p2| is near 1, which would leave few examples that converge
+        prob, bound = (_cubic_problem(), 2.0) if which == "cubic" else (pendulum_tanh(), 0.5)
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(-bound, bound, (N + 1, 2))
+        state = _node_state(prob, rng.uniform(-3.0, 3.0, (N + 1, 2)), rng.uniform(-2.0, 2.0, (N, 2)))
+        want, got = _reference_node_controls(prob, state, p), _batched_outcome(prob, state, p)
+        if isinstance(want[0], str):
+            assert got == want
+        else:
+            np.testing.assert_allclose(got, want[0], rtol=1e-12, atol=1e-12 * np.abs(want[0]).max())
+
+    @pytest.mark.parametrize("which", ["pendulum", "unflagged", "cubic", "tanh"])
+    def test_one_stage_jacobians_call_per_iteration(self, which):
+        prob = {"pendulum": pendulum(), "unflagged": dataclasses.replace(pendulum(), control_affine=False),
+                "cubic": _cubic_problem(), "tanh": pendulum_tanh()}[which]
+        rng = np.random.default_rng(8)
+        N = 30
+        state = _node_state(prob, rng.uniform(-1, 1, (N + 1, 2)), rng.uniform(-1, 1, (N, 3)))
+        p = rng.uniform(-0.5, 0.5, (N + 1, 2))
+        _, iterations = _reference_node_controls(prob, state, p)
+        recorded, calls = _recording(prob)
+        ilqr.node_controls(recorded, state, p)
+        # call t evaluates the 2m + 1 points of every node still unsettled at iteration t
+        assert calls == [3 * sum(it >= t for it in iterations) for t in range(1, max(iterations) + 1)]
+        if which in ("pendulum", "unflagged"):  # the first step is the closed form
+            assert len(calls) <= 2
+
+    def test_closed_form_without_the_flag(self):
+        # the control_affine flag changes nothing: D = 0 exactly either way
+        prob, tab = pendulum(), builtin("trapezoidal")
+        state, _ = ilqr.solve(prob, tab, 60)
+        p = ilqr.costates(prob, tab, state)
+        u = ilqr.node_controls(prob, state, p)
+        np.testing.assert_array_equal(u, ilqr.node_controls(dataclasses.replace(prob, control_affine=False), state, p))
+        np.testing.assert_allclose(u, -p[:, 1:] / prob.R[0, 0], rtol=1e-15)
+
+
+def _failure_case(costate2, guess1=0.2):
+    """Nodes of ``_two_input_problem`` with p2 = costate2[k] and first guess u = (guess1[k], 0)."""
+    prob = _two_input_problem()
+    costate2, guess1 = np.broadcast_arrays(np.asarray(costate2, dtype=float), guess1)
+    N = len(costate2) - 1
+    U = np.zeros((N, 4))  # two stages: node k < N starts from stage 1 of step k, node N from stage 2 of step N-1
+    U[:, 0], U[:, 2] = guess1[:-1], guess1[1:]
+    x = np.column_stack([np.linspace(-1.0, 1.0, N + 1), np.zeros(N + 1)])
+    p = np.column_stack([np.zeros(N + 1), costate2])
+    return prob, _node_state(prob, x, U), p
+
+
+class TestNodeControlFailures:
+    """NodeControlFailure names the first failing node in node order, as a per-node loop would."""
+
+    @pytest.mark.parametrize("costate2, want", [
+        ([0.5, 0.2, -1.0, 0.4, 3.0, 0.3], ("singular", 2)),
+        ([0.5, 3.0, 0.2, -1.0, 0.4, 0.3], ("stalled", 1)),  # the singular node fails 49 iterations earlier
+        ([0.5, 0.2, 0.4, 0.3, 0.1, 3.0], ("stalled", 5)),
+        ([0.5, 0.2, np.inf, 3.0, -1.0, 0.3], ("non-finite", 2)),
+    ], ids=["singular", "stall-before-singular", "stalled", "non-finite-costate"])
+    def test_matches_per_node_loop(self, costate2, want):
+        prob, state, p = _failure_case(costate2)
+        assert _reference_node_controls(prob, state, p) == want
+        assert _batched_outcome(prob, state, p) == want
+
+    def test_non_finite_guess_fails_at_once(self):
+        # node 3 starts from NaN and node 4 alone would stall: the failure of
+        # node 3 ends the work on every node after it at once, so the batch
+        # stops when nodes 0-2 settle, not at the iteration cap
+        prob, state, p = _failure_case([0.5, 0.2, 0.4, 0.3, 3.0], guess1=[0.2, 0.2, 0.2, np.nan, 0.2])
+        assert _reference_node_controls(prob, state, p) == ("non-finite", 3)
+        recorded, calls = _recording(prob)
+        assert _batched_outcome(recorded, state, p) == ("non-finite", 3)
+        assert len(calls) < 10
+
+
+class TestStepCount:
+    @pytest.mark.parametrize("N", [10.0, 2.5, True, np.float64(4.0), "4"], ids=repr)
+    def test_non_integral_step_count_names_N(self, N):
+        prob, tab = pendulum(), builtin("methodB")
+        with pytest.raises(ValueError, match=f"^N must be an int, not {re.escape(repr(N))}$"):
+            ilqr.solve(prob, tab, N)
+        with pytest.raises(ValueError, match=f"^N must be an int, not {re.escape(repr(N))}$"):
+            ilqr.rollout(prob, tab, N, np.zeros((4, 3)))
+
+    def test_numpy_integer_step_count_accepted(self):
+        prob, tab = pendulum(), builtin("methodB")
+        state, _ = ilqr.solve(prob, tab, np.int64(6))
+        assert state.N == 6

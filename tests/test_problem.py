@@ -17,6 +17,7 @@ from rklqr.problem import (
     example31,
     load_problem,
     pendulum,
+    pendulum_tanh,
     spring_oscillator,
 )
 from rklqr.tableau import builtin
@@ -273,3 +274,31 @@ class TestLoading:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             load_problem({"kind": "nlp"})
+
+
+class TestPendulumTanh:
+    def test_builtin(self):
+        prob, ref = builtin_problem("pendulum_tanh")
+        assert ref is None and prob.name == "pendulum_tanh"
+        assert prob.control_affine is False
+        np.testing.assert_array_equal(prob.Q, np.eye(2))
+        np.testing.assert_array_equal(prob.R, [[0.1]])
+        np.testing.assert_array_equal(prob.M, 5.0 * np.eye(2))
+        np.testing.assert_array_equal(prob.x0, [math.pi / 3, 0.0])
+        assert prob.tf == 3.0
+        f = prob.f(np.array([[math.pi / 2, 0.25]]), np.array([[0.5]]))
+        np.testing.assert_allclose(f, [[0.25, 1.0 + math.tanh(0.5)]], rtol=1e-15)
+        with pytest.raises(AttributeError, match="control-affine"):
+            prob.input_matrix(prob.x0)
+
+    @given(points=_stacked_points(3.0))
+    @settings(max_examples=50, deadline=None)
+    def test_jacobians_match_finite_differences(self, points):
+        prob, (X, U) = pendulum_tanh(), points
+        Jx, Ju = prob.stage_jacobians(X, U)
+        d = 1e-6
+        for col, e in enumerate(d * np.eye(2)):
+            central = (prob.f(X + e, U) - prob.f(X - e, U)) / (2 * d)
+            np.testing.assert_allclose(central, Jx[:, :, col], rtol=1e-5, atol=1e-7)
+        central = (prob.f(X, U + d) - prob.f(X, U - d)) / (2 * d)
+        np.testing.assert_allclose(central, Ju[:, :, 0], rtol=1e-5, atol=1e-7)
