@@ -53,18 +53,48 @@ def fit_order(samples) -> float:
 # solving either problem kind into one trajectory shape
 # ---------------------------------------------------------------------------
 
+COARSEN = 8  # a nonlinear solve at N starts from a solve at N // COARSEN ...
+MIN_COARSE_STEPS = 25  # ... when that has at least this many steps
+
+
+def cubic_lagrange(u, h: float, t) -> np.ndarray:
+    """Values at times t of the 4-point cubic Lagrange interpolant of node values u.
+
+    u (L+1, m) holds values at the nodes j h, j = 0..L, with L >= 3; each t
+    uses the four nodes around it (the first or last four at the ends), so
+    the result is exact for cubics.  Returns (len(t), m).
+    """
+    u = np.asarray(u, dtype=float)
+    pos = np.asarray(t, dtype=float) / h
+    j = np.clip(np.floor(pos).astype(int) - 1, 0, len(u) - 4)
+    r = (pos - j)[:, None]  # position inside the stencil j..j+3
+    return (-(r - 1) * (r - 2) * (r - 3) / 6 * u[j] + r * (r - 2) * (r - 3) / 2 * u[j + 1]
+            - r * (r - 1) * (r - 3) / 2 * u[j + 2] + r * (r - 1) * (r - 2) / 6 * u[j + 3])
+
+
 def solve_problem(prob, tab: ButcherTableau, N: int, tol=1e-8, max_iter=200):
     """Solve by DLQR (linear) or ILQR (nonlinear); returns (trajectory, info).
 
-    info carries Jd, iteration count, and the ILQR iterate log when present.
-    tol and max_iter go through ``ilqr.check_stopping_rule`` for either kind.
+    A nonlinear solve starts from a coarse one: when N // COARSEN has at
+    least MIN_COARSE_STEPS steps, the same problem is first solved there
+    (recursively, with the same tableau, tol and max_iter), and ``ilqr.solve``
+    starts from its node controls interpolated by ``cubic_lagrange`` at the
+    stage times (k + c_i) h.  info carries Jd, the iteration count and the
+    ILQR iterate log of the fine solve.  tol and max_iter go through
+    ``ilqr.check_stopping_rule`` for either kind.
     """
+    ilqr.check_stopping_rule(tol, max_iter)
+    dlqr.check_steps(N)
     if isinstance(prob, LQProblem):
-        ilqr.check_stopping_rule(tol, max_iter)
         _, _, traj = dlqr.solve(prob, tab, N)
         Jd = dlqr.discrete_cost(prob, tab, traj.U, traj.X, traj.x)
         return traj, {"Jd": Jd, "iterations": 0, "log": []}
-    state, log = ilqr.solve(prob, tab, N, tol=tol, max_iter=max_iter)
+    U0 = None
+    if N // COARSEN >= MIN_COARSE_STEPS:
+        coarse, _ = solve_problem(prob, tab, N // COARSEN, tol=tol, max_iter=max_iter)
+        times = (np.arange(N)[:, None] + tab.c) * (prob.tf / N)
+        U0 = cubic_lagrange(coarse.u, coarse.h, times.ravel()).reshape(N, tab.s * prob.m)
+    state, log = ilqr.solve(prob, tab, N, U0=U0, tol=tol, max_iter=max_iter)
     p = ilqr.costates(prob, tab, state)
     u = ilqr.node_controls(prob, state, p)
     traj = dlqr.DiscreteTrajectory(x=state.x, X=state.X, U=state.U, p=p, u=u, h=state.h)

@@ -36,10 +36,14 @@ def stage_cost_blocks(prob, b: np.ndarray, h: float):
     """Block-diagonal stage cost weights (Qh, Rh, Sh) = h kron(diag b, (Q, R, S)).
 
     Every problem carries S, zero when it has no cross term, so the three
-    blocks are always arrays and the cost formulas take no branch.
+    blocks are always arrays and the cost formulas take no branch.  The
+    Kronecker products come from one broadcast product each: the same
+    products as np.kron at about a tenth of its cost on these small blocks,
+    which every rollout and gradient of a solve builds.
     """
-    d = np.diag(b)
-    return tuple(h * np.kron(d, W) for W in (prob.Q, prob.R, prob.S))
+    d, s = np.diag(b)[:, None, :, None], len(b)
+    return tuple(h * (d * W[:, None, :]).reshape(s * W.shape[0], s * W.shape[1])
+                 for W in (prob.Q, prob.R, prob.S))
 
 
 def discrete_cost(prob, tab: ButcherTableau, U, X, x) -> float:

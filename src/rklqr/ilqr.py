@@ -3,8 +3,11 @@
 Each iteration linearizes the discrete stage/transition equations at the
 current iterate, solves the resulting affine-quadratic subproblem by a
 backward value recursion plus forward sweep, and backtracks along the
-feasible curve U + alpha (Utilde - U).  The search direction equals
--W(U)^{-1} J_d'(U), so the loop is a quasi-Newton method.
+feasible curve U + alpha (Utilde - U): by the Armijo test on the cost while
+its change is above rounding, by the approximate Wolfe conditions on the
+slope once it is not.  The search direction equals -W(U)^{-1} J_d'(U), so the
+loop is a quasi-Newton method.  It stops on the stage-scaled gradient
+max |g_ki| / (h b_i), which means the same at every step size h.
 
 The node costates come from the scan that gives the gradient, the discrete
 adjoint p_k = E_k'w_k + G_k'p_{k+1} from p_N = M x_N; by Hager's equivalence
@@ -29,10 +32,13 @@ NEWTON_TOL = 1e-12
 NEWTON_MAXIT = 50
 ARMIJO_C1 = 1e-4
 MIN_ALPHA = 2.0**-30
-# Near the optimum ARMIJO_C1 alpha slope falls below the rounding error of Jd, so an
-# exact Armijo test would accept or reject a good step by luck.  The test
-# allows this many units of roundoff in |Jd|.
-ARMIJO_ROUNDING = 8 * np.finfo(float).eps
+# Near the optimum a step changes Jd by less than its rounding error, so the
+# Armijo test would accept or reject a good step by luck.  A trial whose Jd is
+# within COST_FLOOR |Jd| of the iterate's is judged by its slope instead, by the
+# approximate Wolfe conditions of Hager and Zhang (SIAM J. Optim. 16, 2005).
+COST_FLOOR = 1e-10
+WOLFE_DELTA = 0.1
+WOLFE_SIGMA = 0.9
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +88,7 @@ class IterateRecord:
 
     iteration: int
     Jd: float
-    grad_inf_norm: float
+    grad_inf_norm: float  # stage-scaled gradient max |g_ki| / (h b_i) before the step, as tested against tol
     step_norm: float
     alpha: float
     slope: float  # directional derivative J_d'(U)' dU, negative for descent
@@ -251,30 +257,56 @@ def gradient(prob, tab, state: IterateState, steps=None) -> np.ndarray:
     return r + (w[:, None, :] @ steps.F)[:, 0] + (p[1:, None, :] @ steps.H)[:, 0]
 
 
-def line_search(prob, tab, state: IterateState, dU, dX, slope: float):
-    """Backtracking Armijo along the feasible curve through U + alpha dU.
+def scaled_residual(tab, state: IterateState, g) -> float:
+    """The stage-scaled gradient max |g_ki| / (h b_i) that ``solve`` tests against tol.
 
-    ``slope`` is the directional derivative J_d'(U)' dU.  Accepts the first
-    alpha in 1, 1/2, ..., MIN_ALPHA with
-    Jd(alpha) <= Jd + ARMIJO_C1 alpha slope + ARMIJO_ROUNDING |Jd|.  Each
-    trial is a rollout of U + alpha dU started from the tangent-plane stage
-    states X + alpha dX (``direction``), and one that raises RolloutDiverged
-    is rejected.
+    The discrete gradient in stage control i scales like h b_i, so this is
+    the same quantity at every h.  A stage with b_i <= 0 is divided by h.
+    """
+    weights = state.h * np.where(tab.b > 0, tab.b, 1.0)
+    return float(np.abs(g.reshape(state.N, tab.s, -1) / weights[:, None]).max(initial=0.0))
+
+
+def line_search(prob, tab, state: IterateState, dU, dX, slope: float):
+    """Backtracking along the feasible curve through U + alpha dU.
+
+    ``slope`` is the directional derivative phi'(0) = J_d'(U)' dU.  Tries
+    alpha = 1, 1/2, ..., MIN_ALPHA; each trial is a rollout of U + alpha dU
+    started from the tangent-plane stage states X + alpha dX (``direction``),
+    and one that raises RolloutDiverged is rejected.  While the trial's Jd
+    differs from the iterate's by more than COST_FLOOR |Jd|, it is accepted
+    by the Armijo test Jd(alpha) <= Jd + ARMIJO_C1 alpha slope.  Within that
+    floor the cost difference is rounding, and the trial is accepted by the
+    approximate Wolfe conditions
+    (2 WOLFE_DELTA - 1) phi'(0) >= phi'(alpha) >= WOLFE_SIGMA phi'(0), with
+    phi'(alpha) = g(trial)' dU from the trial's ``linearize`` and
+    ``gradient``.
+
+    Returns (alpha, trial, steps, g): steps and g are the accepted trial's
+    linearization and gradient when the slope test made them, else None.
+    Raises LineSearchFailed when no alpha down to MIN_ALPHA is accepted.
     """
     dU = np.asarray(dU, dtype=float).reshape(state.U.shape)
     if not np.any(dU):
-        return 1.0, state
+        return 1.0, state, None, None
     alpha = 1.0
-    slack = ARMIJO_ROUNDING * abs(state.Jd)
     while alpha >= MIN_ALPHA:
         try:
             trial = rollout(prob, tab, state.N, state.U + alpha * dU, state.X + alpha * dX)
         except RolloutDiverged:
             trial = None
-        if trial is not None and trial.Jd <= state.Jd + ARMIJO_C1 * alpha * slope + slack:
-            return alpha, trial
+        if trial is not None and abs(trial.Jd - state.Jd) > COST_FLOOR * abs(state.Jd):
+            if trial.Jd <= state.Jd + ARMIJO_C1 * alpha * slope:
+                return alpha, trial, None, None
+        elif trial is not None and np.isfinite(trial.Jd):  # at the rounding floor of Jd
+            with np.errstate(over="ignore", invalid="ignore"):
+                steps = linearize(prob, tab, trial)
+                g = gradient(prob, tab, trial, steps)
+                trial_slope = float(np.sum(g * dU))
+            if (2 * WOLFE_DELTA - 1) * slope >= trial_slope >= WOLFE_SIGMA * slope:
+                return alpha, trial, steps, g
         alpha *= 0.5
-    raise LineSearchFailed(f"no sufficient decrease above alpha = {MIN_ALPHA!r}")
+    raise LineSearchFailed(f"no acceptable step above alpha = {MIN_ALPHA!r}")
 
 
 def check_stopping_rule(tol, max_iter):
@@ -289,40 +321,54 @@ def check_stopping_rule(tol, max_iter):
 
 
 def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200):
-    """Run the full iteration from U0 (default all zeros).
+    """Run the full iteration from U0 (default all zeros) on one grid.
 
-    Stops when the gradient sup-norm falls below tol; returns the final
-    iterate and a per-iteration log.  Raises NotConverged (carrying the last
-    state and log) when max_iter is exhausted, and ValueError when
-    ``check_stopping_rule`` rejects tol or max_iter.
+    Stops when the stage-scaled gradient (``scaled_residual``) falls below
+    tol, which means the same at every h; returns the final iterate and a
+    per-iteration log.  Each iterate is linearized once: a trial the line
+    search linearized for its slope test hands its linearization and
+    gradient on.  Raises NotConverged (carrying the last state and log) when
+    max_iter steps leave the residual above tol, or when the line search
+    fails on a step whose predicted decrease |slope| is below the rounding
+    floor COST_FLOOR |Jd|; ValueError when ``check_stopping_rule`` rejects
+    tol or max_iter.
     """
     check_stopping_rule(tol, max_iter)
     check_steps(N)
     if U0 is None:
         U0 = np.zeros((N, tab.s * prob.m))
     state = rollout(prob, tab, N, U0)
-    log = []
-    for it in range(1, max_iter + 1):
-        steps = linearize(prob, tab, state)
-        g = gradient(prob, tab, state, steps)
-        gnorm = float(np.abs(g).max(initial=0.0))
-        if gnorm < tol:
+    steps, log = None, []
+    while True:
+        if steps is None:
+            steps = linearize(prob, tab, state)
+            g = gradient(prob, tab, state, steps)
+        resid = scaled_residual(tab, state, g)
+        if resid < tol:
             return state, log
+        if len(log) == max_iter:
+            raise NotConverged(f"stage-scaled gradient {resid!r} above {tol!r} after {max_iter} iterations",
+                               state=state, log=log)
         bp = backward(prob, tab, steps)
         dU, dX = direction(state, bp, steps)
         slope = float(np.sum(g * dU))
-        alpha, state = line_search(prob, tab, state, dU, dX, slope)
+        try:
+            alpha, state, steps, g = line_search(prob, tab, state, dU, dX, slope)
+        except LineSearchFailed:
+            if abs(slope) > COST_FLOOR * abs(state.Jd):
+                raise
+            raise NotConverged(f"rounding floor reached: stage-scaled gradient {resid!r} above {tol!r} "
+                               f"and no step can lower it, h = {state.h!r}", state=state, log=log) from None
         log.append(
             IterateRecord(
-                iteration=it,
+                iteration=len(log) + 1,
                 Jd=state.Jd,
-                grad_inf_norm=gnorm,
+                grad_inf_norm=resid,
                 step_norm=float(np.linalg.norm(dU)),
                 alpha=alpha,
                 slope=slope,
             )
         )
-    raise NotConverged(f"gradient norm above {tol!r} after {max_iter} iterations", state=state, log=log)
 
 
 def costates(prob, tab, state: IterateState, steps=None) -> np.ndarray:

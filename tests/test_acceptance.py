@@ -228,3 +228,17 @@ def test_criterion_11_pendulum_initial_control_convergence():
         f"euler {observed['euler']:.2f} < trapezoidal {observed['trapezoidal']:.2f} "
         f"< methodB {observed['methodB']:.2f}"
     )
+
+
+def test_criterion_12_pendulum_node_orders():
+    # the reference is the 40x finer methodC solve; both stop on the same
+    # stage-scaled gradient, so the errors do not flatten at fine h.  At the
+    # default tol the node controls are accurate to about 1e-8, so methodC's
+    # grid stops at h = 0.05, where its error is still 1.2e-7 (3.5e-9 at 0.02)
+    prob = pendulum()
+    fine = [0.1, 0.05, 0.04, 0.02]
+    slopes = {}
+    for name, grid, target in (("methodA", fine, 2), ("methodB", fine, 3), ("methodC", [0.2, 0.1, 0.08, 0.05], 4)):
+        slopes[name] = run_order_study(prob, builtin(name), grid, "node").fitted_slope
+        assert slopes[name] == pytest.approx(target, abs=0.3), name
+    _pass("criterion 12: pendulum node orders " + ", ".join(f"{k} {v:.2f}" for k, v in slopes.items()))

@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rklqr import cli
+from rklqr import cli, ilqr
 from rklqr.dlqr import DiscreteTrajectory
 from rklqr.errors import NoFit
 from rklqr.ilqr import IterateRecord
 from rklqr.problem import builtin_problem
+from rklqr.tableau import builtin
 
 # expected max internal-control errors for the scalar benchmark (3 significant
 # digits), methodC stage 4 and methodA stage 1, at the listed step sizes
@@ -152,6 +153,53 @@ class TestSolveCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(["solve", "--problem", "spring"])
         assert exc.value.code == 2
+
+
+class TestCoarseStart:
+    def test_cubic_lagrange_is_exact_on_cubics(self):
+        rng = np.random.default_rng(11)
+        coef = rng.standard_normal((4, 2))  # one cubic per column
+        h, L = 0.3, 9
+
+        def cubic(t):
+            return np.polynomial.polynomial.polyval(t, coef).T
+
+        t = np.concatenate([[0.0, L * h], rng.uniform(0.0, L * h, 50)])
+        got = cli.cubic_lagrange(cubic(np.arange(L + 1) * h), h, t)
+        np.testing.assert_allclose(got, cubic(t), rtol=0, atol=1e-12 * np.abs(cubic(t)).max())
+
+    @pytest.mark.parametrize("N, chain", [(199, [199]), (200, [25, 200]), (2000, [31, 250, 2000])])
+    def test_coarse_levels(self, monkeypatch, N, chain):
+        # N // 8 >= 25 solves at N // 8 first, recursively; below 200 steps the solve starts cold
+        levels, solve = [], ilqr.solve
+
+        def recording(prob, tab, N, **kwargs):
+            levels.append((N, kwargs["U0"] is None))
+            return solve(prob, tab, N, **kwargs)
+
+        monkeypatch.setattr(ilqr, "solve", recording)
+        cli.solve_problem(builtin_problem("pendulum")[0], builtin("methodB"), N)
+        assert levels == [(n, n == chain[0]) for n in chain]
+
+    @pytest.mark.parametrize("method, N", [("methodB", 2000), ("trapezoidal", 400)])
+    def test_coarse_chain_agrees_with_a_cold_solve(self, method, N):
+        # both stop below the same stage-scaled gradient, so they agree to
+        # its level, not to rounding (measured 2.6e-9 and 1.6e-8 in U)
+        prob, tab = builtin_problem("pendulum")[0], builtin(method)
+        cold, _ = ilqr.solve(prob, tab, N)
+        traj, info = cli.solve_problem(prob, tab, N)
+        assert info["iterations"] < 4
+        for got, want in ((traj.U, cold.U), (traj.x, cold.x)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-7 * np.abs(want).max())
+
+    @pytest.mark.parametrize("N", [75, 300, 1200, 2000])
+    def test_pendulum_tanh_converges_at_the_default_tol(self, N):
+        # near its optimum the cost changes by rounding only; with the Armijo
+        # test alone the solves at 300, 1200 and 2000 steps stall above tol
+        prob, tab = builtin_problem("pendulum_tanh")[0], builtin("methodB")
+        traj, _ = cli.solve_problem(prob, tab, N)
+        state = ilqr.make_state(prob, tab, traj.U, traj.X, traj.x)
+        assert ilqr.scaled_residual(tab, state, ilqr.gradient(prob, tab, state)) < 1e-8
 
 
 # awkward values for the %.17g writer: signed zero, extreme exponents,

@@ -313,15 +313,16 @@ class TestLineSearch:
         bp = ilqr.backward(prob, tab, steps)
         dU, dX = ilqr.direction(state, bp, steps)
         slope = float(np.sum(ilqr.gradient(prob, tab, state, steps) * dU))
-        alpha, nxt = ilqr.line_search(prob, tab, state, dU, dX, slope)
+        alpha, nxt, steps, g = ilqr.line_search(prob, tab, state, dU, dX, slope)
         assert alpha == 1.0 and nxt.Jd < state.Jd
+        assert steps is None and g is None  # Armijo accepted it; solve linearizes nxt once
 
     def test_zero_direction_returns_same_state(self):
         prob = pendulum()
         tab = builtin("euler")
         state = ilqr.rollout(prob, tab, 5, np.zeros((5, 1)))
-        alpha, nxt = ilqr.line_search(prob, tab, state, np.zeros((5, 1)), np.zeros((5, 2)), 0.0)
-        assert alpha == 1.0 and nxt is state
+        alpha, nxt, steps, g = ilqr.line_search(prob, tab, state, np.zeros((5, 1)), np.zeros((5, 2)), 0.0)
+        assert alpha == 1.0 and nxt is state and steps is None and g is None
 
 
 class TestSolve:
@@ -346,11 +347,55 @@ class TestSolve:
         assert exc.value.state is not None and len(exc.value.log) == 1
 
     def test_armijo_test_allows_for_rounding_near_the_optimum(self):
-        # without the roundoff allowance this start stalls in NotConverged:
-        # c1 alpha slope falls below the rounding error of Jd
+        # with the plain Armijo test this start stalls in NotConverged: c1
+        # alpha slope falls below the rounding error of Jd, where the line
+        # search judges a step by its slope instead
         prob = dataclasses.replace(pendulum(), x0=[1.04, 0.0])
         _, log = ilqr.solve(prob, builtin("methodB"), 40, tol=1e-11)
         assert len(log) <= 10
+
+    def test_rounding_floor_is_not_converged(self):
+        # at tol = 1e-12 the residual stops at about 3e-12: every trial changes
+        # Jd by rounding only and none passes the slope test
+        with pytest.raises(NotConverged, match=r"^rounding floor reached: .* h = 0\.02$") as exc:
+            ilqr.solve(pendulum(), builtin("methodB"), 200, tol=1e-12)
+        state, log = exc.value.state, exc.value.log
+        assert state is not None and log and state.Jd == log[-1].Jd
+        assert log[-1].grad_inf_norm < 1e-10
+
+    def test_each_iterate_is_linearized_once(self, monkeypatch):
+        # every jac_x call is a rollout sweep (one f call each) or a
+        # linearize; a trial the slope test linearized is not linearized again
+        base, calls = pendulum_tanh(), {"f": 0, "jac_x": 0}
+        linearized, in_search = [], []
+
+        def counting(key, fn):
+            def wrapped(X, U):
+                calls[key] += 1
+                return fn(X, U)
+            return wrapped
+
+        def recording_linearize(prob, tab, state):
+            linearized.append(state)
+            in_search.append(searching)
+            return linearize(prob, tab, state)
+
+        def flagged_line_search(*args):
+            nonlocal searching
+            searching = True
+            try:
+                return line_search(*args)
+            finally:
+                searching = False
+
+        searching, linearize, line_search = False, ilqr.linearize, ilqr.line_search
+        monkeypatch.setattr(ilqr, "linearize", recording_linearize)
+        monkeypatch.setattr(ilqr, "line_search", flagged_line_search)
+        prob = dataclasses.replace(base, f_fn=counting("f", base.f_fn), jac_x_fn=counting("jac_x", base.jac_x_fn))
+        _, log = ilqr.solve(prob, builtin("methodB"), 75)
+        assert calls["jac_x"] == calls["f"] + len(linearized)
+        assert len({id(state) for state in linearized}) == len(linearized) >= len(log) + 1
+        assert any(in_search)  # the slope test ran and its linearization was kept
 
     def test_diverging_trials_are_rejected(self, monkeypatch):
         # xdot = x^2 + u escapes to infinity by t = 1 from x0 = 1 without
@@ -369,7 +414,7 @@ class TestSolve:
         rollout = ilqr.rollout
         monkeypatch.setattr(ilqr, "rollout", recording_rollout)
         state, log = ilqr.solve(prob, builtin("methodB"), 50)
-        assert len(log) == 40 and state.Jd == pytest.approx(0.05343840025476666, rel=1e-15)
+        assert len(log) == 41 and state.Jd == pytest.approx(0.05343840025476608, rel=1e-15)
         assert diverged
 
     def test_diverging_first_rollout_raises(self):
@@ -378,8 +423,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("name, N", [("methodB", 200), ("trapezoidal", 100)])
     def test_warm_started_trials_save_f_calls(self, name, N):
-        # 5 iterations: the first rollout and 6 trials, each trial started
-        # from the tangent prediction (36 calls when every trial starts at x0)
+        # 7 iterations: the first rollout and 8 trials, each trial started
+        # from the tangent prediction (46 calls when every trial starts at x0)
         base, calls = pendulum(), []
 
         def counted(X, U):
@@ -387,11 +432,11 @@ class TestSolve:
             return base.f_fn(X, U)
 
         _, log = ilqr.solve(dataclasses.replace(base, f_fn=counted), builtin(name), N)
-        assert len(calls) == 28
-        assert [rec.alpha for rec in log] == [0.5, 1.0, 1.0, 1.0, 1.0]
+        assert len(calls) == 30
+        assert [rec.alpha for rec in log] == [0.5] + [1.0] * 6
 
     def test_sweeps_skip_the_settled_prefix(self):
-        # the same 28 batched f calls and step lengths as sweeps over all N
+        # the same 30 batched f calls and step lengths as sweeps over all N
         # steps, but a sweep passes f only the steps after the settled prefix
         base, calls = pendulum(), []
 
@@ -401,9 +446,9 @@ class TestSolve:
 
         tab, N = builtin("methodB"), 200
         _, log = ilqr.solve(dataclasses.replace(base, f_fn=counted), tab, N)
-        assert len(calls) == 28
-        assert [rec.alpha for rec in log] == [0.5, 1.0, 1.0, 1.0, 1.0]
-        assert sum(calls) < 28 * N * tab.s
+        assert len(calls) == 30
+        assert [rec.alpha for rec in log] == [0.5] + [1.0] * 6
+        assert sum(calls) < 30 * N * tab.s
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"tol": np.nan}, "tol must be a number > 0, not nan"),

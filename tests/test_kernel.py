@@ -13,7 +13,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rklqr import cli, dlqr, ilqr, oracle
+from rklqr import dlqr, ilqr, oracle
 from rklqr.errors import BackwardFailure, RiccatiFailure, StepTooLarge
 from rklqr.problem import LQProblem, NonlinearProblem, example31, pendulum, spring_oscillator
 from rklqr.tableau import ButcherTableau, builtin
@@ -233,7 +233,9 @@ class TestScans:
         # recursion a per-step loop instead, the solve must take the same
         # iterations, step lengths and number of batched f calls (a step
         # at the settling threshold may settle one sweep apart, so the
-        # batch sizes need not match)
+        # batch sizes need not match).  The solve starts cold: from a coarse
+        # start its one fine step would carry ROLLOUT_TOL-level settling
+        # differences of the coarse solves into x.
         def run():
             base, calls = pendulum(), []
 
@@ -241,14 +243,14 @@ class TestScans:
                 calls.append(len(X))
                 return base.f_fn(X, U)
 
-            traj, info = cli.solve_problem(dataclasses.replace(base, f_fn=counted), builtin(method), N)
-            return traj, [r.alpha for r in info["log"]], calls
+            state, log = ilqr.solve(dataclasses.replace(base, f_fn=counted), builtin(method), N)
+            return state, [r.alpha for r in log], calls
 
-        traj, alphas, calls = run()
+        state, alphas, calls = run()
         monkeypatch.setattr(ilqr, "affine_scan", lambda A, c, v, reverse=False: _reference_affine(A, c, v, reverse))
         ref, ref_alphas, ref_calls = run()
         assert (alphas, len(calls)) == (ref_alphas, len(ref_calls))
-        for got, want in ((traj.x, ref.x), (traj.U, ref.U)):
+        for got, want in ((state.x, ref.x), (state.U, ref.U)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
