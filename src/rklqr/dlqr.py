@@ -75,57 +75,64 @@ def step_operators(Jx, Ju, tab: ButcherTableau, h: float, shared=False):
     An explicit tableau makes the coupling unit lower triangular, so its
     stage rows come by forward substitution over ``tab.nonzero_rows``:
     [E_i | F_i] = [I | 0] + sum_j h a_ij (Jx_j [E_j | F_j] + Ju_j in the
-    input columns of stage j).  An implicit one takes a batched solve over
-    the stages whose row of a is nonzero, which raises StepTooLarge naming
-    (and carrying) the first step whose coupling is singular.  Either way a
-    zero-row stage is [I | 0] exactly.
+    input columns of stage j), and [G | H] is the same sum with b_j for
+    a_ij.  It runs with the step axis last, so each product is one einsum
+    over vectors of length K rather than K tiny matrix products.  An
+    implicit one takes a batched solve over the stages whose row of a is
+    nonzero, which raises StepTooLarge naming (and carrying) the first step
+    whose coupling is singular.  Either way a zero-row stage is [I | 0]
+    exactly.
     """
     K, n, s, _ = Jx.shape
     m = Ju.shape[-1]
     width = n + (m if shared else s * m)  # columns of [E | F]
-    hb = (h * tab.b)[:, None]
-    B = (hb * Jx).reshape(K, n, s * n)
-    C = np.einsum("j,knjm->knm", h * tab.b, Ju) if shared else (hb * Ju).reshape(K, n, s * m)
     if tab.is_explicit:
-        EF = np.zeros((K, s, n, width))
-        EF[:, :, :, :n] = np.eye(n)
-        for i, row in enumerate(tab.nonzero_rows):
+        Jx, Ju = (np.ascontiguousarray(J.transpose(2, 1, 3, 0)) for J in (Jx, Ju))  # (s, n, ·, K)
+        # rows 0..s-1 are the stages' [E_i | F_i], row s is [G | H]
+        rows = tab.nonzero_rows + ([(j, b) for j, b in enumerate(tab.b) if b],)
+        EF = np.zeros((s + 1, n, width, K))
+        EF[:, :, :n] = np.eye(n)[:, :, None]
+        for i, row in enumerate(rows):
             for j, a in row:
                 col = n if shared else n + j * m  # stage j's input columns
                 if tab.nonzero_rows[j]:
                     # [E_j | F_j] has no input columns of stage j or later
                     # yet, unless they are the shared ones
                     w = col + m if shared else col
-                    EF[:, i, :, :w] += h * a * (Jx[:, :, j] @ EF[:, j, :, :w])
+                    EF[i, :, :w] += h * a * np.einsum("ijk,jlk->ilk", Jx[j], EF[j, :, :w])
                 else:  # a zero-row stage j is [I | 0]
-                    EF[:, i, :, :n] += h * a * Jx[:, :, j]
-                EF[:, i, :, col:col + m] += h * a * Ju[:, :, j]
-        EF = EF.reshape(K, s * n, width)
+                    EF[i, :, :n] += h * a * Jx[j]
+                EF[i, :, col:col + m] += h * a * Ju[j]
+        GH = EF[s].transpose(2, 0, 1)
+        EF = EF[:s].reshape(s * n, width, K).transpose(2, 0, 1)
+        return EF[:, :, :n], EF[:, :, n:], GH[:, :, :n], GH[:, :, n:]
+    # only the stages with a nonzero row enter the solve; a zero-row
+    # stage j is x_k, so its h a_ij Jx_j terms join the x_k columns
+    live = [i for i, row in enumerate(tab.nonzero_rows) if row]
+    zero = [i for i, row in enumerate(tab.nonzero_rows) if not row]
+    r = len(live)
+    # (k, live row i, row, stage col j, col) blocks h a_ij J[k, row, j, col]
+    ha = (h * tab.a[live])[:, None, :, None]
+    AJ = ha * Jx[:, None]
+    coupling = np.eye(r * n) - AJ[:, :, :, live].reshape(K, r * n, r * n)
+    Z = (np.eye(n) + AJ[:, :, :, zero].sum(axis=3)).reshape(K, r * n, n)
+    if shared:
+        A2 = np.einsum("ij,knjm->kinm", h * tab.a[live], Ju).reshape(K, r * n, m)
     else:
-        # only the stages with a nonzero row enter the solve; a zero-row
-        # stage j is x_k, so its h a_ij Jx_j terms join the x_k columns
-        live = [i for i, row in enumerate(tab.nonzero_rows) if row]
-        zero = [i for i, row in enumerate(tab.nonzero_rows) if not row]
-        r = len(live)
-        # (k, live row i, row, stage col j, col) blocks h a_ij J[k, row, j, col]
-        ha = (h * tab.a[live])[:, None, :, None]
-        AJ = ha * Jx[:, None]
-        coupling = np.eye(r * n) - AJ[:, :, :, live].reshape(K, r * n, r * n)
-        Z = (np.eye(n) + AJ[:, :, :, zero].sum(axis=3)).reshape(K, r * n, n)
-        if shared:
-            A2 = np.einsum("ij,knjm->kinm", h * tab.a[live], Ju).reshape(K, r * n, m)
-        else:
-            A2 = (ha * Ju[:, None]).reshape(K, r * n, s * m)
-        try:
-            solved = np.linalg.solve(coupling, np.concatenate([Z, A2], axis=2))
-        except np.linalg.LinAlgError:
-            k = next((j for j in range(K) if factor_fails(np.linalg.inv, coupling[j])), None)
-            raise StepTooLarge(f"singular stage coupling at step {k}, h = {h!r}", h=h, step=k) from None
-        EF = np.zeros((K, s, n, width))
-        EF[:, zero, :, :n] = np.eye(n)
-        EF[:, live] = solved.reshape(K, r, n, width)
-        EF = EF.reshape(K, s * n, width)
+        A2 = (ha * Ju[:, None]).reshape(K, r * n, s * m)
+    try:
+        solved = np.linalg.solve(coupling, np.concatenate([Z, A2], axis=2))
+    except np.linalg.LinAlgError:
+        k = next((j for j in range(K) if factor_fails(np.linalg.inv, coupling[j])), None)
+        raise StepTooLarge(f"singular stage coupling at step {k}, h = {h!r}", h=h, step=k) from None
+    EF = np.zeros((K, s, n, width))
+    EF[:, zero, :, :n] = np.eye(n)
+    EF[:, live] = solved.reshape(K, r, n, width)
+    EF = EF.reshape(K, s * n, width)
     E, F = EF[:, :, :n], EF[:, :, n:]
+    hb = (h * tab.b)[:, None]
+    B = (hb * Jx).reshape(K, n, s * n)
+    C = np.einsum("j,knjm->knm", h * tab.b, Ju) if shared else (hb * Ju).reshape(K, n, s * m)
     return E, F, np.eye(n) + B @ E, B @ F + C
 
 

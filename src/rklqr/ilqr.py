@@ -104,12 +104,18 @@ def make_state(prob, tab, U, X, x) -> IterateState:
 
 def stage_controls(U, N: int, sm: int) -> np.ndarray:
     """U as (N, s·m); ValueError unless N is an int >= 1 and U has N·s·m entries, all finite."""
+    return _stage_stack(U, N, sm, "U", "s·m", "stage controls")
+
+
+def _stage_stack(V, N: int, width: int, name: str, cols: str, what: str) -> np.ndarray:
+    """V as (N, width); ValueError naming ``name`` unless N is an int >= 1 and V has N·width entries, all finite."""
     check_steps(N)
-    U = np.asarray(U, dtype=float)
-    got = f"{U.size} entries" if U.size != N * sm else None if np.isfinite(U).all() else "a non-finite entry"
+    V = np.asarray(V, dtype=float)
+    got = f"{V.size} entries" if V.size != N * width else None if np.isfinite(V).all() else "a non-finite entry"
     if got:
-        raise ValueError(f"U must hold N·s·m = {N * sm} finite stage controls, shape (N, s·m) = ({N}, {sm}); got {got}")
-    return U.reshape(N, sm)
+        raise ValueError(f"{name} must hold N·{cols} = {N * width} finite {what}, "
+                         f"shape (N, {cols}) = ({N}, {width}); got {got}")
+    return V.reshape(N, width)
 
 
 def _by_step(J, N: int):
@@ -130,8 +136,9 @@ def rollout(prob, tab, N: int, U, X=None) -> IterateState:
     """Integrate the discrete dynamics under stage controls U and price them.
 
     Newton on the stage and node equations of all N steps at once, from the
-    stage states X (N, s*n), or from every state at x0 without them; the line
-    search starts each trial from the tangent-plane prediction of
+    stage states X (N, s*n), or from every state at x0 without them; ``solve``
+    passes X0 to its first rollout, and the line search starts each trial
+    from the tangent-plane prediction of
     ``direction``.  The steps settle in causal order: step k counts as
     settled once no stage state of it moves by more than
     ROLLOUT_TOL (1 + max |X_j| over j <= k), and a settled prefix 0..k-1 is
@@ -320,8 +327,11 @@ def check_stopping_rule(tol, max_iter):
         raise ValueError(f"max_iter must be an int >= 1, not {max_iter!r}")
 
 
-def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200):
+def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200, X0=None):
     """Run the full iteration from U0 (default all zeros) on one grid.
+
+    The first rollout's Newton sweeps start from the stage states X0
+    (N, s·n) when given, else from every state at x0.
 
     Stops when the stage-scaled gradient (``scaled_residual``) falls below
     tol, which means the same at every h; returns the final iterate and a
@@ -331,13 +341,16 @@ def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200):
     max_iter steps leave the residual above tol, or when the line search
     fails on a step whose predicted decrease |slope| is below the rounding
     floor COST_FLOOR |Jd|; ValueError when ``check_stopping_rule`` rejects
-    tol or max_iter.
+    tol or max_iter, or when U0 or X0 has the wrong size or a non-finite
+    entry.
     """
     check_stopping_rule(tol, max_iter)
     check_steps(N)
     if U0 is None:
         U0 = np.zeros((N, tab.s * prob.m))
-    state = rollout(prob, tab, N, U0)
+    if X0 is not None:
+        X0 = _stage_stack(X0, N, tab.s * prob.n, "X0", "s·n", "stage states")
+    state = rollout(prob, tab, N, U0, X0)
     steps, log = None, []
     while True:
         if steps is None:

@@ -1,5 +1,6 @@
 """CLI surface: slope fitting, subcommands, CSV formats, exit codes."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -168,18 +169,37 @@ class TestCoarseStart:
         got = cli.cubic_lagrange(cubic(np.arange(L + 1) * h), h, t)
         np.testing.assert_allclose(got, cubic(t), rtol=0, atol=1e-12 * np.abs(cubic(t)).max())
 
-    @pytest.mark.parametrize("N, chain", [(199, [199]), (200, [25, 200]), (2000, [31, 250, 2000])])
+    @pytest.mark.parametrize("N, chain", [
+        (199, [(199, 6)]), (200, [(25, 6), (200, 3)]), (2000, [(31, 6), (250, 3), (2000, 2)]),
+    ])
     def test_coarse_levels(self, monkeypatch, N, chain):
-        # N // 8 >= 25 solves at N // 8 first, recursively; below 200 steps the solve starts cold
-        levels, solve = [], ilqr.solve
+        # N // 8 >= 25 solves at N // 8 first, recursively; below 200 steps
+        # the solve starts cold.  A fine level gets the coarse controls and
+        # states, so its first rollout makes a few batched f calls, not the
+        # cold start's 5 or 6 (each chain entry: steps, f calls there)
+        base = builtin_problem("pendulum")[0]
+        f_calls, levels, solve, rollout = [0], [], ilqr.solve, ilqr.rollout
 
-        def recording(prob, tab, N, **kwargs):
-            levels.append((N, kwargs["U0"] is None))
+        def counting_f(X, U):
+            f_calls[0] += 1
+            return base.f_fn(X, U)
+
+        def recording_solve(prob, tab, N, **kwargs):
+            levels.append([N, kwargs["U0"] is None, kwargs["X0"] is None, None])
             return solve(prob, tab, N, **kwargs)
 
-        monkeypatch.setattr(ilqr, "solve", recording)
-        cli.solve_problem(builtin_problem("pendulum")[0], builtin("methodB"), N)
-        assert levels == [(n, n == chain[0]) for n in chain]
+        def recording_rollout(prob, tab, N, U, X=None):
+            before = f_calls[0]
+            out = rollout(prob, tab, N, U, X)
+            if levels[-1][3] is None:  # the level's first rollout
+                levels[-1][3] = f_calls[0] - before
+            return out
+
+        monkeypatch.setattr(ilqr, "solve", recording_solve)
+        monkeypatch.setattr(ilqr, "rollout", recording_rollout)
+        cli.solve_problem(dataclasses.replace(base, f_fn=counting_f), builtin("methodB"), N)
+        cold = chain[0][0]
+        assert levels == [[n, n == cold, n == cold, calls] for n, calls in chain]
 
     @pytest.mark.parametrize("method, N", [("methodB", 2000), ("trapezoidal", 400)])
     def test_coarse_chain_agrees_with_a_cold_solve(self, method, N):

@@ -19,29 +19,31 @@ from rklqr.problem import LQProblem, NonlinearProblem, example31, pendulum, spri
 from rklqr.tableau import ButcherTableau, builtin
 
 
+def _reference_operators(Jxs, Jus, tab, h):
+    """One step's E, F, G, H from the dense stage-coupling blocks of its stage Jacobians (s, n, ·)."""
+    s, n, m = len(Jxs), Jxs.shape[1], Jus.shape[2]
+    A1 = np.zeros((s * n, s * n))
+    A2 = np.zeros((s * n, s * m))
+    B = np.zeros((n, s * n))
+    C = np.zeros((n, s * m))
+    for j, (Jx, Ju) in enumerate(zip(Jxs, Jus)):
+        for i in range(s):
+            A1[i * n:(i + 1) * n, j * n:(j + 1) * n] = h * tab.a[i, j] * Jx
+            A2[i * n:(i + 1) * n, j * m:(j + 1) * m] = h * tab.a[i, j] * Ju
+        B[:, j * n:(j + 1) * n] = h * tab.b[j] * Jx
+        C[:, j * m:(j + 1) * m] = h * tab.b[j] * Ju
+    E = np.linalg.solve(np.eye(s * n) - A1, np.tile(np.eye(n), (s, 1)))
+    F = np.linalg.solve(np.eye(s * n) - A1, A2)
+    return E, F, np.eye(n) + B @ E, B @ F + C
+
+
 def _reference_linearize(prob, tab, state):
     """Per-step E, F, G, H, D1, D2 from the dense stage-coupling blocks."""
     n, m, s = prob.n, prob.m, tab.s
-    h = state.h
     out = []
     for k in range(state.N):
-        xs = state.X[k].reshape(s, n)
-        us = state.U[k].reshape(s, m)
-        A1 = np.zeros((s * n, s * n))
-        A2 = np.zeros((s * n, s * m))
-        B = np.zeros((n, s * n))
-        C = np.zeros((n, s * m))
-        Jxs, Jus = prob.stage_jacobians(xs, us)
-        for j, (Jx, Ju) in enumerate(zip(Jxs, Jus)):
-            for i in range(s):
-                A1[i * n:(i + 1) * n, j * n:(j + 1) * n] = h * tab.a[i, j] * Jx
-                A2[i * n:(i + 1) * n, j * m:(j + 1) * m] = h * tab.a[i, j] * Ju
-            B[:, j * n:(j + 1) * n] = h * tab.b[j] * Jx
-            C[:, j * m:(j + 1) * m] = h * tab.b[j] * Ju
-        E = np.linalg.solve(np.eye(s * n) - A1, np.tile(np.eye(n), (s, 1)))
-        F = np.linalg.solve(np.eye(s * n) - A1, A2)
-        G = np.eye(n) + B @ E
-        H = B @ F + C
+        Jxs, Jus = prob.stage_jacobians(state.X[k].reshape(s, n), state.U[k].reshape(s, m))
+        E, F, G, H = _reference_operators(Jxs, Jus, tab, state.h)
         D1 = state.X[k] - E @ state.x[k] - F @ state.U[k]
         D2 = state.x[k + 1] - G @ state.x[k] - H @ state.U[k]
         out.append((E, F, G, H, D1, D2))
@@ -342,6 +344,33 @@ class TestStackedLinearization:
             for want_step in ref:
                 for got, want in zip((sysm.E, sysm.F, sysm.G, sysm.H), want_step):
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("K", [1, 2000])
+    @pytest.mark.parametrize("n, m", [(2, 1), (6, 3)])
+    @pytest.mark.parametrize("kind", EXPLICIT_KINDS + ["midpoint"])
+    def test_explicit_builder_at_real_sizes(self, K, n, m, kind):
+        # the explicit builder runs with the step axis last; at the sizes of
+        # the solves it must agree with the per-step dense formula (checked
+        # at every 37th step and the last), and with shared inputs give the
+        # unshared operators with F and H summed over the stages' column
+        # blocks.  The midpoint rule has b_1 = 0, so stage 1 reaches [G | H]
+        # only through stage 2.
+        rng = np.random.default_rng([K, n, m])
+        if kind == "midpoint":
+            tab = ButcherTableau(a=[[0, 0], [0.5, 0]], b=[0, 1], name="midpoint")
+        else:
+            tab = _explicit_tableau(rng, kind)
+        s, h = tab.s, 0.1
+        Jx, Ju = rng.standard_normal((K, n, s, n)), rng.standard_normal((K, n, s, m))
+        ops = dlqr.step_operators(Jx, Ju, tab, h)
+        ks = np.unique(np.r_[0:K:37, K - 1])
+        ref = [_reference_operators(Jx[k].transpose(1, 0, 2), Ju[k].transpose(1, 0, 2), tab, h) for k in ks]
+        for got, want in zip(ops, map(np.array, zip(*ref))):
+            np.testing.assert_allclose(got[ks], want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        E, F, G, H = ops
+        F, H = (M.reshape(K, -1, s, m).sum(axis=2) for M in (F, H))
+        for got, want in zip(dlqr.step_operators(Jx, Ju, tab, h, shared=True), (E, F, G, H)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
     def test_zero_row_stage_is_exact_where_the_implicit_solve_pivots(self):
         # trapezoidal at the pendulum's x0 with h = 4: |h/2 Jx| > 1, so a
