@@ -119,13 +119,18 @@ class GridReference:
         return self.u[j]
 
 
+def step_count(prob, h: float) -> int:
+    """The number of steps N = tf / h; ValueError unless h divides tf."""
+    N = int(round(prob.tf / h))
+    if N < 1 or abs(prob.tf / h - N) > 1e-9:
+        raise ValueError(f"step {h!r} does not divide tf = {prob.tf!r}")
+    return N
+
+
 def build_reference(prob, tab: ButcherTableau, h_fine: float) -> GridReference:
     """Fine-grid methodC solve used as truth for problems without a closed form."""
-    N = int(round(prob.tf / h_fine))
-    if abs(prob.tf / h_fine - N) > 1e-9 or N < 1:
-        raise NeedsReference(f"reference step {h_fine!r} does not divide tf = {prob.tf!r}")
-    traj, _ = solve_problem(prob, tab, N)
-    return GridReference(h=prob.tf / N, u=traj.u)
+    traj, _ = solve_problem(prob, tab, step_count(prob, h_fine))
+    return GridReference(h=traj.h, u=traj.u)
 
 
 def max_node_error(traj, reference) -> float:
@@ -167,7 +172,8 @@ def run_order_study(prob, tab: ButcherTableau, h_grid, target: str,
 
     target is "node" or "stage:<i>".  The reference is the analytic control
     when available, otherwise a methodC solve 'ref_refine' times finer than
-    the smallest h.
+    the smallest h.  Every h must divide tf (``step_count``); the whole grid
+    is checked before anything is solved.
     """
     h_grid = [float(h) for h in h_grid]
     if not h_grid:
@@ -178,14 +184,11 @@ def run_order_study(prob, tab: ButcherTableau, h_grid, target: str,
     if ref_refine < 1:
         raise ValueError(f"ref_refine {ref_refine!r} must be >= 1")
     stage = _parse_target(target, tab.s)
-    h_grid = sorted(set(h_grid), reverse=True)
+    steps = [step_count(prob, h) for h in sorted(set(h_grid), reverse=True)]
     if reference is None:
         reference = build_reference(prob, builtin("methodC"), min(h_grid) / ref_refine)
     samples = []
-    for h in h_grid:
-        N = int(round(prob.tf / h))
-        if N < 1 or abs(prob.tf / h - N) > 1e-9:
-            raise ValueError(f"step {h!r} does not divide tf = {prob.tf!r}")
+    for N in steps:
         traj, _ = solve_problem(prob, tab, N)
         if stage is None:
             err = max_node_error(traj, reference)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .errors import RiccatiFailure, StepTooLarge
+from .errors import BackwardFailure, StepTooLarge
 from .problem import LQProblem
 from .tableau import ButcherTableau
 
@@ -288,7 +288,7 @@ def _stage_products(E, F, Qh, Rh, Sh):
     return Kc, Lc, Wc
 
 
-def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, failure):
+def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     """Backward sweep of V_k(z) = 1/2 z'P_k z over stacked step operators.
 
     X_k = E_k z + F_k U and z_{k+1} = G_k z + H_k U, stage cost
@@ -300,12 +300,13 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, failure):
     term is eliminated with Kc^{-1}; the gains then follow in one batch.
     The scan needs every Kc positive definite.  Where one is not, or the
     scan breaks down, ``sequential_sweep`` runs instead.  The stage
-    Hessians are checked positive definite; ``failure`` names the first
-    bad step in sweep order (largest k).
+    Hessians are checked positive definite; BackwardFailure names, and
+    carries, the first bad step in sweep order (largest k) and the step
+    size h.
     """
     Kc, Lc, Wc = _stage_products(E, F, Qh, Rh, Sh)
     if factor_fails(np.linalg.cholesky, Kc):
-        return sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N, failure)
+        return sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N, h)
     d = G.shape[-1]
     Ht = np.swapaxes(H, 1, 2)
     KiL, KiH = np.split(np.linalg.solve(Kc, np.concatenate([Lc, Ht], axis=2)), 2, axis=2)
@@ -317,17 +318,17 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, failure):
     except np.linalg.LinAlgError:
         P = None
     if P is None or not np.isfinite(P).all():
-        return sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N, failure)
+        return sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N, h)
     P = 0.5 * (P + np.swapaxes(P, 1, 2))
     HP = Ht @ P[1:]
     K = Kc + HP @ H
     if factor_fails(np.linalg.cholesky, K):
         k = max(j for j in range(len(K)) if factor_fails(np.linalg.cholesky, K[j]))
-        raise failure(f"stage Hessian not positive definite at step {k}")
+        raise BackwardFailure(f"stage Hessian not positive definite at step {k}, h = {h!r}", h=h, step=k)
     return P, -np.linalg.solve(K, Lc + HP @ G)
 
 
-def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, failure):
+def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     """``value_sweep`` as a loop of N steps: the reference, and the fallback where the scan cannot run."""
     Kc, Lc, Wc = (np.broadcast_to(a, (N,) + a.shape[1:]) for a in _stage_products(E, F, Qh, Rh, Sh))
     G, H = (np.broadcast_to(a, (N,) + a.shape[1:]) for a in (G, H))
@@ -340,7 +341,7 @@ def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, failure):
         HP = Ht[k] @ P[k + 1]
         K = Kc[k] + HP @ H[k]
         if factor_fails(np.linalg.cholesky, K):
-            raise failure(f"stage Hessian not positive definite at step {k}")
+            raise BackwardFailure(f"stage Hessian not positive definite at step {k}, h = {h!r}", h=h, step=k)
         lin = Lc[k] + HP @ G[k]
         sol = np.linalg.solve(K, lin)
         Pk = Wc[k] + Gt[k] @ P[k + 1] @ G[k] - lin.T @ sol
@@ -355,7 +356,7 @@ def riccati_backward(sys: DiscreteLQSystem) -> RiccatiPass:
     The step-invariant, zero-offset case of ``value_sweep``.
     """
     M, L = value_sweep(sys.E[None], sys.F[None], sys.G[None], sys.H[None],
-                       sys.Qh, sys.Rh, sys.Sh, sys.prob.M, sys.N, RiccatiFailure)
+                       sys.Qh, sys.Rh, sys.Sh, sys.prob.M, sys.N, sys.h)
     return RiccatiPass(M=M, L=L)
 
 

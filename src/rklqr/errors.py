@@ -26,10 +26,6 @@ class StepTooLarge(SolverError):
         self.step = step
 
 
-class RiccatiFailure(SolverError):
-    """Inner matrix of the feedback-gain solve is not positive definite."""
-
-
 class RolloutDiverged(SolverError):
     """The rollout's Newton sweeps did not settle the stage equations at this step size."""
 
@@ -39,7 +35,12 @@ class RolloutDiverged(SolverError):
 
 
 class BackwardFailure(SolverError):
-    """Inner matrix of the affine backward pass is not positive definite."""
+    """A stage Hessian of the backward sweep (DLQR or ILQR) is not positive definite at this step."""
+
+    def __init__(self, message, h, step):
+        super().__init__(message)
+        self.h = h
+        self.step = step
 
 
 class LineSearchFailed(SolverError):

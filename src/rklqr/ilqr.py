@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dlqr import affine_scan, check_steps, discrete_cost, stage_cost_blocks, step_operators, value_sweep
-from .errors import (BackwardFailure, LineSearchFailed, NodeControlFailure, NotConverged, RolloutDiverged,
-                     StepTooLarge)
+from .errors import LineSearchFailed, NodeControlFailure, NotConverged, RolloutDiverged, StepTooLarge
 
 ROLLOUT_TOL = 1e-12
 ROLLOUT_MAXIT = 12  # sweeps a step may stay the first one unsettled
@@ -219,13 +218,14 @@ def backward(prob, tab, steps: Linearization) -> AffineBackwardPass:
     leading block and Y_k in its last column.
     """
     N, n = steps.E.shape[0], prob.n
-    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, prob.tf / N)
+    h = prob.tf / N
+    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, h)
     below = ((0, 0), (0, 1), (0, 0))  # pads a zero row under each step's block
     Ea = np.concatenate([steps.E, steps.D1[:, :, None]], axis=2)
     Ga = np.pad(np.concatenate([steps.G, steps.D2[:, :, None]], axis=2), below)
     Ga[:, n, n] = 1.0
     Ha = np.pad(steps.H, below)
-    P, gains = value_sweep(Ea, steps.F, Ga, Ha, Qh, Rh, Sh, np.pad(prob.M, (0, 1)), N, BackwardFailure)
+    P, gains = value_sweep(Ea, steps.F, Ga, Ha, Qh, Rh, Sh, np.pad(prob.M, (0, 1)), N, h)
     return AffineBackwardPass(M=P[:, :n, :n], Y=P[:, :n, n], U1=gains[:, :, :n], U2=gains[:, :, n])
 
 

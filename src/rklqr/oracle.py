@@ -5,10 +5,11 @@ QP and solves its KKT system in a single dense factorization; it shares no
 recursion with the feedback pipeline, so agreement is a real cross-check.
 adjoint_costates back-substitutes the symplectic partitioned RK costate
 system, the reference for Hager's equivalence with the solver's adjoint.
-grad_fd / grad_exact / quasi_newton provide three mutually independent
-routes to the cost gradient and the quasi-Newton metric W(U); the scalar
-curve demo reproduces the 1-D counterexample that bounds the iteration's
-convergence rate away from superlinear.
+grad_exact and quasi_newton share one dense model, the chain rule through
+all steps in block matrices, for the gradient and the metric W(U); grad_fd
+differences the cost itself.  The scalar curve demo reproduces the 1-D
+counterexample that bounds the iteration's convergence rate away from
+superlinear.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from . import ilqr
 from .dlqr import stage_cost_blocks
 from .errors import OracleFailure
 from .tableau import adjoint
+
+CURVE_TOL = 1e-10  # the curve demo stops once |Y| is below this
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,14 +73,28 @@ class ScalarCurveTrace:
     converged: bool
 
 
+def _blockdiag(blocks, N: int) -> np.ndarray:
+    """(N, p, q) blocks, or one (p, q) block N times, down the diagonal of an (N p, N q) matrix.
+
+    For one block this is kron(eye(N), block), except that the entries off
+    the blocks are +0.0 where np.kron writes 0 · x = -0.0 beside a negative x.
+    """
+    blocks = np.broadcast_to(blocks, (N,) + np.shape(blocks)[-2:])
+    _, p, q = blocks.shape
+    out = np.zeros((N, p, N, q))
+    k = np.arange(N)
+    out[k, :, k] = blocks
+    return out.reshape(N * p, N * q)
+
+
 def qp_solve(prob, tab, N: int) -> QPSolution:
     """Solve the discretized problem by one dense KKT factorization.
 
     Variables are all stage controls, stage states and node states x_1..x_N;
     constraints are the stage and node-transition equations specialized to
-    linear dynamics.  The indefinite system is LU-factored once and refined
-    twice, which keeps the multipliers sharp on stiff instances.  Intended
-    for small N.
+    linear dynamics, each block of a step placed once for all steps.  The
+    indefinite system is LU-factored once and refined twice, which keeps the
+    multipliers sharp on stiff instances.  Intended for small N.
     """
     n, m, s = prob.n, prob.m, tab.s
     h = prob.tf / N
@@ -95,51 +112,24 @@ def qp_solve(prob, tab, N: int) -> QPSolution:
     Z = np.tile(np.eye(n), (s, 1))
 
     nu, nx, nd = s * m * N, s * n * N, n * N
-    nz = nu + nx + nd
-    ncon = nx + nd
+    below = np.eye(N, k=-1)  # step k reads node x_k, the node variable of step k - 1
 
-    P = np.zeros((nz, nz))
-    for k in range(N):
-        iu = slice(k * s * m, (k + 1) * s * m)
-        ix = slice(nu + k * s * n, nu + (k + 1) * s * n)
-        P[iu, iu] = Rh
-        P[ix, ix] = Qh
-        P[ix, iu] = Sh
-        P[iu, ix] = Sh.T
-    ixN = slice(nu + nx + (N - 1) * n, nz)
-    P[ixN, ixN] += prob.M
-
+    P = np.block([
+        [_blockdiag(Rh, N), _blockdiag(Sh.T, N), np.zeros((nu, nd))],
+        [_blockdiag(Sh, N), _blockdiag(Qh, N), np.zeros((nx, nd))],
+        [np.zeros((nd, nu + nx)), np.pad(prob.M, (nd - n, 0))],
+    ])
     # constraints: stage rows then transition rows, both in residual form
     #   Z x_k + Acal X_k + Bcal U_k - X_k = 0
     #   x_k + Bt X_k + Ct U_k - x_{k+1}  = 0
-    Amat = np.zeros((ncon, nz))
-    rhs_c = np.zeros(ncon)
-    for k in range(N):
-        iu = slice(k * s * m, (k + 1) * s * m)
-        ix = slice(nu + k * s * n, nu + (k + 1) * s * n)
-        rs = slice(k * s * n, (k + 1) * s * n)
-        Amat[rs, iu] = Bcal
-        Amat[rs, ix] = Acal - np.eye(s * n)
-        if k == 0:
-            rhs_c[rs] = -(Z @ prob.x0)
-        else:
-            ixprev = slice(nu + nx + (k - 1) * n, nu + nx + k * n)
-            Amat[rs, ixprev] = Z
-        rd = slice(nx + k * n, nx + (k + 1) * n)
-        Amat[rd, iu] = Ct
-        Amat[rd, ix] = Bt
-        Amat[rd, nu + nx + k * n : nu + nx + (k + 1) * n] = -np.eye(n)
-        if k == 0:
-            rhs_c[rd] = -prob.x0
-        else:
-            ixprev = slice(nu + nx + (k - 1) * n, nu + nx + k * n)
-            Amat[rd, ixprev] = np.eye(n)
-
-    kkt = np.zeros((nz + ncon, nz + ncon))
-    kkt[:nz, :nz] = P
-    kkt[:nz, nz:] = Amat.T
-    kkt[nz:, :nz] = Amat
-    rhs = np.concatenate([np.zeros(nz), rhs_c])
+    # with the known x_0 = x0 of the first step moved to the right-hand side
+    Amat = np.block([
+        [_blockdiag(Bcal, N), _blockdiag(Acal - np.eye(s * n), N), np.kron(below, Z)],
+        [_blockdiag(Ct, N), _blockdiag(Bt, N), np.kron(below - np.eye(N), np.eye(n))],
+    ])
+    kkt = np.block([[P, Amat.T], [Amat, np.zeros((nx + nd, nx + nd))]])
+    rhs = np.concatenate([np.zeros(nu + nx + nd), -(Z @ prob.x0), np.zeros(nx - s * n),
+                          -prob.x0, np.zeros(nd - n)])
     try:
         factors = scipy.linalg.lu_factor(kkt)
         sol = scipy.linalg.lu_solve(factors, rhs)
@@ -152,17 +142,9 @@ def qp_solve(prob, tab, N: int) -> QPSolution:
 
     data_norm = max(np.abs(kkt).max(), np.abs(rhs).max(initial=0.0))
     residual = float(np.abs(kkt @ sol - rhs).max())
-    z, nu_mult = sol[:nz], sol[nz:]
-    x = np.vstack([prob.x0, z[nu + nx :].reshape(N, n)])
-    return QPSolution(
-        U=z[:nu].reshape(N, s * m),
-        X=z[nu : nu + nx].reshape(N, s * n),
-        x=x,
-        mu=nu_mult[:nx].reshape(N, s * n),
-        lam=nu_mult[nx:].reshape(N, n),
-        kkt_residual=residual,
-        data_norm=float(data_norm),
-    )
+    U, X, x, mu, lam = (v.reshape(N, -1) for v in np.split(sol, np.cumsum([nu, nx, nd, nx])))
+    return QPSolution(U=U, X=X, x=np.vstack([prob.x0, x]), mu=mu, lam=lam,
+                      kkt_residual=residual, data_norm=float(data_norm))
 
 
 def adjoint_costates(prob, tab, state) -> AdjointCostates:
@@ -214,80 +196,60 @@ def grad_fd(prob, tab, N: int, U) -> np.ndarray:
     return g
 
 
-def _sensitivities(prob, tab, state, steps):
-    """Forward accumulation of dX_k/dU (per step) and dx_N/dU through the chain."""
-    n = prob.n
-    N = state.N
-    blk = state.U.shape[1]
-    P = np.zeros((n, blk * N))
-    stage_sens = []
-    for k in range(N):
-        Rk = steps.E[k] @ P
-        Rk[:, k * blk : (k + 1) * blk] += steps.F[k]
-        stage_sens.append(Rk)
-        P = steps.G[k] @ P
-        P[:, k * blk : (k + 1) * blk] += steps.H[k]
-    return stage_sens, P
+def _dense_model(prob, tab, N: int, U):
+    """The iterate at U, its sensitivities dX/dU and dx_N/dU, and the cost gradient Y.
 
-
-def grad_exact(prob, tab, N: int, U) -> np.ndarray:
-    """Exact cost gradient assembled from dense step sensitivities."""
+    The chain rule through all N steps at once, in block matrices.  The
+    node sensitivities follow dx_{k+1} = G_k dx_k + H_k dU_k from dx_0 = 0:
+    one block lower-triangular solve with I - G below the diagonal against
+    blockdiag(H).  The stage sensitivities are dX_k = E_k dx_k + F_k dU_k.
+    Y = dX'w + r + dx_N'M x_N, with w and r the running-cost gradients in the
+    stage states and the stage controls.
+    """
     state = ilqr.rollout(prob, tab, N, U)
     steps = ilqr.linearize(prob, tab, state)
     Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, state.h)
-    stage_sens, PN = _sensitivities(prob, tab, state, steps)
-    blk = state.U.shape[1]
-    Y = np.zeros(blk * N)
-    for k in range(N):
-        w = Qh @ state.X[k] + Sh @ state.U[k]
-        own = Rh @ state.U[k] + Sh.T @ state.X[k]
-        Y += stage_sens[k].T @ w
-        Y[k * blk : (k + 1) * blk] += own
-    Y += PN.T @ (prob.M @ state.x[-1])
-    return Y.reshape(N, blk)
+    n = prob.n
+    chain = np.eye(N * n) - np.pad(_blockdiag(steps.G[1:], N - 1), ((n, 0), (0, n)))
+    dx = scipy.linalg.solve_triangular(chain, _blockdiag(steps.H, N), lower=True, unit_diagonal=True)
+    dX = _blockdiag(steps.E, N) @ np.pad(dx[:-n], ((n, 0), (0, 0))) + _blockdiag(steps.F, N)
+    w = state.X @ Qh.T + state.U @ Sh.T
+    r = state.U @ Rh.T + state.X @ Sh
+    Y = dX.T @ w.ravel() + r.ravel() + dx[-n:].T @ (prob.M @ state.x[-1])
+    return state, dX, dx[-n:], Y
+
+
+def grad_exact(prob, tab, N: int, U) -> np.ndarray:
+    """Exact cost gradient from the dense sensitivities, shape (N, s*m)."""
+    *_, Y = _dense_model(prob, tab, N, U)
+    return Y.reshape(N, -1)
 
 
 def quasi_newton(prob, tab, N: int, U) -> QuasiNewtonData:
     """Assemble the dense quadratic model (W, Y, C) at U and its minimizer step.
 
-    W = F'(U)' Qcal F'(U) + Rcal + dx_N' M dx_N plus the cross blocks of Scal;
-    Y is the gradient; the returned direction is -W^{-1} Y.  Small instances
-    only.
+    W = dX' Qcal dX + Rcal + dx_N' M dx_N plus the cross blocks of Scal,
+    with dX and dx_N the sensitivities of ``grad_exact``'s model; Y is the
+    gradient; the returned direction is -W^{-1} Y.  Small instances only.
     """
-    state = ilqr.rollout(prob, tab, N, U)
-    steps = ilqr.linearize(prob, tab, state)
+    state, dX, dxN, Y = _dense_model(prob, tab, N, U)
     Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, state.h)
-    stage_sens, PN = _sensitivities(prob, tab, state, steps)
-    blk = state.U.shape[1]
-    dim = blk * N
-    W = np.kron(np.eye(N), Rh)
-    Y = np.zeros(dim)
-    for k in range(N):
-        Rk = stage_sens[k]
-        W += Rk.T @ Qh @ Rk
-        cols = slice(k * blk, (k + 1) * blk)
-        W[:, cols] += Rk.T @ Sh
-        W[cols, :] += Sh.T @ Rk
-        w = Qh @ state.X[k] + Sh @ state.U[k]
-        own = Rh @ state.U[k] + Sh.T @ state.X[k]
-        Y += Rk.T @ w
-        Y[k * blk : (k + 1) * blk] += own
-    W += PN.T @ prob.M @ PN
-    Y += PN.T @ (prob.M @ state.x[-1])
+    cross = _blockdiag(Sh.T, N) @ dX
+    W = dX.T @ _blockdiag(Qh, N) @ dX + _blockdiag(Rh, N) + cross + cross.T + dxN.T @ prob.M @ dxN
     W = 0.5 * (W + W.T)
     direction = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(W), Y)
     return QuasiNewtonData(W=W, Y=Y, C=state.Jd, direction=direction)
 
 
-def scalar_curve_demo(u0: float, tol=1e-10, max_iter=100, force_full_step=False) -> ScalarCurveTrace:
+def scalar_curve_demo(u0: float, max_iter=100, force_full_step=False) -> ScalarCurveTrace:
     """Minimize 1/2 x^2 + 1/2 u^2 on the curve x = u^2 + 1 by the same iteration.
 
     The closest point to the origin is u* = 0.  Steps follow
     u <- u - alpha Y(u)/W(u) with W = 1 + g'(u)^2 and Y = j'(u), Armijo
     backtracking with the solver's ARMIJO_C1 unless force_full_step pins
-    alpha = 1.  The curvature gap |j'' - W| = |g'' g| = 2 at u* keeps the
-    contraction ratio bounded away from zero, so convergence is linear, never
-    superlinear.
+    alpha = 1, until |Y| < CURVE_TOL or max_iter steps.  The curvature gap
+    |j'' - W| = |g'' g| = 2 at u* keeps the contraction ratio bounded away
+    from zero, so convergence is linear, never superlinear.
 
     j(u) = 1/2 u^4 + 3/2 u^2 + 1/2, so the Armijo decrease is evaluated in
     the expanded difference form j(c) - j(u); subtracting the constant 1/2
@@ -309,19 +271,16 @@ def scalar_curve_demo(u0: float, tol=1e-10, max_iter=100, force_full_step=False)
     converged = False
     for _ in range(max_iter):
         Y = jprime(u)
-        if abs(Y) < tol:
+        if abs(Y) < CURVE_TOL:
             converged = True
             break
         W = 1.0 + (2.0 * u) ** 2
         d = -Y / W
-        if force_full_step:
-            alpha = 1.0
-        else:
-            alpha = 1.0
-            while jdiff(u + alpha * d, u) > ilqr.ARMIJO_C1 * alpha * Y * d:
-                alpha *= 0.5
-                if alpha < 2.0**-30:
-                    raise OracleFailure("curve demo line search failed")
+        alpha = 1.0
+        while not force_full_step and jdiff(u + alpha * d, u) > ilqr.ARMIJO_C1 * alpha * Y * d:
+            alpha *= 0.5
+            if alpha < 2.0**-30:
+                raise OracleFailure("curve demo line search failed")
         u = u + alpha * d
         us.append(u)
         js.append(j(u))

@@ -155,6 +155,16 @@ class TestSolveCommand:
             cli.main(["solve", "--problem", "spring"])
         assert exc.value.code == 2
 
+    def test_solver_failure_exits_1(self, tmp_path, capsys):
+        # the midpoint rule weights stage 1 by 0, so the stage Hessians are
+        # singular; the 200-step solve fails in its 25-step coarse start
+        spec = tmp_path / "midpoint.json"
+        spec.write_text('{"s": 2, "a": [0, 0, 0.5, 0], "b": [0, 1], "name": "midpoint"}')
+        rc = cli.main(["solve", "--problem", "pendulum", "--method", str(spec), "--steps", "200"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "solver failure: stage Hessian not positive definite at step 22, h = 0.16\n")
+
 
 class TestCoarseStart:
     def test_cubic_lagrange_is_exact_on_cubics(self):
@@ -293,8 +303,15 @@ class TestOrderStudyCommand:
         (["--h-grid", "0.1,inf,0.04"], "step inf must be finite and positive"),
         (["--h-grid", "0.1,0.05,0.04", "--ref-refine", "0"], "ref_refine 0 must be >= 1"),
         (["--h-grid", ","], "the step grid is empty"),
-    ], ids=["zero-h", "nan-h", "negative-h", "inf-h", "zero-refine", "empty-grid"])
-    def test_bad_step_or_refinement_exits_2(self, capsys, extra, message):
+        (["--h-grid", "0.1,0.05,0.03,0.02"], "step 0.03 does not divide tf = 4.0"),
+        (["--h-grid", "0.1,0.07"], "step 0.07 does not divide tf = 4.0"),
+    ], ids=["zero-h", "nan-h", "negative-h", "inf-h", "zero-refine", "empty-grid", "h-not-dividing-tf",
+            "coarse-h-not-dividing-tf"])
+    def test_bad_step_or_refinement_exits_2(self, monkeypatch, capsys, extra, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the step grid was checked")
+
+        monkeypatch.setattr(cli, "solve_problem", no_solve)
         rc = cli.main(["order-study", "--problem", "pendulum", "--method", "methodB", *extra])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -8,7 +8,7 @@ import pytest
 
 from rklqr import dlqr
 from rklqr.cli import max_node_error, max_stage_error
-from rklqr.errors import RiccatiFailure
+from rklqr.errors import BackwardFailure
 from rklqr.problem import LQProblem, example31, spring_oscillator
 from rklqr.tableau import builtin
 
@@ -138,7 +138,7 @@ class TestRiccati:
         bad = ButcherTableau(a=[[0, 0], [1, 0]], b=[1.5, -0.5])
         prob, _ = example31()
         sysm = dlqr.assemble(prob, bad, 4)
-        with pytest.raises(RiccatiFailure):
+        with pytest.raises(BackwardFailure):
             dlqr.riccati_backward(sysm)
 
 

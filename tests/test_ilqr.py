@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rklqr import dlqr, ilqr, oracle
-from rklqr.errors import NodeControlFailure, NotConverged, RolloutDiverged
+from rklqr.errors import LineSearchFailed, NodeControlFailure, NotConverged, RolloutDiverged
 from rklqr.problem import (
     NonlinearProblem,
     example31,
@@ -373,6 +373,16 @@ class TestSolve:
         state, log = exc.value.state, exc.value.log
         assert state is not None and log and state.Jd == log[-1].Jd
         assert log[-1].grad_inf_norm < 1e-10
+
+    def test_line_search_failure_above_the_rounding_floor_is_raised(self, monkeypatch):
+        # far from the optimum the predicted decrease is well above rounding,
+        # so a failed line search is a failure, not the rounding floor
+        def no_step(*args):
+            raise LineSearchFailed("no acceptable step")
+
+        monkeypatch.setattr(ilqr, "line_search", no_step)
+        with pytest.raises(LineSearchFailed, match="^no acceptable step$"):
+            ilqr.solve(pendulum(), builtin("methodB"), 20)
 
     def test_each_iterate_is_linearized_once(self, monkeypatch):
         # every jac_x call is a rollout sweep (one f call each) or a

@@ -202,6 +202,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             LQProblem(**data)
 
+    @pytest.mark.parametrize("tf", [0.0, -1.0])
+    def test_nonpositive_horizon_rejected(self, tf):
+        with pytest.raises(ValueError, match="^tf must be positive$"):
+            LQProblem(A=[[0.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], M=[[0.0]], x0=[1.0], tf=tf)
+
     @pytest.mark.parametrize("field, value", [
         ("tf", np.nan), ("x0", [np.inf, 0.0]), ("M", np.full((2, 2), np.nan)),
     ])

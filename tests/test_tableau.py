@@ -1,5 +1,7 @@
 """Tableau construction, adjoint pairs, and internal-stage order conditions."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,14 @@ class TestConstruction:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
             ButcherTableau(a=[[0, 0], [1, 0]], b=[0.5, 0.6])
+
+    @pytest.mark.parametrize("a, b, message", [
+        ([[0, 0]], [0.5, 0.5], r"a must be 2x2, got \(1, 2\)"),
+        ([[0, 0], [1, 0]], [0.25, 0.5, 0.25], r"a must be 3x3, got \(2, 2\)"),
+    ])
+    def test_a_must_be_s_by_s(self, a, b, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ButcherTableau(a=a, b=b)
 
     def test_c_is_not_an_argument(self):
         ButcherTableau(a=[[0, 0], [1, 0]], b=[0.5, 0.5])
@@ -141,6 +151,16 @@ class TestStageOrders:
             assert rep.c_match
             assert rep.predicted_order == min(q1, q2)
             assert rep.q1 >= 2
+
+    @pytest.mark.parametrize("i, r, message", [
+        (0, 3, "stage index 0 out of range 1..3"),
+        (4, 3, "stage index 4 out of range 1..3"),
+        (1, 0, "method order r must be >= 1"),
+    ])
+    def test_bad_stage_or_order_rejected(self, i, r, message):
+        tab = builtin("methodB")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stage_orders(tab, adjoint(tab), i, r)
 
     def test_methodC_predictions(self):
         tab = builtin("methodC")
