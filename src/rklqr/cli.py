@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dlqr, ilqr, oracle
-from .errors import NeedsReference, NoFit, NotFound, SolverError
+from .errors import AdjointUndefined, NeedsReference, NoFit, NotFound, SolverError
 from .problem import LQProblem, builtin_problem, load_problem
 from .tableau import BUILTIN_ORDERS, ButcherTableau, adjoint, builtin, load_tableau, stage_orders
-from .errors import AdjointUndefined
 
 
 @dataclass(frozen=True)
@@ -104,21 +103,6 @@ def solve_problem(prob, tab: ButcherTableau, N: int, tol=1e-8, max_iter=200):
     return traj, {"Jd": state.Jd, "iterations": len(log), "log": log}
 
 
-class GridReference:
-    """Node-control reference on a fine uniform grid; exact lookup only."""
-
-    def __init__(self, h, u):
-        self.h = float(h)
-        self.u = np.asarray(u, dtype=float)
-
-    def __call__(self, t):
-        idx = t / self.h
-        j = int(round(idx))
-        if not 0 <= j < self.u.shape[0] or abs(idx - j) > 1e-6:
-            raise NeedsReference(f"time {t!r} is not a node of the reference grid")
-        return self.u[j]
-
-
 def step_count(prob, h: float) -> int:
     """The number of steps N = tf / h; ValueError unless h divides tf."""
     N = int(round(prob.tf / h))
@@ -127,33 +111,42 @@ def step_count(prob, h: float) -> int:
     return N
 
 
-def build_reference(prob, tab: ButcherTableau, h_fine: float) -> GridReference:
-    """Fine-grid methodC solve used as truth for problems without a closed form."""
+def build_reference(prob, tab: ButcherTableau, h_fine: float):
+    """Fine-grid methodC solve used as truth for problems without a closed form.
+
+    Returns the lookup from an array t of fine-grid node times to the node
+    controls there, (len(t), m); NeedsReference for a time off the grid.
+    """
     traj, _ = solve_problem(prob, tab, step_count(prob, h_fine))
-    return GridReference(h=traj.h, u=traj.u)
+
+    def reference(t):
+        idx = t / traj.h
+        j = np.rint(idx).astype(int)
+        off = (j < 0) | (j >= traj.u.shape[0]) | (np.abs(idx - j) > 1e-6)
+        if off.any():
+            raise NeedsReference(f"time {float(t[off.argmax()])!r} is not a node of the reference grid")
+        return traj.u[j]
+
+    return reference
+
+
+def _max_error(values, times, reference) -> float:
+    """max_k ||values_k - u*(times_k)|| over the rows of values (len(times), m)."""
+    ref = np.reshape(reference(times), values.shape)
+    return float(np.linalg.norm(values - ref, axis=1).max())
 
 
 def max_node_error(traj, reference) -> float:
     """max_k ||u_k - u*(t_k)|| over all nodes 0..N."""
-    worst = 0.0
-    for k in range(traj.u.shape[0]):
-        ref = np.atleast_1d(reference(k * traj.h))
-        worst = max(worst, float(np.linalg.norm(traj.u[k] - ref)))
-    return worst
+    return _max_error(traj.u, np.arange(traj.u.shape[0]) * traj.h, reference)
 
 
 def max_stage_error(traj, tab: ButcherTableau, reference, stage: int) -> float:
     """max_k ||u_ki - u*(t_k + c_i h)|| over steps 0..N-1 (stage i, 1-based)."""
     if not 1 <= stage <= tab.s:
         raise ValueError(f"stage {stage} out of range 1..{tab.s}")
-    m = traj.u.shape[1]
-    ci = tab.c[stage - 1]
-    worst = 0.0
-    for k in range(traj.U.shape[0]):
-        uk = traj.U[k][(stage - 1) * m : stage * m]
-        ref = np.atleast_1d(reference((k + ci) * traj.h))
-        worst = max(worst, float(np.linalg.norm(uk - ref)))
-    return worst
+    times = (np.arange(traj.U.shape[0]) + tab.c[stage - 1]) * traj.h
+    return _max_error(traj.U.reshape(len(times), tab.s, -1)[:, stage - 1], times, reference)
 
 
 def _parse_target(target: str, s: int):
@@ -170,10 +163,10 @@ def run_order_study(prob, tab: ButcherTableau, h_grid, target: str,
                     reference=None, ref_refine: int = 40) -> OrderStudy:
     """Solve at each h and fit the convergence slope of the requested error.
 
-    target is "node" or "stage:<i>".  The reference is the analytic control
-    when available, otherwise a methodC solve 'ref_refine' times finer than
-    the smallest h.  Every h must divide tf (``step_count``); the whole grid
-    is checked before anything is solved.
+    target is "node" or "stage:<i>".  The reference maps an array of times to
+    controls: the analytic control if known, else a methodC solve 'ref_refine'
+    times finer than the smallest h.  Every h must divide tf (``step_count``);
+    the whole grid is checked before anything is solved.
     """
     h_grid = [float(h) for h in h_grid]
     if not h_grid:
@@ -248,26 +241,20 @@ def _write_table(path, header, rows):
 # argument resolution
 # ---------------------------------------------------------------------------
 
-def _resolve_method(spec: str) -> ButcherTableau:
+_SOURCES = {"method": (builtin, load_tableau), "problem": (builtin_problem, load_problem)}
+
+
+def _resolve(kind: str, spec: str):
+    """The builtin method or problem named spec, else its spec file; NotFound if neither."""
+    from_builtin, from_file = _SOURCES[kind]
     try:
-        return builtin(spec)
+        return from_builtin(spec)
     except NotFound:
         pass
     try:
-        return load_tableau(spec)
+        return from_file(spec)
     except FileNotFoundError:
-        raise NotFound(f"method {spec!r} is neither builtin nor a readable file") from None
-
-
-def _resolve_problem(spec: str):
-    try:
-        return builtin_problem(spec)
-    except NotFound:
-        pass
-    try:
-        return load_problem(spec)
-    except FileNotFoundError:
-        raise NotFound(f"problem {spec!r} is neither builtin nor a readable file") from None
+        raise NotFound(f"{kind} {spec!r} is neither builtin nor a readable file") from None
 
 
 def _fmt(x) -> str:
@@ -279,8 +266,8 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    prob, _ = _resolve_problem(args.problem)
-    tab = _resolve_method(args.method)
+    prob, _ = _resolve("problem", args.problem)
+    tab = _resolve("method", args.method)
     traj, info = solve_problem(prob, tab, args.steps, tol=args.tol, max_iter=args.max_iter)
     if args.out:
         write_trajectory_csv(args.out, traj)
@@ -292,8 +279,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_order_study(args) -> int:
-    prob, ref = _resolve_problem(args.problem)
-    tab = _resolve_method(args.method)
+    prob, ref = _resolve("problem", args.problem)
+    tab = _resolve("method", args.method)
     h_grid = [float(tok) for tok in args.h_grid.split(",") if tok.strip()]
     study = run_order_study(prob, tab, h_grid, args.target, reference=ref,
                             ref_refine=args.ref_refine)
@@ -306,39 +293,39 @@ def cmd_order_study(args) -> int:
     return 0
 
 
+def _print_rows(label: str, tab: ButcherTableau):
+    print(f"{label}:")
+    for ci, row in zip(tab.c, tab.a):
+        print("  " + _fmt(ci) + " | " + "  ".join(_fmt(v) for v in row))
+
+
 def cmd_tableau(args) -> int:
-    tab = _resolve_method(args.method)
+    tab = _resolve("method", args.method)
     r = args.order if args.order is not None else BUILTIN_ORDERS.get(tab.name)
     print(f"method {tab.name}  (s = {tab.s}, explicit = {tab.is_explicit})")
-    print("c | a:")
-    for i in range(tab.s):
-        print("  " + _fmt(tab.c[i]) + " | " + "  ".join(_fmt(v) for v in tab.a[i]))
+    _print_rows("c | a", tab)
     print("b:   " + "  ".join(_fmt(v) for v in tab.b))
     try:
-        adj = adjoint(tab)
+        _print_rows("cbar | abar", adjoint(tab))
     except AdjointUndefined as exc:
         print(f"adjoint undefined: {exc}")
         return 0
-    print("cbar | abar:")
-    for i in range(tab.s):
-        print("  " + _fmt(adj.cbar[i]) + " | " + "  ".join(_fmt(v) for v in adj.abar[i]))
     if r is None:
         print("stage order report skipped: pass --order for custom tableaus")
         return 0
     print(f"stage orders at OCP order r = {r}:")
     print("  i   q1  q2  c_match  predicted")
-    for i in range(1, tab.s + 1):
-        rep = stage_orders(tab, adj, i, r)
-        print(f"  {i:<3} {rep.q1:<3} {rep.q2:<3} {str(rep.c_match):<8} {rep.predicted_order}")
+    for rep in stage_orders(tab, r):
+        print(f"  {rep.stage:<3} {rep.q1:<3} {rep.q2:<3} {str(rep.c_match):<8} {rep.predicted_order}")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    prob, _ = _resolve_problem(args.problem)
+    prob, _ = _resolve("problem", args.problem)
     if isinstance(prob, LQProblem):
         print("gradcheck expects a nonlinear problem", file=sys.stderr)
         return 2
-    tab = _resolve_method(args.method)
+    tab = _resolve("method", args.method)
     rng = np.random.default_rng(args.seed)
     U = rng.standard_normal((args.steps, tab.s * prob.m))
     ge = oracle.grad_exact(prob, tab, args.steps, U).ravel()

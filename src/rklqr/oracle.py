@@ -157,7 +157,7 @@ def adjoint_costates(prob, tab, state) -> AdjointCostates:
     """
     n, m, s = prob.n, prob.m, tab.s
     N, h = state.N, state.h
-    wts = h * np.vstack([tab.b, -adjoint(tab).abar])  # rows: node, then stage i
+    wts = h * np.vstack([tab.b, -adjoint(tab).a])  # rows: node, then stage i
     base = np.eye((s + 1) * n)
     base[n:, :n] = -np.tile(np.eye(n), (s, 1))
     p, p_stage = np.empty((N + 1, n)), np.empty((N, s * n))
@@ -231,13 +231,17 @@ def quasi_newton(prob, tab, N: int, U) -> QuasiNewtonData:
     W = dX' Qcal dX + Rcal + dx_N' M dx_N plus the cross blocks of Scal,
     with dX and dx_N the sensitivities of ``grad_exact``'s model; Y is the
     gradient; the returned direction is -W^{-1} Y.  Small instances only.
+    OracleFailure when W is not numerically positive definite.
     """
     state, dX, dxN, Y = _dense_model(prob, tab, N, U)
     Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, state.h)
     cross = _blockdiag(Sh.T, N) @ dX
     W = dX.T @ _blockdiag(Qh, N) @ dX + _blockdiag(Rh, N) + cross + cross.T + dxN.T @ prob.M @ dxN
     W = 0.5 * (W + W.T)
-    direction = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(W), Y)
+    try:
+        direction = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(W), Y)
+    except scipy.linalg.LinAlgError:
+        raise OracleFailure(f"metric W is not positive definite, h = {state.h!r}") from None
     return QuasiNewtonData(W=W, Y=Y, C=state.Jd, direction=direction)
 
 

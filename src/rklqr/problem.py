@@ -201,7 +201,7 @@ def example31():
     denom = 0.5 + 1.5 * math.e**2
 
     def u_star(t):
-        return (0.5 * math.exp(t) - 1.5 * math.exp(2.0 - t)) / denom
+        return (0.5 * np.exp(t) - 1.5 * np.exp(2.0 - t)) / denom
 
     return prob, u_star
 
@@ -337,6 +337,8 @@ def load_problem(source):
             tf=float(data["tf"]),
             name=str(data.get("name", "custom")),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"malformed problem spec: missing field {exc.args[0]!r}") from exc
+    except (ValueError, TypeError) as exc:
         raise ValueError(f"malformed problem spec: {exc}") from exc
     return prob, None

@@ -1,9 +1,10 @@
 """Runge-Kutta tableaus, their symplectic adjoint pairs, and stage order checks.
 
-A tableau (a, b, c) discretizes the state; its adjoint partner
-abar_ij = b_j - b_j a_ji / b_i propagates the costate so that the pair is
-symplectic.  Internal-stage control accuracy is governed by how far the
-simplifying conditions
+A tableau (a, b, c) discretizes the state; its adjoint partner, the tableau
+(abar, b, cbar) with abar_ij = b_j - b_j a_ji / b_i, propagates the costate
+so that the pair is symplectic.  Internal-stage control accuracy, which
+``stage_orders`` predicts for every stage at once, is governed by how far
+the simplifying conditions
 
     sum_j a_ij    c_j^(l-2) = c_i^(l-1) / (l-1)     (forward,  order q1)
     sum_j abar_ij c_j^(l-2) = c_i^(l-1) / (l-1)     (adjoint,  order q2)
@@ -92,20 +93,6 @@ class ButcherTableau:
         return f"ButcherTableau(name={self.name!r}, s={self.s})"
 
 
-@dataclass(frozen=True, eq=False)
-class AdjointTableau:
-    """Costate-side coefficients (abar, bbar, cbar) of the symplectic pair."""
-
-    abar: np.ndarray
-    bbar: np.ndarray
-    cbar: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "abar", _frozen(self.abar))
-        object.__setattr__(self, "bbar", _frozen(self.bbar))
-        object.__setattr__(self, "cbar", _frozen(self.cbar))
-
-
 @dataclass(frozen=True)
 class StageOrderReport:
     """Order diagnosis for one internal stage (1-based index)."""
@@ -117,9 +104,10 @@ class StageOrderReport:
     predicted_order: int
 
 
-def adjoint(tab: ButcherTableau) -> AdjointTableau:
-    """Construct the adjoint tableau abar_ij = b_j - b_j a_ji / b_i.
+def adjoint(tab: ButcherTableau) -> ButcherTableau:
+    """The symplectic partner (abar, b, cbar) with abar_ij = b_j - b_j a_ji / b_i.
 
+    It shares the weights b; its abscissae cbar are the row sums of abar.
     Requires every weight b_i > 0; the division is undefined otherwise.
     """
     b = tab.b
@@ -127,12 +115,7 @@ def adjoint(tab: ButcherTableau) -> AdjointTableau:
         bad = int(np.argmin(b)) + 1
         raise AdjointUndefined(f"adjoint needs b_i > 0; b_{bad} = {b[bad - 1]!r}")
     abar = b[None, :] - (b[None, :] * tab.a.T) / b[:, None]
-    return AdjointTableau(abar=abar, bbar=b.copy(), cbar=abar.sum(axis=1))
-
-
-def check_cc(tab: ButcherTableau, adj: AdjointTableau) -> np.ndarray:
-    """Stage-wise test of c_i == cbar_i (within CC_MATCH_TOL)."""
-    return np.abs(tab.c - adj.cbar) <= CC_MATCH_TOL
+    return ButcherTableau(a=abar, b=b, name=f"adjoint({tab.name})")
 
 
 def _largest_condition_order(coeffs_row, c, ci, r):
@@ -151,22 +134,23 @@ def _largest_condition_order(coeffs_row, c, ci, r):
     return q
 
 
-def stage_orders(tab: ButcherTableau, adj: AdjointTableau, i: int, r: int) -> StageOrderReport:
-    """Predict the convergence order of the i-th internal-stage control.
+def stage_orders(tab: ButcherTableau, r: int) -> list:
+    """Predict the convergence order of every internal-stage control, stages 1..s.
 
-    i is 1-based; r is the method's OCP order.  The prediction is 1 when
+    r is the method's OCP order.  The prediction for stage i is 1 when
     c_i != cbar_i and min(q1, q2) capped at r otherwise.
     """
-    if not 1 <= i <= tab.s:
-        raise ValueError(f"stage index {i} out of range 1..{tab.s}")
     if r < 1:
         raise ValueError("method order r must be >= 1")
-    row = i - 1
-    q1 = _largest_condition_order(tab.a[row], tab.c, tab.c[row], r)
-    q2 = _largest_condition_order(adj.abar[row], tab.c, tab.c[row], r)
-    c_match = bool(check_cc(tab, adj)[row])
-    n = min(q1, q2, r) if c_match else 1
-    return StageOrderReport(stage=i, q1=q1, q2=q2, c_match=c_match, predicted_order=n)
+    adj = adjoint(tab)
+    reports = []
+    for row, ci in enumerate(tab.c):
+        q1 = _largest_condition_order(tab.a[row], tab.c, ci, r)
+        q2 = _largest_condition_order(adj.a[row], tab.c, ci, r)
+        c_match = bool(abs(ci - adj.c[row]) <= CC_MATCH_TOL)
+        reports.append(StageOrderReport(stage=row + 1, q1=q1, q2=q2, c_match=c_match,
+                                        predicted_order=min(q1, q2, r) if c_match else 1))
+    return reports
 
 
 def builtin(name: str) -> ButcherTableau:
@@ -229,6 +213,9 @@ def load_tableau(source) -> ButcherTableau:
         s = int(data["s"])
         a = np.asarray(data["a"], dtype=float).reshape(s, s)
         b = np.asarray(data["b"], dtype=float).reshape(s)
-    except (KeyError, ValueError, TypeError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"malformed tableau spec: missing field {exc.args[0]!r} (needs s, "
+                         "a as a flat row-major list of s*s entries, and b)") from exc
+    except (ValueError, TypeError) as exc:
         raise ValueError(f"malformed tableau spec: {exc}") from exc
     return ButcherTableau(a=a, b=b, name=str(data.get("name", "custom")))

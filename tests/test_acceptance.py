@@ -12,7 +12,7 @@ import pytest
 from rklqr import dlqr, ilqr, oracle
 from rklqr.cli import build_reference, max_stage_error, run_order_study
 from rklqr.problem import example31, pendulum, spring_oscillator
-from rklqr.tableau import adjoint, builtin, stage_orders
+from rklqr.tableau import builtin, stage_orders
 
 # Reference table of max internal-control errors for the scalar benchmark
 # (u* known in closed form), 3 significant digits, columns per method/stage.
@@ -84,12 +84,8 @@ def test_criterion_02_stage_slopes_match_min_q1_q2():
     orders = {"methodA": 2, "methodB": 3, "methodC": 4}
     for name, mins in expected.items():
         tab = builtin(name)
-        adj = adjoint(tab)
         # the prediction machinery must agree with the hard-coded table
-        predicted = [
-            stage_orders(tab, adj, i, orders[name]).predicted_order
-            for i in range(1, tab.s + 1)
-        ]
+        predicted = [rep.predicted_order for rep in stage_orders(tab, orders[name])]
         assert predicted == mins
         for stage, target in enumerate(mins, start=1):
             study = run_order_study(prob, tab, H_GRID, f"stage:{stage}", reference=ref)

@@ -1,6 +1,7 @@
 """CLI surface: slope fitting, subcommands, CSV formats, exit codes."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -125,11 +126,28 @@ class TestSolveCommand:
     def test_unknown_problem_exits_2(self, capsys):
         rc = cli.main(["solve", "--problem", "nosuch", "--method", "methodA", "--steps", "4"])
         assert rc == 2
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: problem 'nosuch' is neither builtin nor a readable file\n")
 
-    def test_unknown_method_exits_2(self):
+    def test_unknown_method_exits_2(self, capsys):
         rc = cli.main(["solve", "--problem", "spring", "--method", "rk99", "--steps", "4"])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: method 'rk99' is neither builtin nor a readable file\n")
+
+    @pytest.mark.parametrize("option, spec, message", [
+        ("--method", {"a": [[0, 0], [0.5, 0]], "b": [0, 1]},
+         "malformed tableau spec: missing field 's' (needs s, "
+         "a as a flat row-major list of s*s entries, and b)"),
+        ("--problem", {"kind": "lq", "m": 1}, "malformed problem spec: missing field 'n'"),
+    ], ids=["tableau", "problem"])
+    def test_spec_missing_field_exits_2(self, tmp_path, capsys, option, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        args = {"--problem": "spring", "--method": "methodA", option: str(path)}
+        rc = cli.main(["solve", *(tok for pair in args.items() for tok in pair), "--steps", "4"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     @pytest.mark.parametrize("problem", ["spring", "pendulum"])
@@ -328,10 +346,38 @@ class TestOrderStudyCommand:
         assert capsys.readouterr().err == (
             f"error: unknown target {target!r} (use node or stage:<i> with 1 <= i <= 3)\n")
 
+    def test_off_grid_reference_time_exits_2(self, capsys):
+        # the reference grid of h = 4 / 1 has no node at 5, the first node of h = 5
+        rc = cli.main(["order-study", "--problem", "spring", "--method", "euler",
+                       "--h-grid", "8,5,4", "--ref-refine", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: time 5.0 is not a node of the reference grid\n"
+
     def test_stage_out_of_range_exits_2(self):
         rc = cli.main(["order-study", "--problem", "example31", "--method", "methodA",
                        "--h-grid", "0.1,0.05,0.025", "--target", "stage:7"])
         assert rc == 2
+
+
+class TestMaxError:
+    @pytest.mark.parametrize("problem", ["example31", "spring"])
+    def test_matches_a_loop_over_nodes_and_steps(self, problem):
+        # the array expressions do the per-node arithmetic, so they agree exactly
+        prob, reference = builtin_problem(problem)
+        tab = builtin("methodC")
+        if reference is None:
+            reference = cli.build_reference(prob, tab, prob.tf / 400)
+        traj, _ = cli.solve_problem(prob, tab, 50)
+
+        def error(u, t):
+            return np.linalg.norm(u - np.reshape(reference(np.array([t])), -1))
+
+        node = max(error(traj.u[k], k * traj.h) for k in range(51))
+        assert cli.max_node_error(traj, reference) == node
+        for i in range(1, tab.s + 1):
+            stage = max(error(traj.U[k].reshape(tab.s, -1)[i - 1], (k + tab.c[i - 1]) * traj.h)
+                        for k in range(50))
+            assert cli.max_stage_error(traj, tab, reference, i) == stage
 
 
 def _predicted_orders(report: str):

@@ -533,7 +533,7 @@ def _costate_residual(prob, tab, state, cost):
         r_node = cost.p[k + 1] - (cost.p[k] - h * tab.b @ grads)
         worst = max(worst, np.abs(r_node).max())
         for i in range(s):
-            r_stage = ps[i] - (cost.p[k] - h * adj.abar[i] @ grads)
+            r_stage = ps[i] - (cost.p[k] - h * adj.a[i] @ grads)
             worst = max(worst, np.abs(r_stage).max())
     return worst
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rklqr import dlqr, ilqr, oracle
+from rklqr.errors import OracleFailure
 from rklqr.problem import LQProblem, example31, pendulum, spring_oscillator
 from rklqr.tableau import builtin
 
@@ -124,6 +125,12 @@ class TestQuasiNewton:
             U = rng.standard_normal((3, 3))
             qn = oracle.quasi_newton(prob, tab, 3, U)
             np.linalg.cholesky(qn.W)  # raises if not PD
+
+    def test_W_not_positive_definite_is_oracle_failure(self):
+        # spring at N = 6 (h = 20/3) under methodB: W has a negative pivot
+        U = np.random.default_rng(0).standard_normal((6, 3))
+        with pytest.raises(OracleFailure, match=r"^metric W is not positive definite, h = 6\.666"):
+            oracle.quasi_newton(spring_oscillator(), builtin("methodB"), 6, U)
 
     def test_linear_problem_W_is_exact_hessian(self):
         # second differences of the cost reproduce W when the maps are linear;

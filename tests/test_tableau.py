@@ -12,7 +12,6 @@ from rklqr.tableau import (
     ButcherTableau,
     adjoint,
     builtin,
-    check_cc,
     explicit3_family,
     load_tableau,
     stage_orders,
@@ -96,15 +95,16 @@ class TestAdjoint:
     )
     def test_builtin_adjoints_entry_exact(self, name, expected, cbar):
         adj = adjoint(builtin(name))
-        np.testing.assert_allclose(adj.abar, expected, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(adj.cbar, cbar, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(adj.bbar, builtin(name).b)
+        assert isinstance(adj, ButcherTableau)
+        np.testing.assert_allclose(adj.a, expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(adj.c, cbar, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(adj.b, builtin(name).b)
 
     def test_euler_adjoint_is_implicit_euler(self):
         # abar_11 = b_1 - b_1 a_11 / b_1 = 1, the symplectic-Euler partner;
         # the pairing identity b_i abar_ij + b_j a_ji - b_i b_j = 0 forces it
         adj = adjoint(builtin("euler"))
-        assert adj.abar[0, 0] == 1.0 and adj.cbar[0] == 1.0
+        assert adj.a[0, 0] == 1.0 and adj.c[0] == 1.0
 
     def test_zero_weight_rejected(self):
         tab = ButcherTableau(a=np.zeros((2, 2)), b=[1.0, 0.0])
@@ -128,8 +128,10 @@ class TestAdjoint:
         a = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(s, s))
         tab = ButcherTableau(a=a, b=b)
         adj = adjoint(tab)
-        resid = b[:, None] * adj.abar + (b[:, None] * tab.a).T - np.outer(b, b)
+        resid = b[:, None] * adj.a + (b[:, None] * tab.a).T - np.outer(b, b)
         assert np.abs(resid).max() < 1e-14
+        # the pairing is an involution: the partner's partner is the tableau
+        np.testing.assert_allclose(adjoint(adj).a, tab.a, rtol=0, atol=1e-12)
 
 
 class TestStageOrders:
@@ -143,49 +145,36 @@ class TestStageOrders:
     @pytest.mark.parametrize("name", sorted(Q1Q2))
     def test_q1_q2_table(self, name):
         r, expected = self.Q1Q2[name]
-        tab = builtin(name)
-        adj = adjoint(tab)
-        for i, (q1, q2) in enumerate(expected, start=1):
-            rep = stage_orders(tab, adj, i, r)
+        reports = stage_orders(builtin(name), r)
+        assert [rep.stage for rep in reports] == list(range(1, len(expected) + 1))
+        for rep, (q1, q2) in zip(reports, expected):
             assert (rep.q1, rep.q2) == (q1, q2)
             assert rep.c_match
             assert rep.predicted_order == min(q1, q2)
             assert rep.q1 >= 2
 
-    @pytest.mark.parametrize("i, r, message", [
-        (0, 3, "stage index 0 out of range 1..3"),
-        (4, 3, "stage index 4 out of range 1..3"),
-        (1, 0, "method order r must be >= 1"),
-    ])
-    def test_bad_stage_or_order_rejected(self, i, r, message):
-        tab = builtin("methodB")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            stage_orders(tab, adjoint(tab), i, r)
+    def test_bad_order_rejected(self):
+        with pytest.raises(ValueError, match=f"^{re.escape('method order r must be >= 1')}$"):
+            stage_orders(builtin("methodB"), 0)
 
     def test_methodC_predictions(self):
-        tab = builtin("methodC")
-        adj = adjoint(tab)
-        preds = [stage_orders(tab, adj, i, 4).predicted_order for i in range(1, 5)]
+        preds = [rep.predicted_order for rep in stage_orders(builtin("methodC"), 4)]
         assert preds == [3, 2, 2, 3]
 
     def test_trapezoidal_first_order(self):
-        tab = builtin("trapezoidal")
-        adj = adjoint(tab)
-        for i in (1, 2):
-            rep = stage_orders(tab, adj, i, 2)
+        reports = stage_orders(builtin("trapezoidal"), 2)
+        assert len(reports) == 2
+        for rep in reports:
             assert not rep.c_match
             assert rep.predicted_order == 1
 
     def test_euler_capped_at_method_order(self):
-        tab = builtin("euler")
-        adj = adjoint(tab)
-        rep = stage_orders(tab, adj, 1, 1)
+        [rep] = stage_orders(builtin("euler"), 1)
         assert rep.q1 >= 2 and rep.predicted_order == 1
 
     def test_methodA_stage2(self):
-        tab = builtin("methodA")
-        rep = stage_orders(tab, adjoint(tab), 2, 2)
-        assert (rep.q1, rep.q2, rep.predicted_order) == (2, 2, 2)
+        rep = stage_orders(builtin("methodA"), 2)[1]
+        assert rep.stage == 2 and (rep.q1, rep.q2, rep.predicted_order) == (2, 2, 2)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -195,10 +184,9 @@ class TestStageOrders:
         tab = builtin("methodC")
         perm = rng.permutation(4)
         permuted = ButcherTableau(a=tab.a[np.ix_(perm, perm)], b=tab.b[perm])
-        adj, padj = adjoint(tab), adjoint(permuted)
+        reports, permuted_reports = stage_orders(tab, 4), stage_orders(permuted, 4)
         for new_i, old_i in enumerate(perm):
-            rep_old = stage_orders(tab, adj, old_i + 1, 4)
-            rep_new = stage_orders(permuted, padj, new_i + 1, 4)
+            rep_old, rep_new = reports[old_i], permuted_reports[new_i]
             assert (rep_new.q1, rep_new.q2, rep_new.c_match, rep_new.predicted_order) == (
                 rep_old.q1,
                 rep_old.q2,
@@ -207,20 +195,25 @@ class TestStageOrders:
             )
 
 
+def _c_match(tab):
+    return [rep.c_match for rep in stage_orders(tab, 1)]
+
+
 class TestCheckCC:
+    """The abscissa match c_i == cbar_i that stage_orders reports per stage."""
+
     def test_benchmark_methods_match(self):
         for name in ("methodA", "methodB", "methodC"):
             tab = builtin(name)
-            assert check_cc(tab, adjoint(tab)).all()
+            assert all(_c_match(tab))
+            np.testing.assert_allclose(adjoint(tab).c, tab.c, rtol=0, atol=1e-12)
 
     def test_trapezoidal_mismatch(self):
-        tab = builtin("trapezoidal")
-        np.testing.assert_array_equal(check_cc(tab, adjoint(tab)), [False, False])
+        assert _c_match(builtin("trapezoidal")) == [False, False]
 
     def test_euler(self):
         # c_1 = 0 but cbar_1 = 1: the one-stage pair staggers its abscissae
-        tab = builtin("euler")
-        np.testing.assert_array_equal(check_cc(tab, adjoint(tab)), [False])
+        assert _c_match(builtin("euler")) == [False]
 
 
 class TestExplicit3Family:
@@ -247,7 +240,7 @@ class TestExplicit3Family:
         # abscissae of both tableaus agree stage-wise
         tab = explicit3_family(c2)
         assert abs(tab.b.sum() - 1.0) < 1e-13
-        assert check_cc(tab, adjoint(tab)).all()
+        assert all(_c_match(tab))
 
     @given(st.floats(0.05, 0.95))
     @settings(max_examples=60, deadline=None)
