@@ -74,14 +74,14 @@ def cubic_lagrange(u, h: float, t) -> np.ndarray:
 def solve_problem(prob, tab: ButcherTableau, N: int, tol=1e-8, max_iter=200):
     """Solve by DLQR (linear) or ILQR (nonlinear); returns (trajectory, info).
 
-    A nonlinear solve starts from a coarse one: when N // COARSEN has at
-    least MIN_COARSE_STEPS steps, the same problem is first solved there
-    (recursively, with the same tableau, tol and max_iter), and ``ilqr.solve``
-    starts from its node controls and node states interpolated by
-    ``cubic_lagrange`` at the stage times (k + c_i) h: the controls as U0,
-    the states as X0, the start of the first rollout's Newton sweeps.  info
-    carries Jd, the iteration count and the ILQR iterate log of the fine
-    solve.  tol and max_iter go through
+    A nonlinear solve starts from coarse ones: the ladder N, N // COARSEN,
+    ... keeps every rung of at least MIN_COARSE_STEPS steps and is solved
+    coarsest first, with the same tableau, tol and max_iter.  Each finer
+    ``ilqr.solve`` starts from the previous rung's node controls and node
+    states interpolated by ``cubic_lagrange`` at the stage times (k + c_i) h:
+    the controls as U0, the states as X0, the start of the first rollout's
+    Newton sweeps.  info carries Jd, the iteration count and the ILQR
+    iterate log of the finest solve.  tol and max_iter go through
     ``ilqr.check_stopping_rule`` for either kind.
     """
     ilqr.check_stopping_rule(tol, max_iter)
@@ -90,16 +90,19 @@ def solve_problem(prob, tab: ButcherTableau, N: int, tol=1e-8, max_iter=200):
         _, _, traj = dlqr.solve(prob, tab, N)
         Jd = dlqr.discrete_cost(prob, tab, traj.U, traj.X, traj.x)
         return traj, {"Jd": Jd, "iterations": 0, "log": []}
+    ladder = [N]
+    while ladder[-1] // COARSEN >= MIN_COARSE_STEPS:
+        ladder.append(ladder[-1] // COARSEN)
     U0 = X0 = None
-    if N // COARSEN >= MIN_COARSE_STEPS:
-        coarse, _ = solve_problem(prob, tab, N // COARSEN, tol=tol, max_iter=max_iter)
-        times = ((np.arange(N)[:, None] + tab.c) * (prob.tf / N)).ravel()
-        U0 = cubic_lagrange(coarse.u, coarse.h, times).reshape(N, tab.s * prob.m)
-        X0 = cubic_lagrange(coarse.x, coarse.h, times).reshape(N, tab.s * prob.n)
-    state, log = ilqr.solve(prob, tab, N, U0=U0, tol=tol, max_iter=max_iter, X0=X0)
-    p = ilqr.costates(prob, tab, state)
-    u = ilqr.node_controls(prob, state, p)
-    traj = dlqr.DiscreteTrajectory(x=state.x, X=state.X, U=state.U, p=p, u=u, h=state.h)
+    for level in reversed(ladder):
+        if level != ladder[-1]:
+            times = ((np.arange(level)[:, None] + tab.c) * (prob.tf / level)).ravel()
+            U0 = cubic_lagrange(traj.u, traj.h, times).reshape(level, tab.s * prob.m)
+            X0 = cubic_lagrange(traj.x, traj.h, times).reshape(level, tab.s * prob.n)
+        state, log = ilqr.solve(prob, tab, level, U0=U0, tol=tol, max_iter=max_iter, X0=X0)
+        p = ilqr.costates(prob, tab, state)
+        u = ilqr.node_controls(prob, state, p)
+        traj = dlqr.DiscreteTrajectory(x=state.x, X=state.X, U=state.U, p=p, u=u, h=state.h)
     return traj, {"Jd": state.Jd, "iterations": len(log), "log": log}
 
 

@@ -17,30 +17,25 @@ class DegenerateFamily(SolverError):
     """Family parameter hits a pole of the coefficient formulas."""
 
 
-class StepTooLarge(SolverError):
+class StepFailure(SolverError):
+    """A failure at one step of a grid, carrying the step index and the step size h."""
+
+    def __init__(self, what, step, h):
+        super().__init__(f"{what} at step {step}, h = {h!r}")
+        self.step = step
+        self.h = h
+
+
+class StepTooLarge(StepFailure):
     """The stage-coupling matrix I - A became singular at this step size."""
 
-    def __init__(self, message, h=None, step=None):
-        super().__init__(message)
-        self.h = h
-        self.step = step
 
-
-class RolloutDiverged(SolverError):
+class RolloutDiverged(StepFailure):
     """The rollout's Newton sweeps did not settle the stage equations at this step size."""
 
-    def __init__(self, message, h=None):
-        super().__init__(message)
-        self.h = h
 
-
-class BackwardFailure(SolverError):
+class BackwardFailure(StepFailure):
     """A stage Hessian of the backward sweep (DLQR or ILQR) is not positive definite at this step."""
-
-    def __init__(self, message, h, step):
-        super().__init__(message)
-        self.h = h
-        self.step = step
 
 
 class LineSearchFailed(SolverError):
@@ -50,16 +45,16 @@ class LineSearchFailed(SolverError):
 class NotConverged(SolverError):
     """Iteration budget exhausted; carries the last iterate and its log."""
 
-    def __init__(self, message, state=None, log=None):
+    def __init__(self, message, state, log):
         super().__init__(message)
         self.state = state
-        self.log = log if log is not None else []
+        self.log = log
 
 
 class NodeControlFailure(SolverError):
     """Newton iteration for a node control did not converge."""
 
-    def __init__(self, message, index=None):
+    def __init__(self, message, index):
         super().__init__(message)
         self.index = index
 

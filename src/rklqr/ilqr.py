@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dlqr import affine_scan, check_steps, discrete_cost, stage_cost_blocks, step_operators, value_sweep
+from .dlqr import (AffineBackwardPass, Linearization, affine_scan, check_steps, closed_loop, discrete_cost,
+                   stage_cost_blocks, step_operators, value_sweep)
 from .errors import LineSearchFailed, NodeControlFailure, NotConverged, RolloutDiverged, StepTooLarge
 
 ROLLOUT_TOL = 1e-12
@@ -53,32 +54,6 @@ class IterateState:
     @property
     def N(self) -> int:
         return self.U.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class Linearization:
-    """Jacobian data of all N steps at the linearization point, stacked along a leading axis.
-
-    X_k = E_k x_k + F_k U_k + D1_k and x_{k+1} = G_k x_k + H_k U_k + D2_k
-    describe the tangent plane; D1/D2 vanish when the underlying maps are linear.
-    """
-
-    E: np.ndarray  # (N, s*n, n)
-    F: np.ndarray  # (N, s*n, s*m)
-    G: np.ndarray  # (N, n, n)
-    H: np.ndarray  # (N, n, s*m)
-    D1: np.ndarray  # (N, s*n)
-    D2: np.ndarray  # (N, n)
-
-
-@dataclass(frozen=True, eq=False)
-class AffineBackwardPass:
-    """Affine value data V_k(x) = 1/2 x'M_k x + Y_k'x + const and gains, stacked over steps."""
-
-    M: np.ndarray  # (N+1, n, n)
-    Y: np.ndarray  # (N+1, n)
-    U1: np.ndarray  # (N, s*m, n) feedback gains
-    U2: np.ndarray  # (N, s*m) feedforward terms
 
 
 @dataclass(frozen=True)
@@ -147,8 +122,8 @@ def rollout(prob, tab, N: int, U, X=None) -> IterateState:
     returns [E | e] and [G | g] of width n+1: the node states are one
     ``affine_scan(G, g, x_k)`` from the frozen x_k, and the stage states
     X' = E x + e.  A zero row of a gives E = I and e = 0, so the stage is
-    x_k.  The sweeps stop when every step has settled.  RolloutDiverged,
-    carrying h, names the first unsettled step once it has been first for
+    x_k.  The sweeps stop when every step has settled.  RolloutDiverged
+    names and carries the first unsettled step and h once it has been first for
     ROLLOUT_MAXIT sweeps, once a state is not finite, or once an iterate
     makes the stage coupling of a step singular.
     """
@@ -173,8 +148,7 @@ def rollout(prob, tab, N: int, U, X=None) -> IterateState:
                 E, e, G, g = step_operators(_by_step(Jx, K), _by_step(offsets[:, :, None], K), tab, h,
                                             shared=True)
             except StepTooLarge as exc:
-                raise RolloutDiverged(f"singular stage coupling at step {first + exc.step}, h = {h!r}",
-                                      h=h) from None
+                raise RolloutDiverged("singular stage coupling", first + exc.step, h) from None
             xw = affine_scan(G, g[..., 0], x[first])
             new = np.einsum("kij,kj->ki", E, xw[:-1]) + e[..., 0]
             moved = _row_max(np.abs(new - X[first:]))
@@ -187,7 +161,7 @@ def rollout(prob, tab, N: int, U, X=None) -> IterateState:
             j = int(np.argmax(still))
             stalled = 1 if j else stalled + 1
             if stalled == ROLLOUT_MAXIT or not finite.all():
-                raise RolloutDiverged(f"stage equations unsolved at step {first + j}, h = {h!r}", h=h)
+                raise RolloutDiverged("stage equations unsolved", first + j, h)
             if j:
                 first, floor = first + j, level[j - 1]
 
@@ -230,16 +204,13 @@ def backward(prob, tab, steps: Linearization) -> AffineBackwardPass:
 
 
 def direction(state: IterateState, bp: AffineBackwardPass, steps: Linearization):
-    """Forward sweep of the affine feedback; returns (Utilde - U, Xtilde - X).
+    """Forward sweep of the affine feedback (``closed_loop``); returns (Utilde - U, Xtilde - X).
 
     Xtilde are the stage states on the tangent plane, so their change is
     E (xtilde - x) + F (Utilde - U).
     """
-    # closed loop x_{k+1} = (G + H U1) x_k + (H U2 + D2)
-    closed = steps.G + steps.H @ bp.U1
-    offset = (steps.H @ bp.U2[:, :, None])[..., 0] + steps.D2
-    xt = affine_scan(closed, offset, state.x[0])
-    dU = (bp.U1 @ xt[:-1, :, None])[..., 0] + bp.U2 - state.U
+    xt, Ut = closed_loop(steps, bp, state.x[0])
+    dU = Ut - state.U
     dX = (steps.E @ (xt - state.x)[:-1, :, None] + steps.F @ dU[:, :, None])[..., 0]
     return dU, dX
 

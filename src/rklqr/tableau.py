@@ -113,7 +113,7 @@ def adjoint(tab: ButcherTableau) -> ButcherTableau:
     b = tab.b
     if np.any(b <= 0.0):
         bad = int(np.argmin(b)) + 1
-        raise AdjointUndefined(f"adjoint needs b_i > 0; b_{bad} = {b[bad - 1]!r}")
+        raise AdjointUndefined(f"adjoint needs b_i > 0; b_{bad} = {float(b[bad - 1])!r}")
     abar = b[None, :] - (b[None, :] * tab.a.T) / b[:, None]
     return ButcherTableau(a=abar, b=b, name=f"adjoint({tab.name})")
 

@@ -201,12 +201,18 @@ class TestCoarseStart:
         (199, [(199, 6)]), (200, [(25, 6), (200, 3)]), (2000, [(31, 6), (250, 3), (2000, 2)]),
     ])
     def test_coarse_levels(self, monkeypatch, N, chain):
-        # N // 8 >= 25 solves at N // 8 first, recursively; below 200 steps
+        # N // 8 >= 25 solves at N // 8 first, and so on down; below 200 steps
         # the solve starts cold.  A fine level gets the coarse controls and
         # states, so its first rollout makes a few batched f calls, not the
-        # cold start's 5 or 6 (each chain entry: steps, f calls there)
+        # cold start's 5 or 6 (each chain entry: steps, f calls there).  The
+        # levels are one loop inside a single solve_problem call
         base = builtin_problem("pendulum")[0]
         f_calls, levels, solve, rollout = [0], [], ilqr.solve, ilqr.rollout
+        entries, solve_problem = [0], cli.solve_problem
+
+        def counting_solve_problem(*args, **kwargs):
+            entries[0] += 1
+            return solve_problem(*args, **kwargs)
 
         def counting_f(X, U):
             f_calls[0] += 1
@@ -225,9 +231,11 @@ class TestCoarseStart:
 
         monkeypatch.setattr(ilqr, "solve", recording_solve)
         monkeypatch.setattr(ilqr, "rollout", recording_rollout)
+        monkeypatch.setattr(cli, "solve_problem", counting_solve_problem)
         cli.solve_problem(dataclasses.replace(base, f_fn=counting_f), builtin("methodB"), N)
         cold = chain[0][0]
         assert levels == [[n, n == cold, n == cold, calls] for n, calls in chain]
+        assert entries == [1]
 
     @pytest.mark.parametrize("method, N", [("methodB", 2000), ("trapezoidal", 400)])
     def test_coarse_chain_agrees_with_a_cold_solve(self, method, N):

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from rklqr import dlqr
+from rklqr import dlqr, ilqr
 from rklqr.cli import max_node_error, max_stage_error
 from rklqr.errors import BackwardFailure
 from rklqr.problem import LQProblem, example31, spring_oscillator
@@ -18,42 +18,44 @@ U_STAR_0 = -0.9136709340400074
 class TestAssemble:
     def test_euler_blocks(self):
         prob = spring_oscillator()
-        sysm = dlqr.assemble(prob, builtin("euler"), 400)
+        steps = dlqr.assemble(prob, builtin("euler"), 400)
         h = 0.1
-        np.testing.assert_allclose(sysm.E, np.eye(2), atol=0)
-        np.testing.assert_allclose(sysm.F, np.zeros((2, 1)), atol=0)
-        np.testing.assert_allclose(sysm.G, np.eye(2) + h * prob.A, atol=1e-15)
-        np.testing.assert_allclose(sysm.H, h * prob.B, atol=1e-15)
+        np.testing.assert_allclose(steps.E[0], np.eye(2), atol=0)
+        np.testing.assert_allclose(steps.F[0], np.zeros((2, 1)), atol=0)
+        np.testing.assert_allclose(steps.G[0], np.eye(2) + h * prob.A, atol=1e-15)
+        np.testing.assert_allclose(steps.H[0], h * prob.B, atol=1e-15)
 
     def test_methodA_on_scalar_integrator(self):
         # A = 0, B = 1: G = 1 and H = (h b_1, h b_2) by hand
         prob, _ = example31()
-        sysm = dlqr.assemble(prob, builtin("methodA"), 10)
-        np.testing.assert_allclose(sysm.G, [[1.0]], atol=0)
-        np.testing.assert_allclose(sysm.H, [[0.05, 0.05]], atol=1e-16)
-        np.testing.assert_allclose(sysm.E, [[1.0], [1.0]], atol=0)
-        np.testing.assert_allclose(sysm.F, [[0, 0], [0.1, 0]], atol=1e-16)
+        steps = dlqr.assemble(prob, builtin("methodA"), 10)
+        np.testing.assert_allclose(steps.G[0], [[1.0]], atol=0)
+        np.testing.assert_allclose(steps.H[0], [[0.05, 0.05]], atol=1e-16)
+        np.testing.assert_allclose(steps.E[0], [[1.0], [1.0]], atol=0)
+        np.testing.assert_allclose(steps.F[0], [[0, 0], [0.1, 0]], atol=1e-16)
 
     def test_methodC_matches_rk4_power_series(self):
         prob = spring_oscillator()
-        sysm = dlqr.assemble(prob, builtin("methodC"), 400)
+        steps = dlqr.assemble(prob, builtin("methodC"), 400)
         hA = 0.1 * prob.A
         series = np.eye(2)
         term = np.eye(2)
         for k in range(1, 5):
             term = term @ hA / k
             series = series + term
-        np.testing.assert_allclose(sysm.G, series, atol=1e-15)
+        np.testing.assert_allclose(steps.G[0], series, atol=1e-15)
 
     def test_cost_blocks(self):
         prob, _ = example31()
-        sysm = dlqr.assemble(prob, builtin("methodA"), 10)
-        np.testing.assert_allclose(sysm.Qh, 0.1 * np.diag([0.5, 0.5]), atol=1e-16)
-        np.testing.assert_allclose(sysm.Sh, 0.1 * np.diag([0.25, 0.25]), atol=1e-16)
+        Qh, _, Sh = dlqr.stage_cost_blocks(prob, builtin("methodA").b, 0.1)
+        np.testing.assert_allclose(Qh, 0.1 * np.diag([0.5, 0.5]), atol=1e-16)
+        np.testing.assert_allclose(Sh, 0.1 * np.diag([0.25, 0.25]), atol=1e-16)
 
     def test_implicit_tableau_assembles(self):
-        sysm = dlqr.assemble(spring_oscillator(), builtin("trapezoidal"), 2)
-        assert np.all(np.isfinite(sysm.E)) and sysm.h == 20.0
+        # one step-invariant step with zero offsets, at h = 20
+        steps = dlqr.assemble(spring_oscillator(), builtin("trapezoidal"), 2)
+        assert np.all(np.isfinite(steps.E)) and steps.E.shape == (1, 4, 2)
+        assert np.all(steps.D1 == np.zeros((1, 4))) and np.all(steps.D2 == np.zeros((1, 2)))
 
     def test_singular_coupling_raises(self):
         # implicit Euler on xdot = x at h = 1 makes I - h a A exactly singular
@@ -73,35 +75,35 @@ class TestRiccati:
             A=[[0.0, 1.0], [-1.0, 0.0]], B=[[1.0], [0.0]], Q=np.zeros((2, 2)),
             R=[[3.0]], M=np.zeros((2, 2)), x0=[1.0, 1.0], tf=4.0,
         )
-        sysm = dlqr.assemble(prob, builtin("methodB"), 10)
-        rp = dlqr.riccati_backward(sysm)
+        tab = builtin("methodB")
+        bp = dlqr.riccati_backward(prob, tab, dlqr.assemble(prob, tab, 10), 10)
         for k in range(10):
-            np.testing.assert_allclose(rp.L[k], 0.0, atol=0)
-            np.testing.assert_allclose(rp.M[k], 0.0, atol=0)
+            np.testing.assert_allclose(bp.U1[k], 0.0, atol=0)
+            np.testing.assert_allclose(bp.M[k], 0.0, atol=0)
 
     @pytest.mark.parametrize("name", ["euler", "methodA", "methodB", "trapezoidal"])
     def test_single_step_matches_direct_minimization(self, name):
         # N = 1: V_0(x0) = min_U of an explicit quadratic; minimize it densely
         prob = spring_oscillator()
         tab = builtin(name)
-        sysm = dlqr.assemble(prob, tab, 1)
-        rp = dlqr.riccati_backward(sysm)
-        E, F, G, H = sysm.E, sysm.F, sysm.G, sysm.H
-        K = F.T @ sysm.Qh @ F + sysm.Rh + H.T @ prob.M @ H
-        lin = F.T @ sysm.Qh @ E + H.T @ prob.M @ G
+        steps = dlqr.assemble(prob, tab, 1)
+        bp = dlqr.riccati_backward(prob, tab, steps, 1)
+        E, F, G, H = steps.E[0], steps.F[0], steps.G[0], steps.H[0]
+        Qh, Rh, _ = dlqr.stage_cost_blocks(prob, tab.b, prob.tf)
+        K = F.T @ Qh @ F + Rh + H.T @ prob.M @ H
+        lin = F.T @ Qh @ E + H.T @ prob.M @ G
         U0 = -np.linalg.solve(K, lin @ prob.x0)
-        np.testing.assert_allclose(rp.L[0] @ prob.x0, U0, atol=1e-12)
+        np.testing.assert_allclose(bp.U1[0] @ prob.x0, U0, atol=1e-12)
         # value at x0 equals the minimized quadratic
         X0 = E @ prob.x0 + F @ U0
         x1 = G @ prob.x0 + H @ U0
-        V0 = 0.5 * (X0 @ sysm.Qh @ X0 + U0 @ sysm.Rh @ U0 + x1 @ prob.M @ x1)
-        np.testing.assert_allclose(0.5 * prob.x0 @ rp.M[0] @ prob.x0, V0, atol=1e-12)
+        V0 = 0.5 * (X0 @ Qh @ X0 + U0 @ Rh @ U0 + x1 @ prob.M @ x1)
+        np.testing.assert_allclose(0.5 * prob.x0 @ bp.M[0] @ prob.x0, V0, atol=1e-12)
 
     def test_value_matrices_symmetric_psd(self):
         prob, _ = example31()
-        sysm = dlqr.assemble(prob, builtin("methodB"), 20)
-        rp = dlqr.riccati_backward(sysm)
-        for Mk in rp.M:
+        _, bp, _ = dlqr.solve(prob, builtin("methodB"), 20)
+        for Mk in bp.M:
             np.testing.assert_allclose(Mk, Mk.T, atol=0)
             assert np.linalg.eigvalsh(Mk).min() >= -1e-12
 
@@ -126,8 +128,8 @@ class TestRiccati:
 
         errs = []
         for N in (400, 800):
-            rp = dlqr.riccati_backward(dlqr.assemble(prob, builtin("methodB"), N))
-            errs.append(np.abs(rp.M[0] - Mt).max())
+            _, bp, _ = dlqr.solve(prob, builtin("methodB"), N)
+            errs.append(np.abs(bp.M[0] - Mt).max())
         assert errs[0] < 1e-3
         assert 5.0 < errs[0] / errs[1] < 12.0  # halving h cuts the error ~8x
 
@@ -137,40 +139,56 @@ class TestRiccati:
 
         bad = ButcherTableau(a=[[0, 0], [1, 0]], b=[1.5, -0.5])
         prob, _ = example31()
-        sysm = dlqr.assemble(prob, bad, 4)
+        steps = dlqr.assemble(prob, bad, 4)
         with pytest.raises(BackwardFailure):
-            dlqr.riccati_backward(sysm)
+            dlqr.riccati_backward(prob, bad, steps, 4)
+
+
+class TestOneStepType:
+    @pytest.mark.parametrize("factory, name, N", [
+        (spring_oscillator, "methodC", 400), (lambda: example31()[0], "trapezoidal", 50),
+        (spring_oscillator, "euler", 40),
+    ])
+    def test_augmented_sweep_reproduces_riccati_backward(self, factory, name, N):
+        # assemble's zero-offset step broadcast to N steps is a tangent plane;
+        # ILQR's augmented [x; 1] sweep over it must give the n-state sweep's
+        # value data and gains
+        prob, tab = factory(), builtin(name)
+        steps = dlqr.assemble(prob, tab, N)
+        want = dlqr.riccati_backward(prob, tab, steps, N)
+        tiled = dlqr.Linearization(**{k: np.broadcast_to(v, (N,) + v.shape[1:]) for k, v in vars(steps).items()})
+        got = ilqr.backward(prob, tab, tiled)
+        for field in ("M", "Y", "U1", "U2"):
+            np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=0, atol=1e-14)
 
 
 class TestRollout:
     def test_zero_initial_state(self):
         prob = dataclasses.replace(spring_oscillator(), x0=np.zeros(2))
-        sysm = dlqr.assemble(prob, builtin("methodB"), 10)
-        rp = dlqr.riccati_backward(sysm)
-        traj = dlqr.rollout(sysm, rp)
+        _, _, traj = dlqr.solve(prob, builtin("methodB"), 10)
         assert np.all(traj.x == 0) and np.all(traj.U == 0) and np.all(traj.u == 0)
 
     def test_transition_identities(self):
         prob, _ = example31()
-        sysm = dlqr.assemble(prob, builtin("methodC"), 10)
-        rp = dlqr.riccati_backward(sysm)
-        traj = dlqr.rollout(sysm, rp)
+        steps, _, traj = dlqr.solve(prob, builtin("methodC"), 10)
+        E, F, G, H = steps.E[0], steps.F[0], steps.G[0], steps.H[0]
         for k in range(10):
             np.testing.assert_allclose(
-                traj.x[k + 1], sysm.G @ traj.x[k] + sysm.H @ traj.U[k], atol=1e-13
+                traj.x[k + 1], G @ traj.x[k] + H @ traj.U[k], atol=1e-13
             )
             np.testing.assert_allclose(
-                traj.X[k], sysm.E @ traj.x[k] + sysm.F @ traj.U[k], atol=1e-13
+                traj.X[k], E @ traj.x[k] + F @ traj.U[k], atol=1e-13
             )
 
     @pytest.mark.parametrize("factory", [lambda: example31()[0], spring_oscillator])
     def test_cost_equals_value_function(self, factory):
         prob = factory()
-        sysm = dlqr.assemble(prob, builtin("methodB"), 50)
-        rp = dlqr.riccati_backward(sysm)
-        traj = dlqr.rollout(sysm, rp)
-        direct = dlqr.discrete_cost(prob, builtin("methodB"), traj.U, traj.X, traj.x)
-        value = 0.5 * prob.x0 @ rp.M[0] @ prob.x0
+        tab = builtin("methodB")
+        steps = dlqr.assemble(prob, tab, 50)
+        bp = dlqr.riccati_backward(prob, tab, steps, 50)
+        traj = dlqr.rollout(prob, steps, bp)
+        direct = dlqr.discrete_cost(prob, tab, traj.U, traj.X, traj.x)
+        value = 0.5 * prob.x0 @ bp.M[0] @ prob.x0
         assert direct == pytest.approx(value, abs=1e-10)
 
     def test_node_control_near_reference_at_t0(self):

@@ -41,15 +41,15 @@ class TestRollout:
         prob = spring_oscillator()
         tab = builtin("methodB")
         N = 8
-        sysm = dlqr.assemble(prob, tab, N)
+        steps = dlqr.assemble(prob, tab, N)
         rng = np.random.default_rng(3)
         U = rng.standard_normal((N, tab.s * prob.m))
         state = ilqr.rollout(prob, tab, N, U)
         x = prob.x0.copy()
         for k in range(N):
-            X = sysm.E @ x + sysm.F @ U[k]
+            X = steps.E[0] @ x + steps.F[0] @ U[k]
             np.testing.assert_allclose(state.X[k], X, atol=1e-12)
-            x = sysm.G @ x + sysm.H @ U[k]
+            x = steps.G[0] @ x + steps.H[0] @ U[k]
             np.testing.assert_allclose(state.x[k + 1], x, atol=1e-12)
 
     def test_zero_steps_rejected(self):
@@ -87,14 +87,14 @@ class TestRollout:
         prob = spring_oscillator()
         tab = builtin("trapezoidal")
         N = 200
-        sysm = dlqr.assemble(prob, tab, N)
+        steps = dlqr.assemble(prob, tab, N)
         rng = np.random.default_rng(5)
         U = rng.standard_normal((N, tab.s * prob.m))
         state = ilqr.rollout(prob, tab, N, U)
         x = prob.x0.copy()
         for k in range(N):
-            np.testing.assert_allclose(state.X[k], sysm.E @ x + sysm.F @ U[k], atol=1e-10)
-            x = sysm.G @ x + sysm.H @ U[k]
+            np.testing.assert_allclose(state.X[k], steps.E[0] @ x + steps.F[0] @ U[k], atol=1e-10)
+            x = steps.G[0] @ x + steps.H[0] @ U[k]
         np.testing.assert_allclose(state.x[-1], x, atol=1e-10)
 
     def test_zero_row_stage_is_the_node_state(self):
@@ -112,6 +112,7 @@ class TestRollout:
         with pytest.raises(RolloutDiverged, match="step 0, h = 1.0$") as exc:
             ilqr.rollout(_square_plus_one(), builtin("trapezoidal"), 1, np.zeros((1, 2)))
         assert exc.value.h == 1.0
+        assert exc.value.step == 0
 
     @pytest.mark.parametrize("N, step", [(1, 0), (4, 3)])
     def test_unsolvable_stage_equation_names_step_and_h(self, N, step):
@@ -123,6 +124,7 @@ class TestRollout:
         with pytest.raises(RolloutDiverged, match=f"step {step}, h = {1.0 / N!r}") as exc:
             ilqr.rollout(_square_plus_one(), tab, N, np.zeros((N, 1)))
         assert exc.value.h == 1.0 / N
+        assert exc.value.step == step
 
     @pytest.mark.parametrize("name", ["methodB", "methodC", "trapezoidal"])
     @pytest.mark.parametrize("N", [8, 50])
@@ -216,15 +218,15 @@ class TestBackwardAndDirection:
         prob = spring_oscillator()
         tab = builtin("methodB")
         N = 30
-        sysm, rp, traj = dlqr.solve(prob, tab, N)
+        _, lq, traj = dlqr.solve(prob, tab, N)
         state = ilqr.make_state(prob, tab, traj.U, traj.X, traj.x)
         steps = ilqr.linearize(prob, tab, state)
         bp = ilqr.backward(prob, tab, steps)
         for k in range(N):
             np.testing.assert_allclose(
-                bp.U1[k] @ traj.x[k] + bp.U2[k], rp.L[k] @ traj.x[k], atol=1e-11
+                bp.U1[k] @ traj.x[k] + bp.U2[k], lq.U1[k] @ traj.x[k], atol=1e-11
             )
-            np.testing.assert_allclose(bp.M[k], rp.M[k], atol=1e-11)
+            np.testing.assert_allclose(bp.M[k], lq.M[k], atol=1e-11)
 
     def test_zero_cost_zero_gains(self):
         prob = NonlinearProblem(
@@ -542,7 +544,7 @@ class TestCostates:
     def test_linear_matches_riccati_value_gradient(self):
         prob = spring_oscillator()
         tab = builtin("methodB")
-        sysm, rp, traj = dlqr.solve(prob, tab, 50)
+        _, _, traj = dlqr.solve(prob, tab, 50)
         state = ilqr.make_state(prob, tab, traj.U, traj.X, traj.x)
         p = ilqr.costates(prob, tab, state)
         np.testing.assert_allclose(p, traj.p, atol=1e-9)
@@ -612,7 +614,7 @@ class TestNodeControls:
     def test_linear_agrees_with_dlqr(self):
         prob = spring_oscillator()
         tab = builtin("methodA")
-        sysm, rp, traj = dlqr.solve(prob, tab, 40)
+        _, _, traj = dlqr.solve(prob, tab, 40)
         state = ilqr.make_state(prob, tab, traj.U, traj.X, traj.x)
         p = ilqr.costates(prob, tab, state)
         u = ilqr.node_controls(prob, state, p)

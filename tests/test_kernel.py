@@ -270,11 +270,12 @@ class TestRiccatiScan:
         return np.abs(got - want).max() / np.abs(want).max()
 
     def test_dlqr_matches_sequential_sweep(self, monkeypatch):
-        sys = dlqr.assemble(spring_oscillator(), builtin("methodC"), 4000)
-        scan = dlqr.riccati_backward(sys)
+        prob, tab = spring_oscillator(), builtin("methodC")
+        steps = dlqr.assemble(prob, tab, 4000)
+        scan = dlqr.riccati_backward(prob, tab, steps, 4000)
         monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
-        loop = dlqr.riccati_backward(sys)
-        assert self._rel(scan.M, loop.M) < 1e-12 and self._rel(scan.L, loop.L) < 1e-12
+        loop = dlqr.riccati_backward(prob, tab, steps, 4000)
+        assert self._rel(scan.M, loop.M) < 1e-12 and self._rel(scan.U1, loop.U1) < 1e-12
 
     def test_augmented_ilqr_matches_sequential_sweep(self, monkeypatch):
         prob, tab, N = pendulum(), builtin("methodB"), 2000
@@ -288,12 +289,13 @@ class TestRiccatiScan:
 
     @pytest.mark.parametrize("broken", [_scan_raises, _scan_not_finite])
     def test_scan_breakdown_falls_back_to_loop(self, monkeypatch, broken):
-        sys = dlqr.assemble(spring_oscillator(), builtin("methodB"), 50)
-        want = dlqr.riccati_backward(sys)
+        prob, tab = spring_oscillator(), builtin("methodB")
+        steps = dlqr.assemble(prob, tab, 50)
+        want = dlqr.riccati_backward(prob, tab, steps, 50)
         monkeypatch.setattr(dlqr, "suffix_scan", broken)
-        got = dlqr.riccati_backward(sys)
+        got = dlqr.riccati_backward(prob, tab, steps, 50)
         np.testing.assert_allclose(got.M, want.M, rtol=1e-12)
-        np.testing.assert_allclose(got.L, want.L, rtol=1e-12)
+        np.testing.assert_allclose(got.U1, want.U1, rtol=1e-12)
 
     @pytest.mark.parametrize("sweep", ["value_sweep", "sequential_sweep"])
     @pytest.mark.parametrize("name, step", [("euler", 48), ("methodB", 49)])
@@ -304,7 +306,7 @@ class TestRiccatiScan:
                          x0=[1.0], tf=40.0)
         monkeypatch.setattr(dlqr, "value_sweep", getattr(dlqr, sweep))
         with pytest.raises(BackwardFailure, match=rf"at step {step}, h = 0\.8$") as exc:
-            dlqr.riccati_backward(dlqr.assemble(prob, builtin(name), 50))
+            dlqr.solve(prob, builtin(name), 50)
         assert (exc.value.step, exc.value.h) == (step, 0.8)
 
 
@@ -341,10 +343,10 @@ class TestStackedLinearization:
             for got, want in zip(vars(steps).values(), want_step):
                 np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=1e-13 * scale)
         if linear:
-            sysm = dlqr.assemble(prob, tab, N)
+            lq = dlqr.assemble(prob, tab, N)
             for want_step in ref:
-                for got, want in zip((sysm.E, sysm.F, sysm.G, sysm.H), want_step):
-                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+                for got, want in zip((lq.E, lq.F, lq.G, lq.H), want_step):
+                    np.testing.assert_allclose(got[0], want, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("K", [1, 2000])
     @pytest.mark.parametrize("n, m", [(2, 1), (6, 3)])
@@ -573,4 +575,4 @@ class TestBackwardKernel:
         bad = ButcherTableau(a=[[0, 0], [1, 0]], b=[1.5, -0.5])
         prob, _ = example31()
         with pytest.raises(BackwardFailure, match=r"at step 3, h = 0\.25$"):
-            dlqr.riccati_backward(dlqr.assemble(prob, bad, 4))
+            dlqr.solve(prob, bad, 4)

@@ -108,7 +108,7 @@ class TestAdjoint:
 
     def test_zero_weight_rejected(self):
         tab = ButcherTableau(a=np.zeros((2, 2)), b=[1.0, 0.0])
-        with pytest.raises(AdjointUndefined):
+        with pytest.raises(AdjointUndefined, match=r"^adjoint needs b_i > 0; b_2 = 0\.0$"):
             adjoint(tab)
 
     def test_negative_weight_rejected(self):
