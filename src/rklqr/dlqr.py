@@ -10,8 +10,8 @@ so ILQR uses the same step type (``Linearization``), backward result
 (``AffineBackwardPass``), step-count check (``check_steps``), step builder
 (``step_operators``), discrete cost (``discrete_cost``), closed-loop scan
 (``closed_loop``), affine recursions (``affine_scan``, one LAPACK banded
-triangular solve) and backward kernel (``value_sweep``, a Riccati
-``suffix_scan``) from here.
+triangular solve) and backward pass (``riccati_backward``: the Riccati
+``value_sweep`` on the n-state, then one reverse ``affine_scan``) from here.
 """
 
 from __future__ import annotations
@@ -284,14 +284,15 @@ def _stage_products(E, F, Qh, Rh, Sh):
 
 
 def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
-    """Backward sweep of V_k(z) = 1/2 z'P_k z over stacked step operators.
+    """Backward sweep of the quadratic value V_k(x) = 1/2 x'M_k x over stacked step operators.
 
-    X_k = E_k z + F_k U and z_{k+1} = G_k z + H_k U, stage cost
+    X_k = E_k x + F_k U and x_{k+1} = G_k x + H_k U, stage cost
     1/2 X'QhX + X'ShU + 1/2 U'RhU.  A leading axis of length 1 marks a
-    step-invariant operator, broadcast to N without copying.  Returns P
-    (N+1, d, d) from P_N = M_N and gains (N, sm, d) with U_k = gains_k z_k.
+    step-invariant operator, broadcast to N without copying.  Returns M
+    (N+1, n, n) from M_N, gains (N, sm, n) with U_k = gains_k x_k and the
+    stage Hessians K_k = Kc_k + H_k'M_{k+1}H_k (N, sm, sm).
 
-    P comes from the Riccati scan (``_riccati_combine``) after the cross
+    M comes from the Riccati scan (``_riccati_combine``) after the cross
     term is eliminated with Kc^{-1}; the gains then follow in one batch.
     The scan needs every Kc positive definite.  Where one is not, or the
     scan breaks down, ``sequential_sweep`` runs instead.  The stage
@@ -302,25 +303,25 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     Kc, Lc, Wc = _stage_products(E, F, Qh, Rh, Sh)
     if factor_fails(np.linalg.cholesky, Kc):
         return sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N, h)
-    d = G.shape[-1]
+    n = G.shape[-1]
     Ht = np.swapaxes(H, 1, 2)
     KiL, KiH = np.split(np.linalg.solve(Kc, np.concatenate([Lc, Ht], axis=2)), 2, axis=2)
     elems = (G - H @ KiL, H @ KiH, Wc - np.swapaxes(Lc, 1, 2) @ KiL)
-    elems = tuple(np.concatenate([np.broadcast_to(e, (N, d, d)), np.broadcast_to(t, (1, d, d))])
+    elems = tuple(np.concatenate([np.broadcast_to(e, (N, n, n)), np.broadcast_to(t, (1, n, n))])
                   for e, t in zip(elems, (0.0, 0.0, M_N)))
     try:
-        P = suffix_scan(elems, _riccati_combine)[2]
+        M = suffix_scan(elems, _riccati_combine)[2]
     except np.linalg.LinAlgError:
-        P = None
-    if P is None or not np.isfinite(P).all():
+        M = None
+    if M is None or not np.isfinite(M).all():
         return sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N, h)
-    P = 0.5 * (P + np.swapaxes(P, 1, 2))
-    HP = Ht @ P[1:]
-    K = Kc + HP @ H
+    M = 0.5 * (M + np.swapaxes(M, 1, 2))
+    HM = Ht @ M[1:]
+    K = Kc + HM @ H
     if factor_fails(np.linalg.cholesky, K):
         k = max(j for j in range(len(K)) if factor_fails(np.linalg.cholesky, K[j]))
         raise BackwardFailure("stage Hessian not positive definite", k, h)
-    return P, -np.linalg.solve(K, Lc + HP @ G)
+    return M, -np.linalg.solve(K, Lc + HM @ G), K
 
 
 def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
@@ -328,32 +329,45 @@ def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     Kc, Lc, Wc = (np.broadcast_to(a, (N,) + a.shape[1:]) for a in _stage_products(E, F, Qh, Rh, Sh))
     G, H = (np.broadcast_to(a, (N,) + a.shape[1:]) for a in (G, H))
     Gt, Ht = np.swapaxes(G, 1, 2), np.swapaxes(H, 1, 2)
-    d, sm = G.shape[-1], F.shape[-1]
-    P = np.empty((N + 1, d, d))
-    P[N] = M_N
-    gains = np.empty((N, sm, d))
+    n, sm = G.shape[-1], F.shape[-1]
+    M = np.empty((N + 1, n, n))
+    M[N] = M_N
+    gains, K = np.empty((N, sm, n)), np.empty((N, sm, sm))
     for k in range(N - 1, -1, -1):
-        HP = Ht[k] @ P[k + 1]
-        K = Kc[k] + HP @ H[k]
-        if factor_fails(np.linalg.cholesky, K):
+        HM = Ht[k] @ M[k + 1]
+        K[k] = Kc[k] + HM @ H[k]
+        if factor_fails(np.linalg.cholesky, K[k]):
             raise BackwardFailure("stage Hessian not positive definite", k, h)
-        lin = Lc[k] + HP @ G[k]
-        sol = np.linalg.solve(K, lin)
-        Pk = Wc[k] + Gt[k] @ P[k + 1] @ G[k] - lin.T @ sol
-        P[k] = 0.5 * (Pk + Pk.T)
+        lin = Lc[k] + HM @ G[k]
+        sol = np.linalg.solve(K[k], lin)
+        Mk = Wc[k] + Gt[k] @ M[k + 1] @ G[k] - lin.T @ sol
+        M[k] = 0.5 * (Mk + Mk.T)
         gains[k] = -sol
-    return P, gains
+    return M, gains, K
 
 
 def riccati_backward(prob: LQProblem, tab: ButcherTableau, steps: Linearization, N: int) -> AffineBackwardPass:
-    """Backward value recursion over N copies of the step-invariant ``steps``, from M_N = M.
+    """Backward recursion of V_k(x) = 1/2 x'M_k x + Y_k'x over N steps, from M_N = M and Y_N = 0.
 
-    The offsets are zero, so Y and U2 are too, and ``value_sweep`` runs on the n-state, not
-    on ILQR's augmented [x; 1] (``ilqr.backward``): the same M and gains in about half the time.
+    The one backward of DLQR (``assemble``'s K = 1 step) and ILQR (a K = N
+    tangent plane).  ``value_sweep`` gives M, the gains U1 and the stage
+    Hessians K on the n-state.  The offsets enter linearly: along the closed
+    loop A_k = G_k + H_k U1_k, Y_k = A_k'Y_{k+1} + c_k with
+    q_k = F_k'Qh D1_k + Sh'D1_k and c_k = E_k'Qh D1_k + U1_k'q_k + A_k'M_{k+1}D2_k,
+    one reverse ``affine_scan``; then U2_k = -K_k^{-1}(q_k + H_k'(M_{k+1}D2_k + Y_{k+1}))
+    in one batched solve.  Zero offsets give exact-zero Y and U2.
     """
     h = prob.tf / N
-    M, gains = value_sweep(steps.E, steps.F, steps.G, steps.H, *stage_cost_blocks(prob, tab.b, h), prob.M, N, h)
-    return AffineBackwardPass(M=M, Y=np.zeros((N + 1, prob.n)), U1=gains, U2=np.zeros(gains.shape[:2]))
+    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, h)
+    M, U1, K = value_sweep(steps.E, steps.F, steps.G, steps.H, Qh, Rh, Sh, prob.M, N, h)
+    A = steps.G + steps.H @ U1
+    QD1 = steps.D1 @ Qh
+    q = (QD1[:, None] @ steps.F)[:, 0] + steps.D1 @ Sh
+    MD2 = (M[1:] @ steps.D2[:, :, None])[..., 0]
+    c = (QD1[:, None] @ steps.E)[:, 0] + (q[:, None] @ U1)[:, 0] + (MD2[:, None] @ A)[:, 0]
+    Y = affine_scan(np.swapaxes(A, 1, 2), c, np.zeros(prob.n), reverse=True)
+    U2 = -np.linalg.solve(K, (q + ((MD2 + Y[1:])[:, None] @ steps.H)[:, 0])[..., None])[..., 0]
+    return AffineBackwardPass(M=M, Y=Y, U1=U1, U2=U2)
 
 
 def closed_loop(steps: Linearization, bp: AffineBackwardPass, x0):

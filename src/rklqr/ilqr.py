@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dlqr import (AffineBackwardPass, Linearization, affine_scan, check_steps, closed_loop, discrete_cost,
-                   stage_cost_blocks, step_operators, value_sweep)
+                   riccati_backward, stage_cost_blocks, step_operators)
 from .errors import LineSearchFailed, NodeControlFailure, NotConverged, RolloutDiverged, StepTooLarge
 
 ROLLOUT_TOL = 1e-12
@@ -184,23 +184,8 @@ def linearize(prob, tab, state: IterateState) -> Linearization:
 
 
 def backward(prob, tab, steps: Linearization) -> AffineBackwardPass:
-    """Backward recursion of the affine-quadratic value function.
-
-    Produces feedback U_k = U1_k x_k + U2_k minimizing the cost over the
-    tangent plane.  The offsets D1/D2 fold into the step operators of the
-    augmented state z = [x; 1], whose value matrix P_k carries M_k in its
-    leading block and Y_k in its last column.
-    """
-    N, n = steps.E.shape[0], prob.n
-    h = prob.tf / N
-    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, h)
-    below = ((0, 0), (0, 1), (0, 0))  # pads a zero row under each step's block
-    Ea = np.concatenate([steps.E, steps.D1[:, :, None]], axis=2)
-    Ga = np.pad(np.concatenate([steps.G, steps.D2[:, :, None]], axis=2), below)
-    Ga[:, n, n] = 1.0
-    Ha = np.pad(steps.H, below)
-    P, gains = value_sweep(Ea, steps.F, Ga, Ha, Qh, Rh, Sh, np.pad(prob.M, (0, 1)), N, h)
-    return AffineBackwardPass(M=P[:, :n, :n], Y=P[:, :n, n], U1=gains[:, :, :n], U2=gains[:, :, n])
+    """Feedback U_k = U1_k x_k + U2_k minimizing the cost over the tangent plane's N steps (``riccati_backward``)."""
+    return riccati_backward(prob, tab, steps, steps.E.shape[0])
 
 
 def direction(state: IterateState, bp: AffineBackwardPass, steps: Linearization):

@@ -149,17 +149,18 @@ class TestOneStepType:
         (spring_oscillator, "methodC", 400), (lambda: example31()[0], "trapezoidal", 50),
         (spring_oscillator, "euler", 40),
     ])
-    def test_augmented_sweep_reproduces_riccati_backward(self, factory, name, N):
-        # assemble's zero-offset step broadcast to N steps is a tangent plane;
-        # ILQR's augmented [x; 1] sweep over it must give the n-state sweep's
-        # value data and gains
+    def test_tiled_step_reproduces_broadcast_step(self, factory, name, N):
+        # assemble's zero-offset K = 1 step tiled to K = N steps is a tangent
+        # plane; ILQR's backward over the tile must give the broadcast step's
+        # value data and gains, and the zero offsets exact-zero Y and U2
         prob, tab = factory(), builtin(name)
         steps = dlqr.assemble(prob, tab, N)
-        want = dlqr.riccati_backward(prob, tab, steps, N)
+        bp = dlqr.riccati_backward(prob, tab, steps, N)
+        assert not bp.Y.any() and not bp.U2.any()
         tiled = dlqr.Linearization(**{k: np.broadcast_to(v, (N,) + v.shape[1:]) for k, v in vars(steps).items()})
         got = ilqr.backward(prob, tab, tiled)
         for field in ("M", "Y", "U1", "U2"):
-            np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(getattr(got, field), getattr(bp, field), rtol=0, atol=1e-14)
 
 
 class TestRollout:

@@ -60,25 +60,19 @@ def _reference_backward(prob, tab, steps):
     for k in range(N - 1, -1, -1):
         E, F, G, H, D1, D2 = (steps.E[k], steps.F[k], steps.G[k], steps.H[k],
                               steps.D1[k], steps.D2[k])
-        K = F.T @ Qh @ F + Rh + H.T @ M[k + 1] @ H
-        lin_x = F.T @ Qh @ E + H.T @ M[k + 1] @ G
-        lin_0 = F.T @ Qh @ D1 + H.T @ (M[k + 1] @ D2 + Y[k + 1])
-        if Sh is not None:
-            K = K + F.T @ Sh + Sh.T @ F
-            lin_x = lin_x + Sh.T @ E
-            lin_0 = lin_0 + Sh.T @ D1
+        K = F.T @ Qh @ F + Rh + H.T @ M[k + 1] @ H + F.T @ Sh + Sh.T @ F
+        lin_x = F.T @ Qh @ E + H.T @ M[k + 1] @ G + Sh.T @ E
+        lin_0 = F.T @ Qh @ D1 + H.T @ (M[k + 1] @ D2 + Y[k + 1]) + Sh.T @ D1
         cho = scipy.linalg.cho_factor(0.5 * (K + K.T))
         U1[k] = -scipy.linalg.cho_solve(cho, lin_x)
         U2[k] = -scipy.linalg.cho_solve(cho, lin_0)
         EFL, GHL = E + F @ U1[k], G + H @ U1[k]
         Xoff, xoff = F @ U2[k] + D1, H @ U2[k] + D2
-        Mk = EFL.T @ Qh @ EFL + U1[k].T @ Rh @ U1[k] + GHL.T @ M[k + 1] @ GHL
-        Yk = EFL.T @ (Qh @ Xoff) + U1[k].T @ (Rh @ U2[k]) + GHL.T @ (M[k + 1] @ xoff + Y[k + 1])
-        if Sh is not None:
-            cross = EFL.T @ Sh @ U1[k]
-            Mk = Mk + cross + cross.T
-            Yk = Yk + EFL.T @ (Sh @ U2[k]) + U1[k].T @ (Sh.T @ Xoff)
-        M[k], Y[k] = 0.5 * (Mk + Mk.T), Yk
+        cross = EFL.T @ Sh @ U1[k]
+        Mk = EFL.T @ Qh @ EFL + U1[k].T @ Rh @ U1[k] + GHL.T @ M[k + 1] @ GHL + cross + cross.T
+        Y[k] = (EFL.T @ (Qh @ Xoff) + U1[k].T @ (Rh @ U2[k]) + GHL.T @ (M[k + 1] @ xoff + Y[k + 1])
+                + EFL.T @ (Sh @ U2[k]) + U1[k].T @ (Sh.T @ Xoff))
+        M[k] = 0.5 * (Mk + Mk.T)
     return M, Y, U1, U2
 
 
@@ -103,6 +97,12 @@ def _explicit_tableau(rng, kind):
     if kind == "sparse":
         return _sparse_explicit_tableau(rng)
     return builtin(kind)
+
+
+def _lobatto3a():
+    """3-stage Lobatto IIIA: a zero first row above implicit ones."""
+    return ButcherTableau(a=[[0, 0, 0], [5 / 24, 1 / 3, -1 / 24], [1 / 6, 2 / 3, 1 / 6]],
+                          b=[1 / 6, 2 / 3, 1 / 6], name="lobatto3a")
 
 
 def _random_lq(rng, n, m, tf):
@@ -277,12 +277,12 @@ class TestRiccatiScan:
         loop = dlqr.riccati_backward(prob, tab, steps, 4000)
         assert self._rel(scan.M, loop.M) < 1e-12 and self._rel(scan.U1, loop.U1) < 1e-12
 
-    def test_augmented_ilqr_matches_sequential_sweep(self, monkeypatch):
+    def test_ilqr_matches_sequential_sweep(self, monkeypatch):
         prob, tab, N = pendulum(), builtin("methodB"), 2000
         state = ilqr.rollout(prob, tab, N, np.full((N, 3), -0.5))
         steps = ilqr.linearize(prob, tab, state)
         scan = ilqr.backward(prob, tab, steps)
-        monkeypatch.setattr(ilqr, "value_sweep", dlqr.sequential_sweep)
+        monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
         loop = ilqr.backward(prob, tab, steps)
         for got, want in zip(vars(scan).values(), vars(loop).values()):
             assert self._rel(got, want) < 1e-12
@@ -415,9 +415,7 @@ class TestLeanRollout:
         if kind == "random":
             tab = _sparse_explicit_tableau(rng)
         elif kind == "lobatto3a":
-            # 3-stage Lobatto IIIA: a zero first row above implicit ones
-            tab = ButcherTableau(a=[[0, 0, 0], [5 / 24, 1 / 3, -1 / 24], [1 / 6, 2 / 3, 1 / 6]],
-                                 b=[1 / 6, 2 / 3, 1 / 6], name="lobatto3a")
+            tab = _lobatto3a()
         else:
             tab = builtin(kind)
         if linear:
@@ -506,12 +504,22 @@ class TestHagerEquivalence:
 
 
 class TestBackwardKernel:
-    @given(SEEDS)
+    @given(SEEDS, st.sampled_from(["random", "trapezoidal", "lobatto3a"]),
+           st.sampled_from(["value_sweep", "sequential_sweep"]))
+    @example(0, "random", "value_sweep")
+    @example(1, "trapezoidal", "value_sweep")
+    @example(2, "lobatto3a", "sequential_sweep")
     @settings(max_examples=40, deadline=None)
-    def test_matches_per_step_reference(self, seed):
+    def test_matches_per_step_reference(self, seed, kind, sweep):
+        # Y and U2 come from the stage Hessians K that either kernel path returns
         rng = np.random.default_rng(seed)
         n, m, N = (int(v) for v in rng.integers(1, [4, 3, 7]))
-        tab = _random_explicit_tableau(rng, int(rng.integers(1, 4)))
+        if kind == "random":
+            tab = _random_explicit_tableau(rng, int(rng.integers(1, 4)))
+        elif kind == "lobatto3a":
+            tab = _lobatto3a()
+        else:
+            tab = builtin(kind)
         prob = _random_lq(rng, n, m, tf=float(rng.uniform(0.5, 3.0)))
         state = ilqr.rollout(prob, tab, N, rng.standard_normal((N, tab.s * m)))
         # nonzero offsets exercise the affine part that linear dynamics leave at 0
@@ -519,7 +527,9 @@ class TestBackwardKernel:
             ilqr.linearize(prob, tab, state),
             D1=rng.standard_normal((N, tab.s * n)), D2=rng.standard_normal((N, n)),
         )
-        bp = ilqr.backward(prob, tab, steps)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dlqr, "value_sweep", getattr(dlqr, sweep))
+            bp = ilqr.backward(prob, tab, steps)
         for got, want in zip((bp.M, bp.Y, bp.U1, bp.U2), _reference_backward(prob, tab, steps)):
             want = np.array(want)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * (1 + np.abs(want).max()))
