@@ -16,7 +16,7 @@ import numpy as np
 from . import dlqr, ilqr, oracle
 from .errors import AdjointUndefined, NeedsReference, NoFit, NotFound, SolverError
 from .problem import LQProblem, builtin_problem, load_problem
-from .tableau import BUILTIN_ORDERS, ButcherTableau, adjoint, builtin, load_tableau, stage_orders
+from .tableau import ButcherTableau, adjoint, builtin, load_tableau, ocp_order, stage_orders
 
 
 @dataclass(frozen=True)
@@ -304,7 +304,6 @@ def _print_rows(label: str, tab: ButcherTableau):
 
 def cmd_tableau(args) -> int:
     tab = _resolve("method", args.method)
-    r = args.order if args.order is not None else BUILTIN_ORDERS.get(tab.name)
     print(f"method {tab.name}  (s = {tab.s}, explicit = {tab.is_explicit})")
     _print_rows("c | a", tab)
     print("b:   " + "  ".join(_fmt(v) for v in tab.b))
@@ -313,12 +312,9 @@ def cmd_tableau(args) -> int:
     except AdjointUndefined as exc:
         print(f"adjoint undefined: {exc}")
         return 0
-    if r is None:
-        print("stage order report skipped: pass --order for custom tableaus")
-        return 0
-    print(f"stage orders at OCP order r = {r}:")
+    print(f"stage orders at OCP order r = {ocp_order(tab)}:")
     print("  i   q1  q2  c_match  predicted")
-    for rep in stage_orders(tab, r):
+    for rep in stage_orders(tab):
         print(f"  {rep.stage:<3} {rep.q1:<3} {rep.q2:<3} {str(rep.c_match):<8} {rep.predicted_order}")
     return 0
 
@@ -371,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tableau", help="print a tableau, its adjoint, and stage orders")
     p.add_argument("--method", required=True)
-    p.add_argument("--order", type=int, help="OCP order r (required for custom tableaus)")
     p.set_defaults(func=cmd_tableau)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the exact gradient")

@@ -156,12 +156,13 @@ class Linearization:
 
 @dataclass(frozen=True, eq=False)
 class AffineBackwardPass:
-    """Affine value data V_k(x) = 1/2 x'M_k x + Y_k'x + const and gains, stacked over steps."""
+    """Affine value data V_k(x) = 1/2 x'M_k x + Y_k'x + const, gains and closed loop, stacked over steps."""
 
     M: np.ndarray  # (N+1, n, n)
     Y: np.ndarray  # (N+1, n)
     U1: np.ndarray  # (N, s*m, n) feedback gains
     U2: np.ndarray  # (N, s*m) feedforward terms
+    A: np.ndarray  # (N, n, n) closed loop G_k + H_k U1_k
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,17 +368,17 @@ def riccati_backward(prob: LQProblem, tab: ButcherTableau, steps: Linearization,
     c = (QD1[:, None] @ steps.E)[:, 0] + (q[:, None] @ U1)[:, 0] + (MD2[:, None] @ A)[:, 0]
     Y = affine_scan(np.swapaxes(A, 1, 2), c, np.zeros(prob.n), reverse=True)
     U2 = -np.linalg.solve(K, (q + ((MD2 + Y[1:])[:, None] @ steps.H)[:, 0])[..., None])[..., 0]
-    return AffineBackwardPass(M=M, Y=Y, U1=U1, U2=U2)
+    return AffineBackwardPass(M=M, Y=Y, U1=U1, U2=U2, A=A)
 
 
 def closed_loop(steps: Linearization, bp: AffineBackwardPass, x0):
     """Node states x (N+1, n) and stage controls U = U1 x + U2 (N, s*m) of the feedback from x0.
 
-    One ``affine_scan`` of x_{k+1} = (G_k + H_k U1_k) x_k + H_k U2_k + D2_k; K = 1 steps broadcast.
+    One ``affine_scan`` of x_{k+1} = A_k x_k + H_k U2_k + D2_k, with the closed loop
+    A_k = G_k + H_k U1_k that ``riccati_backward`` formed; K = 1 steps broadcast.
     """
-    closed = steps.G + steps.H @ bp.U1
     offset = (steps.H @ bp.U2[:, :, None])[..., 0] + steps.D2
-    x = affine_scan(closed, offset, x0)
+    x = affine_scan(bp.A, offset, x0)
     return x, (bp.U1 @ x[:-1, :, None])[..., 0] + bp.U2
 
 

@@ -273,13 +273,13 @@ def line_search(prob, tab, state: IterateState, dU, dX, slope: float):
 
 
 def check_stopping_rule(tol, max_iter):
-    """ValueError unless tol is a number > 0 and max_iter an int >= 1.
+    """ValueError unless tol is a number > 0 and max_iter an int >= 1, neither a bool.
 
     tol = inf passes: ``solve`` then returns its first rollout.
     """
-    if not (isinstance(tol, numbers.Real) and tol > 0):
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and tol > 0):
         raise ValueError(f"tol must be a number > 0, not {tol!r}")
-    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+    if isinstance(max_iter, bool) or not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
         raise ValueError(f"max_iter must be an int >= 1, not {max_iter!r}")
 
 

@@ -324,8 +324,9 @@ def load_problem(source):
     if kind != "lq":
         raise ValueError(f"unknown problem kind {kind!r}")
     try:
-        n = int(data["n"])
-        m = int(data["m"])
+        n, m = int(data["n"]), int(data["m"])
+        if (n, m) != (data["n"], data["m"]):
+            raise ValueError(f"n = {data['n']!r} and m = {data['m']!r} must be integers")
         prob = LQProblem(
             A=np.asarray(data["A"], dtype=float).reshape(n, n),
             B=np.asarray(data["B"], dtype=float).reshape(n, m),
@@ -339,6 +340,6 @@ def load_problem(source):
         )
     except KeyError as exc:
         raise ValueError(f"malformed problem spec: missing field {exc.args[0]!r}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed problem spec: {exc}") from exc
     return prob, None

@@ -1,10 +1,11 @@
-"""Runge-Kutta tableaus, their symplectic adjoint pairs, and stage order checks.
+"""Runge-Kutta tableaus, their symplectic adjoint pairs, and order checks.
 
 A tableau (a, b, c) discretizes the state; its adjoint partner, the tableau
 (abar, b, cbar) with abar_ij = b_j - b_j a_ji / b_i, propagates the costate
-so that the pair is symplectic.  Internal-stage control accuracy, which
-``stage_orders`` predicts for every stage at once, is governed by how far
-the simplifying conditions
+so that the pair is symplectic.  ``ocp_order`` gives the control order r of
+the pair from Hager's order conditions.  Internal-stage control accuracy,
+which ``stage_orders`` predicts for every stage at once, is governed by how
+far the simplifying conditions
 
     sum_j a_ij    c_j^(l-2) = c_i^(l-1) / (l-1)     (forward,  order q1)
     sum_j abar_ij c_j^(l-2) = c_i^(l-1) / (l-1)     (adjoint,  order q2)
@@ -25,16 +26,6 @@ from .errors import AdjointUndefined, DegenerateFamily, NotFound
 COEFF_TOL = 1e-14
 ORDER_COND_TOL = 1e-12
 CC_MATCH_TOL = 1e-12
-
-#: OCP convergence order of each builtin method (node-value accuracy of the
-#: symplectic pair).  Supplied to stage_orders / the CLI; not re-derived here.
-BUILTIN_ORDERS = {
-    "euler": 1,
-    "methodA": 2,
-    "methodB": 3,
-    "methodC": 4,
-    "trapezoidal": 2,
-}
 
 
 def _frozen(arr):
@@ -118,6 +109,31 @@ def adjoint(tab: ButcherTableau) -> ButcherTableau:
     return ButcherTableau(a=abar, b=b, name=f"adjoint({tab.name})")
 
 
+def ocp_order(tab: ButcherTableau) -> int:
+    """The control order of the symplectic pair: the largest r <= 4 whose conditions all hold.
+
+    The conditions of orders 1..4 are Hager's (Numer. Math. 87, 2000), in a,
+    b, c, d = b a and d_j / b_j = 1 - cbar_j, each within ORDER_COND_TOL.
+    r is capped at 4: order 5 needs the bi-coloured trees of Bonnans and
+    Laurent-Varin (Numer. Math. 103, 2006).  Raises ``adjoint``'s
+    AdjointUndefined unless every b_i > 0.  The residuals are absolute, and a
+    weight near zero amplifies the rounding of d_j / b_j, so it can read low.
+    """
+    a, b, c = tab.a, tab.b, tab.c
+    e = 1 - adjoint(tab).c
+    d, bc = b @ a, b * c
+    residuals = (
+        (b.sum() - 1,), (d.sum() - 1 / 2,),
+        (c @ d - 1 / 6, b @ c**2 - 1 / 3, d @ e - 1 / 3),
+        (b @ c**3 - 1 / 4, bc @ a @ c - 1 / 8, d @ c**2 - 1 / 12, d @ a @ c - 1 / 24,
+         c @ (d * e) - 1 / 12, d @ e**2 - 1 / 4, bc @ a @ e - 5 / 24, d @ a @ e - 1 / 8),
+    )
+    for r, group in enumerate(residuals):
+        if np.abs(group).max() > ORDER_COND_TOL:
+            return r
+    return len(residuals)
+
+
 def _largest_condition_order(coeffs_row, c, ci, r):
     """Largest l with sum_j row_j c_j^(l-2) == c_i^(l-1)/(l-1) for all 2..l.
 
@@ -134,14 +150,13 @@ def _largest_condition_order(coeffs_row, c, ci, r):
     return q
 
 
-def stage_orders(tab: ButcherTableau, r: int) -> list:
+def stage_orders(tab: ButcherTableau) -> list:
     """Predict the convergence order of every internal-stage control, stages 1..s.
 
-    r is the method's OCP order.  The prediction for stage i is 1 when
+    With r = ``ocp_order(tab)``, the prediction for stage i is 1 when
     c_i != cbar_i and min(q1, q2) capped at r otherwise.
     """
-    if r < 1:
-        raise ValueError("method order r must be >= 1")
+    r = ocp_order(tab)
     adj = adjoint(tab)
     reports = []
     for row, ci in enumerate(tab.c):
@@ -180,7 +195,8 @@ def explicit3_family(c2: float) -> ButcherTableau:
     """Member of the one-parameter 3-stage explicit family with third OCP order.
 
     Abscissae are (0, c2, 1); c2 in {0, 2/3, 1} makes a denominator vanish.
-    c2 = 1/2 recovers methodB.
+    The weights are positive, and ``ocp_order`` is 3, only for c2 in
+    (1/3, 2/3).  c2 = 1/2 recovers methodB.
     """
     c2 = float(c2)
     for pole in (0.0, 2.0 / 3.0, 1.0):
@@ -211,11 +227,13 @@ def load_tableau(source) -> ButcherTableau:
             data = json.load(fh)
     try:
         s = int(data["s"])
+        if s != data["s"]:
+            raise ValueError(f"s = {data['s']!r} is not an integer")
         a = np.asarray(data["a"], dtype=float).reshape(s, s)
         b = np.asarray(data["b"], dtype=float).reshape(s)
     except KeyError as exc:
         raise ValueError(f"malformed tableau spec: missing field {exc.args[0]!r} (needs s, "
                          "a as a flat row-major list of s*s entries, and b)") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed tableau spec: {exc}") from exc
     return ButcherTableau(a=a, b=b, name=str(data.get("name", "custom")))

@@ -11,8 +11,9 @@ import pytest
 
 from rklqr import dlqr, ilqr, oracle
 from rklqr.cli import build_reference, max_stage_error, run_order_study
+from rklqr.errors import AdjointUndefined
 from rklqr.problem import example31, pendulum, spring_oscillator
-from rklqr.tableau import builtin, stage_orders
+from rklqr.tableau import ButcherTableau, builtin, explicit3_family, ocp_order, stage_orders
 
 # Reference table of max internal-control errors for the scalar benchmark
 # (u* known in closed form), 3 significant digits, columns per method/stage.
@@ -81,11 +82,10 @@ def test_criterion_01_stage_error_table_within_5_percent():
 def test_criterion_02_stage_slopes_match_min_q1_q2():
     prob, ref = example31()
     expected = {"methodA": [2, 2], "methodB": [2, 2, 2], "methodC": [3, 2, 2, 3]}
-    orders = {"methodA": 2, "methodB": 3, "methodC": 4}
     for name, mins in expected.items():
         tab = builtin(name)
         # the prediction machinery must agree with the hard-coded table
-        predicted = [rep.predicted_order for rep in stage_orders(tab, orders[name])]
+        predicted = [rep.predicted_order for rep in stage_orders(tab)]
         assert predicted == mins
         for stage, target in enumerate(mins, start=1):
             study = run_order_study(prob, tab, H_GRID, f"stage:{stage}", reference=ref)
@@ -238,3 +238,43 @@ def test_criterion_12_pendulum_node_orders():
         slopes[name] = run_order_study(prob, builtin(name), grid, "node").fitted_slope
         assert slopes[name] == pytest.approx(target, abs=0.3), name
     _pass("criterion 12: pendulum node orders " + ", ".join(f"{k} {v:.2f}" for k, v in slopes.items()))
+
+
+_S3, _S6 = np.sqrt(3.0), np.sqrt(6.0)
+RALSTON3 = ButcherTableau(a=[[0, 0, 0], [0.5, 0, 0], [0, 0.75, 0]], b=[2 / 9, 1 / 3, 4 / 9], name="ralston3")
+# control order r from Hager's conditions; classical order in the comment where it differs
+OCP_ORDERS = [
+    (builtin("euler"), 1),
+    (builtin("methodA"), 2),
+    (builtin("methodB"), 3),
+    (builtin("methodC"), 4),
+    (builtin("trapezoidal"), 2),
+    (ButcherTableau(a=[[0, 0, 0, 0], [1 / 3, 0, 0, 0], [-1 / 3, 1, 0, 0], [1, -1, 1, 0]],
+                    b=[1 / 8, 3 / 8, 3 / 8, 1 / 8], name="kutta38"), 4),
+    (ButcherTableau(a=[[1 / 4, 1 / 4 - _S3 / 6], [1 / 4 + _S3 / 6, 1 / 4]], b=[1 / 2, 1 / 2],
+                    name="gauss2"), 4),  # classical 4
+    (ButcherTableau(a=[[(88 - 7 * _S6) / 360, (296 - 169 * _S6) / 1800, (-2 + 3 * _S6) / 225],
+                       [(296 + 169 * _S6) / 1800, (88 + 7 * _S6) / 360, (-2 - 3 * _S6) / 225],
+                       [(16 - _S6) / 36, (16 + _S6) / 36, 1 / 9]],
+                    b=[(16 - _S6) / 36, (16 + _S6) / 36, 1 / 9], name="radau2a3"), 4),  # classical 5
+    (RALSTON3, 2),  # classical 3
+    (explicit3_family(0.45), 3),
+]
+
+
+def test_criterion_13_control_order_from_hagers_conditions():
+    for tab, r in OCP_ORDERS:
+        assert ocp_order(tab) == r, tab.name
+    with pytest.raises(AdjointUndefined):
+        ocp_order(explicit3_family(0.3))  # b1 < 0
+    # Ralston's node controls converge at its control order 2, not its classical order 3
+    prob, ref = example31()
+    scalar = run_order_study(prob, RALSTON3, H_GRID, "node", reference=ref).fitted_slope
+    t0 = time.perf_counter()
+    pend = run_order_study(pendulum(), RALSTON3, [0.1, 0.05, 0.04, 0.02], "node").fitted_slope
+    elapsed = time.perf_counter() - t0
+    for slope in (scalar, pend):
+        assert slope == pytest.approx(ocp_order(RALSTON3), abs=0.3)
+        assert abs(slope - 3) > 0.3
+    _pass(f"criterion 13: ocp_order on {len(OCP_ORDERS)} tableaus; Ralston 3 node slopes "
+          f"{scalar:.3f} (example31), {pend:.3f} (pendulum, {elapsed:.2f}s)")

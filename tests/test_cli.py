@@ -140,7 +140,13 @@ class TestSolveCommand:
          "malformed tableau spec: missing field 's' (needs s, "
          "a as a flat row-major list of s*s entries, and b)"),
         ("--problem", {"kind": "lq", "m": 1}, "malformed problem spec: missing field 'n'"),
-    ], ids=["tableau", "problem"])
+        # a size that is present but not an integer, which int() would truncate
+        ("--method", {"s": 2.7, "a": [0, 0, 1, 0], "b": [0.5, 0.5]},
+         "malformed tableau spec: s = 2.7 is not an integer"),
+        ("--problem", {"kind": "lq", "n": 1.9, "m": 1, "A": [0], "B": [1], "Q": [1], "R": [1],
+                       "M": [0], "x0": [1], "tf": 1},
+         "malformed problem spec: n = 1.9 and m = 1 must be integers"),
+    ], ids=["tableau", "problem", "tableau-size", "problem-size"])
     def test_spec_missing_field_exits_2(self, tmp_path, capsys, option, spec, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -421,16 +427,23 @@ class TestTableauCommand:
     def test_adjoint_undefined_note(self, tmp_path, capsys):
         spec = tmp_path / "tab.json"
         spec.write_text('{"s": 2, "a": [0, 0, 1, 0], "b": [1.0, 0.0], "name": "flat"}')
-        rc = cli.main(["tableau", "--method", str(spec), "--order", "1"])
-        assert rc == 0
-        assert "adjoint undefined" in capsys.readouterr().out
-
-    def test_custom_tableau_without_order_skips_report(self, tmp_path, capsys):
-        spec = tmp_path / "tab.json"
-        spec.write_text('{"s": 2, "a": [0, 0, 1, 0], "b": [0.5, 0.5], "name": "heun-like"}')
         rc = cli.main(["tableau", "--method", str(spec)])
         assert rc == 0
-        assert "skipped" in capsys.readouterr().out
+        outp = capsys.readouterr().out
+        assert "adjoint undefined" in outp and "stage orders" not in outp
+
+    def test_custom_tableau_gets_report(self, tmp_path, capsys):
+        # Ralston's third-order method: classical order 3, control order 2,
+        # and c_i != cbar_i at every stage
+        spec = tmp_path / "tab.json"
+        spec.write_text('{"s": 3, "a": [0, 0, 0, 0.5, 0, 0, 0, 0.75, 0], '
+                        '"b": [0.2222222222222222, 0.3333333333333333, 0.4444444444444444], '
+                        '"name": "ralston3"}')
+        rc = cli.main(["tableau", "--method", str(spec)])
+        assert rc == 0
+        outp = capsys.readouterr().out
+        assert "stage orders at OCP order r = 2:" in outp
+        assert _predicted_orders(outp) == [1, 1, 1]
 
 
 class TestGradcheckCommand:

@@ -480,6 +480,9 @@ class TestSolve:
         ({"tol": "1e-8"}, "tol must be a number > 0, not '1e-8'"),
         ({"max_iter": 0}, "max_iter must be an int >= 1, not 0"),
         ({"max_iter": 2.5}, "max_iter must be an int >= 1, not 2.5"),
+        # bools are numbers to Python, but tol=True would run at 1.0 and max_iter=True as 1
+        ({"tol": True}, "tol must be a number > 0, not True"),
+        ({"max_iter": True}, "max_iter must be an int >= 1, not True"),
     ])
     def test_bad_stopping_rule_rejected_before_any_rollout(self, monkeypatch, kwargs, message):
         def no_rollout(*args):

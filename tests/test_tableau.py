@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rklqr.errors import AdjointUndefined, DegenerateFamily, NotFound
@@ -14,6 +14,7 @@ from rklqr.tableau import (
     builtin,
     explicit3_family,
     load_tableau,
+    ocp_order,
     stage_orders,
 )
 
@@ -135,17 +136,17 @@ class TestAdjoint:
 
 
 class TestStageOrders:
-    # q1/q2 per stage for the three benchmark methods at their OCP orders
+    # q1/q2 per stage for the three benchmark methods
     Q1Q2 = {
-        "methodA": (2, [(2, 2), (2, 2)]),
-        "methodB": (3, [(3, 2), (2, 2), (2, 3)]),
-        "methodC": (4, [(4, 3), (2, 2), (2, 2), (3, 4)]),
+        "methodA": [(2, 2), (2, 2)],
+        "methodB": [(3, 2), (2, 2), (2, 3)],
+        "methodC": [(4, 3), (2, 2), (2, 2), (3, 4)],
     }
 
     @pytest.mark.parametrize("name", sorted(Q1Q2))
     def test_q1_q2_table(self, name):
-        r, expected = self.Q1Q2[name]
-        reports = stage_orders(builtin(name), r)
+        expected = self.Q1Q2[name]
+        reports = stage_orders(builtin(name))
         assert [rep.stage for rep in reports] == list(range(1, len(expected) + 1))
         for rep, (q1, q2) in zip(reports, expected):
             assert (rep.q1, rep.q2) == (q1, q2)
@@ -153,27 +154,23 @@ class TestStageOrders:
             assert rep.predicted_order == min(q1, q2)
             assert rep.q1 >= 2
 
-    def test_bad_order_rejected(self):
-        with pytest.raises(ValueError, match=f"^{re.escape('method order r must be >= 1')}$"):
-            stage_orders(builtin("methodB"), 0)
-
     def test_methodC_predictions(self):
-        preds = [rep.predicted_order for rep in stage_orders(builtin("methodC"), 4)]
+        preds = [rep.predicted_order for rep in stage_orders(builtin("methodC"))]
         assert preds == [3, 2, 2, 3]
 
     def test_trapezoidal_first_order(self):
-        reports = stage_orders(builtin("trapezoidal"), 2)
+        reports = stage_orders(builtin("trapezoidal"))
         assert len(reports) == 2
         for rep in reports:
             assert not rep.c_match
             assert rep.predicted_order == 1
 
     def test_euler_capped_at_method_order(self):
-        [rep] = stage_orders(builtin("euler"), 1)
+        [rep] = stage_orders(builtin("euler"))
         assert rep.q1 >= 2 and rep.predicted_order == 1
 
     def test_methodA_stage2(self):
-        rep = stage_orders(builtin("methodA"), 2)[1]
+        rep = stage_orders(builtin("methodA"))[1]
         assert rep.stage == 2 and (rep.q1, rep.q2, rep.predicted_order) == (2, 2, 2)
 
     @given(st.integers(0, 2**32 - 1))
@@ -184,7 +181,7 @@ class TestStageOrders:
         tab = builtin("methodC")
         perm = rng.permutation(4)
         permuted = ButcherTableau(a=tab.a[np.ix_(perm, perm)], b=tab.b[perm])
-        reports, permuted_reports = stage_orders(tab, 4), stage_orders(permuted, 4)
+        reports, permuted_reports = stage_orders(tab), stage_orders(permuted)
         for new_i, old_i in enumerate(perm):
             rep_old, rep_new = reports[old_i], permuted_reports[new_i]
             assert (rep_new.q1, rep_new.q2, rep_new.c_match, rep_new.predicted_order) == (
@@ -195,8 +192,109 @@ class TestStageOrders:
             )
 
 
+def _kutta4(u, v):
+    """Kutta's two-parameter 4-stage explicit family of classical order 4, c = (0, u, v, 1).
+
+    Hairer, Nørsett and Wanner, Solving ODEs I, §II.1; needs u != v,
+    u != 1/2 and D != 0.
+    """
+    D = 6 * u * v - 4 * (u + v) + 3
+    b2 = (2 * v - 1) / (12 * u * (v - u) * (1 - u))
+    b3 = (1 - 2 * u) / (12 * v * (v - u) * (1 - v))
+    b4 = D / (12 * (1 - u) * (1 - v))
+    a32 = v * (v - u) / (2 * u * (1 - 2 * u))
+    a42 = (1 - u) * (u + v - 1 - (2 * v - 1) ** 2) / (2 * u * (v - u) * D)
+    a43 = (1 - 2 * u) * (1 - u) * (1 - v) / (v * (v - u) * D)
+    a = [[0, 0, 0, 0], [u, 0, 0, 0], [v - a32, a32, 0, 0], [1 - a42 - a43, a42, a43, 0]]
+    return ButcherTableau(a=a, b=[1 - b2 - b3 - b4, b2, b3, b4])
+
+
+def _classical3(u, v):
+    """The 3-stage explicit family of classical order 3, c = (0, u, v); needs u != v, u != 2/3."""
+    b2 = (2 - 3 * v) / (6 * u * (u - v))
+    b3 = (2 - 3 * u) / (6 * v * (v - u))
+    a32 = v * (v - u) / (u * (2 - 3 * u))
+    return ButcherTableau(a=[[0, 0, 0], [u, 0, 0], [v - a32, a32, 0]], b=[1 - b2 - b3, b2, b3])
+
+
+def _classical_residuals(tab):
+    """The order conditions of the ODE method up to order 4, one residual per tree."""
+    a, b, c = tab.a, tab.b, tab.c
+    return np.array([b.sum() - 1, b @ c - 1 / 2, b @ c**2 - 1 / 3, b @ a @ c - 1 / 6,
+                     b @ c**3 - 1 / 4, (b * c) @ a @ c - 1 / 8, b @ a @ c**2 - 1 / 12,
+                     b @ a @ a @ c - 1 / 24])
+
+
+# draws keep 0.05 away from the family's poles, where the coefficients blow up,
+# and every |b_i| above 1e-3: ocp_order's residuals are absolute and d_j / b_j
+# amplifies the rounding of d_j by 1 / b_j, so a near-zero weight can read low
+_NODE = st.floats(0.1, 0.9)
+
+
+def _away(*gaps):
+    return min(abs(g) for g in gaps) >= 0.05
+
+
+class TestOcpOrder:
+    """Properties of ``ocp_order``; acceptance criterion 13 has its table of named tableaus."""
+
+    @pytest.mark.parametrize("b", [[1.0, 0.0], [1.5, -0.5]])
+    def test_non_positive_weight_raises_like_adjoint(self, b):
+        tab = ButcherTableau(a=np.zeros((2, 2)), b=b)
+        with pytest.raises(AdjointUndefined) as from_adjoint:
+            adjoint(tab)
+        with pytest.raises(AdjointUndefined, match=f"^{re.escape(str(from_adjoint.value))}$"):
+            ocp_order(tab)
+
+    def test_classical_order_is_not_control_order(self):
+        # Ralston's third-order method satisfies every classical order-3
+        # condition but not sum_j d_j^2 / b_j = 1/3
+        tab = ButcherTableau(a=[[0, 0, 0], [0.5, 0, 0], [0, 0.75, 0]], b=[2 / 9, 1 / 3, 4 / 9])
+        assert np.abs(_classical_residuals(tab)[:4]).max() < 1e-15
+        assert ocp_order(tab) == 2
+
+    @given(st.floats(0.34, 0.66))
+    @settings(max_examples=40, deadline=None)
+    def test_explicit3_family_is_third_order(self, c2):
+        assert ocp_order(explicit3_family(c2)) == 3
+
+    @pytest.mark.parametrize("c2", [0.3, 0.8])
+    def test_explicit3_family_negative_weight_raises(self, c2):
+        with pytest.raises(AdjointUndefined):
+            ocp_order(explicit3_family(c2))
+
+    @given(_NODE, _NODE)
+    @settings(max_examples=150, deadline=None)
+    def test_kutta_family_positive_weights_give_order_4(self, u, v):
+        assume(_away(u - v, u - 0.5, 6 * u * v - 4 * (u + v) + 3))
+        tab = _kutta4(u, v)
+        assert np.abs(_classical_residuals(tab)).max() < 1e-10
+        assume(np.abs(tab.b).min() > 1e-3)
+        if tab.b.min() < 0:
+            with pytest.raises(AdjointUndefined):
+                ocp_order(tab)
+            return
+        assert ocp_order(tab) == 4
+        # order 4 at the nodes, but some internal stage is predicted lower
+        assert min(rep.predicted_order for rep in stage_orders(tab)) < 4
+
+    @given(_NODE, st.floats(0.1, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_classical3_family_at_most_order_3(self, u, v):
+        assume(_away(u - v, u - 2 / 3))
+        tab = _classical3(u, v)
+        assert np.abs(_classical_residuals(tab)[:4]).max() < 1e-10
+        assume(np.abs(tab.b).min() > 1e-3)
+        if tab.b.min() < 0:
+            with pytest.raises(AdjointUndefined):
+                ocp_order(tab)
+            return
+        assert ocp_order(tab) <= 3
+        assert min(rep.predicted_order for rep in stage_orders(tab)) < 3
+
+
 def _c_match(tab):
-    return [rep.c_match for rep in stage_orders(tab, 1)]
+    return [rep.c_match for rep in stage_orders(tab)]
 
 
 class TestCheckCC:
@@ -266,6 +364,15 @@ class TestLoadTableau:
     def test_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
             load_tableau({"s": 2, "a": [0, 0, 1], "b": [0.5, 0.5]})
+
+    @pytest.mark.parametrize("s", [2.7, "2", float("inf")])
+    def test_non_integral_stage_count_rejected(self, s):
+        # int() would truncate 2.7 to a 2-stage tableau
+        with pytest.raises(ValueError, match="^malformed tableau spec: "):
+            load_tableau({"s": s, "a": [0, 0, 1, 0], "b": [0.5, 0.5]})
+
+    def test_integral_float_stage_count_accepted(self):
+        assert load_tableau({"s": 2.0, "a": [0, 0, 1, 0], "b": [0.5, 0.5]}).s == 2
 
     def test_non_finite_file_rejected(self, tmp_path):
         path = tmp_path / "tab.json"
