@@ -12,6 +12,12 @@ so ILQR uses the same step type (``Linearization``), backward result
 (``closed_loop``), affine recursions (``affine_scan``, one LAPACK banded
 triangular solve) and backward pass (``riccati_backward``: the Riccati
 ``value_sweep`` on the n-state, then one reverse ``affine_scan``) from here.
+
+The two differ only in how ``value_sweep`` gets the Riccati matrices M_k,
+chosen from the shape of the steps.  DLQR's step-invariant step (K = 1)
+takes ``power_scan``: doubling, about N half-combines in log2(N+1)
+batched calls.  ILQR's N distinct tangent-plane steps (K = N) take the
+general ``suffix_scan``, about 2N full combines in 2 log2(N) calls.
 """
 
 from __future__ import annotations
@@ -207,7 +213,8 @@ def suffix_scan(elems, combine):
     ``combine(earlier, later)`` is associative and works on such tuples in
     batch.  Odd-even reduction: combine neighbour pairs, recurse on the L/2
     pairs, then fill the odd slots with one more batched combine.  That is
-    about 2L element products in 2 log2(L) calls of ``combine``.
+    about 2L element products in 2 log2(L) calls of ``combine``.  It serves
+    steps that differ (ILQR's K = N); ``power_scan`` serves identical ones.
     """
     L = elems[0].shape[0]
     if L == 1:
@@ -273,6 +280,33 @@ def _riccati_combine(earlier, later):
     return Aj @ XA, Aj @ XC + Cj, np.swapaxes(XA, 1, 2) @ Jj @ Ai + Ji
 
 
+def power_scan(elem, M_N, N: int):
+    """M (N+1, n, n) of one Riccati element e = (A, C, J) repeated N times before the terminal (0, 0, M_N).
+
+    ``elem`` holds A, C and J with a leading axis of 1.  The suffix from
+    step N-j to the terminal is (0, 0, M_{N-j}), and a combine whose later
+    element has A = C = 0 is half of ``_riccati_combine``:
+    P ∘ (0, 0, T) = (0, 0, X'T A_P + J_P) with X = (I + C_P T)^{-1} A_P.
+    Doubling (Anderson, Int. J. Control 28, 1978): with M_{N-L+1..N} known and
+    the power P = e^L, one batched half-combine gives the next L of them,
+    M_{N-L-j} = P ∘ M_{N-j}, and P ∘ P squares the power.  That is N
+    half-combines in ceil(log2(N+1)) calls, with no stacked copies of e.
+    """
+    n = M_N.shape[-1]
+    M = np.empty((N + 1, n, n))
+    M[N] = M_N
+    P, L = elem, 1  # P = e^L, and M_{N-L+1..N} are known
+    while L <= N:
+        A, C, J = (p[0] for p in P)
+        T = M[max(N + 1 - L, L):]  # M_{N-j} for j < min(L, N+1-L), ascending in k
+        X = np.linalg.solve(np.eye(n) + C @ T, np.broadcast_to(A, T.shape))
+        M[N + 1 - L - len(T):N + 1 - L] = np.swapaxes(X, 1, 2) @ T @ A + J
+        if 2 * L <= N:
+            P = _riccati_combine(P, P)
+        L *= 2
+    return M
+
+
 def _stage_products(E, F, Qh, Rh, Sh):
     """Stage Hessian Kc, cross block Lc and state block Wc of the stage cost in (z, U)."""
     Ft = np.swapaxes(F, 1, 2)
@@ -293,13 +327,18 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     (N+1, n, n) from M_N, gains (N, sm, n) with U_k = gains_k x_k and the
     stage Hessians K_k = Kc_k + H_k'M_{k+1}H_k (N, sm, sm).
 
-    M comes from the Riccati scan (``_riccati_combine``) after the cross
-    term is eliminated with Kc^{-1}; the gains then follow in one batch.
-    The scan needs every Kc positive definite.  Where one is not, or the
-    scan breaks down, ``sequential_sweep`` runs instead.  The stage
-    Hessians are checked positive definite; BackwardFailure names, and
-    carries, the first bad step in sweep order (largest k) and the step
-    size h.
+    M comes from the Riccati elements (A, C, J) of ``_riccati_combine``,
+    formed after the cross term is eliminated with Kc^{-1}; the gains then
+    follow in one batch.  The input's shape picks the scan.  When every step
+    operator has a leading axis of 1, as DLQR's does, the N elements are one
+    and ``power_scan`` doubles it: about half the combines of a general
+    scan, and no stacked copies.  Otherwise, as for ILQR's K = N, the
+    elements are stacked with the terminal (0, 0, M_N) for ``suffix_scan``.
+    Either scan needs every Kc positive definite.  Where one is not, or the
+    scan breaks down (LinAlgError or a non-finite M), ``sequential_sweep``
+    runs instead.  The stage Hessians are checked positive definite;
+    BackwardFailure names, and carries, the first bad step in sweep order
+    (largest k) and the step size h.
     """
     Kc, Lc, Wc = _stage_products(E, F, Qh, Rh, Sh)
     if factor_fails(np.linalg.cholesky, Kc):
@@ -308,10 +347,13 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     Ht = np.swapaxes(H, 1, 2)
     KiL, KiH = np.split(np.linalg.solve(Kc, np.concatenate([Lc, Ht], axis=2)), 2, axis=2)
     elems = (G - H @ KiL, H @ KiH, Wc - np.swapaxes(Lc, 1, 2) @ KiL)
-    elems = tuple(np.concatenate([np.broadcast_to(e, (N, n, n)), np.broadcast_to(t, (1, n, n))])
-                  for e, t in zip(elems, (0.0, 0.0, M_N)))
     try:
-        M = suffix_scan(elems, _riccati_combine)[2]
+        if all(len(a) == 1 for a in (E, F, G, H)):
+            M = power_scan(elems, M_N, N)
+        else:
+            elems = tuple(np.concatenate([np.broadcast_to(e, (N, n, n)), np.broadcast_to(t, (1, n, n))])
+                          for e, t in zip(elems, (0.0, 0.0, M_N)))
+            M = suffix_scan(elems, _riccati_combine)[2]
     except np.linalg.LinAlgError:
         M = None
     if M is None or not np.isfinite(M).all():

@@ -325,7 +325,7 @@ def load_problem(source):
         raise ValueError(f"unknown problem kind {kind!r}")
     try:
         n, m = int(data["n"]), int(data["m"])
-        if (n, m) != (data["n"], data["m"]):
+        if (n, m) != (data["n"], data["m"]) or any(isinstance(data[k], bool) for k in ("n", "m")):
             raise ValueError(f"n = {data['n']!r} and m = {data['m']!r} must be integers")
         prob = LQProblem(
             A=np.asarray(data["A"], dtype=float).reshape(n, n),

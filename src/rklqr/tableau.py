@@ -227,7 +227,7 @@ def load_tableau(source) -> ButcherTableau:
             data = json.load(fh)
     try:
         s = int(data["s"])
-        if s != data["s"]:
+        if s != data["s"] or isinstance(data["s"], bool):
             raise ValueError(f"s = {data['s']!r} is not an integer")
         a = np.asarray(data["a"], dtype=float).reshape(s, s)
         b = np.asarray(data["b"], dtype=float).reshape(s)

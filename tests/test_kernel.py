@@ -172,6 +172,7 @@ def _reference_affine(A, c, v, reverse):
 
 SEEDS = st.integers(0, 2**32 - 1)
 EXPLICIT_KINDS = ["dense", "sparse", "euler", "methodA", "methodB", "methodC"]
+BUILTINS = ["euler", "methodA", "methodB", "methodC", "trapezoidal"]
 
 
 class TestScans:
@@ -256,14 +257,6 @@ class TestScans:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
-def _scan_raises(elems, combine):
-    raise np.linalg.LinAlgError("singular combine")
-
-
-def _scan_not_finite(elems, combine):
-    return tuple(np.full(e.shape, np.nan) for e in elems)
-
-
 class TestRiccatiScan:
     @staticmethod
     def _rel(got, want):
@@ -287,13 +280,33 @@ class TestRiccatiScan:
         for got, want in zip(vars(scan).values(), vars(loop).values()):
             assert self._rel(got, want) < 1e-12
 
-    @pytest.mark.parametrize("broken", [_scan_raises, _scan_not_finite])
-    def test_scan_breakdown_falls_back_to_loop(self, monkeypatch, broken):
-        prob, tab = spring_oscillator(), builtin("methodB")
-        steps = dlqr.assemble(prob, tab, 50)
-        want = dlqr.riccati_backward(prob, tab, steps, 50)
-        monkeypatch.setattr(dlqr, "suffix_scan", broken)
-        got = dlqr.riccati_backward(prob, tab, steps, 50)
+    @pytest.mark.parametrize("broken", ["raises", "not_finite"])
+    @pytest.mark.parametrize("scan", ["power_scan", "suffix_scan"])
+    def test_scan_breakdown_falls_back_to_loop(self, monkeypatch, scan, broken):
+        # DLQR's step-invariant step takes the doubling, ILQR's K = N tangent plane the suffix scan
+        tab, N = builtin("methodB"), 50
+        if scan == "power_scan":
+            prob = spring_oscillator()
+            steps = dlqr.assemble(prob, tab, N)
+        else:
+            prob = pendulum()
+            steps = ilqr.linearize(prob, tab, ilqr.rollout(prob, tab, N, np.full((N, 3), -0.5)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
+            want = dlqr.riccati_backward(prob, tab, steps, N)
+        calls = []
+
+        def breakdown(*args):
+            calls.append(scan)
+            if broken == "raises":
+                raise np.linalg.LinAlgError("singular combine")
+            if scan == "power_scan":
+                return np.full((N + 1,) + prob.M.shape, np.nan)
+            return tuple(np.full(e.shape, np.nan) for e in args[0])
+
+        monkeypatch.setattr(dlqr, scan, breakdown)
+        got = dlqr.riccati_backward(prob, tab, steps, N)
+        assert calls == [scan]
         np.testing.assert_allclose(got.M, want.M, rtol=1e-12)
         np.testing.assert_allclose(got.U1, want.U1, rtol=1e-12)
 
@@ -534,7 +547,33 @@ class TestBackwardKernel:
             want = np.array(want)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * (1 + np.abs(want).max()))
 
-    @given(SEEDS, st.sampled_from(["euler", "methodA", "methodB", "methodC", "trapezoidal"]))
+    @given(SEEDS, st.sampled_from(BUILTINS), st.integers(1, 70))
+    @example(0, "euler", 1)
+    @example(1, "methodA", 2)
+    @example(2, "methodB", 3)
+    @example(3, "methodC", 7)
+    @example(4, "trapezoidal", 8)
+    @example(5, "methodB", 63)
+    @example(6, "methodC", 64)
+    @settings(max_examples=40, deadline=None)
+    def test_step_invariant_sweep_matches_sequential_sweep(self, seed, name, N):
+        # the doubling reaches N+1 = 2^k in full levels; otherwise its last level is short
+        rng = np.random.default_rng(seed)
+        n, m = (int(v) for v in rng.integers(1, [4, 3]))
+        prob, tab = _random_lq(rng, n, m, tf=float(rng.uniform(0.5, 3.0))), builtin(name)
+        steps = dlqr.assemble(prob, tab, N)
+        h = prob.tf / N
+        args = (steps.E, steps.F, steps.G, steps.H, *dlqr.stage_cost_blocks(prob, tab.b, h), prob.M, N, h)
+        want = dlqr.sequential_sweep(*args)
+        with pytest.MonkeyPatch.context() as patch:
+            # the doubling alone: neither the suffix scan nor the fallback runs
+            patch.setattr(dlqr, "suffix_scan", None)
+            patch.setattr(dlqr, "sequential_sweep", None)
+            got = dlqr.value_sweep(*args)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-10 * (1 + np.abs(w).max()))
+
+    @given(SEEDS, st.sampled_from(BUILTINS))
     @settings(max_examples=30, deadline=None)
     def test_dlqr_matches_dense_kkt_solve(self, seed, name):
         rng = np.random.default_rng(seed)

@@ -280,9 +280,9 @@ class TestLoading:
         with pytest.raises(ValueError, match="kind"):
             load_problem({"kind": "nlp"})
 
-    @pytest.mark.parametrize("sizes", [{"n": 1.9}, {"m": 1.5}, {"n": "1"}])
+    @pytest.mark.parametrize("sizes", [{"n": 1.9}, {"m": 1.5}, {"n": "1"}, {"n": True}, {"n": True, "m": True}])
     def test_non_integral_size_rejected(self, sizes):
-        # int() would truncate 1.9 to n = 1
+        # int() would truncate 1.9 to n = 1, and JSON true equals 1
         data = {"kind": "lq", "n": 1, "m": 1, "A": [0], "B": [1], "Q": [1], "R": [1],
                 "M": [0], "x0": [1], "tf": 1, **sizes}
         with pytest.raises(ValueError, match="^malformed problem spec: n = .* must be integers$"):

@@ -365,11 +365,13 @@ class TestLoadTableau:
         with pytest.raises(ValueError, match="malformed"):
             load_tableau({"s": 2, "a": [0, 0, 1], "b": [0.5, 0.5]})
 
-    @pytest.mark.parametrize("s", [2.7, "2", float("inf")])
+    @pytest.mark.parametrize("s", [2.7, "2", float("inf"), True])
     def test_non_integral_stage_count_rejected(self, s):
-        # int() would truncate 2.7 to a 2-stage tableau
+        # int() would truncate 2.7 to a 2-stage tableau and read JSON true as 1;
+        # a and b fit that many stages
+        a, b = ([0], [1]) if s is True else ([0, 0, 1, 0], [0.5, 0.5])
         with pytest.raises(ValueError, match="^malformed tableau spec: "):
-            load_tableau({"s": s, "a": [0, 0, 1, 0], "b": [0.5, 0.5]})
+            load_tableau({"s": s, "a": a, "b": b})
 
     def test_integral_float_stage_count_accepted(self):
         assert load_tableau({"s": 2.0, "a": [0, 0, 1, 0], "b": [0.5, 0.5]}).s == 2
