@@ -2,7 +2,7 @@
 
 Subcommands: solve, order-study, tableau, gradcheck.  All tabular output is
 CSV; printed numbers use 6 significant digits.  Exit codes: 0 success,
-1 solver failure, 2 usage error.
+1 solver failure, 2 usage error (an unreadable input or unwritable output too).
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ def _resolve(kind: str, spec: str):
         pass
     try:
         return from_file(spec)
-    except FileNotFoundError:
+    except OSError:  # missing, a directory, unreadable
         raise NotFound(f"{kind} {spec!r} is neither builtin nor a readable file") from None
 
 
@@ -382,7 +382,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NotFound, ValueError, NoFit, NeedsReference) as exc:
+    except (NotFound, ValueError, NoFit, NeedsReference, OSError) as exc:  # OSError: an --out or --log path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -5,13 +5,14 @@ quadratic value function backward for the feedback gains, then roll the
 closed loop forward and recover node controls from the costates
 p_k = M_k x_k via u = -R^{-1}(B'p + S'x).
 
-A linear-quadratic problem is the ILQR case with one step and zero offsets,
-so ILQR uses the same step type (``Linearization``), backward result
-(``AffineBackwardPass``), step-count check (``check_steps``), step builder
-(``step_operators``), discrete cost (``discrete_cost``), closed-loop scan
-(``closed_loop``), affine recursions (``affine_scan``, one LAPACK banded
-triangular solve) and backward pass (``riccati_backward``: the Riccati
-``value_sweep`` on the n-state, then one reverse ``affine_scan``) from here.
+A linear-quadratic problem is the ILQR case with one step, taken about the
+zero trajectory, so ILQR uses the same step type (``Linearization``),
+backward result (``AffineBackwardPass``), step-count check
+(``check_steps``), step builder (``step_operators``), cost and its gradients
+(``discrete_cost``, ``cost_gradients``), closed-loop scan (``closed_loop``),
+affine recursions (``affine_scan``, one LAPACK banded triangular solve) and
+backward pass (``riccati_backward``: the Riccati ``value_sweep`` on the
+n-state, then one reverse ``affine_scan``) from here.
 
 The two differ only in how ``value_sweep`` gets the Riccati matrices M_k,
 chosen from the shape of the steps.  DLQR's step-invariant step (K = 1)
@@ -148,24 +149,22 @@ def step_operators(Jx, Ju, tab: ButcherTableau, h: float, shared=False):
 class Linearization:
     """Step operators stacked along a leading axis of K = N steps, or K = 1 for a step-invariant grid.
 
-    X_k = E_k x_k + F_k U_k + D1_k and x_{k+1} = G_k x_k + H_k U_k + D2_k.  ILQR's
-    tangent plane has K = N; ``assemble``'s linear step K = 1 and zero offsets.
+    To first order the changes of the stage and node states are
+    dX_k = E_k dx_k + F_k dU_k and dx_{k+1} = G_k dx_k + H_k dU_k.  ILQR's
+    tangent plane has K = N; ``assemble``'s linear step K = 1, where they hold exactly.
     """
 
     E: np.ndarray  # (K, s*n, n)
     F: np.ndarray  # (K, s*n, s*m)
     G: np.ndarray  # (K, n, n)
     H: np.ndarray  # (K, n, s*m)
-    D1: np.ndarray  # (K, s*n)
-    D2: np.ndarray  # (K, n)
 
 
 @dataclass(frozen=True, eq=False)
 class AffineBackwardPass:
-    """Affine value data V_k(x) = 1/2 x'M_k x + Y_k'x + const, gains and closed loop, stacked over steps."""
+    """Value Hessians M_k, affine feedback U1_k x + U2_k and closed loop A_k, stacked over steps."""
 
     M: np.ndarray  # (N+1, n, n)
-    Y: np.ndarray  # (N+1, n)
     U1: np.ndarray  # (N, s*m, n) feedback gains
     U2: np.ndarray  # (N, s*m) feedforward terms
     A: np.ndarray  # (N, n, n) closed loop G_k + H_k U1_k
@@ -184,7 +183,7 @@ class DiscreteTrajectory:
 
 
 def assemble(prob: LQProblem, tab: ButcherTableau, N: int) -> Linearization:
-    """N steps of the tableau as one step (K = 1) with zero offsets, from ``step_operators`` at A and B.
+    """N steps of the tableau as one step (K = 1), from ``step_operators`` at A and B.
 
     Raises StepTooLarge when the stage coupling is singular (never for explicit tableaus).
     """
@@ -192,7 +191,7 @@ def assemble(prob: LQProblem, tab: ButcherTableau, N: int) -> Linearization:
     n, m, s = prob.n, prob.m, tab.s
     Jx = np.broadcast_to(prob.A[None, :, None], (1, n, s, n))
     Ju = np.broadcast_to(prob.B[None, :, None], (1, n, s, m))
-    return Linearization(*step_operators(Jx, Ju, tab, prob.tf / N), D1=np.zeros((1, s * n)), D2=np.zeros((1, n)))
+    return Linearization(*step_operators(Jx, Ju, tab, prob.tf / N))
 
 
 def factor_fails(factor, mat) -> bool:
@@ -389,38 +388,47 @@ def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     return M, gains, K
 
 
-def riccati_backward(prob: LQProblem, tab: ButcherTableau, steps: Linearization, N: int) -> AffineBackwardPass:
-    """Backward recursion of V_k(x) = 1/2 x'M_k x + Y_k'x over N steps, from M_N = M and Y_N = 0.
+def cost_gradients(Qh, Rh, Sh, U, X):
+    """Gradients (w, r) of the running cost 1/2 X'QhX + X'ShU + 1/2 U'RhU in the stage states X and controls U."""
+    return X @ Qh + U @ Sh.T, U @ Rh + X @ Sh
 
-    The one backward of DLQR (``assemble``'s K = 1 step) and ILQR (a K = N
-    tangent plane).  ``value_sweep`` gives M, the gains U1 and the stage
-    Hessians K on the n-state.  The offsets enter linearly: along the closed
-    loop A_k = G_k + H_k U1_k, Y_k = A_k'Y_{k+1} + c_k with
-    q_k = F_k'Qh D1_k + Sh'D1_k and c_k = E_k'Qh D1_k + U1_k'q_k + A_k'M_{k+1}D2_k,
-    one reverse ``affine_scan``; then U2_k = -K_k^{-1}(q_k + H_k'(M_{k+1}D2_k + Y_{k+1}))
-    in one batched solve.  Zero offsets give exact-zero Y and U2.
+
+def riccati_backward(prob: LQProblem, tab: ButcherTableau, steps: Linearization, U, X, xN) -> AffineBackwardPass:
+    """Feedback dU_k = U1_k dx_k + U2_k minimizing the cost's quadratic model about (U, X, x_N), N = len(U).
+
+    The one backward of DLQR (``assemble``'s K = 1 step, about the zero
+    trajectory) and ILQR (a K = N tangent plane, about the iterate), in the
+    changes dX_k = E_k dx_k + F_k dU_k and dx_{k+1} = G_k dx_k + H_k dU_k.
+    ``value_sweep`` gives M, the gains U1 and the stage Hessians K on the
+    n-state.  The linear terms are the ``cost_gradients`` (w, r) at (U, X)
+    and M x_N; with l_k = r_k + F_k'w_k, the model's value gradient along
+    the closed loop A_k = G_k + H_k U1_k is one reverse ``affine_scan`` of
+    v_k = A_k'v_{k+1} + E_k'w_k + U1_k'l_k from v_N = M x_N, and
+    U2_k = -K_k^{-1}(l_k + H_k'v_{k+1}) is one batched solve.  The zero
+    trajectory gives exact-zero U2.  The cost gradient g_k = l_k + H_k'p_{k+1}
+    could drive it instead, but g carries the rounding of the costates p,
+    which unstable steps grow far past the step itself; v stays near M_k x_k.
     """
+    N = len(U)
     h = prob.tf / N
     Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, h)
     M, U1, K = value_sweep(steps.E, steps.F, steps.G, steps.H, Qh, Rh, Sh, prob.M, N, h)
     A = steps.G + steps.H @ U1
-    QD1 = steps.D1 @ Qh
-    q = (QD1[:, None] @ steps.F)[:, 0] + steps.D1 @ Sh
-    MD2 = (M[1:] @ steps.D2[:, :, None])[..., 0]
-    c = (QD1[:, None] @ steps.E)[:, 0] + (q[:, None] @ U1)[:, 0] + (MD2[:, None] @ A)[:, 0]
-    Y = affine_scan(np.swapaxes(A, 1, 2), c, np.zeros(prob.n), reverse=True)
-    U2 = -np.linalg.solve(K, (q + ((MD2 + Y[1:])[:, None] @ steps.H)[:, 0])[..., None])[..., 0]
-    return AffineBackwardPass(M=M, Y=Y, U1=U1, U2=U2, A=A)
+    w, r = cost_gradients(Qh, Rh, Sh, U, X)
+    wt = w[:, None]
+    lu = r + (wt @ steps.F)[:, 0]
+    v = affine_scan(np.swapaxes(A, 1, 2), (wt @ steps.E + lu[:, None] @ U1)[:, 0], prob.M @ xN, reverse=True)
+    U2 = -np.linalg.solve(K, (lu + (v[1:, None] @ steps.H)[:, 0])[..., None])[..., 0]
+    return AffineBackwardPass(M=M, U1=U1, U2=U2, A=A)
 
 
 def closed_loop(steps: Linearization, bp: AffineBackwardPass, x0):
     """Node states x (N+1, n) and stage controls U = U1 x + U2 (N, s*m) of the feedback from x0.
 
-    One ``affine_scan`` of x_{k+1} = A_k x_k + H_k U2_k + D2_k, with the closed loop
+    One ``affine_scan`` of x_{k+1} = A_k x_k + H_k U2_k, with the closed loop
     A_k = G_k + H_k U1_k that ``riccati_backward`` formed; K = 1 steps broadcast.
     """
-    offset = (steps.H @ bp.U2[:, :, None])[..., 0] + steps.D2
-    x = affine_scan(bp.A, offset, x0)
+    x = affine_scan(bp.A, (steps.H @ bp.U2[:, :, None])[..., 0], x0)
     return x, (bp.U1 @ x[:-1, :, None])[..., 0] + bp.U2
 
 
@@ -436,5 +444,6 @@ def rollout(prob: LQProblem, steps: Linearization, bp: AffineBackwardPass) -> Di
 def solve(prob: LQProblem, tab: ButcherTableau, N: int):
     """Full pipeline; returns (steps, backward pass, trajectory)."""
     steps = assemble(prob, tab, N)
-    bp = riccati_backward(prob, tab, steps, N)
+    zero = np.zeros((N, tab.s * prob.m)), np.zeros((N, tab.s * prob.n)), np.zeros(prob.n)  # U, X and x_N
+    bp = riccati_backward(prob, tab, steps, *zero)
     return steps, bp, rollout(prob, steps, bp)

@@ -1,13 +1,14 @@
 """Iterative LQR for RK-discretized nonlinear quadratic problems.
 
 Each iteration linearizes the discrete stage/transition equations at the
-current iterate, solves the resulting affine-quadratic subproblem by a
-backward value recursion plus forward sweep, and backtracks along the
-feasible curve U + alpha (Utilde - U): by the Armijo test on the cost while
-its change is above rounding, by the approximate Wolfe conditions on the
-slope once it is not.  The search direction equals -W(U)^{-1} J_d'(U), so the
-loop is a quasi-Newton method.  It stops on the stage-scaled gradient
-max |g_ki| / (h b_i), which means the same at every step size h.
+current iterate, minimizes the cost's quadratic model on that tangent plane
+by a backward value recursion plus a forward sweep of the changes, and
+backtracks along the feasible curve U + alpha dU: by the Armijo test on the
+cost while its change is above rounding, by the approximate Wolfe
+conditions on the slope once it is not.  The search direction equals
+-W(U)^{-1} J_d'(U), so the loop is a quasi-Newton method.  It stops on the
+stage-scaled gradient max |g_ki| / (h b_i), which means the same at every
+step size h.
 
 The node costates come from the scan that gives the gradient, the discrete
 adjoint p_k = E_k'w_k + G_k'p_{k+1} from p_N = M x_N; by Hager's equivalence
@@ -22,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dlqr import (AffineBackwardPass, Linearization, affine_scan, check_steps, closed_loop, discrete_cost,
-                   riccati_backward, stage_cost_blocks, step_operators)
+from .dlqr import (AffineBackwardPass, Linearization, affine_scan, check_steps, closed_loop, cost_gradients,
+                   discrete_cost, stage_cost_blocks, step_operators)
+from .dlqr import riccati_backward as backward  # the feedback minimizing the quasi-Newton model
 from .errors import LineSearchFailed, NodeControlFailure, NotConverged, RolloutDiverged, StepTooLarge
 
 ROLLOUT_TOL = 1e-12
@@ -174,36 +176,20 @@ def _stage_jacobians(prob, state):
 
 
 def linearize(prob, tab, state: IterateState) -> Linearization:
-    """Tangent-plane step data at every step of the iterate, stacked over steps."""
-    Jx, Ju = _stage_jacobians(prob, state)
-    E, F, G, H = step_operators(Jx, Ju, tab, state.h)
-    xk, Uk = state.x[:-1, :, None], state.U[:, :, None]
-    D1 = state.X - (E @ xk + F @ Uk)[..., 0]
-    D2 = state.x[1:] - (G @ xk + H @ Uk)[..., 0]
-    return Linearization(E=E, F=F, G=G, H=H, D1=D1, D2=D2)
-
-
-def backward(prob, tab, steps: Linearization) -> AffineBackwardPass:
-    """Feedback U_k = U1_k x_k + U2_k minimizing the cost over the tangent plane's N steps (``riccati_backward``)."""
-    return riccati_backward(prob, tab, steps, steps.E.shape[0])
+    """Tangent-plane step operators at every step of the iterate, stacked over steps."""
+    return Linearization(*step_operators(*_stage_jacobians(prob, state), tab, state.h))
 
 
 def direction(state: IterateState, bp: AffineBackwardPass, steps: Linearization):
-    """Forward sweep of the affine feedback (``closed_loop``); returns (Utilde - U, Xtilde - X).
+    """Forward sweep of the affine feedback from dx_0 = 0 (``closed_loop``); returns (dU, dX).
 
-    Xtilde are the stage states on the tangent plane, so their change is
-    E (xtilde - x) + F (Utilde - U).
+    dU = U1 dx + U2 moves the controls to the minimizer of the quasi-Newton
+    model that ``backward`` solved, dx being the node states' change on the
+    tangent plane; the stage states change by dX = E dx + F dU.
     """
-    xt, Ut = closed_loop(steps, bp, state.x[0])
-    dU = Ut - state.U
-    dX = (steps.E @ (xt - state.x)[:-1, :, None] + steps.F @ dU[:, :, None])[..., 0]
+    dx, dU = closed_loop(steps, bp, np.zeros(state.x.shape[1]))
+    dX = (steps.E @ dx[:-1, :, None] + steps.F @ dU[:, :, None])[..., 0]
     return dU, dX
-
-
-def _running_cost_gradients(prob, tab, state: IterateState):
-    """Gradients (w, r) of the running cost in the stage states X and the stage controls U."""
-    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, state.h)
-    return state.X @ Qh + state.U @ Sh.T, state.U @ Rh + state.X @ Sh
 
 
 def gradient(prob, tab, state: IterateState, steps=None) -> np.ndarray:
@@ -211,11 +197,11 @@ def gradient(prob, tab, state: IterateState, steps=None) -> np.ndarray:
 
     The states are functions of U via the stage equations, so by the chain
     rule through the linearized steps g_k = r_k + F_k'w_k + H_k'p_{k+1},
-    with (w, r) the running-cost gradients and p the ``costates``.
+    with (w, r) the ``cost_gradients`` and p the ``costates``.
     """
     if steps is None:
         steps = linearize(prob, tab, state)
-    w, r = _running_cost_gradients(prob, tab, state)
+    w, r = cost_gradients(*stage_cost_blocks(prob, tab.b, state.h), state.U, state.X)
     p = costates(prob, tab, state, steps)
     return r + (w[:, None, :] @ steps.F)[:, 0] + (p[1:, None, :] @ steps.H)[:, 0]
 
@@ -318,7 +304,7 @@ def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200, X0=None):
         if len(log) == max_iter:
             raise NotConverged(f"stage-scaled gradient {resid!r} above {tol!r} after {max_iter} iterations",
                                state=state, log=log)
-        bp = backward(prob, tab, steps)
+        bp = backward(prob, tab, steps, state.U, state.X, state.x[-1])
         dU, dX = direction(state, bp, steps)
         slope = float(np.sum(g * dU))
         try:
@@ -352,7 +338,7 @@ def costates(prob, tab, state: IterateState, steps=None) -> np.ndarray:
         E, _, G, _ = step_operators(Jx, Jx[..., :0], tab, state.h)  # no control columns
     else:
         E, G = steps.E, steps.G
-    w, _ = _running_cost_gradients(prob, tab, state)
+    w, _ = cost_gradients(*stage_cost_blocks(prob, tab.b, state.h), state.U, state.X)
     Ew = (w[:, None, :] @ E)[:, 0]
     return affine_scan(np.swapaxes(G, 1, 2), Ew, prob.M @ state.x[-1], reverse=True)
 

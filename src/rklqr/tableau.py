@@ -113,14 +113,15 @@ def ocp_order(tab: ButcherTableau) -> int:
     """The control order of the symplectic pair: the largest r <= 4 whose conditions all hold.
 
     The conditions of orders 1..4 are Hager's (Numer. Math. 87, 2000), in a,
-    b, c, d = b a and d_j / b_j = 1 - cbar_j, each within ORDER_COND_TOL.
-    r is capped at 4: order 5 needs the bi-coloured trees of Bonnans and
-    Laurent-Varin (Numer. Math. 103, 2006).  Raises ``adjoint``'s
-    AdjointUndefined unless every b_i > 0.  The residuals are absolute, and a
-    weight near zero amplifies the rounding of d_j / b_j, so it can read low.
+    b, c, d = b a and d_j / b_j = 1 - cbar_j, each within
+    ORDER_COND_TOL (1 + max_j sum_i |b_i a_ij| / b_j): a weight near zero
+    amplifies the rounding of d_j by 1 / b_j in d_j / b_j.  r is capped at 4:
+    order 5 needs the bi-coloured trees of Bonnans and Laurent-Varin (Numer.
+    Math. 103, 2006).  Raises ``adjoint``'s AdjointUndefined unless every b_i > 0.
     """
     a, b, c = tab.a, tab.b, tab.c
     e = 1 - adjoint(tab).c
+    tol = ORDER_COND_TOL * (1 + (b @ np.abs(a) / b).max())  # b > 0, or adjoint raised
     d, bc = b @ a, b * c
     residuals = (
         (b.sum() - 1,), (d.sum() - 1 / 2,),
@@ -129,7 +130,7 @@ def ocp_order(tab: ButcherTableau) -> int:
          c @ (d * e) - 1 / 12, d @ e**2 - 1 / 4, bc @ a @ e - 5 / 24, d @ a @ e - 1 / 8),
     )
     for r, group in enumerate(residuals):
-        if np.abs(group).max() > ORDER_COND_TOL:
+        if np.abs(group).max() > tol:
             return r
     return len(residuals)
 

@@ -155,7 +155,8 @@ def test_criterion_07_quasi_newton_identity(probe_set):
         qn = oracle.quasi_newton(prob, tab, N, U)
         state = ilqr.rollout(prob, tab, N, U)
         steps = ilqr.linearize(prob, tab, state)
-        dU, _ = ilqr.direction(state, ilqr.backward(prob, tab, steps), steps)
+        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        dU, _ = ilqr.direction(state, bp, steps)
         rel = np.abs(dU.ravel() - qn.direction).max() / (1 + np.abs(qn.direction).max())
         worst = max(worst, rel)
         assert rel < 1e-8, (name, N, rel)

@@ -155,6 +155,22 @@ class TestSolveCommand:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("option", ["--problem", "--method"])
+    def test_directory_spec_exits_2(self, tmp_path, capsys, option):
+        args = {"--problem": "spring", "--method": "methodA", option: str(tmp_path)}
+        rc = cli.main(["solve", *(tok for pair in args.items() for tok in pair), "--steps", "4"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {option[2:]} {str(tmp_path)!r} is neither builtin nor a readable file\n")
+
+    @pytest.mark.parametrize("option", ["--out", "--log"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, option):
+        # the log is written for nonlinear solves only
+        path = tmp_path / "missing" / "out.csv"
+        rc = cli.main(["solve", "--problem", "pendulum", "--method", "methodB", "--steps", "20", option, str(path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+
     @pytest.mark.parametrize("steps", ["0", "-3"])
     @pytest.mark.parametrize("problem", ["spring", "pendulum"])
     def test_nonpositive_steps_exit_2(self, capsys, problem, steps):

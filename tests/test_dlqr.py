@@ -15,6 +15,11 @@ from rklqr.tableau import builtin
 U_STAR_0 = -0.9136709340400074
 
 
+def _zero_point(prob, tab, N):
+    """Stage controls U, stage states X and last node state x_N of the zero trajectory, DLQR's expansion point."""
+    return np.zeros((N, tab.s * prob.m)), np.zeros((N, tab.s * prob.n)), np.zeros(prob.n)
+
+
 class TestAssemble:
     def test_euler_blocks(self):
         prob = spring_oscillator()
@@ -52,10 +57,9 @@ class TestAssemble:
         np.testing.assert_allclose(Sh, 0.1 * np.diag([0.25, 0.25]), atol=1e-16)
 
     def test_implicit_tableau_assembles(self):
-        # one step-invariant step with zero offsets, at h = 20
+        # one step-invariant step, at h = 20
         steps = dlqr.assemble(spring_oscillator(), builtin("trapezoidal"), 2)
         assert np.all(np.isfinite(steps.E)) and steps.E.shape == (1, 4, 2)
-        assert np.all(steps.D1 == np.zeros((1, 4))) and np.all(steps.D2 == np.zeros((1, 2)))
 
     def test_singular_coupling_raises(self):
         # implicit Euler on xdot = x at h = 1 makes I - h a A exactly singular
@@ -76,7 +80,7 @@ class TestRiccati:
             R=[[3.0]], M=np.zeros((2, 2)), x0=[1.0, 1.0], tf=4.0,
         )
         tab = builtin("methodB")
-        bp = dlqr.riccati_backward(prob, tab, dlqr.assemble(prob, tab, 10), 10)
+        bp = dlqr.riccati_backward(prob, tab, dlqr.assemble(prob, tab, 10), *_zero_point(prob, tab, 10))
         for k in range(10):
             np.testing.assert_allclose(bp.U1[k], 0.0, atol=0)
             np.testing.assert_allclose(bp.M[k], 0.0, atol=0)
@@ -87,7 +91,7 @@ class TestRiccati:
         prob = spring_oscillator()
         tab = builtin(name)
         steps = dlqr.assemble(prob, tab, 1)
-        bp = dlqr.riccati_backward(prob, tab, steps, 1)
+        bp = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, 1))
         E, F, G, H = steps.E[0], steps.F[0], steps.G[0], steps.H[0]
         Qh, Rh, _ = dlqr.stage_cost_blocks(prob, tab.b, prob.tf)
         K = F.T @ Qh @ F + Rh + H.T @ prob.M @ H
@@ -141,7 +145,7 @@ class TestRiccati:
         prob, _ = example31()
         steps = dlqr.assemble(prob, bad, 4)
         with pytest.raises(BackwardFailure):
-            dlqr.riccati_backward(prob, bad, steps, 4)
+            dlqr.riccati_backward(prob, bad, steps, *_zero_point(prob, bad, 4))
 
 
 class TestOneStepType:
@@ -150,16 +154,16 @@ class TestOneStepType:
         (spring_oscillator, "euler", 40),
     ])
     def test_tiled_step_reproduces_broadcast_step(self, factory, name, N):
-        # assemble's zero-offset K = 1 step tiled to K = N steps is a tangent
-        # plane; ILQR's backward over the tile must give the broadcast step's
-        # value data and gains, and the zero offsets exact-zero Y and U2
+        # assemble's K = 1 step tiled to K = N steps is a tangent plane; ILQR's
+        # backward over the tile must give the broadcast step's value data and
+        # gains, and the zero trajectory exact-zero U2
         prob, tab = factory(), builtin(name)
         steps = dlqr.assemble(prob, tab, N)
-        bp = dlqr.riccati_backward(prob, tab, steps, N)
-        assert not bp.Y.any() and not bp.U2.any()
+        bp = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, N))
+        assert not bp.U2.any()
         tiled = dlqr.Linearization(**{k: np.broadcast_to(v, (N,) + v.shape[1:]) for k, v in vars(steps).items()})
-        got = ilqr.backward(prob, tab, tiled)
-        for field in ("M", "Y", "U1", "U2"):
+        got = ilqr.backward(prob, tab, tiled, *_zero_point(prob, tab, N))
+        for field in ("M", "U1", "U2", "A"):
             np.testing.assert_allclose(getattr(got, field), getattr(bp, field), rtol=0, atol=1e-14)
 
 
@@ -186,7 +190,7 @@ class TestRollout:
         prob = factory()
         tab = builtin("methodB")
         steps = dlqr.assemble(prob, tab, 50)
-        bp = dlqr.riccati_backward(prob, tab, steps, 50)
+        bp = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, 50))
         traj = dlqr.rollout(prob, steps, bp)
         direct = dlqr.discrete_cost(prob, tab, traj.U, traj.X, traj.x)
         value = 0.5 * prob.x0 @ bp.M[0] @ prob.x0

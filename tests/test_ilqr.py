@@ -132,7 +132,8 @@ class TestRollout:
         prob, tab = pendulum(), builtin(name)
         state = ilqr.rollout(prob, tab, N, np.zeros((N, tab.s)))
         steps = ilqr.linearize(prob, tab, state)
-        dU, dX = ilqr.direction(state, ilqr.backward(prob, tab, steps), steps)
+        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        dU, dX = ilqr.direction(state, bp, steps)
         for alpha in (1.0, 0.5):
             U = state.U + alpha * dU
             warm = ilqr.rollout(prob, tab, N, U, state.X + alpha * dX)
@@ -165,16 +166,6 @@ class TestRollout:
 
 
 class TestLinearize:
-    def test_linear_dynamics_zero_offsets(self):
-        prob = spring_oscillator()
-        tab = builtin("methodB")
-        rng = np.random.default_rng(11)
-        state = ilqr.rollout(prob, tab, 6, rng.standard_normal((6, 3)))
-        scale = 1.0 + np.abs(state.X).max()  # h = 20/3 lets states grow large
-        steps = ilqr.linearize(prob, tab, state)
-        np.testing.assert_allclose(steps.D1, 0.0, atol=1e-13 * scale)
-        np.testing.assert_allclose(steps.D2, 0.0, atol=1e-13 * scale)
-
     def test_euler_blocks(self):
         prob = pendulum()
         tab = builtin("euler")
@@ -221,11 +212,11 @@ class TestBackwardAndDirection:
         _, lq, traj = dlqr.solve(prob, tab, N)
         state = ilqr.make_state(prob, tab, traj.U, traj.X, traj.x)
         steps = ilqr.linearize(prob, tab, state)
-        bp = ilqr.backward(prob, tab, steps)
+        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
         for k in range(N):
-            np.testing.assert_allclose(
-                bp.U1[k] @ traj.x[k] + bp.U2[k], lq.U1[k] @ traj.x[k], atol=1e-11
-            )
+            # the gradient vanishes at the optimum, so the step U2 leaves U on the DLQR feedback
+            np.testing.assert_allclose(traj.U[k] + bp.U2[k], lq.U1[k] @ traj.x[k], atol=1e-11)
+            np.testing.assert_allclose(bp.U1[k], lq.U1[k], atol=1e-11)
             np.testing.assert_allclose(bp.M[k], lq.M[k], atol=1e-11)
 
     def test_zero_cost_zero_gains(self):
@@ -236,7 +227,7 @@ class TestBackwardAndDirection:
         tab = builtin("methodA")
         state = ilqr.rollout(prob, tab, 5, np.zeros((5, 2)))
         steps = ilqr.linearize(prob, tab, state)
-        bp = ilqr.backward(prob, tab, steps)
+        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
         for k in range(5):
             np.testing.assert_allclose(bp.U1[k], 0.0, atol=1e-14)
             np.testing.assert_allclose(bp.U2[k], 0.0, atol=1e-14)
@@ -246,24 +237,27 @@ class TestBackwardAndDirection:
         tab = builtin("methodB")
         state = ilqr.rollout(prob, tab, 1, np.array([[0.3, -0.2, 0.1]]))
         steps = ilqr.linearize(prob, tab, state)
-        E, F, G, H, D1, D2 = (A[0] for A in vars(steps).values())
-        bp = ilqr.backward(prob, tab, steps)
-        h = state.h
-        Qh, Rh, _ = dlqr.stage_cost_blocks(prob, tab.b, h)
+        E, F, G, H = (A[0] for A in vars(steps).values())
+        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        # the tangent plane X = E x0 + F V + D1, x1 = G x0 + H V + D2 through the iterate
+        U = state.U[0]
+        D1, D2 = state.X[0] - E @ prob.x0 - F @ U, state.x[1] - G @ prob.x0 - H @ U
+        Qh, Rh, _ = dlqr.stage_cost_blocks(prob, tab.b, state.h)
         K = F.T @ Qh @ F + Rh + H.T @ prob.M @ H
         U_opt = np.linalg.solve(
             K,
             -(F.T @ Qh @ (E @ prob.x0 + D1)
               + H.T @ prob.M @ (G @ prob.x0 + D2)),
         )
-        np.testing.assert_allclose(bp.U1[0] @ prob.x0 + bp.U2[0], U_opt, atol=1e-12)
+        # one step from dx_0 = 0: the step is the feedforward alone
+        np.testing.assert_allclose(U + bp.U2[0], U_opt, atol=1e-12)
 
     def test_direction_vanishes_at_stationary_point(self):
         prob = pendulum()
         tab = builtin("methodB")
         state, _ = ilqr.solve(prob, tab, 40, tol=1e-11)
         steps = ilqr.linearize(prob, tab, state)
-        bp = ilqr.backward(prob, tab, steps)
+        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
         dU, _ = ilqr.direction(state, bp, steps)
         assert np.abs(dU).max() < 1e-8
 
@@ -273,7 +267,7 @@ class TestBackwardAndDirection:
         N = 25
         state = ilqr.rollout(prob, tab, N, np.zeros((N, 2)))
         steps = ilqr.linearize(prob, tab, state)
-        bp = ilqr.backward(prob, tab, steps)
+        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
         dU, dX = ilqr.direction(state, bp, steps)
         _, _, traj = dlqr.solve(prob, tab, N)
         np.testing.assert_allclose(state.U + dU, traj.U, atol=1e-10)
@@ -322,7 +316,7 @@ class TestLineSearch:
         N = 20
         state = ilqr.rollout(prob, tab, N, np.zeros((N, 2)))
         steps = ilqr.linearize(prob, tab, state)
-        bp = ilqr.backward(prob, tab, steps)
+        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
         dU, dX = ilqr.direction(state, bp, steps)
         slope = float(np.sum(ilqr.gradient(prob, tab, state, steps) * dU))
         alpha, nxt, steps, g = ilqr.line_search(prob, tab, state, dU, dX, slope)

@@ -10,11 +10,11 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from rklqr import dlqr, ilqr, oracle
-from rklqr.errors import BackwardFailure, StepTooLarge
+from rklqr.errors import BackwardFailure, RolloutDiverged, StepTooLarge
 from rklqr.problem import LQProblem, NonlinearProblem, example31, pendulum, spring_oscillator
 from rklqr.tableau import ButcherTableau, builtin
 
@@ -38,42 +38,47 @@ def _reference_operators(Jxs, Jus, tab, h):
 
 
 def _reference_linearize(prob, tab, state):
-    """Per-step E, F, G, H, D1, D2 from the dense stage-coupling blocks."""
+    """Per-step E, F, G, H from the dense stage-coupling blocks."""
     n, m, s = prob.n, prob.m, tab.s
     out = []
     for k in range(state.N):
         Jxs, Jus = prob.stage_jacobians(state.X[k].reshape(s, n), state.U[k].reshape(s, m))
-        E, F, G, H = _reference_operators(Jxs, Jus, tab, state.h)
-        D1 = state.X[k] - E @ state.x[k] - F @ state.U[k]
-        D2 = state.x[k + 1] - G @ state.x[k] - H @ state.U[k]
-        out.append((E, F, G, H, D1, D2))
+        out.append(_reference_operators(Jxs, Jus, tab, state.h))
     return out
 
 
-def _reference_backward(prob, tab, steps):
-    """Per-step affine value recursion with Cholesky-solved gains."""
-    N = steps.E.shape[0]
+def _reference_backward(prob, tab, steps, U, X, xN):
+    """Per-step value recursion of the cost's quadratic model about (U, X, x_N), with Cholesky-solved gains.
+
+    The textbook iLQR step in its Q-function form: at each step the model
+    Q(dx, dU) has gradients Qx = E'w + G'v_{k+1} and Qu = r + F'w + H'v_{k+1},
+    with w = Qh X_k + Sh U_k and r = Rh U_k + Sh'X_k, and the value gradient
+    v_k = Qx + U1'Quu U2 + U1'Qu + Qux'U2 follows from v_N = M x_N.
+    """
+    N = len(U)
     Qh, Rh, Sh = dlqr.stage_cost_blocks(prob, tab.b, prob.tf / N)
-    M, Y = [None] * (N + 1), [None] * (N + 1)
+    M = [None] * (N + 1)
+    M[N], v = prob.M.copy(), prob.M @ xN
     U1, U2 = [None] * N, [None] * N
-    M[N], Y[N] = prob.M.copy(), np.zeros(prob.n)
     for k in range(N - 1, -1, -1):
-        E, F, G, H, D1, D2 = (steps.E[k], steps.F[k], steps.G[k], steps.H[k],
-                              steps.D1[k], steps.D2[k])
-        K = F.T @ Qh @ F + Rh + H.T @ M[k + 1] @ H + F.T @ Sh + Sh.T @ F
-        lin_x = F.T @ Qh @ E + H.T @ M[k + 1] @ G + Sh.T @ E
-        lin_0 = F.T @ Qh @ D1 + H.T @ (M[k + 1] @ D2 + Y[k + 1]) + Sh.T @ D1
-        cho = scipy.linalg.cho_factor(0.5 * (K + K.T))
-        U1[k] = -scipy.linalg.cho_solve(cho, lin_x)
-        U2[k] = -scipy.linalg.cho_solve(cho, lin_0)
-        EFL, GHL = E + F @ U1[k], G + H @ U1[k]
-        Xoff, xoff = F @ U2[k] + D1, H @ U2[k] + D2
-        cross = EFL.T @ Sh @ U1[k]
-        Mk = EFL.T @ Qh @ EFL + U1[k].T @ Rh @ U1[k] + GHL.T @ M[k + 1] @ GHL + cross + cross.T
-        Y[k] = (EFL.T @ (Qh @ Xoff) + U1[k].T @ (Rh @ U2[k]) + GHL.T @ (M[k + 1] @ xoff + Y[k + 1])
-                + EFL.T @ (Sh @ U2[k]) + U1[k].T @ (Sh.T @ Xoff))
+        E, F, G, H = (steps.E[k], steps.F[k], steps.G[k], steps.H[k])
+        w, r = Qh @ X[k] + Sh @ U[k], Rh @ U[k] + Sh.T @ X[k]
+        Quu = F.T @ Qh @ F + Rh + H.T @ M[k + 1] @ H + F.T @ Sh + Sh.T @ F
+        Qux = F.T @ Qh @ E + H.T @ M[k + 1] @ G + Sh.T @ E
+        Qxx = E.T @ Qh @ E + G.T @ M[k + 1] @ G
+        Qx, Qu = E.T @ w + G.T @ v, r + F.T @ w + H.T @ v
+        cho = scipy.linalg.cho_factor(0.5 * (Quu + Quu.T))
+        U1[k] = -scipy.linalg.cho_solve(cho, Qux)
+        U2[k] = -scipy.linalg.cho_solve(cho, Qu)
+        v = Qx + U1[k].T @ Quu @ U2[k] + U1[k].T @ Qu + Qux.T @ U2[k]
+        Mk = Qxx + U1[k].T @ Quu @ U1[k] + U1[k].T @ Qux + Qux.T @ U1[k]
         M[k] = 0.5 * (Mk + Mk.T)
-    return M, Y, U1, U2
+    return M, U1, U2
+
+
+def _zero_point(prob, tab, N):
+    """Stage controls U, stage states X and last node state x_N of the zero trajectory, DLQR's expansion point."""
+    return np.zeros((N, tab.s * prob.m)), np.zeros((N, tab.s * prob.n)), np.zeros(prob.n)
 
 
 def _random_explicit_tableau(rng, s):
@@ -265,18 +270,19 @@ class TestRiccatiScan:
     def test_dlqr_matches_sequential_sweep(self, monkeypatch):
         prob, tab = spring_oscillator(), builtin("methodC")
         steps = dlqr.assemble(prob, tab, 4000)
-        scan = dlqr.riccati_backward(prob, tab, steps, 4000)
+        point = _zero_point(prob, tab, 4000)
+        scan = dlqr.riccati_backward(prob, tab, steps, *point)
         monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
-        loop = dlqr.riccati_backward(prob, tab, steps, 4000)
+        loop = dlqr.riccati_backward(prob, tab, steps, *point)
         assert self._rel(scan.M, loop.M) < 1e-12 and self._rel(scan.U1, loop.U1) < 1e-12
 
     def test_ilqr_matches_sequential_sweep(self, monkeypatch):
         prob, tab, N = pendulum(), builtin("methodB"), 2000
         state = ilqr.rollout(prob, tab, N, np.full((N, 3), -0.5))
         steps = ilqr.linearize(prob, tab, state)
-        scan = ilqr.backward(prob, tab, steps)
+        scan = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
         monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
-        loop = ilqr.backward(prob, tab, steps)
+        loop = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
         for got, want in zip(vars(scan).values(), vars(loop).values()):
             assert self._rel(got, want) < 1e-12
 
@@ -293,7 +299,7 @@ class TestRiccatiScan:
             steps = ilqr.linearize(prob, tab, ilqr.rollout(prob, tab, N, np.full((N, 3), -0.5)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
-            want = dlqr.riccati_backward(prob, tab, steps, N)
+            want = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, N))
         calls = []
 
         def breakdown(*args):
@@ -305,7 +311,7 @@ class TestRiccatiScan:
             return tuple(np.full(e.shape, np.nan) for e in args[0])
 
         monkeypatch.setattr(dlqr, scan, breakdown)
-        got = dlqr.riccati_backward(prob, tab, steps, N)
+        got = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, N))
         assert calls == [scan]
         np.testing.assert_allclose(got.M, want.M, rtol=1e-12)
         np.testing.assert_allclose(got.U1, want.U1, rtol=1e-12)
@@ -524,7 +530,7 @@ class TestBackwardKernel:
     @example(2, "lobatto3a", "sequential_sweep")
     @settings(max_examples=40, deadline=None)
     def test_matches_per_step_reference(self, seed, kind, sweep):
-        # Y and U2 come from the stage Hessians K that either kernel path returns
+        # U2 comes from the stage Hessians K that either kernel path returns
         rng = np.random.default_rng(seed)
         n, m, N = (int(v) for v in rng.integers(1, [4, 3, 7]))
         if kind == "random":
@@ -535,17 +541,40 @@ class TestBackwardKernel:
             tab = builtin(kind)
         prob = _random_lq(rng, n, m, tf=float(rng.uniform(0.5, 3.0)))
         state = ilqr.rollout(prob, tab, N, rng.standard_normal((N, tab.s * m)))
-        # nonzero offsets exercise the affine part that linear dynamics leave at 0
-        steps = dataclasses.replace(
-            ilqr.linearize(prob, tab, state),
-            D1=rng.standard_normal((N, tab.s * n)), D2=rng.standard_normal((N, n)),
-        )
+        steps = ilqr.linearize(prob, tab, state)
+        # a random expansion point off the iterate drives the feedforward
+        point = (rng.standard_normal((N, tab.s * m)), rng.standard_normal((N, tab.s * n)), rng.standard_normal(n))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dlqr, "value_sweep", getattr(dlqr, sweep))
-            bp = ilqr.backward(prob, tab, steps)
-        for got, want in zip((bp.M, bp.Y, bp.U1, bp.U2), _reference_backward(prob, tab, steps)):
+            bp = ilqr.backward(prob, tab, steps, *point)
+        M, U1, U2 = _reference_backward(prob, tab, steps, *point)
+        A = steps.G + steps.H @ np.array(U1)
+        for got, want in zip((bp.M, bp.U1, bp.U2, bp.A), (M, U1, U2, A)):
             want = np.array(want)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * (1 + np.abs(want).max()))
+
+    @given(SEEDS, st.sampled_from(["random", "trapezoidal", "lobatto3a"]), st.integers(2, 6))
+    @example(0, "random", 2)
+    @example(1, "trapezoidal", 6)
+    @example(2, "lobatto3a", 3)
+    @settings(max_examples=40, deadline=None)
+    def test_direction_is_quasi_newton_step(self, seed, kind, N):
+        # criterion 7's identity dU = -W^{-1} J_d'(U), at its 1e-8, beyond the builtin tableaus
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            tab = _random_explicit_tableau(rng, int(rng.integers(1, 4)))
+        else:
+            tab = _lobatto3a() if kind == "lobatto3a" else builtin(kind)
+        prob = pendulum()
+        U = rng.standard_normal((N, tab.s * prob.m))
+        try:
+            state = ilqr.rollout(prob, tab, N, U)
+        except RolloutDiverged:  # at h = 2 most U leave the trapezoidal stage equation without a root
+            reject()
+        want = oracle.quasi_newton(prob, tab, N, U).direction
+        steps = ilqr.linearize(prob, tab, state)
+        dU, _ = ilqr.direction(state, ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1]), steps)
+        assert np.abs(dU.ravel() - want).max() / (1 + np.abs(want).max()) < 1e-8
 
     @given(SEEDS, st.sampled_from(BUILTINS), st.integers(1, 70))
     @example(0, "euler", 1)
@@ -598,7 +627,7 @@ class TestBackwardKernel:
         F[list(bad)] = 0.0
         return ilqr.Linearization(
             E=np.tile(np.eye(n), (N, 2, 1)), F=F, G=np.broadcast_to(np.eye(n), (N, n, n)),
-            H=np.zeros((N, n, 2)), D1=np.zeros((N, 2 * n)), D2=np.zeros((N, n)),
+            H=np.zeros((N, n, 2)),
         )
 
     @pytest.mark.parametrize("weights", [(1.5, -0.5), (1.0, 0.0)])
@@ -609,7 +638,7 @@ class TestBackwardKernel:
                          M=np.eye(2), x0=[0.0, 0.0], tf=6.0)
         tab = ButcherTableau(a=[[0, 0], [1, 0]], b=weights)
         with pytest.raises(BackwardFailure, match=r"at step 3, h = 1\.0$"):
-            ilqr.backward(prob, tab, self._weighted_steps(bad=(0, 3)))
+            ilqr.backward(prob, tab, self._weighted_steps(bad=(0, 3)), *_zero_point(prob, tab, 6))
 
     def test_loop_stops_at_first_bad_step(self):
         # the midpoint rule weights stage 1 by 0, so every Kc is singular and the loop

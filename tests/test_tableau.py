@@ -226,8 +226,9 @@ def _classical_residuals(tab):
 
 
 # draws keep 0.05 away from the family's poles, where the coefficients blow up,
-# and every |b_i| above 1e-3: ocp_order's residuals are absolute and d_j / b_j
-# amplifies the rounding of d_j by 1 / b_j, so a near-zero weight can read low
+# and every |b_i| above 1e-3: the families reach b_i = ±0 (Kutta's at v = 1/2)
+# and b_i of rounding size (the classical-3 one at u = 1/3, v = 1), where the
+# sign of b_i and so the adjoint is rounding
 _NODE = st.floats(0.1, 0.9)
 
 
@@ -277,6 +278,13 @@ class TestOcpOrder:
         assert ocp_order(tab) == 4
         # order 4 at the nodes, but some internal stage is predicted lower
         assert min(rep.predicted_order for rep in stage_orders(tab)) < 4
+
+    def test_near_zero_weight_reads_full_order(self):
+        # b_2 = 3.8e-6: e_2 = d_2 / b_2 amplifies the rounding of d_2, and two
+        # order-4 residuals miss by 1.5e-11, more than ORDER_COND_TOL itself
+        tab = _kutta4(0.1408, 0.5000010)
+        assert 0 < tab.b.min() < 1e-5
+        assert ocp_order(tab) == 4
 
     @given(_NODE, st.floats(0.1, 1.0))
     @settings(max_examples=150, deadline=None)
