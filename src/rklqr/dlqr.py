@@ -14,11 +14,10 @@ affine recursions (``affine_scan``, one LAPACK banded triangular solve) and
 backward pass (``riccati_backward``: the Riccati ``value_sweep`` on the
 n-state, then one reverse ``affine_scan``) from here.
 
-The two differ only in how ``value_sweep`` gets the Riccati matrices M_k,
-chosen from the shape of the steps.  DLQR's step-invariant step (K = 1)
-takes ``power_scan``: doubling, about N half-combines in log2(N+1)
-batched calls.  ILQR's N distinct tangent-plane steps (K = N) take the
-general ``suffix_scan``, about 2N full combines in 2 log2(N) calls.
+Both get the Riccati matrices M_k from one ``riccati_scan`` toward the
+terminal M_N, in N half-combines and fewer than N full ones.  DLQR's
+step-invariant step (K = 1) is one shared element, which the scan doubles;
+ILQR's N distinct tangent-plane steps (K = N) are N elements.
 """
 
 from __future__ import annotations
@@ -205,40 +204,6 @@ def factor_fails(factor, mat) -> bool:
         return True
 
 
-def suffix_scan(elems, combine):
-    """Suffix products S_k = e_k ∘ e_{k+1} ∘ … ∘ e_{L-1} of L stacked elements.
-
-    ``elems`` is a tuple of arrays stacked along a leading axis of length L;
-    ``combine(earlier, later)`` is associative and works on such tuples in
-    batch.  Odd-even reduction: combine neighbour pairs, recurse on the L/2
-    pairs, then fill the odd slots with one more batched combine.  That is
-    about 2L element products in 2 log2(L) calls of ``combine``.  It serves
-    steps that differ (ILQR's K = N); ``power_scan`` serves identical ones.
-    """
-    L = elems[0].shape[0]
-    if L == 1:
-        return elems
-    half = L // 2
-    pairs = combine(tuple(e[0:2 * half:2] for e in elems), tuple(e[1:2 * half:2] for e in elems))
-    if L % 2:
-        pairs = tuple(np.concatenate([p, e[-1:]]) for p, e in zip(pairs, elems))
-    tails = suffix_scan(pairs, combine)
-    del pairs
-    out = tuple(np.empty(e.shape) for e in elems)
-    for o, t in zip(out, tails):
-        o[0::2] = t
-    # an odd slot 2i+1 below the last is e_{2i+1} ∘ S_{2i+2}
-    inner = len(tails[0]) - 1
-    if inner:
-        filled = combine(tuple(e[1:2 * inner:2] for e in elems), tuple(t[1:] for t in tails))
-        for o, f in zip(out, filled):
-            o[1:2 * inner:2] = f
-    if L % 2 == 0:
-        for o, e in zip(out, elems):
-            o[-1] = e[-1]
-    return out
-
-
 def affine_scan(A, c, v, reverse=False):
     """Every iterate of v_{k+1} = A_k v_k + c_k from v_0 = v, shape (L+1, n).
 
@@ -279,31 +244,40 @@ def _riccati_combine(earlier, later):
     return Aj @ XA, Aj @ XC + Cj, np.swapaxes(XA, 1, 2) @ Jj @ Ai + Ji
 
 
-def power_scan(elem, M_N, N: int):
-    """M (N+1, n, n) of one Riccati element e = (A, C, J) repeated N times before the terminal (0, 0, M_N).
+def _half_combine(elem, T):
+    """The J block of elem ∘ (0, 0, T), whose A and C blocks are zero: X'T A + J with X = (I + C T)^{-1} A."""
+    A, C, J = elem
+    X = np.linalg.solve(np.eye(T.shape[-1]) + C @ T, A)
+    return np.swapaxes(X, 1, 2) @ T @ A + J
 
-    ``elem`` holds A, C and J with a leading axis of 1.  The suffix from
-    step N-j to the terminal is (0, 0, M_{N-j}), and a combine whose later
-    element has A = C = 0 is half of ``_riccati_combine``:
-    P ∘ (0, 0, T) = (0, 0, X'T A_P + J_P) with X = (I + C_P T)^{-1} A_P.
-    Doubling (Anderson, Int. J. Control 28, 1978): with M_{N-L+1..N} known and
-    the power P = e^L, one batched half-combine gives the next L of them,
-    M_{N-L-j} = P ∘ M_{N-j}, and P ∘ P squares the power.  That is N
-    half-combines in ceil(log2(N+1)) calls, with no stacked copies of e.
+
+def riccati_scan(elems, M):
+    """Fill M[:-1] of M (N+1, n, n) in place: M_k = e_k ∘ … ∘ e_{N-1} ∘ (0, 0, M_N), from the terminal M[-1].
+
+    ``elems`` holds the Riccati elements (A, C, J) of ``_riccati_combine``,
+    each stacked along a leading axis of N, or of 1 for an element that
+    every step shares: only arrays with a step axis are sliced, so a shared
+    element is never copied N times.  Odd-even reduction toward the
+    terminal: an odd N first joins its last step to it,
+    M_{N-1} = e_{N-1} ∘ M_N; the pairs e_{2i} ∘ e_{2i+1} then give the even
+    M_{2i} by the same scan on M[::2]; and one batched ``_half_combine``
+    fills the odd ones, M_{2i+1} = e_{2i+1} ∘ M_{2i+2}.  Every suffix ends in
+    the terminal, so only its J block is formed: N half-combines, and fewer
+    than N full ones, in about 2 log2(N) calls.  A shared element pairs
+    with itself, which is doubling (Anderson, Int. J. Control 28, 1978):
+    every full combine then acts on one element.
     """
-    n = M_N.shape[-1]
-    M = np.empty((N + 1, n, n))
-    M[N] = M_N
-    P, L = elem, 1  # P = e^L, and M_{N-L+1..N} are known
-    while L <= N:
-        A, C, J = (p[0] for p in P)
-        T = M[max(N + 1 - L, L):]  # M_{N-j} for j < min(L, N+1-L), ascending in k
-        X = np.linalg.solve(np.eye(n) + C @ T, np.broadcast_to(A, T.shape))
-        M[N + 1 - L - len(T):N + 1 - L] = np.swapaxes(X, 1, 2) @ T @ A + J
-        if 2 * L <= N:
-            P = _riccati_combine(P, P)
-        L *= 2
-    return M
+    N = len(M) - 1
+
+    def take(*cut):
+        return tuple(e if len(e) == 1 else e[slice(*cut)] for e in elems)
+
+    if N % 2:
+        M[N - 1:N] = _half_combine(take(N - 1, N), M[N:])
+    if N > 1:
+        half = N // 2
+        riccati_scan(_riccati_combine(take(0, 2 * half, 2), take(1, 2 * half, 2)), M[:N + 1:2])
+        M[1:2 * half:2] = _half_combine(take(1, 2 * half, 2), M[2:2 * half + 1:2])
 
 
 def _stage_products(E, F, Qh, Rh, Sh):
@@ -326,18 +300,15 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     (N+1, n, n) from M_N, gains (N, sm, n) with U_k = gains_k x_k and the
     stage Hessians K_k = Kc_k + H_k'M_{k+1}H_k (N, sm, sm).
 
-    M comes from the Riccati elements (A, C, J) of ``_riccati_combine``,
-    formed after the cross term is eliminated with Kc^{-1}; the gains then
-    follow in one batch.  The input's shape picks the scan.  When every step
-    operator has a leading axis of 1, as DLQR's does, the N elements are one
-    and ``power_scan`` doubles it: about half the combines of a general
-    scan, and no stacked copies.  Otherwise, as for ILQR's K = N, the
-    elements are stacked with the terminal (0, 0, M_N) for ``suffix_scan``.
-    Either scan needs every Kc positive definite.  Where one is not, or the
-    scan breaks down (LinAlgError or a non-finite M), ``sequential_sweep``
-    runs instead.  The stage Hessians are checked positive definite;
-    BackwardFailure names, and carries, the first bad step in sweep order
-    (largest k) and the step size h.
+    M comes from one ``riccati_scan`` of the Riccati elements (A, C, J) of
+    ``_riccati_combine``, formed after the cross term is eliminated with
+    Kc^{-1}; the gains then follow in one batch.  Step-invariant operators
+    give one shared element, which the scan doubles.  The scan needs every
+    Kc positive definite.  Where one is not, or the scan breaks down
+    (LinAlgError or a non-finite M), ``sequential_sweep`` runs instead.  The
+    stage Hessians are checked positive definite; BackwardFailure names, and
+    carries, the first bad step in sweep order (largest k) and the step
+    size h.
     """
     Kc, Lc, Wc = _stage_products(E, F, Qh, Rh, Sh)
     if factor_fails(np.linalg.cholesky, Kc):
@@ -346,13 +317,10 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     Ht = np.swapaxes(H, 1, 2)
     KiL, KiH = np.split(np.linalg.solve(Kc, np.concatenate([Lc, Ht], axis=2)), 2, axis=2)
     elems = (G - H @ KiL, H @ KiH, Wc - np.swapaxes(Lc, 1, 2) @ KiL)
+    M = np.empty((N + 1, n, n))
+    M[N] = M_N
     try:
-        if all(len(a) == 1 for a in (E, F, G, H)):
-            M = power_scan(elems, M_N, N)
-        else:
-            elems = tuple(np.concatenate([np.broadcast_to(e, (N, n, n)), np.broadcast_to(t, (1, n, n))])
-                          for e, t in zip(elems, (0.0, 0.0, M_N)))
-            M = suffix_scan(elems, _riccati_combine)[2]
+        riccati_scan(elems, M)
     except np.linalg.LinAlgError:
         M = None
     if M is None or not np.isfinite(M).all():

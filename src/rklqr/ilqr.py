@@ -168,16 +168,10 @@ def rollout(prob, tab, N: int, U, X=None) -> IterateState:
                 first, floor = first + j, level[j - 1]
 
 
-def _stage_jacobians(prob, state):
-    """Jacobians of f at every internal stage, (N, n, s, *) in step_operators' layout."""
-    n, m = prob.n, prob.m
-    Jx, Ju = prob.stage_jacobians(state.X.reshape(-1, n), state.U.reshape(-1, m))
-    return _by_step(Jx, state.N), _by_step(Ju, state.N)
-
-
 def linearize(prob, tab, state: IterateState) -> Linearization:
     """Tangent-plane step operators at every step of the iterate, stacked over steps."""
-    return Linearization(*step_operators(*_stage_jacobians(prob, state), tab, state.h))
+    Jx, Ju = prob.stage_jacobians(state.X.reshape(-1, prob.n), state.U.reshape(-1, prob.m))
+    return Linearization(*step_operators(_by_step(Jx, state.N), _by_step(Ju, state.N), tab, state.h))
 
 
 def direction(state: IterateState, bp: AffineBackwardPass, steps: Linearization):
@@ -331,16 +325,13 @@ def costates(prob, tab, state: IterateState, steps=None) -> np.ndarray:
 
     One reverse scan of p_k = E_k'w_k + G_k'p_{k+1} from p_N = M x_N, w_k
     being the running-cost gradient in the stage states.  Without ``steps``,
-    E and G are built from one ``stage_jacobians`` call, using Jx alone.
+    the iterate is linearized here.
     """
     if steps is None:
-        Jx, _ = _stage_jacobians(prob, state)
-        E, _, G, _ = step_operators(Jx, Jx[..., :0], tab, state.h)  # no control columns
-    else:
-        E, G = steps.E, steps.G
+        steps = linearize(prob, tab, state)
     w, _ = cost_gradients(*stage_cost_blocks(prob, tab.b, state.h), state.U, state.X)
-    Ew = (w[:, None, :] @ E)[:, 0]
-    return affine_scan(np.swapaxes(G, 1, 2), Ew, prob.M @ state.x[-1], reverse=True)
+    Ew = (w[:, None, :] @ steps.E)[:, 0]
+    return affine_scan(np.swapaxes(steps.G, 1, 2), Ew, prob.M @ state.x[-1], reverse=True)
 
 
 def node_controls(prob, state: IterateState, p: np.ndarray) -> np.ndarray:

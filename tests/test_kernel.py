@@ -287,11 +287,11 @@ class TestRiccatiScan:
             assert self._rel(got, want) < 1e-12
 
     @pytest.mark.parametrize("broken", ["raises", "not_finite"])
-    @pytest.mark.parametrize("scan", ["power_scan", "suffix_scan"])
-    def test_scan_breakdown_falls_back_to_loop(self, monkeypatch, scan, broken):
-        # DLQR's step-invariant step takes the doubling, ILQR's K = N tangent plane the suffix scan
+    @pytest.mark.parametrize("kind", ["dlqr", "ilqr"])
+    def test_scan_breakdown_falls_back_to_loop(self, monkeypatch, kind, broken):
+        # DLQR's step-invariant step is one shared element, ILQR's K = N tangent plane N of them
         tab, N = builtin("methodB"), 50
-        if scan == "power_scan":
+        if kind == "dlqr":
             prob = spring_oscillator()
             steps = dlqr.assemble(prob, tab, N)
         else:
@@ -300,21 +300,47 @@ class TestRiccatiScan:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
             want = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, N))
-        calls = []
+        lengths = []
 
-        def breakdown(*args):
-            calls.append(scan)
+        def breakdown(elems, M):
+            lengths.append({len(e) for e in elems})
             if broken == "raises":
                 raise np.linalg.LinAlgError("singular combine")
-            if scan == "power_scan":
-                return np.full((N + 1,) + prob.M.shape, np.nan)
-            return tuple(np.full(e.shape, np.nan) for e in args[0])
+            M[:-1] = np.nan
 
-        monkeypatch.setattr(dlqr, scan, breakdown)
+        monkeypatch.setattr(dlqr, "riccati_scan", breakdown)
         got = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, N))
-        assert calls == [scan]
+        assert lengths == [{1 if kind == "dlqr" else N}]
         np.testing.assert_allclose(got.M, want.M, rtol=1e-12)
         np.testing.assert_allclose(got.U1, want.U1, rtol=1e-12)
+
+    @staticmethod
+    def _combine_batches(monkeypatch):
+        """Batch sizes of the scan's full and half combines, recorded as it makes them."""
+        batches = {"_riccati_combine": [], "_half_combine": []}
+        for name, sizes in batches.items():
+            def counted(elem, later, combine=getattr(dlqr, name), sizes=sizes):
+                out = combine(elem, later)
+                sizes.append(len(out[2] if isinstance(out, tuple) else out))
+                return out
+
+            monkeypatch.setattr(dlqr, name, counted)
+        return batches.values()
+
+    def test_doubling_combines_one_element(self, monkeypatch):
+        # broadcasting the shared step to N would give the same M at several times the work
+        full, half = self._combine_batches(monkeypatch)
+        dlqr.solve(spring_oscillator(), builtin("methodC"), 4000)
+        assert full == [1] * 11 and sum(half) == 4000
+
+    def test_each_m_is_formed_once(self, monkeypatch):
+        # one half-combine per M_k; the pairs of the odd-even reduction make fewer than N full ones
+        prob, tab, N = pendulum(), builtin("methodB"), 2000
+        state = ilqr.rollout(prob, tab, N, np.full((N, 3), -0.5))
+        steps = ilqr.linearize(prob, tab, state)
+        full, half = self._combine_batches(monkeypatch)
+        ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        assert sum(full) < N and sum(half) == N
 
     @pytest.mark.parametrize("sweep", ["value_sweep", "sequential_sweep"])
     @pytest.mark.parametrize("name, step", [("euler", 48), ("methodB", 49)])
@@ -580,27 +606,32 @@ class TestBackwardKernel:
     @example(0, "euler", 1)
     @example(1, "methodA", 2)
     @example(2, "methodB", 3)
-    @example(3, "methodC", 7)
+    @example(3, "methodC", 5)
     @example(4, "trapezoidal", 8)
     @example(5, "methodB", 63)
     @example(6, "methodC", 64)
     @settings(max_examples=40, deadline=None)
     def test_step_invariant_sweep_matches_sequential_sweep(self, seed, name, N):
-        # the doubling reaches N+1 = 2^k in full levels; otherwise its last level is short
+        # N = 2^k - 1 is odd at every level of the scan, N = 2^k at none; the
+        # inputs are DLQR's one shared step and ILQR's N distinct ones
         rng = np.random.default_rng(seed)
         n, m = (int(v) for v in rng.integers(1, [4, 3]))
-        prob, tab = _random_lq(rng, n, m, tf=float(rng.uniform(0.5, 3.0))), builtin(name)
-        steps = dlqr.assemble(prob, tab, N)
-        h = prob.tf / N
-        args = (steps.E, steps.F, steps.G, steps.H, *dlqr.stage_cost_blocks(prob, tab.b, h), prob.M, N, h)
-        want = dlqr.sequential_sweep(*args)
-        with pytest.MonkeyPatch.context() as patch:
-            # the doubling alone: neither the suffix scan nor the fallback runs
-            patch.setattr(dlqr, "suffix_scan", None)
-            patch.setattr(dlqr, "sequential_sweep", None)
-            got = dlqr.value_sweep(*args)
-        for g, w in zip(got, want):
-            np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-10 * (1 + np.abs(w).max()))
+        tab = builtin(name)
+        lq = _random_lq(rng, n, m, tf=float(rng.uniform(0.5, 3.0)))
+        nonlinear = pendulum()
+        try:
+            state = ilqr.rollout(nonlinear, tab, N, 0.3 * rng.standard_normal((N, tab.s * nonlinear.m)))
+        except RolloutDiverged:  # trapezoidal at N = 1 has h = 4
+            reject()
+        for prob, steps in ((lq, dlqr.assemble(lq, tab, N)), (nonlinear, ilqr.linearize(nonlinear, tab, state))):
+            h = prob.tf / N
+            args = (steps.E, steps.F, steps.G, steps.H, *dlqr.stage_cost_blocks(prob, tab.b, h), prob.M, N, h)
+            want = dlqr.sequential_sweep(*args)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dlqr, "sequential_sweep", None)  # the scan alone: the fallback does not run
+                got = dlqr.value_sweep(*args)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-10 * (1 + np.abs(w).max()))
 
     @given(SEEDS, st.sampled_from(BUILTINS))
     @settings(max_examples=30, deadline=None)
