@@ -229,15 +229,16 @@ def _write_table(path, header, rows):
     """Write a header line and one line per row, every value as %.17g.
 
     Integer-valued floats such as the step index print as integers.  Rows go
-    through Python floats in blocks, so the whole table is never held as
-    Python objects.
+    through Python floats in blocks, each formatted by one ``%`` with the row
+    format repeated, so the whole table is never held as Python objects.
     """
     rows = np.asarray(rows, dtype=float)
     row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(0, len(rows), _TABLE_BLOCK):
-            fh.writelines(row % tuple(r) for r in rows[i:i + _TABLE_BLOCK].tolist())
+            block = rows[i:i + _TABLE_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

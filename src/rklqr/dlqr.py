@@ -17,7 +17,9 @@ n-state, then one reverse ``affine_scan``) from here.
 Both get the Riccati matrices M_k from one ``riccati_scan`` toward the
 terminal M_N, in N half-combines and fewer than N full ones.  DLQR's
 step-invariant step (K = 1) is one shared element, which the scan doubles;
-ILQR's N distinct tangent-plane steps (K = N) are N elements.
+ILQR's N distinct tangent-plane steps (K = N) are N elements.  The stage
+Hessians are factored once each by one batch-last ``cholesky``, through
+which every later solve with them goes.
 """
 
 from __future__ import annotations
@@ -204,6 +206,69 @@ def factor_fails(factor, mat) -> bool:
         return True
 
 
+def cholesky(K):
+    """Batch-last Cholesky factors of the symmetric stack K (B, d, d), and where K is not positive definite.
+
+    Returns L (d, d, B), lower triangular with K_b = L_b L_b' read from K's
+    lower triangle, and ``bad`` (B,), True at every b whose pivot is not
+    finite and positive, NaN included.  No pivoting: positive definite
+    matrices need none.  Column j is K's column less one product per
+    earlier column, each one expression over all B, so tiny matrices cost
+    numpy's per-call overhead about d^2 / 2 times rather than B times.  A
+    bad pivot is taken as 1, so nothing warns; the factor of a bad b is
+    meaningless.
+    """
+    Kt = K.transpose(1, 2, 0)
+    d = Kt.shape[0]
+    L = np.zeros(Kt.shape)
+    bad = np.zeros(Kt.shape[-1], dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(d):
+            col = Kt[j:, j].copy()  # column j on and below the diagonal
+            for k in range(j):
+                col -= L[j:, k] * L[j, k]
+            ok = (col[0] > 0) & (col[0] < np.inf)
+            bad |= ~ok
+            L[j, j] = np.sqrt(np.where(ok, col[0], 1.0))
+            np.divide(col[1:], L[j, j], out=L[j + 1:, j])
+    return L, bad
+
+
+def cholesky_solve(L, rhs):
+    """K^{-1} rhs for rhs (B, d, r), through the factor L (d, d, B) of ``cholesky``.
+
+    Forward then back substitution in place on a copy of rhs, one
+    expression per row and term over the batch axis; a batch of 1 on either
+    side broadcasts.  rhs is only read.
+    """
+    R = rhs.transpose(1, 2, 0)  # (d, r, B)
+    d = L.shape[0]
+    Y = np.empty(R.shape[:2] + (max(L.shape[-1], R.shape[-1]),))
+    Y[...] = R
+    for i in range(d):
+        for k in range(i):
+            Y[i] -= L[i, k] * Y[k]
+        Y[i] /= L[i, i]
+    for i in range(d - 1, -1, -1):
+        for k in range(i + 1, d):
+            Y[i] -= L[k, i] * Y[k]
+        Y[i] /= L[i, i]
+    return Y.transpose(2, 0, 1)
+
+
+def _refined_solve(K, L, rhs):
+    """K^{-1} rhs through the factor L of K, then one step of iterative refinement against K.
+
+    The step X += K^{-1}(rhs - K X) is in working precision.  Without it the
+    substitutions' rounding shows: ILQR's one Newton step on spring methodA
+    N=25, whose stage states reach 3e5, then misses DLQR's optimum by
+    1.4e-10, against 6e-11 with it and with LU.
+    """
+    X = cholesky_solve(L, rhs)
+    X += cholesky_solve(L, rhs - K @ X)
+    return X
+
+
 def affine_scan(A, c, v, reverse=False):
     """Every iterate of v_{k+1} = A_k v_k + c_k from v_0 = v, shape (L+1, n).
 
@@ -297,25 +362,29 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     X_k = E_k x + F_k U and x_{k+1} = G_k x + H_k U, stage cost
     1/2 X'QhX + X'ShU + 1/2 U'RhU.  A leading axis of length 1 marks a
     step-invariant operator, broadcast to N without copying.  Returns M
-    (N+1, n, n) from M_N, gains (N, sm, n) with U_k = gains_k x_k and the
-    stage Hessians K_k = Kc_k + H_k'M_{k+1}H_k (N, sm, sm).
+    (N+1, n, n) from M_N, gains (N, sm, n) with U_k = gains_k x_k, the
+    stage Hessians K_k = Kc_k + H_k'M_{k+1}H_k (N, sm, sm) and their
+    ``cholesky`` factor (sm, sm, N), which later solves with K reuse.
 
-    M comes from one ``riccati_scan`` of the Riccati elements (A, C, J) of
-    ``_riccati_combine``, formed after the cross term is eliminated with
-    Kc^{-1}; the gains then follow in one batch.  Step-invariant operators
-    give one shared element, which the scan doubles.  The scan needs every
-    Kc positive definite.  Where one is not, or the scan breaks down
-    (LinAlgError or a non-finite M), ``sequential_sweep`` runs instead.  The
-    stage Hessians are checked positive definite; BackwardFailure names, and
-    carries, the first bad step in sweep order (largest k) and the step
-    size h.
+    Kc and K are each factored once, by ``cholesky``, which is also the
+    check that they are positive definite.  M comes from one
+    ``riccati_scan`` of the Riccati elements (A, C, J) of
+    ``_riccati_combine``, formed after the cross term is eliminated through
+    Kc's factor; the gains then follow in one batch through K's, refined
+    once against K.  Step-invariant operators give one shared element,
+    which the scan doubles.  The scan needs every Kc positive definite.
+    Where one is not, or the scan breaks down (LinAlgError or a non-finite
+    M), ``sequential_sweep`` runs instead.  Where a K is not,
+    BackwardFailure names, and carries, the first bad step in sweep order
+    (largest k) and the step size h.
     """
     Kc, Lc, Wc = _stage_products(E, F, Qh, Rh, Sh)
-    if factor_fails(np.linalg.cholesky, Kc):
+    factor, bad = cholesky(Kc)
+    if bad.any():
         return sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N, h)
     n = G.shape[-1]
     Ht = np.swapaxes(H, 1, 2)
-    KiL, KiH = np.split(np.linalg.solve(Kc, np.concatenate([Lc, Ht], axis=2)), 2, axis=2)
+    KiL, KiH = np.split(cholesky_solve(factor, np.concatenate([Lc, Ht], axis=2)), 2, axis=2)
     elems = (G - H @ KiL, H @ KiH, Wc - np.swapaxes(Lc, 1, 2) @ KiL)
     M = np.empty((N + 1, n, n))
     M[N] = M_N
@@ -328,32 +397,39 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     M = 0.5 * (M + np.swapaxes(M, 1, 2))
     HM = Ht @ M[1:]
     K = Kc + HM @ H
-    if factor_fails(np.linalg.cholesky, K):
-        k = max(j for j in range(len(K)) if factor_fails(np.linalg.cholesky, K[j]))
-        raise BackwardFailure("stage Hessian not positive definite", k, h)
-    return M, -np.linalg.solve(K, Lc + HM @ G), K
+    factor, bad = cholesky(K)
+    if bad.any():
+        raise BackwardFailure("stage Hessian not positive definite", int(np.flatnonzero(bad)[-1]), h)
+    return M, -_refined_solve(K, factor, Lc + HM @ G), K, factor
 
 
 def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
-    """``value_sweep`` as a loop of N steps: the reference, and the fallback where the scan cannot run."""
+    """``value_sweep`` as a loop of N steps: the reference, and the fallback where the scan cannot run.
+
+    Each K_k is checked by ``cholesky`` as the loop reaches it, and its
+    factor kept for the caller; the loop's own solves stay LU, so it stays
+    an independent reference for the scan.
+    """
     Kc, Lc, Wc = (np.broadcast_to(a, (N,) + a.shape[1:]) for a in _stage_products(E, F, Qh, Rh, Sh))
     G, H = (np.broadcast_to(a, (N,) + a.shape[1:]) for a in (G, H))
     Gt, Ht = np.swapaxes(G, 1, 2), np.swapaxes(H, 1, 2)
     n, sm = G.shape[-1], F.shape[-1]
     M = np.empty((N + 1, n, n))
     M[N] = M_N
-    gains, K = np.empty((N, sm, n)), np.empty((N, sm, sm))
+    gains, K, factor = np.empty((N, sm, n)), np.empty((N, sm, sm)), np.empty((sm, sm, N))
     for k in range(N - 1, -1, -1):
         HM = Ht[k] @ M[k + 1]
         K[k] = Kc[k] + HM @ H[k]
-        if factor_fails(np.linalg.cholesky, K[k]):
+        Lk, bad = cholesky(K[k:k + 1])
+        if bad[0]:
             raise BackwardFailure("stage Hessian not positive definite", k, h)
+        factor[..., k:k + 1] = Lk
         lin = Lc[k] + HM @ G[k]
         sol = np.linalg.solve(K[k], lin)
         Mk = Wc[k] + Gt[k] @ M[k + 1] @ G[k] - lin.T @ sol
         M[k] = 0.5 * (Mk + Mk.T)
         gains[k] = -sol
-    return M, gains, K
+    return M, gains, K, factor
 
 
 def cost_gradients(Qh, Rh, Sh, U, X):
@@ -367,26 +443,27 @@ def riccati_backward(prob: LQProblem, tab: ButcherTableau, steps: Linearization,
     The one backward of DLQR (``assemble``'s K = 1 step, about the zero
     trajectory) and ILQR (a K = N tangent plane, about the iterate), in the
     changes dX_k = E_k dx_k + F_k dU_k and dx_{k+1} = G_k dx_k + H_k dU_k.
-    ``value_sweep`` gives M, the gains U1 and the stage Hessians K on the
-    n-state.  The linear terms are the ``cost_gradients`` (w, r) at (U, X)
-    and M x_N; with l_k = r_k + F_k'w_k, the model's value gradient along
-    the closed loop A_k = G_k + H_k U1_k is one reverse ``affine_scan`` of
-    v_k = A_k'v_{k+1} + E_k'w_k + U1_k'l_k from v_N = M x_N, and
-    U2_k = -K_k^{-1}(l_k + H_k'v_{k+1}) is one batched solve.  The zero
-    trajectory gives exact-zero U2.  The cost gradient g_k = l_k + H_k'p_{k+1}
+    ``value_sweep`` gives M, the gains U1, the stage Hessians K and K's
+    factor on the n-state.  The linear terms are the ``cost_gradients``
+    (w, r) at (U, X) and M x_N; with l_k = r_k + F_k'w_k, the model's value
+    gradient along the closed loop A_k = G_k + H_k U1_k is one reverse
+    ``affine_scan`` of v_k = A_k'v_{k+1} + E_k'w_k + U1_k'l_k from
+    v_N = M x_N, and U2_k = -K_k^{-1}(l_k + H_k'v_{k+1}) is one solve through
+    K's factor, refined once against K.  The zero trajectory gives
+    exact-zero U2.  The cost gradient g_k = l_k + H_k'p_{k+1}
     could drive it instead, but g carries the rounding of the costates p,
     which unstable steps grow far past the step itself; v stays near M_k x_k.
     """
     N = len(U)
     h = prob.tf / N
     Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, h)
-    M, U1, K = value_sweep(steps.E, steps.F, steps.G, steps.H, Qh, Rh, Sh, prob.M, N, h)
+    M, U1, K, factor = value_sweep(steps.E, steps.F, steps.G, steps.H, Qh, Rh, Sh, prob.M, N, h)
     A = steps.G + steps.H @ U1
     w, r = cost_gradients(Qh, Rh, Sh, U, X)
     wt = w[:, None]
     lu = r + (wt @ steps.F)[:, 0]
     v = affine_scan(np.swapaxes(A, 1, 2), (wt @ steps.E + lu[:, None] @ U1)[:, 0], prob.M @ xN, reverse=True)
-    U2 = -np.linalg.solve(K, (lu + (v[1:, None] @ steps.H)[:, 0])[..., None])[..., 0]
+    U2 = -_refined_solve(K, factor, (lu + (v[1:, None] @ steps.H)[:, 0])[..., None])[..., 0]
     return AffineBackwardPass(M=M, U1=U1, U2=U2, A=A)
 
 

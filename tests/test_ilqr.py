@@ -361,9 +361,9 @@ class TestSolve:
         assert len(log) <= 10
 
     def test_rounding_floor_is_not_converged(self):
-        # the residual stops at about 4e-12, where every trial changes Jd by
+        # the residual stops at a few 1e-13, where every trial changes Jd by
         # rounding only and none passes the slope test; where exactly depends
-        # on the order in which step_operators sums, so tol sits far below it
+        # on the rounding of step_operators and the backward, so tol sits far below it
         with pytest.raises(NotConverged, match=r"^rounding floor reached: .* h = 0\.02$") as exc:
             ilqr.solve(pendulum(), builtin("methodB"), 200, tol=1e-14)
         state, log = exc.value.state, exc.value.log

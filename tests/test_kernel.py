@@ -262,6 +262,62 @@ class TestScans:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
+def _symmetric(rng, eigs):
+    """Symmetric matrices (B, d, d) with the eigenvalues ``eigs`` (B, d) in random orthogonal bases."""
+    Q = np.linalg.qr(rng.standard_normal(eigs.shape + eigs.shape[-1:]))[0]
+    return (Q * eigs[:, None, :]) @ np.swapaxes(Q, 1, 2)
+
+
+class TestCholesky:
+    @given(SEEDS, st.integers(1, 6), st.integers(1, 4), st.integers(1, 40),
+           st.sampled_from(["both", "factor", "rhs"]))
+    @example(0, 4, 3, 1, "both")
+    @example(1, 6, 4, 1, "factor")
+    @example(2, 3, 1, 7, "rhs")
+    @settings(max_examples=60, deadline=None)
+    def test_solve_matches_numpy_on_spd(self, seed, d, r, B, batched):
+        # eigenvalues in [0.1, 10]: condition numbers up to 100; either side may
+        # hold a batch of 1 that broadcasts against the other's B
+        rng = np.random.default_rng(seed)
+        K = _symmetric(rng, rng.uniform(0.1, 10.0, (1 if batched == "rhs" else B, d)))
+        rhs = rng.standard_normal((1 if batched == "factor" else B, d, r))
+        kept = rhs.copy()
+        L, bad = dlqr.cholesky(K)
+        got = dlqr.cholesky_solve(L, rhs)
+        assert L.shape == (d, d, len(K)) and not bad.any()
+        np.testing.assert_allclose(np.moveaxis(L, -1, 0), np.linalg.cholesky(K), rtol=1e-12, atol=1e-14)
+        want = np.linalg.solve(K, rhs)
+        assert got.shape == (B, d, r)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * np.abs(want).max())
+        # the solve reads its right-hand side and writes its own array
+        np.testing.assert_array_equal(rhs, kept)
+        assert not np.shares_memory(got, rhs)
+
+    @given(SEEDS, st.integers(1, 6), st.integers(1, 30))
+    @example(0, 1, 1)
+    @example(1, 4, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_flags_exactly_where_numpy_cholesky_fails(self, seed, d, B):
+        # each matrix is positive definite, indefinite (eigenvalues kept 0.1
+        # away from zero, so rounding cannot decide) or has one NaN; numpy
+        # reads the lower triangle, so a NaN above the diagonal is no failure
+        rng = np.random.default_rng(seed)
+        eigs = rng.uniform(0.1, 10.0, (B, d))
+        kind = rng.integers(0, 4, B)  # 0 definite, 1 indefinite, 2 NaN below or on the diagonal, 3 NaN above
+        flip = rng.random((B, d)) < 0.5
+        flip[np.arange(B), rng.integers(0, d, B)] = True
+        eigs[(kind == 1)[:, None] & flip] *= -1
+        K = _symmetric(rng, eigs)
+        for b in np.flatnonzero(kind >= 2):
+            i, j = sorted(rng.integers(0, d, 2))  # i <= j: (j, i) is on or below the diagonal
+            K[b][(j, i) if kind[b] == 2 or i == j else (i, j)] = np.nan
+        want = [dlqr.factor_fails(np.linalg.cholesky, Kb) for Kb in K]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, bad = dlqr.cholesky(K)
+        assert bad.tolist() == want
+
+
 class TestRiccatiScan:
     @staticmethod
     def _rel(got, want):
@@ -313,6 +369,58 @@ class TestRiccatiScan:
         assert lengths == [{1 if kind == "dlqr" else N}]
         np.testing.assert_allclose(got.M, want.M, rtol=1e-12)
         np.testing.assert_allclose(got.U1, want.U1, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["dlqr", "ilqr"])
+    def test_stage_hessians_are_factored_once(self, monkeypatch, kind):
+        # Kc and K once each, by the batch-last factor; the gains and U2 go
+        # through K's factor, so every LAPACK solve left is the scan's n x n one
+        tab, N = builtin("methodB"), 50
+        if kind == "dlqr":
+            prob = spring_oscillator()
+            steps = dlqr.assemble(prob, tab, N)
+        else:
+            prob = pendulum()
+            steps = ilqr.linearize(prob, tab, ilqr.rollout(prob, tab, N, np.full((N, 3), -0.5)))
+        factored, solved = [], []
+
+        def factor(K, cholesky=dlqr.cholesky):
+            factored.append(K.shape)
+            return cholesky(K)
+
+        def solve(a, b, lapack=np.linalg.solve):
+            solved.append(a.shape[-1])
+            return lapack(a, b)
+
+        monkeypatch.setattr(dlqr, "cholesky", factor)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(np.linalg, "cholesky", None)
+        dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, N))
+        sm = tab.s * prob.m
+        assert factored == [(1 if kind == "dlqr" else N, sm, sm), (N, sm, sm)]
+        assert solved and set(solved) == {prob.n}
+
+    def test_indefinite_stage_hessian_is_solved_by_the_loop(self, monkeypatch):
+        # Q - S R^{-1} S' < 0 makes Kc indefinite, so the scan cannot run,
+        # while every K the loop meets is positive definite
+        prob = LQProblem(A=[[2.133]], B=[[2.076]], Q=[[2.878]], S=[[-2.897]], R=[[0.245]], M=[[1.0]],
+                         x0=[0.956], tf=1.5)
+        tab, N = builtin("methodA"), 5
+        steps = dlqr.assemble(prob, tab, N)
+        Kc = dlqr._stage_products(steps.E, steps.F, *dlqr.stage_cost_blocks(prob, tab.b, prob.tf / N))[0]
+        assert np.linalg.eigvalsh(Kc[0]).min() < 0
+        loops = []
+
+        def loop(*args, sweep=dlqr.sequential_sweep):
+            loops.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(dlqr, "sequential_sweep", loop)
+        _, _, traj = dlqr.solve(prob, tab, N)
+        assert len(loops) == 1
+        qp = oracle.qp_solve(prob, tab, N)
+        scale = 1.0 + np.abs(qp.x).max() + np.abs(qp.U).max()
+        np.testing.assert_allclose(traj.U, qp.U, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(traj.x, qp.x, rtol=0, atol=1e-12 * scale)
 
     @staticmethod
     def _combine_batches(monkeypatch):
