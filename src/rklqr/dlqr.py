@@ -19,7 +19,9 @@ terminal M_N, in N half-combines and fewer than N full ones.  DLQR's
 step-invariant step (K = 1) is one shared element, which the scan doubles;
 ILQR's N distinct tangent-plane steps (K = N) are N elements.  The stage
 Hessians are factored once each by one batch-last ``cholesky``, through
-which every later solve with them goes.
+which every later solve with them goes.  Implicit stage couplings, and
+ILQR's node-control Newton systems, go through the batch-last pivoted
+``lu_solve``.
 """
 
 from __future__ import annotations
@@ -82,68 +84,51 @@ def step_operators(Jx, Ju, tab: ButcherTableau, h: float, shared=False):
     columns of it, and F and H have m columns: the sum over the stages of
     the per-stage ones.
 
-    An explicit tableau makes the coupling unit lower triangular, so its
-    stage rows come by forward substitution over ``tab.nonzero_rows``:
-    [E_i | F_i] = [I | 0] + sum_j h a_ij (Jx_j [E_j | F_j] + Ju_j in the
-    input columns of stage j), and [G | H] is the same sum with b_j for
-    a_ij.  It runs with the step axis last, so each product is one einsum
-    over vectors of length K rather than K tiny matrix products.  An
-    implicit one takes a batched solve over the stages whose row of a is
-    nonzero, which raises StepTooLarge naming (and carrying) the first step
-    whose coupling is singular.  Either way a zero-row stage is [I | 0]
-    exactly.
+    It runs with the step axis last, so each product is one expression over
+    vectors of length K rather than K tiny matrix products.  Stage i's row
+    [E_i | F_i] is [I | 0] + sum_j h a_ij (Jx_j [E_j | F_j] + Ju_j in the
+    input columns of stage j) over ``tab.nonzero_rows``, and [G | H] is the
+    same sum with b_j for a_ij.  A zero-row stage is x_k, [I | 0] exactly,
+    so its terms are h a_ij Jx_j with no product.  An explicit tableau makes
+    the coupling unit lower triangular, so the stage rows come by forward
+    substitution.  An implicit one moves the terms of the stages whose row
+    of a is nonzero (the live ones) to the left: their coupling
+    δ_ij I - h a_ij Jx_j is solved by one ``lu_solve``, which raises
+    StepTooLarge naming (and carrying) the first step whose coupling is
+    singular.
     """
     K, n, s, _ = Jx.shape
     m = Ju.shape[-1]
     width = n + (m if shared else s * m)  # columns of [E | F]
-    if tab.is_explicit:
-        Jx, Ju = (np.ascontiguousarray(J.transpose(2, 1, 3, 0)) for J in (Jx, Ju))  # (s, n, ·, K)
-        # rows 0..s-1 are the stages' [E_i | F_i], row s is [G | H]
-        rows = tab.nonzero_rows + ([(j, b) for j, b in enumerate(tab.b) if b],)
-        EF = np.zeros((s + 1, n, width, K))
-        EF[:, :, :n] = np.eye(n)[:, :, None]
-        for i, row in enumerate(rows):
-            for j, a in row:
-                col = n if shared else n + j * m  # stage j's input columns
-                if tab.nonzero_rows[j]:
-                    # [E_j | F_j] has no input columns of stage j or later
-                    # yet, unless they are the shared ones
-                    w = col + m if shared else col
-                    EF[i, :, :w] += h * a * np.einsum("ijk,jlk->ilk", Jx[j], EF[j, :, :w])
-                else:  # a zero-row stage j is [I | 0]
-                    EF[i, :, :n] += h * a * Jx[j]
-                EF[i, :, col:col + m] += h * a * Ju[j]
-        GH = EF[s].transpose(2, 0, 1)
-        EF = EF[:s].reshape(s * n, width, K).transpose(2, 0, 1)
-        return EF[:, :, :n], EF[:, :, n:], GH[:, :, :n], GH[:, :, n:]
-    # only the stages with a nonzero row enter the solve; a zero-row
-    # stage j is x_k, so its h a_ij Jx_j terms join the x_k columns
+    Jx, Ju = (np.ascontiguousarray(J.transpose(2, 1, 3, 0)) for J in (Jx, Ju))  # (s, n, ·, K)
+    implicit = not tab.is_explicit
     live = [i for i, row in enumerate(tab.nonzero_rows) if row]
-    zero = [i for i, row in enumerate(tab.nonzero_rows) if not row]
-    r = len(live)
-    # (k, live row i, row, stage col j, col) blocks h a_ij J[k, row, j, col]
-    ha = (h * tab.a[live])[:, None, :, None]
-    AJ = ha * Jx[:, None]
-    coupling = np.eye(r * n) - AJ[:, :, :, live].reshape(K, r * n, r * n)
-    Z = (np.eye(n) + AJ[:, :, :, zero].sum(axis=3)).reshape(K, r * n, n)
-    if shared:
-        A2 = np.einsum("ij,knjm->kinm", h * tab.a[live], Ju).reshape(K, r * n, m)
-    else:
-        A2 = (ha * Ju[:, None]).reshape(K, r * n, s * m)
-    try:
-        solved = np.linalg.solve(coupling, np.concatenate([Z, A2], axis=2))
-    except np.linalg.LinAlgError:
-        k = next((j for j in range(K) if factor_fails(np.linalg.inv, coupling[j])), None)
-        raise StepTooLarge("singular stage coupling", k, h) from None
-    EF = np.zeros((K, s, n, width))
-    EF[:, zero, :, :n] = np.eye(n)
-    EF[:, live] = solved.reshape(K, r, n, width)
-    EF = EF.reshape(K, s * n, width)
-    E, F = EF[:, :, :n], EF[:, :, n:]
-    hb = (h * tab.b)[:, None]
-    B = (hb * Jx).reshape(K, n, s * n)
-    C = np.einsum("j,knjm->knm", h * tab.b, Ju) if shared else (hb * Ju).reshape(K, n, s * m)
-    return E, F, np.eye(n) + B @ E, B @ F + C
+    # rows 0..s-1 are the stages' [E_i | F_i], row s is [G | H]
+    rows = tab.nonzero_rows + ([(j, b) for j, b in enumerate(tab.b) if b],)
+    EF = np.zeros((s + 1, n, width, K))
+    EF[:, :, :n] = np.eye(n)[:, :, None]
+    for i, row in enumerate(rows):
+        if implicit and i == s:  # the live stages' rows hold their right-hand sides
+            r = len(live)
+            ha = h * tab.a[live][:, live]
+            coupling = (ha[:, None, :, None, None] * Jx[live].transpose(1, 0, 2, 3)).reshape(r * n, r * n, K)
+            X, bad = lu_solve(np.eye(r * n)[:, :, None] - coupling, EF[live].reshape(r * n, width, K))
+            if bad.any():
+                raise StepTooLarge("singular stage coupling", int(np.argmax(bad)), h)
+            EF[live] = X.reshape(r, n, width, K)
+        for j, a in row:
+            col = n if shared else n + j * m  # stage j's input columns
+            if not tab.nonzero_rows[j]:  # a zero-row stage j is [I | 0]
+                EF[i, :, :n] += h * a * Jx[j]
+            elif i == s or not implicit:  # an implicit stage's live terms are in the coupling
+                # an explicit [E_j | F_j] has no input columns of stage j or
+                # later yet, unless they are the shared ones
+                w = width if implicit else col + m if shared else col
+                EF[i, :, :w] += h * a * np.einsum("ijk,jlk->ilk", Jx[j], EF[j, :, :w])
+            EF[i, :, col:col + m] += h * a * Ju[j]
+    GH = EF[s].transpose(2, 0, 1)
+    EF = EF[:s].reshape(s * n, width, K).transpose(2, 0, 1)
+    return EF[:, :, :n], EF[:, :, n:], GH[:, :, :n], GH[:, :, n:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,15 +180,36 @@ def assemble(prob: LQProblem, tab: ButcherTableau, N: int) -> Linearization:
     return Linearization(*step_operators(Jx, Ju, tab, prob.tf / N))
 
 
-def factor_fails(factor, mat) -> bool:
-    """Whether ``factor`` raises LinAlgError on ``mat`` or leaves a non-finite entry.
+def lu_solve(A, R):
+    """A^{-1} R for A (d, d, B) and R (d, r, B), batch axis last, and where A is singular.
 
-    numpy's Cholesky passes NaN through without raising.
+    Gaussian elimination with partial pivoting (Golub and Van Loan, Matrix
+    Computations, §3.4) on a copy of [A | R]: column j brings up the row of
+    largest |entry| on and below the diagonal, the first of equals, by one
+    conditional swap per row below, then clears those rows with one
+    expression over all B; back substitution takes one expression per row
+    and term.  Returns X (d, r, B) and ``bad`` (B,), True at every b where
+    a pivot is exactly zero, which is where LAPACK's getrf reports
+    info > 0.  The X of a bad b is meaningless, and nothing warns about it.
+    A NaN pivot is not flagged and gives NaN.  A and R are only read.
     """
-    try:
-        return not np.isfinite(factor(mat)).all()
-    except np.linalg.LinAlgError:
-        return True
+    d = A.shape[0]
+    W = np.concatenate([A, R], axis=1)  # [A | R], reduced in place
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(d - 1):
+            for i in range(j + 1, d):
+                up = np.abs(W[i, j]) > np.abs(W[j, j])
+                row = W[j, j:].copy()
+                np.copyto(W[j, j:], W[i, j:], where=up)
+                np.copyto(W[i, j:], row, where=up)
+            W[j + 1:, j + 1:] -= (W[j + 1:, j] / W[j, j])[:, None] * W[j, j + 1:]
+        X = W[:, d:]
+        for i in range(d - 1, -1, -1):
+            for k in range(i + 1, d):
+                X[i] -= W[i, k] * X[k]
+            X[i] /= W[i, i]
+    # a pivot is never written after its column is done, so the diagonal holds them all
+    return X, (np.diagonal(W[:, :d]) == 0.0).any(axis=1)
 
 
 def cholesky(K):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dlqr import (AffineBackwardPass, Linearization, affine_scan, check_steps, closed_loop, cost_gradients,
-                   discrete_cost, stage_cost_blocks, step_operators)
+                   discrete_cost, lu_solve, stage_cost_blocks, step_operators)
 from .dlqr import riccati_backward as backward  # the feedback minimizing the quasi-Newton model
 from .errors import LineSearchFailed, NodeControlFailure, NotConverged, RolloutDiverged, StepTooLarge
 
@@ -313,7 +313,9 @@ def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200, X0=None):
                 iteration=len(log) + 1,
                 Jd=state.Jd,
                 grad_inf_norm=resid,
-                step_norm=float(np.linalg.norm(dU)),
+                # not np.linalg.norm: its BLAS dot wakes a worker thread on
+                # large steps, which then spins on a core
+                step_norm=float(np.sqrt(np.sum(dU * dU))),
                 alpha=alpha,
                 slope=slope,
             )
@@ -341,10 +343,12 @@ def node_controls(prob, state: IterateState, p: np.ndarray) -> np.ndarray:
     node N).  Each iteration makes one ``stage_jacobians`` call at the live
     nodes and their 2m central-difference shifts, for D = d(Ju'p)/du, and
     solves (R + D) u' = D u - Ju'p - S'x: D = 0 exactly for control-affine
-    dynamics, so the first step is the closed form.  A node settles once
-    max |g| <= NEWTON_TOL max(|Ju'p|, |Ru|, |S'x|).  NodeControlFailure names
-    the first node, in node order, whose system is singular, whose iterate or
-    residual is not finite, or that is unsettled after NEWTON_MAXIT iterations.
+    dynamics, so the first step is the closed form.  The systems of all
+    live nodes are one ``lu_solve``, whose zero pivot marks a singular one.
+    A node settles once max |g| <= NEWTON_TOL max(|Ju'p|, |Ru|, |S'x|).
+    NodeControlFailure names the first node, in node order, whose system is
+    singular, whose iterate or residual is not finite, or that is unsettled
+    after NEWTON_MAXIT iterations.
     """
     N, m = state.N, prob.m
     u = np.concatenate([state.U[:, :m], state.U[-1:, -m:]])
@@ -361,8 +365,8 @@ def node_controls(prob, state: IterateState, p: np.ndarray) -> np.ndarray:
             step = finite & (np.abs(terms.sum(axis=0)).max(axis=1) > NEWTON_TOL * np.abs(terms).max(axis=(0, 2)))
             D = np.swapaxes(Jup[step, 1:m + 1] - Jup[step, m + 1:], 1, 2) / (2 * d[step, None])
             J, rhs = prob.R + D, (D * ul[step, None]).sum(axis=2) - terms[0, step] - terms[2, step]
-            singular = np.linalg.slogdet(J)[0] == 0  # a zero pivot, which solve would reject
-            u[live[step][~singular]] = np.linalg.solve(J[~singular], rhs[~singular, :, None])[..., 0]
+            new, singular = lu_solve(J.transpose(1, 2, 0), rhs.T[:, None])
+            u[live[step][~singular]] = new[:, 0, ~singular].T
             bad = {"non-finite iterate or residual": live[~finite], "singular Newton system": live[step][singular]}
             first = min([first] + [(k[0], why) for why, k in bad.items() if k.size])
             live = live[step & (live < first[0])]  # a singular node is never before the first failure

@@ -110,6 +110,25 @@ def _lobatto3a():
                           b=[1 / 6, 2 / 3, 1 / 6], name="lobatto3a")
 
 
+def _gauss2():
+    """2-stage Gauss-Legendre: both rows implicit, a full 2n x 2n coupling."""
+    r3 = np.sqrt(3.0)
+    return ButcherTableau(a=[[1 / 4, 1 / 4 - r3 / 6], [1 / 4 + r3 / 6, 1 / 4]], b=[1 / 2, 1 / 2], name="gauss2")
+
+
+def _radau2a3():
+    """3-stage Radau IIA: every row implicit, a full 3n x 3n coupling."""
+    r6 = np.sqrt(6.0)
+    return ButcherTableau(a=[[(88 - 7 * r6) / 360, (296 - 169 * r6) / 1800, (-2 + 3 * r6) / 225],
+                             [(296 + 169 * r6) / 1800, (88 + 7 * r6) / 360, (-2 - 3 * r6) / 225],
+                             [(16 - r6) / 36, (16 + r6) / 36, 1 / 9]],
+                          b=[(16 - r6) / 36, (16 + r6) / 36, 1 / 9], name="radau2a3")
+
+
+IMPLICIT_TABLEAUS = {"trapezoidal": lambda: builtin("trapezoidal"), "lobatto3a": _lobatto3a,
+                     "gauss2": _gauss2, "radau2a3": _radau2a3}
+
+
 def _random_lq(rng, n, m, tf):
     """Random dynamics with a strictly convex running cost that has a cross term."""
     root = rng.standard_normal((n + m, n + m))
@@ -268,6 +287,14 @@ def _symmetric(rng, eigs):
     return (Q * eigs[:, None, :]) @ np.swapaxes(Q, 1, 2)
 
 
+def _cholesky_fails(K) -> bool:
+    """Whether np.linalg.cholesky raises on K or leaves a non-finite entry: it passes NaN through."""
+    try:
+        return not np.isfinite(np.linalg.cholesky(K)).all()
+    except np.linalg.LinAlgError:
+        return True
+
+
 class TestCholesky:
     @given(SEEDS, st.integers(1, 6), st.integers(1, 4), st.integers(1, 40),
            st.sampled_from(["both", "factor", "rhs"]))
@@ -311,11 +338,61 @@ class TestCholesky:
         for b in np.flatnonzero(kind >= 2):
             i, j = sorted(rng.integers(0, d, 2))  # i <= j: (j, i) is on or below the diagonal
             K[b][(j, i) if kind[b] == 2 or i == j else (i, j)] = np.nan
-        want = [dlqr.factor_fails(np.linalg.cholesky, Kb) for Kb in K]
+        want = [_cholesky_fails(Kb) for Kb in K]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, bad = dlqr.cholesky(K)
         assert bad.tolist() == want
+
+
+def _solve_fails(A) -> bool:
+    """Whether np.linalg.solve raises on A alone."""
+    try:
+        np.linalg.solve(A, np.ones(len(A)))
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+class TestLuSolve:
+    @given(SEEDS, st.integers(1, 6), st.integers(1, 4), st.integers(1, 30), st.none())
+    # nonsingular, but elimination without row swaps meets a zero pivot; it is
+    # I + C J for C = vv', v = (1, 2), J = ww', w = (1, -1), a Riccati combine
+    @example(0, 2, 1, 1, [[0.0, 1.0], [-2.0, 3.0]])
+    @example(1, 2, 3, 5, [[0.0, 1.0], [-2.0, 3.0]])
+    @example(2, 1, 1, 1, None)
+    @example(3, 6, 4, 1, None)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_numpy_and_flags_where_it_raises(self, seed, d, r, B, pinned):
+        # each step's matrix is well conditioned (singular values in [0.1, 10]
+        # between random orthogonal factors), or has a zero row or a zero
+        # column, which no rounding can make nonsingular; ``pinned``, when
+        # given, is the matrix at step 0
+        rng = np.random.default_rng(seed)
+        orth = [np.linalg.qr(rng.standard_normal((B, d, d)))[0] for _ in range(2)]
+        A = (orth[0] * rng.uniform(0.1, 10.0, (B, 1, d))) @ orth[1]
+        kind = rng.integers(0, 3, B)  # 0 well conditioned, 1 zero row, 2 zero column
+        where = rng.integers(0, d, B)
+        A[kind == 1, where[kind == 1]] = 0.0
+        A[kind == 2, :, where[kind == 2]] = 0.0
+        if pinned is not None:
+            A[0], kind[0] = pinned, 0
+        R = rng.standard_normal((B, d, r))
+        At, Rt = np.ascontiguousarray(A.transpose(1, 2, 0)), np.ascontiguousarray(R.transpose(1, 2, 0))
+        kept = At.copy(), Rt.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X, bad = dlqr.lu_solve(At, Rt)
+        assert X.shape == (d, r, B)
+        assert bad.tolist() == [_solve_fails(Ab) for Ab in A] == (kind > 0).tolist()
+        ok = ~bad
+        want = np.linalg.solve(A[ok], R[ok])
+        np.testing.assert_allclose(np.moveaxis(X[..., ok], -1, 0), want, rtol=1e-12,
+                                   atol=1e-13 * np.abs(want).max(initial=0.0))
+        # the solve reads its inputs and writes its own array
+        np.testing.assert_array_equal(At, kept[0])
+        np.testing.assert_array_equal(Rt, kept[1])
+        assert not np.shares_memory(X, At) and not np.shares_memory(X, Rt)
 
 
 class TestRiccatiScan:
@@ -463,6 +540,27 @@ class TestRiccatiScan:
         assert (exc.value.step, exc.value.h) == (step, 0.8)
 
 
+def _check_builder_at_real_size(rng, tab, K, n, m):
+    """step_operators on K steps of random stage Jacobians against the per-step dense formula.
+
+    The builder runs with the step axis last; at the sizes of the solves it
+    must agree with the dense formula (checked at every 37th step and the
+    last), and with shared inputs give the unshared operators with F and H
+    summed over the stages' column blocks.
+    """
+    s, h = tab.s, 0.1
+    Jx, Ju = rng.standard_normal((K, n, s, n)), rng.standard_normal((K, n, s, m))
+    ops = dlqr.step_operators(Jx, Ju, tab, h)
+    ks = np.unique(np.r_[0:K:37, K - 1])
+    ref = [_reference_operators(Jx[k].transpose(1, 0, 2), Ju[k].transpose(1, 0, 2), tab, h) for k in ks]
+    for got, want in zip(ops, map(np.array, zip(*ref))):
+        np.testing.assert_allclose(got[ks], want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    E, F, G, H = ops
+    F, H = (M.reshape(K, -1, s, m).sum(axis=2) for M in (F, H))
+    for got, want in zip(dlqr.step_operators(Jx, Ju, tab, h, shared=True), (E, F, G, H)):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
 class TestStackedLinearization:
     @given(SEEDS, st.booleans(), st.sampled_from(EXPLICIT_KINDS))
     @example(0, True, "dense")
@@ -475,7 +573,7 @@ class TestStackedLinearization:
         # Jacobians do not depend on the point), under an explicit tableau of
         # the drawn kind or trapezoidal; dlqr.assemble must give the same
         # operators.  Explicit tableaus take step_operators' forward
-        # substitution, trapezoidal its batched solve.
+        # substitution, trapezoidal its lu_solve.
         rng = np.random.default_rng(seed)
         N = int(rng.integers(1, 6))
         if linear:
@@ -505,28 +603,23 @@ class TestStackedLinearization:
     @pytest.mark.parametrize("n, m", [(2, 1), (6, 3)])
     @pytest.mark.parametrize("kind", EXPLICIT_KINDS + ["midpoint"])
     def test_explicit_builder_at_real_sizes(self, K, n, m, kind):
-        # the explicit builder runs with the step axis last; at the sizes of
-        # the solves it must agree with the per-step dense formula (checked
-        # at every 37th step and the last), and with shared inputs give the
-        # unshared operators with F and H summed over the stages' column
-        # blocks.  The midpoint rule has b_1 = 0, so stage 1 reaches [G | H]
-        # only through stage 2.
+        # the midpoint rule has b_1 = 0, so stage 1 reaches [G | H] only
+        # through stage 2
         rng = np.random.default_rng([K, n, m])
         if kind == "midpoint":
             tab = ButcherTableau(a=[[0, 0], [0.5, 0]], b=[0, 1], name="midpoint")
         else:
             tab = _explicit_tableau(rng, kind)
-        s, h = tab.s, 0.1
-        Jx, Ju = rng.standard_normal((K, n, s, n)), rng.standard_normal((K, n, s, m))
-        ops = dlqr.step_operators(Jx, Ju, tab, h)
-        ks = np.unique(np.r_[0:K:37, K - 1])
-        ref = [_reference_operators(Jx[k].transpose(1, 0, 2), Ju[k].transpose(1, 0, 2), tab, h) for k in ks]
-        for got, want in zip(ops, map(np.array, zip(*ref))):
-            np.testing.assert_allclose(got[ks], want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
-        E, F, G, H = ops
-        F, H = (M.reshape(K, -1, s, m).sum(axis=2) for M in (F, H))
-        for got, want in zip(dlqr.step_operators(Jx, Ju, tab, h, shared=True), (E, F, G, H)):
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        _check_builder_at_real_size(rng, tab, K, n, m)
+
+    @pytest.mark.parametrize("K", [1, 2000])
+    @pytest.mark.parametrize("n, m", [(2, 1), (6, 3)])
+    @pytest.mark.parametrize("kind", list(IMPLICIT_TABLEAUS))
+    def test_implicit_builder_at_real_sizes(self, K, n, m, kind):
+        # trapezoidal and Lobatto IIIA solve the coupling of the stages after
+        # a zero first row (2n and 4n unknowns), Gauss-Legendre 2 and Radau
+        # IIA 3 that of all of theirs (2n and 3n)
+        _check_builder_at_real_size(np.random.default_rng([K, n, m]), IMPLICIT_TABLEAUS[kind](), K, n, m)
 
     def test_zero_row_stage_is_exact_where_the_implicit_solve_pivots(self):
         # trapezoidal at the pendulum's x0 with h = 4: |h/2 Jx| > 1, so a
