@@ -19,9 +19,9 @@ terminal M_N, in N half-combines and fewer than N full ones.  DLQR's
 step-invariant step (K = 1) is one shared element, which the scan doubles;
 ILQR's N distinct tangent-plane steps (K = N) are N elements.  The stage
 Hessians are factored once each by one batch-last ``cholesky``, through
-which every later solve with them goes.  Implicit stage couplings, and
-ILQR's node-control Newton systems, go through the batch-last pivoted
-``lu_solve``.
+which every later solve with them goes.  Implicit stage couplings, ILQR's
+node-control Newton systems and the scan's large combines go through the
+batch-last pivoted ``lu_solve``.
 """
 
 from __future__ import annotations
@@ -310,7 +310,7 @@ def _riccati_combine(earlier, later):
     Aj, Cj, Jj = later
     d = Ai.shape[-1]
     rhs = np.concatenate([Ai, Ci @ np.swapaxes(Aj, 1, 2)], axis=2)
-    X = np.linalg.solve(np.eye(d) + Ci @ Jj, rhs)
+    X = _combine_solve(np.eye(d) + Ci @ Jj, rhs)
     XA, XC = X[..., :d], X[..., d:]
     return Aj @ XA, Aj @ XC + Cj, np.swapaxes(XA, 1, 2) @ Jj @ Ai + Ji
 
@@ -318,8 +318,26 @@ def _riccati_combine(earlier, later):
 def _half_combine(elem, T):
     """The J block of elem ∘ (0, 0, T), whose A and C blocks are zero: X'T A + J with X = (I + C T)^{-1} A."""
     A, C, J = elem
-    X = np.linalg.solve(np.eye(T.shape[-1]) + C @ T, A)
+    X = _combine_solve(np.eye(T.shape[-1]) + C @ T, A)
     return np.swapaxes(X, 1, 2) @ T @ A + J
+
+
+def _combine_solve(A, R):
+    """A^{-1} R for the stacks A (B, d, d) and R (B, d, r) of a combine; a batch of 1 on either side broadcasts.
+
+    From B = 2^(d+6) systems on it is one batch-last ``lu_solve``, below
+    that one batched ``np.linalg.solve``: numpy's per-call overhead makes
+    the elimination's cost about fixed at small B, and LAPACK's grows with
+    B (the crossovers are in the README).  A zero pivot raises
+    LinAlgError, as LAPACK's solve does.
+    """
+    B, d = max(len(A), len(R)), A.shape[-1]
+    if B < 64 << d:
+        return np.linalg.solve(A, R)
+    X, bad = lu_solve(*(np.broadcast_to(a, (B,) + a.shape[1:]).transpose(1, 2, 0) for a in (A, R)))
+    if bad.any():
+        raise np.linalg.LinAlgError("singular combine")
+    return X.transpose(2, 0, 1)
 
 
 def riccati_scan(elems, M):
@@ -455,16 +473,19 @@ def riccati_backward(prob: LQProblem, tab: ButcherTableau, steps: Linearization,
     gradient along the closed loop A_k = G_k + H_k U1_k is one reverse
     ``affine_scan`` of v_k = A_k'v_{k+1} + E_k'w_k + U1_k'l_k from
     v_N = M x_N, and U2_k = -K_k^{-1}(l_k + H_k'v_{k+1}) is one solve through
-    K's factor, refined once against K.  The zero trajectory gives
-    exact-zero U2.  The cost gradient g_k = l_k + H_k'p_{k+1}
-    could drive it instead, but g carries the rounding of the costates p,
-    which unstable steps grow far past the step itself; v stays near M_k x_k.
+    K's factor, refined once against K.  About the zero point, DLQR's, all
+    of these are exact zeros, so none is formed and U2 is zero.  The cost
+    gradient g_k = l_k + H_k'p_{k+1} could drive it instead, but g carries
+    the rounding of the costates p, which unstable steps grow far past the
+    step itself; v stays near M_k x_k.
     """
     N = len(U)
     h = prob.tf / N
     Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, h)
     M, U1, K, factor = value_sweep(steps.E, steps.F, steps.G, steps.H, Qh, Rh, Sh, prob.M, N, h)
     A = steps.G + steps.H @ U1
+    if not (U.any() or X.any() or xN.any()):
+        return AffineBackwardPass(M=M, U1=U1, U2=np.zeros(U.shape), A=A)
     w, r = cost_gradients(Qh, Rh, Sh, U, X)
     wt = w[:, None]
     lu = r + (wt @ steps.F)[:, 0]
@@ -477,10 +498,14 @@ def closed_loop(steps: Linearization, bp: AffineBackwardPass, x0):
     """Node states x (N+1, n) and stage controls U = U1 x + U2 (N, s*m) of the feedback from x0.
 
     One ``affine_scan`` of x_{k+1} = A_k x_k + H_k U2_k, with the closed loop
-    A_k = G_k + H_k U1_k that ``riccati_backward`` formed; K = 1 steps broadcast.
+    A_k = G_k + H_k U1_k that ``riccati_backward`` formed; K = 1 steps
+    broadcast.  An all-zero U2, as DLQR's, is neither multiplied nor added.
     """
-    x = affine_scan(bp.A, (steps.H @ bp.U2[:, :, None])[..., 0], x0)
-    return x, (bp.U1 @ x[:-1, :, None])[..., 0] + bp.U2
+    feedforward = bp.U2.any()
+    c = (steps.H @ bp.U2[:, :, None])[..., 0] if feedforward else np.zeros((len(bp.U2), len(x0)))
+    x = affine_scan(bp.A, c, x0)
+    U = (bp.U1 @ x[:-1, :, None])[..., 0]
+    return x, U + bp.U2 if feedforward else U
 
 
 def rollout(prob: LQProblem, steps: Linearization, bp: AffineBackwardPass) -> DiscreteTrajectory:

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from curve_demo import scalar_curve_demo
 
 from rklqr import dlqr, ilqr, oracle
 from rklqr.cli import build_reference, max_stage_error, run_order_study
@@ -189,11 +190,11 @@ def test_criterion_09_descent_and_monotone_convergence():
 
 
 def test_criterion_10_linear_only_convergence():
-    tr = oracle.scalar_curve_demo(0.1)
+    tr = scalar_curve_demo(0.1)
     assert tr.converged and abs(tr.us[-1]) < 1e-10
     ratios = np.abs(tr.us[1:] / tr.us[:-1])
     assert np.all(ratios[-5:] >= 0.1) and np.all(ratios[-5:] <= 0.9)
-    forced = oracle.scalar_curve_demo(0.1, force_full_step=True, max_iter=1)
+    forced = scalar_curve_demo(0.1, force_full_step=True, max_iter=1)
     assert abs(forced.us[1]) > abs(forced.us[0])
     _pass(f"criterion 10: linear rate (last ratios ~{ratios[-1]:.2f}), full step overshoots")
 

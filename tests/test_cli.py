@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -197,13 +198,15 @@ class TestSolveCommand:
 
     def test_solver_failure_exits_1(self, tmp_path, capsys):
         # the midpoint rule weights stage 1 by 0, so the stage Hessians are
-        # singular; the 200-step solve fails in its 25-step coarse start
+        # singular; the 200-step solve fails in its 25-step coarse start, at a
+        # step that rounding picks, since every K is singular in exact arithmetic
         spec = tmp_path / "midpoint.json"
         spec.write_text('{"s": 2, "a": [0, 0, 0.5, 0], "b": [0, 1], "name": "midpoint"}')
         rc = cli.main(["solve", "--problem", "pendulum", "--method", str(spec), "--steps", "200"])
         assert rc == 1
-        assert capsys.readouterr().err == (
-            "solver failure: stage Hessian not positive definite at step 22, h = 0.16\n")
+        err = re.fullmatch(r"solver failure: stage Hessian not positive definite at step (\d+), h = 0\.16\n",
+                           capsys.readouterr().err)
+        assert err and int(err.group(1)) < 25
 
 
 class TestCoarseStart:

@@ -395,6 +395,98 @@ class TestLuSolve:
         assert not np.shares_memory(X, At) and not np.shares_memory(X, Rt)
 
 
+def _two_springs():
+    """Two unit masses coupled by three unit springs, the first one driven: n = 4, m = 1."""
+    A = np.zeros((4, 4))
+    A[:2, 2:] = np.eye(2)
+    A[2:, :2] = [[-2.0, 1.0], [1.0, -2.0]]
+    return LQProblem(A=A, B=[[0.0], [0.0], [1.0], [0.0]], Q=np.eye(4), R=[[3.0]], M=10.0 * np.eye(4),
+                     x0=[1.0, 0.0, 1.0, 0.0], tf=40.0)
+
+
+class TestCombineSolve:
+    @staticmethod
+    def _routed(A, R):
+        """``_combine_solve``'s answer and whether it went through ``lu_solve``."""
+        calls = []
+
+        def counted(*args, solve=dlqr.lu_solve):
+            calls.append(args)
+            return solve(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dlqr, "lu_solve", counted)
+            X = dlqr._combine_solve(A, R)
+        return X, bool(calls)
+
+    @given(SEEDS, st.integers(1, 6), st.integers(-2, 1), st.sampled_from(["none", "A", "R"]), st.booleans())
+    @example(0, 2, 0, "A", True)
+    @example(1, 6, 0, "A", False)
+    @example(2, 1, -1, "R", True)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_numpy_on_both_sides_of_the_rule(self, seed, d, offset, single, full):
+        # B is 2^(d+6) + offset, where the rule switches; ``single`` names the
+        # side with a batch of 1, and a full combine has 2d right-hand sides
+        rng = np.random.default_rng(seed)
+        B = (64 << d) + offset
+        orth = [np.linalg.qr(rng.standard_normal((1 if single == "A" else B, d, d)))[0] for _ in range(2)]
+        A = (orth[0] * rng.uniform(0.1, 10.0, (len(orth[0]), 1, d))) @ orth[1]
+        R = rng.standard_normal((1 if single == "R" else B, d, 2 * d if full else d))
+        X, routed = self._routed(A, R)
+        assert routed == (offset >= 0)
+        want = np.linalg.solve(A, R)
+        assert X.shape == want.shape == (B, d, R.shape[-1])
+        np.testing.assert_allclose(X, want, rtol=1e-12, atol=1e-13 * np.abs(want).max())
+
+    def test_singular_member_above_the_rule_raises_and_the_loop_solves(self, monkeypatch):
+        d, B = 2, 256
+        A = np.broadcast_to(np.eye(d) + 1.0, (B, d, d)).copy()
+        A[B // 2, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            self._routed(A, np.ones((1, d, d)))
+        # the same flag inside the scan: the largest half-combine at spring
+        # methodC N = 4000 meets a zero row, and value_sweep falls back
+        prob, tab, N = spring_oscillator(), builtin("methodC"), 4000
+        steps, h = dlqr.assemble(prob, tab, N), prob.tf / N
+        args = (steps.E, steps.F, steps.G, steps.H, *dlqr.stage_cost_blocks(prob, tab.b, h), prob.M, N, h)
+        want = dlqr.sequential_sweep(*args)
+        raised = []
+
+        def singular(A, R, solve=dlqr._combine_solve):
+            if max(len(A), len(R)) == N // 2:
+                A = A.copy()
+                A[N // 4, 0] = 0.0
+            try:
+                return solve(A, R)
+            except np.linalg.LinAlgError:
+                raised.append(len(A))
+                raise
+
+        monkeypatch.setattr(dlqr, "_combine_solve", singular)
+        got = dlqr.value_sweep(*args)
+        assert raised == [N // 2]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_four_states_through_the_elimination_match_the_loop(self, monkeypatch):
+        # d = 4 at N = 8000: the half-combines of 4,000 and 2,000 systems go batch-last
+        prob, tab, N = _two_springs(), builtin("methodC"), 8000
+        steps = dlqr.assemble(prob, tab, N)
+        batches = []
+
+        def counted(A, R, solve=dlqr.lu_solve):
+            batches.append(A.shape[-1])
+            return solve(A, R)
+
+        monkeypatch.setattr(dlqr, "lu_solve", counted)
+        scan = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, N))
+        assert batches == [2000, 4000]
+        monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
+        loop = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, N))
+        for got, want in ((scan.M, loop.M), (scan.U1, loop.U1)):
+            assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
 class TestRiccatiScan:
     @staticmethod
     def _rel(got, want):
@@ -517,6 +609,21 @@ class TestRiccatiScan:
         full, half = self._combine_batches(monkeypatch)
         dlqr.solve(spring_oscillator(), builtin("methodC"), 4000)
         assert full == [1] * 11 and sum(half) == 4000
+
+    def test_zero_point_forms_no_feedforward(self, monkeypatch):
+        # about DLQR's zero trajectory w, r, v and U2 are exact zeros: no
+        # gradients, no reverse scan and no U2 solve, only the gains' solve
+        # and the closed loop's forward scan
+        calls = []
+        for name in ("cost_gradients", "affine_scan", "_refined_solve"):
+            def counted(*args, fn=getattr(dlqr, name), name=name, **kw):
+                calls.append((name, kw.get("reverse", False)))
+                return fn(*args, **kw)
+
+            monkeypatch.setattr(dlqr, name, counted)
+        _, bp, _ = dlqr.solve(spring_oscillator(), builtin("methodC"), 4000)
+        assert calls == [("_refined_solve", False), ("affine_scan", False)]
+        assert not bp.U2.any()
 
     def test_each_m_is_formed_once(self, monkeypatch):
         # one half-combine per M_k; the pairs of the odd-even reduction make fewer than N full ones

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from curve_demo import scalar_curve_demo
 
 from rklqr import dlqr, ilqr, oracle
 from rklqr.errors import OracleFailure
@@ -163,7 +164,7 @@ class TestQuasiNewton:
     def test_curve_metric_departs_from_hessian(self):
         # at u = 0: W = 1 + g'(0)^2 = 1 while j''(0) = 3; the gap drives the
         # linear (not superlinear) convergence of the demo below
-        tr = oracle.scalar_curve_demo(1e-9, max_iter=1, force_full_step=True)
+        tr = scalar_curve_demo(1e-9, max_iter=1, force_full_step=True)
         u = 1e-9
         W = 1.0 + (2 * u) ** 2
         jpp = 1.0 + (2 * u) ** 2 + 2.0 * (u * u + 1.0)
@@ -175,26 +176,26 @@ class TestQuasiNewton:
 
 class TestScalarCurveDemo:
     def test_converges_to_origin(self):
-        tr = oracle.scalar_curve_demo(0.1)
+        tr = scalar_curve_demo(0.1)
         assert tr.converged and abs(tr.us[-1]) < 1e-10
 
     def test_first_direction_value(self):
-        tr = oracle.scalar_curve_demo(0.1, force_full_step=True, max_iter=1)
+        tr = scalar_curve_demo(0.1, force_full_step=True, max_iter=1)
         assert tr.us[1] - tr.us[0] == pytest.approx(CURVE_DIR_AT_01, abs=1e-15)
 
     def test_full_step_overshoots(self):
-        tr = oracle.scalar_curve_demo(0.1, force_full_step=True, max_iter=1)
+        tr = scalar_curve_demo(0.1, force_full_step=True, max_iter=1)
         assert abs(tr.us[1]) > abs(tr.us[0])
 
     def test_backtracking_rejects_full_step_near_origin(self):
-        tr = oracle.scalar_curve_demo(0.1)
+        tr = scalar_curve_demo(0.1)
         assert np.all(tr.alphas < 1.0)
 
     def test_linear_convergence_ratio(self):
-        tr = oracle.scalar_curve_demo(0.1)
+        tr = scalar_curve_demo(0.1)
         ratios = np.abs(tr.us[1:] / tr.us[:-1])
         assert np.all(ratios[-5:] > 0.1) and np.all(ratios[-5:] < 0.9)
 
     def test_cost_decreases(self):
-        tr = oracle.scalar_curve_demo(0.1)
+        tr = scalar_curve_demo(0.1)
         assert np.all(np.diff(tr.js) <= 0)
