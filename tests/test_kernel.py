@@ -443,7 +443,7 @@ class TestCombineSolve:
         A = np.broadcast_to(np.eye(d) + 1.0, (B, d, d)).copy()
         A[B // 2, 1] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
-            self._routed(A, np.ones((1, d, d)))
+            dlqr._combine_solve(A, np.ones((1, d, d)))
         # the same flag inside the scan: the largest half-combine at spring
         # methodC N = 4000 meets a zero row, and value_sweep falls back
         prob, tab, N = spring_oscillator(), builtin("methodC"), 4000
