@@ -80,7 +80,8 @@ def solve_problem(prob, tab: ButcherTableau, N: int, tol=1e-8, max_iter=200):
     ``ilqr.solve`` starts from the previous rung's node controls and node
     states interpolated by ``cubic_lagrange`` at the stage times (k + c_i) h:
     the controls as U0, the states as X0, the start of the first rollout's
-    Newton sweeps.  info carries Jd, the iteration count and the ILQR
+    Newton sweeps; a rung's node controls come from the costates
+    ``ilqr.solve`` returns.  info carries Jd, the iteration count and the ILQR
     iterate log of the finest solve.  tol and max_iter go through
     ``ilqr.check_stopping_rule`` for either kind.
     """
@@ -99,8 +100,7 @@ def solve_problem(prob, tab: ButcherTableau, N: int, tol=1e-8, max_iter=200):
             times = ((np.arange(level)[:, None] + tab.c) * (prob.tf / level)).ravel()
             U0 = cubic_lagrange(traj.u, traj.h, times).reshape(level, tab.s * prob.m)
             X0 = cubic_lagrange(traj.x, traj.h, times).reshape(level, tab.s * prob.n)
-        state, log = ilqr.solve(prob, tab, level, U0=U0, tol=tol, max_iter=max_iter, X0=X0)
-        p = ilqr.costates(prob, tab, state)
+        state, log, p = ilqr.solve(prob, tab, level, U0=U0, tol=tol, max_iter=max_iter, X0=X0)
         u = ilqr.node_controls(prob, state, p)
         traj = dlqr.DiscreteTrajectory(x=state.x, X=state.X, U=state.U, p=p, u=u, h=state.h)
     return traj, {"Jd": state.Jd, "iterations": len(log), "log": log}
@@ -275,7 +275,7 @@ def cmd_solve(args) -> int:
     traj, info = solve_problem(prob, tab, args.steps, tol=args.tol, max_iter=args.max_iter)
     if args.out:
         write_trajectory_csv(args.out, traj)
-    if args.log and info["log"]:
+    if args.log:
         write_iterate_log_csv(args.log, info["log"])
     print(f"Jd = {_fmt(info['Jd'])}  iterations = {info['iterations']}  "
           f"N = {args.steps}  h = {_fmt(prob.tf / args.steps)}")
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--steps", type=int, required=True, help="number of RK steps N")
     p.add_argument("--out", help="trajectory CSV path")
-    p.add_argument("--log", help="iterate log CSV path (nonlinear solves)")
+    p.add_argument("--log", help="iterate log CSV path (header only for a solve without iterations)")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=200)
     p.set_defaults(func=cmd_solve)

@@ -270,15 +270,16 @@ def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200, X0=None):
     (N, s·n) when given, else from every state at x0.
 
     Stops when the stage-scaled gradient (``scaled_residual``) falls below
-    tol, which means the same at every h; returns the final iterate and a
-    per-iteration log.  Each iterate is linearized once: a trial the line
-    search linearized for its slope test hands its linearization and
-    gradient on.  Raises NotConverged (carrying the last state and log) when
-    max_iter steps leave the residual above tol, or when the line search
-    fails on a step whose predicted decrease |slope| is below the rounding
-    floor COST_FLOOR |Jd|; ValueError when ``check_stopping_rule`` rejects
-    tol or max_iter, or when U0 or X0 has the wrong size or a non-finite
-    entry.
+    tol, which means the same at every h; returns (state, log, p): the final
+    iterate, a per-iteration log and the final iterate's node ``costates``.
+    Each iterate is linearized once: a trial the line search linearized for
+    its slope test hands its linearization and gradient on, and p comes
+    from the last linearization.  Raises NotConverged (carrying the last
+    state and log) when max_iter steps leave the residual above tol, or when
+    the line search fails on a step whose predicted decrease |slope| is
+    below the rounding floor COST_FLOOR |Jd|; ValueError when
+    ``check_stopping_rule`` rejects tol or max_iter, or when U0 or X0 has
+    the wrong size or a non-finite entry.
     """
     check_stopping_rule(tol, max_iter)
     check_steps(N)
@@ -294,7 +295,7 @@ def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200, X0=None):
             g = gradient(prob, tab, state, steps)
         resid = scaled_residual(tab, state, g)
         if resid < tol:
-            return state, log
+            return state, log, costates(prob, tab, state, steps)
         if len(log) == max_iter:
             raise NotConverged(f"stage-scaled gradient {resid!r} above {tol!r} after {max_iter} iterations",
                                state=state, log=log)

@@ -87,11 +87,6 @@ class LQProblem:
     def m(self) -> int:
         return self.B.shape[1]
 
-    @property
-    def control_affine(self) -> bool:
-        """Always True: linear dynamics are affine in u."""
-        return True
-
     # dynamics surface shared with NonlinearProblem
     def f(self, X, U):
         """AX + BU at the P points of X (P, n) and U (P, m), stacked as (P, n)."""
@@ -112,9 +107,8 @@ class NonlinearProblem:
 
     ``f_fn``, ``jac_x_fn`` and ``jac_u_fn`` map stacked points X (P, n) and
     U (P, m) to f (P, n) and its stacked Jacobians Jx (P, n, n) and
-    Ju (P, n, m).  ``control_affine`` marks f(x, u) = f0(x) + B(x) u;
-    ``input_matrix(x)`` is then Ju at (x, 0).  All callables must be pure.  ``S`` is not a constructor argument: it is
-    always the read-only zero cross term of shape (n, m).
+    Ju (P, n, m).  All callables must be pure.  ``S`` is not a constructor
+    argument: it is always the read-only zero cross term of shape (n, m).
     """
 
     f_fn: Callable
@@ -125,7 +119,6 @@ class NonlinearProblem:
     M: np.ndarray
     x0: np.ndarray
     tf: float
-    control_affine: bool = False
     name: str = ""
     S: np.ndarray = field(init=False, repr=False)
 
@@ -133,8 +126,6 @@ class NonlinearProblem:
         for label in ("f_fn", "jac_x_fn", "jac_u_fn"):
             if not callable(getattr(self, label)):
                 raise ValueError(f"{label} must be callable")
-        if not isinstance(self.control_affine, bool):
-            raise ValueError("control_affine must be a bool")
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         n = x0.size
         R = np.atleast_2d(np.asarray(self.R, dtype=float))
@@ -164,9 +155,7 @@ class NonlinearProblem:
         return F
 
     def input_matrix(self, x):
-        """B(x) of control-affine dynamics: Ju at the one point (x, 0)."""
-        if not self.control_affine:
-            raise AttributeError("dynamics are not flagged control-affine")
+        """Ju at the one point (x, 0): the B(x) of f(x, u) = f0(x) + B(x) u only when f is affine in u."""
         _, Ju = self.stage_jacobians(np.asarray(x, dtype=float).reshape(1, self.n), np.zeros((1, self.m)))
         return Ju[0]
 
@@ -252,7 +241,6 @@ def pendulum() -> NonlinearProblem:
         f_fn=_pendulum_f,
         jac_x_fn=_pendulum_jac_x,
         jac_u_fn=_pendulum_jac_u,
-        control_affine=True,
         Q=np.zeros((2, 2)),
         R=[[0.05]],
         M=5.0 * np.eye(2),
@@ -318,6 +306,8 @@ def load_problem(source):
     else:
         with open(source, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed problem spec: expected a JSON object at the top level, got {type(data).__name__}")
     kind = data.get("kind")
     if kind == "builtin":
         return builtin_problem(str(data.get("name", "")))

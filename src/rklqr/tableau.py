@@ -226,6 +226,8 @@ def load_tableau(source) -> ButcherTableau:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed tableau spec: expected a JSON object at the top level, got {type(data).__name__}")
     try:
         s = int(data["s"])
         if s != data["s"] or isinstance(data["s"], bool):

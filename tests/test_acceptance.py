@@ -168,7 +168,7 @@ def test_criterion_08_one_shot_on_linear_problem():
     prob = spring_oscillator()
     tab = builtin("methodB")
     N = 100
-    state, log = ilqr.solve(prob, tab, N)
+    state, log, _ = ilqr.solve(prob, tab, N)
     assert len(log) == 1  # second gradient check terminates the loop
     assert log[0].alpha == 1.0
     _, _, traj = dlqr.solve(prob, tab, N)
@@ -179,7 +179,7 @@ def test_criterion_08_one_shot_on_linear_problem():
 
 def test_criterion_09_descent_and_monotone_convergence():
     prob = pendulum()
-    state, log = ilqr.solve(prob, builtin("methodB"), 200, tol=1e-8, max_iter=50)
+    state, log, _ = ilqr.solve(prob, builtin("methodB"), 200, tol=1e-8, max_iter=50)
     assert len(log) <= 50
     assert all(rec.slope < 0.0 for rec in log)
     jds = [rec.Jd for rec in log]
@@ -207,8 +207,7 @@ def test_criterion_11_pendulum_initial_control_convergence():
         tab = builtin(name)
         vals = []
         for N in Ns:
-            state, _ = ilqr.solve(prob, tab, N)
-            p = ilqr.costates(prob, tab, state)
+            state, _, p = ilqr.solve(prob, tab, N)
             vals.append(ilqr.node_controls(prob, state, p)[0, 0])
         u0[name] = np.array(vals)
     # methodB initial control is settled to well under 1e-3 by N = 200

@@ -109,6 +109,11 @@ class TestSolveCommand:
         assert all(a >= b for a, b in zip(jds, jds[1:]))
         assert all(float(row.split(",")[5]) < 0 for row in lines[1:])  # descent directions
         assert "iterations =" in capsys.readouterr().out
+        # a solve without iterations, a linear one included, writes the header alone
+        for problem, tol in (("pendulum", "inf"), ("spring", "1e-8")):
+            rc = cli.main(["solve", "--problem", problem, "--method", "methodB", "--steps", "20",
+                           "--tol", tol, "--log", str(log)])
+            assert rc == 0 and log.read_text() == lines[0] + "\n"
 
     def test_pendulum_tanh_nodes_are_stationary(self, tmp_path, capsys):
         # the builtin whose input is not affine: its node controls come from Newton
@@ -147,7 +152,10 @@ class TestSolveCommand:
         ("--problem", {"kind": "lq", "n": 1.9, "m": 1, "A": [0], "B": [1], "Q": [1], "R": [1],
                        "M": [0], "x0": [1], "tf": 1},
          "malformed problem spec: n = 1.9 and m = 1 must be integers"),
-    ], ids=["tableau", "problem", "tableau-size", "problem-size"])
+        # a top level that is not an object
+        ("--method", [1, 2], "malformed tableau spec: expected a JSON object at the top level, got list"),
+        ("--problem", [1, 2], "malformed problem spec: expected a JSON object at the top level, got list"),
+    ], ids=["tableau", "problem", "tableau-size", "problem-size", "tableau-array", "problem-array"])
     def test_spec_missing_field_exits_2(self, tmp_path, capsys, option, spec, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -166,7 +174,6 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("option", ["--out", "--log"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, option):
-        # the log is written for nonlinear solves only
         path = tmp_path / "missing" / "out.csv"
         rc = cli.main(["solve", "--problem", "pendulum", "--method", "methodB", "--steps", "20", option, str(path)])
         assert rc == 2
@@ -230,10 +237,11 @@ class TestCoarseStart:
         # the solve starts cold.  A fine level gets the coarse controls and
         # states, so its first rollout makes a few batched f calls, not the
         # cold start's 5 or 6 (each chain entry: steps, f calls there).  The
-        # levels are one loop inside a single solve_problem call
+        # levels are one loop inside a single solve_problem call, and each
+        # linearizes every iterate it reaches once, its costates included
         base = builtin_problem("pendulum")[0]
         f_calls, levels, solve, rollout = [0], [], ilqr.solve, ilqr.rollout
-        entries, solve_problem = [0], cli.solve_problem
+        entries, solve_problem, linearize, linearized, iterates = [0], cli.solve_problem, ilqr.linearize, [], []
 
         def counting_solve_problem(*args, **kwargs):
             entries[0] += 1
@@ -245,7 +253,14 @@ class TestCoarseStart:
 
         def recording_solve(prob, tab, N, **kwargs):
             levels.append([N, kwargs["U0"] is None, kwargs["X0"] is None, None])
-            return solve(prob, tab, N, **kwargs)
+            linearized.append(0)
+            out = solve(prob, tab, N, **kwargs)
+            iterates.append(len(out[1]) + 1)
+            return out
+
+        def counting_linearize(*args):
+            linearized[-1] += 1
+            return linearize(*args)
 
         def recording_rollout(prob, tab, N, U, X=None):
             before = f_calls[0]
@@ -256,18 +271,20 @@ class TestCoarseStart:
 
         monkeypatch.setattr(ilqr, "solve", recording_solve)
         monkeypatch.setattr(ilqr, "rollout", recording_rollout)
+        monkeypatch.setattr(ilqr, "linearize", counting_linearize)
         monkeypatch.setattr(cli, "solve_problem", counting_solve_problem)
         cli.solve_problem(dataclasses.replace(base, f_fn=counting_f), builtin("methodB"), N)
         cold = chain[0][0]
         assert levels == [[n, n == cold, n == cold, calls] for n, calls in chain]
         assert entries == [1]
+        assert linearized == iterates
 
     @pytest.mark.parametrize("method, N", [("methodB", 2000), ("trapezoidal", 400)])
     def test_coarse_chain_agrees_with_a_cold_solve(self, method, N):
         # both stop below the same stage-scaled gradient, so they agree to
         # its level, not to rounding (measured 2.6e-9 and 1.6e-8 in U)
         prob, tab = builtin_problem("pendulum")[0], builtin(method)
-        cold, _ = ilqr.solve(prob, tab, N)
+        cold, _, _ = ilqr.solve(prob, tab, N)
         traj, info = cli.solve_problem(prob, tab, N)
         assert info["iterations"] < 4
         for got, want in ((traj.U, cold.U), (traj.x, cold.x)):

@@ -255,7 +255,7 @@ class TestBackwardAndDirection:
     def test_direction_vanishes_at_stationary_point(self):
         prob = pendulum()
         tab = builtin("methodB")
-        state, _ = ilqr.solve(prob, tab, 40, tol=1e-11)
+        state, _, _ = ilqr.solve(prob, tab, 40, tol=1e-11)
         steps = ilqr.linearize(prob, tab, state)
         bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
         dU, _ = ilqr.direction(state, bp, steps)
@@ -335,14 +335,14 @@ class TestSolve:
     def test_linear_problem_single_iteration(self):
         prob = spring_oscillator()
         tab = builtin("methodB")
-        state, log = ilqr.solve(prob, tab, 100)
+        state, log, _ = ilqr.solve(prob, tab, 100)
         assert len(log) == 1 and log[0].alpha == 1.0
         _, _, traj = dlqr.solve(prob, tab, 100)
         np.testing.assert_allclose(state.U, traj.U, atol=1e-10)
 
     def test_infinite_tolerance_returns_initial_state(self):
         prob = pendulum()
-        state, log = ilqr.solve(prob, builtin("methodB"), 10, tol=np.inf)
+        state, log, _ = ilqr.solve(prob, builtin("methodB"), 10, tol=np.inf)
         assert log == []
         np.testing.assert_array_equal(state.U, 0.0)
 
@@ -357,7 +357,7 @@ class TestSolve:
         # alpha slope falls below the rounding error of Jd, where the line
         # search judges a step by its slope instead
         prob = dataclasses.replace(pendulum(), x0=[1.04, 0.0])
-        _, log = ilqr.solve(prob, builtin("methodB"), 40, tol=1e-11)
+        _, log, _ = ilqr.solve(prob, builtin("methodB"), 40, tol=1e-11)
         assert len(log) <= 10
 
     def test_rounding_floor_is_not_converged(self):
@@ -410,7 +410,7 @@ class TestSolve:
         monkeypatch.setattr(ilqr, "linearize", recording_linearize)
         monkeypatch.setattr(ilqr, "line_search", flagged_line_search)
         prob = dataclasses.replace(base, f_fn=counting("f", base.f_fn), jac_x_fn=counting("jac_x", base.jac_x_fn))
-        _, log = ilqr.solve(prob, builtin("methodB"), 75)
+        _, log, _ = ilqr.solve(prob, builtin("methodB"), 75)
         assert calls["jac_x"] == calls["f"] + len(linearized)
         assert len({id(state) for state in linearized}) == len(linearized) >= len(log) + 1
         assert any(in_search)  # the slope test ran and its linearization was kept
@@ -431,7 +431,7 @@ class TestSolve:
 
         rollout = ilqr.rollout
         monkeypatch.setattr(ilqr, "rollout", recording_rollout)
-        state, log = ilqr.solve(prob, builtin("methodB"), 50)
+        state, log, _ = ilqr.solve(prob, builtin("methodB"), 50)
         assert len(log) == 41 and state.Jd == pytest.approx(0.05343840025476608, rel=1e-15)
         assert diverged
 
@@ -449,7 +449,7 @@ class TestSolve:
             calls.append(len(X))
             return base.f_fn(X, U)
 
-        _, log = ilqr.solve(dataclasses.replace(base, f_fn=counted), builtin(name), N)
+        _, log, _ = ilqr.solve(dataclasses.replace(base, f_fn=counted), builtin(name), N)
         assert len(calls) == 30
         assert [rec.alpha for rec in log] == [0.5] + [1.0] * 6
 
@@ -463,7 +463,7 @@ class TestSolve:
             return base.f_fn(X, U)
 
         tab, N = builtin("methodB"), 200
-        _, log = ilqr.solve(dataclasses.replace(base, f_fn=counted), tab, N)
+        _, log, _ = ilqr.solve(dataclasses.replace(base, f_fn=counted), tab, N)
         assert len(calls) == 30
         assert [rec.alpha for rec in log] == [0.5] + [1.0] * 6
         assert sum(calls) < 30 * N * tab.s
@@ -489,7 +489,7 @@ class TestSolve:
 
     def test_monotone_descent_on_pendulum(self):
         prob = pendulum()
-        state, log = ilqr.solve(prob, builtin("methodB"), 60)
+        state, log, _ = ilqr.solve(prob, builtin("methodB"), 60)
         jds = [rec.Jd for rec in log]
         assert all(a >= b for a, b in zip(jds, jds[1:]))
         assert all(rec.slope < 0 for rec in log)
@@ -571,11 +571,28 @@ class TestCostates:
         slope = np.polyfit(np.log([0.2, 0.1, 0.05]), np.log(errs), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.4)
 
+    @pytest.mark.parametrize("tol, last", [(np.inf, []), (1e-6, [False]), (1e-8, [True])],
+                             ids=["no-step", "armijo", "slope-test"])
+    def test_solve_returns_the_final_costates(self, monkeypatch, tol, last):
+        # p comes from the linearization the loop holds at its last iterate:
+        # the one the line search hands on when its slope test took the step
+        prob, tab, line_search, slope_test = pendulum(), builtin("methodB"), ilqr.line_search, []
+
+        def recording_line_search(*args):
+            out = line_search(*args)
+            slope_test.append(out[2] is not None)
+            return out
+
+        monkeypatch.setattr(ilqr, "line_search", recording_line_search)
+        state, _, p = ilqr.solve(prob, tab, 40, tol=tol)
+        assert slope_test[-1:] == last  # whether the slope test took the last step
+        np.testing.assert_array_equal(p, ilqr.costates(prob, tab, state))
+
     @pytest.mark.parametrize("name", ["euler", "methodA", "methodB", "trapezoidal"])
     def test_recursion_residual(self, name):
         prob = pendulum()
         tab = builtin(name)
-        state, _ = ilqr.solve(prob, tab, 30)
+        state, _, _ = ilqr.solve(prob, tab, 30)
         cost = oracle.adjoint_costates(prob, tab, state)
         pnorm = np.abs(cost.p).max()
         assert _costate_residual(prob, tab, state, cost) < 1e-10 * (1 + pnorm)
@@ -593,8 +610,7 @@ class TestNodeControls:
     def test_pendulum_closed_form(self):
         prob = pendulum()
         tab = builtin("methodB")
-        state, _ = ilqr.solve(prob, tab, 40)
-        p = ilqr.costates(prob, tab, state)
+        state, _, p = ilqr.solve(prob, tab, 40)
         u = ilqr.node_controls(prob, state, p)
         np.testing.assert_allclose(u[:, 0], -20.0 * p[:, 1], atol=1e-14)
 
@@ -663,7 +679,7 @@ class TestLQAsNonlinear:
     def test_wrapped_problem_one_shot(self):
         lq = spring_oscillator()
         tab = builtin("methodA")
-        state, log = ilqr.solve(lq, tab, 50)
+        state, log, _ = ilqr.solve(lq, tab, 50)
         assert len(log) == 1 and log[0].alpha == 1.0
         _, _, traj = dlqr.solve(lq, tab, 50)
         np.testing.assert_allclose(state.U, traj.U, atol=1e-10)
@@ -672,7 +688,7 @@ class TestLQAsNonlinear:
         # the LQ class itself runs through the nonlinear pipeline, keeping S
         prob, _ = example31()
         tab = builtin("methodB")
-        state, log = ilqr.solve(prob, tab, 20)
+        state, log, _ = ilqr.solve(prob, tab, 20)
         assert len(log) == 1
         _, _, traj = dlqr.solve(prob, tab, 20)
         np.testing.assert_allclose(state.U, traj.U, atol=1e-12)
@@ -708,9 +724,9 @@ def _two_input_problem():
 
 
 def _scaled_pendulum(c):
-    """The pendulum with its input in other units: omegadot = sin(theta) + c u, R = 0.05 c^2, unflagged."""
+    """The pendulum with its input in other units: omegadot = sin(theta) + c u, R = 0.05 c^2."""
     return dataclasses.replace(
-        pendulum(), control_affine=False,
+        pendulum(),
         f_fn=lambda X, U: np.column_stack([X[:, 1], np.sin(X[:, 0]) + c * U[:, 0]]),
         jac_u_fn=lambda X, U: np.broadcast_to([[0.0], [c]], (len(X), 2, 1)), R=[[0.05 * c * c]])
 
@@ -790,7 +806,7 @@ class TestBatchedNodeControls:
     def test_settles_in_any_units(self, c):
         # the same control problem with the input in other units: u = u_1 / c
         tab, N = builtin("methodB"), 40
-        base, _ = ilqr.solve(pendulum(), tab, N)
+        base, _, _ = ilqr.solve(pendulum(), tab, N)
         prob = _scaled_pendulum(c)
         state = ilqr.rollout(prob, tab, N, base.U / c)
         p = ilqr.costates(prob, tab, state)
@@ -825,10 +841,9 @@ class TestBatchedNodeControls:
         else:
             np.testing.assert_allclose(got, want[0], rtol=1e-12, atol=1e-12 * np.abs(want[0]).max())
 
-    @pytest.mark.parametrize("which", ["pendulum", "unflagged", "cubic", "tanh"])
+    @pytest.mark.parametrize("which", ["pendulum", "cubic", "tanh"])
     def test_one_stage_jacobians_call_per_iteration(self, which):
-        prob = {"pendulum": pendulum(), "unflagged": dataclasses.replace(pendulum(), control_affine=False),
-                "cubic": _cubic_problem(), "tanh": pendulum_tanh()}[which]
+        prob = {"pendulum": pendulum(), "cubic": _cubic_problem(), "tanh": pendulum_tanh()}[which]
         rng = np.random.default_rng(8)
         N = 30
         state = _node_state(prob, rng.uniform(-1, 1, (N + 1, 2)), rng.uniform(-1, 1, (N, 3)))
@@ -838,16 +853,14 @@ class TestBatchedNodeControls:
         ilqr.node_controls(recorded, state, p)
         # call t evaluates the 2m + 1 points of every node still unsettled at iteration t
         assert calls == [3 * sum(it >= t for it in iterations) for t in range(1, max(iterations) + 1)]
-        if which in ("pendulum", "unflagged"):  # the first step is the closed form
+        if which == "pendulum":  # the first step is the closed form
             assert len(calls) <= 2
 
-    def test_closed_form_without_the_flag(self):
-        # the control_affine flag changes nothing: D = 0 exactly either way
+    def test_trapezoidal_closed_form(self):
+        # D = 0 exactly for dynamics affine in u, through implicit stages too
         prob, tab = pendulum(), builtin("trapezoidal")
-        state, _ = ilqr.solve(prob, tab, 60)
-        p = ilqr.costates(prob, tab, state)
+        state, _, p = ilqr.solve(prob, tab, 60)
         u = ilqr.node_controls(prob, state, p)
-        np.testing.assert_array_equal(u, ilqr.node_controls(dataclasses.replace(prob, control_affine=False), state, p))
         np.testing.assert_allclose(u, -p[:, 1:] / prob.R[0, 0], rtol=1e-15)
 
 
@@ -899,5 +912,5 @@ class TestStepCount:
 
     def test_numpy_integer_step_count_accepted(self):
         prob, tab = pendulum(), builtin("methodB")
-        state, _ = ilqr.solve(prob, tab, np.int64(6))
+        state, _, _ = ilqr.solve(prob, tab, np.int64(6))
         assert state.N == 6

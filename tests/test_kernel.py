@@ -270,7 +270,7 @@ class TestScans:
                 calls.append(len(X))
                 return base.f_fn(X, U)
 
-            state, log = ilqr.solve(dataclasses.replace(base, f_fn=counted), builtin(method), N)
+            state, log, _ = ilqr.solve(dataclasses.replace(base, f_fn=counted), builtin(method), N)
             return state, [r.alpha for r in log], calls
 
         state, alphas, calls = run()

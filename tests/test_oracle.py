@@ -68,7 +68,7 @@ class TestGradients:
     def test_fd_vanishes_at_optimum(self):
         prob = pendulum()
         tab = builtin("methodB")
-        state, _ = ilqr.solve(prob, tab, 20, tol=1e-10)
+        state, _, _ = ilqr.solve(prob, tab, 20, tol=1e-10)
         g = oracle.grad_fd(prob, tab, 20, state.U)
         assert np.abs(g).max() < 1e-5
 

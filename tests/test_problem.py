@@ -78,10 +78,6 @@ class TestSpringOscillator:
         assert prob.tf == 40.0
         assert not prob.S.any()
 
-    def test_linear_dynamics_are_control_affine(self):
-        # ILQR's node controls read the flag on every problem, with no default
-        assert spring_oscillator().control_affine is True
-
 
 class TestPendulum:
     def test_cross_term_is_read_only_zero_data(self):
@@ -106,7 +102,6 @@ class TestPendulum:
         np.testing.assert_array_equal(Ju, [[[0.0], [1.0]]])
         assert prob.R[0, 0] == 0.05  # 0.025 u^2 == (1/2) u' (0.05) u
         np.testing.assert_array_equal(prob.M, 5.0 * np.eye(2))
-        assert prob.control_affine
         np.testing.assert_array_equal(prob.input_matrix(prob.x0), [[0.0], [1.0]])
 
     @pytest.mark.parametrize("prob_factory", [pendulum, lambda: spring_oscillator()])
@@ -170,11 +165,6 @@ class TestStageJacobians:
             for x, B in zip(X, Ju):
                 np.testing.assert_array_equal(prob.input_matrix(x), B)
 
-    def test_input_matrix_needs_control_affine_dynamics(self):
-        prob = dataclasses.replace(pendulum(), control_affine=False)
-        with pytest.raises(AttributeError, match="control-affine"):
-            prob.input_matrix(prob.x0)
-
 
 class TestValidation:
     def test_indefinite_R_rejected(self):
@@ -220,11 +210,6 @@ class TestValidation:
     def test_non_callable_dynamics_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be callable"):
             dataclasses.replace(pendulum(), **{field: value})
-
-    @pytest.mark.parametrize("value", [1, "yes", None, np.True_], ids=["int", "str", "None", "numpy-bool"])
-    def test_non_bool_control_affine_rejected(self, value):
-        with pytest.raises(ValueError, match="control_affine must be a bool"):
-            dataclasses.replace(pendulum(), control_affine=value)
 
     def test_non_finite_spec_rejected(self):
         data = {"kind": "lq", "n": 1, "m": 1, "A": [0], "B": [1], "Q": [1], "R": [1],
@@ -298,7 +283,6 @@ class TestPendulumTanh:
     def test_builtin(self):
         prob, ref = builtin_problem("pendulum_tanh")
         assert ref is None and prob.name == "pendulum_tanh"
-        assert prob.control_affine is False
         np.testing.assert_array_equal(prob.Q, np.eye(2))
         np.testing.assert_array_equal(prob.R, [[0.1]])
         np.testing.assert_array_equal(prob.M, 5.0 * np.eye(2))
@@ -306,8 +290,6 @@ class TestPendulumTanh:
         assert prob.tf == 3.0
         f = prob.f(np.array([[math.pi / 2, 0.25]]), np.array([[0.5]]))
         np.testing.assert_allclose(f, [[0.25, 1.0 + math.tanh(0.5)]], rtol=1e-15)
-        with pytest.raises(AttributeError, match="control-affine"):
-            prob.input_matrix(prob.x0)
 
     @given(points=_stacked_points(3.0))
     @settings(max_examples=50, deadline=None)
