@@ -188,13 +188,18 @@ def lu_solve(A, R):
     largest |entry| on and below the diagonal, the first of equals, by one
     conditional swap per row below, then clears those rows with one
     expression over all B; back substitution takes one expression per row
-    and term.  Returns X (d, r, B) and ``bad`` (B,), True at every b where
-    a pivot is exactly zero, which is where LAPACK's getrf reports
-    info > 0.  The X of a bad b is meaningless, and nothing warns about it.
-    A NaN pivot is not flagged and gives NaN.  A and R are only read.
+    and term.  The copy is contiguous with the batch axis last whatever the
+    strides of A and R, so every expression reads the batch at unit
+    stride; the transposed views that callers pass would otherwise be read
+    at a stride of d + r entries.  Returns X (d, r, B) and ``bad`` (B,),
+    True at every b where a pivot is exactly zero, which is where LAPACK's
+    getrf reports info > 0.  The X of a bad b is meaningless, and nothing
+    warns about it.  A NaN pivot is not flagged and gives NaN.  A and R are
+    only read.
     """
     d = A.shape[0]
-    W = np.concatenate([A, R], axis=1)  # [A | R], reduced in place
+    W = np.empty((d, d + R.shape[1], A.shape[-1]))  # [A | R], reduced in place
+    W[:, :d], W[:, d:] = A, R
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(d - 1):
             for i in range(j + 1, d):
@@ -325,14 +330,16 @@ def _half_combine(elem, T):
 def _combine_solve(A, R):
     """A^{-1} R for the stacks A (B, d, d) and R (B, d, r) of a combine; a batch of 1 on either side broadcasts.
 
-    From B = 2^(d+6) systems on it is one batch-last ``lu_solve``, below
+    From B = 2^(d+5) systems on it is one batch-last ``lu_solve``, below
     that one batched ``np.linalg.solve``: numpy's per-call overhead makes
     the elimination's cost about fixed at small B, and LAPACK's grows with
-    B (the crossovers are in the README).  A zero pivot raises
-    LinAlgError, as LAPACK's solve does.
+    B.  From the threshold on, whole half and full combines are faster
+    batch-last at every d from 2 to 6, and about even at d = 1 (the
+    crossovers are in the README).  A zero pivot raises LinAlgError, as
+    LAPACK's solve does.
     """
     B, d = max(len(A), len(R)), A.shape[-1]
-    if B < 64 << d:
+    if B < 32 << d:
         return np.linalg.solve(A, R)
     X, bad = lu_solve(*(np.broadcast_to(a, (B,) + a.shape[1:]).transpose(1, 2, 0) for a in (A, R)))
     if bad.any():
@@ -347,26 +354,25 @@ def riccati_scan(elems, M):
     each stacked along a leading axis of N, or of 1 for an element that
     every step shares: only arrays with a step axis are sliced, so a shared
     element is never copied N times.  Odd-even reduction toward the
-    terminal: an odd N first joins its last step to it,
-    M_{N-1} = e_{N-1} ∘ M_N; the pairs e_{2i} ∘ e_{2i+1} then give the even
-    M_{2i} by the same scan on M[::2]; and one batched ``_half_combine``
-    fills the odd ones, M_{2i+1} = e_{2i+1} ∘ M_{2i+2}.  Every suffix ends in
-    the terminal, so only its J block is formed: N half-combines, and fewer
-    than N full ones, in about 2 log2(N) calls.  A shared element pairs
-    with itself, which is doubling (Anderson, Int. J. Control 28, 1978):
-    every full combine then acts on one element.
+    terminal: with o = N mod 2, the pairs e_{o+2i} ∘ e_{o+2i+1} give
+    M_o, M_{o+2}, ... by the same scan on M[o::2], which ends in M_N; one
+    batched ``_half_combine`` then fills every other M,
+    M_k = e_k ∘ M_{k+1} for k = 1-o, 3-o, ..., N-1, M_0 of an odd N
+    included.  Every suffix ends in the terminal, so only its J block is
+    formed: N half-combines, one call a level, and fewer than N full ones,
+    in about 2 log2(N) calls.  A shared element pairs with itself, which is
+    doubling (Anderson, Int. J. Control 28, 1978): every full combine then
+    acts on one element.
     """
     N = len(M) - 1
+    o = N % 2
 
-    def take(*cut):
-        return tuple(e if len(e) == 1 else e[slice(*cut)] for e in elems)
+    def take(start):
+        return tuple(e if len(e) == 1 else e[start:N:2] for e in elems)
 
-    if N % 2:
-        M[N - 1:N] = _half_combine(take(N - 1, N), M[N:])
     if N > 1:
-        half = N // 2
-        riccati_scan(_riccati_combine(take(0, 2 * half, 2), take(1, 2 * half, 2)), M[:N + 1:2])
-        M[1:2 * half:2] = _half_combine(take(1, 2 * half, 2), M[2:2 * half + 1:2])
+        riccati_scan(_riccati_combine(take(o), take(o + 1)), M[o::2])
+    M[1 - o:N:2] = _half_combine(take(1 - o), M[2 - o::2])
 
 
 def _stage_products(E, F, Qh, Rh, Sh):
@@ -376,6 +382,7 @@ def _stage_products(E, F, Qh, Rh, Sh):
     FtS = Ft @ Sh
     Kc = FtQ @ F + Rh + FtS + np.swapaxes(FtS, 1, 2)
     Lc = FtQ @ E + Sh.T @ E
+    del FtQ, FtS
     Wc = np.swapaxes(E, 1, 2) @ Qh @ E
     return Kc, Lc, Wc
 
@@ -400,7 +407,8 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     Where one is not, or the scan breaks down (LinAlgError or a non-finite
     M), ``sequential_sweep`` runs instead.  Where a K is not,
     BackwardFailure names, and carries, the first bad step in sweep order
-    (largest k) and the step size h.
+    (largest k) and the step size h.  Each per-step stack is dropped after
+    its last reader, so a large N holds few of them at once.
     """
     Kc, Lc, Wc = _stage_products(E, F, Qh, Rh, Sh)
     factor, bad = cholesky(Kc)
@@ -409,22 +417,26 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     n = G.shape[-1]
     Ht = np.swapaxes(H, 1, 2)
     KiL, KiH = np.split(cholesky_solve(factor, np.concatenate([Lc, Ht], axis=2)), 2, axis=2)
+    del factor
     elems = (G - H @ KiL, H @ KiH, Wc - np.swapaxes(Lc, 1, 2) @ KiL)
+    del KiL, KiH, Wc
     M = np.empty((N + 1, n, n))
     M[N] = M_N
     try:
         riccati_scan(elems, M)
     except np.linalg.LinAlgError:
         M = None
+    del elems
     if M is None or not np.isfinite(M).all():
         return sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N, h)
     M = 0.5 * (M + np.swapaxes(M, 1, 2))
     HM = Ht @ M[1:]
-    K = Kc + HM @ H
+    K, rhs = Kc + HM @ H, Lc + HM @ G
+    del Kc, Lc, HM
     factor, bad = cholesky(K)
     if bad.any():
         raise BackwardFailure("stage Hessian not positive definite", int(np.flatnonzero(bad)[-1]), h)
-    return M, -_refined_solve(K, factor, Lc + HM @ G), K, factor
+    return M, -_refined_solve(K, factor, rhs), K, factor
 
 
 def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):

@@ -274,12 +274,14 @@ def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200, X0=None):
     iterate, a per-iteration log and the final iterate's node ``costates``.
     Each iterate is linearized once: a trial the line search linearized for
     its slope test hands its linearization and gradient on, and p comes
-    from the last linearization.  Raises NotConverged (carrying the last
-    state and log) when max_iter steps leave the residual above tol, or when
-    the line search fails on a step whose predicted decrease |slope| is
-    below the rounding floor COST_FLOOR |Jd|; ValueError when
-    ``check_stopping_rule`` rejects tol or max_iter, or when U0 or X0 has
-    the wrong size or a non-finite entry.
+    from the last linearization.  The iterate's linearization, backward
+    pass and gradient are dropped once the direction and its slope are
+    formed, so the line search holds no tangent plane but its trials'.
+    Raises NotConverged (carrying the last state and log) when max_iter
+    steps leave the residual above tol, or when the line search fails on a
+    step whose predicted decrease |slope| is below the rounding floor
+    COST_FLOOR |Jd|; ValueError when ``check_stopping_rule`` rejects tol or
+    max_iter, or when U0 or X0 has the wrong size or a non-finite entry.
     """
     check_stopping_rule(tol, max_iter)
     check_steps(N)
@@ -302,6 +304,7 @@ def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200, X0=None):
         bp = backward(prob, tab, steps, state.U, state.X, state.x[-1])
         dU, dX = direction(state, bp, steps)
         slope = float(np.sum(g * dU))
+        steps = bp = g = None  # from here the trials' linearizations are the only tangent planes held
         try:
             alpha, state, steps, g = line_search(prob, tab, state, dU, dX, slope)
         except LineSearchFailed:

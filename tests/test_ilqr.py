@@ -1,7 +1,9 @@
 """ILQR: rollout, linearization, backward pass, line search, costates."""
 
 import dataclasses
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -414,6 +416,29 @@ class TestSolve:
         assert calls["jac_x"] == calls["f"] + len(linearized)
         assert len({id(state) for state in linearized}) == len(linearized) >= len(log) + 1
         assert any(in_search)  # the slope test ran and its linearization was kept
+
+    def test_line_search_starts_with_no_tangent_plane_alive(self, monkeypatch):
+        # the iterate's linearization, backward pass and gradient are dropped
+        # once the direction and its slope are formed, so during a line
+        # search the trials' linearizations are the only tangent planes held
+        planes, searches = [], []
+
+        def recording_linearize(*args):
+            steps = linearize(*args)
+            planes.append(weakref.ref(steps))
+            return steps
+
+        def checked_line_search(*args):
+            gc.collect()
+            assert [plane() for plane in planes] == [None] * len(planes)
+            searches.append(len(planes))
+            return line_search(*args)
+
+        linearize, line_search = ilqr.linearize, ilqr.line_search
+        monkeypatch.setattr(ilqr, "linearize", recording_linearize)
+        monkeypatch.setattr(ilqr, "line_search", checked_line_search)
+        _, log, _ = ilqr.solve(pendulum(), builtin("methodB"), 50)
+        assert len(searches) == len(log) > 1 and searches[0] == 1
 
     def test_diverging_trials_are_rejected(self, monkeypatch):
         # xdot = x^2 + u escapes to infinity by t = 1 from x0 = 1 without

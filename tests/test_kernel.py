@@ -425,10 +425,10 @@ class TestCombineSolve:
     @example(2, 1, -1, "R", True)
     @settings(max_examples=40, deadline=None)
     def test_matches_numpy_on_both_sides_of_the_rule(self, seed, d, offset, single, full):
-        # B is 2^(d+6) + offset, where the rule switches; ``single`` names the
+        # B is 2^(d+5) + offset, where the rule switches; ``single`` names the
         # side with a batch of 1, and a full combine has 2d right-hand sides
         rng = np.random.default_rng(seed)
-        B = (64 << d) + offset
+        B = (32 << d) + offset
         orth = [np.linalg.qr(rng.standard_normal((1 if single == "A" else B, d, d)))[0] for _ in range(2)]
         A = (orth[0] * rng.uniform(0.1, 10.0, (len(orth[0]), 1, d))) @ orth[1]
         R = rng.standard_normal((1 if single == "R" else B, d, 2 * d if full else d))
@@ -469,7 +469,7 @@ class TestCombineSolve:
             np.testing.assert_array_equal(g, w)
 
     def test_four_states_through_the_elimination_match_the_loop(self, monkeypatch):
-        # d = 4 at N = 8000: the half-combines of 4,000 and 2,000 systems go batch-last
+        # d = 4 at N = 8000: the half-combines of 4,000, 2,000 and 1,000 systems go batch-last
         prob, tab, N = _two_springs(), builtin("methodC"), 8000
         steps = dlqr.assemble(prob, tab, N)
         batches = []
@@ -480,7 +480,7 @@ class TestCombineSolve:
 
         monkeypatch.setattr(dlqr, "lu_solve", counted)
         scan = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, N))
-        assert batches == [2000, 4000]
+        assert batches == [1000, 2000, 4000]
         monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
         loop = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, N))
         for got, want in ((scan.M, loop.M), (scan.U1, loop.U1)):
@@ -633,6 +633,23 @@ class TestRiccatiScan:
         full, half = self._combine_batches(monkeypatch)
         ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
         assert sum(full) < N and sum(half) == N
+
+    def test_odd_levels_pair_toward_the_terminal(self, monkeypatch):
+        # N = 63 is odd at every level (63, 31, 15, 7, 3, 1): the pairs
+        # (o + 2i, o + 2i + 1), o = N mod 2, end in M_N, so one half-combine
+        # a level fills every other M, M_0 included
+        prob, tab, N = pendulum(), builtin("methodB"), 63
+        state = ilqr.rollout(prob, tab, N, np.full((N, 3), -0.5))
+        steps = ilqr.linearize(prob, tab, state)
+        args = (prob, tab, steps, state.U, state.X, state.x[-1])
+        with pytest.MonkeyPatch.context() as patch:
+            full, half = self._combine_batches(patch)
+            scan = ilqr.backward(*args)
+        assert half == [1, 2, 4, 8, 16, 32] and full == [31, 15, 7, 3, 1]
+        monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
+        loop = ilqr.backward(*args)
+        for got, want in zip(vars(scan).values(), vars(loop).values()):
+            assert self._rel(got, want) < 1e-12
 
     @pytest.mark.parametrize("sweep", ["value_sweep", "sequential_sweep"])
     @pytest.mark.parametrize("name, step", [("euler", 48), ("methodB", 49)])
