@@ -17,11 +17,13 @@ n-state, then one reverse ``affine_scan``) from here.
 Both get the Riccati matrices M_k from one ``riccati_scan`` toward the
 terminal M_N, in N half-combines and fewer than N full ones.  DLQR's
 step-invariant step (K = 1) is one shared element, which the scan doubles;
-ILQR's N distinct tangent-plane steps (K = N) are N elements.  The stage
-Hessians are factored once each by one batch-last ``cholesky``, through
-which every later solve with them goes.  Implicit stage couplings, ILQR's
-node-control Newton systems and the scan's large combines go through the
-batch-last pivoted ``lu_solve``.
+ILQR's N distinct tangent-plane steps (K = N) are N elements.  The
+backward reads E, F, G and H step axis last, as ``step_operators`` builds
+them, each per-step product one einsum; the scan stays stacked.  The
+stage Hessians are factored once each by one batch-last ``cholesky``,
+through which every later solve with them goes.  Implicit stage
+couplings, ILQR's node-control Newton systems and the scan's large
+combines go through the batch-last pivoted ``lu_solve``.
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ def lu_solve(A, R):
 
 
 def cholesky(K):
-    """Batch-last Cholesky factors of the symmetric stack K (B, d, d), and where K is not positive definite.
+    """Batch-last Cholesky factors of the symmetric stack K (d, d, B), and where K is not positive definite.
 
     Returns L (d, d, B), lower triangular with K_b = L_b L_b' read from K's
     lower triangle, and ``bad`` (B,), True at every b whose pivot is not
@@ -226,33 +228,30 @@ def cholesky(K):
     matrices need none.  Column j is K's column less one product per
     earlier column, each one expression over all B, so tiny matrices cost
     numpy's per-call overhead about d^2 / 2 times rather than B times.  A
-    bad pivot is taken as 1, so nothing warns; the factor of a bad b is
-    meaningless.
+    bad pivot leaves the rest of its factor meaningless, and nothing warns;
+    b is flagged once every column is done, from L's diagonal.
     """
-    Kt = K.transpose(1, 2, 0)
-    d = Kt.shape[0]
-    L = np.zeros(Kt.shape)
-    bad = np.zeros(Kt.shape[-1], dtype=bool)
-    with np.errstate(invalid="ignore", over="ignore"):
+    d = K.shape[0]
+    L = np.zeros(K.shape)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for j in range(d):
-            col = Kt[j:, j].copy()  # column j on and below the diagonal
+            col = L[j:, j]  # column j on and below the diagonal, formed in place
+            col[...] = K[j:, j]
             for k in range(j):
                 col -= L[j:, k] * L[j, k]
-            ok = (col[0] > 0) & (col[0] < np.inf)
-            bad |= ~ok
-            L[j, j] = np.sqrt(np.where(ok, col[0], 1.0))
-            np.divide(col[1:], L[j, j], out=L[j + 1:, j])
-    return L, bad
+            np.sqrt(col[0], out=col[0])
+            col[1:] /= col[0]
+    pivots = np.diagonal(L)  # (B, d), the square roots of the pivots
+    return L, ~((pivots > 0) & (pivots < np.inf)).all(axis=1)
 
 
-def cholesky_solve(L, rhs):
-    """K^{-1} rhs for rhs (B, d, r), through the factor L (d, d, B) of ``cholesky``.
+def cholesky_solve(L, R):
+    """K^{-1} R for R (d, r, B), batch axis last, through the factor L (d, d, B) of ``cholesky``.
 
-    Forward then back substitution in place on a copy of rhs, one
-    expression per row and term over the batch axis; a batch of 1 on either
-    side broadcasts.  rhs is only read.
+    Forward then back substitution in place on a copy of R, one expression
+    per row and term over the batch axis; a batch of 1 on either side
+    broadcasts.  R is only read.
     """
-    R = rhs.transpose(1, 2, 0)  # (d, r, B)
     d = L.shape[0]
     Y = np.empty(R.shape[:2] + (max(L.shape[-1], R.shape[-1]),))
     Y[...] = R
@@ -264,19 +263,23 @@ def cholesky_solve(L, rhs):
         for k in range(i + 1, d):
             Y[i] -= L[k, i] * Y[k]
         Y[i] /= L[i, i]
-    return Y.transpose(2, 0, 1)
+    return Y
 
 
 def _refined_solve(K, L, rhs):
-    """K^{-1} rhs through the factor L of K, then one step of iterative refinement against K.
+    """K^{-1} rhs through the factor L of K, then one step of iterative refinement against K; all batch-last.
 
     The step X += K^{-1}(rhs - K X) is in working precision.  Without it the
     substitutions' rounding shows: ILQR's one Newton step on spring methodA
     N=25, whose stage states reach 3e5, then misses DLQR's optimum by
-    1.4e-10, against 6e-11 with it and with LU.
+    1.4e-10, against 6e-11 with it and with LU.  K X is a stacked matmul,
+    not an einsum: numpy's matmul adds each term by a fused multiply-add
+    where the CPU has one, rounding once where einsum rounds twice; an
+    einsum residual left that step 1.3e-10 off.  rhs becomes the residual.
     """
     X = cholesky_solve(L, rhs)
-    X += cholesky_solve(L, rhs - K @ X)
+    rhs -= (K.transpose(2, 0, 1) @ X.transpose(2, 0, 1)).transpose(1, 2, 0)
+    X += cholesky_solve(L, rhs)
     return X
 
 
@@ -376,50 +379,62 @@ def riccati_scan(elems, M):
 
 
 def _stage_products(E, F, Qh, Rh, Sh):
-    """Stage Hessian Kc, cross block Lc and state block Wc of the stage cost in (z, U)."""
-    Ft = np.swapaxes(F, 1, 2)
-    FtQ = Ft @ Qh
-    FtS = Ft @ Sh
-    Kc = FtQ @ F + Rh + FtS + np.swapaxes(FtS, 1, 2)
-    Lc = FtQ @ E + Sh.T @ E
-    del FtQ, FtS
-    Wc = np.swapaxes(E, 1, 2) @ Qh @ E
-    return Kc, Lc, Wc
+    """Stage Hessian Kc, cross block Lc and state block Wc of the stage cost in (z, U), step axis last.
+
+    E (sn, n, K) and F (sn, sm, K) give Kc = F'QhF + F'Sh + Sh'F + Rh
+    (sm, sm, K), Lc = F'QhE + Sh'E (sm, n, K) and Wc = E'QhE (n, n, K).  A
+    product with a constant block is one matrix product over all K steps,
+    a per-step one an einsum over the unit-stride step axis.
+    """
+    def const(W, V):  # W'V for every step
+        return (W.T @ V.reshape(len(W), -1)).reshape(W.shape[1], *V.shape[1:])
+
+    Wc = np.einsum("aik,ajk->ijk", E, const(Qh, E))
+    Y = const(Qh, F)
+    Y += Sh[:, :, None]  # QhF + Sh
+    Kc = np.einsum("aik,ajk->ijk", F, Y)
+    Kc += const(Sh, F)
+    Kc += Rh[:, :, None]
+    return Kc, np.einsum("aik,ajk->ijk", Y, E), Wc
 
 
 def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
-    """Backward sweep of the quadratic value V_k(x) = 1/2 x'M_k x over stacked step operators.
+    """Backward sweep of the quadratic value V_k(x) = 1/2 x'M_k x over step operators stacked step axis last.
 
     X_k = E_k x + F_k U and x_{k+1} = G_k x + H_k U, stage cost
-    1/2 X'QhX + X'ShU + 1/2 U'RhU.  A leading axis of length 1 marks a
-    step-invariant operator, broadcast to N without copying.  Returns M
-    (N+1, n, n) from M_N, gains (N, sm, n) with U_k = gains_k x_k, the
-    stage Hessians K_k = Kc_k + H_k'M_{k+1}H_k (N, sm, sm) and their
+    1/2 X'QhX + X'ShU + 1/2 U'RhU, with E (sn, n, K), F (sn, sm, K),
+    G (n, n, K) and H (n, sm, K): the ``.transpose(1, 2, 0)`` views of a
+    ``Linearization``.  A step axis of length 1 marks a step-invariant
+    operator, broadcast to N without copying.  Returns M (N+1, n, n) from
+    M_N and, step axis last, gains (sm, n, N) with U_k = gains_k x_k, the
+    stage Hessians K_k = Kc_k + H_k'M_{k+1}H_k (sm, sm, N) and their
     ``cholesky`` factor (sm, sm, N), which later solves with K reuse.
 
-    Kc and K are each factored once, by ``cholesky``, which is also the
-    check that they are positive definite.  M comes from one
-    ``riccati_scan`` of the Riccati elements (A, C, J) of
-    ``_riccati_combine``, formed after the cross term is eliminated through
-    Kc's factor; the gains then follow in one batch through K's, refined
-    once against K.  Step-invariant operators give one shared element,
-    which the scan doubles.  The scan needs every Kc positive definite.
-    Where one is not, or the scan breaks down (LinAlgError or a non-finite
-    M), ``sequential_sweep`` runs instead.  Where a K is not,
-    BackwardFailure names, and carries, the first bad step in sweep order
-    (largest k) and the step size h.  Each per-step stack is dropped after
-    its last reader, so a large N holds few of them at once.
+    Each per-step product is one einsum over the unit-stride step axis but
+    the refinement residual (``_refined_solve``).  Kc and K are each
+    factored once, by ``cholesky``, also the check that they are positive
+    definite.  M comes from one ``riccati_scan`` of the Riccati elements
+    (A, C, J) of ``_riccati_combine``, as (N, n, n) views, formed after the
+    cross term is eliminated through Kc's factor; the gains then follow in
+    one batch through K's, refined once against K.  Step-invariant
+    operators give one shared element, which the scan doubles.  The scan
+    needs every Kc positive definite.  Where one is not, or the scan breaks
+    down (LinAlgError or a non-finite M), ``sequential_sweep`` runs
+    instead.  Where a K is not, BackwardFailure names, and carries, the
+    first bad step in sweep order (largest k) and the step size h.  Each
+    per-step stack is dropped after its last reader.
     """
     Kc, Lc, Wc = _stage_products(E, F, Qh, Rh, Sh)
     factor, bad = cholesky(Kc)
     if bad.any():
         return sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N, h)
-    n = G.shape[-1]
-    Ht = np.swapaxes(H, 1, 2)
-    KiL, KiH = np.split(cholesky_solve(factor, np.concatenate([Lc, Ht], axis=2)), 2, axis=2)
+    n = G.shape[0]
+    KiL, KiH = np.split(cholesky_solve(factor, np.concatenate([Lc, H.transpose(1, 0, 2)], axis=1)), 2, axis=1)
     del factor
-    elems = (G - H @ KiL, H @ KiH, Wc - np.swapaxes(Lc, 1, 2) @ KiL)
+    elems = (G - np.einsum("iak,ajk->ijk", H, KiL), np.einsum("iak,ajk->ijk", H, KiH),
+             Wc - np.einsum("aik,ajk->ijk", Lc, KiL))
     del KiL, KiH, Wc
+    elems = tuple(e.transpose(2, 0, 1) for e in elems)
     M = np.empty((N + 1, n, n))
     M[N] = M_N
     try:
@@ -430,8 +445,12 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     if M is None or not np.isfinite(M).all():
         return sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N, h)
     M = 0.5 * (M + np.swapaxes(M, 1, 2))
-    HM = Ht @ M[1:]
-    K, rhs = Kc + HM @ H, Lc + HM @ G
+    HM = np.einsum("aik,ajk->ijk", H, np.ascontiguousarray(M[1:].transpose(1, 2, 0)))
+    # K is step axis last whatever the layout of E..H, so the residual's matmul takes one path
+    K = np.ascontiguousarray(np.einsum("iak,ajk->ijk", HM, H))
+    K += Kc
+    rhs = np.einsum("iak,ajk->ijk", HM, G)
+    rhs += Lc
     del Kc, Lc, HM
     factor, bad = cholesky(K)
     if bad.any():
@@ -442,29 +461,30 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
 def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     """``value_sweep`` as a loop of N steps: the reference, and the fallback where the scan cannot run.
 
-    Each K_k is checked by ``cholesky`` as the loop reaches it, and its
-    factor kept for the caller; the loop's own solves stay LU, so it stays
-    an independent reference for the scan.
+    It takes and returns the same layouts.  Each K_k is checked by
+    ``cholesky`` as the loop reaches it, and its factor kept for the
+    caller; the loop's own solves stay LU, so it stays an independent
+    reference for the scan.
     """
-    Kc, Lc, Wc = (np.broadcast_to(a, (N,) + a.shape[1:]) for a in _stage_products(E, F, Qh, Rh, Sh))
-    G, H = (np.broadcast_to(a, (N,) + a.shape[1:]) for a in (G, H))
-    Gt, Ht = np.swapaxes(G, 1, 2), np.swapaxes(H, 1, 2)
-    n, sm = G.shape[-1], F.shape[-1]
+    Kc, Lc, Wc, G, H = (np.broadcast_to(a, a.shape[:2] + (N,))
+                        for a in (*_stage_products(E, F, Qh, Rh, Sh), G, H))
+    n, sm = G.shape[0], F.shape[1]
     M = np.empty((N + 1, n, n))
     M[N] = M_N
-    gains, K, factor = np.empty((N, sm, n)), np.empty((N, sm, sm)), np.empty((sm, sm, N))
+    gains, K, factor = np.empty((sm, n, N)), np.empty((sm, sm, N)), np.empty((sm, sm, N))
     for k in range(N - 1, -1, -1):
-        HM = Ht[k] @ M[k + 1]
-        K[k] = Kc[k] + HM @ H[k]
-        Lk, bad = cholesky(K[k:k + 1])
+        Gk, Hk = G[..., k], H[..., k]
+        HM = Hk.T @ M[k + 1]
+        K[..., k] = Kc[..., k] + HM @ Hk
+        Lk, bad = cholesky(K[..., k:k + 1])
         if bad[0]:
             raise BackwardFailure("stage Hessian not positive definite", k, h)
         factor[..., k:k + 1] = Lk
-        lin = Lc[k] + HM @ G[k]
-        sol = np.linalg.solve(K[k], lin)
-        Mk = Wc[k] + Gt[k] @ M[k + 1] @ G[k] - lin.T @ sol
+        lin = Lc[..., k] + HM @ Gk
+        sol = np.linalg.solve(K[..., k], lin)
+        Mk = Wc[..., k] + Gk.T @ M[k + 1] @ Gk - lin.T @ sol
         M[k] = 0.5 * (Mk + Mk.T)
-        gains[k] = -sol
+        gains[..., k] = -sol
     return M, gains, K, factor
 
 
@@ -489,20 +509,27 @@ def riccati_backward(prob: LQProblem, tab: ButcherTableau, steps: Linearization,
     of these are exact zeros, so none is formed and U2 is zero.  The cost
     gradient g_k = l_k + H_k'p_{k+1} could drive it instead, but g carries
     the rounding of the costates p, which unstable steps grow far past the
-    step itself; v stays near M_k x_k.
+    step itself; v stays near M_k x_k.  It reads the operators through
+    their step-last ``.transpose(1, 2, 0)`` views, each per-step product
+    one einsum (K = 1 broadcasts); U1 and A come back as (N, ·, ·) views.
     """
     N = len(U)
     h = prob.tf / N
     Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, h)
-    M, U1, K, factor = value_sweep(steps.E, steps.F, steps.G, steps.H, Qh, Rh, Sh, prob.M, N, h)
-    A = steps.G + steps.H @ U1
+    E, F, G, H = (a.transpose(1, 2, 0) for a in (steps.E, steps.F, steps.G, steps.H))
+    M, U1, K, factor = value_sweep(E, F, G, H, Qh, Rh, Sh, prob.M, N, h)
+    A = np.einsum("iak,ajk->ijk", H, U1)
+    A += G
+    U1, A = U1.transpose(2, 0, 1), A.transpose(2, 0, 1)
     if not (U.any() or X.any() or xN.any()):
         return AffineBackwardPass(M=M, U1=U1, U2=np.zeros(U.shape), A=A)
     w, r = cost_gradients(Qh, Rh, Sh, U, X)
-    wt = w[:, None]
-    lu = r + (wt @ steps.F)[:, 0]
-    v = affine_scan(np.swapaxes(A, 1, 2), (wt @ steps.E + lu[:, None] @ U1)[:, 0], prob.M @ xN, reverse=True)
-    U2 = -_refined_solve(K, factor, (lu + (v[1:, None] @ steps.H)[:, 0])[..., None])[..., 0]
+    w = np.ascontiguousarray(w.T)  # (sn, N), as every operand here
+    lu = r.T + np.einsum("aik,ak->ik", F, w)
+    c = np.einsum("aik,ak->ik", E, w) + np.einsum("kai,ak->ik", U1, lu)
+    v = affine_scan(np.swapaxes(A, 1, 2), c.T, prob.M @ xN, reverse=True)
+    lu += np.einsum("aik,ak->ik", H, np.ascontiguousarray(v[1:].T))
+    U2 = -_refined_solve(K, factor, lu[:, None])[:, 0].T
     return AffineBackwardPass(M=M, U1=U1, U2=U2, A=A)
 
 

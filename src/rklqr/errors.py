@@ -13,10 +13,6 @@ class NotFound(SolverError):
     """Unknown builtin tableau or problem name."""
 
 
-class DegenerateFamily(SolverError):
-    """Family parameter hits a pole of the coefficient formulas."""
-
-
 class StepFailure(SolverError):
     """A failure at one step of a grid, carrying the step index and the step size h."""
 

@@ -9,12 +9,13 @@ import time
 import numpy as np
 import pytest
 from curve_demo import scalar_curve_demo
+from explicit3_family import explicit3_family
 
 from rklqr import dlqr, ilqr, oracle
 from rklqr.cli import build_reference, max_stage_error, run_order_study
 from rklqr.errors import AdjointUndefined
 from rklqr.problem import example31, pendulum, spring_oscillator
-from rklqr.tableau import ButcherTableau, builtin, explicit3_family, ocp_order, stage_orders
+from rklqr.tableau import ButcherTableau, builtin, ocp_order, stage_orders
 
 # Reference table of max internal-control errors for the scalar benchmark
 # (u* known in closed form), 3 significant digits, columns per method/stage.

@@ -81,6 +81,13 @@ def _zero_point(prob, tab, N):
     return np.zeros((N, tab.s * prob.m)), np.zeros((N, tab.s * prob.n)), np.zeros(prob.n)
 
 
+def _sweep_args(prob, tab, steps, N):
+    """``value_sweep``'s arguments over ``steps``: E, F, G, H step axis last, the stage cost blocks, M_N, N and h."""
+    h = prob.tf / N
+    return (*(a.transpose(1, 2, 0) for a in (steps.E, steps.F, steps.G, steps.H)),
+            *dlqr.stage_cost_blocks(prob, tab.b, h), prob.M, N, h)
+
+
 def _random_explicit_tableau(rng, s):
     a = np.tril(rng.uniform(-1.0, 1.0, (s, s)), -1)
     w = rng.uniform(0.1, 1.0, s)
@@ -309,8 +316,8 @@ class TestCholesky:
         K = _symmetric(rng, rng.uniform(0.1, 10.0, (1 if batched == "rhs" else B, d)))
         rhs = rng.standard_normal((1 if batched == "factor" else B, d, r))
         kept = rhs.copy()
-        L, bad = dlqr.cholesky(K)
-        got = dlqr.cholesky_solve(L, rhs)
+        L, bad = dlqr.cholesky(K.transpose(1, 2, 0))  # both kernels take the batch axis last
+        got = dlqr.cholesky_solve(L, rhs.transpose(1, 2, 0)).transpose(2, 0, 1)
         assert L.shape == (d, d, len(K)) and not bad.any()
         np.testing.assert_allclose(np.moveaxis(L, -1, 0), np.linalg.cholesky(K), rtol=1e-12, atol=1e-14)
         want = np.linalg.solve(K, rhs)
@@ -341,7 +348,7 @@ class TestCholesky:
         want = [_cholesky_fails(Kb) for Kb in K]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, bad = dlqr.cholesky(K)
+            _, bad = dlqr.cholesky(K.transpose(1, 2, 0))
         assert bad.tolist() == want
 
 
@@ -395,13 +402,16 @@ class TestLuSolve:
         assert not np.shares_memory(X, At) and not np.shares_memory(X, Rt)
 
 
-def _two_springs():
-    """Two unit masses coupled by three unit springs, the first one driven: n = 4, m = 1."""
+def _two_springs(S=None):
+    """Two unit masses coupled by three unit springs, the first one driven: n = 4, m = 1, CI's springs2.json.
+
+    ``S`` adds a cross term to its cost.
+    """
     A = np.zeros((4, 4))
     A[:2, 2:] = np.eye(2)
     A[2:, :2] = [[-2.0, 1.0], [1.0, -2.0]]
     return LQProblem(A=A, B=[[0.0], [0.0], [1.0], [0.0]], Q=np.eye(4), R=[[3.0]], M=10.0 * np.eye(4),
-                     x0=[1.0, 0.0, 1.0, 0.0], tf=40.0)
+                     x0=[1.0, 0.0, 1.0, 0.0], tf=40.0, S=S)
 
 
 class TestCombineSolve:
@@ -447,8 +457,7 @@ class TestCombineSolve:
         # the same flag inside the scan: the largest half-combine at spring
         # methodC N = 4000 meets a zero row, and value_sweep falls back
         prob, tab, N = spring_oscillator(), builtin("methodC"), 4000
-        steps, h = dlqr.assemble(prob, tab, N), prob.tf / N
-        args = (steps.E, steps.F, steps.G, steps.H, *dlqr.stage_cost_blocks(prob, tab.b, h), prob.M, N, h)
+        args = _sweep_args(prob, tab, dlqr.assemble(prob, tab, N), N)
         want = dlqr.sequential_sweep(*args)
         raised = []
 
@@ -511,6 +520,33 @@ class TestRiccatiScan:
         for got, want in zip(vars(scan).values(), vars(loop).values()):
             assert self._rel(got, want) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["dlqr", "ilqr"])
+    def test_four_states_with_a_cross_term_match_the_loop(self, monkeypatch, kind):
+        # CI's n = 4 springs with S != 0, beyond the Hypothesis draws' n <= 3:
+        # DLQR's K = 1 step about the zero point, and a K = N tangent plane
+        # about a random iterate, which drives the feedforward
+        prob, tab, N = _two_springs(S=[[0.5], [0.0], [0.2], [0.0]]), builtin("methodC"), 4000
+        if kind == "dlqr":
+            steps, point = dlqr.assemble(prob, tab, N), _zero_point(prob, tab, N)
+        else:
+            state = ilqr.rollout(prob, tab, N, np.random.default_rng(4).standard_normal((N, tab.s * prob.m)))
+            steps, point = ilqr.linearize(prob, tab, state), (state.U, state.X, state.x[-1])
+
+        def close(got, want):  # within 1e-12 of want's largest entry; DLQR's U2 is exactly zero on both paths
+            return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        args = _sweep_args(prob, tab, steps, N)
+        assert all(map(close, dlqr.value_sweep(*args), dlqr.sequential_sweep(*args)))
+        scan = dlqr.riccati_backward(prob, tab, steps, *point)
+        # the backward reads step_operators' views step axis last; contiguous
+        # copies of the operators must give the same bytes
+        copies = dlqr.Linearization(*(np.ascontiguousarray(a) for a in vars(steps).values()))
+        for got, want in zip(vars(scan).values(), vars(dlqr.riccati_backward(prob, tab, copies, *point)).values()):
+            np.testing.assert_array_equal(got, want)
+        monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
+        loop = dlqr.riccati_backward(prob, tab, steps, *point)
+        assert all(map(close, vars(scan).values(), vars(loop).values()))
+
     @pytest.mark.parametrize("broken", ["raises", "not_finite"])
     @pytest.mark.parametrize("kind", ["dlqr", "ilqr"])
     def test_scan_breakdown_falls_back_to_loop(self, monkeypatch, kind, broken):
@@ -565,7 +601,7 @@ class TestRiccatiScan:
         monkeypatch.setattr(np.linalg, "cholesky", None)
         dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, N))
         sm = tab.s * prob.m
-        assert factored == [(1 if kind == "dlqr" else N, sm, sm), (N, sm, sm)]
+        assert factored == [(sm, sm, 1 if kind == "dlqr" else N), (sm, sm, N)]
         assert solved and set(solved) == {prob.n}
 
     def test_indefinite_stage_hessian_is_solved_by_the_loop(self, monkeypatch):
@@ -575,8 +611,9 @@ class TestRiccatiScan:
                          x0=[0.956], tf=1.5)
         tab, N = builtin("methodA"), 5
         steps = dlqr.assemble(prob, tab, N)
-        Kc = dlqr._stage_products(steps.E, steps.F, *dlqr.stage_cost_blocks(prob, tab.b, prob.tf / N))[0]
-        assert np.linalg.eigvalsh(Kc[0]).min() < 0
+        E, F = (a.transpose(1, 2, 0) for a in (steps.E, steps.F))
+        Kc = dlqr._stage_products(E, F, *dlqr.stage_cost_blocks(prob, tab.b, prob.tf / N))[0]
+        assert np.linalg.eigvalsh(Kc[..., 0]).min() < 0
         loops = []
 
         def loop(*args, sweep=dlqr.sequential_sweep):
@@ -949,8 +986,7 @@ class TestBackwardKernel:
         except RolloutDiverged:  # trapezoidal at N = 1 has h = 4
             reject()
         for prob, steps in ((lq, dlqr.assemble(lq, tab, N)), (nonlinear, ilqr.linearize(nonlinear, tab, state))):
-            h = prob.tf / N
-            args = (steps.E, steps.F, steps.G, steps.H, *dlqr.stage_cost_blocks(prob, tab.b, h), prob.M, N, h)
+            args = _sweep_args(prob, tab, steps, N)
             want = dlqr.sequential_sweep(*args)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(dlqr, "sequential_sweep", None)  # the scan alone: the fallback does not run

@@ -4,15 +4,15 @@ import re
 
 import numpy as np
 import pytest
+from explicit3_family import DegenerateFamily, explicit3_family
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rklqr.errors import AdjointUndefined, DegenerateFamily, NotFound
+from rklqr.errors import AdjointUndefined, NotFound
 from rklqr.tableau import (
     ButcherTableau,
     adjoint,
     builtin,
-    explicit3_family,
     load_tableau,
     ocp_order,
     stage_orders,
