@@ -75,14 +75,14 @@ def discrete_cost(prob, tab: ButcherTableau, U, X, x) -> float:
 def step_operators(Jx, Ju, tab: ButcherTableau, h: float, shared=False):
     """Step operators E, F, G, H of K steps from the stage Jacobians of f.
 
-    ``Jx`` (K, n, s, n) and ``Ju`` (K, n, s, m) hold the Jacobians at the s
-    stage points of each step, row index first: ``Jx[k, :, j]`` is the
-    x-Jacobian at stage j.  To first order X_k = E x_k + F U_k and
+    ``Jx`` (K·s, n, n) and ``Ju`` (K·s, n, m) hold the Jacobians at the K·s
+    stage points as ``stage_jacobians`` returns them, ``Jx[k·s + j]`` at
+    stage j of step k.  To first order X_k = E x_k + F U_k and
     x_{k+1} = G x_k + H U_k, with the stage coupling I - A1, A1 = h a ⊗ Jx:
     E = (I - A1)^{-1} Z, F = (I - A1)^{-1} (h a ⊗ Ju), G = I + (h b ⊗ Jx) E
     and H = (h b ⊗ Jx) F + h b ⊗ Ju.  U_k holds one m-column input per
     stage, so F and H have s·m columns.  With ``shared`` every stage reads
-    the same m-column input instead, ``Ju[k, :, j]`` being stage j's
+    the same m-column input instead, ``Ju[k·s + j]`` being stage j's
     columns of it, and F and H have m columns: the sum over the stages of
     the per-stage ones.
 
@@ -99,10 +99,10 @@ def step_operators(Jx, Ju, tab: ButcherTableau, h: float, shared=False):
     StepTooLarge naming (and carrying) the first step whose coupling is
     singular.
     """
-    K, n, s, _ = Jx.shape
-    m = Ju.shape[-1]
+    s, (P, n, m) = tab.s, Ju.shape
+    K = P // s
     width = n + (m if shared else s * m)  # columns of [E | F]
-    Jx, Ju = (np.ascontiguousarray(J.transpose(2, 1, 3, 0)) for J in (Jx, Ju))  # (s, n, ·, K)
+    Jx, Ju = (np.ascontiguousarray(J.reshape(K, s, *J.shape[1:]).transpose(1, 2, 3, 0)) for J in (Jx, Ju))  # (s, n, ·, K)
     implicit = not tab.is_explicit
     live = [i for i, row in enumerate(tab.nonzero_rows) if row]
     # rows 0..s-1 are the stages' [E_i | F_i], row s is [G | H]
@@ -171,14 +171,12 @@ class DiscreteTrajectory:
 
 
 def assemble(prob: LQProblem, tab: ButcherTableau, N: int) -> Linearization:
-    """N steps of the tableau as one step (K = 1), from ``step_operators`` at A and B.
+    """N steps of the tableau as one step (K = 1), from ``step_operators`` at the zero trajectory's s stage points.
 
     Raises StepTooLarge when the stage coupling is singular (never for explicit tableaus).
     """
     check_steps(N)
-    n, m, s = prob.n, prob.m, tab.s
-    Jx = np.broadcast_to(prob.A[None, :, None], (1, n, s, n))
-    Ju = np.broadcast_to(prob.B[None, :, None], (1, n, s, m))
+    Jx, Ju = prob.stage_jacobians(np.zeros((tab.s, prob.n)), np.zeros((tab.s, prob.m)))
     return Linearization(*step_operators(Jx, Ju, tab, prob.tf / N))
 
 
@@ -249,12 +247,11 @@ def cholesky_solve(L, R):
     """K^{-1} R for R (d, r, B), batch axis last, through the factor L (d, d, B) of ``cholesky``.
 
     Forward then back substitution in place on a copy of R, one expression
-    per row and term over the batch axis; a batch of 1 on either side
-    broadcasts.  R is only read.
+    per row and term over the batch axis; L and R have the same batch B.
+    R is only read.
     """
     d = L.shape[0]
-    Y = np.empty(R.shape[:2] + (max(L.shape[-1], R.shape[-1]),))
-    Y[...] = R
+    Y = R.copy()
     for i in range(d):
         for k in range(i):
             Y[i] -= L[i, k] * Y[k]

@@ -94,11 +94,6 @@ def _stage_stack(V, N: int, width: int, name: str, cols: str, what: str) -> np.n
     return V.reshape(N, width)
 
 
-def _by_step(J, N: int):
-    """Data at the N·s stage points, (N·s, n, c), in step_operators' layout (N, n, s, c)."""
-    return J.reshape(N, -1, *J.shape[1:]).transpose(0, 2, 1, 3)
-
-
 def _row_max(a):
     """The max of each row of a 2-D array.
 
@@ -119,15 +114,15 @@ def rollout(prob, tab, N: int, U, X=None) -> IterateState:
     settled once no stage state of it moves by more than
     ROLLOUT_TOL (1 + max |X_j| over j <= k), and a settled prefix 0..k-1 is
     frozen, so each later sweep runs on the steps k..N-1 only.  A sweep
-    linearizes f at their stage states and passes the offsets f - Jx X to
-    ``step_operators`` as one input column shared by all stages, which
-    returns [E | e] and [G | g] of width n+1: the node states are one
-    ``affine_scan(G, g, x_k)`` from the frozen x_k, and the stage states
-    X' = E x + e.  A zero row of a gives E = I and e = 0, so the stage is
-    x_k.  The sweeps stop when every step has settled.  RolloutDiverged
-    names and carries the first unsettled step and h once it has been first for
-    ROLLOUT_MAXIT sweeps, once a state is not finite, or once an iterate
-    makes the stage coupling of a step singular.
+    linearizes f at their stage states and passes Jx and the offsets
+    f - Jx X (K·s, n, 1) to ``step_operators``, the offsets as one input
+    column shared by all stages, which returns [E | e] and [G | g] of width
+    n+1: the node states are one ``affine_scan(G, g, x_k)`` from the frozen
+    x_k, and the stage states X' = E x + e.  A zero row of a gives E = I and
+    e = 0, so the stage is x_k.  The sweeps stop when every step has
+    settled.  RolloutDiverged names and carries the first unsettled step and
+    h once it has been first for ROLLOUT_MAXIT sweeps, once a state is not
+    finite, or once an iterate makes the stage coupling of a step singular.
     """
     n, m, s = prob.n, prob.m, tab.s
     U = stage_controls(U, N, s * m)
@@ -147,8 +142,7 @@ def rollout(prob, tab, N: int, U, X=None) -> IterateState:
             Jx, _ = prob.stage_jacobians(Xw, Uw)
             offsets = prob.f(Xw, Uw) - np.einsum("pij,pj->pi", Jx, Xw)
             try:
-                E, e, G, g = step_operators(_by_step(Jx, K), _by_step(offsets[:, :, None], K), tab, h,
-                                            shared=True)
+                E, e, G, g = step_operators(Jx, offsets[:, :, None], tab, h, shared=True)
             except StepTooLarge as exc:
                 raise RolloutDiverged("singular stage coupling", first + exc.step, h) from None
             xw = affine_scan(G, g[..., 0], x[first])
@@ -171,7 +165,7 @@ def rollout(prob, tab, N: int, U, X=None) -> IterateState:
 def linearize(prob, tab, state: IterateState) -> Linearization:
     """Tangent-plane step operators at every step of the iterate, stacked over steps."""
     Jx, Ju = prob.stage_jacobians(state.X.reshape(-1, prob.n), state.U.reshape(-1, prob.m))
-    return Linearization(*step_operators(_by_step(Jx, state.N), _by_step(Ju, state.N), tab, state.h))
+    return Linearization(*step_operators(Jx, Ju, tab, state.h))
 
 
 def direction(state: IterateState, bp: AffineBackwardPass, steps: Linearization):

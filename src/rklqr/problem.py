@@ -5,7 +5,10 @@ solvers can treat a linear problem as a special case of the nonlinear one:
 ``f``, which returns f at a stack of P points X (P, n), U (P, m) as an array
 (P, n), and ``stage_jacobians``, which returns the Jacobians of f there as
 arrays (P, n, n) and (P, n, m).  Each is one call for all P points, and they
-are the only ways the solvers read the dynamics.  Costs are
+are the only ways the solvers read the dynamics but one: ``dlqr.rollout``'s
+closed-form node control u = -R^{-1}(B'p + S'x) reads ``LQProblem.B``.  The
+oracle's ``qp_solve`` reads A and B on purpose, so that it stays independent
+of the solvers.  Costs are
 
     integral of  1/2 x'Qx + x'Su + 1/2 u'Ru  dt  +  1/2 x(tf)'M x(tf)
 

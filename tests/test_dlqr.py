@@ -56,6 +56,19 @@ class TestAssemble:
         np.testing.assert_allclose(Qh, 0.1 * np.diag([0.5, 0.5]), atol=1e-16)
         np.testing.assert_allclose(Sh, 0.1 * np.diag([0.25, 0.25]), atol=1e-16)
 
+    def test_jacobians_come_from_one_stage_jacobians_call(self, monkeypatch):
+        # the K = 1 step reads the dynamics through the surface ILQR uses, at its s stage points
+        calls = []
+        surface = LQProblem.stage_jacobians
+
+        def counted(prob, X, U):
+            calls.append((X.shape, U.shape))
+            return surface(prob, X, U)
+
+        monkeypatch.setattr(LQProblem, "stage_jacobians", counted)
+        dlqr.assemble(spring_oscillator(), builtin("methodC"), 40)
+        assert calls == [((4, 2), (4, 1))]
+
     def test_implicit_tableau_assembles(self):
         # one step-invariant step, at h = 20
         steps = dlqr.assemble(spring_oscillator(), builtin("trapezoidal"), 2)

@@ -303,18 +303,15 @@ def _cholesky_fails(K) -> bool:
 
 
 class TestCholesky:
-    @given(SEEDS, st.integers(1, 6), st.integers(1, 4), st.integers(1, 40),
-           st.sampled_from(["both", "factor", "rhs"]))
-    @example(0, 4, 3, 1, "both")
-    @example(1, 6, 4, 1, "factor")
-    @example(2, 3, 1, 7, "rhs")
+    @given(SEEDS, st.integers(1, 6), st.integers(1, 4), st.integers(1, 40))
+    @example(0, 4, 3, 1)
     @settings(max_examples=60, deadline=None)
-    def test_solve_matches_numpy_on_spd(self, seed, d, r, B, batched):
-        # eigenvalues in [0.1, 10]: condition numbers up to 100; either side may
-        # hold a batch of 1 that broadcasts against the other's B
+    def test_solve_matches_numpy_on_spd(self, seed, d, r, B):
+        # eigenvalues in [0.1, 10]: condition numbers up to 100; the factor
+        # and the right-hand side hold the same batch B
         rng = np.random.default_rng(seed)
-        K = _symmetric(rng, rng.uniform(0.1, 10.0, (1 if batched == "rhs" else B, d)))
-        rhs = rng.standard_normal((1 if batched == "factor" else B, d, r))
+        K = _symmetric(rng, rng.uniform(0.1, 10.0, (B, d)))
+        rhs = rng.standard_normal((B, d, r))
         kept = rhs.copy()
         L, bad = dlqr.cholesky(K.transpose(1, 2, 0))  # both kernels take the batch axis last
         got = dlqr.cholesky_solve(L, rhs.transpose(1, 2, 0)).transpose(2, 0, 1)
@@ -710,10 +707,11 @@ def _check_builder_at_real_size(rng, tab, K, n, m):
     summed over the stages' column blocks.
     """
     s, h = tab.s, 0.1
-    Jx, Ju = rng.standard_normal((K, n, s, n)), rng.standard_normal((K, n, s, m))
+    # the same draws as a (K, n, s, ·) stack, passed as stage_jacobians' (K·s, n, ·)
+    Jx, Ju = (rng.standard_normal((K, n, s, c)).transpose(0, 2, 1, 3).reshape(K * s, n, c) for c in (n, m))
     ops = dlqr.step_operators(Jx, Ju, tab, h)
     ks = np.unique(np.r_[0:K:37, K - 1])
-    ref = [_reference_operators(Jx[k].transpose(1, 0, 2), Ju[k].transpose(1, 0, 2), tab, h) for k in ks]
+    ref = [_reference_operators(Jx[k * s:(k + 1) * s], Ju[k * s:(k + 1) * s], tab, h) for k in ks]
     for got, want in zip(ops, map(np.array, zip(*ref))):
         np.testing.assert_allclose(got[ks], want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
     E, F, G, H = ops
@@ -788,7 +786,7 @@ class TestStackedLinearization:
         prob, tab = pendulum(), builtin("trapezoidal")
         n = prob.n
         Jx, Ju = prob.stage_jacobians(np.tile(prob.x0, (2, 1)), np.zeros((2, prob.m)))
-        E, F, _, _ = dlqr.step_operators(ilqr._by_step(Jx, 1), ilqr._by_step(Ju, 1), tab, 4.0)
+        E, F, _, _ = dlqr.step_operators(Jx, Ju, tab, 4.0)
         np.testing.assert_array_equal(E[0, :n], np.eye(n))
         np.testing.assert_array_equal(F[0, :n], 0.0)
 
