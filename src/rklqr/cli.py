@@ -89,8 +89,7 @@ def solve_problem(prob, tab: ButcherTableau, N: int, tol=1e-8, max_iter=200):
     dlqr.check_steps(N)
     if isinstance(prob, LQProblem):
         _, _, traj = dlqr.solve(prob, tab, N)
-        Jd = dlqr.discrete_cost(prob, tab, traj.U, traj.X, traj.x)
-        return traj, {"Jd": Jd, "iterations": 0, "log": []}
+        return traj, {"Jd": traj.Jd, "iterations": 0, "log": []}
     ladder = [N]
     while ladder[-1] // COARSEN >= MIN_COARSE_STEPS:
         ladder.append(ladder[-1] // COARSEN)
@@ -102,7 +101,7 @@ def solve_problem(prob, tab: ButcherTableau, N: int, tol=1e-8, max_iter=200):
             X0 = cubic_lagrange(traj.x, traj.h, times).reshape(level, tab.s * prob.n)
         state, log, p = ilqr.solve(prob, tab, level, U0=U0, tol=tol, max_iter=max_iter, X0=X0)
         u = ilqr.node_controls(prob, state, p)
-        traj = dlqr.DiscreteTrajectory(x=state.x, X=state.X, U=state.U, p=p, u=u, h=state.h)
+        traj = dlqr.DiscreteTrajectory(U=state.U, X=state.X, x=state.x, Jd=state.Jd, h=state.h, p=p, u=u)
     return traj, {"Jd": state.Jd, "iterations": len(log), "log": log}
 
 
@@ -322,9 +321,6 @@ def cmd_tableau(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     prob, _ = _resolve("problem", args.problem)
-    if isinstance(prob, LQProblem):
-        print("gradcheck expects a nonlinear problem", file=sys.stderr)
-        return 2
     tab = _resolve("method", args.method)
     rng = np.random.default_rng(args.seed)
     U = rng.standard_normal((args.steps, tab.s * prob.m))

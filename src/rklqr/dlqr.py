@@ -6,7 +6,8 @@ closed loop forward and recover node controls from the costates
 p_k = M_k x_k via u = -R^{-1}(B'p + S'x).
 
 A linear-quadratic problem is the ILQR case with one step, taken about the
-zero trajectory, so ILQR uses the same step type (``Linearization``),
+zero trajectory, so ILQR uses the same iterate (``IterateState``, which a
+DLQR solution ``DiscreteTrajectory`` extends), step type (``Linearization``),
 backward result (``AffineBackwardPass``), step-count check
 (``check_steps``), step builder (``step_operators``), cost and its gradients
 (``discrete_cost``, ``cost_gradients``), closed-loop scan (``closed_loop``),
@@ -159,15 +160,26 @@ class AffineBackwardPass:
 
 
 @dataclass(frozen=True, eq=False)
-class DiscreteTrajectory:
-    """Closed-loop solution: node states/costates/controls and stage stacks."""
+class IterateState:
+    """A point on the feasible manifold: controls, stage states, node states, and its discrete cost."""
 
+    U: np.ndarray  # (N, s*m) internal-stage controls
+    X: np.ndarray  # (N, s*n) internal-stage states
     x: np.ndarray  # (N+1, n) node states
-    X: np.ndarray  # (N, s*n) internal-stage state stacks
-    U: np.ndarray  # (N, s*m) internal-stage control stacks
+    Jd: float
+    h: float
+
+    @property
+    def N(self) -> int:
+        return self.U.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class DiscreteTrajectory(IterateState):
+    """A solution: the iterate plus its node costates and node controls."""
+
     p: np.ndarray  # (N+1, n) node costates
     u: np.ndarray  # (N+1, m) node controls
-    h: float
 
 
 def assemble(prob: LQProblem, tab: ButcherTableau, N: int) -> Linearization:
@@ -544,13 +556,13 @@ def closed_loop(steps: Linearization, bp: AffineBackwardPass, x0):
     return x, U + bp.U2 if feedforward else U
 
 
-def rollout(prob: LQProblem, steps: Linearization, bp: AffineBackwardPass) -> DiscreteTrajectory:
-    """Roll the feedback forward from x0 over ``assemble``'s step; recover stage and node quantities."""
+def rollout(prob: LQProblem, tab: ButcherTableau, steps: Linearization, bp: AffineBackwardPass) -> DiscreteTrajectory:
+    """Roll the feedback forward from x0 over ``assemble``'s step; recover stage and node quantities and price them."""
     x, U = closed_loop(steps, bp, prob.x0)
     X = x[:-1] @ steps.E[0].T + U @ steps.F[0].T
     p = (bp.M @ x[..., None])[..., 0]
     u = -np.linalg.solve(prob.R, (p @ prob.B + x @ prob.S).T).T  # the closed form of stationarity
-    return DiscreteTrajectory(x=x, X=X, U=U, p=p, u=u, h=prob.tf / len(U))
+    return DiscreteTrajectory(U=U, X=X, x=x, Jd=discrete_cost(prob, tab, U, X, x), h=prob.tf / len(U), p=p, u=u)
 
 
 def solve(prob: LQProblem, tab: ButcherTableau, N: int):
@@ -558,4 +570,4 @@ def solve(prob: LQProblem, tab: ButcherTableau, N: int):
     steps = assemble(prob, tab, N)
     zero = np.zeros((N, tab.s * prob.m)), np.zeros((N, tab.s * prob.n)), np.zeros(prob.n)  # U, X and x_N
     bp = riccati_backward(prob, tab, steps, *zero)
-    return steps, bp, rollout(prob, steps, bp)
+    return steps, bp, rollout(prob, tab, steps, bp)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dlqr import (AffineBackwardPass, Linearization, affine_scan, check_steps, closed_loop, cost_gradients,
-                   discrete_cost, lu_solve, stage_cost_blocks, step_operators)
+from .dlqr import (AffineBackwardPass, IterateState, Linearization, affine_scan, check_steps, closed_loop,
+                   cost_gradients, discrete_cost, lu_solve, stage_cost_blocks, step_operators)
 from .dlqr import riccati_backward as backward  # the feedback minimizing the quasi-Newton model
 from .errors import LineSearchFailed, NodeControlFailure, NotConverged, RolloutDiverged, StepTooLarge
 
@@ -43,21 +43,6 @@ WOLFE_DELTA = 0.1
 WOLFE_SIGMA = 0.9
 
 
-@dataclass(frozen=True, eq=False)
-class IterateState:
-    """A point on the feasible manifold: controls, stage states, node states."""
-
-    U: np.ndarray  # (N, s*m) internal-stage controls
-    X: np.ndarray  # (N, s*n) internal-stage states
-    x: np.ndarray  # (N+1, n) node states
-    Jd: float
-    h: float
-
-    @property
-    def N(self) -> int:
-        return self.U.shape[0]
-
-
 @dataclass(frozen=True)
 class IterateRecord:
     """One accepted iteration of solve(): cost after the step plus diagnostics."""
@@ -68,14 +53,6 @@ class IterateRecord:
     step_norm: float
     alpha: float
     slope: float  # directional derivative J_d'(U)' dU, negative for descent
-
-
-def make_state(prob, tab, U, X, x) -> IterateState:
-    """Package existing stacks (e.g. from a direct solve) as an IterateState."""
-    U = np.asarray(U, dtype=float).reshape(-1, tab.s * prob.m)
-    X = np.asarray(X, dtype=float).reshape(U.shape[0], tab.s * prob.n)
-    x = np.asarray(x, dtype=float).reshape(U.shape[0] + 1, prob.n)
-    return IterateState(U=U, X=X, x=x, Jd=discrete_cost(prob, tab, U, X, x), h=prob.tf / U.shape[0])
 
 
 def stage_controls(U, N: int, sm: int) -> np.ndarray:

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from curve_demo import scalar_curve_demo
 from explicit3_family import explicit3_family
+from scipy.integrate import solve_ivp
 
 from rklqr import dlqr, ilqr, oracle
-from rklqr.cli import build_reference, max_stage_error, run_order_study
+from rklqr.cli import build_reference, fit_order, max_stage_error, run_order_study
 from rklqr.errors import AdjointUndefined
 from rklqr.problem import example31, pendulum, spring_oscillator
 from rklqr.tableau import ButcherTableau, builtin, ocp_order, stage_orders
@@ -130,7 +131,7 @@ def test_criterion_05_oracle_equivalence():
                 np.testing.assert_allclose(qp.U, traj.U, atol=1e-9)
                 np.testing.assert_allclose(qp.X, traj.X, atol=1e-9)
                 np.testing.assert_allclose(qp.x, traj.x, atol=1e-9)
-                state = ilqr.make_state(prob, tab, qp.U, qp.X, qp.x)
+                state = ilqr.IterateState(U=qp.U, X=qp.X, x=qp.x, Jd=0.0, h=prob.tf / N)
                 p = ilqr.costates(prob, tab, state)
                 np.testing.assert_allclose(qp.lam, p[1:], atol=1e-9)
     _pass("criterion 5: DLQR == KKT solve and multipliers == costates (1e-9)")
@@ -280,3 +281,72 @@ def test_criterion_13_control_order_from_hagers_conditions():
         assert abs(slope - 3) > 0.3
     _pass(f"criterion 13: ocp_order on {len(OCP_ORDERS)} tableaus; Ralston 3 node slopes "
           f"{scalar:.3f} (example31), {pend:.3f} (pendulum, {elapsed:.2f}s)")
+
+
+def test_criterion_14_stage_orders_across_tableaus():
+    # the stage orders min(q1, q2) of criterion 2 on every tableau of
+    # criterion 13, explicit and implicit: each stage control's fitted slope
+    prob, ref = example31()
+    t0 = time.perf_counter()
+    worst = 0.0
+    for tab, _ in OCP_ORDERS:
+        for rep in stage_orders(tab):
+            slope = run_order_study(prob, tab, H_GRID, f"stage:{rep.stage}", reference=ref).fitted_slope
+            assert slope == pytest.approx(rep.predicted_order, abs=0.3), (tab.name, rep.stage)
+            worst = max(worst, abs(slope - rep.predicted_order))
+    elapsed = time.perf_counter() - t0
+    _pass(f"criterion 14: stage slopes of {len(OCP_ORDERS)} tableaus within {worst:.2f} "
+          f"of stage_orders ({elapsed:.2f}s)")
+
+
+def _continuous_riccati(prob, h):
+    """P(k h), k = 0..tf/h, of -P' = A'P + PA - (PB + S)R^-1(B'P + S') + Q with P(tf) = M.
+
+    Integrated backward by DOP853 at rtol 1e-13 and atol 1e-14.
+    """
+    A, B, S, Q, Rinv, n = prob.A, prob.B, prob.S, prob.Q, np.linalg.inv(prob.R), prob.n
+
+    def rhs(t, y):
+        P = y.reshape(n, n)
+        K = P @ B + S
+        return -(A.T @ P + P @ A - K @ Rinv @ K.T + Q).ravel()
+
+    N = int(round(prob.tf / h))
+    sol = solve_ivp(rhs, (prob.tf, 0.0), prob.M.ravel(), method="DOP853", rtol=1e-13, atol=1e-14,
+                    t_eval=np.linspace(prob.tf, 0.0, N + 1))
+    return sol.y.T[::-1].reshape(N + 1, n, n)
+
+
+def _value_slope(prob, tab, grid):
+    """Fitted slope of max_k max |M_k - P(t_k)| against h over the halving grid, P from its finest h."""
+    P = _continuous_riccati(prob, grid[-1])
+    samples = []
+    for h in grid:
+        N = int(round(prob.tf / h))
+        _, bp, _ = dlqr.solve(prob, tab, N)
+        samples.append((h, float(np.abs(bp.M - P[::(len(P) - 1) // N]).max())))
+    return fit_order(samples)
+
+
+def test_criterion_15_value_function_at_the_control_order():
+    # the dynamic-programming analogue: DLQR's value Hessians M_k approach
+    # the continuous Riccati solution P(t_k) at the control order, not the
+    # classical one.  Radau IIA's error reaches the reference's accuracy
+    # (3e-13) on the finer grid, so it is fitted on a coarser one.
+    t0 = time.perf_counter()
+    ex, _ = example31()
+    slopes = {}
+    for tab, r in OCP_ORDERS:
+        if tab.name == "radau2a3":
+            slopes[tab.name] = _value_slope(ex, tab, [0.25, 0.125, 0.0625, 0.03125])
+            assert slopes[tab.name] >= r - 0.15
+        else:
+            slopes[tab.name] = _value_slope(ex, tab, [0.1, 0.05, 0.025, 0.0125])
+            assert slopes[tab.name] == pytest.approx(r, abs=0.15), tab.name
+    spring = spring_oscillator()
+    for tab, r in OCP_ORDERS[:5]:  # the five builtins
+        slope = _value_slope(spring, tab, [0.4, 0.2, 0.1, 0.05])
+        assert slope == pytest.approx(r, abs=0.3), ("spring", tab.name)
+    elapsed = time.perf_counter() - t0
+    _pass("criterion 15: M_k slopes at ocp_order on example31 ("
+          + ", ".join(f"{k} {v:.2f}" for k, v in slopes.items()) + f"; {elapsed:.2f}s)")

@@ -204,10 +204,18 @@ class TestRollout:
         tab = builtin("methodB")
         steps = dlqr.assemble(prob, tab, 50)
         bp = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, 50))
-        traj = dlqr.rollout(prob, steps, bp)
+        traj = dlqr.rollout(prob, tab, steps, bp)
         direct = dlqr.discrete_cost(prob, tab, traj.U, traj.X, traj.x)
         value = 0.5 * prob.x0 @ bp.M[0] @ prob.x0
         assert direct == pytest.approx(value, abs=1e-10)
+
+    def test_solution_is_an_ilqr_iterate(self):
+        # the solution carries its own discrete cost, and ILQR reads it as an
+        # iterate: at the optimum its stage-scaled gradient vanishes
+        prob, tab = spring_oscillator(), builtin("methodB")
+        _, _, traj = dlqr.solve(prob, tab, 50)
+        assert traj.Jd == dlqr.discrete_cost(prob, tab, traj.U, traj.X, traj.x)
+        assert ilqr.scaled_residual(tab, traj, ilqr.gradient(prob, tab, traj)) < 1e-9
 
     def test_node_control_near_reference_at_t0(self):
         prob, ref = example31()

@@ -212,9 +212,8 @@ class TestBackwardAndDirection:
         tab = builtin("methodB")
         N = 30
         _, lq, traj = dlqr.solve(prob, tab, N)
-        state = ilqr.make_state(prob, tab, traj.U, traj.X, traj.x)
-        steps = ilqr.linearize(prob, tab, state)
-        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        steps = ilqr.linearize(prob, tab, traj)
+        bp = ilqr.backward(prob, tab, steps, traj.U, traj.X, traj.x[-1])
         for k in range(N):
             # the gradient vanishes at the optimum, so the step U2 leaves U on the DLQR feedback
             np.testing.assert_allclose(traj.U[k] + bp.U2[k], lq.U1[k] @ traj.x[k], atol=1e-11)
@@ -568,8 +567,7 @@ class TestCostates:
         prob = spring_oscillator()
         tab = builtin("methodB")
         _, _, traj = dlqr.solve(prob, tab, 50)
-        state = ilqr.make_state(prob, tab, traj.U, traj.X, traj.x)
-        p = ilqr.costates(prob, tab, state)
+        p = ilqr.costates(prob, tab, traj)
         np.testing.assert_allclose(p, traj.p, atol=1e-9)
 
     def test_zero_cost_zero_costates(self):
@@ -590,8 +588,7 @@ class TestCostates:
         errs = []
         for N in (5, 10, 20):
             _, _, traj = dlqr.solve(prob, tab, N)
-            state = ilqr.make_state(prob, tab, traj.U, traj.X, traj.x)
-            p = ilqr.costates(prob, tab, state)
+            p = ilqr.costates(prob, tab, traj)
             errs.append(abs(p[0, 0] - P_STAR_0))
         slope = np.polyfit(np.log([0.2, 0.1, 0.05]), np.log(errs), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.4)
@@ -654,9 +651,8 @@ class TestNodeControls:
         prob = spring_oscillator()
         tab = builtin("methodA")
         _, _, traj = dlqr.solve(prob, tab, 40)
-        state = ilqr.make_state(prob, tab, traj.U, traj.X, traj.x)
-        p = ilqr.costates(prob, tab, state)
-        u = ilqr.node_controls(prob, state, p)
+        p = ilqr.costates(prob, tab, traj)
+        u = ilqr.node_controls(prob, traj, p)
         np.testing.assert_allclose(u, traj.u, atol=1e-9)
 
     def test_newton_path_solves_stationarity(self):

@@ -741,7 +741,7 @@ class TestStackedLinearization:
             tab = builtin("trapezoidal") if rng.integers(2) else _explicit_tableau(rng, kind)
             U, X, x = (rng.standard_normal(shape) for shape in
                        ((N, tab.s * prob.m), (N, tab.s * prob.n), (N + 1, prob.n)))
-            state = ilqr.make_state(prob, tab, U, X, x)
+            state = ilqr.IterateState(U=U, X=X, x=x, Jd=0.0, h=prob.tf / N)
         else:
             prob = pendulum()
             tab = _explicit_tableau(rng, kind)
@@ -800,7 +800,7 @@ class TestStackedLinearization:
         )
         tab = ButcherTableau(a=[[1.0]], b=[1.0], name="implicit-euler")
         X = np.array([[0.0], [0.0], [2.0], [2.0]])  # h = 0.5: steps 2 and 3 are singular
-        state = ilqr.make_state(prob, tab, np.zeros((4, 1)), X, np.zeros(5))
+        state = ilqr.IterateState(U=np.zeros((4, 1)), X=X, x=np.zeros((5, 1)), Jd=0.0, h=0.5)
         with pytest.raises(StepTooLarge, match="step 2, h = 0.5") as exc:
             ilqr.linearize(prob, tab, state)
         assert exc.value.h == 0.5

@@ -53,7 +53,7 @@ class TestQPSolve:
         prob, _ = example31()
         tab = builtin("methodB")
         qp = oracle.qp_solve(prob, tab, 5)
-        state = ilqr.make_state(prob, tab, qp.U, qp.X, qp.x)
+        state = ilqr.IterateState(U=qp.U, X=qp.X, x=qp.x, Jd=0.0, h=prob.tf / 5)
         p = ilqr.costates(prob, tab, state)
         np.testing.assert_allclose(qp.lam, p[1:], atol=1e-9)
 
