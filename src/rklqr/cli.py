@@ -71,6 +71,12 @@ def cubic_lagrange(u, h: float, t) -> np.ndarray:
             - r * (r - 1) * (r - 3) / 2 * u[j + 2] + r * (r - 1) * (r - 2) / 6 * u[j + 3])
 
 
+def _at_stage_times(nodes, h: float, tab: ButcherTableau, tf: float, N: int) -> np.ndarray:
+    """Node values (L+1, w) of step h by ``cubic_lagrange`` at the stage times (k + c_i) tf / N, as (N, s·w)."""
+    times = ((np.arange(N)[:, None] + tab.c) * (tf / N)).ravel()
+    return cubic_lagrange(nodes, h, times).reshape(N, -1)
+
+
 def solve_problem(prob, tab: ButcherTableau, N: int, tol=1e-8, max_iter=200):
     """Solve by DLQR (linear) or ILQR (nonlinear); returns (trajectory, info).
 
@@ -81,7 +87,8 @@ def solve_problem(prob, tab: ButcherTableau, N: int, tol=1e-8, max_iter=200):
     states interpolated by ``cubic_lagrange`` at the stage times (k + c_i) h:
     the controls as U0, the states as X0, the start of the first rollout's
     Newton sweeps; a rung's node controls come from the costates
-    ``ilqr.solve`` returns.  info carries Jd, the iteration count and the ILQR
+    ``ilqr.solve`` returns.  Both starts are passed unnamed, so no name here
+    keeps them alive while the rung runs.  info carries Jd, the iteration count and the ILQR
     iterate log of the finest solve.  tol and max_iter go through
     ``ilqr.check_stopping_rule`` for either kind.
     """
@@ -93,13 +100,11 @@ def solve_problem(prob, tab: ButcherTableau, N: int, tol=1e-8, max_iter=200):
     ladder = [N]
     while ladder[-1] // COARSEN >= MIN_COARSE_STEPS:
         ladder.append(ladder[-1] // COARSEN)
-    U0 = X0 = None
+    traj = None
     for level in reversed(ladder):
-        if level != ladder[-1]:
-            times = ((np.arange(level)[:, None] + tab.c) * (prob.tf / level)).ravel()
-            U0 = cubic_lagrange(traj.u, traj.h, times).reshape(level, tab.s * prob.m)
-            X0 = cubic_lagrange(traj.x, traj.h, times).reshape(level, tab.s * prob.n)
-        state, log, p = ilqr.solve(prob, tab, level, U0=U0, tol=tol, max_iter=max_iter, X0=X0)
+        state, log, p = ilqr.solve(prob, tab, level, tol=tol, max_iter=max_iter,
+                                   U0=None if traj is None else _at_stage_times(traj.u, traj.h, tab, prob.tf, level),
+                                   X0=None if traj is None else _at_stage_times(traj.x, traj.h, tab, prob.tf, level))
         u = ilqr.node_controls(prob, state, p)
         traj = dlqr.DiscreteTrajectory(U=state.U, X=state.X, x=state.x, Jd=state.Jd, h=state.h, p=p, u=u)
     return traj, {"Jd": state.Jd, "iterations": len(log), "log": log}

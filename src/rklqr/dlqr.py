@@ -127,7 +127,10 @@ def step_operators(Jx, Ju, tab: ButcherTableau, h: float, shared=False):
                 # an explicit [E_j | F_j] has no input columns of stage j or
                 # later yet, unless they are the shared ones
                 w = width if implicit else col + m if shared else col
-                EF[i, :, :w] += h * a * np.einsum("ijk,jlk->ilk", Jx[j], EF[j, :, :w])
+                term = np.einsum("ijk,jlk->ilk", Jx[j], EF[j, :, :w])
+                term *= h * a  # in place: one (n, w, K) temporary per term, not two
+                EF[i, :, :w] += term
+                del term  # before the next term is formed
             EF[i, :, col:col + m] += h * a * Ju[j]
     GH = EF[s].transpose(2, 0, 1)
     EF = EF[:s].reshape(s * n, width, K).transpose(2, 0, 1)
@@ -258,12 +261,19 @@ def cholesky(K):
 def cholesky_solve(L, R):
     """K^{-1} R for R (d, r, B), batch axis last, through the factor L (d, d, B) of ``cholesky``.
 
-    Forward then back substitution in place on a copy of R, one expression
-    per row and term over the batch axis; L and R have the same batch B.
-    R is only read.
+    ``_substitute`` on a copy of R; L and R have the same batch B.  R is
+    only read.
+    """
+    return _substitute(L, R.copy())
+
+
+def _substitute(L, Y):
+    """``cholesky_solve`` in place: Y (d, r, B) becomes K^{-1} Y, and is returned.
+
+    Forward then back substitution, one expression per row and term over
+    the batch axis.  For a right-hand side that its caller reads no more.
     """
     d = L.shape[0]
-    Y = R.copy()
     for i in range(d):
         for k in range(i):
             Y[i] -= L[i, k] * Y[k]
@@ -284,12 +294,13 @@ def _refined_solve(K, L, rhs):
     1.4e-10, against 6e-11 with it and with LU.  rhs becomes the residual,
     one column's terms of K X subtracted at a time: on random 4x4 systems
     that refines as well as a stacked matmul at a third of its cost, where
-    an einsum of K X subtracted at the end is a fifth less accurate.
+    an einsum of K X subtracted at the end is a fifth less accurate.  The
+    residual is then solved in place, as rhs has no later reader.
     """
     X = cholesky_solve(L, rhs)
     for a in range(len(L)):
         rhs -= K[:, a, None] * X[a]
-    X += cholesky_solve(L, rhs)
+    X += _substitute(L, rhs)
     return X
 
 
@@ -439,7 +450,8 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     if bad.any():
         return sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N, h)
     n = G.shape[0]
-    KiL, KiH = np.split(cholesky_solve(factor, np.concatenate([Lc, H.transpose(1, 0, 2)], axis=1)), 2, axis=1)
+    # solved in place: the concatenation has no other reader
+    KiL, KiH = np.split(_substitute(factor, np.concatenate([Lc, H.transpose(1, 0, 2)], axis=1)), 2, axis=1)
     del factor
     elems = (G - np.einsum("iak,ajk->ijk", H, KiL), np.einsum("iak,ajk->ijk", H, KiH),
              Wc - np.einsum("aik,ajk->ijk", Lc, KiL))
@@ -536,6 +548,7 @@ def riccati_backward(prob: LQProblem, tab: ButcherTableau, steps: Linearization,
     w = np.ascontiguousarray(w.T)  # (sn, N), as every operand here
     lu = r.T + np.einsum("aik,ak->ik", F, w)
     c = np.einsum("aik,ak->ik", E, w) + np.einsum("kai,ak->ik", U1, lu)
+    del w, r  # read by nothing past c
     v = affine_scan(np.swapaxes(A, 1, 2), c.T, prob.M @ xN, reverse=True)
     lu += np.einsum("aik,ak->ik", H, np.ascontiguousarray(v[1:].T))
     U2 = -_refined_solve(K, factor, lu[:, None])[:, 0].T

@@ -248,6 +248,9 @@ def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200, X0=None):
     from the last linearization.  The iterate's linearization, backward
     pass and gradient are dropped once the direction and its slope are
     formed, so the line search holds no tangent plane but its trials'.
+    U0 and X0 are dropped after the first rollout: on CPython >= 3.11,
+    which moves call arguments into the callee, a start passed unnamed is
+    freed there.
     Raises NotConverged (carrying the last state and log) when max_iter
     steps leave the residual above tol, or when the line search fails on a
     step whose predicted decrease |slope| is below the rounding floor
@@ -261,6 +264,7 @@ def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200, X0=None):
     if X0 is not None:
         X0 = _stage_stack(X0, N, tab.s * prob.n, "X0", "s·n", "stage states")
     state = rollout(prob, tab, N, U0, X0)
+    U0 = X0 = None  # the first iterate holds U0 as its U; nothing reads X0 again
     steps, log = None, []
     while True:
         if steps is None:

@@ -11,6 +11,7 @@ import pytest
 from curve_demo import scalar_curve_demo
 from explicit3_family import explicit3_family
 from scipy.integrate import solve_ivp
+from scipy.optimize import minimize
 
 from rklqr import dlqr, ilqr, oracle
 from rklqr.cli import build_reference, fit_order, max_stage_error, run_order_study
@@ -350,3 +351,28 @@ def test_criterion_15_value_function_at_the_control_order():
     elapsed = time.perf_counter() - t0
     _pass("criterion 15: M_k slopes at ocp_order on example31 ("
           + ", ".join(f"{k} {v:.2f}" for k, v in slopes.items()) + f"; {elapsed:.2f}s)")
+
+
+def test_criterion_16_feedback_takes_fewer_steps_than_a_direct_method():
+    # the paper credits its methods' efficiency to the feedback technique.
+    # The direct method without feedback is L-BFGS-B on the same discrete
+    # cost with the same exact gradient (ilqr.rollout and ilqr.gradient).
+    # Steps are counted, not timed, so a noisy machine cannot flip the
+    # result; ilqr.solve runs cold, so no coarse start enters its count.
+    # L-BFGS-B stops on its relative reduction of Jd, short of tol
+    prob, tab = pendulum(), builtin("methodB")
+    counts = {}
+    for N in (100, 250):
+        state, log, _ = ilqr.solve(prob, tab, N, tol=1e-8)
+
+        def cost_and_gradient(U, N=N):
+            point = ilqr.rollout(prob, tab, N, U)
+            return point.Jd, ilqr.gradient(prob, tab, point).ravel()
+
+        direct = minimize(cost_and_gradient, np.zeros(N * tab.s * prob.m), jac=True, method="L-BFGS-B",
+                          options={"gtol": 1e-14, "ftol": 1e-16})
+        assert direct.fun == pytest.approx(state.Jd, rel=1e-10)  # the same optimum
+        assert len(log) <= 10 and direct.nfev > 100, (N, len(log), direct.nfev)
+        counts[N] = (len(log), direct.nfev)
+    _pass("criterion 16: ILQR iterations against L-BFGS-B evaluations "
+          + ", ".join(f"N={N} {it} vs {nfev}" for N, (it, nfev) in counts.items()))

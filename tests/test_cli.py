@@ -1,12 +1,14 @@
 """CLI surface: slope fitting, subcommands, CSV formats, exit codes."""
 
 import dataclasses
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +280,34 @@ class TestCoarseStart:
         assert levels == [[n, n == cold, n == cold, calls] for n, calls in chain]
         assert entries == [1]
         assert linearized == iterates
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="CPython 3.10 keeps call arguments alive in the caller until the call returns")
+    def test_fine_rung_frees_its_start_states_after_the_first_rollout(self, monkeypatch):
+        # solve_problem keeps no name for the interpolated start and
+        # ilqr.solve drops X0 after its first rollout, so the X0 buffer of
+        # the finest rung (250 steps, started from 31) is gone by the time
+        # that rung first linearizes
+        prob, tab = builtin_problem("pendulum")[0], builtin("methodB")
+        starts, checked = [], []
+
+        def recording_cubic_lagrange(u, h, t):
+            out = cubic_lagrange(u, h, t)
+            if out.shape[1] == prob.n:  # the states, X0
+                starts.append(weakref.ref(out))
+            return out
+
+        def checked_linearize(prob, tab, state):
+            if state.N == 250 and not checked:
+                gc.collect()
+                checked.append(starts[-1]() is None)
+            return linearize(prob, tab, state)
+
+        cubic_lagrange, linearize = cli.cubic_lagrange, ilqr.linearize
+        monkeypatch.setattr(cli, "cubic_lagrange", recording_cubic_lagrange)
+        monkeypatch.setattr(ilqr, "linearize", checked_linearize)
+        cli.solve_problem(prob, tab, 250)
+        assert len(starts) == 1 and checked == [True]
 
     @pytest.mark.parametrize("method, N", [("methodB", 2000), ("trapezoidal", 400)])
     def test_coarse_chain_agrees_with_a_cold_solve(self, method, N):

@@ -5,6 +5,7 @@ replaces; the batched versions must agree with them to rounding.
 """
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -779,6 +780,32 @@ class TestStackedLinearization:
         # a zero first row (2n and 4n unknowns), Gauss-Legendre 2 and Radau
         # IIA 3 that of all of theirs (2n and 3n)
         _check_builder_at_real_size(np.random.default_rng([K, n, m]), IMPLICIT_TABLEAUS[kind](), K, n, m)
+
+    def test_holds_one_product_term_at_a_time(self):
+        # methodC at K = 8000 steps is the order study's reference rung for
+        # the pendulum.  Beyond its inputs step_operators holds the returned
+        # [E | F] and [G | H] buffer, the step-last copies of Jx and Ju and
+        # one (n, width, K) product term, which is scaled in place before it
+        # is added; a term and its scaled copy at once would be 0.64 MB more
+        prob, tab, K = pendulum(), builtin("methodC"), 8000
+        n, m, s = prob.n, prob.m, tab.s
+        rng = np.random.default_rng(8)
+        Jx, Ju = prob.stage_jacobians(rng.uniform(-1.0, 1.0, (K * s, n)), rng.uniform(-1.0, 1.0, (K * s, m)))
+        width = n + s * m
+        floats = (s + 1) * n * width * K + Jx.size + Ju.size + n * width * K
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ops = dlqr.step_operators(Jx, Ju, tab, prob.tf / K)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert ops[0].shape == (K, s * n, n)
+        assert peak <= 8 * floats + 100_000
 
     def test_zero_row_stage_is_exact_where_the_implicit_solve_pivots(self):
         # trapezoidal at the pendulum's x0 with h = 4: |h/2 Jx| > 1, so a
