@@ -7,6 +7,7 @@ Modules:
   ilqr     - iterative LQR for nonlinear quadratic problems
   oracle   - brute-force KKT solve, gradient checks, quasi-Newton matrices
   cli      - command-line harness (solve / order-study / tableau / gradcheck)
+  csvformat - the CLI's CSV lines, byte for byte those of %.17g, made by numpy
 """
 
 from . import dlqr, errors, ilqr, oracle, problem, tableau

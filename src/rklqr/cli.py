@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dlqr, ilqr, oracle
+from . import csvformat, dlqr, ilqr, oracle
 from .errors import AdjointUndefined, NeedsReference, NoFit, NotFound, SolverError
 from .problem import LQProblem, builtin_problem, load_problem
 from .tableau import ButcherTableau, adjoint, builtin, load_tableau, ocp_order, stage_orders
@@ -226,23 +226,26 @@ def write_iterate_log_csv(path, log):
                                  rec.alpha, rec.slope) for rec in log])
 
 
-_TABLE_BLOCK = 1024  # rows formatted per block by _write_table
+_TABLE_BLOCK = 512  # rows formatted per block by _write_table
 
 
 def _write_table(path, header, rows):
-    """Write a header line and one line per row, every value as %.17g.
+    """Write a header line and one line per row, every value as ``"%.17g" % v``.
 
-    Integer-valued floats such as the step index print as integers.  Rows go
-    through Python floats in blocks, each formatted by one ``%`` with the row
-    format repeated, so the whole table is never held as Python objects.
+    ``csvformat.format_rows`` makes the bytes of ``%`` a block of rows at a
+    time with numpy and no Python object per value: the correctly rounded
+    17-digit significand of each value in range (1e-28 <= |v| < 1e17) from an
+    exact double-double product with 10^(16 - X), certified against a half
+    before it is rounded, then its digits, dot, prefix or exponent as bytes.
+    Zeros print as ``0`` and ``-0``; non-finite, subnormal and other values
+    outside the range, and any whose rounding cannot be certified, are
+    formatted by ``%`` one by one.
     """
     rows = np.asarray(rows, dtype=float)
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for i in range(0, len(rows), _TABLE_BLOCK):
-            block = rows[i:i + _TABLE_BLOCK]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(csvformat.format_rows(rows[i:i + _TABLE_BLOCK]))
 
 
 # ---------------------------------------------------------------------------

@@ -116,14 +116,17 @@ def rollout(prob, tab, N: int, U, X=None) -> IterateState:
         while True:
             K = N - first
             Xw, Uw = X[first:].reshape(K * s, n), U_points[first * s:]
-            Jx, _ = prob.stage_jacobians(Xw, Uw)
+            Jx = prob.stage_jacobians(Xw, Uw)[0]
             offsets = prob.f(Xw, Uw) - np.einsum("pij,pj->pi", Jx, Xw)
             try:
                 E, e, G, g = step_operators(Jx, offsets[:, :, None], tab, h, shared=True)
             except StepTooLarge as exc:
                 raise RolloutDiverged("singular stage coupling", first + exc.step, h) from None
+            del Jx, offsets  # each sweep's stacks go before the next sweep builds its own
             xw = affine_scan(G, g[..., 0], x[first])
+            del G, g
             new = np.einsum("kij,kj->ki", E, xw[:-1]) + e[..., 0]
+            del E, e
             moved = _row_max(np.abs(new - X[first:]))
             X[first:], x[first + 1:] = new, xw[1:]
             finite = np.isfinite(moved)

@@ -7,12 +7,15 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rklqr import cli, ilqr
 from rklqr.dlqr import DiscreteTrajectory
@@ -365,6 +368,61 @@ class TestCsvWriters:
                                                               r.alpha, r.slope)] for r in recs]
         expected = _lines(["iter", "Jd", "grad_inf_norm", "step_norm", "alpha", "slope"], rows)
         assert path.read_bytes() == expected.encode()
+
+    @staticmethod
+    def _check_table(path, table):
+        header = [f"c{j}" for j in range(table.shape[1])]
+        cli._write_table(path, header, table)
+        expected = _lines(header, [[f"{v:.17g}" for v in row] for row in table.tolist()])
+        assert path.read_bytes() == expected.encode()
+
+    @given(st.lists(st.one_of(st.floats(), st.integers(0, 2**64 - 1).map(
+        lambda bits: float(np.array(bits, np.uint64).view(np.float64)))), min_size=1, max_size=60),
+        st.integers(0, 300), st.integers(1, 7), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_any_table_matches_percent(self, tmp_path_factory, values, rows, cols, rng):
+        # floats() brings signed zeros, subnormals, infinities and nan, raw
+        # 64-bit patterns every exponent; the table repeats the drawn values
+        table = np.array([rng.choice(values) for _ in range(rows * cols)]).reshape(rows, cols)
+        self._check_table(tmp_path_factory.mktemp("csv") / "t.csv", table)
+
+    def test_hard_cases_match_percent(self, tmp_path):
+        # neighbours of powers of ten, where log10 misjudges the exponent
+        # (1e-12 is 9.9999999999999998e-13), integers, step grids k h,
+        # exact ties m 2^-j (j = 2 halves the 17th digit) and the edges of the
+        # range the kernel formats itself
+        tens = np.array([float(f"1e{k}") for k in range(-30, 18)])
+        near = np.concatenate([tens, [1e-28, 1e17, 2.0**53]])
+        m = np.arange(2.0**53 - 300, 2.0**53)
+        signed = np.concatenate([np.nextafter(near, 0.0), near, np.nextafter(near, np.inf),
+                                 (m[:, None] * 2.0 ** -np.arange(1, 61)).ravel()])
+        k = np.arange(10**5 + 1.0)
+        values = np.concatenate([signed, -signed, k, -k[1:], k * 0.01, k * (4 / 31)])
+        values = np.append(values, np.zeros(-len(values) % 7))
+        self._check_table(tmp_path / "hard.csv", values.reshape(-1, 7))
+
+    @pytest.mark.parametrize("problem, method, N, percent_kib", [
+        ("pendulum", "trapezoidal", 400, 183), ("pendulum", "methodB", 2000, 523),
+        ("spring", "methodC", 4000, 682)])
+    def test_trajectory_writer_memory(self, tmp_path, problem, method, N, percent_kib):
+        # the bench trajectories: formatting them by % in 1024-row blocks
+        # peaked at percent_kib; the kernel's blocks may take 150 KiB more at
+        # most, so the writer lifts no workload's resident high-water
+        traj, _ = cli.solve_problem(builtin_problem(problem)[0], builtin(method), N)
+        path = tmp_path / "traj.csv"
+        cli.write_trajectory_csv(path, traj)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            cli.write_trajectory_csv(path, traj)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= (percent_kib + 150) * 1024
 
 
 class TestOrderStudyCommand:

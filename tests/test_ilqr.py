@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -143,6 +144,35 @@ class TestRollout:
             for got, want in ((warm.x, cold.x), (warm.X, cold.X)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
             assert warm.Jd == pytest.approx(cold.Jd, rel=1e-13)
+
+    def test_a_sweep_frees_the_last_sweeps_stacks(self):
+        # methodC at K = 8000 steps from a 1000-step solve, the order study's
+        # reference rung.  At its peak a sweep holds the rollout's U, X and x,
+        # its own Jx and offsets and the working set of step_operators
+        # (test_kernel's product-term test); the last sweep's [E | e] and
+        # [G | g], 1.92 MB more, are gone by then
+        from rklqr import cli
+
+        prob, tab, K = pendulum(), builtin("methodC"), 8000
+        n, s = prob.n, tab.s
+        coarse, _ = cli.solve_problem(prob, tab, 1000)
+        U0 = cli._at_stage_times(coarse.u, coarse.h, tab, prob.tf, K)
+        X0 = cli._at_stage_times(coarse.x, coarse.h, tab, prob.tf, K)
+        width = n + 1  # the offsets are one input column
+        floats = (s * K * (prob.m + 2 * n + n * n) + (K + 1) * n  # U, X, offsets, Jx; x
+                  + (s + 1) * n * width * K + s * n * (n + 1) * K + n * width * K)  # step_operators
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ilqr.rollout(prob, tab, K, U0, X0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 8 * floats + 1_000_000
 
     @pytest.mark.parametrize("U, got", [
         (np.zeros((10, 2)), "20 entries"),
