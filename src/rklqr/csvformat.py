@@ -7,9 +7,9 @@ rounded 17 significant digits D = round-half-even(|v| 10^q), 10^16 <= D <
 ``[-]d[.ddd]e-XX`` below, with the trailing zeros of the fraction dropped.
 ``format_rows`` finds D and X for whole arrays:
 
-- X comes from log10 and is recomputed at X +- 1 where D leaves [10^16,
-  10^17) or equals 10^16, since log10 misjudges it beside powers of ten and
-  the printed X is the least with D in range.
+- X comes from log2 |v| log10(2) and is recomputed at X +- 1 where D
+  leaves [10^16, 10^17) or equals 10^16, since the logarithm misjudges it
+  beside powers of ten and the printed X is the least with D in range.
 - |v| 10^q is formed exactly as four doubles.  10^q is a sum of two doubles
   for q <= 46, and the product of |v| with the larger is exact as Dekker's
   product (Numer. Math. 18, 1971), two doubles from Veltkamp halves.  Only
@@ -18,11 +18,12 @@ rounded 17 significant digits D = round-half-even(|v| 10^q), 10^16 <= D <
   least 1e-12 from a half, so it is the rounding of the exact value, as in
   CPython's correctly rounded dtoa.
 
-D's digits come from a table of 4-digit ASCII words and are laid out with
-the sign, dot, prefix and exponent in one 32-byte field per value, whose zero
-bytes one compaction drops.  Zeros print as ``0`` and ``-0``.  Non-finite and
-subnormal values, values outside the range and any whose rounding is not
-certain are formatted by ``%`` one by one into their fields.
+D stays in doubles, split into 1, 8 and 8 digits.  Its digits come from a
+table of 4-digit ASCII words and are laid out with the sign, dot, prefix and
+exponent in one 32-byte field per value, whose zero bytes one compaction
+drops.  Zeros print as ``0`` and ``-0``.  Non-finite and subnormal values,
+values outside the range and any whose rounding is not certain are formatted
+by ``%`` one by one into their fields.
 """
 
 from __future__ import annotations
@@ -37,14 +38,14 @@ def format_rows(block) -> bytes:
     v = block.reshape(-1)
     n = v.size
     zero = v == 0
-    q, D, by_percent = _decimal(v)
+    q, lead, eights, by_percent = _decimal(v)
     by_percent &= ~zero
-    lead, words = _digit_indexes(D)
-    del D
+    words = _digit_indexes(eights)
+    del eights
     # field word w of every value in row w: the first digit at byte 7, the
     # other sixteen as four table words at bytes 8-23
     fields = np.zeros((4, n), "<u8")
-    np.take(_LEAD_DIGIT, lead, out=fields[0], mode="clip")
+    np.take(_LEAD_DIGIT, lead.astype(np.intp), out=fields[0], mode="clip")
     del lead
     np.take(_DIGIT_TABLE, words, out=fields[1:3].view("<u4").reshape(2, n, 2), mode="clip")
     del words
@@ -96,40 +97,77 @@ _POW10_HEAD, _POW10_TAIL = _veltkamp(_POW10_HI)
 
 
 def _decimal(v):
-    """(q, D, unsure): D = round(|v| 10^q) in [10^16, 10^17) as int64 where not unsure.
+    """(q, lead, eights, unsure): D = round(|v| 10^q) = lead 10^16 + e[0] 10^8 + e[1].
 
-    unsure marks values outside 1e-28 <= |v| < 1e17 (zeros included) and
-    those whose rounding is not certain; their q and D are arbitrary.
+    10^16 <= D < 10^17 where not unsure, and the parts are doubles holding
+    integers: lead one digit, e = eights[..., 1] eight each; eights is
+    (2, n, 2), its other half free for ``_digit_indexes``.  unsure marks
+    values outside 1e-28 <= |v| < 1e17 (zeros included) and those whose
+    rounding is not certain; their q and parts are arbitrary.
     """
     a = np.abs(v)
     inside = (a >= 1e-28) & (a < 1e17)
     unsure = ~inside
     a[unsure] = 2.0
-    q = np.log10(a)
-    np.subtract(16.0, q, out=q)
+    q = np.log2(a)  # not log10, whose numpy code the solvers leave unmapped
+    q *= -0.30102999566398120  # log10(2)
+    q += 16.0
     q = np.ceil(q, out=q).astype(np.intp)
-    np.maximum(q, 0, out=q)  # log10 may round up to 17 below 1e17
+    np.maximum(q, 0, out=q)  # the logarithm may round up to 17 below 1e17
     a_head, a_tail = _veltkamp(a)
-    D, certain = _significand(a, a_head, a_tail, q)
-    off = (D <= 10**16) | (D >= 10**17)
+    p, t, certain = _significand(a, a_head, a_tail, q)
+    below, above = _outside(p, t)
+    off = below >= 0
+    off |= above
     if off.any():  # X one too high (D <= 10^16) or too low
         i = np.flatnonzero(off)
-        q1 = q[i] + np.where(D[i] <= 10**16, 1, -1)
-        D1, certain1 = _significand(a[i], a_head[i], a_tail[i], q1)
-        better = (D1 >= 10**16) & (D1 < 10**17)
-        D[i] = np.where(better, D1, D[i])
-        q[i] = np.where(better, q1, q[i])
+        q1 = q[i] + np.where(below[i] >= 0, 1, -1)
+        p1, t1, certain1 = _significand(a[i], a_head[i], a_tail[i], q1)
+        below1, above1 = _outside(p1, t1)
+        better = (below1 <= 0) & ~above1
+        for old, new in ((q, q1), (p, p1), (t, t1), (below, below1), (above, above1)):
+            old[i] = np.where(better, new, old[i])
         certain[i] &= certain1
-        unsure |= (D < 10**16) | (D >= 10**17)
+    unsure |= below > 0
+    unsure |= above
     unsure |= ~certain
-    return q, D, unsure
+    del a, a_head, a_tail, below, above, certain, off
+    # D = p + t as 1, 8 and 8 digits, exactly: p / 1e8 rounds, so its floor
+    # may be one off, and the carry out of the low part mends it
+    eights = np.empty((2, len(p), 2))
+    e = eights[..., 1]
+    nine = p / 1e8
+    np.floor(nine, out=nine)
+    np.multiply(nine, 1e8, out=e[1])
+    np.subtract(p, e[1], out=e[1])
+    e[1] += t
+    del p, t
+    carry = e[1] / 1e8
+    np.floor(carry, out=carry)
+    nine += carry
+    carry *= 1e8
+    e[1] -= carry
+    lead = np.floor(nine / 1e8, out=carry)
+    np.multiply(lead, 1e8, out=e[0])
+    np.subtract(nine, e[0], out=e[0])
+    return q, lead, eights, unsure
+
+
+def _outside(p, t):
+    """10^16 - D (exact where it is small) and whether D >= 10^17, for D = p + t."""
+    below = 1e16 - p
+    below -= t
+    above = p - 1e17
+    above += t
+    return below, above >= 0
 
 
 def _significand(a, a_head, a_tail, q):
-    """round(a 10^q) as int64 for a = a_head + a_tail, and where that rounding is certain.
+    """(p, t, certain): p + t = round(a 10^q) for a = a_head + a_tail, and where that is certain.
 
-    a 10^q = p + e + a lo exactly, with p = fl(a hi) and e its error by
-    Dekker's product; p is an integer once a 10^q >= 2^53.
+    p and t are doubles holding integers.  a 10^q = p + e + a lo exactly,
+    with p = fl(a hi) and e its error by Dekker's product; p is an integer
+    once a 10^q >= 2^53, and t rounds e + fl(a lo).
     """
     p = np.take(_POW10_HI, q)
     p *= a
@@ -150,51 +188,46 @@ def _significand(a, a_head, a_tail, q):
     np.rint(r, out=t)
     r -= t
     certain = np.abs(r, out=r) < 0.5 - 1e-12
-    D = p.astype(np.int64)
-    D += t.astype(np.int64)
-    return D, certain
+    return p, t, certain
 
 
 def _digit_table():
-    """Words of 4 ASCII bytes, 0000..9999, then the same with trailing zeros NUL."""
-    w = np.arange(10**4)
-    out = np.empty((2, 10**4, 4), np.uint8)
-    for j, scale in enumerate((1000, 100, 10, 1)):
-        digit = w // scale
-        digit -= digit // 10 * 10
+    """Words of 4 ASCII bytes, 0000..9999, then the same with trailing zeros NUL.
+
+    Built in doubles and int64 sums, whose numpy code every solve maps.
+    """
+    w = np.arange(1e4)
+    words = np.zeros((2, 10**4), "<i8")
+    for j, scale in enumerate((1000.0, 100.0, 10.0, 1.0)):
+        digit = np.floor(w / scale)
+        digit -= np.floor(digit / 10.0) * 10.0
         digit += ord("0")
-        out[0, :, j] = digit
-        after = w - w // (10 * scale) * (10 * scale)  # this digit and those after it
-        digit[after == 0] = 0
-        out[1, :, j] = digit
-    return out.view("<u4").reshape(-1)
+        words[0] += digit.astype("<i8") * 256**j
+        digit *= w - np.floor(w / (10.0 * scale)) * (10.0 * scale) != 0  # this digit or a later one
+        words[1] += digit.astype("<i8") * 256**j
+    return np.ascontiguousarray(words.view("<u4")[:, ::2]).reshape(-1)  # the low halves
 
 
 _DIGIT_TABLE = _digit_table()
 
 
-def _digit_indexes(D):
-    """D = d dddd dddd dddd dddd as its first digit d (n,) and table indexes (2, n, 2) of the rest.
+def _digit_indexes(eights):
+    """Digit-table indexes (2, n, 2) of the 4-digit words of the 8-digit eights[..., 1].
 
     A word with only zeros after it indexes its entry with trailing zeros NUL.
     """
-    words = np.empty((2, len(D), 2), np.int64)
-    eights = words[:, :, 1]  # digits 2-9 and 10-17, then the last four of each
-    nine = D // 10**8
-    np.subtract(D, nine * 10**8, out=eights[1])
-    lead = nine // 10**8
-    np.subtract(nine, lead * 10**8, out=eights[0])
-    del nine
-    low_zero = eights[1] == 0
-    np.floor_divide(eights, 10**4, out=words[:, :, 0])
-    eights -= words[:, :, 0] * 10**4
-    mid_zero = eights[0] == 0
-    words[1, :, 0] += (eights[1] == 0) * 10**4
-    eights[0] += low_zero * 10**4
+    top, low = eights[..., 0], eights[..., 1]
+    low_zero = low[1] == 0
+    np.divide(low, 1e4, out=top)
+    np.floor(top, out=top)
+    low -= top * 1e4
+    mid_zero = low[0] == 0
+    top[1] += (low[1] == 0) * 1e4
+    low[0] += low_zero * 1e4
     low_zero &= mid_zero
-    words[0, :, 0] += low_zero * 10**4
-    eights[1] += 10**4
-    return lead, words
+    top[0] += low_zero * 1e4
+    low[1] += 1e4
+    return eights.astype(np.intp)
 
 
 def _field_words(placements):
