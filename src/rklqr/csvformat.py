@@ -53,13 +53,13 @@ def format_rows(block) -> bytes:
     # last always moves, as the dot fix below clears byte 24 when it is unused
     fields[3] = fields[2] >> 56
     shifted = fields[1:3] << 8
-    scratch = fields[:2] >> 56
-    shifted |= scratch
-    np.take(_KEEP, q, axis=1, out=scratch, mode="clip")
+    carry = fields[:2] >> 56
+    shifted |= carry
+    keep = np.take(_KEEP, q, axis=1, out=carry, mode="clip")  # into carry's memory
     fields[1:3] ^= shifted
-    fields[1:3] &= scratch
+    fields[1:3] &= keep
     fields[1:3] ^= shifted
-    del shifted, scratch
+    del shifted, carry, keep
     fields |= np.take(_TEXT, q + len(_X) * np.signbit(v), axis=1, mode="clip")
     seps = fields[3].reshape(rows, cols)
     seps |= _field_words([[(_SEP_BYTE, b",")]] * (cols - 1) + [[(_SEP_BYTE, b"\n")]])[3]
