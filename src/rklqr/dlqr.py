@@ -258,17 +258,8 @@ def cholesky(K):
     return L, ~((pivots > 0) & (pivots < np.inf)).all(axis=1)
 
 
-def cholesky_solve(L, R):
-    """K^{-1} R for R (d, r, B), batch axis last, through the factor L (d, d, B) of ``cholesky``.
-
-    ``_substitute`` on a copy of R; L and R have the same batch B.  R is
-    only read.
-    """
-    return _substitute(L, R.copy())
-
-
 def _substitute(L, Y):
-    """``cholesky_solve`` in place: Y (d, r, B) becomes K^{-1} Y, and is returned.
+    """K^{-1} Y in place for Y (d, r, B), batch axis last, through the factor L (d, d, B) of ``cholesky``; returns Y.
 
     Forward then back substitution, one expression per row and term over
     the batch axis.  For a right-hand side that its caller reads no more.
@@ -297,7 +288,7 @@ def _refined_solve(K, L, rhs):
     an einsum of K X subtracted at the end is a fifth less accurate.  The
     residual is then solved in place, as rhs has no later reader.
     """
-    X = cholesky_solve(L, rhs)
+    X = _substitute(L, rhs.copy())
     for a in range(len(L)):
         rhs -= K[:, a, None] * X[a]
     X += _substitute(L, rhs)
@@ -442,8 +433,8 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     needs every Kc positive definite.  Where one is not, or the scan breaks
     down (LinAlgError or a non-finite M), ``sequential_sweep`` runs
     instead.  Where a K is not, BackwardFailure names, and carries, the
-    first bad step in sweep order (largest k) and the step size h.  Each
-    per-step stack is dropped after its last reader.
+    first bad step in sweep order (largest k) and the step size h, and an
+    overflow as such.  Each per-step stack is dropped after its last reader.
     """
     Kc, Lc, Wc = _stage_products(E, F, Qh, Rh, Sh)
     factor, bad = cholesky(Kc)
@@ -475,8 +466,15 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     del Kc, Lc, HM
     factor, bad = cholesky(K)
     if bad.any():
-        raise BackwardFailure("stage Hessian not positive definite", int(np.flatnonzero(bad)[-1]), h)
+        raise _hessian_failure(int(np.flatnonzero(bad)[-1]), h, K)
     return M, -_refined_solve(K, factor, rhs), K, factor
+
+
+def _hessian_failure(k, h, *stacks):
+    """BackwardFailure at step k; an overflow where the stacks (K and its products, step axis last) are not finite."""
+    finite = all(np.isfinite(a[..., k]).all() for a in stacks)
+    return BackwardFailure("stage Hessian not positive definite" if finite else
+                           "stage operators or Hessian not finite", k, h)
 
 
 def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
@@ -499,7 +497,7 @@ def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
         K[..., k] = Kc[..., k] + HM @ Hk
         Lk, bad = cholesky(K[..., k:k + 1])
         if bad[0]:
-            raise BackwardFailure("stage Hessian not positive definite", k, h)
+            raise _hessian_failure(k, h, K, Lc, Wc, G, H)
         factor[..., k:k + 1] = Lk
         lin = Lc[..., k] + HM @ Gk
         sol = np.linalg.solve(K[..., k], lin)
@@ -538,7 +536,8 @@ def riccati_backward(prob: LQProblem, tab: ButcherTableau, steps: Linearization,
     h = prob.tf / N
     Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, h)
     E, F, G, H = (a.transpose(1, 2, 0) for a in (steps.E, steps.F, steps.G, steps.H))
-    M, U1, K, factor = value_sweep(E, F, G, H, Qh, Rh, Sh, prob.M, N, h)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails as a non-finite stage Hessian
+        M, U1, K, factor = value_sweep(E, F, G, H, Qh, Rh, Sh, prob.M, N, h)
     A = np.einsum("iak,ajk->ijk", H, U1)
     A += G
     U1, A = U1.transpose(2, 0, 1), A.transpose(2, 0, 1)

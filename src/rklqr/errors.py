@@ -31,7 +31,7 @@ class RolloutDiverged(StepFailure):
 
 
 class BackwardFailure(StepFailure):
-    """A stage Hessian of the backward sweep (DLQR or ILQR) is not positive definite at this step."""
+    """A stage Hessian of the backward sweep (DLQR or ILQR) is not positive definite, or not finite, at this step."""
 
 
 class LineSearchFailed(SolverError):

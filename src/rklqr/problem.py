@@ -20,7 +20,6 @@ exact zero products and leaves every finite result unchanged.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -28,32 +27,62 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotFound
+from .tableau import read_spec
 
 _SYM_TOL = 1e-12
 _PSD_TOL = 1e-10
 
 
-def _check_inputs(tf, Q, R, M, **others):
-    """Reject non-finite data, a horizon that is not positive, and bad cost matrices."""
-    for label, val in dict(others, Q=Q, R=R, M=M, tf=tf).items():
-        if not np.isfinite(val).all():
-            raise ValueError(f"{label} must be finite")
-    if tf <= 0:
-        raise ValueError("tf must be positive")
-    for label, mat in (("Q", Q), ("R", R), ("M", M)):
-        if np.max(np.abs(mat - mat.T), initial=0.0) > _SYM_TOL * (1 + np.max(np.abs(mat), initial=0.0)):
-            raise ValueError(f"{label} must be symmetric")
-    try:
-        np.linalg.cholesky(R)
-    except np.linalg.LinAlgError:
-        raise ValueError("R must be positive definite") from None
-    for label, mat in (("Q", Q), ("M", M)):
-        if mat.size and np.linalg.eigvalsh(mat).min() < -_PSD_TOL * (1 + np.max(np.abs(mat))):
-            raise ValueError(f"{label} must be positive semidefinite")
+class QuadraticCost:
+    """The cost data both problem classes share, checked and frozen in one place.
+
+    A subclass's ``__post_init__`` works out n and m from its own fields and
+    calls ``_freeze``, which stores Q, R, M, S and x0 and the subclass's
+    dynamics arrays as read-only float arrays and tf as a float.
+    """
+
+    @property
+    def n(self) -> int:
+        return self.x0.size
+
+    @property
+    def m(self) -> int:
+        return self.R.shape[0]
+
+    def _freeze(self, n: int, m: int, **dynamics):
+        """Reshape the cost data to n and m (a None S is zeros), check it all, and store it read-only."""
+        if self.S is None:
+            object.__setattr__(self, "S", np.zeros((n, m)))
+        shapes = {"Q": (n, n), "R": (m, m), "M": (n, n), "S": (n, m), "x0": (n,)}
+        arrays = {key: np.asarray(getattr(self, key), dtype=float).reshape(shape) for key, shape in shapes.items()}
+        arrays.update(dynamics)
+        self._check_inputs(**arrays)
+        for key, val in arrays.items():
+            val.setflags(write=False)
+            object.__setattr__(self, key, val)
+        object.__setattr__(self, "tf", float(self.tf))
+
+    def _check_inputs(self, Q, R, M, **others):
+        """Reject non-finite data, a horizon tf that is not positive, and bad cost matrices."""
+        for label, val in dict(others, Q=Q, R=R, M=M, tf=self.tf).items():
+            if not np.isfinite(val).all():
+                raise ValueError(f"{label} must be finite")
+        if self.tf <= 0:
+            raise ValueError("tf must be positive")
+        for label, mat in (("Q", Q), ("R", R), ("M", M)):
+            if np.max(np.abs(mat - mat.T), initial=0.0) > _SYM_TOL * (1 + np.max(np.abs(mat), initial=0.0)):
+                raise ValueError(f"{label} must be symmetric")
+        try:
+            np.linalg.cholesky(R)
+        except np.linalg.LinAlgError:
+            raise ValueError("R must be positive definite") from None
+        for label, mat in (("Q", Q), ("M", M)):
+            if mat.size and np.linalg.eigvalsh(mat).min() < -_PSD_TOL * (1 + np.max(np.abs(mat))):
+                raise ValueError(f"{label} must be positive semidefinite")
 
 
 @dataclass(frozen=True, eq=False)
-class LQProblem:
+class LQProblem(QuadraticCost):
     """Linear dynamics xdot = Ax + Bu with quadratic cost; S defaults to zeros."""
 
     A: np.ndarray
@@ -70,25 +99,7 @@ class LQProblem:
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         n = A.shape[0]
         B = np.asarray(self.B, dtype=float).reshape(n, -1)
-        m = B.shape[1]
-        Q = np.asarray(self.Q, dtype=float).reshape(n, n)
-        R = np.asarray(self.R, dtype=float).reshape(m, m)
-        M = np.asarray(self.M, dtype=float).reshape(n, n)
-        S = np.zeros((n, m)) if self.S is None else np.asarray(self.S, dtype=float).reshape(n, m)
-        x0 = np.asarray(self.x0, dtype=float).reshape(n)
-        _check_inputs(self.tf, Q, R, M, A=A, B=B, S=S, x0=x0)
-        for key, val in (("A", A), ("B", B), ("Q", Q), ("R", R), ("M", M), ("S", S), ("x0", x0)):
-            val.setflags(write=False)
-            object.__setattr__(self, key, val)
-        object.__setattr__(self, "tf", float(self.tf))
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B.shape[1]
+        self._freeze(n, B.shape[1], A=A.reshape(n, n), B=B)
 
     # dynamics surface shared with NonlinearProblem
     def f(self, X, U):
@@ -105,7 +116,7 @@ class LQProblem:
 
 
 @dataclass(frozen=True, eq=False)
-class NonlinearProblem:
+class NonlinearProblem(QuadraticCost):
     """Nonlinear dynamics xdot = f(x, u) with plain quadratic cost.
 
     ``f_fn``, ``jac_x_fn`` and ``jac_u_fn`` map stacked points X (P, n) and
@@ -123,32 +134,13 @@ class NonlinearProblem:
     x0: np.ndarray
     tf: float
     name: str = ""
-    S: np.ndarray = field(init=False, repr=False)
+    S: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for label in ("f_fn", "jac_x_fn", "jac_u_fn"):
             if not callable(getattr(self, label)):
                 raise ValueError(f"{label} must be callable")
-        x0 = np.asarray(self.x0, dtype=float).reshape(-1)
-        n = x0.size
-        R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        m = R.shape[0]
-        Q = np.asarray(self.Q, dtype=float).reshape(n, n)
-        M = np.asarray(self.M, dtype=float).reshape(n, n)
-        _check_inputs(self.tf, Q, R, M, x0=x0)
-        S = np.zeros((n, m))
-        for key, val in (("Q", Q), ("R", R), ("M", M), ("x0", x0), ("S", S)):
-            val.setflags(write=False)
-            object.__setattr__(self, key, val)
-        object.__setattr__(self, "tf", float(self.tf))
-
-    @property
-    def n(self) -> int:
-        return self.x0.size
-
-    @property
-    def m(self) -> int:
-        return self.R.shape[0]
+        self._freeze(np.size(self.x0), np.atleast_2d(self.R).shape[0])
 
     def f(self, X, U):
         """f at the P points of X (P, n) and U (P, m), stacked as (P, n)."""
@@ -297,42 +289,13 @@ def builtin_problem(name: str):
 
 
 def load_problem(source):
-    """Load a problem spec from a JSON file path or parsed dict.
+    """Load a linear-quadratic problem spec from a JSON file path or parsed dict.
 
-    Keys: ``kind`` ("lq" or "builtin").  For "builtin": ``name`` in
-    {example31, spring, pendulum, pendulum_tanh}.  For "lq": ``n``, ``m``, row-major
-    matrices ``A``, ``B``, ``Q``, ``R``, ``M`` (optional ``S``), ``x0``,
-    ``tf``.  Returns (problem, analytic reference or None).
+    Keys: ``kind`` "lq", counts ``n`` and ``m``, row-major matrices ``A``,
+    ``B``, ``Q``, ``R``, ``M`` (optional ``S``), ``x0``, ``tf`` and an
+    optional ``name``; ``tableau.read_spec`` checks them.  A builtin problem
+    is named directly, by ``builtin_problem``.  Returns (problem, None): a
+    spec has no analytic reference.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"malformed problem spec: expected a JSON object at the top level, got {type(data).__name__}")
-    kind = data.get("kind")
-    if kind == "builtin":
-        return builtin_problem(str(data.get("name", "")))
-    if kind != "lq":
-        raise ValueError(f"unknown problem kind {kind!r}")
-    try:
-        n, m = int(data["n"]), int(data["m"])
-        if (n, m) != (data["n"], data["m"]) or any(isinstance(data[k], bool) for k in ("n", "m")):
-            raise ValueError(f"n = {data['n']!r} and m = {data['m']!r} must be integers")
-        prob = LQProblem(
-            A=np.asarray(data["A"], dtype=float).reshape(n, n),
-            B=np.asarray(data["B"], dtype=float).reshape(n, m),
-            Q=np.asarray(data["Q"], dtype=float).reshape(n, n),
-            S=np.asarray(data["S"], dtype=float).reshape(n, m) if "S" in data else None,
-            R=np.asarray(data["R"], dtype=float).reshape(m, m),
-            M=np.asarray(data["M"], dtype=float).reshape(n, n),
-            x0=np.asarray(data["x0"], dtype=float).reshape(n),
-            tf=float(data["tf"]),
-            name=str(data.get("name", "custom")),
-        )
-    except KeyError as exc:
-        raise ValueError(f"malformed problem spec: missing field {exc.args[0]!r}") from exc
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed problem spec: {exc}") from exc
-    return prob, None
+    shapes = {"A": "nn", "B": "nm", "Q": "nn", "S": "nm", "R": "mm", "M": "nn", "x0": "n", "tf": ""}
+    return LQProblem(**read_spec(source, "problem", shapes, kind="lq", optional=("S",))), None

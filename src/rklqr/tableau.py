@@ -16,6 +16,7 @@ hold, together with the abscissa match c_i == cbar_i.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -192,28 +193,63 @@ def builtin(name: str) -> ButcherTableau:
     raise NotFound(f"no builtin tableau named {name!r}")
 
 
+def read_spec(source, what: str, shapes: dict, kind=None, optional=()) -> dict:
+    """Constructor keyword arguments from a problem or tableau spec, a JSON file path or an already-parsed dict.
+
+    ``shapes`` maps each numeric field to its dimensions as one-letter counts
+    (``"nm"`` is (n, m), ``""`` one number), read first as positive integers.
+    A field is a JSON number or, with dimensions, nested lists of them in
+    row-major order; a string or boolean anywhere, which numpy would read as
+    a number, is malformed.  Returns a float array per field present, and
+    ``name``.  A malformed spec, or one whose ``kind`` is not kind, raises
+    ValueError.
+    """
+    def malformed(reason):
+        return ValueError(f"malformed {what} spec: {reason}")
+
+    def numbers(key, value, nested):
+        if nested and isinstance(value, list):
+            return [x for v in value for x in numbers(key, v, True)]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise malformed(f"{key} holds {value!r}, not a JSON number")
+        return [value]
+
+    data = source
+    if not isinstance(data, dict):
+        with open(source, "r", encoding="utf-8") as fh:
+            data = json.load(fh, parse_int=float)  # an integer beyond the doubles reads as inf
+    if not isinstance(data, dict):
+        raise malformed(f"expected a JSON object at the top level, got {type(data).__name__}")
+    if kind is not None and data.get("kind") != kind:
+        raise malformed(f"unknown kind {data.get('kind')!r}")
+    counts = dict.fromkeys("".join(shapes.values()))
+    keys = [*counts, *shapes]
+    required = [key for key in keys if key not in optional]
+    fields = {"name": str(data.get("name", "custom"))}
+    for key in keys:
+        if key not in data:
+            if key in required:
+                raise malformed(f"missing field {key!r} (needs {', '.join(required)})")
+            continue
+        value = data[key]
+        if key in counts:
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 1 or value % 1:
+                raise malformed(f"{key} = {value!r} is not a positive integer")
+            counts[key] = int(value)
+            continue
+        shape = tuple(counts[d] for d in shapes[key])
+        flat = numbers(key, value, bool(shape))
+        if len(flat) != math.prod(shape):
+            raise malformed(f"{key} has {len(flat)} entries, not {math.prod(shape)}")
+        fields[key] = np.array(flat, dtype=float).reshape(shape)
+    return fields
+
+
 def load_tableau(source) -> ButcherTableau:
     """Load a tableau from a JSON file path or an already-parsed dict.
 
     Expected fields: integer ``s``, row-major ``a`` (s*s entries), ``b``
-    (s entries), optional ``name``; c is derived from a.
+    (s entries), optional ``name``; c is derived from a.  ``read_spec``
+    checks them.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"malformed tableau spec: expected a JSON object at the top level, got {type(data).__name__}")
-    try:
-        s = int(data["s"])
-        if s != data["s"] or isinstance(data["s"], bool):
-            raise ValueError(f"s = {data['s']!r} is not an integer")
-        a = np.asarray(data["a"], dtype=float).reshape(s, s)
-        b = np.asarray(data["b"], dtype=float).reshape(s)
-    except KeyError as exc:
-        raise ValueError(f"malformed tableau spec: missing field {exc.args[0]!r} (needs s, "
-                         "a as a flat row-major list of s*s entries, and b)") from exc
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed tableau spec: {exc}") from exc
-    return ButcherTableau(a=a, b=b, name=str(data.get("name", "custom")))
+    return ButcherTableau(**read_spec(source, "tableau", {"a": "ss", "b": "s"}))

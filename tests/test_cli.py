@@ -148,19 +148,31 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("option, spec, message", [
         ("--method", {"a": [[0, 0], [0.5, 0]], "b": [0, 1]},
-         "malformed tableau spec: missing field 's' (needs s, "
-         "a as a flat row-major list of s*s entries, and b)"),
-        ("--problem", {"kind": "lq", "m": 1}, "malformed problem spec: missing field 'n'"),
+         "malformed tableau spec: missing field 's' (needs s, a, b)"),
+        ("--problem", {"kind": "lq", "m": 1},
+         "malformed problem spec: missing field 'n' (needs n, m, A, B, Q, R, M, x0, tf)"),
         # a size that is present but not an integer, which int() would truncate
         ("--method", {"s": 2.7, "a": [0, 0, 1, 0], "b": [0.5, 0.5]},
-         "malformed tableau spec: s = 2.7 is not an integer"),
+         "malformed tableau spec: s = 2.7 is not a positive integer"),
         ("--problem", {"kind": "lq", "n": 1.9, "m": 1, "A": [0], "B": [1], "Q": [1], "R": [1],
                        "M": [0], "x0": [1], "tf": 1},
-         "malformed problem spec: n = 1.9 and m = 1 must be integers"),
+         "malformed problem spec: n = 1.9 is not a positive integer"),
         # a top level that is not an object
         ("--method", [1, 2], "malformed tableau spec: expected a JSON object at the top level, got list"),
         ("--problem", [1, 2], "malformed problem spec: expected a JSON object at the top level, got list"),
-    ], ids=["tableau", "problem", "tableau-size", "problem-size", "tableau-array", "problem-array"])
+        # strings and booleans are not numbers, though numpy would read them as such
+        ("--problem", {"kind": "lq", "n": 1, "m": 1, "A": [0], "B": [1], "Q": [1], "R": [1],
+                       "M": [0], "x0": [1], "tf": "4"},
+         "malformed problem spec: tf holds '4', not a JSON number"),
+        ("--problem", {"kind": "lq", "n": 1, "m": 1, "A": [0], "B": [1], "Q": [1], "R": [1],
+                       "M": [0], "x0": [True], "tf": 1},
+         "malformed problem spec: x0 holds True, not a JSON number"),
+        ("--method", {"s": 2, "a": [0, 0, 1, 0], "b": ["0.5", "0.5"]},
+         "malformed tableau spec: b holds '0.5', not a JSON number"),
+        # a builtin problem is named directly, not through a spec
+        ("--problem", {"kind": "builtin", "name": "spring"}, "malformed problem spec: unknown kind 'builtin'"),
+    ], ids=["tableau", "problem", "tableau-size", "problem-size", "tableau-array", "problem-array",
+            "problem-string", "problem-bool", "tableau-string", "problem-builtin"])
     def test_spec_missing_field_exits_2(self, tmp_path, capsys, option, spec, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -219,6 +231,17 @@ class TestSolveCommand:
         err = re.fullmatch(r"solver failure: stage Hessian not positive definite at step (\d+), h = 0\.16\n",
                            capsys.readouterr().err)
         assert err and int(err.group(1)) < 25
+
+    def test_overflow_exits_1(self, tmp_path, capsys):
+        spec = tmp_path / "big.json"
+        spec.write_text('{"kind": "lq", "n": 1, "m": 1, "A": [1e300], "B": [1], "Q": [1], "R": [1], '
+                        '"M": [0], "x0": [1], "tf": 1}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["solve", "--problem", str(spec), "--method", "methodB", "--steps", "10"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "solver failure: stage operators or Hessian not finite at step 9, h = 0.1\n")
 
 
 class TestCoarseStart:
@@ -439,9 +462,17 @@ class TestOrderStudyCommand:
             assert got[h] == pytest.approx(expected, rel=0.05)
         assert "fitted slope" in capsys.readouterr().out
 
+    def test_builtin_problem_uses_its_analytic_reference(self, monkeypatch):
+        monkeypatch.setattr(cli, "build_reference", None)  # a fine-grid reference would raise TypeError
+        rc = cli.main(["order-study", "--problem", "example31", "--method", "methodA",
+                       "--h-grid", "0.1,0.05,0.025"])
+        assert rc == 0
+
     def test_node_study_on_file_problem(self, tmp_path):
         spec = tmp_path / "prob.json"
-        spec.write_text('{"kind": "builtin", "name": "example31"}')
+        # example31 as a spec: no analytic reference, so the study solves one
+        spec.write_text('{"kind": "lq", "n": 1, "m": 1, "A": [0], "B": [1], "Q": [1], "S": [0.5], "R": [1], '
+                        '"M": [0], "x0": [1], "tf": 1}')
         rc = cli.main(["order-study", "--problem", str(spec), "--method", "methodA",
                        "--h-grid", "0.1,0.05,0.025"])
         assert rc == 0

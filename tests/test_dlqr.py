@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,16 @@ class TestRiccati:
         steps = dlqr.assemble(prob, bad, 4)
         with pytest.raises(BackwardFailure):
             dlqr.riccati_backward(prob, bad, steps, *_zero_point(prob, bad, 4))
+
+    @pytest.mark.parametrize("a, method", [(1e300, "methodB"), (1e70, "methodC")])
+    def test_overflow_is_named_as_such(self, a, method):
+        # 1e300 overflows the stage products, which the scan would read;
+        # 1e70 overflows E'QhE in the per-step loop, whose K is finite but indefinite
+        prob = LQProblem(A=[[a]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], M=[[0.0]], x0=[1.0], tf=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BackwardFailure, match=r"^stage operators or Hessian not finite at step 9, h = 0\.1$"):
+                dlqr.solve(prob, builtin(method), 10)
 
 
 class TestOneStepType:

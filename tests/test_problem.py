@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,26 +258,55 @@ class TestLoading:
         builtin, _ = example31()
         np.testing.assert_array_equal(prob.S, builtin.S)
 
-    def test_builtin_spec(self):
-        prob, ref = load_problem({"kind": "builtin", "name": "pendulum"})
-        assert prob.name == "pendulum" and ref is None
+    def test_builtin_kind_rejected(self):
+        # a builtin is named directly (``builtin_problem``), not through a spec
+        with pytest.raises(ValueError, match="^malformed problem spec: unknown kind 'builtin'$"):
+            load_problem({"kind": "builtin", "name": "pendulum"})
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             load_problem({"kind": "nlp"})
 
-    @pytest.mark.parametrize("sizes", [{"n": 1.9}, {"m": 1.5}, {"n": "1"}, {"n": True}, {"n": True, "m": True}])
+    @pytest.mark.parametrize("sizes", [{"n": 1.9}, {"m": 1.5}, {"n": "1"}, {"n": True}, {"n": True, "m": True},
+                                       {"m": 0}])
     def test_non_integral_size_rejected(self, sizes):
         # int() would truncate 1.9 to n = 1, and JSON true equals 1
         data = {"kind": "lq", "n": 1, "m": 1, "A": [0], "B": [1], "Q": [1], "R": [1],
                 "M": [0], "x0": [1], "tf": 1, **sizes}
-        with pytest.raises(ValueError, match="^malformed problem spec: n = .* must be integers$"):
+        bad = next(iter(sizes))  # n is read before m
+        message = f"^malformed problem spec: {bad} = {re.escape(repr(sizes[bad]))} is not a positive integer$"
+        with pytest.raises(ValueError, match=message):
+            load_problem(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tf", "4"), ("tf", True), ("tf", [4]), ("A", ["1.5"]), ("A", [[True]]), ("x0", [True]),
+        ("S", ["0.5"]), ("R", [None]), ("M", {"0": 1}),
+    ])
+    def test_non_number_rejected(self, field, value):
+        # numpy reads "1.5" as 1.5 with dtype=float, and [1, true] as int64 [1, 1]
+        data = {"kind": "lq", "n": 1, "m": 1, "A": [0], "B": [1], "Q": [1], "R": [1],
+                "M": [0], "x0": [1], "tf": 1, field: value}
+        with pytest.raises(ValueError, match=rf"^malformed problem spec: {field} holds .*, not a JSON number$"):
+            load_problem(data)
+
+    @pytest.mark.parametrize("field, value", [("A", [0, 1]), ("B", []), ("x0", [[1], [2]])])
+    def test_wrong_entry_count_rejected(self, field, value):
+        data = {"kind": "lq", "n": 1, "m": 1, "A": [0], "B": [1], "Q": [1], "R": [1],
+                "M": [0], "x0": [1], "tf": 1, field: value}
+        with pytest.raises(ValueError, match=rf"^malformed problem spec: {field} has {len(value)} entries, not 1$"):
             load_problem(data)
 
     def test_integral_float_size_accepted(self):
         data = {"kind": "lq", "n": 1.0, "m": 1, "A": [0], "B": [1], "Q": [1], "R": [1],
                 "M": [0], "x0": [1], "tf": 1}
         assert load_problem(data)[0].n == 1
+
+    def test_nested_rows_read_row_major(self):
+        flat = {"kind": "lq", "n": 2, "m": 1, "A": [0, 1, -1, 0], "B": [1, 0], "Q": [1, 0, 0, 1],
+                "R": [3], "M": [10, 0, 0, 10], "x0": [1, 1], "tf": 40}
+        nested = dict(flat, A=[[0, 1], [-1, 0]], B=[[1], [0]])
+        np.testing.assert_array_equal(load_problem(nested)[0].A, load_problem(flat)[0].A)
+        np.testing.assert_array_equal(load_problem(flat)[0].A, spring_oscillator().A)
 
 
 class TestPendulumTanh:

@@ -381,6 +381,13 @@ class TestLoadTableau:
         with pytest.raises(ValueError, match="^malformed tableau spec: "):
             load_tableau({"s": s, "a": a, "b": b})
 
+    @pytest.mark.parametrize("field, value", [("a", [0, 0, "1", 0]), ("a", [[0, 0], [True, 0]]),
+                                              ("b", ["0.5", "0.5"]), ("b", [0.5, None])])
+    def test_non_number_rejected(self, field, value):
+        spec = {"s": 2, "a": [0, 0, 1, 0], "b": [0.5, 0.5], field: value}
+        with pytest.raises(ValueError, match=rf"^malformed tableau spec: {field} holds .*, not a JSON number$"):
+            load_tableau(spec)
+
     def test_integral_float_stage_count_accepted(self):
         assert load_tableau({"s": 2.0, "a": [0, 0, 1, 0], "b": [0.5, 0.5]}).s == 2
 
