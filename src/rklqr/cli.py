@@ -234,12 +234,13 @@ def _write_table(path, header, rows):
 
     ``csvformat.format_rows`` makes the bytes of ``%`` a block of rows at a
     time with numpy and no Python object per value: the correctly rounded
-    17-digit significand of each value in range (1e-28 <= |v| < 1e17) from an
+    17-digit significand of each value in range (1e-28 <= |v| < 1e16) from an
     exact double-double product with 10^(16 - X), certified against a half
     before it is rounded, then its digits, dot, prefix or exponent as bytes.
     Zeros print as ``0`` and ``-0``; non-finite, subnormal and other values
-    outside the range, and any whose rounding cannot be certified, are
-    formatted by ``%`` one by one.
+    outside the range, those whose estimated X may be off (powers of ten and
+    their neighbours: 5-9 values of a bench trajectory table) and any whose
+    rounding cannot be certified are formatted by ``%`` one by one.
     """
     rows = np.asarray(rows, dtype=float)
     with open(path, "wb") as fh:

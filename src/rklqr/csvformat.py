@@ -1,15 +1,15 @@
 """CSV lines of float arrays, byte for byte those of ``"%.17g" % v``, made by numpy.
 
-For a double v with 1e-28 <= |v| < 1e17, ``%.17g`` prints its correctly
+For a double v with 1e-28 <= |v| < 1e16, ``%.17g`` prints its correctly
 rounded 17 significant digits D = round-half-even(|v| 10^q), 10^16 <= D <
 10^17, at the decimal exponent X = 16 - q, in one of three layouts:
-``[-]ddd[.ddd]`` for 0 <= X <= 16, ``[-]0.000ddd`` for -4 <= X < 0 and
+``[-]ddd[.ddd]`` for 0 <= X <= 15, ``[-]0.000ddd`` for -4 <= X < 0 and
 ``[-]d[.ddd]e-XX`` below, with the trailing zeros of the fraction dropped.
 ``format_rows`` finds D and X for whole arrays:
 
-- X comes from log2 |v| log10(2) and is recomputed at X +- 1 where D
-  leaves [10^16, 10^17) or equals 10^16, since the logarithm misjudges it
-  beside powers of ten and the printed X is the least with D in range.
+- X comes from log2 |v| log10(2), which misjudges it beside powers of ten,
+  so a value whose D is at most 10^16 or at least 10^17 is left to ``%``:
+  5-9 values of a bench trajectory table, all of them powers of ten.
 - |v| 10^q is formed exactly as four doubles.  10^q is a sum of two doubles
   for q <= 46, and the product of |v| with the larger is exact as Dekker's
   product (Numer. Math. 18, 1971), two doubles from Veltkamp halves.  Only
@@ -22,8 +22,8 @@ D stays in doubles, split into 1, 8 and 8 digits.  Its digits come from a
 table of 4-digit ASCII words and are laid out with the sign, dot, prefix and
 exponent in one 32-byte field per value, whose zero bytes one compaction
 drops.  Zeros print as ``0`` and ``-0``.  Non-finite and subnormal values,
-values outside the range and any whose rounding is not certain are formatted
-by ``%`` one by one into their fields.
+values outside the range, those left by the first bullet and any whose
+rounding is not certain are formatted by ``%`` one by one into their fields.
 """
 
 from __future__ import annotations
@@ -99,39 +99,31 @@ _POW10_HEAD, _POW10_TAIL = _veltkamp(_POW10_HI)
 def _decimal(v):
     """(q, lead, eights, unsure): D = round(|v| 10^q) = lead 10^16 + e[0] 10^8 + e[1].
 
-    10^16 <= D < 10^17 where not unsure, and the parts are doubles holding
+    10^16 < D < 10^17 where not unsure, and the parts are doubles holding
     integers: lead one digit, e = eights[..., 1] eight each; eights is
     (2, n, 2), its other half free for ``_digit_indexes``.  unsure marks
-    values outside 1e-28 <= |v| < 1e17 (zeros included) and those whose
-    rounding is not certain; their q and parts are arbitrary.
+    values outside 1e-28 <= |v| < 1e16 (zeros included), those whose
+    rounding is not certain and those whose D at the estimated X is at most
+    10^16 or at least 10^17; their q (0..46) and parts are arbitrary.
     """
     a = np.abs(v)
-    inside = (a >= 1e-28) & (a < 1e17)
-    unsure = ~inside
+    unsure = ~((a >= 1e-28) & (a < 1e16))
     a[unsure] = 2.0
     q = np.log2(a)  # not log10, whose numpy code the solvers leave unmapped
     q *= -0.30102999566398120  # log10(2)
     q += 16.0
     q = np.ceil(q, out=q).astype(np.intp)
-    np.maximum(q, 0, out=q)  # the logarithm may round up to 17 below 1e17
-    a_head, a_tail = _veltkamp(a)
-    p, t, certain = _significand(a, a_head, a_tail, q)
-    below, above = _outside(p, t)
-    off = below >= 0
-    off |= above
-    if off.any():  # X one too high (D <= 10^16) or too low
-        i = np.flatnonzero(off)
-        q1 = q[i] + np.where(below[i] >= 0, 1, -1)
-        p1, t1, certain1 = _significand(a[i], a_head[i], a_tail[i], q1)
-        below1, above1 = _outside(p1, t1)
-        better = (below1 <= 0) & ~above1
-        for old, new in ((q, q1), (p, p1), (t, t1), (below, below1), (above, above1)):
-            old[i] = np.where(better, new, old[i])
-        certain[i] &= certain1
-    unsure |= below > 0
-    unsure |= above
+    p, t, certain = _significand(a, *_veltkamp(a), q)
+    del a
     unsure |= ~certain
-    del a, a_head, a_tail, below, above, certain, off
+    # X may be misjudged where D <= 10^16 or D >= 10^17; each difference is exact near its bound
+    below = 1e16 - p
+    below -= t
+    unsure |= below >= 0
+    above = p - 1e17
+    above += t
+    unsure |= above >= 0
+    del certain, below, above
     # D = p + t as 1, 8 and 8 digits, exactly: p / 1e8 rounds, so its floor
     # may be one off, and the carry out of the low part mends it
     eights = np.empty((2, len(p), 2))
@@ -151,15 +143,6 @@ def _decimal(v):
     np.multiply(lead, 1e8, out=e[0])
     np.subtract(nine, e[0], out=e[0])
     return q, lead, eights, unsure
-
-
-def _outside(p, t):
-    """10^16 - D (exact where it is small) and whether D >= 10^17, for D = p + t."""
-    below = 1e16 - p
-    below -= t
-    above = p - 1e17
-    above += t
-    return below, above >= 0
 
 
 def _significand(a, a_head, a_tail, q):

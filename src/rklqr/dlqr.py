@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .errors import BackwardFailure, StepTooLarge
+from .errors import BackwardFailure, RolloutDiverged, StepTooLarge
 from .problem import LQProblem
 from .tableau import ButcherTableau
 
@@ -569,12 +569,20 @@ def closed_loop(steps: Linearization, bp: AffineBackwardPass, x0):
 
 
 def rollout(prob: LQProblem, tab: ButcherTableau, steps: Linearization, bp: AffineBackwardPass) -> DiscreteTrajectory:
-    """Roll the feedback forward from x0 over ``assemble``'s step; recover stage and node quantities and price them."""
-    x, U = closed_loop(steps, bp, prob.x0)
+    """Roll the feedback forward from x0 over ``assemble``'s step; recover stage and node quantities and price them.
+
+    Raises RolloutDiverged naming the first step k whose U_k or x_{k+1} is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises RolloutDiverged below
+        x, U = closed_loop(steps, bp, prob.x0)
+    h = prob.tf / len(U)
+    bad = ~(np.isfinite(U).all(axis=1) & np.isfinite(x[1:]).all(axis=1))
+    if bad.any():
+        raise RolloutDiverged("closed loop not finite", int(np.argmax(bad)), h)
     X = x[:-1] @ steps.E[0].T + U @ steps.F[0].T
     p = (bp.M @ x[..., None])[..., 0]
     u = -np.linalg.solve(prob.R, (p @ prob.B + x @ prob.S).T).T  # the closed form of stationarity
-    return DiscreteTrajectory(U=U, X=X, x=x, Jd=discrete_cost(prob, tab, U, X, x), h=prob.tf / len(U), p=p, u=u)
+    return DiscreteTrajectory(U=U, X=X, x=x, Jd=discrete_cost(prob, tab, U, X, x), h=h, p=p, u=u)
 
 
 def solve(prob: LQProblem, tab: ButcherTableau, N: int):

@@ -27,7 +27,7 @@ class StepTooLarge(StepFailure):
 
 
 class RolloutDiverged(StepFailure):
-    """The rollout's Newton sweeps did not settle the stage equations at this step size."""
+    """A rollout failed at this step: ILQR's stage equations unsolved, or DLQR's closed loop not finite."""
 
 
 class BackwardFailure(StepFailure):

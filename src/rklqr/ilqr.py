@@ -257,7 +257,8 @@ def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200, X0=None):
     Raises NotConverged (carrying the last state and log) when max_iter
     steps leave the residual above tol, or when the line search fails on a
     step whose predicted decrease |slope| is below the rounding floor
-    COST_FLOOR |Jd|; ValueError when ``check_stopping_rule`` rejects tol or
+    COST_FLOOR |Jd|; LineSearchFailed when it fails above that floor; both
+    name h.  ValueError when ``check_stopping_rule`` rejects tol or
     max_iter, or when U0 or X0 has the wrong size or a non-finite entry.
     """
     check_stopping_rule(tol, max_iter)
@@ -277,17 +278,17 @@ def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200, X0=None):
         if resid < tol:
             return state, log, costates(prob, tab, state, steps)
         if len(log) == max_iter:
-            raise NotConverged(f"stage-scaled gradient {resid!r} above {tol!r} after {max_iter} iterations",
-                               state=state, log=log)
+            raise NotConverged(f"stage-scaled gradient {resid!r} above {tol!r} after {max_iter} iterations, "
+                               f"h = {state.h!r}", state=state, log=log)
         bp = backward(prob, tab, steps, state.U, state.X, state.x[-1])
         dU, dX = direction(state, bp, steps)
         slope = float(np.sum(g * dU))
         steps = bp = g = None  # from here the trials' linearizations are the only tangent planes held
         try:
             alpha, state, steps, g = line_search(prob, tab, state, dU, dX, slope)
-        except LineSearchFailed:
+        except LineSearchFailed as exc:
             if abs(slope) > COST_FLOOR * abs(state.Jd):
-                raise
+                raise LineSearchFailed(f"{exc}, h = {state.h!r}") from None
             raise NotConverged(f"rounding floor reached: stage-scaled gradient {resid!r} above {tol!r} "
                                f"and no step can lower it, h = {state.h!r}", state=state, log=log) from None
         log.append(
@@ -328,9 +329,9 @@ def node_controls(prob, state: IterateState, p: np.ndarray) -> np.ndarray:
     dynamics, so the first step is the closed form.  The systems of all
     live nodes are one ``lu_solve``, whose zero pivot marks a singular one.
     A node settles once max |g| <= NEWTON_TOL max(|Ju'p|, |Ru|, |S'x|).
-    NodeControlFailure names the first node, in node order, whose system is
-    singular, whose iterate or residual is not finite, or that is unsettled
-    after NEWTON_MAXIT iterations.
+    NodeControlFailure names h and the first node, in node order, whose
+    system is singular, whose iterate or residual is not finite, or that is
+    unsettled after NEWTON_MAXIT iterations.
     """
     N, m = state.N, prob.m
     u = np.concatenate([state.U[:, :m], state.U[-1:, -m:]])
@@ -357,5 +358,5 @@ def node_controls(prob, state: IterateState, p: np.ndarray) -> np.ndarray:
         else:
             first = (live[0], "node control Newton stalled")
     if first[0] <= N:
-        raise NodeControlFailure(f"{first[1]} at node {first[0]}", index=int(first[0]))
+        raise NodeControlFailure(f"{first[1]} at node {first[0]}, h = {state.h!r}", index=int(first[0]))
     return u

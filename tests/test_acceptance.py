@@ -11,12 +11,13 @@ import pytest
 from curve_demo import scalar_curve_demo
 from explicit3_family import explicit3_family
 from scipy.integrate import solve_ivp
+import scipy.linalg
 from scipy.optimize import minimize
 
 from rklqr import dlqr, ilqr, oracle
 from rklqr.cli import build_reference, fit_order, max_stage_error, run_order_study
 from rklqr.errors import AdjointUndefined
-from rklqr.problem import example31, pendulum, spring_oscillator
+from rklqr.problem import example31, pendulum, pendulum_tanh, spring_oscillator
 from rklqr.tableau import ButcherTableau, builtin, ocp_order, stage_orders
 
 # Reference table of max internal-control errors for the scalar benchmark
@@ -376,3 +377,52 @@ def test_criterion_16_feedback_takes_fewer_steps_than_a_direct_method():
         counts[N] = (len(log), direct.nfev)
     _pass("criterion 16: ILQR iterations against L-BFGS-B evaluations "
           + ", ".join(f"N={N} {it} vs {nfev}" for N, (it, nfev) in counts.items()))
+
+
+def _rate_pencil(prob, tab, N):
+    """U*, the metric W at U* and the pencil (hess J_d, W): its eigenvalues and W-unit eigenvectors.
+
+    hess J_d is central differences (step 1e-5) of ``oracle.grad_exact``, symmetrized.
+    """
+    U_star = ilqr.solve(prob, tab, N, tol=1e-11)[0].U
+    W = oracle.quasi_newton(prob, tab, N, U_star).W
+    shifts = 1e-5 * np.eye(U_star.size).reshape(-1, *U_star.shape)
+    hess = np.array([oracle.grad_exact(prob, tab, N, U_star + d) - oracle.grad_exact(prob, tab, N, U_star - d)
+                     for d in shifts]).reshape(U_star.size, -1) / 2e-5
+    lam, V = scipy.linalg.eigh(0.5 * (hess + hess.T), W)
+    return U_star, W, lam, V
+
+
+def _observed_ratios(prob, tab, N, U_star, W, v, alpha):
+    """Ratios of successive W-norm errors of fixed-step iterations from U* + 1e-4 v, while the error exceeds 1e-9."""
+    U, errors = U_star + 1e-4 * v.reshape(U_star.shape), []
+    while True:
+        e = (U - U_star).ravel()
+        errors.append(np.sqrt(e @ W @ e))
+        if errors[-1] <= 1e-9 or len(errors) > 200:
+            return np.array(errors[1:]) / errors[:-1]
+        state = ilqr.rollout(prob, tab, N, U)
+        steps = ilqr.linearize(prob, tab, state)
+        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        U = U + alpha * ilqr.direction(state, bp, steps)[0]
+
+
+def test_criterion_17_linear_rate_predicted_and_observed():
+    # the paper's linear rate: near U* a step U + alpha dU, dU = -W^-1 grad J_d,
+    # contracts the error by rho(alpha) = max_i |1 - alpha lambda_i| over the
+    # pencil's eigenvalues, and the error along the eigenvector attaining it
+    # shrinks by exactly that factor.  On pendulum_tanh the metric misses up
+    # to a factor 6 of curvature, so alpha = 1 would diverge
+    tab, rows, rho_one = builtin("methodB"), [], {}
+    for prob, N, alphas in [(pendulum(), 16, (1.0, 0.5)), (pendulum(), 32, (1.0,)), (pendulum_tanh(), 16, (0.25, 0.3))]:
+        U_star, W, lam, V = _rate_pencil(prob, tab, N)
+        for alpha in alphas:
+            i = np.argmax(np.abs(1.0 - alpha * lam))
+            rho = abs(1.0 - alpha * lam[i])
+            ratios = _observed_ratios(prob, tab, N, U_star, W, V[:, i], alpha)
+            assert len(ratios) >= 3 and np.abs(ratios - rho).max() <= 0.01, (prob.name, N, alpha, rho, ratios)
+            rows.append(f"{prob.name} N={N} alpha={alpha} rho {rho:.4f} observed {ratios.min():.4f}-{ratios.max():.4f}")
+            if prob.name == "pendulum" and alpha == 1.0:
+                rho_one[N] = rho
+    assert abs(rho_one[16] - rho_one[32]) <= 0.01, rho_one  # the rate does not depend on h
+    _pass("criterion 17: " + "; ".join(rows))

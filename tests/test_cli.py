@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rklqr import cli, ilqr
+from rklqr import cli, csvformat, ilqr
 from rklqr.dlqr import DiscreteTrajectory
 from rklqr.errors import NoFit
 from rklqr.ilqr import IterateRecord
@@ -243,6 +243,19 @@ class TestSolveCommand:
         assert capsys.readouterr().err == (
             "solver failure: stage operators or Hessian not finite at step 9, h = 0.1\n")
 
+    def test_closed_loop_overflow_exits_1(self, tmp_path, capsys):
+        # the backward passes, and the feedback overflows the trajectory from step 1
+        spec, out = tmp_path / "big.json", tmp_path / "traj.csv"
+        spec.write_text('{"kind": "lq", "n": 1, "m": 1, "A": [1e70], "B": [1], "Q": [1], "R": [1], '
+                        '"M": [0], "x0": [1], "tf": 1}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["solve", "--problem", str(spec), "--method", "methodB", "--steps", "10",
+                           "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "solver failure: closed loop not finite at step 1, h = 0.1\n"
+        assert not out.exists()
+
 
 class TestCoarseStart:
     def test_cubic_lagrange_is_exact_on_cubics(self):
@@ -423,6 +436,24 @@ class TestCsvWriters:
         values = np.concatenate([signed, -signed, k, -k[1:], k * 0.01, k * (4 / 31)])
         values = np.append(values, np.zeros(-len(values) % 7))
         self._check_table(tmp_path / "hard.csv", values.reshape(-1, 7))
+
+    @pytest.mark.parametrize("problem, method, N", [
+        ("pendulum", "trapezoidal", 400), ("pendulum", "methodB", 2000), ("spring", "methodC", 4000)])
+    def test_bench_trajectories_rarely_reach_percent(self, tmp_path, monkeypatch, problem, method, N):
+        # the kernel leaves to % the values whose exponent it may misjudge:
+        # the powers of ten of these tables, 5-9 each; the writer stays fast
+        # only while such values stay this rare
+        decimal, by_percent = csvformat._decimal, []
+
+        def counted(v):
+            out = decimal(v)
+            by_percent.append(int(np.count_nonzero(out[3] & (v != 0))))
+            return out
+
+        traj, _ = cli.solve_problem(builtin_problem(problem)[0], builtin(method), N)
+        monkeypatch.setattr(csvformat, "_decimal", counted)
+        cli.write_trajectory_csv(tmp_path / "traj.csv", traj)
+        assert by_percent and sum(by_percent) <= 16
 
     @pytest.mark.parametrize("problem, method, N, percent_kib", [
         ("pendulum", "trapezoidal", 400, 183), ("pendulum", "methodB", 2000, 523),

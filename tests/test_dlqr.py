@@ -9,7 +9,7 @@ import pytest
 
 from rklqr import dlqr, ilqr
 from rklqr.cli import max_node_error, max_stage_error
-from rklqr.errors import BackwardFailure
+from rklqr.errors import BackwardFailure, RolloutDiverged
 from rklqr.problem import LQProblem, example31, spring_oscillator
 from rklqr.tableau import builtin
 
@@ -170,6 +170,15 @@ class TestRiccati:
             warnings.simplefilter("error")
             with pytest.raises(BackwardFailure, match=r"^stage operators or Hessian not finite at step 9, h = 0\.1$"):
                 dlqr.solve(prob, builtin(method), 10)
+
+    def test_closed_loop_overflow_names_the_step(self):
+        # 1e70 with methodB passes the backward, and U = U1 x overflows from step 1 on
+        prob = LQProblem(A=[[1e70]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], M=[[0.0]], x0=[1.0], tf=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RolloutDiverged, match=r"^closed loop not finite at step 1, h = 0\.1$") as exc:
+                dlqr.solve(prob, builtin("methodB"), 10)
+        assert (exc.value.step, exc.value.h) == (1, 0.1)
 
 
 class TestOneStepType:

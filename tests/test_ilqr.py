@@ -379,7 +379,7 @@ class TestSolve:
 
     def test_not_converged_carries_state(self):
         prob = pendulum()
-        with pytest.raises(NotConverged) as exc:
+        with pytest.raises(NotConverged, match=r" after 1 iterations, h = 0\.2$") as exc:
             ilqr.solve(prob, builtin("methodB"), 20, max_iter=1)
         assert exc.value.state is not None and len(exc.value.log) == 1
 
@@ -409,7 +409,7 @@ class TestSolve:
             raise LineSearchFailed("no acceptable step")
 
         monkeypatch.setattr(ilqr, "line_search", no_step)
-        with pytest.raises(LineSearchFailed, match="^no acceptable step$"):
+        with pytest.raises(LineSearchFailed, match=r"^no acceptable step, h = 0\.2$"):
             ilqr.solve(pendulum(), builtin("methodB"), 20)
 
     def test_each_iterate_is_linearized_once(self, monkeypatch):
@@ -837,7 +837,7 @@ def _batched_outcome(prob, state, p):
         return ilqr.node_controls(prob, state, p)
     except NodeControlFailure as exc:
         kind = next(k for k in ("non-finite", "singular", "stalled") if k in str(exc))
-        assert str(exc).endswith(f"at node {exc.index}")
+        assert str(exc).endswith(f"at node {exc.index}, h = {state.h!r}")
         return kind, exc.index
 
 
