@@ -54,6 +54,10 @@ def fit_order(samples) -> float:
 
 COARSEN = 8  # a nonlinear solve at N starts from a solve at N // COARSEN ...
 MIN_COARSE_STEPS = 25  # ... when that has at least this many steps
+# Stopping tolerance of every order-study solve.  It is about 5x the
+# rounding floor of the stage-scaled gradient (about 4e-12 on the pendulum)
+# and about 160x below methodC's pendulum node error at h = 0.02.
+STUDY_TOL = 2e-11
 
 
 def cubic_lagrange(u, h: float, t) -> np.ndarray:
@@ -61,9 +65,12 @@ def cubic_lagrange(u, h: float, t) -> np.ndarray:
 
     u (L+1, m) holds values at the nodes j h, j = 0..L, with L >= 3; each t
     uses the four nodes around it (the first or last four at the ends), so
-    the result is exact for cubics.  Returns (len(t), m).
+    the result is exact for cubics.  Returns (len(t), m).  ValueError for
+    fewer than four nodes.
     """
     u = np.asarray(u, dtype=float)
+    if len(u) < 4:
+        raise ValueError(f"cubic interpolation needs at least 4 nodes, not {len(u)}")
     pos = np.asarray(t, dtype=float) / h
     j = np.clip(np.floor(pos).astype(int) - 1, 0, len(u) - 4)
     r = (pos - j)[:, None]  # position inside the stencil j..j+3
@@ -77,7 +84,7 @@ def _at_stage_times(nodes, h: float, tab: ButcherTableau, tf: float, N: int) -> 
     return cubic_lagrange(nodes, h, times).reshape(N, -1)
 
 
-def solve_problem(prob, tab: ButcherTableau, N: int, tol=1e-8, max_iter=200):
+def solve_problem(prob, tab: ButcherTableau, N: int, tol=1e-8, max_iter=200, start=None):
     """Solve by DLQR (linear) or ILQR (nonlinear); returns (trajectory, info).
 
     A nonlinear solve starts from coarse ones: the ladder N, N // COARSEN,
@@ -88,19 +95,24 @@ def solve_problem(prob, tab: ButcherTableau, N: int, tol=1e-8, max_iter=200):
     the controls as U0, the states as X0, the start of the first rollout's
     Newton sweeps; a rung's node controls come from the costates
     ``ilqr.solve`` returns.  Both starts are passed unnamed, so no name here
-    keeps them alive while the rung runs.  info carries Jd, the iteration count and the ILQR
-    iterate log of the finest solve.  tol and max_iter go through
-    ``ilqr.check_stopping_rule`` for either kind.
+    keeps them alive while the rung runs.  A start trajectory (node controls
+    u and states x at step h, of any tableau; at least four nodes) takes the
+    place of every rung below N with no more steps than it has, and the
+    lowest rung left starts from it; N itself is always solved.  A linear
+    problem is solved directly and reads no start.  info carries Jd, the
+    iteration count and the ILQR iterate log of the finest solve.  tol and
+    max_iter go through ``ilqr.check_stopping_rule`` for either kind.
     """
     ilqr.check_stopping_rule(tol, max_iter)
     dlqr.check_steps(N)
     if isinstance(prob, LQProblem):
         _, _, traj = dlqr.solve(prob, tab, N)
         return traj, {"Jd": traj.Jd, "iterations": 0, "log": []}
+    lowest = MIN_COARSE_STEPS if start is None else max(MIN_COARSE_STEPS, len(start.u))
     ladder = [N]
-    while ladder[-1] // COARSEN >= MIN_COARSE_STEPS:
+    while ladder[-1] // COARSEN >= lowest:
         ladder.append(ladder[-1] // COARSEN)
-    traj = None
+    traj = start
     for level in reversed(ladder):
         state, log, p = ilqr.solve(prob, tab, level, tol=tol, max_iter=max_iter,
                                    U0=None if traj is None else _at_stage_times(traj.u, traj.h, tab, prob.tf, level),
@@ -118,13 +130,15 @@ def step_count(prob, h: float) -> int:
     return N
 
 
-def build_reference(prob, tab: ButcherTableau, h_fine: float):
-    """Fine-grid methodC solve used as truth for problems without a closed form.
+def build_reference(prob, tab: ButcherTableau, h_fine: float, start=None):
+    """Fine-grid solve used as truth for problems without a closed form.
 
-    Returns the lookup from an array t of fine-grid node times to the node
-    controls there, (len(t), m); NeedsReference for a time off the grid.
+    ``solve_problem`` at STUDY_TOL from start (see there), or from its own
+    coarse ladder when start is None.  Returns the lookup from an array t
+    of fine-grid node times to the node controls there, (len(t), m);
+    NeedsReference for a time off the grid.
     """
-    traj, _ = solve_problem(prob, tab, step_count(prob, h_fine))
+    traj, _ = solve_problem(prob, tab, step_count(prob, h_fine), tol=STUDY_TOL, start=start)
 
     def reference(t):
         idx = t / traj.h
@@ -173,7 +187,12 @@ def run_order_study(prob, tab: ButcherTableau, h_grid, target: str,
     target is "node" or "stage:<i>".  The reference maps an array of times to
     controls: the analytic control if known, else a methodC solve 'ref_refine'
     times finer than the smallest h.  Every h must divide tf (``step_count``);
-    the whole grid is checked before anything is solved.
+    the whole grid is checked before anything is solved.  Every solve stops
+    at STUDY_TOL.  The samples are solved coarsest first, each started from
+    the one before (``solve_problem``'s start), and the reference from the
+    finest; a predecessor of fewer than four nodes starts nothing.  An ILQR
+    sample whose error is below 100 STUDY_TOL partly measures the solver,
+    and is reported with a warning.
     """
     h_grid = [float(h) for h in h_grid]
     if not h_grid:
@@ -185,16 +204,23 @@ def run_order_study(prob, tab: ButcherTableau, h_grid, target: str,
         raise ValueError(f"ref_refine {ref_refine!r} must be >= 1")
     stage = _parse_target(target, tab.s)
     steps = [step_count(prob, h) for h in sorted(set(h_grid), reverse=True)]
-    if reference is None:
-        reference = build_reference(prob, builtin("methodC"), min(h_grid) / ref_refine)
-    samples = []
+    trajs, start = [], None
     for N in steps:
-        traj, _ = solve_problem(prob, tab, N)
+        traj, _ = solve_problem(prob, tab, N, tol=STUDY_TOL, start=start)
+        trajs.append(traj)
+        start = traj if len(traj.u) >= 4 else None  # cubic_lagrange needs four nodes
+    if reference is None:
+        reference = build_reference(prob, builtin("methodC"), min(h_grid) / ref_refine, start=start)
+    samples = []
+    for traj in trajs:
         if stage is None:
             err = max_node_error(traj, reference)
         else:
             err = max_stage_error(traj, tab, reference, stage)
-        samples.append((prob.tf / N, err))
+        if err < 100 * STUDY_TOL and not isinstance(prob, LQProblem):
+            print(f"warning: error {err!r} at h = {traj.h!r} is within 100x of the solve tolerance "
+                  f"{STUDY_TOL!r}", file=sys.stderr)
+        samples.append((traj.h, err))
     return OrderStudy(method=tab.name, target=target, samples=samples,
                       fitted_slope=fit_order(samples))
 

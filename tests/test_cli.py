@@ -270,6 +270,28 @@ class TestCoarseStart:
         got = cli.cubic_lagrange(cubic(np.arange(L + 1) * h), h, t)
         np.testing.assert_allclose(got, cubic(t), rtol=0, atol=1e-12 * np.abs(cubic(t)).max())
 
+    def test_cubic_lagrange_needs_four_nodes(self):
+        # three nodes of t would otherwise read 0.3125 at t = 0.5
+        with pytest.raises(ValueError, match="at least 4 nodes, not 3"):
+            cli.cubic_lagrange(np.array([[0.0], [1.0], [2.0]]), 1.0, np.array([0.5]))
+
+    @pytest.mark.parametrize("start_steps, chain", [(200, [250, 2000]), (250, [2000]), (2000, [2000])])
+    def test_start_replaces_the_rungs_it_covers(self, monkeypatch, start_steps, chain):
+        # the ladder of 2000 is 31, 250, 2000; a start of 200 steps replaces
+        # 31, one of 250 replaces 250 too, and one of 2000 still leaves N to solve
+        prob, tab = builtin_problem("pendulum")[0], builtin("methodB")
+        start, _ = cli.solve_problem(prob, builtin("methodC"), start_steps)
+        levels, solve = [], ilqr.solve
+
+        def recording_solve(prob, tab, N, **kwargs):
+            levels.append((N, kwargs["U0"] is None))
+            return solve(prob, tab, N, **kwargs)
+
+        monkeypatch.setattr(ilqr, "solve", recording_solve)
+        traj, _ = cli.solve_problem(prob, tab, 2000, start=start)
+        assert levels == [(n, False) for n in chain]
+        assert ilqr.scaled_residual(tab, traj, ilqr.gradient(prob, tab, traj)) < 1e-8
+
     @pytest.mark.parametrize("N, chain", [
         (199, [(199, 6)]), (200, [(25, 6), (200, 3)]), (2000, [(31, 6), (250, 3), (2000, 2)]),
     ])
@@ -544,6 +566,52 @@ class TestOrderStudyCommand:
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: unknown target {target!r} (use node or stage:<i> with 1 <= i <= 3)\n")
+
+    def _record_starts(self, monkeypatch):
+        starts, solve_problem = [], cli.solve_problem
+
+        def recording(prob, tab, N, **kwargs):
+            start = kwargs.get("start")
+            starts.append((tab.name, N, None if start is None else len(start.u) - 1, kwargs.get("tol")))
+            return solve_problem(prob, tab, N, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_problem", recording)
+        return starts
+
+    def test_study_solves_coarsest_first_each_from_the_one_before(self, monkeypatch):
+        # N = 2 has three nodes, too few for cubic_lagrange, so N = 4 starts
+        # cold; the reference (N = 160) starts from the finest sample
+        starts = self._record_starts(monkeypatch)
+        study = cli.run_order_study(builtin_problem("pendulum")[0], builtin("methodB"), [0.25, 2, 1, 0.5],
+                                    "node", ref_refine=10)
+        assert starts == [("methodB", 2, None, cli.STUDY_TOL), ("methodB", 4, None, cli.STUDY_TOL),
+                          ("methodB", 8, 4, cli.STUDY_TOL), ("methodB", 16, 8, cli.STUDY_TOL),
+                          ("methodC", 160, 16, cli.STUDY_TOL)]
+        assert [h for h, _ in study.samples] == [2.0, 1.0, 0.5, 0.25]
+
+    def test_reference_after_a_sample_of_three_nodes_starts_cold(self, monkeypatch):
+        starts = self._record_starts(monkeypatch)
+        with pytest.raises(NoFit):
+            cli.run_order_study(builtin_problem("pendulum")[0], builtin("methodB"), [4, 2], "node", ref_refine=10)
+        assert [start for _, _, start, _ in starts] == [None, None, None]
+        assert starts[-1][:2] == ("methodC", 20)
+
+    def test_warns_on_errors_near_the_solve_tolerance(self, capsys):
+        # methodC's error at h = 0.01 is about 1.3e-10, 6.5 STUDY_TOL; at 0.02 it is 3.2e-9
+        rc = cli.main(["order-study", "--problem", "pendulum", "--method", "methodC",
+                       "--h-grid", "0.04,0.02,0.01", "--ref-refine", "10"])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(r"warning: error \S+ at h = 0\.01 is within 100x of the solve tolerance 2e-11", err[0])
+
+    def test_direct_solves_do_not_warn(self, capsys):
+        # example31 is linear: methodC's errors at h = 0.02 and 0.01 (8.3e-10,
+        # 5.2e-11) are below 100 STUDY_TOL, but DLQR solves without a tolerance
+        rc = cli.main(["order-study", "--problem", "example31", "--method", "methodC",
+                       "--h-grid", "0.1,0.05,0.02,0.01"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
 
     def test_off_grid_reference_time_exits_2(self, capsys):
         # the reference grid of h = 4 / 1 has no node at 5, the first node of h = 5
