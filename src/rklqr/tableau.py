@@ -3,9 +3,9 @@
 A tableau (a, b, c) discretizes the state; its adjoint partner, the tableau
 (abar, b, cbar) with abar_ij = b_j - b_j a_ji / b_i, propagates the costate
 so that the pair is symplectic.  ``ocp_order`` gives the control order r of
-the pair from Hager's order conditions.  Internal-stage control accuracy,
-which ``stage_orders`` predicts for every stage at once, is governed by how
-far the simplifying conditions
+the pair from the order conditions of its bi-coloured trees (``_trees``).
+Internal-stage control accuracy, which ``stage_orders`` predicts for every
+stage at once, is governed by how far the simplifying conditions
 
     sum_j a_ij    c_j^(l-2) = c_i^(l-1) / (l-1)     (forward,  order q1)
     sum_j abar_ij c_j^(l-2) = c_i^(l-1) / (l-1)     (adjoint,  order q2)
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import AdjointUndefined, NotFound
 COEFF_TOL = 1e-14
 ORDER_COND_TOL = 1e-12
 CC_MATCH_TOL = 1e-12
+MAX_OCP_ORDER = 6  # 601 trees; order 7 would add 2,058
 
 
 def _frozen(arr):
@@ -110,30 +111,54 @@ def adjoint(tab: ButcherTableau) -> ButcherTableau:
     return ButcherTableau(a=abar, b=b, name=f"adjoint({tab.name})")
 
 
-def ocp_order(tab: ButcherTableau) -> int:
-    """The control order of the symplectic pair: the largest r <= 4 whose conditions all hold.
+@cache
+def _trees(p: int) -> tuple:
+    """The bi-coloured rooted trees with p vertices, each the sorted tuple of its root's children.
 
-    The conditions of orders 1..4 are Hager's (Numer. Math. 87, 2000), in a,
-    b, c, d = b a and d_j / b_j = 1 - cbar_j, each within
-    ORDER_COND_TOL (1 + max_j sum_i |b_i a_ij| / b_j): a weight near zero
-    amplifies the rounding of d_j by 1 / b_j in d_j / b_j.  r is capped at 4:
-    order 5 needs the bi-coloured trees of Bonnans and Laurent-Varin (Numer.
-    Math. 103, 2006).  Raises ``adjoint``'s AdjointUndefined unless every b_i > 0.
+    A child is (colour, subtree), colour 0 reading a and 1 reading abar; the
+    root has none, as both tableaus share b.  Each tree grafts one leaf onto
+    a tree with p - 1 vertices; sorted children make equal trees equal tuples.
     """
-    a, b, c = tab.a, tab.b, tab.c
-    e = 1 - adjoint(tab).c
-    tol = ORDER_COND_TOL * (1 + (b @ np.abs(a) / b).max())  # b > 0, or adjoint raised
-    d, bc = b @ a, b * c
-    residuals = (
-        (b.sum() - 1,), (d.sum() - 1 / 2,),
-        (c @ d - 1 / 6, b @ c**2 - 1 / 3, d @ e - 1 / 3),
-        (b @ c**3 - 1 / 4, bc @ a @ c - 1 / 8, d @ c**2 - 1 / 12, d @ a @ c - 1 / 24,
-         c @ (d * e) - 1 / 12, d @ e**2 - 1 / 4, bc @ a @ e - 5 / 24, d @ a @ e - 1 / 8),
-    )
-    for r, group in enumerate(residuals):
-        if np.abs(group).max() > tol:
-            return r
-    return len(residuals)
+    if p == 1:
+        return ((),)
+
+    def grafts(tree):
+        for colour in (0, 1):
+            yield tuple(sorted(tree + ((colour, ()),)))
+        for i, (colour, sub) in enumerate(tree):
+            for grown in grafts(sub):
+                yield tuple(sorted(tree[:i] + ((colour, grown),) + tree[i + 1:]))
+
+    return tuple(sorted({grown for tree in _trees(p - 1) for grown in grafts(tree)}))
+
+
+def ocp_order(tab: ButcherTableau) -> int:
+    """The control order of the symplectic pair: the largest r <= MAX_OCP_ORDER whose conditions all hold.
+
+    The pair (a, b; abar, b) is the direct discretization (Hager, Numer. Math.
+    87, 2000); its order-r conditions are sum_i b_i Phi_i(t) = 1 / gamma(t)
+    for the bi-coloured trees t of at most r vertices (Bonnans and
+    Laurent-Varin, Numer. Math. 103, 2006), each within ORDER_COND_TOL
+    (1 + max_j sum_i |b_i a_ij| / b_j), as abar_jk amplifies rounding by
+    1 / b_j.  Raises ``adjoint``'s AdjointUndefined unless every b_i > 0.
+    """
+    b, coeffs = tab.b, (tab.a, adjoint(tab).a)
+    tol = ORDER_COND_TOL * (1 + (b @ np.abs(tab.a) / b).max())  # b > 0, or adjoint raised
+
+    @cache
+    def weight(tree):
+        """Phi(tree) over the stages, the number of vertices, and gamma(tree)."""
+        phi, size, gamma = np.ones_like(b), 1, 1
+        for colour, sub in tree:
+            sub_phi, sub_size, sub_gamma = weight(sub)
+            phi = phi * (coeffs[colour] @ sub_phi)
+            size, gamma = size + sub_size, gamma * sub_gamma
+        return phi, size, gamma * size
+
+    for p in range(1, MAX_OCP_ORDER + 1):
+        if any(abs(b @ phi - 1 / gamma) > tol for phi, _, gamma in map(weight, _trees(p))):
+            return p - 1
+    return MAX_OCP_ORDER
 
 
 def _largest_condition_order(coeffs_row, c, ci, r):

@@ -1,6 +1,10 @@
 """Tableau construction, adjoint pairs, and internal-stage order conditions."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +12,12 @@ from explicit3_family import DegenerateFamily, explicit3_family
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rklqr
 from rklqr.errors import AdjointUndefined, NotFound
 from rklqr.tableau import (
+    ORDER_COND_TOL,
     ButcherTableau,
+    _trees,
     adjoint,
     builtin,
     load_tableau,
@@ -225,6 +232,28 @@ def _classical_residuals(tab):
                      b @ a @ a @ c - 1 / 24])
 
 
+def _hager_order(tab):
+    """The control order up to 4 from Hager's conditions (Numer. Math. 87, 2000), one residual each.
+
+    In a, b, c, d = b a and e = 1 - cbar, within ocp_order's tolerance: the
+    hand-written reference the tree rule of ``ocp_order`` is checked against.
+    """
+    a, b, c = tab.a, tab.b, tab.c
+    e = 1 - adjoint(tab).c
+    tol = ORDER_COND_TOL * (1 + (b @ np.abs(a) / b).max())
+    d, bc = b @ a, b * c
+    residuals = (
+        (b.sum() - 1,), (d.sum() - 1 / 2,),
+        (c @ d - 1 / 6, b @ c**2 - 1 / 3, d @ e - 1 / 3),
+        (b @ c**3 - 1 / 4, bc @ a @ c - 1 / 8, d @ c**2 - 1 / 12, d @ a @ c - 1 / 24,
+         c @ (d * e) - 1 / 12, d @ e**2 - 1 / 4, bc @ a @ e - 5 / 24, d @ a @ e - 1 / 8),
+    )
+    for r, group in enumerate(residuals):
+        if np.abs(group).max() > tol:
+            return r
+    return len(residuals)
+
+
 # draws keep 0.05 away from the family's poles, where the coefficients blow up,
 # and every |b_i| above 1e-3: the families reach b_i = ±0 (Kutta's at v = 1/2)
 # and b_i of rounding size (the classical-3 one at u = 1/3, v = 1), where the
@@ -247,6 +276,17 @@ class TestOcpOrder:
         with pytest.raises(AdjointUndefined, match=f"^{re.escape(str(from_adjoint.value))}$"):
             ocp_order(tab)
 
+    def test_tree_counts(self):
+        # rooted trees whose non-root vertices take one of two colours (OEIS A000151)
+        assert [len(_trees(p)) for p in range(1, 7)] == [1, 2, 7, 26, 107, 458]
+
+    def test_no_tree_is_built_at_import(self):
+        src = str(Path(rklqr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import rklqr, rklqr.cli; print(rklqr.tableau._trees.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert (out.returncode, out.stdout) == (0, "0\n"), out.stderr
+
     def test_classical_order_is_not_control_order(self):
         # Ralston's third-order method satisfies every classical order-3
         # condition but not sum_j d_j^2 / b_j = 1/3
@@ -257,7 +297,8 @@ class TestOcpOrder:
     @given(st.floats(0.34, 0.66))
     @settings(max_examples=40, deadline=None)
     def test_explicit3_family_is_third_order(self, c2):
-        assert ocp_order(explicit3_family(c2)) == 3
+        tab = explicit3_family(c2)
+        assert ocp_order(tab) == 3 == _hager_order(tab)
 
     @pytest.mark.parametrize("c2", [0.3, 0.8])
     def test_explicit3_family_negative_weight_raises(self, c2):
@@ -275,7 +316,7 @@ class TestOcpOrder:
             with pytest.raises(AdjointUndefined):
                 ocp_order(tab)
             return
-        assert ocp_order(tab) == 4
+        assert ocp_order(tab) == 4 == _hager_order(tab)
         # order 4 at the nodes, but some internal stage is predicted lower
         assert min(rep.predicted_order for rep in stage_orders(tab)) < 4
 
@@ -297,7 +338,7 @@ class TestOcpOrder:
             with pytest.raises(AdjointUndefined):
                 ocp_order(tab)
             return
-        assert ocp_order(tab) <= 3
+        assert ocp_order(tab) == _hager_order(tab) <= 3
         assert min(rep.predicted_order for rep in stage_orders(tab)) < 3
 
 
