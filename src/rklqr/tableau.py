@@ -10,7 +10,7 @@ stage at once, is governed by how far the simplifying conditions
     sum_j a_ij    c_j^(l-2) = c_i^(l-1) / (l-1)     (forward,  order q1)
     sum_j abar_ij c_j^(l-2) = c_i^(l-1) / (l-1)     (adjoint,  order q2)
 
-hold, together with the abscissa match c_i == cbar_i.
+hold.  The adjoint's l = 2 condition is the abscissa match c_i == cbar_i.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import AdjointUndefined, NotFound
 
 COEFF_TOL = 1e-14
 ORDER_COND_TOL = 1e-12
-CC_MATCH_TOL = 1e-12
 MAX_OCP_ORDER = 6  # 601 trees; order 7 would add 2,058
 
 
@@ -88,13 +87,16 @@ class ButcherTableau:
 
 @dataclass(frozen=True)
 class StageOrderReport:
-    """Order diagnosis for one internal stage (1-based index)."""
+    """Order diagnosis for one internal stage (1-based index); ``c_match``, c_i == cbar_i, is q2 >= 2."""
 
     stage: int
     q1: int
     q2: int
-    c_match: bool
     predicted_order: int
+
+    @property
+    def c_match(self) -> bool:
+        return self.q2 >= 2
 
 
 def adjoint(tab: ButcherTableau) -> ButcherTableau:
@@ -132,18 +134,22 @@ def _trees(p: int) -> tuple:
     return tuple(sorted({grown for tree in _trees(p - 1) for grown in grafts(tree)}))
 
 
+def _row_tol(tab: ButcherTableau) -> np.ndarray:
+    """ORDER_COND_TOL for the rows of a; for row i of abar, (1 + sum_j b_j |a_ji| / b_i) times it."""
+    return ORDER_COND_TOL * np.stack([np.ones_like(tab.b), 1 + tab.b @ np.abs(tab.a) / tab.b])
+
+
 def ocp_order(tab: ButcherTableau) -> int:
     """The control order of the symplectic pair: the largest r <= MAX_OCP_ORDER whose conditions all hold.
 
     The pair (a, b; abar, b) is the direct discretization (Hager, Numer. Math.
     87, 2000); its order-r conditions are sum_i b_i Phi_i(t) = 1 / gamma(t)
     for the bi-coloured trees t of at most r vertices (Bonnans and
-    Laurent-Varin, Numer. Math. 103, 2006), each within ORDER_COND_TOL
-    (1 + max_j sum_i |b_i a_ij| / b_j), as abar_jk amplifies rounding by
-    1 / b_j.  Raises ``adjoint``'s AdjointUndefined unless every b_i > 0.
+    Laurent-Varin, Numer. Math. 103, 2006), each within the largest
+    ``_row_tol``, as abar_jk amplifies rounding by 1 / b_j.  Raises
+    ``adjoint``'s AdjointUndefined unless every b_i > 0.
     """
-    b, coeffs = tab.b, (tab.a, adjoint(tab).a)
-    tol = ORDER_COND_TOL * (1 + (b @ np.abs(tab.a) / b).max())  # b > 0, or adjoint raised
+    b, coeffs, tol = tab.b, (tab.a, adjoint(tab).a), _row_tol(tab).max()  # b > 0, or adjoint raised
 
     @cache
     def weight(tree):
@@ -161,38 +167,20 @@ def ocp_order(tab: ButcherTableau) -> int:
     return MAX_OCP_ORDER
 
 
-def _largest_condition_order(coeffs_row, c, ci, r):
-    """Largest l with sum_j row_j c_j^(l-2) == c_i^(l-1)/(l-1) for all 2..l.
-
-    Scans l = 2 .. max(2, r); returns 1 if even l = 2 fails.  Powers follow
-    the 0**0 == 1 convention so l = 2 reduces to the row-sum identity.
-    """
-    q = 1
-    for ell in range(2, max(2, r) + 1):
-        lhs = float(coeffs_row @ c ** (ell - 2))
-        rhs = ci ** (ell - 1) / (ell - 1)
-        if abs(lhs - rhs) > ORDER_COND_TOL:
-            break
-        q = ell
-    return q
-
-
 def stage_orders(tab: ButcherTableau) -> list:
     """Predict the convergence order of every internal-stage control, stages 1..s.
 
-    With r = ``ocp_order(tab)``, the prediction for stage i is 1 when
-    c_i != cbar_i and min(q1, q2) capped at r otherwise.
+    With r = ``ocp_order(tab)``, stage i is predicted min(q1, q2, r): q1 and q2 are the largest l <= max(2, r)
+    (1 if none) for which its conditions of a and of abar hold for 2..l, each within its row's ``_row_tol``.
     """
     r = ocp_order(tab)
-    adj = adjoint(tab)
-    reports = []
-    for row, ci in enumerate(tab.c):
-        q1 = _largest_condition_order(tab.a[row], tab.c, ci, r)
-        q2 = _largest_condition_order(adj.a[row], tab.c, ci, r)
-        c_match = bool(abs(ci - adj.c[row]) <= CC_MATCH_TOL)
-        reports.append(StageOrderReport(stage=row + 1, q1=q1, q2=q2, c_match=c_match,
-                                        predicted_order=min(q1, q2, r) if c_match else 1))
-    return reports
+    c, coeffs, tol = tab.c, np.stack([tab.a, adjoint(tab).a]), _row_tol(tab)
+    q = np.ones((2, tab.s), dtype=int)
+    for ell in range(2, max(2, r) + 1):  # 0**0 == 1: l = 2 is the row-sum identity
+        q += (q == ell - 1) & (np.abs(coeffs @ c ** (ell - 2) - c ** (ell - 1) / (ell - 1)) <= tol)
+        if (q < ell).all():
+            break
+    return [StageOrderReport(i + 1, q1, q2, min(q1, q2, r)) for i, (q1, q2) in enumerate(q.T.tolist())]
 
 
 def builtin(name: str) -> ButcherTableau:

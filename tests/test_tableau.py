@@ -180,6 +180,19 @@ class TestStageOrders:
         rep = stage_orders(builtin("methodA"))[1]
         assert rep.stage == 2 and (rep.q1, rep.q2, rep.predicted_order) == (2, 2, 2)
 
+    def test_order_stops_at_first_failed_condition(self):
+        # stage 4 of Kutta's 3/8 rule misses its l = 3 condition of a but meets l = 4
+        rep = stage_orders(_kutta4(1 / 3, 2 / 3))[3]
+        assert (rep.q1, rep.q2, rep.predicted_order) == (2, 4, 2)
+
+    @pytest.mark.parametrize("v", [0.500001, 0.50001])
+    def test_near_zero_weight_matches_abscissae(self, v):
+        # b_2 = 3.8e-6 and 3.8e-5: cbar = c exactly, but abar's row 2 carries
+        # rounding amplified by 1 / b_2, 5.2e-11 at v = 0.500001
+        reports = stage_orders(_kutta4(0.1408, v))
+        assert all(rep.c_match for rep in reports)
+        assert [rep.predicted_order for rep in reports] == [2, 2, 2, 2]
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_permutation_consistency(self, seed):
@@ -318,7 +331,9 @@ class TestOcpOrder:
             return
         assert ocp_order(tab) == 4 == _hager_order(tab)
         # order 4 at the nodes, but some internal stage is predicted lower
-        assert min(rep.predicted_order for rep in stage_orders(tab)) < 4
+        reports = stage_orders(tab)
+        assert min(rep.predicted_order for rep in reports) < 4
+        assert all(rep.c_match == (rep.q2 >= 2) for rep in reports)
 
     def test_near_zero_weight_reads_full_order(self):
         # b_2 = 3.8e-6: e_2 = d_2 / b_2 amplifies the rounding of d_2, and two
@@ -326,6 +341,20 @@ class TestOcpOrder:
         tab = _kutta4(0.1408, 0.5000010)
         assert 0 < tab.b.min() < 1e-5
         assert ocp_order(tab) == 4
+
+    @given(_NODE, st.floats(-7, -3), st.sampled_from([-1, 1]))
+    @settings(max_examples=150, deadline=None)
+    def test_kutta_family_near_zero_weight_predicts_like_v_away(self, u, exponent, sign):
+        # v = 1/2 +- 10^exponent gives b_2 of the same size, which abar's
+        # rounding is scaled by; below 1e-7 the forward conditions of stage 4
+        # truly hold to 1e-12, so the member is no longer like v = 1/2 +- 0.02
+        near, far = 0.5 + sign * 10.0**exponent, 0.5 + sign * 0.02
+        assume(all(_away(u - v, u - 0.5, 6 * u * v - 4 * (u + v) + 3) for v in (near, far)))
+        tab, ref = _kutta4(u, near), _kutta4(u, far)
+        assume(min(tab.b.min(), ref.b.min()) > 0)
+        reports = stage_orders(tab)
+        assert [rep.predicted_order for rep in reports] == [rep.predicted_order for rep in stage_orders(ref)]
+        assert all(rep.c_match == (rep.q2 >= 2) for rep in reports)
 
     @given(_NODE, st.floats(0.1, 1.0))
     @settings(max_examples=150, deadline=None)
@@ -339,7 +368,9 @@ class TestOcpOrder:
                 ocp_order(tab)
             return
         assert ocp_order(tab) == _hager_order(tab) <= 3
-        assert min(rep.predicted_order for rep in stage_orders(tab)) < 3
+        reports = stage_orders(tab)
+        assert min(rep.predicted_order for rep in reports) < 3
+        assert all(rep.c_match == (rep.q2 >= 2) for rep in reports)
 
 
 def _c_match(tab):
@@ -388,6 +419,7 @@ class TestExplicit3Family:
         tab = explicit3_family(c2)
         assert abs(tab.b.sum() - 1.0) < 1e-13
         assert all(_c_match(tab))
+        assert all(rep.c_match == (rep.q2 >= 2) for rep in stage_orders(tab))
 
     @given(st.floats(0.05, 0.95))
     @settings(max_examples=60, deadline=None)
