@@ -84,7 +84,8 @@ def _at_stage_times(nodes, h: float, tab: ButcherTableau, tf: float, N: int) -> 
     return cubic_lagrange(nodes, h, times).reshape(N, -1)
 
 
-def solve_problem(prob, tab: ButcherTableau, N: int, tol=1e-8, max_iter=200, start=None):
+def solve_problem(prob, tab: ButcherTableau, N: int, tol=ilqr.DEFAULT_TOL, max_iter=ilqr.DEFAULT_MAX_ITER,
+                  start=None):
     """Solve by DLQR (linear) or ILQR (nonlinear); returns (trajectory, info).
 
     A nonlinear solve starts from coarse ones: the ladder N, N // COARSEN,
@@ -359,7 +360,8 @@ def cmd_gradcheck(args) -> int:
     tab = _resolve("method", args.method)
     rng = np.random.default_rng(args.seed)
     U = rng.standard_normal((args.steps, tab.s * prob.m))
-    ge = oracle.grad_exact(prob, tab, args.steps, U).ravel()
+    # the adjoint gradient that ilqr.solve stops on
+    ge = ilqr.gradient(prob, tab, ilqr.rollout(prob, tab, args.steps, U)).ravel()
     gf = oracle.grad_fd(prob, tab, args.steps, U).ravel()
     diff = np.abs(ge - gf)
     worst = int(np.argmax(diff))
@@ -384,8 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True, help="number of RK steps N")
     p.add_argument("--out", help="trajectory CSV path")
     p.add_argument("--log", help="iterate log CSV path (header only for a solve without iterations)")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--tol", type=float, default=ilqr.DEFAULT_TOL,
+                   help="stopping tolerance of the stage-scaled gradient (default %(default)s)")
+    p.add_argument("--max-iter", type=int, default=ilqr.DEFAULT_MAX_ITER, help="iteration limit (default %(default)s)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("order-study", help="empirical convergence order of a control error")
@@ -401,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True)
     p.set_defaults(func=cmd_tableau)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of the exact gradient")
+    p = sub.add_parser("gradcheck", help="finite-difference check of ILQR's adjoint gradient")
     common(p)
     p.add_argument("--steps", type=int, required=True, help="number of RK steps N")
     p.add_argument("--seed", type=int, default=0)

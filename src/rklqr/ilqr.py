@@ -28,6 +28,9 @@ from .dlqr import (AffineBackwardPass, IterateState, Linearization, affine_scan,
 from .dlqr import riccati_backward as backward  # the feedback minimizing the quasi-Newton model
 from .errors import LineSearchFailed, NodeControlFailure, NotConverged, RolloutDiverged, StepTooLarge
 
+# solve's stopping rule when the caller names none; cli.solve_problem and `rklqr solve` default to it too
+DEFAULT_TOL = 1e-8
+DEFAULT_MAX_ITER = 200
 ROLLOUT_TOL = 1e-12
 ROLLOUT_MAXIT = 12  # sweeps a step may stay the first one unsettled
 NEWTON_TOL = 1e-12
@@ -237,7 +240,7 @@ def check_stopping_rule(tol, max_iter):
         raise ValueError(f"max_iter must be an int >= 1, not {max_iter!r}")
 
 
-def solve(prob, tab, N: int, U0=None, tol=1e-8, max_iter=200, X0=None):
+def solve(prob, tab, N: int, U0=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, X0=None):
     """Run the full iteration from U0 (default all zeros) on one grid.
 
     The first rollout's Newton sweeps start from the stage states X0

@@ -1,0 +1,77 @@
+"""Tableaus, LQ problems and the zero expansion point that several checks share, each defined once.
+
+A test helper, not library code. The CI console step writes each of ``SPECS``
+to the file its name gives, by ``write_spec``, so the command line runs on the
+data the tests use.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+
+from rklqr.problem import LQProblem
+from rklqr.tableau import ButcherTableau
+
+_R3, _R6, _R15 = np.sqrt(3.0), np.sqrt(6.0), np.sqrt(15.0)
+
+# 2-stage Gauss-Legendre: both rows implicit, a full 2n x 2n coupling; classical and control order 4
+GAUSS2 = ButcherTableau(a=[[1 / 4, 1 / 4 - _R3 / 6], [1 / 4 + _R3 / 6, 1 / 4]], b=[1 / 2, 1 / 2], name="gauss2")
+# 3-stage Radau IIA: every row implicit, a full 3n x 3n coupling; control order 5
+RADAU2A3 = ButcherTableau(a=[[(88 - 7 * _R6) / 360, (296 - 169 * _R6) / 1800, (-2 + 3 * _R6) / 225],
+                             [(296 + 169 * _R6) / 1800, (88 + 7 * _R6) / 360, (-2 - 3 * _R6) / 225],
+                             [(16 - _R6) / 36, (16 + _R6) / 36, 1 / 9]],
+                          b=[(16 - _R6) / 36, (16 + _R6) / 36, 1 / 9], name="radau2a3")
+# 3-stage Gauss-Legendre: control order 6
+GAUSS3 = ButcherTableau(a=[[5 / 36, 2 / 9 - _R15 / 15, 5 / 36 - _R15 / 30],
+                           [5 / 36 + _R15 / 24, 2 / 9, 5 / 36 - _R15 / 24],
+                           [5 / 36 + _R15 / 30, 2 / 9 + _R15 / 15, 5 / 36]],
+                        b=[5 / 18, 4 / 9, 5 / 18], name="gauss3")
+# Ralston's third-order method: classical order 3, control order 2
+RALSTON3 = ButcherTableau(a=[[0, 0, 0], [0.5, 0, 0], [0, 0.75, 0]], b=[2 / 9, 1 / 3, 4 / 9], name="ralston3")
+# the explicit midpoint rule weights stage 1 by 0, so every stage Hessian is singular
+MIDPOINT = ButcherTableau(a=[[0, 0], [0.5, 0]], b=[0, 1], name="midpoint")
+
+# Q - S R^-1 S' < 0 makes every Kc indefinite, so the Riccati scan cannot run
+INDEFINITE = LQProblem(A=[[2.133]], B=[[2.076]], Q=[[2.878]], S=[[-2.897]], R=[[0.245]], M=[[1.0]],
+                       x0=[0.956], tf=1.5, name="indefinite")
+# A = 1e300 overflows the backward's stage products
+OVERFLOW = LQProblem(A=[[1e300]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], M=[[0.0]], x0=[1.0], tf=1.0, name="overflow")
+# A = 1e70: methodB's backward passes and its closed loop overflows from step 1, methodC's per-step loop overflows
+CLOSED_LOOP = dataclasses.replace(OVERFLOW, A=[[1e70]], name="closed_loop")
+
+
+def two_springs(S=None):
+    """Two unit masses coupled by three unit springs, the first one driven: n = 4, m = 1.
+
+    ``S`` adds a cross term to its cost.
+    """
+    A = np.zeros((4, 4))
+    A[:2, 2:] = np.eye(2)
+    A[2:, :2] = [[-2.0, 1.0], [1.0, -2.0]]
+    return LQProblem(A=A, B=[[0.0], [0.0], [1.0], [0.0]], Q=np.eye(4), R=[[3.0]], M=10.0 * np.eye(4),
+                     x0=[1.0, 0.0, 1.0, 0.0], tf=40.0, S=S, name="springs2")
+
+
+SPECS = (GAUSS2, RADAU2A3, GAUSS3, RALSTON3, MIDPOINT, INDEFINITE, OVERFLOW, CLOSED_LOOP, two_springs())
+
+
+def zero_point(prob, tab, N):
+    """Stage controls U, stage states X and last node state x_N of the zero trajectory, DLQR's expansion point."""
+    return np.zeros((N, tab.s * prob.m)), np.zeros((N, tab.s * prob.n)), np.zeros(prob.n)
+
+
+def write_spec(obj, path):
+    """Write a ButcherTableau or LQProblem to ``path`` as the JSON spec that ``tableau.read_spec`` reads.
+
+    Arrays go flat and row-major, and ``json`` writes each float by ``repr``,
+    so ``load_tableau`` or ``load_problem`` reads back the same doubles.
+    """
+    if isinstance(obj, ButcherTableau):
+        fields = {"s": obj.s, "a": obj.a, "b": obj.b}
+    else:
+        fields = {"kind": "lq", "n": obj.n, "m": obj.m,
+                  **{key: getattr(obj, key) for key in ("A", "B", "Q", "S", "R", "M", "x0")}, "tf": obj.tf}
+    spec = {key: value.ravel().tolist() if isinstance(value, np.ndarray) else value for key, value in fields.items()}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({**spec, "name": obj.name}, fh)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from curve_demo import scalar_curve_demo
 from explicit3_family import explicit3_family
+from fixtures import GAUSS2, GAUSS3, RADAU2A3, RALSTON3
 from scipy.integrate import solve_ivp
 import scipy.linalg
 from scipy.optimize import minimize
@@ -244,8 +245,6 @@ def test_criterion_12_pendulum_node_orders():
     _pass("criterion 12: pendulum node orders " + ", ".join(f"{k} {v:.2f}" for k, v in slopes.items()))
 
 
-_S3, _S6, _S15 = np.sqrt(3.0), np.sqrt(6.0), np.sqrt(15.0)
-RALSTON3 = ButcherTableau(a=[[0, 0, 0], [0.5, 0, 0], [0, 0.75, 0]], b=[2 / 9, 1 / 3, 4 / 9], name="ralston3")
 # control order r from the bi-coloured trees; classical order in the comment where it differs
 OCP_ORDERS = [
     (builtin("euler"), 1),
@@ -255,16 +254,9 @@ OCP_ORDERS = [
     (builtin("trapezoidal"), 2),
     (ButcherTableau(a=[[0, 0, 0, 0], [1 / 3, 0, 0, 0], [-1 / 3, 1, 0, 0], [1, -1, 1, 0]],
                     b=[1 / 8, 3 / 8, 3 / 8, 1 / 8], name="kutta38"), 4),
-    (ButcherTableau(a=[[1 / 4, 1 / 4 - _S3 / 6], [1 / 4 + _S3 / 6, 1 / 4]], b=[1 / 2, 1 / 2],
-                    name="gauss2"), 4),  # classical 4
-    (ButcherTableau(a=[[(88 - 7 * _S6) / 360, (296 - 169 * _S6) / 1800, (-2 + 3 * _S6) / 225],
-                       [(296 + 169 * _S6) / 1800, (88 + 7 * _S6) / 360, (-2 - 3 * _S6) / 225],
-                       [(16 - _S6) / 36, (16 + _S6) / 36, 1 / 9]],
-                    b=[(16 - _S6) / 36, (16 + _S6) / 36, 1 / 9], name="radau2a3"), 5),
-    (ButcherTableau(a=[[5 / 36, 2 / 9 - _S15 / 15, 5 / 36 - _S15 / 30],
-                       [5 / 36 + _S15 / 24, 2 / 9, 5 / 36 - _S15 / 24],
-                       [5 / 36 + _S15 / 30, 2 / 9 + _S15 / 15, 5 / 36]],
-                    b=[5 / 18, 4 / 9, 5 / 18], name="gauss3"), 6),
+    (GAUSS2, 4),  # classical 4
+    (RADAU2A3, 5),
+    (GAUSS3, 6),
     (RALSTON3, 2),  # classical 3
     (explicit3_family(0.45), 3),
 ]

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from fixtures import CLOSED_LOOP, MIDPOINT, OVERFLOW, RALSTON3, write_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -225,7 +226,7 @@ class TestSolveCommand:
         # singular; the 200-step solve fails in its 25-step coarse start, at a
         # step that rounding picks, since every K is singular in exact arithmetic
         spec = tmp_path / "midpoint.json"
-        spec.write_text('{"s": 2, "a": [0, 0, 0.5, 0], "b": [0, 1], "name": "midpoint"}')
+        write_spec(MIDPOINT, spec)
         rc = cli.main(["solve", "--problem", "pendulum", "--method", str(spec), "--steps", "200"])
         assert rc == 1
         err = re.fullmatch(r"solver failure: stage Hessian not positive definite at step (\d+), h = 0\.16\n",
@@ -234,8 +235,7 @@ class TestSolveCommand:
 
     def test_overflow_exits_1(self, tmp_path, capsys):
         spec = tmp_path / "big.json"
-        spec.write_text('{"kind": "lq", "n": 1, "m": 1, "A": [1e300], "B": [1], "Q": [1], "R": [1], '
-                        '"M": [0], "x0": [1], "tf": 1}')
+        write_spec(OVERFLOW, spec)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = cli.main(["solve", "--problem", str(spec), "--method", "methodB", "--steps", "10"])
@@ -246,8 +246,7 @@ class TestSolveCommand:
     def test_closed_loop_overflow_exits_1(self, tmp_path, capsys):
         # the backward passes, and the feedback overflows the trajectory from step 1
         spec, out = tmp_path / "big.json", tmp_path / "traj.csv"
-        spec.write_text('{"kind": "lq", "n": 1, "m": 1, "A": [1e70], "B": [1], "Q": [1], "R": [1], '
-                        '"M": [0], "x0": [1], "tf": 1}')
+        write_spec(CLOSED_LOOP, spec)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = cli.main(["solve", "--problem", str(spec), "--method", "methodB", "--steps", "10",
@@ -524,8 +523,7 @@ class TestOrderStudyCommand:
     def test_node_study_on_file_problem(self, tmp_path):
         spec = tmp_path / "prob.json"
         # example31 as a spec: no analytic reference, so the study solves one
-        spec.write_text('{"kind": "lq", "n": 1, "m": 1, "A": [0], "B": [1], "Q": [1], "S": [0.5], "R": [1], '
-                        '"M": [0], "x0": [1], "tf": 1}')
+        write_spec(builtin_problem("example31")[0], spec)
         rc = cli.main(["order-study", "--problem", str(spec), "--method", "methodA",
                        "--h-grid", "0.1,0.05,0.025"])
         assert rc == 0
@@ -645,6 +643,9 @@ class TestMaxError:
             stage = max(error(traj.U[k].reshape(tab.s, -1)[i - 1], (k + tab.c[i - 1]) * traj.h)
                         for k in range(50))
             assert cli.max_stage_error(traj, tab, reference, i) == stage
+        for i in (0, tab.s + 1):
+            with pytest.raises(ValueError, match=rf"^stage {i} out of range 1\.\.4$"):
+                cli.max_stage_error(traj, tab, reference, i)
 
 
 def _predicted_orders(report: str):
@@ -661,6 +662,11 @@ def test_module_entry_point_emits_no_runtime_warning():
                          capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0 and "method methodB" in out.stdout
     assert "RuntimeWarning" not in out.stderr
+    # the package loads it on first use, as the bench reads rklqr.cli right after import rklqr
+    code = ("import sys, rklqr; "
+            "print('rklqr.cli' in sys.modules, rklqr.cli.solve_problem.__name__, hasattr(rklqr, 'nosuch'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "False solve_problem False\n"), out.stderr
 
 
 class TestTableauCommand:
@@ -689,9 +695,7 @@ class TestTableauCommand:
         # Ralston's third-order method: classical order 3, control order 2,
         # and c_i != cbar_i at every stage
         spec = tmp_path / "tab.json"
-        spec.write_text('{"s": 3, "a": [0, 0, 0, 0.5, 0, 0, 0, 0.75, 0], '
-                        '"b": [0.2222222222222222, 0.3333333333333333, 0.4444444444444444], '
-                        '"name": "ralston3"}')
+        write_spec(RALSTON3, spec)
         rc = cli.main(["tableau", "--method", str(spec)])
         assert rc == 0
         outp = capsys.readouterr().out
@@ -711,6 +715,14 @@ class TestGradcheckCommand:
                        "--steps", "1", "--seed", "7"])
         assert rc == 0
         assert "of 3)" in capsys.readouterr().out  # s*m components at N = 1
+
+    def test_fails_on_a_shifted_adjoint_gradient(self, monkeypatch, capsys):
+        # the command checks ilqr.gradient, the gradient ilqr.solve stops on
+        monkeypatch.setattr(ilqr, "gradient", lambda *args, gradient=ilqr.gradient: gradient(*args) + 1e-3)
+        rc = cli.main(["gradcheck", "--problem", "pendulum", "--method", "euler",
+                       "--steps", "3", "--seed", "42"])
+        assert rc == 1
+        assert "FAIL" in capsys.readouterr().out
 
     def test_linear_problem_passes(self, capsys):
         # the oracle reads LQ dynamics through f and stage_jacobians too

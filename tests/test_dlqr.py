@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from fixtures import CLOSED_LOOP, OVERFLOW, zero_point
 
 from rklqr import dlqr, ilqr
 from rklqr.cli import max_node_error, max_stage_error
@@ -14,11 +15,6 @@ from rklqr.problem import LQProblem, example31, spring_oscillator
 from rklqr.tableau import builtin
 
 U_STAR_0 = -0.9136709340400074
-
-
-def _zero_point(prob, tab, N):
-    """Stage controls U, stage states X and last node state x_N of the zero trajectory, DLQR's expansion point."""
-    return np.zeros((N, tab.s * prob.m)), np.zeros((N, tab.s * prob.n)), np.zeros(prob.n)
 
 
 class TestAssemble:
@@ -94,7 +90,7 @@ class TestRiccati:
             R=[[3.0]], M=np.zeros((2, 2)), x0=[1.0, 1.0], tf=4.0,
         )
         tab = builtin("methodB")
-        bp = dlqr.riccati_backward(prob, tab, dlqr.assemble(prob, tab, 10), *_zero_point(prob, tab, 10))
+        bp = dlqr.riccati_backward(prob, tab, dlqr.assemble(prob, tab, 10), *zero_point(prob, tab, 10))
         for k in range(10):
             np.testing.assert_allclose(bp.U1[k], 0.0, atol=0)
             np.testing.assert_allclose(bp.M[k], 0.0, atol=0)
@@ -105,7 +101,7 @@ class TestRiccati:
         prob = spring_oscillator()
         tab = builtin(name)
         steps = dlqr.assemble(prob, tab, 1)
-        bp = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, 1))
+        bp = dlqr.riccati_backward(prob, tab, steps, *zero_point(prob, tab, 1))
         E, F, G, H = steps.E[0], steps.F[0], steps.G[0], steps.H[0]
         Qh, Rh, _ = dlqr.stage_cost_blocks(prob, tab.b, prob.tf)
         K = F.T @ Qh @ F + Rh + H.T @ prob.M @ H
@@ -159,25 +155,24 @@ class TestRiccati:
         prob, _ = example31()
         steps = dlqr.assemble(prob, bad, 4)
         with pytest.raises(BackwardFailure):
-            dlqr.riccati_backward(prob, bad, steps, *_zero_point(prob, bad, 4))
+            dlqr.riccati_backward(prob, bad, steps, *zero_point(prob, bad, 4))
 
-    @pytest.mark.parametrize("a, method", [(1e300, "methodB"), (1e70, "methodC")])
-    def test_overflow_is_named_as_such(self, a, method):
-        # 1e300 overflows the stage products, which the scan would read;
-        # 1e70 overflows E'QhE in the per-step loop, whose K is finite but indefinite
-        prob = LQProblem(A=[[a]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], M=[[0.0]], x0=[1.0], tf=1.0)
+    @pytest.mark.parametrize("prob, method", [(OVERFLOW, "methodB"), (CLOSED_LOOP, "methodC")],
+                             ids=["1e+300-methodB", "1e+70-methodC"])
+    def test_overflow_is_named_as_such(self, prob, method):
+        # A = 1e300 overflows the stage products, which the scan would read;
+        # A = 1e70 overflows E'QhE in the per-step loop, whose K is finite but indefinite
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BackwardFailure, match=r"^stage operators or Hessian not finite at step 9, h = 0\.1$"):
                 dlqr.solve(prob, builtin(method), 10)
 
     def test_closed_loop_overflow_names_the_step(self):
-        # 1e70 with methodB passes the backward, and U = U1 x overflows from step 1 on
-        prob = LQProblem(A=[[1e70]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], M=[[0.0]], x0=[1.0], tf=1.0)
+        # A = 1e70 with methodB passes the backward, and U = U1 x overflows from step 1 on
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RolloutDiverged, match=r"^closed loop not finite at step 1, h = 0\.1$") as exc:
-                dlqr.solve(prob, builtin("methodB"), 10)
+                dlqr.solve(CLOSED_LOOP, builtin("methodB"), 10)
         assert (exc.value.step, exc.value.h) == (1, 0.1)
 
 
@@ -192,10 +187,10 @@ class TestOneStepType:
         # gains, and the zero trajectory exact-zero U2
         prob, tab = factory(), builtin(name)
         steps = dlqr.assemble(prob, tab, N)
-        bp = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, N))
+        bp = dlqr.riccati_backward(prob, tab, steps, *zero_point(prob, tab, N))
         assert not bp.U2.any()
         tiled = dlqr.Linearization(**{k: np.broadcast_to(v, (N,) + v.shape[1:]) for k, v in vars(steps).items()})
-        got = ilqr.backward(prob, tab, tiled, *_zero_point(prob, tab, N))
+        got = ilqr.backward(prob, tab, tiled, *zero_point(prob, tab, N))
         for field in ("M", "U1", "U2", "A"):
             np.testing.assert_allclose(getattr(got, field), getattr(bp, field), rtol=0, atol=1e-14)
 
@@ -223,7 +218,7 @@ class TestRollout:
         prob = factory()
         tab = builtin("methodB")
         steps = dlqr.assemble(prob, tab, 50)
-        bp = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, 50))
+        bp = dlqr.riccati_backward(prob, tab, steps, *zero_point(prob, tab, 50))
         traj = dlqr.rollout(prob, tab, steps, bp)
         direct = dlqr.discrete_cost(prob, tab, traj.U, traj.X, traj.x)
         value = 0.5 * prob.x0 @ bp.M[0] @ prob.x0

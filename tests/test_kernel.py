@@ -13,6 +13,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from fixtures import GAUSS2, INDEFINITE, MIDPOINT, RADAU2A3, two_springs, zero_point
 
 from rklqr import dlqr, ilqr, oracle
 from rklqr.errors import BackwardFailure, RolloutDiverged, StepTooLarge
@@ -77,11 +78,6 @@ def _reference_backward(prob, tab, steps, U, X, xN):
     return M, U1, U2
 
 
-def _zero_point(prob, tab, N):
-    """Stage controls U, stage states X and last node state x_N of the zero trajectory, DLQR's expansion point."""
-    return np.zeros((N, tab.s * prob.m)), np.zeros((N, tab.s * prob.n)), np.zeros(prob.n)
-
-
 def _sweep_args(prob, tab, steps, N):
     """``value_sweep``'s arguments over ``steps``: E, F, G, H step axis last, the stage cost blocks, M_N, N and h."""
     h = prob.tf / N
@@ -112,29 +108,11 @@ def _explicit_tableau(rng, kind):
     return builtin(kind)
 
 
-def _lobatto3a():
-    """3-stage Lobatto IIIA: a zero first row above implicit ones."""
-    return ButcherTableau(a=[[0, 0, 0], [5 / 24, 1 / 3, -1 / 24], [1 / 6, 2 / 3, 1 / 6]],
-                          b=[1 / 6, 2 / 3, 1 / 6], name="lobatto3a")
-
-
-def _gauss2():
-    """2-stage Gauss-Legendre: both rows implicit, a full 2n x 2n coupling."""
-    r3 = np.sqrt(3.0)
-    return ButcherTableau(a=[[1 / 4, 1 / 4 - r3 / 6], [1 / 4 + r3 / 6, 1 / 4]], b=[1 / 2, 1 / 2], name="gauss2")
-
-
-def _radau2a3():
-    """3-stage Radau IIA: every row implicit, a full 3n x 3n coupling."""
-    r6 = np.sqrt(6.0)
-    return ButcherTableau(a=[[(88 - 7 * r6) / 360, (296 - 169 * r6) / 1800, (-2 + 3 * r6) / 225],
-                             [(296 + 169 * r6) / 1800, (88 + 7 * r6) / 360, (-2 - 3 * r6) / 225],
-                             [(16 - r6) / 36, (16 + r6) / 36, 1 / 9]],
-                          b=[(16 - r6) / 36, (16 + r6) / 36, 1 / 9], name="radau2a3")
-
-
-IMPLICIT_TABLEAUS = {"trapezoidal": lambda: builtin("trapezoidal"), "lobatto3a": _lobatto3a,
-                     "gauss2": _gauss2, "radau2a3": _radau2a3}
+# 3-stage Lobatto IIIA: a zero first row above implicit ones
+LOBATTO3A = ButcherTableau(a=[[0, 0, 0], [5 / 24, 1 / 3, -1 / 24], [1 / 6, 2 / 3, 1 / 6]],
+                           b=[1 / 6, 2 / 3, 1 / 6], name="lobatto3a")
+IMPLICIT_TABLEAUS = {"trapezoidal": builtin("trapezoidal"), "lobatto3a": LOBATTO3A, "gauss2": GAUSS2,
+                     "radau2a3": RADAU2A3}
 
 
 def _random_lq(rng, n, m, tf):
@@ -400,18 +378,6 @@ class TestLuSolve:
         assert not np.shares_memory(X, At) and not np.shares_memory(X, Rt)
 
 
-def _two_springs(S=None):
-    """Two unit masses coupled by three unit springs, the first one driven: n = 4, m = 1, CI's springs2.json.
-
-    ``S`` adds a cross term to its cost.
-    """
-    A = np.zeros((4, 4))
-    A[:2, 2:] = np.eye(2)
-    A[2:, :2] = [[-2.0, 1.0], [1.0, -2.0]]
-    return LQProblem(A=A, B=[[0.0], [0.0], [1.0], [0.0]], Q=np.eye(4), R=[[3.0]], M=10.0 * np.eye(4),
-                     x0=[1.0, 0.0, 1.0, 0.0], tf=40.0, S=S)
-
-
 class TestCombineSolve:
     @staticmethod
     def _routed(A, R):
@@ -477,7 +443,7 @@ class TestCombineSolve:
 
     def test_four_states_through_the_elimination_match_the_loop(self, monkeypatch):
         # d = 4 at N = 8000: the half-combines of 4,000, 2,000 and 1,000 systems go batch-last
-        prob, tab, N = _two_springs(), builtin("methodC"), 8000
+        prob, tab, N = two_springs(), builtin("methodC"), 8000
         steps = dlqr.assemble(prob, tab, N)
         batches = []
 
@@ -486,10 +452,10 @@ class TestCombineSolve:
             return solve(A, R)
 
         monkeypatch.setattr(dlqr, "lu_solve", counted)
-        scan = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, N))
+        scan = dlqr.riccati_backward(prob, tab, steps, *zero_point(prob, tab, N))
         assert batches == [1000, 2000, 4000]
         monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
-        loop = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, N))
+        loop = dlqr.riccati_backward(prob, tab, steps, *zero_point(prob, tab, N))
         for got, want in ((scan.M, loop.M), (scan.U1, loop.U1)):
             assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
@@ -502,7 +468,7 @@ class TestRiccatiScan:
     def test_dlqr_matches_sequential_sweep(self, monkeypatch):
         prob, tab = spring_oscillator(), builtin("methodC")
         steps = dlqr.assemble(prob, tab, 4000)
-        point = _zero_point(prob, tab, 4000)
+        point = zero_point(prob, tab, 4000)
         scan = dlqr.riccati_backward(prob, tab, steps, *point)
         monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
         loop = dlqr.riccati_backward(prob, tab, steps, *point)
@@ -523,9 +489,9 @@ class TestRiccatiScan:
         # CI's n = 4 springs with S != 0, beyond the Hypothesis draws' n <= 3:
         # DLQR's K = 1 step about the zero point, and a K = N tangent plane
         # about a random iterate, which drives the feedforward
-        prob, tab, N = _two_springs(S=[[0.5], [0.0], [0.2], [0.0]]), builtin("methodC"), 4000
+        prob, tab, N = two_springs(S=[[0.5], [0.0], [0.2], [0.0]]), builtin("methodC"), 4000
         if kind == "dlqr":
-            steps, point = dlqr.assemble(prob, tab, N), _zero_point(prob, tab, N)
+            steps, point = dlqr.assemble(prob, tab, N), zero_point(prob, tab, N)
         else:
             state = ilqr.rollout(prob, tab, N, np.random.default_rng(4).standard_normal((N, tab.s * prob.m)))
             steps, point = ilqr.linearize(prob, tab, state), (state.U, state.X, state.x[-1])
@@ -558,7 +524,7 @@ class TestRiccatiScan:
             steps = ilqr.linearize(prob, tab, ilqr.rollout(prob, tab, N, np.full((N, 3), -0.5)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
-            want = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, N))
+            want = dlqr.riccati_backward(prob, tab, steps, *zero_point(prob, tab, N))
         lengths = []
 
         def breakdown(elems, M):
@@ -568,7 +534,7 @@ class TestRiccatiScan:
             M[:-1] = np.nan
 
         monkeypatch.setattr(dlqr, "riccati_scan", breakdown)
-        got = dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, N))
+        got = dlqr.riccati_backward(prob, tab, steps, *zero_point(prob, tab, N))
         assert lengths == [{1 if kind == "dlqr" else N}]
         np.testing.assert_allclose(got.M, want.M, rtol=1e-12)
         np.testing.assert_allclose(got.U1, want.U1, rtol=1e-12)
@@ -597,7 +563,7 @@ class TestRiccatiScan:
         monkeypatch.setattr(dlqr, "cholesky", factor)
         monkeypatch.setattr(np.linalg, "solve", solve)
         monkeypatch.setattr(np.linalg, "cholesky", None)
-        dlqr.riccati_backward(prob, tab, steps, *_zero_point(prob, tab, N))
+        dlqr.riccati_backward(prob, tab, steps, *zero_point(prob, tab, N))
         sm = tab.s * prob.m
         assert factored == [(sm, sm, 1 if kind == "dlqr" else N), (sm, sm, N)]
         assert solved and set(solved) == {prob.n}
@@ -605,9 +571,7 @@ class TestRiccatiScan:
     def test_indefinite_stage_hessian_is_solved_by_the_loop(self, monkeypatch):
         # Q - S R^{-1} S' < 0 makes Kc indefinite, so the scan cannot run,
         # while every K the loop meets is positive definite
-        prob = LQProblem(A=[[2.133]], B=[[2.076]], Q=[[2.878]], S=[[-2.897]], R=[[0.245]], M=[[1.0]],
-                         x0=[0.956], tf=1.5)
-        tab, N = builtin("methodA"), 5
+        prob, tab, N = INDEFINITE, builtin("methodA"), 5
         steps = dlqr.assemble(prob, tab, N)
         E, F = (a.transpose(1, 2, 0) for a in (steps.E, steps.F))
         Kc = dlqr._stage_products(E, F, *dlqr.stage_cost_blocks(prob, tab.b, prob.tf / N))[0]
@@ -766,10 +730,7 @@ class TestStackedLinearization:
         # the midpoint rule has b_1 = 0, so stage 1 reaches [G | H] only
         # through stage 2
         rng = np.random.default_rng([K, n, m])
-        if kind == "midpoint":
-            tab = ButcherTableau(a=[[0, 0], [0.5, 0]], b=[0, 1], name="midpoint")
-        else:
-            tab = _explicit_tableau(rng, kind)
+        tab = MIDPOINT if kind == "midpoint" else _explicit_tableau(rng, kind)
         _check_builder_at_real_size(rng, tab, K, n, m)
 
     @pytest.mark.parametrize("K", [1, 2000])
@@ -779,7 +740,7 @@ class TestStackedLinearization:
         # trapezoidal and Lobatto IIIA solve the coupling of the stages after
         # a zero first row (2n and 4n unknowns), Gauss-Legendre 2 and Radau
         # IIA 3 that of all of theirs (2n and 3n)
-        _check_builder_at_real_size(np.random.default_rng([K, n, m]), IMPLICIT_TABLEAUS[kind](), K, n, m)
+        _check_builder_at_real_size(np.random.default_rng([K, n, m]), IMPLICIT_TABLEAUS[kind], K, n, m)
 
     def test_holds_one_product_term_at_a_time(self):
         # methodC at K = 8000 steps is the order study's reference rung for
@@ -847,7 +808,7 @@ class TestLeanRollout:
         if kind == "random":
             tab = _sparse_explicit_tableau(rng)
         elif kind == "lobatto3a":
-            tab = _lobatto3a()
+            tab = LOBATTO3A
         else:
             tab = builtin(kind)
         if linear:
@@ -949,7 +910,7 @@ class TestBackwardKernel:
         if kind == "random":
             tab = _random_explicit_tableau(rng, int(rng.integers(1, 4)))
         elif kind == "lobatto3a":
-            tab = _lobatto3a()
+            tab = LOBATTO3A
         else:
             tab = builtin(kind)
         prob = _random_lq(rng, n, m, tf=float(rng.uniform(0.5, 3.0)))
@@ -977,7 +938,7 @@ class TestBackwardKernel:
         if kind == "random":
             tab = _random_explicit_tableau(rng, int(rng.integers(1, 4)))
         else:
-            tab = _lobatto3a() if kind == "lobatto3a" else builtin(kind)
+            tab = LOBATTO3A if kind == "lobatto3a" else builtin(kind)
         prob = pendulum()
         U = rng.standard_normal((N, tab.s * prob.m))
         try:
@@ -1055,16 +1016,15 @@ class TestBackwardKernel:
                          M=np.eye(2), x0=[0.0, 0.0], tf=6.0)
         tab = ButcherTableau(a=[[0, 0], [1, 0]], b=weights)
         with pytest.raises(BackwardFailure, match=r"at step 3, h = 1\.0$"):
-            ilqr.backward(prob, tab, self._weighted_steps(bad=(0, 3)), *_zero_point(prob, tab, 6))
+            ilqr.backward(prob, tab, self._weighted_steps(bad=(0, 3)), *zero_point(prob, tab, 6))
 
     def test_loop_stops_at_first_bad_step(self):
         # the midpoint rule weights stage 1 by 0, so every Kc is singular and the loop
         # runs; it must raise at the first step whose K fails, before NaNs spread
-        tab = ButcherTableau(a=[[0, 0], [0.5, 0]], b=[0, 1], name="midpoint")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BackwardFailure, match=r"at step 196, h = 0\.02$"):
-                ilqr.solve(pendulum(), tab, 200)
+                ilqr.solve(pendulum(), MIDPOINT, 200)
 
     def test_riccati_failure_names_step(self):
         bad = ButcherTableau(a=[[0, 0], [1, 0]], b=[1.5, -0.5])

@@ -1,5 +1,6 @@
 """Tableau construction, adjoint pairs, and internal-stage order conditions."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -9,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from explicit3_family import DegenerateFamily, explicit3_family
+from fixtures import RALSTON3, SPECS, write_spec
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rklqr
 from rklqr.errors import AdjointUndefined, NotFound
+from rklqr.problem import load_problem
 from rklqr.tableau import (
     ORDER_COND_TOL,
     ButcherTableau,
@@ -303,9 +306,8 @@ class TestOcpOrder:
     def test_classical_order_is_not_control_order(self):
         # Ralston's third-order method satisfies every classical order-3
         # condition but not sum_j d_j^2 / b_j = 1/3
-        tab = ButcherTableau(a=[[0, 0, 0], [0.5, 0, 0], [0, 0.75, 0]], b=[2 / 9, 1 / 3, 4 / 9])
-        assert np.abs(_classical_residuals(tab)[:4]).max() < 1e-15
-        assert ocp_order(tab) == 2
+        assert np.abs(_classical_residuals(RALSTON3)[:4]).max() < 1e-15
+        assert ocp_order(RALSTON3) == 2
 
     @given(st.floats(0.34, 0.66))
     @settings(max_examples=40, deadline=None)
@@ -441,6 +443,16 @@ class TestLoadTableau:
         tab = load_tableau(str(path))
         assert tab.s == 2 and tab.name == "heun-like"
         np.testing.assert_array_equal(tab.c, [0.0, 1.0])
+
+    @pytest.mark.parametrize("fixture", SPECS, ids=lambda fixture: fixture.name)
+    def test_fixture_specs_read_back_bit_for_bit(self, tmp_path, fixture):
+        # the CI console step runs the command line on these files
+        path = tmp_path / "spec.json"
+        write_spec(fixture, path)
+        got = load_tableau(path) if isinstance(fixture, ButcherTableau) else load_problem(path)[0]
+        for field in dataclasses.fields(fixture):
+            have, want = (np.asarray(getattr(obj, field.name)) for obj in (got, fixture))
+            assert (have.shape, have.tobytes()) == (want.shape, want.tobytes()), field.name
 
     def test_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
