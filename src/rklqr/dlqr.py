@@ -7,13 +7,13 @@ p_k = M_k x_k via u = -R^{-1}(B'p + S'x).
 
 A linear-quadratic problem is the ILQR case with one step, taken about the
 zero trajectory, so ILQR uses the same iterate (``IterateState``, which a
-DLQR solution ``DiscreteTrajectory`` extends), step type (``Linearization``),
-backward result (``AffineBackwardPass``), step-count check
-(``check_steps``), step builder (``step_operators``), cost and its gradients
-(``discrete_cost``, ``cost_gradients``), closed-loop scan (``closed_loop``),
-affine recursions (``affine_scan``, one LAPACK banded triangular solve) and
-backward pass (``riccati_backward``: the Riccati ``value_sweep`` on the
-n-state, then one reverse ``affine_scan``) from here.
+DLQR solution ``DiscreteTrajectory`` extends), quadratic model
+(``Linearization``), backward result (``AffineBackwardPass``), step-count
+check (``check_steps``), step builder (``step_operators``), cost
+(``discrete_cost``), closed-loop scan (``closed_loop``), affine recursions
+(``affine_scan``, one LAPACK banded triangular solve) and backward pass
+(``riccati_backward``: the Riccati ``value_sweep`` on the n-state, then one
+reverse ``affine_scan`` driven by the model's first-order terms) from here.
 
 Both get the Riccati matrices M_k from one ``riccati_scan`` toward the
 terminal M_N, in N half-combines and fewer than N full ones.  DLQR's
@@ -139,17 +139,22 @@ def step_operators(Jx, Ju, tab: ButcherTableau, h: float, shared=False):
 
 @dataclass(frozen=True, eq=False)
 class Linearization:
-    """Step operators stacked along a leading axis of K = N steps, or K = 1 for a step-invariant grid.
+    """The cost's quadratic model at an iterate: step operators for K = N steps, or K = 1, and N steps' terms.
 
-    To first order the changes of the stage and node states are
-    dX_k = E_k dx_k + F_k dU_k and dx_{k+1} = G_k dx_k + H_k dU_k.  ILQR's
-    tangent plane has K = N; ``assemble``'s linear step K = 1, where they hold exactly.
+    To first order dX_k = E_k dx_k + F_k dU_k and dx_{k+1} = G_k dx_k + H_k dU_k:
+    ILQR's tangent plane has K = N, ``assemble``'s linear step K = 1.  With
+    (w_k, r_k) the running cost's gradients in X_k and U_k, Ew_k = E_k'w_k,
+    l_k = r_k + F_k'w_k and the costates p_k = G_k'p_{k+1} + Ew_k from
+    p_N = M x_N; the cost's gradient in U_k is l_k + H_k'p_{k+1}.
     """
 
     E: np.ndarray  # (K, s*n, n)
     F: np.ndarray  # (K, s*n, s*m)
     G: np.ndarray  # (K, n, n)
     H: np.ndarray  # (K, n, s*m)
+    Ew: np.ndarray  # (N, n)
+    l: np.ndarray  # (N, s*m)
+    p: np.ndarray  # (N+1, n) node costates
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,13 +191,15 @@ class DiscreteTrajectory(IterateState):
 
 
 def assemble(prob: LQProblem, tab: ButcherTableau, N: int) -> Linearization:
-    """N steps of the tableau as one step (K = 1), from ``step_operators`` at the zero trajectory's s stage points.
+    """N steps of the tableau as one step (K = 1), the zero trajectory's model, so its terms are zeros.
 
-    Raises StepTooLarge when the stage coupling is singular (never for explicit tableaus).
+    The step comes from ``step_operators`` at the zero trajectory's s stage
+    points.  Raises StepTooLarge when the stage coupling is singular (never for explicit tableaus).
     """
     check_steps(N)
     Jx, Ju = prob.stage_jacobians(np.zeros((tab.s, prob.n)), np.zeros((tab.s, prob.m)))
-    return Linearization(*step_operators(Jx, Ju, tab, prob.tf / N))
+    return Linearization(*step_operators(Jx, Ju, tab, prob.tf / N), Ew=np.zeros((N, prob.n)),
+                         l=np.zeros((N, tab.s * prob.m)), p=np.zeros((N + 1, prob.n)))
 
 
 def lu_solve(A, R):
@@ -507,49 +514,38 @@ def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     return M, gains, K, factor
 
 
-def cost_gradients(Qh, Rh, Sh, U, X):
-    """Gradients (w, r) of the running cost 1/2 X'QhX + X'ShU + 1/2 U'RhU in the stage states X and controls U."""
-    return X @ Qh + U @ Sh.T, U @ Rh + X @ Sh
-
-
-def riccati_backward(prob: LQProblem, tab: ButcherTableau, steps: Linearization, U, X, xN) -> AffineBackwardPass:
-    """Feedback dU_k = U1_k dx_k + U2_k minimizing the cost's quadratic model about (U, X, x_N), N = len(U).
+def riccati_backward(prob: LQProblem, tab: ButcherTableau, steps: Linearization) -> AffineBackwardPass:
+    """Feedback dU_k = U1_k dx_k + U2_k minimizing the quadratic model ``steps`` over N = len(steps.l) steps.
 
     The one backward of DLQR (``assemble``'s K = 1 step, about the zero
-    trajectory) and ILQR (a K = N tangent plane, about the iterate), in the
-    changes dX_k = E_k dx_k + F_k dU_k and dx_{k+1} = G_k dx_k + H_k dU_k.
+    trajectory) and ILQR (a K = N tangent plane, about the iterate).
     ``value_sweep`` gives M, the gains U1, the stage Hessians K and K's
-    factor on the n-state.  The linear terms are the ``cost_gradients``
-    (w, r) at (U, X) and M x_N; with l_k = r_k + F_k'w_k, the model's value
-    gradient along the closed loop A_k = G_k + H_k U1_k is one reverse
-    ``affine_scan`` of v_k = A_k'v_{k+1} + E_k'w_k + U1_k'l_k from
-    v_N = M x_N, and U2_k = -K_k^{-1}(l_k + H_k'v_{k+1}) is one solve through
-    K's factor, refined once against K.  About the zero point, DLQR's, all
-    of these are exact zeros, so none is formed and U2 is zero.  The cost
+    factor on the n-state.  The model's value gradient along the closed
+    loop A_k = G_k + H_k U1_k is one reverse ``affine_scan`` of
+    v_k = A_k'v_{k+1} + Ew_k + U1_k'l_k from v_N = p_N, and
+    U2_k = -K_k^{-1}(l_k + H_k'v_{k+1}) is one solve through K's factor,
+    refined once against K.  Where Ew, l and p_N are all zero, as about
+    DLQR's zero trajectory, none of this is formed and U2 is zero.  The cost
     gradient g_k = l_k + H_k'p_{k+1} could drive it instead, but g carries
     the rounding of the costates p, which unstable steps grow far past the
     step itself; v stays near M_k x_k.  It reads the operators through
     their step-last ``.transpose(1, 2, 0)`` views, each per-step product
     one einsum (K = 1 broadcasts); U1 and A come back as (N, ·, ·) views.
     """
-    N = len(U)
+    N = len(steps.l)
     h = prob.tf / N
-    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, h)
     E, F, G, H = (a.transpose(1, 2, 0) for a in (steps.E, steps.F, steps.G, steps.H))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails as a non-finite stage Hessian
-        M, U1, K, factor = value_sweep(E, F, G, H, Qh, Rh, Sh, prob.M, N, h)
+        M, U1, K, factor = value_sweep(E, F, G, H, *stage_cost_blocks(prob, tab.b, h), prob.M, N, h)
     A = np.einsum("iak,ajk->ijk", H, U1)
     A += G
     U1, A = U1.transpose(2, 0, 1), A.transpose(2, 0, 1)
-    if not (U.any() or X.any() or xN.any()):
-        return AffineBackwardPass(M=M, U1=U1, U2=np.zeros(U.shape), A=A)
-    w, r = cost_gradients(Qh, Rh, Sh, U, X)
-    w = np.ascontiguousarray(w.T)  # (sn, N), as every operand here
-    lu = r.T + np.einsum("aik,ak->ik", F, w)
-    c = np.einsum("aik,ak->ik", E, w) + np.einsum("kai,ak->ik", U1, lu)
-    del w, r  # read by nothing past c
-    v = affine_scan(np.swapaxes(A, 1, 2), c.T, prob.M @ xN, reverse=True)
-    lu += np.einsum("aik,ak->ik", H, np.ascontiguousarray(v[1:].T))
+    if not (steps.Ew.any() or steps.l.any() or steps.p[-1].any()):
+        return AffineBackwardPass(M=M, U1=U1, U2=np.zeros(steps.l.shape), A=A)
+    lu = np.ascontiguousarray(steps.l.T)  # (sm, N), as every operand here
+    c = steps.Ew.T + np.einsum("kai,ak->ik", U1, lu)
+    v = affine_scan(np.swapaxes(A, 1, 2), c.T, steps.p[-1], reverse=True)
+    lu = lu + np.einsum("aik,ak->ik", H, np.ascontiguousarray(v[1:].T))  # not in place: lu may be the model's l
     U2 = -_refined_solve(K, factor, lu[:, None])[:, 0].T
     return AffineBackwardPass(M=M, U1=U1, U2=U2, A=A)
 
@@ -588,6 +584,5 @@ def rollout(prob: LQProblem, tab: ButcherTableau, steps: Linearization, bp: Affi
 def solve(prob: LQProblem, tab: ButcherTableau, N: int):
     """Full pipeline; returns (steps, backward pass, trajectory)."""
     steps = assemble(prob, tab, N)
-    zero = np.zeros((N, tab.s * prob.m)), np.zeros((N, tab.s * prob.n)), np.zeros(prob.n)  # U, X and x_N
-    bp = riccati_backward(prob, tab, steps, *zero)
+    bp = riccati_backward(prob, tab, steps)
     return steps, bp, rollout(prob, tab, steps, bp)

@@ -10,10 +10,11 @@ conditions on the slope once it is not.  The search direction equals
 stage-scaled gradient max |g_ki| / (h b_i), which means the same at every
 step size h.
 
-The node costates come from the scan that gives the gradient, the discrete
-adjoint p_k = E_k'w_k + G_k'p_{k+1} from p_N = M x_N; by Hager's equivalence
-they are the costates of the symplectic partitioned RK method.  The node
-controls solve the stationarity equation Ju'p + Ru + S'x = 0 by batched Newton.
+Each iterate's quadratic model comes from one ``linearize``, which the
+gradient, the backward pass and the node costates read: the discrete adjoint
+p_k = E_k'w_k + G_k'p_{k+1} from p_N = M x_N, by Hager's equivalence the
+costates of the symplectic partitioned RK method.  The node controls solve
+the stationarity equation Ju'p + Ru + S'x = 0 by batched Newton.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dlqr import (AffineBackwardPass, IterateState, Linearization, affine_scan, check_steps, closed_loop,
-                   cost_gradients, discrete_cost, lu_solve, stage_cost_blocks, step_operators)
+                   discrete_cost, lu_solve, stage_cost_blocks, step_operators)
 from .dlqr import riccati_backward as backward  # the feedback minimizing the quasi-Newton model
 from .errors import LineSearchFailed, NodeControlFailure, NotConverged, RolloutDiverged, StepTooLarge
 
@@ -146,9 +147,20 @@ def rollout(prob, tab, N: int, U, X=None) -> IterateState:
 
 
 def linearize(prob, tab, state: IterateState) -> Linearization:
-    """Tangent-plane step operators at every step of the iterate, stacked over steps."""
+    """The iterate's quadratic model: step operators from one ``stage_jacobians`` call, first-order terms, costates.
+
+    The running cost's gradients w = Qh X + Sh U and r = Rh U + Sh'X are
+    formed here only.  Ew and l are one einsum each over the step-last views,
+    as ``backward`` reads them, and p one reverse ``affine_scan``.
+    """
     Jx, Ju = prob.stage_jacobians(state.X.reshape(-1, prob.n), state.U.reshape(-1, prob.m))
-    return Linearization(*step_operators(Jx, Ju, tab, state.h))
+    E, F, G, H = step_operators(Jx, Ju, tab, state.h)
+    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, state.h)
+    w = np.ascontiguousarray((state.X @ Qh + state.U @ Sh.T).T)  # (sn, N)
+    Ew = np.einsum("aik,ak->ik", E.transpose(1, 2, 0), w).T
+    l = (state.U @ Rh + state.X @ Sh).T + np.einsum("aik,ak->ik", F.transpose(1, 2, 0), w)
+    p = affine_scan(np.swapaxes(G, 1, 2), Ew, prob.M @ state.x[-1], reverse=True)
+    return Linearization(E, F, G, H, Ew=Ew, l=l.T, p=p)
 
 
 def direction(state: IterateState, bp: AffineBackwardPass, steps: Linearization):
@@ -167,14 +179,12 @@ def gradient(prob, tab, state: IterateState, steps=None) -> np.ndarray:
     """Exact gradient of the discrete cost in the stage controls, shape (N, s*m).
 
     The states are functions of U via the stage equations, so by the chain
-    rule through the linearized steps g_k = r_k + F_k'w_k + H_k'p_{k+1},
-    with (w, r) the ``cost_gradients`` and p the ``costates``.
+    rule through the linearized steps g_k = l_k + H_k'p_{k+1}, read off the
+    linearization of ``state``: ``steps`` if given, else formed here.
     """
     if steps is None:
         steps = linearize(prob, tab, state)
-    w, r = cost_gradients(*stage_cost_blocks(prob, tab.b, state.h), state.U, state.X)
-    p = costates(prob, tab, state, steps)
-    return r + (w[:, None, :] @ steps.F)[:, 0] + (p[1:, None, :] @ steps.H)[:, 0]
+    return steps.l + (steps.p[1:, None, :] @ steps.H)[:, 0]
 
 
 def scaled_residual(tab, state: IterateState, g) -> float:
@@ -200,7 +210,8 @@ def line_search(prob, tab, state: IterateState, dU, dX, slope: float):
     approximate Wolfe conditions
     (2 WOLFE_DELTA - 1) phi'(0) >= phi'(alpha) >= WOLFE_SIGMA phi'(0), with
     phi'(alpha) = g(trial)' dU from the trial's ``linearize`` and
-    ``gradient``.
+    ``gradient``; alpha = 1 skips the curvature bound, the second, which a
+    halving search with no longer step to try could only fail on.
 
     Returns (alpha, trial, steps, g): steps and g are the accepted trial's
     linearization and gradient when the slope test made them, else None.
@@ -223,7 +234,7 @@ def line_search(prob, tab, state: IterateState, dU, dX, slope: float):
                 steps = linearize(prob, tab, trial)
                 g = gradient(prob, tab, trial, steps)
                 trial_slope = float(np.sum(g * dU))
-            if (2 * WOLFE_DELTA - 1) * slope >= trial_slope >= WOLFE_SIGMA * slope:
+            if (2 * WOLFE_DELTA - 1) * slope >= trial_slope and (alpha == 1.0 or trial_slope >= WOLFE_SIGMA * slope):
                 return alpha, trial, steps, g
         alpha *= 0.5
     raise LineSearchFailed(f"no acceptable step above alpha = {MIN_ALPHA!r}")
@@ -250,8 +261,8 @@ def solve(prob, tab, N: int, U0=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER
     tol, which means the same at every h; returns (state, log, p): the final
     iterate, a per-iteration log and the final iterate's node ``costates``.
     Each iterate is linearized once: a trial the line search linearized for
-    its slope test hands its linearization and gradient on, and p comes
-    from the last linearization.  The iterate's linearization, backward
+    its slope test hands its linearization and gradient on, and p is the
+    last linearization's.  The iterate's linearization, backward
     pass and gradient are dropped once the direction and its slope are
     formed, so the line search holds no tangent plane but its trials'.
     U0 and X0 are dropped after the first rollout: on CPython >= 3.11,
@@ -279,11 +290,11 @@ def solve(prob, tab, N: int, U0=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER
             g = gradient(prob, tab, state, steps)
         resid = scaled_residual(tab, state, g)
         if resid < tol:
-            return state, log, costates(prob, tab, state, steps)
+            return state, log, steps.p
         if len(log) == max_iter:
             raise NotConverged(f"stage-scaled gradient {resid!r} above {tol!r} after {max_iter} iterations, "
                                f"h = {state.h!r}", state=state, log=log)
-        bp = backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        bp = backward(prob, tab, steps)
         dU, dX = direction(state, bp, steps)
         slope = float(np.sum(g * dU))
         steps = bp = g = None  # from here the trials' linearizations are the only tangent planes held
@@ -309,17 +320,10 @@ def solve(prob, tab, N: int, U0=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER
 
 
 def costates(prob, tab, state: IterateState, steps=None) -> np.ndarray:
-    """Node costates p_k of the iterate, shape (N+1, n): the discrete adjoint of the cost.
-
-    One reverse scan of p_k = E_k'w_k + G_k'p_{k+1} from p_N = M x_N, w_k
-    being the running-cost gradient in the stage states.  Without ``steps``,
-    the iterate is linearized here.
-    """
+    """Node costates (N+1, n), the discrete adjoint, read off the linearization of ``state``: ``steps`` or a new one."""
     if steps is None:
         steps = linearize(prob, tab, state)
-    w, _ = cost_gradients(*stage_cost_blocks(prob, tab.b, state.h), state.U, state.X)
-    Ew = (w[:, None, :] @ steps.E)[:, 0]
-    return affine_scan(np.swapaxes(steps.G, 1, 2), Ew, prob.M @ state.x[-1], reverse=True)
+    return steps.p
 
 
 def node_controls(prob, state: IterateState, p: np.ndarray) -> np.ndarray:

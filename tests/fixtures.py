@@ -1,4 +1,4 @@
-"""Tableaus, LQ problems and the zero expansion point that several checks share, each defined once.
+"""Tableaus and LQ problems that several checks share, each defined once.
 
 A test helper, not library code. The CI console step writes each of ``SPECS``
 to the file its name gives, by ``write_spec``, so the command line runs on the
@@ -31,6 +31,10 @@ GAUSS3 = ButcherTableau(a=[[5 / 36, 2 / 9 - _R15 / 15, 5 / 36 - _R15 / 30],
 RALSTON3 = ButcherTableau(a=[[0, 0, 0], [0.5, 0, 0], [0, 0.75, 0]], b=[2 / 9, 1 / 3, 4 / 9], name="ralston3")
 # the explicit midpoint rule weights stage 1 by 0, so every stage Hessian is singular
 MIDPOINT = ButcherTableau(a=[[0, 0], [0.5, 0]], b=[0, 1], name="midpoint")
+# implicit Euler: one implicit stage, whose coupling I - h Jx is singular where h Jx = I
+IMPLICIT_EULER = ButcherTableau(a=[[1.0]], b=[1.0], name="implicit_euler")
+# Heun's nodes with the weights (1.5, -0.5): Rh is indefinite, so the stage Hessians fail and the adjoint is undefined
+NEGATIVE_HEUN = ButcherTableau(a=[[0, 0], [1, 0]], b=[1.5, -0.5], name="negative_heun")
 
 # Q - S R^-1 S' < 0 makes every Kc indefinite, so the Riccati scan cannot run
 INDEFINITE = LQProblem(A=[[2.133]], B=[[2.076]], Q=[[2.878]], S=[[-2.897]], R=[[0.245]], M=[[1.0]],
@@ -53,12 +57,8 @@ def two_springs(S=None):
                      x0=[1.0, 0.0, 1.0, 0.0], tf=40.0, S=S, name="springs2")
 
 
-SPECS = (GAUSS2, RADAU2A3, GAUSS3, RALSTON3, MIDPOINT, INDEFINITE, OVERFLOW, CLOSED_LOOP, two_springs())
-
-
-def zero_point(prob, tab, N):
-    """Stage controls U, stage states X and last node state x_N of the zero trajectory, DLQR's expansion point."""
-    return np.zeros((N, tab.s * prob.m)), np.zeros((N, tab.s * prob.n)), np.zeros(prob.n)
+SPECS = (GAUSS2, RADAU2A3, GAUSS3, RALSTON3, MIDPOINT, IMPLICIT_EULER, NEGATIVE_HEUN, INDEFINITE, OVERFLOW,
+         CLOSED_LOOP, two_springs())
 
 
 def write_spec(obj, path):

@@ -161,7 +161,7 @@ def test_criterion_07_quasi_newton_identity(probe_set):
         qn = oracle.quasi_newton(prob, tab, N, U)
         state = ilqr.rollout(prob, tab, N, U)
         steps = ilqr.linearize(prob, tab, state)
-        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        bp = ilqr.backward(prob, tab, steps)
         dU, _ = ilqr.direction(state, bp, steps)
         rel = np.abs(dU.ravel() - qn.direction).max() / (1 + np.abs(qn.direction).max())
         worst = max(worst, rel)
@@ -417,7 +417,7 @@ def _observed_ratios(prob, tab, N, U_star, W, v, alpha):
             return np.array(errors[1:]) / errors[:-1]
         state = ilqr.rollout(prob, tab, N, U)
         steps = ilqr.linearize(prob, tab, state)
-        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        bp = ilqr.backward(prob, tab, steps)
         U = U + alpha * ilqr.direction(state, bp, steps)[0]
 
 

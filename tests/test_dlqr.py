@@ -6,11 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
-from fixtures import CLOSED_LOOP, OVERFLOW, zero_point
+from fixtures import CLOSED_LOOP, IMPLICIT_EULER, NEGATIVE_HEUN, OVERFLOW
 
 from rklqr import dlqr, ilqr
 from rklqr.cli import max_node_error, max_stage_error
-from rklqr.errors import BackwardFailure, RolloutDiverged
+from rklqr.errors import BackwardFailure, RolloutDiverged, StepTooLarge
 from rklqr.problem import LQProblem, example31, spring_oscillator
 from rklqr.tableau import builtin
 
@@ -73,13 +73,9 @@ class TestAssemble:
 
     def test_singular_coupling_raises(self):
         # implicit Euler on xdot = x at h = 1 makes I - h a A exactly singular
-        from rklqr.errors import StepTooLarge
-        from rklqr.tableau import ButcherTableau
-
         prob = LQProblem(A=[[1.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], M=[[0.0]], x0=[1.0], tf=1.0)
-        implicit_euler = ButcherTableau(a=[[1.0]], b=[1.0], name="implicit-euler")
         with pytest.raises(StepTooLarge) as exc:
-            dlqr.assemble(prob, implicit_euler, 1)
+            dlqr.assemble(prob, IMPLICIT_EULER, 1)
         assert exc.value.h == 1.0
 
 
@@ -90,7 +86,7 @@ class TestRiccati:
             R=[[3.0]], M=np.zeros((2, 2)), x0=[1.0, 1.0], tf=4.0,
         )
         tab = builtin("methodB")
-        bp = dlqr.riccati_backward(prob, tab, dlqr.assemble(prob, tab, 10), *zero_point(prob, tab, 10))
+        bp = dlqr.riccati_backward(prob, tab, dlqr.assemble(prob, tab, 10))
         for k in range(10):
             np.testing.assert_allclose(bp.U1[k], 0.0, atol=0)
             np.testing.assert_allclose(bp.M[k], 0.0, atol=0)
@@ -101,7 +97,7 @@ class TestRiccati:
         prob = spring_oscillator()
         tab = builtin(name)
         steps = dlqr.assemble(prob, tab, 1)
-        bp = dlqr.riccati_backward(prob, tab, steps, *zero_point(prob, tab, 1))
+        bp = dlqr.riccati_backward(prob, tab, steps)
         E, F, G, H = steps.E[0], steps.F[0], steps.G[0], steps.H[0]
         Qh, Rh, _ = dlqr.stage_cost_blocks(prob, tab.b, prob.tf)
         K = F.T @ Qh @ F + Rh + H.T @ prob.M @ H
@@ -149,13 +145,10 @@ class TestRiccati:
 
     def test_non_pd_inner_matrix_raises(self):
         # a negative-weight tableau makes Rh indefinite
-        from rklqr.tableau import ButcherTableau
-
-        bad = ButcherTableau(a=[[0, 0], [1, 0]], b=[1.5, -0.5])
         prob, _ = example31()
-        steps = dlqr.assemble(prob, bad, 4)
+        steps = dlqr.assemble(prob, NEGATIVE_HEUN, 4)
         with pytest.raises(BackwardFailure):
-            dlqr.riccati_backward(prob, bad, steps, *zero_point(prob, bad, 4))
+            dlqr.riccati_backward(prob, NEGATIVE_HEUN, steps)
 
     @pytest.mark.parametrize("prob, method", [(OVERFLOW, "methodB"), (CLOSED_LOOP, "methodC")],
                              ids=["1e+300-methodB", "1e+70-methodC"])
@@ -187,10 +180,11 @@ class TestOneStepType:
         # gains, and the zero trajectory exact-zero U2
         prob, tab = factory(), builtin(name)
         steps = dlqr.assemble(prob, tab, N)
-        bp = dlqr.riccati_backward(prob, tab, steps, *zero_point(prob, tab, N))
+        bp = dlqr.riccati_backward(prob, tab, steps)
         assert not bp.U2.any()
-        tiled = dlqr.Linearization(**{k: np.broadcast_to(v, (N,) + v.shape[1:]) for k, v in vars(steps).items()})
-        got = ilqr.backward(prob, tab, tiled, *zero_point(prob, tab, N))
+        tiled = dataclasses.replace(steps, **{k: np.broadcast_to(v, (N,) + v.shape[1:])
+                                              for k, v in vars(steps).items() if k in "EFGH"})
+        got = ilqr.backward(prob, tab, tiled)
         for field in ("M", "U1", "U2", "A"):
             np.testing.assert_allclose(getattr(got, field), getattr(bp, field), rtol=0, atol=1e-14)
 
@@ -218,7 +212,7 @@ class TestRollout:
         prob = factory()
         tab = builtin("methodB")
         steps = dlqr.assemble(prob, tab, 50)
-        bp = dlqr.riccati_backward(prob, tab, steps, *zero_point(prob, tab, 50))
+        bp = dlqr.riccati_backward(prob, tab, steps)
         traj = dlqr.rollout(prob, tab, steps, bp)
         direct = dlqr.discrete_cost(prob, tab, traj.U, traj.X, traj.x)
         value = 0.5 * prob.x0 @ bp.M[0] @ prob.x0

@@ -3,11 +3,13 @@
 import dataclasses
 import gc
 import re
+import sys
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from fixtures import IMPLICIT_EULER
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +22,7 @@ from rklqr.problem import (
     pendulum_tanh,
     spring_oscillator,
 )
-from rklqr.tableau import ButcherTableau, adjoint, builtin
+from rklqr.tableau import adjoint, builtin
 
 P_STAR_0 = 0.4136709340400075  # costate of the scalar benchmark at t = 0
 
@@ -123,9 +125,8 @@ class TestRollout:
         # h X^2 - X + h + x_k = 0 has no real root once 4h (h + x_k) > 1,
         # at h = 1 on the first step and at h = 1/4 on the fourth, where
         # x_3 = 1.26 follows 0, 0.27 and 0.61
-        tab = ButcherTableau(a=[[1.0]], b=[1.0], name="implicit-euler")
         with pytest.raises(RolloutDiverged, match=f"step {step}, h = {1.0 / N!r}") as exc:
-            ilqr.rollout(_square_plus_one(), tab, N, np.zeros((N, 1)))
+            ilqr.rollout(_square_plus_one(), IMPLICIT_EULER, N, np.zeros((N, 1)))
         assert exc.value.h == 1.0 / N
         assert exc.value.step == step
 
@@ -135,7 +136,7 @@ class TestRollout:
         prob, tab = pendulum(), builtin(name)
         state = ilqr.rollout(prob, tab, N, np.zeros((N, tab.s)))
         steps = ilqr.linearize(prob, tab, state)
-        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        bp = ilqr.backward(prob, tab, steps)
         dU, dX = ilqr.direction(state, bp, steps)
         for alpha in (1.0, 0.5):
             U = state.U + alpha * dU
@@ -236,14 +237,19 @@ def prob_ju(X, U):
     return np.broadcast_to([[0.0], [1.0]], (len(X), 2, 1))
 
 
+def _zero_cost_pendulum():
+    """The upright pendulum with Q = M = 0 from x0 = (0.5, 0): its cost is 1/2 u'u alone."""
+    return NonlinearProblem(f_fn=prob_f, jac_x_fn=prob_jx, jac_u_fn=prob_ju, Q=np.zeros((2, 2)), R=[[1.0]],
+                            M=np.zeros((2, 2)), x0=[0.5, 0.0], tf=2.0)
+
+
 class TestBackwardAndDirection:
     def test_feedback_reproduces_dlqr_gains_on_optimal_path(self):
-        prob = spring_oscillator()
-        tab = builtin("methodB")
+        prob, tab = spring_oscillator(), builtin("methodB")
         N = 30
         _, lq, traj = dlqr.solve(prob, tab, N)
         steps = ilqr.linearize(prob, tab, traj)
-        bp = ilqr.backward(prob, tab, steps, traj.U, traj.X, traj.x[-1])
+        bp = ilqr.backward(prob, tab, steps)
         for k in range(N):
             # the gradient vanishes at the optimum, so the step U2 leaves U on the DLQR feedback
             np.testing.assert_allclose(traj.U[k] + bp.U2[k], lq.U1[k] @ traj.x[k], atol=1e-11)
@@ -251,25 +257,20 @@ class TestBackwardAndDirection:
             np.testing.assert_allclose(bp.M[k], lq.M[k], atol=1e-11)
 
     def test_zero_cost_zero_gains(self):
-        prob = NonlinearProblem(
-            f_fn=prob_f, jac_x_fn=prob_jx, jac_u_fn=prob_ju,
-            Q=np.zeros((2, 2)), R=[[1.0]], M=np.zeros((2, 2)), x0=[0.5, 0.0], tf=2.0,
-        )
-        tab = builtin("methodA")
+        prob, tab = _zero_cost_pendulum(), builtin("methodA")
         state = ilqr.rollout(prob, tab, 5, np.zeros((5, 2)))
         steps = ilqr.linearize(prob, tab, state)
-        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        bp = ilqr.backward(prob, tab, steps)
         for k in range(5):
             np.testing.assert_allclose(bp.U1[k], 0.0, atol=1e-14)
             np.testing.assert_allclose(bp.U2[k], 0.0, atol=1e-14)
 
     def test_single_step_gain_matches_direct_minimization(self):
-        prob = pendulum()
-        tab = builtin("methodB")
+        prob, tab = pendulum(), builtin("methodB")
         state = ilqr.rollout(prob, tab, 1, np.array([[0.3, -0.2, 0.1]]))
         steps = ilqr.linearize(prob, tab, state)
-        E, F, G, H = (A[0] for A in vars(steps).values())
-        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        E, F, G, H = (A[0] for A in (steps.E, steps.F, steps.G, steps.H))
+        bp = ilqr.backward(prob, tab, steps)
         # the tangent plane X = E x0 + F V + D1, x1 = G x0 + H V + D2 through the iterate
         U = state.U[0]
         D1, D2 = state.X[0] - E @ prob.x0 - F @ U, state.x[1] - G @ prob.x0 - H @ U
@@ -284,21 +285,19 @@ class TestBackwardAndDirection:
         np.testing.assert_allclose(U + bp.U2[0], U_opt, atol=1e-12)
 
     def test_direction_vanishes_at_stationary_point(self):
-        prob = pendulum()
-        tab = builtin("methodB")
+        prob, tab = pendulum(), builtin("methodB")
         state, _, _ = ilqr.solve(prob, tab, 40, tol=1e-11)
         steps = ilqr.linearize(prob, tab, state)
-        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        bp = ilqr.backward(prob, tab, steps)
         dU, _ = ilqr.direction(state, bp, steps)
         assert np.abs(dU).max() < 1e-8
 
     def test_linear_problem_one_newton_step_hits_optimum(self):
-        prob = spring_oscillator()
-        tab = builtin("methodA")
+        prob, tab = spring_oscillator(), builtin("methodA")
         N = 25
         state = ilqr.rollout(prob, tab, N, np.zeros((N, 2)))
         steps = ilqr.linearize(prob, tab, state)
-        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        bp = ilqr.backward(prob, tab, steps)
         dU, dX = ilqr.direction(state, bp, steps)
         _, _, traj = dlqr.solve(prob, tab, N)
         np.testing.assert_allclose(state.U + dU, traj.U, atol=1e-10)
@@ -342,12 +341,11 @@ class TestGradient:
 
 class TestLineSearch:
     def test_full_step_on_linear_problem(self):
-        prob = spring_oscillator()
-        tab = builtin("methodA")
+        prob, tab = spring_oscillator(), builtin("methodA")
         N = 20
         state = ilqr.rollout(prob, tab, N, np.zeros((N, 2)))
         steps = ilqr.linearize(prob, tab, state)
-        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        bp = ilqr.backward(prob, tab, steps)
         dU, dX = ilqr.direction(state, bp, steps)
         slope = float(np.sum(ilqr.gradient(prob, tab, state, steps) * dU))
         alpha, nxt, steps, g = ilqr.line_search(prob, tab, state, dU, dX, slope)
@@ -414,9 +412,16 @@ class TestSolve:
 
     def test_each_iterate_is_linearized_once(self, monkeypatch):
         # every jac_x call is a rollout sweep (one f call each) or a
-        # linearize; a trial the slope test linearized is not linearized again
+        # linearize; a trial the slope test linearized is not linearized
+        # again.  The running cost's gradients (w, r) need the stage cost
+        # blocks: in ilqr only linearize reads them, once per iterate, and
+        # the gradient, the backward and the costates read its terms
         base, calls = pendulum_tanh(), {"f": 0, "jac_x": 0}
-        linearized, in_search = [], []
+        linearized, in_search, callers = [], [], []
+
+        def blocks(*args, fn=ilqr.stage_cost_blocks):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return fn(*args)
 
         def counting(key, fn):
             def wrapped(X, U):
@@ -440,11 +445,27 @@ class TestSolve:
         searching, linearize, line_search = False, ilqr.linearize, ilqr.line_search
         monkeypatch.setattr(ilqr, "linearize", recording_linearize)
         monkeypatch.setattr(ilqr, "line_search", flagged_line_search)
+        monkeypatch.setattr(ilqr, "stage_cost_blocks", blocks)
         prob = dataclasses.replace(base, f_fn=counting("f", base.f_fn), jac_x_fn=counting("jac_x", base.jac_x_fn))
         _, log, _ = ilqr.solve(prob, builtin("methodB"), 75)
         assert calls["jac_x"] == calls["f"] + len(linearized)
         assert len({id(state) for state in linearized}) == len(linearized) >= len(log) + 1
         assert any(in_search)  # the slope test ran and its linearization was kept
+        assert callers == ["linearize"] * len(linearized)
+
+    def test_full_step_skips_the_curvature_bound(self):
+        # near this optimum the pencil (hess J_d, W) has lambda_min = 0.085, so
+        # phi'(alpha) >= 0.9 phi'(0) needs alpha > 1 once Jd changes by rounding
+        # only; with that bound at alpha = 1 the solve raised LineSearchFailed
+        prob = NonlinearProblem(f_fn=lambda X, U: -1.09 * X - 1.01 * U + 1.16 * np.sin(X) + 0.34 * np.tanh(U),
+                                jac_x_fn=lambda X, U: (1.16 * np.cos(X) - 1.09)[:, :, None],
+                                jac_u_fn=lambda X, U: (0.34 / np.cosh(U) ** 2 - 1.01)[:, :, None],
+                                Q=[[0.15]], R=[[0.93]], M=[[1.04]], x0=[-1.12], tf=2.27)
+        tab = builtin("methodB")
+        state, log, _ = ilqr.solve(prob, tab, 2, tol=1e-8)
+        assert len(log) < ilqr.DEFAULT_MAX_ITER and all(rec.alpha == 1.0 for rec in log)
+        g = oracle.grad_exact(prob, tab, 2, state.U).reshape(state.U.shape)
+        assert ilqr.scaled_residual(tab, state, g) < 1e-8
 
     def test_line_search_starts_with_no_tangent_plane_alive(self, monkeypatch):
         # the iterate's linearization, backward pass and gradient are dropped
@@ -601,11 +622,7 @@ class TestCostates:
         np.testing.assert_allclose(p, traj.p, atol=1e-9)
 
     def test_zero_cost_zero_costates(self):
-        prob = NonlinearProblem(
-            f_fn=prob_f, jac_x_fn=prob_jx, jac_u_fn=prob_ju,
-            Q=np.zeros((2, 2)), R=[[1.0]], M=np.zeros((2, 2)), x0=[0.5, 0.0], tf=2.0,
-        )
-        tab = builtin("methodA")
+        prob, tab = _zero_cost_pendulum(), builtin("methodA")
         state = ilqr.rollout(prob, tab, 6, np.zeros((6, 2)))
         np.testing.assert_allclose(ilqr.costates(prob, tab, state), 0.0, atol=0)
         cost = oracle.adjoint_costates(prob, tab, state)
@@ -626,18 +643,25 @@ class TestCostates:
     @pytest.mark.parametrize("tol, last", [(np.inf, []), (1e-6, [False]), (1e-8, [True])],
                              ids=["no-step", "armijo", "slope-test"])
     def test_solve_returns_the_final_costates(self, monkeypatch, tol, last):
-        # p comes from the linearization the loop holds at its last iterate:
-        # the one the line search hands on when its slope test took the step
-        prob, tab, line_search, slope_test = pendulum(), builtin("methodB"), ilqr.line_search, []
+        # p is the costates of the linearization the loop holds at its last
+        # iterate, the one the line search hands on when its slope test took
+        # the step, with no scan of its own
+        prob, tab, line_search, slope_test, planes = pendulum(), builtin("methodB"), ilqr.line_search, [], []
 
         def recording_line_search(*args):
             out = line_search(*args)
             slope_test.append(out[2] is not None)
             return out
 
+        def recording_linearize(*args, fn=ilqr.linearize):
+            planes.append(fn(*args))
+            return planes[-1]
+
         monkeypatch.setattr(ilqr, "line_search", recording_line_search)
+        monkeypatch.setattr(ilqr, "linearize", recording_linearize)
         state, _, p = ilqr.solve(prob, tab, 40, tol=tol)
         assert slope_test[-1:] == last  # whether the slope test took the last step
+        assert p is planes[-1].p
         np.testing.assert_array_equal(p, ilqr.costates(prob, tab, state))
 
     @pytest.mark.parametrize("name", ["euler", "methodA", "methodB", "trapezoidal"])
@@ -667,11 +691,7 @@ class TestNodeControls:
         np.testing.assert_allclose(u[:, 0], -20.0 * p[:, 1], atol=1e-14)
 
     def test_zero_costate_zero_control(self):
-        prob = NonlinearProblem(
-            f_fn=prob_f, jac_x_fn=prob_jx, jac_u_fn=prob_ju,
-            Q=np.zeros((2, 2)), R=[[1.0]], M=np.zeros((2, 2)), x0=[0.5, 0.0], tf=2.0,
-        )
-        tab = builtin("methodA")
+        prob, tab = _zero_cost_pendulum(), builtin("methodA")
         state = ilqr.rollout(prob, tab, 6, np.zeros((6, 2)))
         p = ilqr.costates(prob, tab, state)
         u = ilqr.node_controls(prob, state, p)
@@ -689,14 +709,7 @@ class TestNodeControls:
         # cubic control entry breaks the affine shortcut; Newton must solve
         # Ju(x,u)'p + Ru = 0 at every node.  Costates are kept small so the
         # stationarity quadratic 0.3 p_2 u^2 + R u + p_2 has a real root.
-        def f(X, U):
-            return np.column_stack([X[:, 1], np.sin(X[:, 0]) + U[:, 0] + 0.1 * U[:, 0] ** 3])
-
-        prob = NonlinearProblem(
-            f_fn=f, jac_x_fn=prob_jx, jac_u_fn=_cubic_ju,
-            Q=np.zeros((2, 2)), R=[[2.0]], M=0.5 * np.eye(2), x0=[np.pi / 3, 0.0], tf=1.0,
-        )
-        tab = builtin("methodB")
+        prob, tab = _cubic_problem(), builtin("methodB")
         rng = np.random.default_rng(2)
         state = ilqr.rollout(prob, tab, 10, 0.1 * rng.standard_normal((10, 3)))
         p = ilqr.costates(prob, tab, state)
@@ -708,16 +721,7 @@ class TestNodeControls:
 
     def test_newton_reports_unsolvable_stationarity(self):
         # with a large costate the stationarity quadratic has no real root
-        from rklqr.errors import NodeControlFailure
-
-        def f(X, U):
-            return np.column_stack([X[:, 1], np.sin(X[:, 0]) + U[:, 0] + 0.1 * U[:, 0] ** 3])
-
-        prob = NonlinearProblem(
-            f_fn=f, jac_x_fn=prob_jx, jac_u_fn=_cubic_ju,
-            Q=np.zeros((2, 2)), R=[[0.5]], M=5 * np.eye(2), x0=[np.pi / 3, 0.0], tf=4.0,
-        )
-        tab = builtin("methodB")
+        prob, tab = dataclasses.replace(_cubic_problem(), R=[[0.5]], M=5 * np.eye(2), tf=4.0), builtin("methodB")
         rng = np.random.default_rng(2)
         state = ilqr.rollout(prob, tab, 10, 0.3 * rng.standard_normal((10, 3)))
         p = ilqr.costates(prob, tab, state)
@@ -746,7 +750,7 @@ class TestLQAsNonlinear:
 
 
 def _cubic_problem():
-    """The cubic control entry u + 0.1 u^3 of ``test_newton_path_solves_stationarity``, with R = 2."""
+    """The pendulum with the cubic control entry u + 0.1 u^3, Q = 0, R = 2 and M = I/2, from (pi/3, 0) over [0, 1]."""
     def f(X, U):
         return np.column_stack([X[:, 1], np.sin(X[:, 0]) + U[:, 0] + 0.1 * U[:, 0] ** 3])
 

@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
-from fixtures import GAUSS2, INDEFINITE, MIDPOINT, RADAU2A3, two_springs, zero_point
+from fixtures import GAUSS2, IMPLICIT_EULER, INDEFINITE, MIDPOINT, NEGATIVE_HEUN, RADAU2A3, two_springs
 
 from rklqr import dlqr, ilqr, oracle
 from rklqr.errors import BackwardFailure, RolloutDiverged, StepTooLarge
@@ -47,6 +47,16 @@ def _reference_linearize(prob, tab, state):
         Jxs, Jus = prob.stage_jacobians(state.X[k].reshape(s, n), state.U[k].reshape(s, m))
         out.append(_reference_operators(Jxs, Jus, tab, state.h))
     return out
+
+
+def _model_about(prob, tab, steps, U, X, xN):
+    """``steps`` with the cost's first-order terms about the point (U, X, x_N); of p, the backward reads p_N only."""
+    Qh, Rh, Sh = dlqr.stage_cost_blocks(prob, tab.b, prob.tf / len(U))
+    w = X @ Qh + U @ Sh.T
+    p = np.zeros((len(U) + 1, prob.n))
+    p[-1] = prob.M @ xN
+    l = U @ Rh + X @ Sh + (w[:, None] @ steps.F)[:, 0]
+    return dataclasses.replace(steps, Ew=(w[:, None] @ steps.E)[:, 0], l=l, p=p)
 
 
 def _reference_backward(prob, tab, steps, U, X, xN):
@@ -452,10 +462,10 @@ class TestCombineSolve:
             return solve(A, R)
 
         monkeypatch.setattr(dlqr, "lu_solve", counted)
-        scan = dlqr.riccati_backward(prob, tab, steps, *zero_point(prob, tab, N))
+        scan = dlqr.riccati_backward(prob, tab, steps)
         assert batches == [1000, 2000, 4000]
         monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
-        loop = dlqr.riccati_backward(prob, tab, steps, *zero_point(prob, tab, N))
+        loop = dlqr.riccati_backward(prob, tab, steps)
         for got, want in ((scan.M, loop.M), (scan.U1, loop.U1)):
             assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
@@ -465,22 +475,27 @@ class TestRiccatiScan:
     def _rel(got, want):
         return np.abs(got - want).max() / np.abs(want).max()
 
+    @staticmethod
+    def _model(kind, N):
+        """(prob, tab, steps): methodB's DLQR step of the spring, or the pendulum's tangent plane at U = -0.5."""
+        prob, tab = spring_oscillator() if kind == "dlqr" else pendulum(), builtin("methodB")
+        if kind == "dlqr":
+            return prob, tab, dlqr.assemble(prob, tab, N)
+        return prob, tab, ilqr.linearize(prob, tab, ilqr.rollout(prob, tab, N, np.full((N, 3), -0.5)))
+
     def test_dlqr_matches_sequential_sweep(self, monkeypatch):
         prob, tab = spring_oscillator(), builtin("methodC")
         steps = dlqr.assemble(prob, tab, 4000)
-        point = zero_point(prob, tab, 4000)
-        scan = dlqr.riccati_backward(prob, tab, steps, *point)
+        scan = dlqr.riccati_backward(prob, tab, steps)
         monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
-        loop = dlqr.riccati_backward(prob, tab, steps, *point)
+        loop = dlqr.riccati_backward(prob, tab, steps)
         assert self._rel(scan.M, loop.M) < 1e-12 and self._rel(scan.U1, loop.U1) < 1e-12
 
     def test_ilqr_matches_sequential_sweep(self, monkeypatch):
-        prob, tab, N = pendulum(), builtin("methodB"), 2000
-        state = ilqr.rollout(prob, tab, N, np.full((N, 3), -0.5))
-        steps = ilqr.linearize(prob, tab, state)
-        scan = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        prob, tab, steps = self._model("ilqr", 2000)
+        scan = ilqr.backward(prob, tab, steps)
         monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
-        loop = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        loop = ilqr.backward(prob, tab, steps)
         for got, want in zip(vars(scan).values(), vars(loop).values()):
             assert self._rel(got, want) < 1e-12
 
@@ -488,43 +503,38 @@ class TestRiccatiScan:
     def test_four_states_with_a_cross_term_match_the_loop(self, monkeypatch, kind):
         # CI's n = 4 springs with S != 0, beyond the Hypothesis draws' n <= 3:
         # DLQR's K = 1 step about the zero point, and a K = N tangent plane
-        # about a random iterate, which drives the feedforward
+        # about a random iterate, whose terms drive the feedforward
         prob, tab, N = two_springs(S=[[0.5], [0.0], [0.2], [0.0]]), builtin("methodC"), 4000
         if kind == "dlqr":
-            steps, point = dlqr.assemble(prob, tab, N), zero_point(prob, tab, N)
+            steps = dlqr.assemble(prob, tab, N)
         else:
             state = ilqr.rollout(prob, tab, N, np.random.default_rng(4).standard_normal((N, tab.s * prob.m)))
-            steps, point = ilqr.linearize(prob, tab, state), (state.U, state.X, state.x[-1])
+            steps = ilqr.linearize(prob, tab, state)
 
         def close(got, want):  # within 1e-12 of want's largest entry; DLQR's U2 is exactly zero on both paths
             return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
         args = _sweep_args(prob, tab, steps, N)
         assert all(map(close, dlqr.value_sweep(*args), dlqr.sequential_sweep(*args)))
-        scan = dlqr.riccati_backward(prob, tab, steps, *point)
+        scan = dlqr.riccati_backward(prob, tab, steps)
         # the backward reads step_operators' views step axis last; contiguous
-        # copies of the operators must give the same bytes
+        # copies of the operators and terms must give the same bytes
         copies = dlqr.Linearization(*(np.ascontiguousarray(a) for a in vars(steps).values()))
-        for got, want in zip(vars(scan).values(), vars(dlqr.riccati_backward(prob, tab, copies, *point)).values()):
+        for got, want in zip(vars(scan).values(), vars(dlqr.riccati_backward(prob, tab, copies)).values()):
             np.testing.assert_array_equal(got, want)
         monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
-        loop = dlqr.riccati_backward(prob, tab, steps, *point)
+        loop = dlqr.riccati_backward(prob, tab, steps)
         assert all(map(close, vars(scan).values(), vars(loop).values()))
 
     @pytest.mark.parametrize("broken", ["raises", "not_finite"])
     @pytest.mark.parametrize("kind", ["dlqr", "ilqr"])
     def test_scan_breakdown_falls_back_to_loop(self, monkeypatch, kind, broken):
         # DLQR's step-invariant step is one shared element, ILQR's K = N tangent plane N of them
-        tab, N = builtin("methodB"), 50
-        if kind == "dlqr":
-            prob = spring_oscillator()
-            steps = dlqr.assemble(prob, tab, N)
-        else:
-            prob = pendulum()
-            steps = ilqr.linearize(prob, tab, ilqr.rollout(prob, tab, N, np.full((N, 3), -0.5)))
+        N = 50
+        prob, tab, steps = self._model(kind, N)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
-            want = dlqr.riccati_backward(prob, tab, steps, *zero_point(prob, tab, N))
+            want = dlqr.riccati_backward(prob, tab, steps)
         lengths = []
 
         def breakdown(elems, M):
@@ -534,7 +544,7 @@ class TestRiccatiScan:
             M[:-1] = np.nan
 
         monkeypatch.setattr(dlqr, "riccati_scan", breakdown)
-        got = dlqr.riccati_backward(prob, tab, steps, *zero_point(prob, tab, N))
+        got = dlqr.riccati_backward(prob, tab, steps)
         assert lengths == [{1 if kind == "dlqr" else N}]
         np.testing.assert_allclose(got.M, want.M, rtol=1e-12)
         np.testing.assert_allclose(got.U1, want.U1, rtol=1e-12)
@@ -543,13 +553,8 @@ class TestRiccatiScan:
     def test_stage_hessians_are_factored_once(self, monkeypatch, kind):
         # Kc and K once each, by the batch-last factor; the gains and U2 go
         # through K's factor, so every LAPACK solve left is the scan's n x n one
-        tab, N = builtin("methodB"), 50
-        if kind == "dlqr":
-            prob = spring_oscillator()
-            steps = dlqr.assemble(prob, tab, N)
-        else:
-            prob = pendulum()
-            steps = ilqr.linearize(prob, tab, ilqr.rollout(prob, tab, N, np.full((N, 3), -0.5)))
+        N = 50
+        prob, tab, steps = self._model(kind, N)
         factored, solved = [], []
 
         def factor(K, cholesky=dlqr.cholesky):
@@ -563,7 +568,7 @@ class TestRiccatiScan:
         monkeypatch.setattr(dlqr, "cholesky", factor)
         monkeypatch.setattr(np.linalg, "solve", solve)
         monkeypatch.setattr(np.linalg, "cholesky", None)
-        dlqr.riccati_backward(prob, tab, steps, *zero_point(prob, tab, N))
+        dlqr.riccati_backward(prob, tab, steps)
         sm = tab.s * prob.m
         assert factored == [(sm, sm, 1 if kind == "dlqr" else N), (sm, sm, N)]
         assert solved and set(solved) == {prob.n}
@@ -610,11 +615,11 @@ class TestRiccatiScan:
         assert full == [1] * 11 and sum(half) == 4000
 
     def test_zero_point_forms_no_feedforward(self, monkeypatch):
-        # about DLQR's zero trajectory w, r, v and U2 are exact zeros: no
-        # gradients, no reverse scan and no U2 solve, only the gains' solve
-        # and the closed loop's forward scan
+        # about DLQR's zero trajectory the model's terms Ew, l and p_N, hence
+        # v and U2, are exact zeros: no reverse scan and no U2 solve, only
+        # the gains' solve and the closed loop's forward scan
         calls = []
-        for name in ("cost_gradients", "affine_scan", "_refined_solve"):
+        for name in ("affine_scan", "_refined_solve"):
             def counted(*args, fn=getattr(dlqr, name), name=name, **kw):
                 calls.append((name, kw.get("reverse", False)))
                 return fn(*args, **kw)
@@ -626,21 +631,18 @@ class TestRiccatiScan:
 
     def test_each_m_is_formed_once(self, monkeypatch):
         # one half-combine per M_k; the pairs of the odd-even reduction make fewer than N full ones
-        prob, tab, N = pendulum(), builtin("methodB"), 2000
-        state = ilqr.rollout(prob, tab, N, np.full((N, 3), -0.5))
-        steps = ilqr.linearize(prob, tab, state)
+        N = 2000
+        prob, tab, steps = self._model("ilqr", N)
         full, half = self._combine_batches(monkeypatch)
-        ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        ilqr.backward(prob, tab, steps)
         assert sum(full) < N and sum(half) == N
 
     def test_odd_levels_pair_toward_the_terminal(self, monkeypatch):
         # N = 63 is odd at every level (63, 31, 15, 7, 3, 1): the pairs
         # (o + 2i, o + 2i + 1), o = N mod 2, end in M_N, so one half-combine
         # a level fills every other M, M_0 included
-        prob, tab, N = pendulum(), builtin("methodB"), 63
-        state = ilqr.rollout(prob, tab, N, np.full((N, 3), -0.5))
-        steps = ilqr.linearize(prob, tab, state)
-        args = (prob, tab, steps, state.U, state.X, state.x[-1])
+        N = 63
+        args = self._model("ilqr", N)
         with pytest.MonkeyPatch.context() as patch:
             full, half = self._combine_batches(patch)
             scan = ilqr.backward(*args)
@@ -786,7 +788,7 @@ class TestStackedLinearization:
             jac_u_fn=lambda X, U: np.ones((len(X), 1, 1)),
             Q=[[1.0]], R=[[1.0]], M=[[0.0]], x0=[0.0], tf=2.0,
         )
-        tab = ButcherTableau(a=[[1.0]], b=[1.0], name="implicit-euler")
+        tab = IMPLICIT_EULER
         X = np.array([[0.0], [0.0], [2.0], [2.0]])  # h = 0.5: steps 2 and 3 are singular
         state = ilqr.IterateState(U=np.zeros((4, 1)), X=X, x=np.zeros((5, 1)), Jd=0.0, h=0.5)
         with pytest.raises(StepTooLarge, match="step 2, h = 0.5") as exc:
@@ -916,11 +918,11 @@ class TestBackwardKernel:
         prob = _random_lq(rng, n, m, tf=float(rng.uniform(0.5, 3.0)))
         state = ilqr.rollout(prob, tab, N, rng.standard_normal((N, tab.s * m)))
         steps = ilqr.linearize(prob, tab, state)
-        # a random expansion point off the iterate drives the feedforward
+        # the terms of a random expansion point off the iterate drive the feedforward
         point = (rng.standard_normal((N, tab.s * m)), rng.standard_normal((N, tab.s * n)), rng.standard_normal(n))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dlqr, "value_sweep", getattr(dlqr, sweep))
-            bp = ilqr.backward(prob, tab, steps, *point)
+            bp = ilqr.backward(prob, tab, _model_about(prob, tab, steps, *point))
         M, U1, U2 = _reference_backward(prob, tab, steps, *point)
         A = steps.G + steps.H @ np.array(U1)
         for got, want in zip((bp.M, bp.U1, bp.U2, bp.A), (M, U1, U2, A)):
@@ -947,7 +949,7 @@ class TestBackwardKernel:
             reject()
         want = oracle.quasi_newton(prob, tab, N, U).direction
         steps = ilqr.linearize(prob, tab, state)
-        dU, _ = ilqr.direction(state, ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1]), steps)
+        dU, _ = ilqr.direction(state, ilqr.backward(prob, tab, steps), steps)
         assert np.abs(dU.ravel() - want).max() / (1 + np.abs(want).max()) < 1e-8
 
     @given(SEEDS, st.sampled_from(BUILTINS), st.integers(1, 70))
@@ -1005,7 +1007,7 @@ class TestBackwardKernel:
         F[list(bad)] = 0.0
         return ilqr.Linearization(
             E=np.tile(np.eye(n), (N, 2, 1)), F=F, G=np.broadcast_to(np.eye(n), (N, n, n)),
-            H=np.zeros((N, n, 2)),
+            H=np.zeros((N, n, 2)), Ew=np.zeros((N, n)), l=np.zeros((N, 2)), p=np.zeros((N + 1, n)),
         )
 
     @pytest.mark.parametrize("weights", [(1.5, -0.5), (1.0, 0.0)])
@@ -1016,7 +1018,7 @@ class TestBackwardKernel:
                          M=np.eye(2), x0=[0.0, 0.0], tf=6.0)
         tab = ButcherTableau(a=[[0, 0], [1, 0]], b=weights)
         with pytest.raises(BackwardFailure, match=r"at step 3, h = 1\.0$"):
-            ilqr.backward(prob, tab, self._weighted_steps(bad=(0, 3)), *zero_point(prob, tab, 6))
+            ilqr.backward(prob, tab, self._weighted_steps(bad=(0, 3)))
 
     def test_loop_stops_at_first_bad_step(self):
         # the midpoint rule weights stage 1 by 0, so every Kc is singular and the loop
@@ -1027,7 +1029,6 @@ class TestBackwardKernel:
                 ilqr.solve(pendulum(), MIDPOINT, 200)
 
     def test_riccati_failure_names_step(self):
-        bad = ButcherTableau(a=[[0, 0], [1, 0]], b=[1.5, -0.5])
         prob, _ = example31()
         with pytest.raises(BackwardFailure, match=r"at step 3, h = 0\.25$"):
-            dlqr.solve(prob, bad, 4)
+            dlqr.solve(prob, NEGATIVE_HEUN, 4)

@@ -113,7 +113,7 @@ class TestQuasiNewton:
         qn = oracle.quasi_newton(prob, tab, N, U)
         state = ilqr.rollout(prob, tab, N, U)
         steps = ilqr.linearize(prob, tab, state)
-        bp = ilqr.backward(prob, tab, steps, state.U, state.X, state.x[-1])
+        bp = ilqr.backward(prob, tab, steps)
         dU = ilqr.direction(state, bp, steps)[0].ravel()
         denom = 1 + np.abs(qn.direction).max()
         assert np.abs(dU - qn.direction).max() / denom < 1e-8
