@@ -1,13 +1,13 @@
 """Independent verification machinery for the feedback solvers.
 
-qp_solve assembles the full discretized problem as one equality-constrained
-QP and solves its KKT system in a single dense factorization; it shares no
-recursion with the feedback pipeline, so agreement is a real cross-check.
-adjoint_costates back-substitutes the symplectic partitioned RK costate
-system, the reference for Hager's equivalence with the solver's adjoint.
-grad_exact and quasi_newton share one dense model, the chain rule through
-all steps in block matrices, for the gradient and the metric W(U); grad_fd
-differences the cost itself.
+The dense oracles read one discretized problem in v = (U, X, x_1..x_N): the
+cost Hessian P from the stage cost blocks and the Jacobian of the stage and
+node equations from one ``stage_jacobians`` call.  qp_solve factors the KKT
+system of a linear-quadratic problem once; grad_exact and quasi_newton take
+the Jacobian's null space at the iterate of ``ilqr.rollout`` for the gradient
+and the metric W(U); grad_fd differences the cost.  adjoint_costates
+back-substitutes the symplectic partitioned RK costate system, the reference
+for Hager's equivalence with the solver's adjoint.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import scipy.linalg
 from . import ilqr
 from .dlqr import stage_cost_blocks
 from .errors import OracleFailure
+from .problem import LQProblem
 from .tableau import adjoint
 
 
@@ -73,48 +74,55 @@ def _blockdiag(blocks, N: int) -> np.ndarray:
     return out.reshape(N * p, N * q)
 
 
-def qp_solve(prob, tab, N: int) -> QPSolution:
-    """Solve the discretized problem by one dense KKT factorization.
-
-    Variables are all stage controls, stage states and node states x_1..x_N;
-    constraints are the stage and node-transition equations specialized to
-    linear dynamics, each block of a step placed once for all steps.  The
-    indefinite system is LU-factored once and refined twice, which keeps the
-    multipliers sharp on stiff instances.  Intended for small N.
-    """
-    n, m, s = prob.n, prob.m, tab.s
-    h = prob.tf / N
-    a, b = tab.a, tab.b
-    A, B = prob.A, prob.B
-
-    d = np.diag(b)
-    Qh = h * np.kron(d, prob.Q)
-    Rh = h * np.kron(d, prob.R)
-    Sh = h * np.kron(d, prob.S)
-    Acal = h * np.kron(a, A)
-    Bcal = h * np.kron(a, B)
-    Bt = h * np.kron(b[None, :], A)  # node update weights on stage states
-    Ct = h * np.kron(b[None, :], B)
-    Z = np.tile(np.eye(n), (s, 1))
-
-    nu, nx, nd = s * m * N, s * n * N, n * N
-    below = np.eye(N, k=-1)  # step k reads node x_k, the node variable of step k - 1
-
-    P = np.block([
+def _cost_hessian(prob, tab, N: int) -> np.ndarray:
+    """Hessian P of the discrete cost in v = (U, X, x_1..x_N): J_d = 1/2 v'P v."""
+    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, prob.tf / N)
+    nu, nx, nd = tab.s * prob.m * N, tab.s * prob.n * N, prob.n * N
+    return np.block([
         [_blockdiag(Rh, N), _blockdiag(Sh.T, N), np.zeros((nu, nd))],
         [_blockdiag(Sh, N), _blockdiag(Qh, N), np.zeros((nx, nd))],
-        [np.zeros((nd, nu + nx)), np.pad(prob.M, (nd - n, 0))],
+        [np.zeros((nd, nu + nx)), np.pad(prob.M, (nd - prob.n, 0))],
     ])
-    # constraints: stage rows then transition rows, both in residual form
-    #   Z x_k + Acal X_k + Bcal U_k - X_k = 0
-    #   x_k + Bt X_k + Ct U_k - x_{k+1}  = 0
-    # with the known x_0 = x0 of the first step moved to the right-hand side
-    Amat = np.block([
-        [_blockdiag(Bcal, N), _blockdiag(Acal - np.eye(s * n), N), np.kron(below, Z)],
-        [_blockdiag(Ct, N), _blockdiag(Bt, N), np.kron(below - np.eye(N), np.eye(n))],
+
+
+def _constraint_jacobian(prob, tab, N: int, X, U) -> np.ndarray:
+    """Jacobian in v = (U, X, x_1..x_N) of the stage and node equations at stage points X, U.
+
+    Stage rows then node rows, in residual form for every step k,
+      x_k + h sum_j a_ij f(X_kj, U_kj) - X_ki = 0,  x_k + h sum_j b_j f(X_kj, U_kj) - x_{k+1} = 0,
+    with x_0 = x0 known.  Block (i, j) of step k is h w_ij J_kj, w the rows of a then b and J_kj
+    the Jacobians of f from one ``stage_jacobians`` call at all N·s stage points.
+    """
+    h, n, m, s = prob.tf / N, prob.n, prob.m, tab.s
+    wts = np.vstack([tab.a, tab.b])
+    Jx, Ju = prob.stage_jacobians(np.reshape(X, (N * s, n)), np.reshape(U, (N * s, m)))
+    JX, JU = (h * np.einsum("ij,kjab->kiajb", wts, J.reshape(N, s, n, -1)).reshape(N, (s + 1) * n, -1)
+              for J in (Jx, Ju))
+    JX[:, :s * n] -= np.eye(s * n)
+    below = np.eye(N, k=-1)  # step k reads node x_k, the node variable of step k - 1
+    return np.block([
+        [_blockdiag(JU[:, :s * n], N), _blockdiag(JX[:, :s * n], N), np.kron(below, np.tile(np.eye(n), (s, 1)))],
+        [_blockdiag(JU[:, s * n:], N), _blockdiag(JX[:, s * n:], N), np.kron(below - np.eye(N), np.eye(n))],
     ])
+
+
+def qp_solve(prob, tab, N: int) -> QPSolution:
+    """Solve the discretized linear-quadratic problem by one dense KKT factorization.
+
+    The cost Hessian and the constraint Jacobian at zero stage points are
+    exact for linear dynamics.  The indefinite system is LU-factored once
+    and refined twice, which keeps the multipliers sharp on stiff instances.
+    Intended for small N.  ValueError unless ``prob`` is an ``LQProblem``.
+    """
+    if not isinstance(prob, LQProblem):
+        raise ValueError(f"qp_solve needs a linear-quadratic problem (LQProblem), not {type(prob).__name__}")
+    n, sm, sn = prob.n, tab.s * prob.m, tab.s * prob.n
+    nu, nx, nd = sm * N, sn * N, n * N
+    P = _cost_hessian(prob, tab, N)
+    Amat = _constraint_jacobian(prob, tab, N, np.zeros((N, sn)), np.zeros((N, sm)))
     kkt = np.block([[P, Amat.T], [Amat, np.zeros((nx + nd, nx + nd))]])
-    rhs = np.concatenate([np.zeros(nu + nx + nd), -(Z @ prob.x0), np.zeros(nx - s * n),
+    # the known x_0 = x0 of the first step moves to the right-hand side
+    rhs = np.concatenate([np.zeros(nu + nx + nd), -np.tile(prob.x0, tab.s), np.zeros(nx - sn),
                           -prob.x0, np.zeros(nd - n)])
     try:
         factors = scipy.linalg.lu_factor(kkt)
@@ -183,30 +191,24 @@ def grad_fd(prob, tab, N: int, U) -> np.ndarray:
 
 
 def _dense_model(prob, tab, N: int, U):
-    """The iterate at U, its sensitivities dX/dU and dx_N/dU, and the cost gradient Y.
+    """The iterate at U, the null-space basis Z of its constraint Jacobian, the cost Hessian P and gradient Y.
 
-    The chain rule through all N steps at once, in block matrices.  The
-    node sensitivities follow dx_{k+1} = G_k dx_k + H_k dU_k from dx_0 = 0:
-    one block lower-triangular solve with I - G below the diagonal against
-    blockdiag(H).  The stage sensitivities are dX_k = E_k dx_k + F_k dU_k.
-    Y = dX'w + r + dx_N'M x_N, with w and r the running-cost gradients in the
-    stage states and the stage controls.
+    With the constraint Jacobian A = [A_U | A_z] at the iterate's stage
+    points, z = (X, x_1..x_N), the tangent plane's directions are v = Z dU
+    for Z = [I; -A_z^{-1} A_U], one dense solve.  The cost is 1/2 v'P v, so
+    its gradient in U is Y = Z'P v at the iterate's v.
     """
     state = ilqr.rollout(prob, tab, N, U)
-    steps = ilqr.linearize(prob, tab, state)
-    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, state.h)
-    n = prob.n
-    chain = np.eye(N * n) - np.pad(_blockdiag(steps.G[1:], N - 1), ((n, 0), (0, n)))
-    dx = scipy.linalg.solve_triangular(chain, _blockdiag(steps.H, N), lower=True, unit_diagonal=True)
-    dX = _blockdiag(steps.E, N) @ np.pad(dx[:-n], ((n, 0), (0, 0))) + _blockdiag(steps.F, N)
-    w = state.X @ Qh.T + state.U @ Sh.T
-    r = state.U @ Rh.T + state.X @ Sh
-    Y = dX.T @ w.ravel() + r.ravel() + dx[-n:].T @ (prob.M @ state.x[-1])
-    return state, dX, dx[-n:], Y
+    nu = state.U.size
+    A = _constraint_jacobian(prob, tab, N, state.X, state.U)
+    Z = np.vstack([np.eye(nu), -np.linalg.solve(A[:, nu:], A[:, :nu])])
+    P = _cost_hessian(prob, tab, N)
+    Y = Z.T @ (P @ np.concatenate([state.U.ravel(), state.X.ravel(), state.x[1:].ravel()]))
+    return state, Z, P, Y
 
 
 def grad_exact(prob, tab, N: int, U) -> np.ndarray:
-    """Exact cost gradient from the dense sensitivities, shape (N, s*m)."""
+    """Exact cost gradient on the tangent plane of the constraints, shape (N, s*m)."""
     *_, Y = _dense_model(prob, tab, N, U)
     return Y.reshape(N, -1)
 
@@ -214,15 +216,12 @@ def grad_exact(prob, tab, N: int, U) -> np.ndarray:
 def quasi_newton(prob, tab, N: int, U) -> QuasiNewtonData:
     """Assemble the dense quadratic model (W, Y, C) at U and its minimizer step.
 
-    W = dX' Qcal dX + Rcal + dx_N' M dx_N plus the cross blocks of Scal,
-    with dX and dx_N the sensitivities of ``grad_exact``'s model; Y is the
-    gradient; the returned direction is -W^{-1} Y.  Small instances only.
-    OracleFailure when W is not numerically positive definite.
+    W = Z'P Z, the cost Hessian on the tangent plane of ``grad_exact``'s
+    model; Y is the gradient; the returned direction is -W^{-1} Y.  Small
+    instances only.  OracleFailure when W is not numerically positive definite.
     """
-    state, dX, dxN, Y = _dense_model(prob, tab, N, U)
-    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, state.h)
-    cross = _blockdiag(Sh.T, N) @ dX
-    W = dX.T @ _blockdiag(Qh, N) @ dX + _blockdiag(Rh, N) + cross + cross.T + dxN.T @ prob.M @ dxN
+    state, Z, P, Y = _dense_model(prob, tab, N, U)
+    W = Z.T @ P @ Z
     W = 0.5 * (W + W.T)
     try:
         direction = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(W), Y)

@@ -45,6 +45,19 @@ OVERFLOW = LQProblem(A=[[1e300]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], M=[[0.0]], x0
 CLOSED_LOOP = dataclasses.replace(OVERFLOW, A=[[1e70]], name="closed_loop")
 
 
+def random_explicit_tableau(rng, s, keep=1.0):
+    """An explicit tableau of s stages with positive weights summing to 1, drawn from ``rng``.
+
+    Each entry below the diagonal is uniform on (-1, 1); with ``keep`` < 1 it
+    stays with that probability and is otherwise exactly zero.
+    """
+    a = rng.uniform(-1.0, 1.0, (s, s))
+    if keep < 1:
+        a *= rng.uniform(size=(s, s)) < keep
+    w = rng.uniform(0.1, 1.0, s)
+    return ButcherTableau(a=np.tril(a, -1), b=w / w.sum(), name="random")
+
+
 def two_springs(S=None):
     """Two unit masses coupled by three unit springs, the first one driven: n = 4, m = 1.
 

@@ -440,3 +440,23 @@ def test_criterion_17_linear_rate_predicted_and_observed():
                 rho_one[N] = rho
     assert abs(rho_one[16] - rho_one[32]) <= 0.01, rho_one  # the rate does not depend on h
     _pass("criterion 17: " + "; ".join(rows))
+
+
+def test_criterion_18_implicit_node_orders_on_the_pendulum(capsys):
+    # the implicit tableaus' control orders 4, 5 and 6 on a nonlinear problem,
+    # each on a grid whose finest error (3.97e-9, 4.82e-9, 3.90e-9) stays above
+    # 100 STUDY_TOL, so no sample warns.  Measured fitted slopes, with those of
+    # adjacent pairs: Gauss2 3.980 (3.96, 4.03, 3.98), Radau IIA3 4.948 (4.88,
+    # 5.02), Gauss3 5.977 (5.88, 6.08)
+    t0 = time.perf_counter()
+    rows = []
+    for tab, grid in ((GAUSS2, [0.2, 0.1, 0.08, 0.05]), (RADAU2A3, [0.4, 0.2, 0.1]), (GAUSS3, [0.8, 0.4, 0.2])):
+        study = run_order_study(pendulum(), tab, grid, "node")
+        r = ocp_order(tab)
+        h, e = np.log(study.samples).T
+        pairs = np.diff(e) / np.diff(h)
+        assert study.fitted_slope == pytest.approx(r, abs=0.2), (tab.name, study.fitted_slope)
+        assert all(abs(slope - r) <= 0.3 for slope in pairs), (tab.name, pairs)
+        rows.append(f"{tab.name} {study.fitted_slope:.3f} (pairs " + ", ".join(f"{p:.2f}" for p in pairs) + ")")
+    assert capsys.readouterr().err == ""
+    _pass(f"criterion 18: pendulum node slopes {'; '.join(rows)} ({time.perf_counter() - t0:.2f}s)")

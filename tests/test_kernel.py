@@ -13,7 +13,8 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
-from fixtures import GAUSS2, IMPLICIT_EULER, INDEFINITE, MIDPOINT, NEGATIVE_HEUN, RADAU2A3, two_springs
+from fixtures import (GAUSS2, IMPLICIT_EULER, INDEFINITE, MIDPOINT, NEGATIVE_HEUN, RADAU2A3, random_explicit_tableau,
+                      two_springs)
 
 from rklqr import dlqr, ilqr, oracle
 from rklqr.errors import BackwardFailure, RolloutDiverged, StepTooLarge
@@ -95,26 +96,12 @@ def _sweep_args(prob, tab, steps, N):
             *dlqr.stage_cost_blocks(prob, tab.b, h), prob.M, N, h)
 
 
-def _random_explicit_tableau(rng, s):
-    a = np.tril(rng.uniform(-1.0, 1.0, (s, s)), -1)
-    w = rng.uniform(0.1, 1.0, s)
-    return ButcherTableau(a=a, b=w / w.sum(), name="random")
-
-
-def _sparse_explicit_tableau(rng):
-    """Random explicit tableau with some entries below the diagonal exactly zero."""
-    s = int(rng.integers(1, 5))
-    a = np.tril(rng.uniform(-1.0, 1.0, (s, s)) * (rng.uniform(size=(s, s)) < 0.6), -1)
-    w = rng.uniform(0.1, 1.0, s)
-    return ButcherTableau(a=a, b=w / w.sum(), name="random")
-
-
 def _explicit_tableau(rng, kind):
     """An explicit tableau of the given kind: dense random, random with zeros, or a builtin."""
     if kind == "dense":
-        return _random_explicit_tableau(rng, int(rng.integers(1, 4)))
+        return random_explicit_tableau(rng, int(rng.integers(1, 4)))
     if kind == "sparse":
-        return _sparse_explicit_tableau(rng)
+        return random_explicit_tableau(rng, int(rng.integers(1, 5)), keep=0.6)
     return builtin(kind)
 
 
@@ -808,7 +795,7 @@ class TestLeanRollout:
         # states up to rounding, so the slack is 1e-12 of the largest state
         rng = np.random.default_rng(seed)
         if kind == "random":
-            tab = _sparse_explicit_tableau(rng)
+            tab = random_explicit_tableau(rng, int(rng.integers(1, 5)), keep=0.6)
         elif kind == "lobatto3a":
             tab = LOBATTO3A
         else:
@@ -882,7 +869,7 @@ class TestHagerEquivalence:
         # of the symplectic partner; it holds at any iterate, not just the optimum
         rng = np.random.default_rng(seed)
         tab = (builtin("trapezoidal") if rng.integers(2)
-               else _random_explicit_tableau(rng, int(rng.integers(1, 5))))
+               else random_explicit_tableau(rng, int(rng.integers(1, 5))))
         if linear:
             N = int(rng.integers(1, 7))
             prob = _random_lq(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)),
@@ -910,7 +897,7 @@ class TestBackwardKernel:
         rng = np.random.default_rng(seed)
         n, m, N = (int(v) for v in rng.integers(1, [4, 3, 7]))
         if kind == "random":
-            tab = _random_explicit_tableau(rng, int(rng.integers(1, 4)))
+            tab = random_explicit_tableau(rng, int(rng.integers(1, 4)))
         elif kind == "lobatto3a":
             tab = LOBATTO3A
         else:
@@ -938,7 +925,7 @@ class TestBackwardKernel:
         # criterion 7's identity dU = -W^{-1} J_d'(U), at its 1e-8, beyond the builtin tableaus
         rng = np.random.default_rng(seed)
         if kind == "random":
-            tab = _random_explicit_tableau(rng, int(rng.integers(1, 4)))
+            tab = random_explicit_tableau(rng, int(rng.integers(1, 4)))
         else:
             tab = LOBATTO3A if kind == "lobatto3a" else builtin(kind)
         prob = pendulum()

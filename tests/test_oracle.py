@@ -1,12 +1,16 @@
 """Oracle machinery: KKT solve, gradient routes, quasi-Newton metric, 1-D demo."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from curve_demo import scalar_curve_demo
+from fixtures import GAUSS2
 
 from rklqr import dlqr, ilqr, oracle
 from rklqr.errors import OracleFailure
-from rklqr.problem import LQProblem, example31, pendulum, spring_oscillator
+from rklqr.problem import LQProblem, example31, pendulum, pendulum_tanh, spring_oscillator
 from rklqr.tableau import builtin
 
 # direction -Y/W at u = 0.1 for the curve x = u^2 + 1:
@@ -20,7 +24,60 @@ def _probe_grid():
             yield name, N
 
 
+def _residuals(prob, tab, N, v):
+    """The stage and node equations in residual form at v = (U, X, x_1..x_N), from prob.f and the tableau."""
+    n, m, s = prob.n, prob.m, tab.s
+    h = prob.tf / N
+    U, X, x = np.split(v, np.cumsum([N * s * m, N * s * n]))
+    X, x = X.reshape(N, s, n), np.vstack([prob.x0, x.reshape(N, n)])
+    F = prob.f(X.reshape(-1, n), U.reshape(-1, m)).reshape(N, s, n)
+    stage = x[:-1, None] + h * np.einsum("ij,kjn->kin", tab.a, F) - X
+    node = x[:-1] + h * np.einsum("j,kjn->kn", tab.b, F) - x[1:]
+    return np.concatenate([stage.ravel(), node.ravel()])
+
+
+class TestDenseCore:
+    @pytest.mark.parametrize("prob", [pendulum_tanh(), spring_oscillator()], ids=lambda p: p.name)
+    @pytest.mark.parametrize("tab", [builtin("trapezoidal"), GAUSS2], ids=lambda t: t.name)
+    def test_constraint_jacobian_matches_central_differences(self, prob, tab):
+        N, s = 3, tab.s
+        rng = np.random.default_rng(len(prob.name) + s)
+        sizes = np.cumsum([N * s * prob.m, N * s * prob.n])
+        v = rng.standard_normal(sizes[-1] + N * prob.n)
+        U, X, _ = (part.reshape(N, -1) for part in np.split(v, sizes))
+        got = oracle._constraint_jacobian(prob, tab, N, X, U)
+        eps = 1e-6
+        want = np.column_stack([(_residuals(prob, tab, N, v + d) - _residuals(prob, tab, N, v - d)) / (2 * eps)
+                                for d in eps * np.eye(v.size)])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+        if prob.name == "spring":  # linear dynamics: the same Jacobian at every stage point
+            zero = oracle._constraint_jacobian(prob, tab, N, np.zeros_like(X), np.zeros_like(U))
+            assert np.array_equal(got, zero)
+
+    def test_oracle_reads_only_the_solvers_rollout_and_cost_blocks(self):
+        # the dense model takes its iterate from ilqr.rollout and nothing else of
+        # the solvers, so a defect in their step operators, backward pass or
+        # gradient cannot pass both sides of a check
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        solvers = {"ilqr", "dlqr"}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in solvers:
+                used |= {f"{node.module}.{alias.name}" for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                assert not {alias.asname for alias in node.names if alias.name in solvers} - {None}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in solvers:
+                used.add(f"{node.value.id}.{node.attr}")
+        assert used <= {"ilqr.rollout", "ilqr.stage_controls", "dlqr.stage_cost_blocks"}, used
+
+
 class TestQPSolve:
+    def test_nonlinear_problem_is_rejected(self):
+        # the QP of the linearization at zero is not the pendulum's problem
+        with pytest.raises(ValueError, match=r"^qp_solve needs a linear-quadratic problem \(LQProblem\), "
+                                             r"not NonlinearProblem$"):
+            oracle.qp_solve(pendulum(), builtin("methodB"), 4)
+
     def test_zero_cost_gives_zero_controls(self):
         prob = LQProblem(
             A=[[0.0, 1.0], [-1.0, 0.0]], B=[[1.0], [0.0]], Q=np.zeros((2, 2)),

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from explicit3_family import DegenerateFamily, explicit3_family
-from fixtures import RALSTON3, SPECS, write_spec
+from fixtures import RALSTON3, SPECS, random_explicit_tableau, write_spec
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -373,6 +373,20 @@ class TestOcpOrder:
         reports = stage_orders(tab)
         assert min(rep.predicted_order for rep in reports) < 3
         assert all(rep.c_match == (rep.q2 >= 2) for rep in reports)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.sampled_from([1.0, 0.6]))
+    @settings(max_examples=200, deadline=None)
+    def test_explicit_first_moving_stage_is_at_most_order_2(self, seed, s, keep):
+        # the first stage with c_i != 0 reads only stages with c_j = 0, so its
+        # l = 3 condition sum_j a_ij c_j = c_i^2 / 2 reads 0 = c_i^2 / 2: q1 <= 2,
+        # whatever the stage count and the control order.  Zero entries (keep
+        # 0.6) make whole rows zero, so that stage need not be stage 2
+        tab = random_explicit_tableau(np.random.default_rng(seed), s, keep)
+        moving = tab.c != 0
+        # a c_i within ORDER_COND_TOL of 0 would read the failing condition as holding
+        assume(moving.any() and np.abs(tab.c[moving]).min() >= 1e-3)
+        rep = stage_orders(tab)[int(np.argmax(moving))]
+        assert rep.q1 <= 2 and rep.predicted_order <= 2, rep
 
 
 def _c_match(tab):
