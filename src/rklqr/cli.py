@@ -124,7 +124,9 @@ def solve_problem(prob, tab: ButcherTableau, N: int, tol=ilqr.DEFAULT_TOL, max_i
 
 
 def step_count(prob, h: float) -> int:
-    """The number of steps N = tf / h; ValueError unless h divides tf."""
+    """The number of steps N = tf / h; ValueError unless h is finite and positive and divides tf."""
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"step {h!r} must be finite and positive")
     N = int(round(prob.tf / h))
     if N < 1 or abs(prob.tf / h - N) > 1e-9:
         raise ValueError(f"step {h!r} does not divide tf = {prob.tf!r}")
@@ -187,10 +189,11 @@ def run_order_study(prob, tab: ButcherTableau, h_grid, target: str,
 
     target is "node" or "stage:<i>".  The reference maps an array of times to
     controls: the analytic control if known, else a methodC solve 'ref_refine'
-    times finer than the smallest h.  Every h must divide tf (``step_count``);
-    the whole grid is checked before anything is solved.  Every solve stops
-    at STUDY_TOL.  The samples are solved coarsest first, each started from
-    the one before (``solve_problem``'s start), and the reference from the
+    times finer than the smallest h.  Every h must be finite and positive and
+    divide tf (``step_count``); the whole grid is checked, in its given order,
+    before ref_refine, the target and any solve.  Every solve stops at
+    STUDY_TOL.  The samples are solved coarsest first, each started from the
+    one before (``solve_problem``'s start), and the reference from the
     finest; a predecessor of fewer than four nodes starts nothing.  An ILQR
     sample whose error is below 100 STUDY_TOL partly measures the solver,
     and is reported with a warning.
@@ -198,15 +201,12 @@ def run_order_study(prob, tab: ButcherTableau, h_grid, target: str,
     h_grid = [float(h) for h in h_grid]
     if not h_grid:
         raise ValueError("the step grid is empty")
-    for h in h_grid:
-        if not (np.isfinite(h) and h > 0):
-            raise ValueError(f"step {h!r} must be finite and positive")
+    steps = {h: step_count(prob, h) for h in h_grid}
     if ref_refine < 1:
         raise ValueError(f"ref_refine {ref_refine!r} must be >= 1")
     stage = _parse_target(target, tab.s)
-    steps = [step_count(prob, h) for h in sorted(set(h_grid), reverse=True)]
     trajs, start = [], None
-    for N in steps:
+    for N in (steps[h] for h in sorted(steps, reverse=True)):
         traj, _ = solve_problem(prob, tab, N, tol=STUDY_TOL, start=start)
         trajs.append(traj)
         start = traj if len(traj.u) >= 4 else None  # cubic_lagrange needs four nodes

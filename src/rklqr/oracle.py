@@ -176,7 +176,7 @@ def adjoint_costates(prob, tab, state) -> AdjointCostates:
 def grad_fd(prob, tab, N: int, U) -> np.ndarray:
     """Central-difference gradient of the discrete cost, component by component.
 
-    The step is 1e-6 (1 + |U|) in every component.
+    The step is 1e-6 (1 + ‖U‖) in every component, ‖U‖ the Frobenius norm of all the controls.
     """
     U = ilqr.stage_controls(U, N, tab.s * prob.m)
     eps = 1e-6 * (1.0 + np.linalg.norm(U))

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 from curve_demo import scalar_curve_demo
 from explicit3_family import explicit3_family
-from fixtures import GAUSS2, GAUSS3, RADAU2A3, RALSTON3
-from scipy.integrate import solve_ivp
+from fixtures import GAUSS2, GAUSS3, PROBE_GRID, RADAU2A3, RALSTON3, continuous_riccati
 import scipy.linalg
 from scipy.optimize import minimize
 
@@ -57,11 +56,10 @@ def _pass(msg):
 def probe_set():
     """50 seeded random (method, N, U) probes on the pendulum."""
     prob = pendulum()
-    combos = [(name, N) for name in ("euler", "methodA", "methodB") for N in (2, 3, 4)]
     probes = []
     rng = np.random.default_rng(20240817)
     for i in range(50):
-        name, N = combos[i % len(combos)]
+        name, N = PROBE_GRID[i % len(PROBE_GRID)]
         tab = builtin(name)
         probes.append((name, N, rng.standard_normal((N, tab.s * prob.m))))
     return prob, probes
@@ -135,7 +133,7 @@ def test_criterion_05_oracle_equivalence():
                 np.testing.assert_allclose(qp.X, traj.X, atol=1e-9)
                 np.testing.assert_allclose(qp.x, traj.x, atol=1e-9)
                 state = ilqr.IterateState(U=qp.U, X=qp.X, x=qp.x, Jd=0.0, h=prob.tf / N)
-                p = ilqr.costates(prob, tab, state)
+                p = ilqr.linearize(prob, tab, state).p
                 np.testing.assert_allclose(qp.lam, p[1:], atol=1e-9)
     _pass("criterion 5: DLQR == KKT solve and multipliers == costates (1e-9)")
 
@@ -317,27 +315,9 @@ def test_criterion_14_stage_orders_across_tableaus():
           f"of stage_orders on example31, at least {lowest:+.2f} from them on the pendulum ({elapsed:.2f}s)")
 
 
-def _continuous_riccati(prob, h):
-    """P(k h), k = 0..tf/h, of -P' = A'P + PA - (PB + S)R^-1(B'P + S') + Q with P(tf) = M.
-
-    Integrated backward by DOP853 at rtol 1e-13 and atol 1e-14.
-    """
-    A, B, S, Q, Rinv, n = prob.A, prob.B, prob.S, prob.Q, np.linalg.inv(prob.R), prob.n
-
-    def rhs(t, y):
-        P = y.reshape(n, n)
-        K = P @ B + S
-        return -(A.T @ P + P @ A - K @ Rinv @ K.T + Q).ravel()
-
-    N = int(round(prob.tf / h))
-    sol = solve_ivp(rhs, (prob.tf, 0.0), prob.M.ravel(), method="DOP853", rtol=1e-13, atol=1e-14,
-                    t_eval=np.linspace(prob.tf, 0.0, N + 1))
-    return sol.y.T[::-1].reshape(N + 1, n, n)
-
-
 def _value_slope(prob, tab, grid):
     """Fitted slope of max_k max |M_k - P(t_k)| against h over the halving grid, P from its finest h."""
-    P = _continuous_riccati(prob, grid[-1])
+    P = continuous_riccati(prob, grid[-1])
     samples = []
     for h in grid:
         N = int(round(prob.tf / h))

@@ -553,6 +553,12 @@ class TestOrderStudyCommand:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf], ids=repr)
+    def test_step_count_rejects_a_step_not_finite_and_positive(self, h):
+        # one check of a step, read by the study's grid and its reference alike
+        with pytest.raises(ValueError, match=f"^step {re.escape(repr(h))} must be finite and positive$"):
+            cli.step_count(builtin_problem("pendulum")[0], h)
+
     @pytest.mark.parametrize("target", ["bogus", "stage:9", "stage:x", "stage:0"])
     def test_bad_target_rejected_before_any_solve(self, monkeypatch, capsys, target):
         def no_solve(*args, **kwargs):

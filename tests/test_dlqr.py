@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from fixtures import CLOSED_LOOP, IMPLICIT_EULER, NEGATIVE_HEUN, OVERFLOW
+from fixtures import CLOSED_LOOP, IMPLICIT_EULER, NEGATIVE_HEUN, OVERFLOW, ZERO_COST_SPRING, continuous_riccati
 
 from rklqr import dlqr, ilqr
 from rklqr.cli import max_node_error, max_stage_error
@@ -81,11 +81,7 @@ class TestAssemble:
 
 class TestRiccati:
     def test_zero_cost_gives_zero_gains(self):
-        prob = LQProblem(
-            A=[[0.0, 1.0], [-1.0, 0.0]], B=[[1.0], [0.0]], Q=np.zeros((2, 2)),
-            R=[[3.0]], M=np.zeros((2, 2)), x0=[1.0, 1.0], tf=4.0,
-        )
-        tab = builtin("methodB")
+        prob, tab = ZERO_COST_SPRING, builtin("methodB")
         bp = dlqr.riccati_backward(prob, tab, dlqr.assemble(prob, tab, 10))
         for k in range(10):
             np.testing.assert_allclose(bp.U1[k], 0.0, atol=0)
@@ -118,28 +114,14 @@ class TestRiccati:
             assert np.linalg.eigvalsh(Mk).min() >= -1e-12
 
     def test_matches_continuous_riccati_at_third_order(self):
-        # backward RK4 integration of the continuous Riccati equation is the
-        # reference; the discrete M_0 must approach it at O(h^3) for methodB
+        # the continuous Riccati solution P(0) is the reference; the discrete
+        # M_0 must approach it at O(h^3) for methodB
         prob = spring_oscillator()
-        A, B, Q, R, Mf = prob.A, prob.B, prob.Q, prob.R, prob.M
-        Rinv = np.linalg.inv(R)
-
-        def mdot_backward(Mt):  # d/ds M(tf - s)
-            return A.T @ Mt + Mt @ A - Mt @ B @ Rinv @ B.T @ Mt + Q
-
-        h = 4e-3
-        Mt = Mf.copy()
-        for _ in range(int(round(prob.tf / h))):
-            k1 = mdot_backward(Mt)
-            k2 = mdot_backward(Mt + 0.5 * h * k1)
-            k3 = mdot_backward(Mt + 0.5 * h * k2)
-            k4 = mdot_backward(Mt + h * k3)
-            Mt = Mt + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-
+        P0 = continuous_riccati(prob, prob.tf)[0]
         errs = []
         for N in (400, 800):
             _, bp, _ = dlqr.solve(prob, builtin("methodB"), N)
-            errs.append(np.abs(bp.M[0] - Mt).max())
+            errs.append(np.abs(bp.M[0] - P0).max())
         assert errs[0] < 1e-3
         assert 5.0 < errs[0] / errs[1] < 12.0  # halving h cuts the error ~8x
 

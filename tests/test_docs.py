@@ -1,4 +1,5 @@
-"""README's library example runs against the current API, and its claims ledger names tests that exist."""
+"""README's library example runs against the current API, its claims ledger names tests that exist, and CI reads
+shared fixtures only from ``tests/fixtures.py``."""
 
 import ast
 import re
@@ -39,3 +40,9 @@ def test_claims_ledger_names_existing_tests():
             path, *names = node_id.split("::")
             assert re.fullmatch(r"tests/\w+\.py", path) and names, node_id  # in full, no "…"
             assert _defines(ROOT / path, names), node_id
+
+
+def test_ci_imports_no_test_module():
+    # a reference CI shares with the checks lives in tests/fixtures.py, not in a test file
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    assert not re.findall(r"^\s*(?:from|import)\s+test_.*$", workflow, re.M)

@@ -9,7 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
-from fixtures import IMPLICIT_EULER
+from fixtures import IMPLICIT_EULER, recording
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -313,30 +313,16 @@ class TestGradient:
         N = 3
         rng = np.random.default_rng(17)
         U = rng.standard_normal((N, tab.s * prob.m))
-        state = ilqr.rollout(prob, tab, N, U)
-        g = ilqr.gradient(prob, tab, state)
-        eps = 1e-6
-        for idx in np.ndindex(U.shape):
-            up, um = U.copy(), U.copy()
-            up[idx] += eps
-            um[idx] -= eps
-            fd = (ilqr.rollout(prob, tab, N, up).Jd - ilqr.rollout(prob, tab, N, um).Jd) / (2 * eps)
-            assert g[idx] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+        g = ilqr.gradient(prob, tab, ilqr.rollout(prob, tab, N, U))
+        assert g == pytest.approx(oracle.grad_fd(prob, tab, N, U), rel=1e-6, abs=1e-9)
 
     def test_cross_term_gradient(self):
         prob, _ = example31()
         tab = builtin("methodA")
         N = 4
         U = np.linspace(-1.0, 1.0, N * 2).reshape(N, 2)
-        state = ilqr.rollout(prob, tab, N, U)
-        g = ilqr.gradient(prob, tab, state)
-        eps = 1e-7
-        for idx in np.ndindex(U.shape):
-            up, um = U.copy(), U.copy()
-            up[idx] += eps
-            um[idx] -= eps
-            fd = (ilqr.rollout(prob, tab, N, up).Jd - ilqr.rollout(prob, tab, N, um).Jd) / (2 * eps)
-            assert g[idx] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+        g = ilqr.gradient(prob, tab, ilqr.rollout(prob, tab, N, U))
+        assert g == pytest.approx(oracle.grad_fd(prob, tab, N, U), rel=1e-6, abs=1e-8)
 
 
 class TestLineSearch:
@@ -518,27 +504,17 @@ class TestSolve:
     def test_warm_started_trials_save_f_calls(self, name, N):
         # 7 iterations: the first rollout and 8 trials, each trial started
         # from the tangent prediction (46 calls when every trial starts at x0)
-        base, calls = pendulum(), []
-
-        def counted(X, U):
-            calls.append(len(X))
-            return base.f_fn(X, U)
-
-        _, log, _ = ilqr.solve(dataclasses.replace(base, f_fn=counted), builtin(name), N)
+        prob, calls = recording(pendulum())
+        _, log, _ = ilqr.solve(prob, builtin(name), N)
         assert len(calls) == 30
         assert [rec.alpha for rec in log] == [0.5] + [1.0] * 6
 
     def test_sweeps_skip_the_settled_prefix(self):
         # the same 30 batched f calls and step lengths as sweeps over all N
         # steps, but a sweep passes f only the steps after the settled prefix
-        base, calls = pendulum(), []
-
-        def counted(X, U):
-            calls.append(len(X))
-            return base.f_fn(X, U)
-
+        prob, calls = recording(pendulum())
         tab, N = builtin("methodB"), 200
-        _, log, _ = ilqr.solve(dataclasses.replace(base, f_fn=counted), tab, N)
+        _, log, _ = ilqr.solve(prob, tab, N)
         assert len(calls) == 30
         assert [rec.alpha for rec in log] == [0.5] + [1.0] * 6
         assert sum(calls) < 30 * N * tab.s
@@ -618,13 +594,13 @@ class TestCostates:
         prob = spring_oscillator()
         tab = builtin("methodB")
         _, _, traj = dlqr.solve(prob, tab, 50)
-        p = ilqr.costates(prob, tab, traj)
+        p = ilqr.linearize(prob, tab, traj).p
         np.testing.assert_allclose(p, traj.p, atol=1e-9)
 
     def test_zero_cost_zero_costates(self):
         prob, tab = _zero_cost_pendulum(), builtin("methodA")
         state = ilqr.rollout(prob, tab, 6, np.zeros((6, 2)))
-        np.testing.assert_allclose(ilqr.costates(prob, tab, state), 0.0, atol=0)
+        np.testing.assert_allclose(ilqr.linearize(prob, tab, state).p, 0.0, atol=0)
         cost = oracle.adjoint_costates(prob, tab, state)
         np.testing.assert_allclose(cost.p, 0.0, atol=0)
         np.testing.assert_allclose(cost.p_stage, 0.0, atol=0)
@@ -635,7 +611,7 @@ class TestCostates:
         errs = []
         for N in (5, 10, 20):
             _, _, traj = dlqr.solve(prob, tab, N)
-            p = ilqr.costates(prob, tab, traj)
+            p = ilqr.linearize(prob, tab, traj).p
             errs.append(abs(p[0, 0] - P_STAR_0))
         slope = np.polyfit(np.log([0.2, 0.1, 0.05]), np.log(errs), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.4)
@@ -662,7 +638,7 @@ class TestCostates:
         state, _, p = ilqr.solve(prob, tab, 40, tol=tol)
         assert slope_test[-1:] == last  # whether the slope test took the last step
         assert p is planes[-1].p
-        np.testing.assert_array_equal(p, ilqr.costates(prob, tab, state))
+        np.testing.assert_array_equal(p, ilqr.linearize(prob, tab, state).p)
 
     @pytest.mark.parametrize("name", ["euler", "methodA", "methodB", "trapezoidal"])
     def test_recursion_residual(self, name):
@@ -693,7 +669,7 @@ class TestNodeControls:
     def test_zero_costate_zero_control(self):
         prob, tab = _zero_cost_pendulum(), builtin("methodA")
         state = ilqr.rollout(prob, tab, 6, np.zeros((6, 2)))
-        p = ilqr.costates(prob, tab, state)
+        p = ilqr.linearize(prob, tab, state).p
         u = ilqr.node_controls(prob, state, p)
         np.testing.assert_allclose(u, 0.0, atol=0)
 
@@ -701,7 +677,7 @@ class TestNodeControls:
         prob = spring_oscillator()
         tab = builtin("methodA")
         _, _, traj = dlqr.solve(prob, tab, 40)
-        p = ilqr.costates(prob, tab, traj)
+        p = ilqr.linearize(prob, tab, traj).p
         u = ilqr.node_controls(prob, traj, p)
         np.testing.assert_allclose(u, traj.u, atol=1e-9)
 
@@ -712,7 +688,7 @@ class TestNodeControls:
         prob, tab = _cubic_problem(), builtin("methodB")
         rng = np.random.default_rng(2)
         state = ilqr.rollout(prob, tab, 10, 0.1 * rng.standard_normal((10, 3)))
-        p = ilqr.costates(prob, tab, state)
+        p = ilqr.linearize(prob, tab, state).p
         u = ilqr.node_controls(prob, state, p)
         _, Ju = prob.stage_jacobians(state.x, u)
         for k in range(state.N + 1):
@@ -724,7 +700,7 @@ class TestNodeControls:
         prob, tab = dataclasses.replace(_cubic_problem(), R=[[0.5]], M=5 * np.eye(2), tf=4.0), builtin("methodB")
         rng = np.random.default_rng(2)
         state = ilqr.rollout(prob, tab, 10, 0.3 * rng.standard_normal((10, 3)))
-        p = ilqr.costates(prob, tab, state)
+        p = ilqr.linearize(prob, tab, state).p
         with pytest.raises(NodeControlFailure) as exc:
             ilqr.node_controls(prob, state, p)
         assert exc.value.index is not None
@@ -845,17 +821,6 @@ def _batched_outcome(prob, state, p):
         return kind, exc.index
 
 
-def _recording(prob):
-    """prob with a jac_u_fn that records the number of points of every call."""
-    calls = []
-
-    def ju(X, U):
-        calls.append(len(X))
-        return prob.jac_u_fn(X, U)
-
-    return dataclasses.replace(prob, jac_u_fn=ju), calls
-
-
 class TestBatchedNodeControls:
     @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3, 1e6])
     def test_settles_in_any_units(self, c):
@@ -864,7 +829,7 @@ class TestBatchedNodeControls:
         base, _, _ = ilqr.solve(pendulum(), tab, N)
         prob = _scaled_pendulum(c)
         state = ilqr.rollout(prob, tab, N, base.U / c)
-        p = ilqr.costates(prob, tab, state)
+        p = ilqr.linearize(prob, tab, state).p
         u = ilqr.node_controls(prob, state, p)
         closed = -c * p[:, 1:] / prob.R[0, 0]
         np.testing.assert_allclose(u, closed, rtol=0, atol=1e-12 * np.abs(closed).max())
@@ -904,7 +869,7 @@ class TestBatchedNodeControls:
         state = _node_state(prob, rng.uniform(-1, 1, (N + 1, 2)), rng.uniform(-1, 1, (N, 3)))
         p = rng.uniform(-0.5, 0.5, (N + 1, 2))
         _, iterations = _reference_node_controls(prob, state, p)
-        recorded, calls = _recording(prob)
+        recorded, calls = recording(prob, "jac_u_fn")
         ilqr.node_controls(recorded, state, p)
         # call t evaluates the 2m + 1 points of every node still unsettled at iteration t
         assert calls == [3 * sum(it >= t for it in iterations) for t in range(1, max(iterations) + 1)]
@@ -951,7 +916,7 @@ class TestNodeControlFailures:
         # stops when nodes 0-2 settle, not at the iteration cap
         prob, state, p = _failure_case([0.5, 0.2, 0.4, 0.3, 3.0], guess1=[0.2, 0.2, 0.2, np.nan, 0.2])
         assert _reference_node_controls(prob, state, p) == ("non-finite", 3)
-        recorded, calls = _recording(prob)
+        recorded, calls = recording(prob, "jac_u_fn")
         assert _batched_outcome(recorded, state, p) == ("non-finite", 3)
         assert len(calls) < 10
 

@@ -14,7 +14,7 @@ import scipy.linalg
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from fixtures import (GAUSS2, IMPLICIT_EULER, INDEFINITE, MIDPOINT, NEGATIVE_HEUN, RADAU2A3, random_explicit_tableau,
-                      two_springs)
+                      recording, two_springs)
 
 from rklqr import dlqr, ilqr, oracle
 from rklqr.errors import BackwardFailure, RolloutDiverged, StepTooLarge
@@ -247,13 +247,8 @@ class TestScans:
         # start its one fine step would carry ROLLOUT_TOL-level settling
         # differences of the coarse solves into x.
         def run():
-            base, calls = pendulum(), []
-
-            def counted(X, U):
-                calls.append(len(X))
-                return base.f_fn(X, U)
-
-            state, log, _ = ilqr.solve(dataclasses.replace(base, f_fn=counted), builtin(method), N)
+            prob, calls = recording(pendulum())
+            state, log, _ = ilqr.solve(prob, builtin(method), N)
             return state, [r.alpha for r in log], calls
 
         state, alphas, calls = run()
@@ -818,15 +813,11 @@ class TestLeanRollout:
     def test_sweeps_on_the_unsettled_steps_match_per_step_reference(self, name):
         # each sweep runs on the steps after the settled prefix only, so the
         # batches passed to f shrink, and the states still match the reference
-        base, calls = pendulum(), []
-
-        def counted(X, U):
-            calls.append(len(X))
-            return base.f_fn(X, U)
-
+        base = pendulum()
+        prob, calls = recording(base)
         tab, N = builtin(name), 60
         U = np.random.default_rng(7).standard_normal((N, tab.s))
-        state = ilqr.rollout(dataclasses.replace(base, f_fn=counted), tab, N, U)
+        state = ilqr.rollout(prob, tab, N, U)
         X, x = _reference_rollout(base, tab, N, U)
         slack = 1e-12 * (1.0 + np.abs(x).max())
         np.testing.assert_allclose(state.X, X, rtol=0, atol=slack)

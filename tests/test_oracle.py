@@ -6,22 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 from curve_demo import scalar_curve_demo
-from fixtures import GAUSS2
+from fixtures import GAUSS2, PROBE_GRID, ZERO_COST_SPRING
 
 from rklqr import dlqr, ilqr, oracle
 from rklqr.errors import OracleFailure
-from rklqr.problem import LQProblem, example31, pendulum, pendulum_tanh, spring_oscillator
+from rklqr.problem import example31, pendulum, pendulum_tanh, spring_oscillator
 from rklqr.tableau import builtin
 
 # direction -Y/W at u = 0.1 for the curve x = u^2 + 1:
 # -(u + g'(u) g(u)) / (1 + g'(u)^2) = -0.302 / 1.04
 CURVE_DIR_AT_01 = -0.2903846153846154
-
-
-def _probe_grid():
-    for name in ("euler", "methodA", "methodB"):
-        for N in (2, 3, 4):
-            yield name, N
 
 
 def _residuals(prob, tab, N, v):
@@ -79,11 +73,7 @@ class TestQPSolve:
             oracle.qp_solve(pendulum(), builtin("methodB"), 4)
 
     def test_zero_cost_gives_zero_controls(self):
-        prob = LQProblem(
-            A=[[0.0, 1.0], [-1.0, 0.0]], B=[[1.0], [0.0]], Q=np.zeros((2, 2)),
-            R=[[3.0]], M=np.zeros((2, 2)), x0=[1.0, 1.0], tf=4.0,
-        )
-        qp = oracle.qp_solve(prob, builtin("methodA"), 4)
+        qp = oracle.qp_solve(ZERO_COST_SPRING, builtin("methodA"), 4)
         np.testing.assert_allclose(qp.U, 0.0, atol=1e-13)
 
     def test_matches_dlqr_on_scalar_benchmark(self):
@@ -111,10 +101,10 @@ class TestQPSolve:
         tab = builtin("methodB")
         qp = oracle.qp_solve(prob, tab, 5)
         state = ilqr.IterateState(U=qp.U, X=qp.X, x=qp.x, Jd=0.0, h=prob.tf / 5)
-        p = ilqr.costates(prob, tab, state)
+        p = ilqr.linearize(prob, tab, state).p
         np.testing.assert_allclose(qp.lam, p[1:], atol=1e-9)
 
-    @pytest.mark.parametrize("name,N", list(_probe_grid()))
+    @pytest.mark.parametrize("name,N", PROBE_GRID)
     def test_kkt_residual_bound(self, name, N):
         prob = spring_oscillator()
         qp = oracle.qp_solve(prob, builtin(name), N)
@@ -161,7 +151,7 @@ class TestGradients:
 
 
 class TestQuasiNewton:
-    @pytest.mark.parametrize("name,N", list(_probe_grid()))
+    @pytest.mark.parametrize("name,N", PROBE_GRID)
     def test_direction_identity(self, name, N):
         prob = pendulum()
         tab = builtin(name)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from explicit3_family import DegenerateFamily, explicit3_family
-from fixtures import RALSTON3, SPECS, random_explicit_tableau, write_spec
+from fixtures import KUTTA_B2, RALSTON3, SPECS, kutta4, random_explicit_tableau, write_spec
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -185,14 +185,14 @@ class TestStageOrders:
 
     def test_order_stops_at_first_failed_condition(self):
         # stage 4 of Kutta's 3/8 rule misses its l = 3 condition of a but meets l = 4
-        rep = stage_orders(_kutta4(1 / 3, 2 / 3))[3]
+        rep = stage_orders(kutta4(1 / 3, 2 / 3))[3]
         assert (rep.q1, rep.q2, rep.predicted_order) == (2, 4, 2)
 
     @pytest.mark.parametrize("v", [0.500001, 0.50001])
     def test_near_zero_weight_matches_abscissae(self, v):
         # b_2 = 3.8e-6 and 3.8e-5: cbar = c exactly, but abar's row 2 carries
         # rounding amplified by 1 / b_2, 5.2e-11 at v = 0.500001
-        reports = stage_orders(_kutta4(0.1408, v))
+        reports = stage_orders(kutta4(0.1408, v))
         assert all(rep.c_match for rep in reports)
         assert [rep.predicted_order for rep in reports] == [2, 2, 2, 2]
 
@@ -213,23 +213,6 @@ class TestStageOrders:
                 rep_old.c_match,
                 rep_old.predicted_order,
             )
-
-
-def _kutta4(u, v):
-    """Kutta's two-parameter 4-stage explicit family of classical order 4, c = (0, u, v, 1).
-
-    Hairer, Nørsett and Wanner, Solving ODEs I, §II.1; needs u != v,
-    u != 1/2 and D != 0.
-    """
-    D = 6 * u * v - 4 * (u + v) + 3
-    b2 = (2 * v - 1) / (12 * u * (v - u) * (1 - u))
-    b3 = (1 - 2 * u) / (12 * v * (v - u) * (1 - v))
-    b4 = D / (12 * (1 - u) * (1 - v))
-    a32 = v * (v - u) / (2 * u * (1 - 2 * u))
-    a42 = (1 - u) * (u + v - 1 - (2 * v - 1) ** 2) / (2 * u * (v - u) * D)
-    a43 = (1 - 2 * u) * (1 - u) * (1 - v) / (v * (v - u) * D)
-    a = [[0, 0, 0, 0], [u, 0, 0, 0], [v - a32, a32, 0, 0], [1 - a42 - a43, a42, a43, 0]]
-    return ButcherTableau(a=a, b=[1 - b2 - b3 - b4, b2, b3, b4])
 
 
 def _classical3(u, v):
@@ -324,7 +307,7 @@ class TestOcpOrder:
     @settings(max_examples=150, deadline=None)
     def test_kutta_family_positive_weights_give_order_4(self, u, v):
         assume(_away(u - v, u - 0.5, 6 * u * v - 4 * (u + v) + 3))
-        tab = _kutta4(u, v)
+        tab = kutta4(u, v)
         assert np.abs(_classical_residuals(tab)).max() < 1e-10
         assume(np.abs(tab.b).min() > 1e-3)
         if tab.b.min() < 0:
@@ -340,9 +323,8 @@ class TestOcpOrder:
     def test_near_zero_weight_reads_full_order(self):
         # b_2 = 3.8e-6: e_2 = d_2 / b_2 amplifies the rounding of d_2, and two
         # order-4 residuals miss by 1.5e-11, more than ORDER_COND_TOL itself
-        tab = _kutta4(0.1408, 0.5000010)
-        assert 0 < tab.b.min() < 1e-5
-        assert ocp_order(tab) == 4
+        assert 0 < KUTTA_B2.b.min() < 1e-5
+        assert ocp_order(KUTTA_B2) == 4
 
     @given(_NODE, st.floats(-7, -3), st.sampled_from([-1, 1]))
     @settings(max_examples=150, deadline=None)
@@ -352,7 +334,7 @@ class TestOcpOrder:
         # truly hold to 1e-12, so the member is no longer like v = 1/2 +- 0.02
         near, far = 0.5 + sign * 10.0**exponent, 0.5 + sign * 0.02
         assume(all(_away(u - v, u - 0.5, 6 * u * v - 4 * (u + v) + 3) for v in (near, far)))
-        tab, ref = _kutta4(u, near), _kutta4(u, far)
+        tab, ref = kutta4(u, near), kutta4(u, far)
         assume(min(tab.b.min(), ref.b.min()) > 0)
         reports = stage_orders(tab)
         assert [rep.predicted_order for rep in reports] == [rep.predicted_order for rep in stage_orders(ref)]
