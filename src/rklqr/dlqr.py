@@ -23,8 +23,9 @@ backward reads E, F, G and H step axis last, as ``step_operators`` builds
 them, each per-step product one einsum; the scan stays stacked.  The
 stage Hessians are factored once each by one batch-last ``cholesky``,
 through which every later solve with them goes.  Implicit stage
-couplings, ILQR's node-control Newton systems and the scan's large
-combines go through the batch-last pivoted ``lu_solve``.
+couplings, ILQR's node-control Newton systems and the large batches of
+the scan's combines and of the closed loop go through the batch-last
+pivoted ``lu_solve``.
 """
 
 from __future__ import annotations
@@ -286,14 +287,15 @@ def _substitute(L, Y):
 def _refined_solve(K, L, rhs):
     """K^{-1} rhs through the factor L of K, then one step of iterative refinement against K; all batch-last.
 
-    The step X += K^{-1}(rhs - K X) is in working precision.  Without it the
-    substitutions' rounding shows: ILQR's one Newton step on spring methodA
-    N=25, whose stage states reach 3e5, then misses DLQR's optimum by
-    1.4e-10, against 6e-11 with it and with LU.  rhs becomes the residual,
-    one column's terms of K X subtracted at a time: on random 4x4 systems
-    that refines as well as a stacked matmul at a third of its cost, where
-    an einsum of K X subtracted at the end is a fifth less accurate.  The
-    residual is then solved in place, as rhs has no later reader.
+    It serves ``riccati_backward``'s feedforward U2 alone: the gains need
+    no solve with K.  The step X += K^{-1}(rhs - K X) is in working
+    precision, against the substitutions' rounding on large right-hand
+    sides, such as ILQR's one Newton step on spring methodA N=25 meets,
+    whose stage states reach 3e5.  rhs becomes the residual, one column's
+    terms of K X subtracted at a time: on random 4x4 systems that refines as
+    well as a stacked matmul at a third of its cost, where an einsum of K X
+    subtracted at the end is a fifth less accurate.  The residual is then
+    solved in place, as rhs has no later reader.
     """
     X = _substitute(L, rhs.copy())
     for a in range(len(L)):
@@ -426,17 +428,22 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     ``Linearization``.  A step axis of length 1 marks a step-invariant
     operator, broadcast to N without copying.  Returns M (N+1, n, n) from
     M_N and, step axis last, gains (sm, n, N) with U_k = gains_k x_k, the
-    stage Hessians K_k = Kc_k + H_k'M_{k+1}H_k (sm, sm, N) and their
-    ``cholesky`` factor (sm, sm, N), which later solves with K reuse.
+    stage Hessians K_k = Kc_k + H_k'M_{k+1}H_k (sm, sm, N), their
+    ``cholesky`` factor (sm, sm, N), which later solves with K reuse, and
+    the closed loop G_k + H_k gains_k (n, n, N).
 
-    Each per-step product is one einsum over the unit-stride step axis but
-    the refinement residual's (``_refined_solve``).  Kc and K are each
-    factored once, by ``cholesky``, also the check that they are positive
-    definite.  M comes from one ``riccati_scan`` of the Riccati elements
-    (A, C, J) of ``_riccati_combine``, as (N, n, n) views, formed after the
-    cross term is eliminated through Kc's factor; the gains then follow in
-    one batch through K's, refined once against K.  Step-invariant
-    operators give one shared element, which the scan doubles.  The scan
+    Each per-step product is one einsum over the unit-stride step axis.  Kc
+    and K are each factored once, by ``cholesky``, also the check that they
+    are positive definite.  M comes from one ``riccati_scan`` of the
+    Riccati elements (A, C, J) of ``_riccati_combine``, as (N, n, n) views,
+    formed after the cross term is eliminated through Kc's factor.  The same
+    elements give the closed loop (I + C_k M_{k+1})^{-1} A_k, one batched
+    n x n ``_combine_solve``, and the gains -Kc^{-1}(Lc_k + H_k'M_{k+1} A_k)
+    from the products with Kc^{-1} that built them: K_k's stationarity with
+    the push-through identity, no solve with K, and a closed loop that does
+    not cancel as G + H gains does.  det K_k = det Kc_k det(I + C_k M_{k+1}),
+    so that solve is nonsingular once K passes.  Step-invariant operators
+    give one shared element, which the scan doubles.  The scan
     needs every Kc positive definite.  Where one is not, or the scan breaks
     down (LinAlgError or a non-finite M), ``sequential_sweep`` runs
     instead.  Where a K is not, BackwardFailure names, and carries, the
@@ -451,30 +458,33 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     # solved in place: the concatenation has no other reader
     KiL, KiH = np.split(_substitute(factor, np.concatenate([Lc, H.transpose(1, 0, 2)], axis=1)), 2, axis=1)
     del factor
-    elems = (G - np.einsum("iak,ajk->ijk", H, KiL), np.einsum("iak,ajk->ijk", H, KiH),
-             Wc - np.einsum("aik,ajk->ijk", Lc, KiL))
-    del KiL, KiH, Wc
-    elems = tuple(e.transpose(2, 0, 1) for e in elems)
+    A, C = G - np.einsum("iak,ajk->ijk", H, KiL), np.einsum("iak,ajk->ijk", H, KiH)
+    J = Wc - np.einsum("aik,ajk->ijk", Lc, KiL)
+    del Wc, Lc
     M = np.empty((N + 1, n, n))
     M[N] = M_N
     try:
-        riccati_scan(elems, M)
+        riccati_scan(tuple(e.transpose(2, 0, 1) for e in (A, C, J)), M)
     except np.linalg.LinAlgError:
         M = None
-    del elems
+    del J
     if M is None or not np.isfinite(M).all():
         return sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N, h)
     M = 0.5 * (M + np.swapaxes(M, 1, 2))
-    HM = np.einsum("aik,ajk->ijk", H, np.ascontiguousarray(M[1:].transpose(1, 2, 0)))
+    Mt = np.ascontiguousarray(M[1:].transpose(1, 2, 0))
+    HM = np.einsum("aik,ajk->ijk", H, Mt)
     K = np.einsum("iak,ajk->ijk", HM, H)
     K += Kc
-    rhs = np.einsum("iak,ajk->ijk", HM, G)
-    rhs += Lc
-    del Kc, Lc, HM
+    del Kc, HM
     factor, bad = cholesky(K)
     if bad.any():
         raise _hessian_failure(int(np.flatnonzero(bad)[-1]), h, K)
-    return M, -_refined_solve(K, factor, rhs), K, factor
+    CM = np.einsum("iak,ajk->ijk", C, Mt)
+    CM += np.eye(n)[:, :, None]
+    A = _combine_solve(CM.transpose(2, 0, 1), A.transpose(2, 0, 1)).transpose(1, 2, 0)
+    gains = np.einsum("iak,ajk->ijk", KiH, np.einsum("iak,ajk->ijk", Mt, A))
+    gains += KiL
+    return M, -gains, K, factor, A
 
 
 def _hessian_failure(k, h, *stacks):
@@ -489,15 +499,15 @@ def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
 
     It takes and returns the same layouts.  Each K_k is checked by
     ``cholesky`` as the loop reaches it, and its factor kept for the
-    caller; the loop's own solves stay LU, so it stays an independent
-    reference for the scan.
+    caller; the loop's own solves stay LU, and its closed loop is
+    G_k + H_k gains_k, so it stays an independent reference for the scan.
     """
     Kc, Lc, Wc, G, H = (np.broadcast_to(a, a.shape[:2] + (N,))
                         for a in (*_stage_products(E, F, Qh, Rh, Sh), G, H))
     n, sm = G.shape[0], F.shape[1]
     M = np.empty((N + 1, n, n))
     M[N] = M_N
-    gains, K, factor = np.empty((sm, n, N)), np.empty((sm, sm, N)), np.empty((sm, sm, N))
+    gains, K, factor, A = np.empty((sm, n, N)), np.empty((sm, sm, N)), np.empty((sm, sm, N)), np.empty((n, n, N))
     for k in range(N - 1, -1, -1):
         Gk, Hk = G[..., k], H[..., k]
         HM = Hk.T @ M[k + 1]
@@ -511,7 +521,8 @@ def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
         Mk = Wc[..., k] + Gk.T @ M[k + 1] @ Gk - lin.T @ sol
         M[k] = 0.5 * (Mk + Mk.T)
         gains[..., k] = -sol
-    return M, gains, K, factor
+        A[..., k] = Gk - Hk @ sol
+    return M, gains, K, factor, A
 
 
 def riccati_backward(prob: LQProblem, tab: ButcherTableau, steps: Linearization) -> AffineBackwardPass:
@@ -519,9 +530,9 @@ def riccati_backward(prob: LQProblem, tab: ButcherTableau, steps: Linearization)
 
     The one backward of DLQR (``assemble``'s K = 1 step, about the zero
     trajectory) and ILQR (a K = N tangent plane, about the iterate).
-    ``value_sweep`` gives M, the gains U1, the stage Hessians K and K's
-    factor on the n-state.  The model's value gradient along the closed
-    loop A_k = G_k + H_k U1_k is one reverse ``affine_scan`` of
+    ``value_sweep`` gives M, the gains U1, the stage Hessians K, K's
+    factor and the closed loop A_k = G_k + H_k U1_k on the n-state.  The
+    model's value gradient along A is one reverse ``affine_scan`` of
     v_k = A_k'v_{k+1} + Ew_k + U1_k'l_k from v_N = p_N, and
     U2_k = -K_k^{-1}(l_k + H_k'v_{k+1}) is one solve through K's factor,
     refined once against K.  Where Ew, l and p_N are all zero, as about
@@ -536,9 +547,7 @@ def riccati_backward(prob: LQProblem, tab: ButcherTableau, steps: Linearization)
     h = prob.tf / N
     E, F, G, H = (a.transpose(1, 2, 0) for a in (steps.E, steps.F, steps.G, steps.H))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails as a non-finite stage Hessian
-        M, U1, K, factor = value_sweep(E, F, G, H, *stage_cost_blocks(prob, tab.b, h), prob.M, N, h)
-    A = np.einsum("iak,ajk->ijk", H, U1)
-    A += G
+        M, U1, K, factor, A = value_sweep(E, F, G, H, *stage_cost_blocks(prob, tab.b, h), prob.M, N, h)
     U1, A = U1.transpose(2, 0, 1), A.transpose(2, 0, 1)
     if not (steps.Ew.any() or steps.l.any() or steps.p[-1].any()):
         return AffineBackwardPass(M=M, U1=U1, U2=np.zeros(steps.l.shape), A=A)
@@ -554,7 +563,7 @@ def closed_loop(steps: Linearization, bp: AffineBackwardPass, x0):
     """Node states x (N+1, n) and stage controls U = U1 x + U2 (N, s*m) of the feedback from x0.
 
     One ``affine_scan`` of x_{k+1} = A_k x_k + H_k U2_k, with the closed loop
-    A_k = G_k + H_k U1_k that ``riccati_backward`` formed; K = 1 steps
+    A_k = G_k + H_k U1_k that ``value_sweep`` formed; K = 1 steps
     broadcast.  An all-zero U2, as DLQR's, is neither multiplied nor added.
     """
     feedforward = bp.U2.any()
@@ -567,18 +576,29 @@ def closed_loop(steps: Linearization, bp: AffineBackwardPass, x0):
 def rollout(prob: LQProblem, tab: ButcherTableau, steps: Linearization, bp: AffineBackwardPass) -> DiscreteTrajectory:
     """Roll the feedback forward from x0 over ``assemble``'s step; recover stage and node quantities and price them.
 
-    Raises RolloutDiverged naming the first step k whose U_k or x_{k+1} is not finite.
+    Each stacked product is one pass: p = M x one einsum, the node controls
+    u = -R^{-1}(B'p + S'x) one product with R's inverse, and every stack is
+    formed under one ``errstate``.  Raises RolloutDiverged naming the first
+    step k whose U_k, X_k, x_{k+1}, p_{k+1} or u_{k+1}, or at k = 0 p_0 or
+    u_0, is not finite; else at step 0 where the cost Jd is not finite or
+    differs from the value 1/2 x_0'p_0 by more than 1e-6 |Jd|.  The two are
+    equal at the optimum, and their rounding gap stays below 2.6e-10 |Jd|
+    wherever h < 5 on the builtin problems (measured in the README).
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises RolloutDiverged below
         x, U = closed_loop(steps, bp, prob.x0)
+        X = x[:-1] @ steps.E[0].T + U @ steps.F[0].T
+        p = np.einsum("kij,kj->ki", bp.M, x)
+        u = -(p @ prob.B + x @ prob.S) @ np.linalg.inv(prob.R).T  # the closed form of stationarity
+        Jd, value = discrete_cost(prob, tab, U, X, x), 0.5 * prob.x0 @ p[0]
     h = prob.tf / len(U)
-    bad = ~(np.isfinite(U).all(axis=1) & np.isfinite(x[1:]).all(axis=1))
-    if bad.any():
-        raise RolloutDiverged("closed loop not finite", int(np.argmax(bad)), h)
-    X = x[:-1] @ steps.E[0].T + U @ steps.F[0].T
-    p = (bp.M @ x[..., None])[..., 0]
-    u = -np.linalg.solve(prob.R, (p @ prob.B + x @ prob.S).T).T  # the closed form of stationarity
-    return DiscreteTrajectory(U=U, X=X, x=x, Jd=discrete_cost(prob, tab, U, X, x), h=h, p=p, u=u)
+    if not all(np.isfinite(a).all() for a in (U, X, x, p, u)):  # one flat pass each; a failure finds its step
+        bad = ~np.isfinite(np.hstack([x, p, u])).all(axis=1)  # node j >= 1 comes out of step j - 1
+        bad[1:] |= ~np.isfinite(np.hstack([U, X])).all(axis=1)
+        raise RolloutDiverged("closed loop not finite", max(int(np.argmax(bad)) - 1, 0), h)
+    if not (np.isfinite(Jd) and abs(Jd - value) <= 1e-6 * abs(Jd)):
+        raise RolloutDiverged("cost contradicts the value function" if np.isfinite(Jd) else "cost not finite", 0, h)
+    return DiscreteTrajectory(U=U, X=X, x=x, Jd=Jd, h=h, p=p, u=u)
 
 
 def solve(prob: LQProblem, tab: ButcherTableau, N: int):

@@ -11,7 +11,7 @@ import json
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from rklqr.problem import LQProblem
+from rklqr.problem import LQProblem, spring_oscillator
 from rklqr.tableau import ButcherTableau
 
 _R3, _R6, _R15 = np.sqrt(3.0), np.sqrt(6.0), np.sqrt(15.0)
@@ -69,8 +69,12 @@ INDEFINITE = LQProblem(A=[[2.133]], B=[[2.076]], Q=[[2.878]], S=[[-2.897]], R=[[
                        x0=[0.956], tf=1.5, name="indefinite")
 # A = 1e300 overflows the backward's stage products
 OVERFLOW = LQProblem(A=[[1e300]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], M=[[0.0]], x0=[1.0], tf=1.0, name="overflow")
-# A = 1e70: methodB's backward passes and its closed loop overflows from step 1, methodC's per-step loop overflows
+# A = 1e70: methodB's backward passes with every M rounded to 0, against a cost of 8e137; methodC's loop overflows
 CLOSED_LOOP = dataclasses.replace(OVERFLOW, A=[[1e70]], name="closed_loop")
+# A = 1e35: methodB's M rounds to 0 too, and its controls reach 7e50, all finite: a cost of 1.6e100 against a value of 0
+ZERO_VALUE = dataclasses.replace(OVERFLOW, A=[[1e35]], name="zero_value")
+# the spring from x0 = (1e160, 1e160): every state, control and costate is finite, and the cost overflows
+HUGE_START = dataclasses.replace(spring_oscillator(), x0=[1e160, 1e160], name="huge_start")
 
 
 def random_explicit_tableau(rng, s, keep=1.0):
@@ -99,7 +103,7 @@ def two_springs(S=None):
 
 
 SPECS = (GAUSS2, RADAU2A3, GAUSS3, RALSTON3, MIDPOINT, IMPLICIT_EULER, NEGATIVE_HEUN, KUTTA_B2, INDEFINITE,
-         OVERFLOW, CLOSED_LOOP, two_springs())
+         OVERFLOW, CLOSED_LOOP, ZERO_VALUE, HUGE_START, two_springs())
 
 
 def continuous_riccati(prob, h):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from fixtures import CLOSED_LOOP, MIDPOINT, OVERFLOW, RALSTON3, write_spec
+from fixtures import CLOSED_LOOP, HUGE_START, MIDPOINT, OVERFLOW, RALSTON3, ZERO_VALUE, write_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -244,15 +244,27 @@ class TestSolveCommand:
             "solver failure: stage operators or Hessian not finite at step 9, h = 0.1\n")
 
     def test_closed_loop_overflow_exits_1(self, tmp_path, capsys):
-        # the backward passes, and the feedback overflows the trajectory from step 1
+        # the backward passes with every M rounded to 0, and the cost of the controls contradicts that value
+        self._rollout_failure_exits_1(tmp_path, capsys, CLOSED_LOOP,
+                                      "cost contradicts the value function at step 0, h = 0.1")
+
+    @pytest.mark.parametrize("prob, err", [(ZERO_VALUE, "cost contradicts the value function at step 0, h = 0.1"),
+                                           (HUGE_START, "cost not finite at step 0, h = 4.0")],
+                             ids=["zero_value", "huge_start"])
+    def test_cost_contradicting_its_value_exits_1(self, tmp_path, capsys, prob, err):
+        # finite values whose cost is 1.6e100 against M = 0, or whose cost overflows
+        self._rollout_failure_exits_1(tmp_path, capsys, prob, err)
+
+    @staticmethod
+    def _rollout_failure_exits_1(tmp_path, capsys, prob, err):
         spec, out = tmp_path / "big.json", tmp_path / "traj.csv"
-        write_spec(CLOSED_LOOP, spec)
+        write_spec(prob, spec)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = cli.main(["solve", "--problem", str(spec), "--method", "methodB", "--steps", "10",
                            "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err == "solver failure: closed loop not finite at step 1, h = 0.1\n"
+        assert capsys.readouterr().err == f"solver failure: {err}\n"
         assert not out.exists()
 
 

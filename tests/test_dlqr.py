@@ -6,7 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
-from fixtures import CLOSED_LOOP, IMPLICIT_EULER, NEGATIVE_HEUN, OVERFLOW, ZERO_COST_SPRING, continuous_riccati
+from fixtures import (CLOSED_LOOP, HUGE_START, IMPLICIT_EULER, NEGATIVE_HEUN, OVERFLOW, ZERO_COST_SPRING, ZERO_VALUE,
+                      continuous_riccati)
 
 from rklqr import dlqr, ilqr
 from rklqr.cli import max_node_error, max_stage_error
@@ -143,12 +144,34 @@ class TestRiccati:
                 dlqr.solve(prob, builtin(method), 10)
 
     def test_closed_loop_overflow_names_the_step(self):
-        # A = 1e70 with methodB passes the backward, and U = U1 x overflows from step 1 on
+        # A = 1e70 with methodB passes the backward, but every M rounds to 0:
+        # the closed loop is 0, and the cost of its controls contradicts that value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(RolloutDiverged, match=r"^closed loop not finite at step 1, h = 0\.1$") as exc:
+            with pytest.raises(RolloutDiverged,
+                               match=r"^cost contradicts the value function at step 0, h = 0\.1$") as exc:
                 dlqr.solve(CLOSED_LOOP, builtin("methodB"), 10)
-        assert (exc.value.step, exc.value.h) == (1, 0.1)
+        assert (exc.value.step, exc.value.h) == (0, 0.1)
+
+    @pytest.mark.parametrize("prob, what, h", [(ZERO_VALUE, "cost contradicts the value function", 0.1),
+                                               (HUGE_START, "cost not finite", 4.0)],
+                             ids=["zero_value", "huge_start"])
+    def test_cost_must_match_the_value_function(self, prob, what, h):
+        # every value finite: a cost of 1.6e100 against M = 0, or a cost that overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RolloutDiverged, match=rf"^{what} at step 0, h = {h}$") as exc:
+                dlqr.solve(prob, builtin("methodB"), 10)
+        assert (exc.value.step, exc.value.h) == (0, h)
+
+    @pytest.mark.parametrize("x0", [[1e308, 1e308], [1.7e308, -1.7e308]], ids=["stages", "states"])
+    def test_trajectory_overflow_names_the_step(self, x0):
+        # x0 = 1e308 overflows X_0 and p_0 with every U and x finite; (1.7e308, -1.7e308) overflows U_0 itself
+        prob = dataclasses.replace(spring_oscillator(), x0=x0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RolloutDiverged, match=r"^closed loop not finite at step 0, h = 4\.0$"):
+                dlqr.solve(prob, builtin("methodB"), 10)
 
 
 class TestOneStepType:

@@ -434,7 +434,8 @@ class TestCombineSolve:
             np.testing.assert_array_equal(g, w)
 
     def test_four_states_through_the_elimination_match_the_loop(self, monkeypatch):
-        # d = 4 at N = 8000: the half-combines of 4,000, 2,000 and 1,000 systems go batch-last
+        # d = 4 at N = 8000: the half-combines of 4,000, 2,000 and 1,000 systems go batch-last,
+        # and so does the closed loop's solve of 8,000
         prob, tab, N = two_springs(), builtin("methodC"), 8000
         steps = dlqr.assemble(prob, tab, N)
         batches = []
@@ -445,10 +446,10 @@ class TestCombineSolve:
 
         monkeypatch.setattr(dlqr, "lu_solve", counted)
         scan = dlqr.riccati_backward(prob, tab, steps)
-        assert batches == [1000, 2000, 4000]
+        assert batches == [1000, 2000, 4000, 8000]
         monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
         loop = dlqr.riccati_backward(prob, tab, steps)
-        for got, want in ((scan.M, loop.M), (scan.U1, loop.U1)):
+        for got, want in ((scan.M, loop.M), (scan.U1, loop.U1), (scan.A, loop.A)):
             assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
@@ -599,7 +600,7 @@ class TestRiccatiScan:
     def test_zero_point_forms_no_feedforward(self, monkeypatch):
         # about DLQR's zero trajectory the model's terms Ew, l and p_N, hence
         # v and U2, are exact zeros: no reverse scan and no U2 solve, only
-        # the gains' solve and the closed loop's forward scan
+        # the closed loop's forward scan; the gains take no solve with K
         calls = []
         for name in ("affine_scan", "_refined_solve"):
             def counted(*args, fn=getattr(dlqr, name), name=name, **kw):
@@ -608,7 +609,7 @@ class TestRiccatiScan:
 
             monkeypatch.setattr(dlqr, name, counted)
         _, bp, _ = dlqr.solve(spring_oscillator(), builtin("methodC"), 4000)
-        assert calls == [("_refined_solve", False), ("affine_scan", False)]
+        assert calls == [("affine_scan", False)]
         assert not bp.U2.any()
 
     def test_each_m_is_formed_once(self, monkeypatch):
