@@ -5,7 +5,7 @@ Modules:
   problem  - continuous-time problem definitions and builtin benchmarks
   dlqr     - discrete LQR pipeline for linear-quadratic problems
   ilqr     - iterative LQR for nonlinear quadratic problems
-  oracle   - brute-force KKT solve, gradient checks, quasi-Newton matrices
+  oracle   - brute-force KKT solve, its own rollout, gradient checks, quasi-Newton matrices
   cli      - command-line harness (solve / order-study / tableau / gradcheck)
   csvformat - the CLI's CSV lines, byte for byte those of %.17g, made by numpy
 """

@@ -27,7 +27,12 @@ class StepTooLarge(StepFailure):
 
 
 class RolloutDiverged(StepFailure):
-    """A rollout failed at this step: ILQR's stage equations unsolved, or DLQR's closed loop not finite."""
+    """A rollout failed at this step.
+
+    ILQR's: stage equations unsolved, or their coupling singular.  DLQR's:
+    closed loop not finite, cost not finite, or a cost that contradicts the
+    value function ½x₀'p₀.
+    """
 
 
 class BackwardFailure(StepFailure):

@@ -4,14 +4,16 @@ The dense oracles read one discretized problem in v = (U, X, x_1..x_N): the
 cost Hessian P from the stage cost blocks and the Jacobian of the stage and
 node equations from one ``stage_jacobians`` call.  qp_solve factors the KKT
 system of a linear-quadratic problem once; grad_exact and quasi_newton take
-the Jacobian's null space at the iterate of ``ilqr.rollout`` for the gradient
-and the metric W(U); grad_fd differences the cost.  adjoint_costates
-back-substitutes the symplectic partitioned RK costate system, the reference
-for Hager's equivalence with the solver's adjoint.
+the Jacobian's null space at the iterate of ``rollout``, Newton on each step's
+stage equations, for the gradient and the metric W(U); grad_fd differences the
+cost 1/2 v'P v along it.  adjoint_costates back-substitutes the symplectic
+partitioned RK costate system, the reference for Hager's equivalence.  Of the
+solvers it reads only ``ilqr.stage_controls`` and ``dlqr.stage_cost_blocks``.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,11 +127,13 @@ def qp_solve(prob, tab, N: int) -> QPSolution:
     rhs = np.concatenate([np.zeros(nu + nx + nd), -np.tile(prob.x0, tab.s), np.zeros(nx - sn),
                           -prob.x0, np.zeros(nd - n)])
     try:
-        factors = scipy.linalg.lu_factor(kkt)
+        with warnings.catch_warnings():  # an exactly zero pivot warns; it fails here, under any warning filter
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            factors = scipy.linalg.lu_factor(kkt)
         sol = scipy.linalg.lu_solve(factors, rhs)
         for _ in range(2):  # iterative refinement sharpens the multipliers
             sol += scipy.linalg.lu_solve(factors, rhs - kkt @ sol)
-    except (scipy.linalg.LinAlgError, ValueError):
+    except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning, ValueError):
         raise OracleFailure("singular KKT system") from None
     if not np.all(np.isfinite(sol)):
         raise OracleFailure("singular KKT system")
@@ -173,38 +177,64 @@ def adjoint_costates(prob, tab, state) -> AdjointCostates:
     return AdjointCostates(p=p, p_stage=p_stage)
 
 
-def grad_fd(prob, tab, N: int, U) -> np.ndarray:
-    """Central-difference gradient of the discrete cost, component by component.
+def rollout(prob, tab, N: int, U):
+    """Stage states X (N, s*n) and node states x (N+1, n) under stage controls U, one step at a time.
 
-    The step is 1e-6 (1 + ‖U‖) in every component, ‖U‖ the Frobenius norm of all the controls.
+    Newton on step k's stage equations X_k = x_k + h (a⊗I) f(X_k, U_k) from X_k = x_k until no stage
+    state moves by more than 1e-13 (1 + max |X_k|), s iterations for an explicit tableau; then
+    x_{k+1} = x_k + h (b⊗I) f.  OracleFailure names the step and h when the Newton matrix
+    I - h (a⊗I) diag(Jx) is singular or 50 iterations leave the step unsettled.
     """
+    n, s, h = prob.n, tab.s, prob.tf / N
+    U = ilqr.stage_controls(U, N, s * prob.m).reshape(N, s, -1)
+    X, x = np.empty((N, s, n)), np.tile(prob.x0, (N + 1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging step stays unsettled
+        for k in range(N):
+            X[k] = x[k]
+            for _ in range(50):
+                hJ = h * np.einsum("ij,jab->iajb", tab.a, prob.stage_jacobians(X[k], U[k])[0]).reshape(s * n, -1)
+                try:
+                    move = np.linalg.solve(np.eye(s * n) - hJ, (x[k] + h * tab.a @ prob.f(X[k], U[k]) - X[k]).ravel())
+                except np.linalg.LinAlgError:
+                    raise OracleFailure(f"singular stage equations at step {k}, h = {h!r}") from None
+                X[k] += move.reshape(s, n)
+                if np.abs(move).max() <= 1e-13 * (1.0 + np.abs(X[k]).max()):
+                    break
+            else:
+                raise OracleFailure(f"stage equations unsettled at step {k}, h = {h!r}")
+            x[k + 1] = x[k] + h * tab.b @ prob.f(X[k], U[k])
+    return X.reshape(N, s * n), x
+
+
+def _point(prob, tab, N: int, U) -> np.ndarray:
+    """v = (U, X, x_1..x_N) of the ``rollout`` of U."""
+    X, x = rollout(prob, tab, N, U)
+    return np.concatenate([np.ravel(U), X.ravel(), x[1:].ravel()])
+
+
+def grad_fd(prob, tab, N: int, U) -> np.ndarray:
+    """Central differences, step 1e-6 (1 + ‖U‖_F) in each component, of the cost 1/2 v'P v along ``rollout``."""
     U = ilqr.stage_controls(U, N, tab.s * prob.m)
+    P = _cost_hessian(prob, tab, N)
     eps = 1e-6 * (1.0 + np.linalg.norm(U))
-    g = np.zeros_like(U)
-    for idx in np.ndindex(U.shape):
-        up = U.copy()
-        um = U.copy()
-        up[idx] += eps
-        um[idx] -= eps
-        g[idx] = (ilqr.rollout(prob, tab, N, up).Jd - ilqr.rollout(prob, tab, N, um).Jd) / (2 * eps)
-    return g
+    g = np.zeros(U.size)
+    for i, d in enumerate(eps * np.eye(U.size)):
+        up, um = _point(prob, tab, N, U.ravel() + d), _point(prob, tab, N, U.ravel() - d)
+        g[i] = (up @ P @ up - um @ P @ um) / (4 * eps)
+    return g.reshape(U.shape)
 
 
 def _dense_model(prob, tab, N: int, U):
-    """The iterate at U, the null-space basis Z of its constraint Jacobian, the cost Hessian P and gradient Y.
+    """The cost J_d at U, the null-space basis Z of the constraint Jacobian there, the cost Hessian P and gradient Y.
 
-    With the constraint Jacobian A = [A_U | A_z] at the iterate's stage
-    points, z = (X, x_1..x_N), the tangent plane's directions are v = Z dU
-    for Z = [I; -A_z^{-1} A_U], one dense solve.  The cost is 1/2 v'P v, so
-    its gradient in U is Y = Z'P v at the iterate's v.
+    With A = [A_U | A_z] the constraint Jacobian at the iterate of ``rollout``, z = (X, x_1..x_N), the tangent
+    plane's directions are v = Z dU for Z = [I; -A_z^{-1} A_U], one dense solve, and Y = Z'P v.
     """
-    state = ilqr.rollout(prob, tab, N, U)
-    nu = state.U.size
-    A = _constraint_jacobian(prob, tab, N, state.X, state.U)
+    v, nu = _point(prob, tab, N, U), np.size(U)
+    A = _constraint_jacobian(prob, tab, N, v[nu:-N * prob.n], v[:nu])  # at the stage points (X, U)
     Z = np.vstack([np.eye(nu), -np.linalg.solve(A[:, nu:], A[:, :nu])])
     P = _cost_hessian(prob, tab, N)
-    Y = Z.T @ (P @ np.concatenate([state.U.ravel(), state.X.ravel(), state.x[1:].ravel()]))
-    return state, Z, P, Y
+    return 0.5 * float(v @ P @ v), Z, P, Z.T @ (P @ v)
 
 
 def grad_exact(prob, tab, N: int, U) -> np.ndarray:
@@ -220,11 +250,11 @@ def quasi_newton(prob, tab, N: int, U) -> QuasiNewtonData:
     model; Y is the gradient; the returned direction is -W^{-1} Y.  Small
     instances only.  OracleFailure when W is not numerically positive definite.
     """
-    state, Z, P, Y = _dense_model(prob, tab, N, U)
+    Jd, Z, P, Y = _dense_model(prob, tab, N, U)
     W = Z.T @ P @ Z
     W = 0.5 * (W + W.T)
     try:
         direction = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(W), Y)
     except scipy.linalg.LinAlgError:
-        raise OracleFailure(f"metric W is not positive definite, h = {state.h!r}") from None
-    return QuasiNewtonData(W=W, Y=Y, C=state.Jd, direction=direction)
+        raise OracleFailure(f"metric W is not positive definite, h = {prob.tf / N!r}") from None
+    return QuasiNewtonData(W=W, Y=Y, C=Jd, direction=direction)

@@ -7,8 +7,10 @@ solvers can treat a linear problem as a special case of the nonlinear one:
 arrays (P, n, n) and (P, n, m).  Each is one call for all P points, and they
 are the only ways the solvers read the dynamics but one: ``dlqr.rollout``'s
 closed-form node control u = -R^{-1}(B'p + S'x) reads ``LQProblem.B``.  The
-oracle reads the dynamics through ``stage_jacobians`` too, at zero for
-``qp_solve`` and at the iterate for its gradient and metric.  Costs are
+oracle reads the dynamics through the same two: its own step-by-step
+``rollout`` calls both, and ``stage_jacobians`` gives its constraint Jacobian,
+at zero for ``qp_solve`` and at that rollout for its gradient and metric.
+Costs are
 
     integral of  1/2 x'Qx + x'Su + 1/2 u'Ru  dt  +  1/2 x(tf)'M x(tf)
 

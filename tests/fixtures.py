@@ -11,7 +11,7 @@ import json
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from rklqr.problem import LQProblem, spring_oscillator
+from rklqr.problem import LQProblem, NonlinearProblem, spring_oscillator
 from rklqr.tableau import ButcherTableau
 
 _R3, _R6, _R15 = np.sqrt(3.0), np.sqrt(6.0), np.sqrt(15.0)
@@ -75,6 +75,11 @@ CLOSED_LOOP = dataclasses.replace(OVERFLOW, A=[[1e70]], name="closed_loop")
 ZERO_VALUE = dataclasses.replace(OVERFLOW, A=[[1e35]], name="zero_value")
 # the spring from x0 = (1e160, 1e160): every state, control and costate is finite, and the cost overflows
 HUGE_START = dataclasses.replace(spring_oscillator(), x0=[1e160, 1e160], name="huge_start")
+# xdot = x^2 + u from x0 = 1: explicit Euler's iterates blow up from a far start, and implicit Euler at
+# h = 1 asks for X = 1 + X^2, which has no real root
+QUADRATIC_GROWTH = NonlinearProblem(f_fn=lambda X, U: X**2 + U, jac_x_fn=lambda X, U: 2.0 * X[:, :, None],
+                                    jac_u_fn=lambda X, U: np.ones((len(X), 1, 1)), Q=[[1.0]], R=[[1.0]],
+                                    M=[[1.0]], x0=[1.0], tf=0.5, name="quadratic_growth")
 
 
 def random_explicit_tableau(rng, s, keep=1.0):

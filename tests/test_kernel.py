@@ -13,8 +13,8 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
-from fixtures import (GAUSS2, IMPLICIT_EULER, INDEFINITE, MIDPOINT, NEGATIVE_HEUN, RADAU2A3, random_explicit_tableau,
-                      recording, two_springs)
+from fixtures import (GAUSS2, IMPLICIT_EULER, INDEFINITE, MIDPOINT, NEGATIVE_HEUN, QUADRATIC_GROWTH, RADAU2A3,
+                      random_explicit_tableau, recording, two_springs)
 
 from rklqr import dlqr, ilqr, oracle
 from rklqr.errors import BackwardFailure, RolloutDiverged, StepTooLarge
@@ -122,44 +122,6 @@ def _random_lq(rng, n, m, tf):
         Q=cost[:n, :n], S=cost[:n, n:], R=cost[n:, n:], M=Mroot @ Mroot.T,
         x0=rng.standard_normal(n), tf=tf,
     )
-
-
-def _reference_rollout(prob, tab, N, U):
-    """Stage and node states by a per-step stage solve: substitution or fixed point."""
-    n, m, s = prob.n, prob.m, tab.s
-    h = prob.tf / N
-    a = tab.a
-    x = np.zeros((N + 1, n))
-    X = np.zeros((N, s * n))
-    x[0] = prob.x0
-    for k in range(N):
-        xk, us = x[k], U[k].reshape(s, m)
-        xs = np.empty((s, n))
-        if tab.is_explicit:
-            fs = np.empty((s, n))
-            for i in range(s):
-                xi = xk.copy()
-                for j in range(i):
-                    if a[i, j] != 0.0:
-                        xi = xi + (h * a[i, j]) * fs[j]
-                xs[i] = xi
-                fs[i] = prob.f(xi[None], us[i:i + 1])[0]
-        else:
-            xs[:] = xk
-            scale = 1.0 + np.abs(xk).max(initial=0.0)
-            for _ in range(100):
-                fs = prob.f(xs, us)
-                new = xk[None, :] + h * (a @ fs)
-                delta = np.abs(new - xs).max()
-                xs = new
-                if delta <= 1e-13 * scale:
-                    fs = prob.f(xs, us)
-                    break
-            else:
-                raise AssertionError("reference stage fixed point did not contract")
-        X[k] = xs.ravel()
-        x[k + 1] = x[k] + h * (tab.b @ fs)
-    return X, x
 
 
 def _reference_affine(A, c, v, reverse):
@@ -534,8 +496,8 @@ class TestRiccatiScan:
 
     @pytest.mark.parametrize("kind", ["dlqr", "ilqr"])
     def test_stage_hessians_are_factored_once(self, monkeypatch, kind):
-        # Kc and K once each, by the batch-last factor; the gains and U2 go
-        # through K's factor, so every LAPACK solve left is the scan's n x n one
+        # Kc and K once each, by the batch-last factor; only U2 goes through
+        # K's factor, so every LAPACK solve left is the scan's n x n one
         N = 50
         prob, tab, steps = self._model(kind, N)
         factored, solved = [], []
@@ -787,8 +749,8 @@ class TestLeanRollout:
     @example(3, True, "lobatto3a")
     @settings(max_examples=60, deadline=None)
     def test_matches_per_step_reference_exactly(self, seed, linear, kind):
-        # Newton over all steps against the per-step stage solve: the same
-        # states up to rounding, so the slack is 1e-12 of the largest state
+        # Newton over all steps against the oracle's Newton step by step: the
+        # same states up to rounding, so the slack is 1e-12 of the largest state
         rng = np.random.default_rng(seed)
         if kind == "random":
             tab = random_explicit_tableau(rng, int(rng.integers(1, 5)), keep=0.6)
@@ -804,7 +766,7 @@ class TestLeanRollout:
         N = int(rng.integers(4, 30))
         U = rng.standard_normal((N, tab.s * prob.m))
         state = ilqr.rollout(prob, tab, N, U)
-        X, x = _reference_rollout(prob, tab, N, U)
+        X, x = oracle.rollout(prob, tab, N, U)
         slack = 1e-12 * (1.0 + np.abs(x).max())
         np.testing.assert_allclose(state.X, X, rtol=0, atol=slack)
         np.testing.assert_allclose(state.x, x, rtol=0, atol=slack)
@@ -813,13 +775,13 @@ class TestLeanRollout:
     @pytest.mark.parametrize("name", ["euler", "methodA", "methodB", "methodC", "trapezoidal"])
     def test_sweeps_on_the_unsettled_steps_match_per_step_reference(self, name):
         # each sweep runs on the steps after the settled prefix only, so the
-        # batches passed to f shrink, and the states still match the reference
+        # batches passed to f shrink, and the states still match the oracle's
         base = pendulum()
         prob, calls = recording(base)
         tab, N = builtin(name), 60
         U = np.random.default_rng(7).standard_normal((N, tab.s))
         state = ilqr.rollout(prob, tab, N, U)
-        X, x = _reference_rollout(base, tab, N, U)
+        X, x = oracle.rollout(base, tab, N, U)
         slack = 1e-12 * (1.0 + np.abs(x).max())
         np.testing.assert_allclose(state.X, X, rtol=0, atol=slack)
         np.testing.assert_allclose(state.x, x, rtol=0, atol=slack)
@@ -834,15 +796,9 @@ class TestLeanRollout:
         # settled while still off the solution and be frozen there; judged
         # against the states up to each step, it keeps its sweeps and the
         # rollout comes out exact
-        prob = NonlinearProblem(
-            f_fn=lambda X, U: X**2 + U,
-            jac_x_fn=lambda X, U: 2.0 * X[:, :, None],
-            jac_u_fn=lambda X, U: np.ones((len(X), 1, 1)),
-            Q=[[1.0]], R=[[1.0]], M=[[1.0]], x0=[1.0], tf=0.5,
-        )
-        tab, N = builtin("euler"), 20
+        prob, tab, N = QUADRATIC_GROWTH, builtin("euler"), 20
         U = np.zeros((N, 1))
-        X, x = _reference_rollout(prob, tab, N, U)
+        X, x = oracle.rollout(prob, tab, N, U)
         start = X + 0.1
         start[N // 2:] = 100.0
         state = ilqr.rollout(prob, tab, N, U, start)

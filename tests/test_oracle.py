@@ -1,21 +1,25 @@
 """Oracle machinery: KKT solve, gradient routes, quasi-Newton metric, 1-D demo."""
 
 import ast
+import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from curve_demo import scalar_curve_demo
-from fixtures import GAUSS2, PROBE_GRID, ZERO_COST_SPRING
+from fixtures import GAUSS2, IMPLICIT_EULER, PROBE_GRID, QUADRATIC_GROWTH, RADAU2A3, ZERO_COST_SPRING
 
 from rklqr import dlqr, ilqr, oracle
 from rklqr.errors import OracleFailure
-from rklqr.problem import example31, pendulum, pendulum_tanh, spring_oscillator
-from rklqr.tableau import builtin
+from rklqr.problem import LQProblem, example31, pendulum, pendulum_tanh, spring_oscillator
+from rklqr.tableau import ButcherTableau, builtin
 
 # direction -Y/W at u = 0.1 for the curve x = u^2 + 1:
 # -(u + g'(u) g(u)) / (1 + g'(u)^2) = -0.302 / 1.04
 CURVE_DIR_AT_01 = -0.2903846153846154
+# implicit Euler at h A = 1 (h = 0.25): every stage and costate system is singular
+HA_ONE = LQProblem(A=[[4.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], M=[[1.0]], x0=[1.0], tf=1.0)
 
 
 def _residuals(prob, tab, N, v):
@@ -48,10 +52,10 @@ class TestDenseCore:
             zero = oracle._constraint_jacobian(prob, tab, N, np.zeros_like(X), np.zeros_like(U))
             assert np.array_equal(got, zero)
 
-    def test_oracle_reads_only_the_solvers_rollout_and_cost_blocks(self):
-        # the dense model takes its iterate from ilqr.rollout and nothing else of
-        # the solvers, so a defect in their step operators, backward pass or
-        # gradient cannot pass both sides of a check
+    def test_oracle_reads_only_the_solvers_input_check_and_cost_blocks(self):
+        # the oracle integrates the stage equations itself and reads nothing
+        # else of the solvers, so a defect in their rollout, step operators,
+        # backward pass or gradient cannot pass both sides of a check
         tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
         solvers = {"ilqr", "dlqr"}
         used = set()
@@ -62,7 +66,33 @@ class TestDenseCore:
                 assert not {alias.asname for alias in node.names if alias.name in solvers} - {None}
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in solvers:
                 used.add(f"{node.value.id}.{node.attr}")
-        assert used <= {"ilqr.rollout", "ilqr.stage_controls", "dlqr.stage_cost_blocks"}, used
+        assert used <= {"ilqr.stage_controls", "dlqr.stage_cost_blocks"}, used
+
+
+class TestRollout:
+    @pytest.mark.parametrize("tab", [builtin("methodC"), builtin("trapezoidal"), GAUSS2, RADAU2A3],
+                             ids=lambda t: t.name)
+    def test_satisfies_the_stage_and_node_equations(self, tab):
+        prob, N = pendulum_tanh(), 12
+        U = np.random.default_rng(tab.s).standard_normal((N, tab.s * prob.m))
+        X, x = oracle.rollout(prob, tab, N, U)
+        v = np.concatenate([U.ravel(), X.ravel(), x[1:].ravel()])
+        assert np.abs(_residuals(prob, tab, N, v)).max() < 1e-14 * (1.0 + np.abs(x).max())
+
+    @pytest.mark.parametrize("prob, N, msg", [
+        (HA_ONE, 4, r"^singular stage equations at step 0, h = 0\.25$"),
+        (dataclasses.replace(QUADRATIC_GROWTH, tf=1.0), 1, r"^stage equations unsettled at step 0, h = 1\.0$"),
+    ], ids=["singular", "unsettled"])
+    def test_unsolvable_step_is_oracle_failure(self, prob, N, msg):
+        with pytest.raises(OracleFailure, match=msg):
+            oracle.rollout(prob, IMPLICIT_EULER, N, np.zeros((N, 1)))
+
+
+class TestAdjointCostates:
+    def test_singular_costate_system_is_oracle_failure(self):
+        state = ilqr.IterateState(U=np.zeros((4, 1)), X=np.zeros((4, 1)), x=np.zeros((5, 1)), Jd=0.0, h=0.25)
+        with pytest.raises(OracleFailure, match=r"^singular costate system at step 3, h = 0\.25$"):
+            oracle.adjoint_costates(HA_ONE, IMPLICIT_EULER, state)
 
 
 class TestQPSolve:
@@ -71,6 +101,17 @@ class TestQPSolve:
         with pytest.raises(ValueError, match=r"^qp_solve needs a linear-quadratic problem \(LQProblem\), "
                                              r"not NonlinearProblem$"):
             oracle.qp_solve(pendulum(), builtin("methodB"), 4)
+
+    @pytest.mark.parametrize("action", ["error", "always"])
+    def test_singular_kkt_system_is_oracle_failure_without_a_warning(self, action):
+        # stage 2's control enters neither the dynamics (a = 0) nor the cost (b_2 = 0), so
+        # the KKT matrix has an exactly zero pivot, which scipy reports by a LinAlgWarning
+        tab = ButcherTableau(a=[[0.0, 0.0], [0.0, 0.0]], b=[1.0, 0.0], name="dead_stage")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            with pytest.raises(OracleFailure, match="^singular KKT system$"):
+                oracle.qp_solve(spring_oscillator(), tab, 3)
+        assert not caught
 
     def test_zero_cost_gives_zero_controls(self):
         qp = oracle.qp_solve(ZERO_COST_SPRING, builtin("methodA"), 4)
