@@ -16,9 +16,13 @@ check (``check_steps``), step builder (``step_operators``), cost
 reverse ``affine_scan`` driven by the model's first-order terms) from here.
 
 Both get the Riccati matrices M_k from one ``riccati_scan`` toward the
-terminal M_N, in N half-combines and fewer than N full ones.  DLQR's
-step-invariant step (K = 1) is one shared element, which the scan doubles;
-ILQR's N distinct tangent-plane steps (K = N) are N elements.  The
+terminal M_N, in N half-combines and fewer than N full ones, for every
+input: where some stage Hessian Kc is indefinite, ``value_sweep`` first
+shifts the stage blocks by a telescoping storage term 1/2 x'σI x, with σ
+the largest eigenvalue of M_N.  The per-step loop of the same recursion
+is ``sequential_sweep`` in ``tests/fixtures.py``, the scan's reference.
+DLQR's step-invariant step (K = 1) is one shared element, which the scan
+doubles; ILQR's N distinct tangent-plane steps (K = N) are N elements.  The
 backward reads E, F, G and H step axis last, as ``step_operators`` builds
 them, each per-step product one einsum; the scan stays stacked.  The
 stage Hessians are factored once each by one batch-last ``cholesky``,
@@ -359,15 +363,18 @@ def _combine_solve(A, R):
     the elimination's cost about fixed at small B, and LAPACK's grows with
     B.  From the threshold on, whole half and full combines are faster
     batch-last at every d from 2 to 6, and about even at d = 1 (the
-    crossovers are in the README).  A zero pivot raises LinAlgError, as
-    LAPACK's solve does.
+    crossovers are in the README).  A system with a zero pivot comes out
+    NaN, at either size: below the threshold the batch LAPACK rejects is
+    solved again by ``lu_solve``, which flags it.
     """
     B, d = max(len(A), len(R)), A.shape[-1]
     if B < 32 << d:
-        return np.linalg.solve(A, R)
+        try:
+            return np.linalg.solve(A, R)
+        except np.linalg.LinAlgError:
+            pass
     X, bad = lu_solve(*(np.broadcast_to(a, (B,) + a.shape[1:]).transpose(1, 2, 0) for a in (A, R)))
-    if bad.any():
-        raise np.linalg.LinAlgError("singular combine")
+    X[..., bad] = np.nan
     return X.transpose(2, 0, 1)
 
 
@@ -443,18 +450,34 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     the push-through identity, no solve with K, and a closed loop that does
     not cancel as G + H gains does.  det K_k = det Kc_k det(I + C_k M_{k+1}),
     so that solve is nonsingular once K passes.  Step-invariant operators
-    give one shared element, which the scan doubles.  The scan
-    needs every Kc positive definite.  Where one is not, or the scan breaks
-    down (LinAlgError or a non-finite M), ``sequential_sweep`` runs
-    instead.  Where a K is not, BackwardFailure names, and carries, the
-    first bad step in sweep order (largest k) and the step size h, and an
-    overflow as such.  Each per-step stack is dropped after its last reader.
+    give one shared element, which the scan doubles.
+
+    One scan serves every input.  Where some Kc is not positive definite,
+    every stage first takes the telescoping storage term
+    1/2 x_{k+1}'Σx_{k+1} - 1/2 x_k'Σx_k (Willems, IEEE TAC 16, 1971), which
+    leaves the feedback as it is: the blocks become Kc + H'ΣH, Lc + H'ΣG,
+    Wc + G'ΣG - Σ and M_N - Σ, and M_k = M̃_k + Σ.  Σ = σI with
+    σ = λ_max(M_N): then Kc + H'ΣH ⪰ K_{N-1}, so a step-invariant Kc shifted
+    so fails only where K_{N-1} does (Finsler, Comment. Math. Helv. 9,
+    1937, on definiteness on the null space of H).  A shifted Kc that still
+    fails, and a singular combine, give NaN elements, which spoil only the
+    M_k before them.  So BackwardFailure names, and carries, the largest k
+    whose K_k fails, as its M_{k+1} comes from the steps after k only, and
+    h, and an overflow as such.  The per-step loop of the same recursion is
+    ``sequential_sweep`` in ``tests/fixtures.py``, the scan's reference.
+    Each per-step stack is dropped after its last reader.
     """
     Kc, Lc, Wc = _stage_products(E, F, Qh, Rh, Sh)
     factor, bad = cholesky(Kc)
-    if bad.any():
-        return sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N, h)
-    n = G.shape[0]
+    n, sigma = G.shape[0], 0.0
+    if bad.any():  # the storage term 1/2 x'Σx, Σ = σI
+        sigma = float(np.linalg.eigvalsh(M_N)[-1])
+        Kc = Kc + sigma * np.einsum("aik,ajk->ijk", H, H)
+        Lc = Lc + sigma * np.einsum("aik,ajk->ijk", H, G)
+        Wc = Wc + sigma * (np.einsum("aik,ajk->ijk", G, G) - np.eye(n)[:, :, None])
+        M_N = M_N - sigma * np.eye(n)
+        factor, bad = cholesky(Kc)
+    factor[..., bad] = np.nan  # its elements, and the M_k before it, come out NaN
     # solved in place: the concatenation has no other reader
     KiL, KiH = np.split(_substitute(factor, np.concatenate([Lc, H.transpose(1, 0, 2)], axis=1)), 2, axis=1)
     del factor
@@ -463,13 +486,8 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     del Wc, Lc
     M = np.empty((N + 1, n, n))
     M[N] = M_N
-    try:
-        riccati_scan(tuple(e.transpose(2, 0, 1) for e in (A, C, J)), M)
-    except np.linalg.LinAlgError:
-        M = None
+    riccati_scan(tuple(e.transpose(2, 0, 1) for e in (A, C, J)), M)
     del J
-    if M is None or not np.isfinite(M).all():
-        return sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N, h)
     M = 0.5 * (M + np.swapaxes(M, 1, 2))
     Mt = np.ascontiguousarray(M[1:].transpose(1, 2, 0))
     HM = np.einsum("aik,ajk->ijk", H, Mt)
@@ -478,51 +496,23 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     del Kc, HM
     factor, bad = cholesky(K)
     if bad.any():
-        raise _hessian_failure(int(np.flatnonzero(bad)[-1]), h, K)
+        k = int(np.flatnonzero(bad)[-1])
+        raise _hessian_failure(k, h, K, *_stage_products(E, F, Qh, Rh, Sh), G, H)
     CM = np.einsum("iak,ajk->ijk", C, Mt)
     CM += np.eye(n)[:, :, None]
     A = _combine_solve(CM.transpose(2, 0, 1), A.transpose(2, 0, 1)).transpose(1, 2, 0)
     gains = np.einsum("iak,ajk->ijk", KiH, np.einsum("iak,ajk->ijk", Mt, A))
     gains += KiL
+    if sigma:
+        M += sigma * np.eye(n)
     return M, -gains, K, factor, A
 
 
 def _hessian_failure(k, h, *stacks):
     """BackwardFailure at step k; an overflow where the stacks (K and its products, step axis last) are not finite."""
-    finite = all(np.isfinite(a[..., k]).all() for a in stacks)
+    finite = all(np.isfinite(a[..., min(k, a.shape[-1] - 1)]).all() for a in stacks)  # a step axis of 1 is shared
     return BackwardFailure("stage Hessian not positive definite" if finite else
                            "stage operators or Hessian not finite", k, h)
-
-
-def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
-    """``value_sweep`` as a loop of N steps: the reference, and the fallback where the scan cannot run.
-
-    It takes and returns the same layouts.  Each K_k is checked by
-    ``cholesky`` as the loop reaches it, and its factor kept for the
-    caller; the loop's own solves stay LU, and its closed loop is
-    G_k + H_k gains_k, so it stays an independent reference for the scan.
-    """
-    Kc, Lc, Wc, G, H = (np.broadcast_to(a, a.shape[:2] + (N,))
-                        for a in (*_stage_products(E, F, Qh, Rh, Sh), G, H))
-    n, sm = G.shape[0], F.shape[1]
-    M = np.empty((N + 1, n, n))
-    M[N] = M_N
-    gains, K, factor, A = np.empty((sm, n, N)), np.empty((sm, sm, N)), np.empty((sm, sm, N)), np.empty((n, n, N))
-    for k in range(N - 1, -1, -1):
-        Gk, Hk = G[..., k], H[..., k]
-        HM = Hk.T @ M[k + 1]
-        K[..., k] = Kc[..., k] + HM @ Hk
-        Lk, bad = cholesky(K[..., k:k + 1])
-        if bad[0]:
-            raise _hessian_failure(k, h, K, Lc, Wc, G, H)
-        factor[..., k:k + 1] = Lk
-        lin = Lc[..., k] + HM @ Gk
-        sol = np.linalg.solve(K[..., k], lin)
-        Mk = Wc[..., k] + Gk.T @ M[k + 1] @ Gk - lin.T @ sol
-        M[k] = 0.5 * (Mk + Mk.T)
-        gains[..., k] = -sol
-        A[..., k] = Gk - Hk @ sol
-    return M, gains, K, factor, A
 
 
 def riccati_backward(prob: LQProblem, tab: ButcherTableau, steps: Linearization) -> AffineBackwardPass:

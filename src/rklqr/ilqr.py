@@ -151,7 +151,9 @@ def linearize(prob, tab, state: IterateState) -> Linearization:
 
     The running cost's gradients w = Qh X + Sh U and r = Rh U + Sh'X are
     formed here only.  Ew and l are one einsum each over the step-last views,
-    as ``backward`` reads them, and p one reverse ``affine_scan``.
+    as ``backward`` reads them, and p one reverse ``affine_scan``.  Raises
+    RolloutDiverged at the largest k whose p_k is not finite, as the scan
+    through steps past an explicit tableau's stability bound makes it.
     """
     Jx, Ju = prob.stage_jacobians(state.X.reshape(-1, prob.n), state.U.reshape(-1, prob.m))
     E, F, G, H = step_operators(Jx, Ju, tab, state.h)
@@ -160,6 +162,8 @@ def linearize(prob, tab, state: IterateState) -> Linearization:
     Ew = np.einsum("aik,ak->ik", E.transpose(1, 2, 0), w).T
     l = (state.U @ Rh + state.X @ Sh).T + np.einsum("aik,ak->ik", F.transpose(1, 2, 0), w)
     p = affine_scan(np.swapaxes(G, 1, 2), Ew, prob.M @ state.x[-1], reverse=True)
+    if not np.isfinite(p).all():
+        raise RolloutDiverged("costates not finite", int(np.flatnonzero(~np.isfinite(p).all(axis=1))[-1]), state.h)
     return Linearization(E, F, G, H, Ew=Ew, l=l.T, p=p)
 
 
@@ -271,9 +275,11 @@ def solve(prob, tab, N: int, U0=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER
     Raises NotConverged (carrying the last state and log) when max_iter
     steps leave the residual above tol, or when the line search fails on a
     step whose predicted decrease |slope| is below the rounding floor
-    COST_FLOOR |Jd|; LineSearchFailed when it fails above that floor; both
-    name h.  ValueError when ``check_stopping_rule`` rejects tol or
-    max_iter, or when U0 or X0 has the wrong size or a non-finite entry.
+    COST_FLOOR |Jd|; LineSearchFailed when it fails above that floor or on
+    a slope that is not finite; both name h.  RolloutDiverged when the first
+    rollout or a ``linearize`` fails.  ValueError when ``check_stopping_rule``
+    rejects tol or max_iter, or when U0 or X0 has the wrong size or a
+    non-finite entry.
     """
     check_stopping_rule(tol, max_iter)
     check_steps(N)
@@ -301,7 +307,7 @@ def solve(prob, tab, N: int, U0=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER
         try:
             alpha, state, steps, g = line_search(prob, tab, state, dU, dX, slope)
         except LineSearchFailed as exc:
-            if abs(slope) > COST_FLOOR * abs(state.Jd):
+            if not abs(slope) <= COST_FLOOR * abs(state.Jd):  # a NaN slope is no rounding floor
                 raise LineSearchFailed(f"{exc}, h = {state.h!r}") from None
             raise NotConverged(f"rounding floor reached: stage-scaled gradient {resid!r} above {tol!r} "
                                f"and no step can lower it, h = {state.h!r}", state=state, log=log) from None

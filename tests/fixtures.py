@@ -11,6 +11,7 @@ import json
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from rklqr import dlqr
 from rklqr.problem import LQProblem, NonlinearProblem, spring_oscillator
 from rklqr.tableau import ButcherTableau
 
@@ -80,6 +81,33 @@ HUGE_START = dataclasses.replace(spring_oscillator(), x0=[1e160, 1e160], name="h
 QUADRATIC_GROWTH = NonlinearProblem(f_fn=lambda X, U: X**2 + U, jac_x_fn=lambda X, U: 2.0 * X[:, :, None],
                                     jac_u_fn=lambda X, U: np.ones((len(X), 1, 1)), Q=[[1.0]], R=[[1.0]],
                                     M=[[1.0]], x0=[1.0], tf=0.5, name="quadratic_growth")
+
+
+def _stiff_actuator_f(X, U):
+    return np.column_stack([X[:, 1], np.sin(X[:, 0]) + X[:, 2], 1000.0 * (np.tanh(U[:, 0]) - X[:, 2])])
+
+
+def _stiff_actuator_jac_x(X, U):
+    Jx = np.zeros((len(X), 3, 3))
+    Jx[:, 0, 1] = Jx[:, 1, 2] = 1.0
+    Jx[:, 1, 0] = np.cos(X[:, 0])
+    Jx[:, 2, 2] = -1000.0
+    return Jx
+
+
+def _stiff_actuator_jac_u(X, U):
+    Ju = np.zeros((len(X), 3, 1))
+    Ju[:, 2, 0] = 1000.0 * (1.0 - np.tanh(U[:, 0]) ** 2)
+    return Ju
+
+
+# the pendulum driven through a fast actuator z: thetadot = omega, omegadot = sin(theta) + z and
+# zdot = lambda (tanh u - z), lambda = 1000; h lambda >= 3 lies past the explicit builtins' real-axis
+# stability bounds (about 2.5-2.8) at every N <= 1000
+STIFF_ACTUATOR = NonlinearProblem(f_fn=_stiff_actuator_f, jac_x_fn=_stiff_actuator_jac_x,
+                                  jac_u_fn=_stiff_actuator_jac_u, Q=np.diag([1.0, 1.0, 0.0]), R=[[0.1]],
+                                  M=5.0 * np.diag([1.0, 1.0, 0.0]), x0=[np.pi / 3, 0.0, 0.0], tf=3.0,
+                                  name="stiff_actuator")
 
 
 def random_explicit_tableau(rng, s, keep=1.0):
@@ -154,3 +182,36 @@ def write_spec(obj, path):
     spec = {key: value.ravel().tolist() if isinstance(value, np.ndarray) else value for key, value in fields.items()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({**spec, "name": obj.name}, fh)
+
+
+def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
+    """``dlqr.value_sweep`` as a loop of N steps, the reference for its scan.
+
+    It takes and returns the same layouts.  Each K_k is checked by
+    ``cholesky`` as the loop reaches it, and its factor kept for the
+    caller; the loop's own solves stay LU, and its closed loop is
+    G_k + H_k gains_k, so it stays independent of the scan.  It raises
+    BackwardFailure at the first step in sweep order (largest k) whose K
+    fails, before a NaN can spread.
+    """
+    Kc, Lc, Wc, G, H = (np.broadcast_to(a, a.shape[:2] + (N,))
+                        for a in (*dlqr._stage_products(E, F, Qh, Rh, Sh), G, H))
+    n, sm = G.shape[0], F.shape[1]
+    M = np.empty((N + 1, n, n))
+    M[N] = M_N
+    gains, K, factor, A = np.empty((sm, n, N)), np.empty((sm, sm, N)), np.empty((sm, sm, N)), np.empty((n, n, N))
+    for k in range(N - 1, -1, -1):
+        Gk, Hk = G[..., k], H[..., k]
+        HM = Hk.T @ M[k + 1]
+        K[..., k] = Kc[..., k] + HM @ Hk
+        Lk, bad = dlqr.cholesky(K[..., k:k + 1])
+        if bad[0]:
+            raise dlqr._hessian_failure(k, h, K, Lc, Wc, G, H)
+        factor[..., k:k + 1] = Lk
+        lin = Lc[..., k] + HM @ Gk
+        sol = np.linalg.solve(K[..., k], lin)
+        Mk = Wc[..., k] + Gk.T @ M[k + 1] @ Gk - lin.T @ sol
+        M[k] = 0.5 * (Mk + Mk.T)
+        gains[..., k] = -sol
+        A[..., k] = Gk - Hk @ sol
+    return M, gains, K, factor, A

@@ -14,13 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from fixtures import CLOSED_LOOP, HUGE_START, MIDPOINT, OVERFLOW, RALSTON3, ZERO_VALUE, write_spec
+from fixtures import CLOSED_LOOP, HUGE_START, MIDPOINT, OVERFLOW, RALSTON3, STIFF_ACTUATOR, ZERO_VALUE, write_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rklqr import cli, csvformat, ilqr
 from rklqr.dlqr import DiscreteTrajectory
-from rklqr.errors import NoFit
+from rklqr.errors import NoFit, RolloutDiverged
 from rklqr.ilqr import IterateRecord
 from rklqr.problem import builtin_problem
 from rklqr.tableau import builtin
@@ -232,6 +232,29 @@ class TestSolveCommand:
         err = re.fullmatch(r"solver failure: stage Hessian not positive definite at step (\d+), h = 0\.16\n",
                            capsys.readouterr().err)
         assert err and int(err.group(1)) < 25
+
+    def test_near_singular_implicit_coupling_exits_1(self, capsys):
+        # trapezoidal at h = 3: the iterates drive the implicit stage toward
+        # cos(theta_2) = 4/9, where the coupling I - (h/2) Jx is singular, and
+        # |F| reaches 1.35e7.  Kc's eigenvalues are then 0.125 and 7.95e14, so
+        # it factors, and the smaller of K's rounds to 0 against 3.4e15
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["solve", "--problem", "pendulum_tanh", "--method", "trapezoidal", "--steps", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "solver failure: stage Hessian not positive definite at step 0, h = 3.0\n"
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_stiff_costates_overflow_is_named(self, action):
+        # h lambda = 25 at methodC N = 120 (lambda = 1000), past the explicit stability bound:
+        # the costates' reverse scan through the unstable steps overflows, and
+        # linearize names the largest bad k rather than a NaN gradient's
+        # "rounding floor" or an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(RolloutDiverged, match=r"^costates not finite at step 45, h = 0\.025$") as exc:
+                cli.solve_problem(STIFF_ACTUATOR, builtin("methodC"), 120)
+        assert (exc.value.step, exc.value.h) == (45, 0.025)
 
     def test_overflow_exits_1(self, tmp_path, capsys):
         spec = tmp_path / "big.json"

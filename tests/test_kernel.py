@@ -14,7 +14,7 @@ import scipy.linalg
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from fixtures import (GAUSS2, IMPLICIT_EULER, INDEFINITE, MIDPOINT, NEGATIVE_HEUN, QUADRATIC_GROWTH, RADAU2A3,
-                      random_explicit_tableau, recording, two_springs)
+                      random_explicit_tableau, recording, sequential_sweep, two_springs)
 
 from rklqr import dlqr, ilqr, oracle
 from rklqr.errors import BackwardFailure, RolloutDiverged, StepTooLarge
@@ -89,6 +89,11 @@ def _reference_backward(prob, tab, steps, U, X, xN):
     return M, U1, U2
 
 
+def _stage_hessians(args):
+    """The stage Hessians Kc of ``value_sweep``'s arguments ``args``, step axis last."""
+    return dlqr._stage_products(*args[:2], *args[4:7])[0]
+
+
 def _sweep_args(prob, tab, steps, N):
     """``value_sweep``'s arguments over ``steps``: E, F, G, H step axis last, the stage cost blocks, M_N, N and h."""
     h = prob.tf / N
@@ -124,6 +129,17 @@ def _random_lq(rng, n, m, tf):
     )
 
 
+def _cross_term_lq(rng, n, m):
+    """A random LQ problem whose cross term S may outweigh R, so that Kc can be indefinite at a coarse h."""
+    Qroot, Mroot = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    return LQProblem(
+        A=0.5 * rng.standard_normal((n, n)), B=3.0 * rng.standard_normal((n, m)), Q=Qroot @ Qroot.T / n,
+        R=rng.uniform(0.1, 1.0) * np.eye(m), S=rng.uniform(0.0, 6.0) * rng.standard_normal((n, m)),
+        M=rng.uniform(1.0, 30.0) * (Mroot @ Mroot.T / n + np.eye(n)), x0=rng.standard_normal(n),
+        tf=float(rng.uniform(0.3, 2.0)),
+    )
+
+
 def _reference_affine(A, c, v, reverse):
     """The affine recursion as a loop, forward from v_0 or backward from v_L."""
     L = len(c)
@@ -140,6 +156,8 @@ def _reference_affine(A, c, v, reverse):
 
 
 SEEDS = st.integers(0, 2**32 - 1)
+# the scan, and the loop that is its reference
+SWEEPS = {"value_sweep": dlqr.value_sweep, "sequential_sweep": sequential_sweep}
 EXPLICIT_KINDS = ["dense", "sparse", "euler", "methodA", "methodB", "methodC"]
 BUILTINS = ["euler", "methodA", "methodB", "methodC", "trapezoidal"]
 
@@ -366,34 +384,38 @@ class TestCombineSolve:
         assert X.shape == want.shape == (B, d, R.shape[-1])
         np.testing.assert_allclose(X, want, rtol=1e-12, atol=1e-13 * np.abs(want).max())
 
-    def test_singular_member_above_the_rule_raises_and_the_loop_solves(self, monkeypatch):
-        d, B = 2, 256
+    @pytest.mark.parametrize("B", [127, 256])
+    def test_singular_member_comes_out_nan_and_is_named(self, monkeypatch, B):
+        # on both sides of the rule at d = 2 (B = 128) a member with a zero row
+        # comes out NaN, the others as numpy solves them, and nothing warns
+        d = 2
         A = np.broadcast_to(np.eye(d) + 1.0, (B, d, d)).copy()
         A[B // 2, 1] = 0.0
-        with pytest.raises(np.linalg.LinAlgError):
-            dlqr._combine_solve(A, np.ones((1, d, d)))
+        R = np.ones((1, d, d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X = dlqr._combine_solve(A, R)
+        assert np.isnan(X[B // 2]).all()
+        np.testing.assert_allclose(np.delete(X, B // 2, axis=0), np.linalg.solve(np.delete(A, B // 2, axis=0), R),
+                                   rtol=1e-12)
         # the same flag inside the scan: the largest half-combine at spring
-        # methodC N = 4000 meets a zero row, and value_sweep falls back
+        # methodC N = 4000 meets a zero row in the system that forms M_2001,
+        # so the check of K names step 2000, the one that reads it
         prob, tab, N = spring_oscillator(), builtin("methodC"), 4000
         args = _sweep_args(prob, tab, dlqr.assemble(prob, tab, N), N)
-        want = dlqr.sequential_sweep(*args)
-        raised = []
+        calls = []
 
         def singular(A, R, solve=dlqr._combine_solve):
             if max(len(A), len(R)) == N // 2:
+                calls.append(len(A))
                 A = A.copy()
                 A[N // 4, 0] = 0.0
-            try:
-                return solve(A, R)
-            except np.linalg.LinAlgError:
-                raised.append(len(A))
-                raise
+            return solve(A, R)
 
         monkeypatch.setattr(dlqr, "_combine_solve", singular)
-        got = dlqr.value_sweep(*args)
-        assert raised == [N // 2]
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+        with pytest.raises(BackwardFailure, match=r"^stage operators or Hessian not finite at step 2000, h = 0\.01$"):
+            dlqr.value_sweep(*args)
+        assert calls == [N // 2]
 
     def test_four_states_through_the_elimination_match_the_loop(self, monkeypatch):
         # d = 4 at N = 8000: the half-combines of 4,000, 2,000 and 1,000 systems go batch-last,
@@ -409,7 +431,7 @@ class TestCombineSolve:
         monkeypatch.setattr(dlqr, "lu_solve", counted)
         scan = dlqr.riccati_backward(prob, tab, steps)
         assert batches == [1000, 2000, 4000, 8000]
-        monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
+        monkeypatch.setattr(dlqr, "value_sweep", sequential_sweep)
         loop = dlqr.riccati_backward(prob, tab, steps)
         for got, want in ((scan.M, loop.M), (scan.U1, loop.U1), (scan.A, loop.A)):
             assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
@@ -432,14 +454,14 @@ class TestRiccatiScan:
         prob, tab = spring_oscillator(), builtin("methodC")
         steps = dlqr.assemble(prob, tab, 4000)
         scan = dlqr.riccati_backward(prob, tab, steps)
-        monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
+        monkeypatch.setattr(dlqr, "value_sweep", sequential_sweep)
         loop = dlqr.riccati_backward(prob, tab, steps)
         assert self._rel(scan.M, loop.M) < 1e-12 and self._rel(scan.U1, loop.U1) < 1e-12
 
     def test_ilqr_matches_sequential_sweep(self, monkeypatch):
         prob, tab, steps = self._model("ilqr", 2000)
         scan = ilqr.backward(prob, tab, steps)
-        monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
+        monkeypatch.setattr(dlqr, "value_sweep", sequential_sweep)
         loop = ilqr.backward(prob, tab, steps)
         for got, want in zip(vars(scan).values(), vars(loop).values()):
             assert self._rel(got, want) < 1e-12
@@ -460,39 +482,50 @@ class TestRiccatiScan:
             return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
         args = _sweep_args(prob, tab, steps, N)
-        assert all(map(close, dlqr.value_sweep(*args), dlqr.sequential_sweep(*args)))
+        assert all(map(close, dlqr.value_sweep(*args), sequential_sweep(*args)))
         scan = dlqr.riccati_backward(prob, tab, steps)
         # the backward reads step_operators' views step axis last; contiguous
         # copies of the operators and terms must give the same bytes
         copies = dlqr.Linearization(*(np.ascontiguousarray(a) for a in vars(steps).values()))
         for got, want in zip(vars(scan).values(), vars(dlqr.riccati_backward(prob, tab, copies)).values()):
             np.testing.assert_array_equal(got, want)
-        monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
+        monkeypatch.setattr(dlqr, "value_sweep", sequential_sweep)
         loop = dlqr.riccati_backward(prob, tab, steps)
         assert all(map(close, vars(scan).values(), vars(loop).values()))
 
-    @pytest.mark.parametrize("broken", ["raises", "not_finite"])
+    @pytest.mark.parametrize("broken", ["singular", "not_finite"])
     @pytest.mark.parametrize("kind", ["dlqr", "ilqr"])
-    def test_scan_breakdown_falls_back_to_loop(self, monkeypatch, kind, broken):
-        # DLQR's step-invariant step is one shared element, ILQR's K = N tangent plane N of them
+    def test_scan_breakdown_is_named(self, monkeypatch, kind, broken):
+        # DLQR's step-invariant step is one shared element, ILQR's K = N
+        # tangent plane N of them.  A breakdown spoils the M it forms and the
+        # M before it, so the last K that reads a spoilt M is named, and no
+        # fallback hides it: a zero row in the last half-combine's system
+        # that forms M_21 names step 20, and a scan that leaves every M but
+        # M_N NaN names step 48, the last step reading M_N
         N = 50
         prob, tab, steps = self._model(kind, N)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
-            want = dlqr.riccati_backward(prob, tab, steps)
-        lengths = []
+        spoilt = []
 
-        def breakdown(elems, M):
-            lengths.append({len(e) for e in elems})
-            if broken == "raises":
-                raise np.linalg.LinAlgError("singular combine")
+        def singular(A, R, solve=dlqr._combine_solve):
+            if R.shape[-1] == A.shape[-1] and max(len(A), len(R)) == N // 2:  # a half-combine of N / 2 systems
+                spoilt.append(len(A))
+                A = A.copy()
+                A[10, 0] = 0.0
+            return solve(A, R)
+
+        def not_finite(elems, M):
+            spoilt.append({len(e) for e in elems})
             M[:-1] = np.nan
 
-        monkeypatch.setattr(dlqr, "riccati_scan", breakdown)
-        got = dlqr.riccati_backward(prob, tab, steps)
-        assert lengths == [{1 if kind == "dlqr" else N}]
-        np.testing.assert_allclose(got.M, want.M, rtol=1e-12)
-        np.testing.assert_allclose(got.U1, want.U1, rtol=1e-12)
+        if broken == "singular":
+            monkeypatch.setattr(dlqr, "_combine_solve", singular)
+        else:
+            monkeypatch.setattr(dlqr, "riccati_scan", not_finite)
+        step = 20 if broken == "singular" else 48
+        with pytest.raises(BackwardFailure, match=rf"^stage operators or Hessian not finite at step {step}, h = ") as exc:
+            dlqr.riccati_backward(prob, tab, steps)
+        assert (exc.value.step, exc.value.h) == (step, prob.tf / N)
+        assert spoilt == ([N // 2] if broken == "singular" else [{1 if kind == "dlqr" else N}])
 
     @pytest.mark.parametrize("kind", ["dlqr", "ilqr"])
     def test_stage_hessians_are_factored_once(self, monkeypatch, kind):
@@ -518,27 +551,54 @@ class TestRiccatiScan:
         assert factored == [(sm, sm, 1 if kind == "dlqr" else N), (sm, sm, N)]
         assert solved and set(solved) == {prob.n}
 
-    def test_indefinite_stage_hessian_is_solved_by_the_loop(self, monkeypatch):
-        # Q - S R^{-1} S' < 0 makes Kc indefinite, so the scan cannot run,
-        # while every K the loop meets is positive definite
-        prob, tab, N = INDEFINITE, builtin("methodA"), 5
-        steps = dlqr.assemble(prob, tab, N)
-        E, F = (a.transpose(1, 2, 0) for a in (steps.E, steps.F))
-        Kc = dlqr._stage_products(E, F, *dlqr.stage_cost_blocks(prob, tab.b, prob.tf / N))[0]
-        assert np.linalg.eigvalsh(Kc[..., 0]).min() < 0
-        loops = []
+    @pytest.mark.parametrize("name, N", [("methodA", 5), ("methodB", 34), ("methodC", 20), ("trapezoidal", 30)])
+    def test_indefinite_stage_hessian_is_solved_by_the_scan(self, monkeypatch, name, N):
+        # Q - S R^{-1} S' < 0 makes Kc indefinite, while every K the loop
+        # meets is positive definite: the shifted Kc is factored, and the
+        # scan alone solves the problem, as the dense KKT solve does
+        prob, tab = INDEFINITE, builtin(name)
+        args = _sweep_args(prob, tab, dlqr.assemble(prob, tab, N), N)
+        assert np.linalg.eigvalsh(_stage_hessians(args)[..., 0]).min() < 0
+        factored = []
 
-        def loop(*args, sweep=dlqr.sequential_sweep):
-            loops.append(args)
-            return sweep(*args)
+        def factor(K, cholesky=dlqr.cholesky):
+            factored.append(K.shape[-1])
+            return cholesky(K)
 
-        monkeypatch.setattr(dlqr, "sequential_sweep", loop)
+        monkeypatch.setattr(dlqr, "cholesky", factor)
         _, _, traj = dlqr.solve(prob, tab, N)
-        assert len(loops) == 1
+        assert factored == [1, 1, N]  # Kc, the shifted Kc and K
         qp = oracle.qp_solve(prob, tab, N)
         scale = 1.0 + np.abs(qp.x).max() + np.abs(qp.U).max()
         np.testing.assert_allclose(traj.U, qp.U, rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(traj.x, qp.x, rtol=0, atol=1e-12 * scale)
+
+    def test_indefinite_matches_the_loop_at_every_small_n(self):
+        # every tableau and N <= 60 where INDEFINITE's Kc is indefinite: the
+        # loop solves 82 of them, which the shifted scan must match within
+        # 1e-12 of each stack's largest entry, and fails on the other 69, at
+        # the step, h and message the scan must name too
+        solved = failed = 0
+        for name in BUILTINS:
+            tab = builtin(name)
+            for N in range(1, 61):
+                args = _sweep_args(INDEFINITE, tab, dlqr.assemble(INDEFINITE, tab, N), N)
+                if not dlqr.cholesky(_stage_hessians(args))[1].any():
+                    continue
+                with np.errstate(over="ignore", invalid="ignore"):
+                    try:
+                        want = sequential_sweep(*args)
+                    except BackwardFailure as exc:
+                        with pytest.raises(BackwardFailure) as got:
+                            dlqr.value_sweep(*args)
+                        assert (str(got.value), got.value.step, got.value.h) == (str(exc), exc.step, exc.h)
+                        failed += 1
+                        continue
+                    got = dlqr.value_sweep(*args)
+                for i in (0, 1, 2, 4):  # M, gains, K and the closed loop
+                    assert np.abs(got[i] - want[i]).max() <= 1e-12 * np.abs(want[i]).max(), (name, N, i)
+                solved += 1
+        assert (solved, failed) == (82, 69)
 
     @staticmethod
     def _combine_batches(monkeypatch):
@@ -592,7 +652,7 @@ class TestRiccatiScan:
             full, half = self._combine_batches(patch)
             scan = ilqr.backward(*args)
         assert half == [1, 2, 4, 8, 16, 32] and full == [31, 15, 7, 3, 1]
-        monkeypatch.setattr(dlqr, "value_sweep", dlqr.sequential_sweep)
+        monkeypatch.setattr(dlqr, "value_sweep", sequential_sweep)
         loop = ilqr.backward(*args)
         for got, want in zip(vars(scan).values(), vars(loop).values()):
             assert self._rel(got, want) < 1e-12
@@ -601,10 +661,11 @@ class TestRiccatiScan:
     @pytest.mark.parametrize("name, step", [("euler", 48), ("methodB", 49)])
     def test_failure_names_same_step_on_both_paths(self, monkeypatch, sweep, name, step):
         # the cross term makes the running cost indefinite; Euler's Kc = hR is
-        # still positive definite, so its scan runs and the check after it fails
+        # still positive definite, so its scan runs unshifted and the check
+        # after it fails; methodB's Kc is indefinite, so its scan is shifted
         prob = LQProblem(A=[[0.0]], B=[[1.0]], Q=[[0.5]], S=[[3.0]], R=[[1.0]], M=[[0.0]],
                          x0=[1.0], tf=40.0)
-        monkeypatch.setattr(dlqr, "value_sweep", getattr(dlqr, sweep))
+        monkeypatch.setattr(dlqr, "value_sweep", SWEEPS[sweep])
         with pytest.raises(BackwardFailure, match=rf"at step {step}, h = 0\.8$") as exc:
             dlqr.solve(prob, builtin(name), 50)
         assert (exc.value.step, exc.value.h) == (step, 0.8)
@@ -856,7 +917,7 @@ class TestBackwardKernel:
         # the terms of a random expansion point off the iterate drive the feedforward
         point = (rng.standard_normal((N, tab.s * m)), rng.standard_normal((N, tab.s * n)), rng.standard_normal(n))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dlqr, "value_sweep", getattr(dlqr, sweep))
+            patch.setattr(dlqr, "value_sweep", SWEEPS[sweep])
             bp = ilqr.backward(prob, tab, _model_about(prob, tab, steps, *point))
         M, U1, U2 = _reference_backward(prob, tab, steps, *point)
         A = steps.G + steps.H @ np.array(U1)
@@ -910,12 +971,41 @@ class TestBackwardKernel:
             reject()
         for prob, steps in ((lq, dlqr.assemble(lq, tab, N)), (nonlinear, ilqr.linearize(nonlinear, tab, state))):
             args = _sweep_args(prob, tab, steps, N)
-            want = dlqr.sequential_sweep(*args)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(dlqr, "sequential_sweep", None)  # the scan alone: the fallback does not run
-                got = dlqr.value_sweep(*args)
+            want, got = sequential_sweep(*args), dlqr.value_sweep(*args)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-10 * (1 + np.abs(w).max()))
+
+    @given(SEEDS, st.sampled_from(BUILTINS), st.integers(2, 59))
+    @example(0, "trapezoidal", 8)  # solved: n = 3, m = 2
+    @example(24, "methodC", 34)  # solved: n = 2
+    @example(8, "methodA", 59)  # solved: n = 3
+    @example(8, "methodC", 34)  # fails at step 29
+    @example(13, "trapezoidal", 20)  # fails at step 16
+    @settings(max_examples=60, deadline=None)
+    def test_shifted_scan_matches_loop_and_dense_kkt_solve(self, seed, name, N):
+        # a step-invariant problem whose Kc is indefinite (never under Euler,
+        # whose Kc is hR): where the loop solves it, DLQR's shifted scan must
+        # match the dense KKT solve at test_dlqr_matches_dense_kkt_solve's
+        # tolerance; where the loop fails, it must name the same step, h and
+        # message.  A Kc > 0 takes the unshifted scan, which that test covers
+        rng = np.random.default_rng(seed)
+        prob, tab = _cross_term_lq(rng, *(int(v) for v in rng.integers(1, [4, 3]))), builtin(name)
+        args = _sweep_args(prob, tab, dlqr.assemble(prob, tab, N), N)
+        if not dlqr.cholesky(_stage_hessians(args))[1].any():
+            reject()
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sequential_sweep(*args)
+        except BackwardFailure as want:
+            with pytest.raises(BackwardFailure) as got:
+                dlqr.solve(prob, tab, N)
+            assert (str(got.value), got.value.step, got.value.h) == (str(want), want.step, want.h)
+            return
+        _, _, traj = dlqr.solve(prob, tab, N)
+        qp = oracle.qp_solve(prob, tab, N)
+        scale = 1.0 + np.abs(qp.x).max() + np.abs(qp.U).max()
+        np.testing.assert_allclose(traj.U, qp.U, atol=1e-9 * scale)
+        np.testing.assert_allclose(traj.x, qp.x, atol=1e-9 * scale)
 
     @given(SEEDS, st.sampled_from(BUILTINS))
     @settings(max_examples=30, deadline=None)
@@ -956,11 +1046,14 @@ class TestBackwardKernel:
             ilqr.backward(prob, tab, self._weighted_steps(bad=(0, 3)))
 
     def test_loop_stops_at_first_bad_step(self):
-        # the midpoint rule weights stage 1 by 0, so every Kc is singular and the loop
-        # runs; it must raise at the first step whose K fails, before NaNs spread
+        # the midpoint rule weights stage 1 by 0, so every Kc is singular and
+        # the scan is shifted; it must name the last step whose K fails, and
+        # no NaN may warn.  K is singular in exact arithmetic, so rounding
+        # picks the step: the smaller eigenvalue of K_197 is 1.7e-23 against
+        # 1e-3 in the loop, which fails at 196, while the scan fails at 197
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(BackwardFailure, match=r"at step 196, h = 0\.02$"):
+            with pytest.raises(BackwardFailure, match=r"at step 197, h = 0\.02$"):
                 ilqr.solve(pendulum(), MIDPOINT, 200)
 
     def test_riccati_failure_names_step(self):
