@@ -34,6 +34,7 @@ pivoted ``lu_solve``.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -42,7 +43,7 @@ from scipy.linalg.lapack import dtbtrs
 
 from .errors import BackwardFailure, RolloutDiverged, StepTooLarge
 from .problem import LQProblem
-from .tableau import ButcherTableau
+from .tableau import ButcherTableau, _frozen
 
 
 def check_steps(N):
@@ -52,18 +53,19 @@ def check_steps(N):
         raise ValueError("N must be >= 1" if integral else f"N must be an int, not {N!r}")
 
 
-def stage_cost_blocks(prob, b: np.ndarray, h: float):
-    """Block-diagonal stage cost weights (Qh, Rh, Sh) = h kron(diag b, (Q, R, S)).
+@functools.lru_cache(maxsize=8)
+def stage_cost_blocks(prob, tab: ButcherTableau, h: float):
+    """Block-diagonal stage cost weights (Qh, Rh, Sh) = h kron(diag b, (Q, R, S)) of the tableau's b, read-only.
 
     Every problem carries S, zero when it has no cross term, so the three
     blocks are always arrays and the cost formulas take no branch.  The
     Kronecker products come from one broadcast product each: the same
-    products as np.kron at about a tenth of its cost on these small blocks,
-    which every rollout and gradient of a solve builds.
+    products as np.kron at about a tenth of its cost on these small blocks.
+    Every rollout, linearization and backward of a solve reads the same
+    blocks, so the last few are kept, keyed by problem, tableau and h.
     """
-    d, s = np.diag(b)[:, None, :, None], len(b)
-    return tuple(h * (d * W[:, None, :]).reshape(s * W.shape[0], s * W.shape[1])
-                 for W in (prob.Q, prob.R, prob.S))
+    d, s = np.diag(tab.b)[:, None, :, None], tab.s
+    return tuple(_frozen(h * (d * W[:, None, :]).reshape(s * len(W), -1)) for W in (prob.Q, prob.R, prob.S))
 
 
 def discrete_cost(prob, tab: ButcherTableau, U, X, x) -> float:
@@ -72,7 +74,7 @@ def discrete_cost(prob, tab: ButcherTableau, U, X, x) -> float:
     The sum over steps of 1/2 X_k'QhX_k + X_k'ShU_k + 1/2 U_k'RhU_k plus
     1/2 x_N'M x_N.  The stacks need not satisfy the dynamics.
     """
-    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, prob.tf / U.shape[0])
+    Qh, Rh, Sh = stage_cost_blocks(prob, tab, prob.tf / U.shape[0])
     total = 0.5 * np.sum((X @ Qh) * X) + 0.5 * np.sum((U @ Rh) * U) + np.sum((X @ Sh) * U)
     xN = x[-1]
     return float(total) + float(0.5 * xN @ prob.M @ xN)
@@ -108,30 +110,27 @@ def step_operators(Jx, Ju, tab: ButcherTableau, h: float, shared=False):
     s, (P, n, m) = tab.s, Ju.shape
     K = P // s
     width = n + (m if shared else s * m)  # columns of [E | F]
-    Jx, Ju = (np.ascontiguousarray(J.reshape(K, s, *J.shape[1:]).transpose(1, 2, 3, 0)) for J in (Jx, Ju))  # (s, n, ·, K)
-    implicit = not tab.is_explicit
-    live = [i for i, row in enumerate(tab.nonzero_rows) if row]
+    live, a_live, rows = tab.step_plan
+    Jx = np.ascontiguousarray(Jx.reshape(K, s, n, n).transpose(1, 2, 3, 0))  # (s, n, ·, K)
+    Ju = np.ascontiguousarray(Ju.reshape(K, s, n, m).transpose(1, 2, 3, 0))
     # rows 0..s-1 are the stages' [E_i | F_i], row s is [G | H]
-    rows = tab.nonzero_rows + ([(j, b) for j, b in enumerate(tab.b) if b],)
     EF = np.zeros((s + 1, n, width, K))
-    EF[:, :, :n] = np.eye(n)[:, :, None]
+    EF[:, :, :n] = _identity(n)[:, :, None]
     for i, row in enumerate(rows):
-        if implicit and i == s:  # the live stages' rows hold their right-hand sides
-            r = len(live)
-            ha = h * tab.a[live][:, live]
-            coupling = (ha[:, None, :, None, None] * Jx[live].transpose(1, 0, 2, 3)).reshape(r * n, r * n, K)
-            X, bad = lu_solve(np.eye(r * n)[:, :, None] - coupling, EF[live].reshape(r * n, width, K))
+        if i == s and a_live is not None:  # the live stages' rows hold their right-hand sides
+            r = len(a_live)
+            coupling = (h * a_live[:, None, :, None, None] * Jx[live].transpose(1, 0, 2, 3)).reshape(r * n, r * n, K)
+            X, bad = lu_solve(_identity(r * n)[:, :, None] - coupling, EF[live].reshape(r * n, width, K))
             if bad.any():
                 raise StepTooLarge("singular stage coupling", int(np.argmax(bad)), h)
             EF[live] = X.reshape(r, n, width, K)
-        for j, a in row:
+        for j, a, kind in row:
             col = n if shared else n + j * m  # stage j's input columns
-            if not tab.nonzero_rows[j]:  # a zero-row stage j is [I | 0]
+            if kind == 0:  # a zero-row stage j is [I | 0]
                 EF[i, :, :n] += h * a * Jx[j]
-            elif i == s or not implicit:  # an implicit stage's live terms are in the coupling
-                # an explicit [E_j | F_j] has no input columns of stage j or
-                # later yet, unless they are the shared ones
-                w = width if implicit else col + m if shared else col
+            elif kind == 1:  # an implicit stage's live terms (kind 2) are in the coupling
+                # an explicit [E_j | F_j] has no input columns of stage j or later yet, unless they are shared
+                w = width if a_live is not None else col + m if shared else col
                 term = np.einsum("ijk,jlk->ilk", Jx[j], EF[j, :, :w])
                 term *= h * a  # in place: one (n, w, K) temporary per term, not two
                 EF[i, :, :w] += term
@@ -208,7 +207,7 @@ def assemble(prob: LQProblem, tab: ButcherTableau, N: int) -> Linearization:
 
 
 def lu_solve(A, R):
-    """A^{-1} R for A (d, d, B) and R (d, r, B), batch axis last, and where A is singular.
+    """A^{-1} R for A (d, d, B) and R (d, r, B), batch axis last, and where A is singular; a batch of 1 broadcasts.
 
     Gaussian elimination with partial pivoting (Golub and Van Loan, Matrix
     Computations, §3.4) on a copy of [A | R]: column j brings up the row of
@@ -225,7 +224,7 @@ def lu_solve(A, R):
     only read.
     """
     d = A.shape[0]
-    W = np.empty((d, d + R.shape[1], A.shape[-1]))  # [A | R], reduced in place
+    W = np.empty((d, d + R.shape[1], max(A.shape[-1], R.shape[-1])))  # [A | R], reduced in place
     W[:, :d], W[:, d:] = A, R
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(d - 1):
@@ -241,7 +240,7 @@ def lu_solve(A, R):
                 X[i] -= W[i, k] * X[k]
             X[i] /= W[i, i]
     # a pivot is never written after its column is done, so the diagonal holds them all
-    return X, (np.diagonal(W[:, :d]) == 0.0).any(axis=1)
+    return X, (W[:, :d].diagonal() == 0.0).any(axis=1)
 
 
 def cholesky(K):
@@ -266,12 +265,12 @@ def cholesky(K):
                 col -= L[j:, k] * L[j, k]
             np.sqrt(col[0], out=col[0])
             col[1:] /= col[0]
-    pivots = np.diagonal(L)  # (B, d), the square roots of the pivots
+    pivots = L.diagonal()  # (B, d), the square roots of the pivots
     return L, ~((pivots > 0) & (pivots < np.inf)).all(axis=1)
 
 
 def _substitute(L, Y):
-    """K^{-1} Y in place for Y (d, r, B), batch axis last, through the factor L (d, d, B) of ``cholesky``; returns Y.
+    """K^{-1} Y in place for Y (d, ..., B), batch axis last, through the factor L (d, d, B) of ``cholesky``; returns Y.
 
     Forward then back substitution, one expression per row and term over
     the batch axis.  For a right-hand side that its caller reads no more.
@@ -322,8 +321,9 @@ def affine_scan(A, c, v, reverse=False):
     band = np.zeros((L + 1, n, 2 * n))  # [column block, column, band row]
     blocks = band[1:] if reverse else band[:L]  # column block of -A_k
     top = n - 1 if reverse else n  # band row of A_k[0, 0]; A_k[i, q] sits at top - q + i
+    negA = -A  # one negation, not one per column
     for q in range(n):
-        blocks[:, q, top - q:top - q + n] = -A[:, :, q]
+        blocks[:, q, top - q:top - q + n] = negA[:, :, q]
     ends = (c, np.reshape(v, (1, n))) if reverse else (np.reshape(v, (1, n)), c)
     out, info = dtbtrs(band.reshape(-1, 2 * n).T, np.concatenate(ends).reshape(-1, 1),
                        uplo="U" if reverse else "L", diag="U", overwrite_b=True)
@@ -342,17 +342,21 @@ def _riccati_combine(earlier, later):
     Ai, Ci, Ji = earlier
     Aj, Cj, Jj = later
     d = Ai.shape[-1]
-    rhs = np.concatenate([Ai, Ci @ np.swapaxes(Aj, 1, 2)], axis=2)
-    X = _combine_solve(np.eye(d) + Ci @ Jj, rhs)
-    XA, XC = X[..., :d], X[..., d:]
-    return Aj @ XA, Aj @ XC + Cj, np.swapaxes(XA, 1, 2) @ Jj @ Ai + Ji
+    X = _combine_solve(_identity(d) + Ci @ Jj, np.concatenate([Ai, Ci @ Aj.transpose(0, 2, 1)], axis=2))
+    AX = Aj @ X
+    return AX[..., :d], AX[..., d:] + Cj, X[..., :d].transpose(0, 2, 1) @ Jj @ Ai + Ji
 
 
 def _half_combine(elem, T):
     """The J block of elem ∘ (0, 0, T), whose A and C blocks are zero: X'T A + J with X = (I + C T)^{-1} A."""
     A, C, J = elem
-    X = _combine_solve(np.eye(T.shape[-1]) + C @ T, A)
-    return np.swapaxes(X, 1, 2) @ T @ A + J
+    return _combine_solve(_identity(T.shape[-1]) + C @ T, A).transpose(0, 2, 1) @ T @ A + J
+
+
+@functools.lru_cache(maxsize=16)
+def _identity(d):
+    """The read-only d x d identity, made once per d rather than by np.eye in every combine."""
+    return _frozen(np.eye(d))
 
 
 def _combine_solve(A, R):
@@ -373,7 +377,7 @@ def _combine_solve(A, R):
             return np.linalg.solve(A, R)
         except np.linalg.LinAlgError:
             pass
-    X, bad = lu_solve(*(np.broadcast_to(a, (B,) + a.shape[1:]).transpose(1, 2, 0) for a in (A, R)))
+    X, bad = lu_solve(A.transpose(1, 2, 0), R.transpose(1, 2, 0))
     X[..., bad] = np.nan
     return X.transpose(2, 0, 1)
 
@@ -382,10 +386,9 @@ def riccati_scan(elems, M):
     """Fill M[:-1] of M (N+1, n, n) in place: M_k = e_k ∘ … ∘ e_{N-1} ∘ (0, 0, M_N), from the terminal M[-1].
 
     ``elems`` holds the Riccati elements (A, C, J) of ``_riccati_combine``,
-    each stacked along a leading axis of N, or of 1 for an element that
-    every step shares: only arrays with a step axis are sliced, so a shared
-    element is never copied N times.  Odd-even reduction toward the
-    terminal: with o = N mod 2, the pairs e_{o+2i} ∘ e_{o+2i+1} give
+    all three stacked along a leading axis of N, or of 1 for an element
+    that every step shares, which is never sliced, so never copied N times.
+    Odd-even reduction toward the terminal: with o = N mod 2, the pairs e_{o+2i} ∘ e_{o+2i+1} give
     M_o, M_{o+2}, ... by the same scan on M[o::2], which ends in M_N; one
     batched ``_half_combine`` then fills every other M,
     M_k = e_k ∘ M_{k+1} for k = 1-o, 3-o, ..., N-1, M_0 of an odd N
@@ -397,13 +400,11 @@ def riccati_scan(elems, M):
     """
     N = len(M) - 1
     o = N % 2
-
-    def take(start):
-        return tuple(e if len(e) == 1 else e[start:N:2] for e in elems)
-
+    A, C, J = elems
+    early, late, rest = [elems] * 3 if len(A) == 1 else [(A[i:N:2], C[i:N:2], J[i:N:2]) for i in (o, o + 1, 1 - o)]
     if N > 1:
-        riccati_scan(_riccati_combine(take(o), take(o + 1)), M[o::2])
-    M[1 - o:N:2] = _half_combine(take(1 - o), M[2 - o::2])
+        riccati_scan(_riccati_combine(early, late), M[o::2])
+    M[1 - o:N:2] = _half_combine(rest, M[2 - o::2])
 
 
 def _stage_products(E, F, Qh, Rh, Sh):
@@ -477,18 +478,18 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
         Wc = Wc + sigma * (np.einsum("aik,ajk->ijk", G, G) - np.eye(n)[:, :, None])
         M_N = M_N - sigma * np.eye(n)
         factor, bad = cholesky(Kc)
-    factor[..., bad] = np.nan  # its elements, and the M_k before it, come out NaN
-    # solved in place: the concatenation has no other reader
-    KiL, KiH = np.split(_substitute(factor, np.concatenate([Lc, H.transpose(1, 0, 2)], axis=1)), 2, axis=1)
+        factor[..., bad] = np.nan  # its elements, and the M_k before it, come out NaN
+    # solved in place: the stack has no other reader
+    KiL, KiH = _substitute(factor, np.stack([Lc, H.transpose(1, 0, 2)], axis=1)).transpose(1, 0, 2, 3)
     del factor
     A, C = G - np.einsum("iak,ajk->ijk", H, KiL), np.einsum("iak,ajk->ijk", H, KiH)
     J = Wc - np.einsum("aik,ajk->ijk", Lc, KiL)
     del Wc, Lc
     M = np.empty((N + 1, n, n))
     M[N] = M_N
-    riccati_scan(tuple(e.transpose(2, 0, 1) for e in (A, C, J)), M)
+    riccati_scan((A.transpose(2, 0, 1), C.transpose(2, 0, 1), J.transpose(2, 0, 1)), M)
     del J
-    M = 0.5 * (M + np.swapaxes(M, 1, 2))
+    M = 0.5 * (M + M.transpose(0, 2, 1))
     Mt = np.ascontiguousarray(M[1:].transpose(1, 2, 0))
     HM = np.einsum("aik,ajk->ijk", H, Mt)
     K = np.einsum("iak,ajk->ijk", HM, H)
@@ -499,7 +500,7 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
         k = int(np.flatnonzero(bad)[-1])
         raise _hessian_failure(k, h, K, *_stage_products(E, F, Qh, Rh, Sh), G, H)
     CM = np.einsum("iak,ajk->ijk", C, Mt)
-    CM += np.eye(n)[:, :, None]
+    CM += _identity(n)[:, :, None]
     A = _combine_solve(CM.transpose(2, 0, 1), A.transpose(2, 0, 1)).transpose(1, 2, 0)
     gains = np.einsum("iak,ajk->ijk", KiH, np.einsum("iak,ajk->ijk", Mt, A))
     gains += KiL
@@ -537,13 +538,13 @@ def riccati_backward(prob: LQProblem, tab: ButcherTableau, steps: Linearization)
     h = prob.tf / N
     E, F, G, H = (a.transpose(1, 2, 0) for a in (steps.E, steps.F, steps.G, steps.H))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails as a non-finite stage Hessian
-        M, U1, K, factor, A = value_sweep(E, F, G, H, *stage_cost_blocks(prob, tab.b, h), prob.M, N, h)
+        M, U1, K, factor, A = value_sweep(E, F, G, H, *stage_cost_blocks(prob, tab, h), prob.M, N, h)
     U1, A = U1.transpose(2, 0, 1), A.transpose(2, 0, 1)
     if not (steps.Ew.any() or steps.l.any() or steps.p[-1].any()):
         return AffineBackwardPass(M=M, U1=U1, U2=np.zeros(steps.l.shape), A=A)
     lu = np.ascontiguousarray(steps.l.T)  # (sm, N), as every operand here
     c = steps.Ew.T + np.einsum("kai,ak->ik", U1, lu)
-    v = affine_scan(np.swapaxes(A, 1, 2), c.T, steps.p[-1], reverse=True)
+    v = affine_scan(A.transpose(0, 2, 1), c.T, steps.p[-1], reverse=True)
     lu = lu + np.einsum("aik,ak->ik", H, np.ascontiguousarray(v[1:].T))  # not in place: lu may be the model's l
     U2 = -_refined_solve(K, factor, lu[:, None])[:, 0].T
     return AffineBackwardPass(M=M, U1=U1, U2=U2, A=A)

@@ -75,15 +75,6 @@ def _stage_stack(V, N: int, width: int, name: str, cols: str, what: str) -> np.n
     return V.reshape(N, width)
 
 
-def _row_max(a):
-    """The max of each row of a 2-D array.
-
-    Column-major order lets numpy reduce across all rows at once; on
-    (2000, 6) that is about ten times faster than a row-major .max(axis=1).
-    """
-    return np.asfortranarray(a).max(axis=1)
-
-
 def rollout(prob, tab, N: int, U, X=None) -> IterateState:
     """Integrate the discrete dynamics under stage controls U and price them.
 
@@ -131,16 +122,17 @@ def rollout(prob, tab, N: int, U, X=None) -> IterateState:
             del G, g
             new = np.einsum("kij,kj->ki", E, xw[:-1]) + e[..., 0]
             del E, e
-            moved = _row_max(np.abs(new - X[first:]))
+            # each step's largest move, then its max |X|; column-major order lets numpy reduce across all rows
+            # at once, about ten times faster than a row-major max on (2000, 6)
+            both = np.asfortranarray(np.abs(np.concatenate([new - X[first:], new]))).max(axis=1)
             X[first:], x[first + 1:] = new, xw[1:]
-            finite = np.isfinite(moved)
-            level = np.maximum(floor, np.maximum.accumulate(_row_max(np.abs(new))))
-            still = ~finite | (moved > ROLLOUT_TOL * (1.0 + level))
+            moved, level = both[:K], np.maximum(floor, np.maximum.accumulate(both[K:]))
+            still = ~(moved <= ROLLOUT_TOL * (1.0 + level))  # a NaN move is unsettled too
             if not still.any():
                 return IterateState(U=U, X=X, x=x, Jd=discrete_cost(prob, tab, U, X, x), h=h)
             j = int(np.argmax(still))
             stalled = 1 if j else stalled + 1
-            if stalled == ROLLOUT_MAXIT or not finite.all():
+            if stalled == ROLLOUT_MAXIT or not np.isfinite(moved).all():
                 raise RolloutDiverged("stage equations unsolved", first + j, h)
             if j:
                 first, floor = first + j, level[j - 1]
@@ -157,11 +149,11 @@ def linearize(prob, tab, state: IterateState) -> Linearization:
     """
     Jx, Ju = prob.stage_jacobians(state.X.reshape(-1, prob.n), state.U.reshape(-1, prob.m))
     E, F, G, H = step_operators(Jx, Ju, tab, state.h)
-    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, state.h)
+    Qh, Rh, Sh = stage_cost_blocks(prob, tab, state.h)
     w = np.ascontiguousarray((state.X @ Qh + state.U @ Sh.T).T)  # (sn, N)
     Ew = np.einsum("aik,ak->ik", E.transpose(1, 2, 0), w).T
     l = (state.U @ Rh + state.X @ Sh).T + np.einsum("aik,ak->ik", F.transpose(1, 2, 0), w)
-    p = affine_scan(np.swapaxes(G, 1, 2), Ew, prob.M @ state.x[-1], reverse=True)
+    p = affine_scan(G.transpose(0, 2, 1), Ew, prob.M @ state.x[-1], reverse=True)
     if not np.isfinite(p).all():
         raise RolloutDiverged("costates not finite", int(np.flatnonzero(~np.isfinite(p).all(axis=1))[-1]), state.h)
     return Linearization(E, F, G, H, Ew=Ew, l=l.T, p=p)

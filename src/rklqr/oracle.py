@@ -78,7 +78,7 @@ def _blockdiag(blocks, N: int) -> np.ndarray:
 
 def _cost_hessian(prob, tab, N: int) -> np.ndarray:
     """Hessian P of the discrete cost in v = (U, X, x_1..x_N): J_d = 1/2 v'P v."""
-    Qh, Rh, Sh = stage_cost_blocks(prob, tab.b, prob.tf / N)
+    Qh, Rh, Sh = stage_cost_blocks(prob, tab, prob.tf / N)
     nu, nx, nd = tab.s * prob.m * N, tab.s * prob.n * N, prob.n * N
     return np.block([
         [_blockdiag(Rh, N), _blockdiag(Sh.T, N), np.zeros((nu, nd))],
@@ -182,24 +182,35 @@ def rollout(prob, tab, N: int, U):
 
     Newton on step k's stage equations X_k = x_k + h (a⊗I) f(X_k, U_k) from X_k = x_k until no stage
     state moves by more than 1e-13 (1 + max |X_k|), s iterations for an explicit tableau; then
-    x_{k+1} = x_k + h (b⊗I) f.  OracleFailure names the step and h when the Newton matrix
-    I - h (a⊗I) diag(Jx) is singular or 50 iterations leave the step unsettled.
+    x_{k+1} = x_k + h (b⊗I) f.  A move that raises the residual's sum of squares, or makes it NaN, is
+    halved, at most 30 times: a full one can cross a singular Newton matrix and run far from the root, as
+    trapezoidal pendulum steps at h = 2 cross θ ∈ 2πℤ.  OracleFailure names the step and h when the
+    Newton matrix I - h (a⊗I) diag(Jx) is singular or 50 iterations leave the step unsettled.
     """
     n, s, h = prob.n, tab.s, prob.tf / N
     U = ilqr.stage_controls(U, N, s * prob.m).reshape(N, s, -1)
     X, x = np.empty((N, s, n)), np.tile(prob.x0, (N + 1, 1))
+
+    def residual(Xk):  # of step k's stage equations
+        return x[k] + h * tab.a @ prob.f(Xk, U[k]) - Xk
+
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging step stays unsettled
         for k in range(N):
             X[k] = x[k]
             for _ in range(50):
+                r = residual(X[k])
                 hJ = h * np.einsum("ij,jab->iajb", tab.a, prob.stage_jacobians(X[k], U[k])[0]).reshape(s * n, -1)
                 try:
-                    move = np.linalg.solve(np.eye(s * n) - hJ, (x[k] + h * tab.a @ prob.f(X[k], U[k]) - X[k]).ravel())
+                    move = np.linalg.solve(np.eye(s * n) - hJ, r.ravel()).reshape(s, n)
                 except np.linalg.LinAlgError:
                     raise OracleFailure(f"singular stage equations at step {k}, h = {h!r}") from None
-                X[k] += move.reshape(s, n)
-                if np.abs(move).max() <= 1e-13 * (1.0 + np.abs(X[k]).max()):
+                if np.abs(move).max() <= 1e-13 * (1.0 + np.abs(X[k] + move).max()):
+                    X[k] += move
                     break
+                t = 1.0
+                while not np.sum(residual(X[k] + t * move) ** 2) <= np.sum(r * r) and t > 2.0**-30:
+                    t *= 0.5
+                X[k] += t * move
             else:
                 raise OracleFailure(f"stage equations unsettled at step {k}, h = {h!r}")
             x[k + 1] = x[k] + h * tab.b @ prob.f(X[k], U[k])

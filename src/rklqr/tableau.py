@@ -71,15 +71,21 @@ class ButcherTableau:
         return not np.triu(self.a).any()
 
     @cached_property
-    def nonzero_rows(self) -> tuple:
-        """The ``(j, a_ij)`` pairs of the nonzero entries of each row i of a, in order of j.
+    def step_plan(self) -> tuple:
+        """(live, a_live, rows): what ``dlqr.step_operators`` reads of a and b, worked out once.
 
-        ``dlqr.step_operators`` reads it: an explicit stage sums over its
-        pairs only, and a stage whose row is empty keeps [E_i | F_i] = [I | 0],
-        so it is x_k itself.  Tuples of Python floats, so the pattern is as
-        read-only as a.
+        The live stages, whose row of a is nonzero, are indexed by a slice
+        where they are consecutive; ``a_live`` is their block of a, the
+        coupling of an implicit tableau, and None for an explicit one.
+        ``rows`` holds the terms (j, a_ij, kind) of the nonzero entries of
+        each row of a, then of b: kind 0 for a zero-row stage j, which is x_k
+        itself, 1 for a live stage j already formed, 2 for one coupled to i.
         """
-        return tuple(tuple((j, float(v)) for j, v in enumerate(row) if v != 0.0) for row in self.a)
+        live = [i for i, row in enumerate(self.a) if row.any()]
+        live = slice(live[0], live[-1] + 1) if live and live == list(range(live[0], live[-1] + 1)) else live
+        rows = tuple(tuple((j, float(v), 0 if not self.a[j].any() else 1 if i == self.s or self.is_explicit else 2)
+                           for j, v in enumerate(row) if v != 0.0) for i, row in enumerate([*self.a, self.b]))
+        return live, None if self.is_explicit else self.a[live][:, live], rows
 
     def __repr__(self):
         return f"ButcherTableau(name={self.name!r}, s={self.s})"

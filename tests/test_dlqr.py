@@ -50,7 +50,7 @@ class TestAssemble:
 
     def test_cost_blocks(self):
         prob, _ = example31()
-        Qh, _, Sh = dlqr.stage_cost_blocks(prob, builtin("methodA").b, 0.1)
+        Qh, _, Sh = dlqr.stage_cost_blocks(prob, builtin("methodA"), 0.1)
         np.testing.assert_allclose(Qh, 0.1 * np.diag([0.5, 0.5]), atol=1e-16)
         np.testing.assert_allclose(Sh, 0.1 * np.diag([0.25, 0.25]), atol=1e-16)
 
@@ -96,7 +96,7 @@ class TestRiccati:
         steps = dlqr.assemble(prob, tab, 1)
         bp = dlqr.riccati_backward(prob, tab, steps)
         E, F, G, H = steps.E[0], steps.F[0], steps.G[0], steps.H[0]
-        Qh, Rh, _ = dlqr.stage_cost_blocks(prob, tab.b, prob.tf)
+        Qh, Rh, _ = dlqr.stage_cost_blocks(prob, tab, prob.tf)
         K = F.T @ Qh @ F + Rh + H.T @ prob.M @ H
         lin = F.T @ Qh @ E + H.T @ prob.M @ G
         U0 = -np.linalg.solve(K, lin @ prob.x0)

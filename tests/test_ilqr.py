@@ -274,7 +274,7 @@ class TestBackwardAndDirection:
         # the tangent plane X = E x0 + F V + D1, x1 = G x0 + H V + D2 through the iterate
         U = state.U[0]
         D1, D2 = state.X[0] - E @ prob.x0 - F @ U, state.x[1] - G @ prob.x0 - H @ U
-        Qh, Rh, _ = dlqr.stage_cost_blocks(prob, tab.b, state.h)
+        Qh, Rh, _ = dlqr.stage_cost_blocks(prob, tab, state.h)
         K = F.T @ Qh @ F + Rh + H.T @ prob.M @ H
         U_opt = np.linalg.solve(
             K,

@@ -52,7 +52,7 @@ def _reference_linearize(prob, tab, state):
 
 def _model_about(prob, tab, steps, U, X, xN):
     """``steps`` with the cost's first-order terms about the point (U, X, x_N); of p, the backward reads p_N only."""
-    Qh, Rh, Sh = dlqr.stage_cost_blocks(prob, tab.b, prob.tf / len(U))
+    Qh, Rh, Sh = dlqr.stage_cost_blocks(prob, tab, prob.tf / len(U))
     w = X @ Qh + U @ Sh.T
     p = np.zeros((len(U) + 1, prob.n))
     p[-1] = prob.M @ xN
@@ -69,7 +69,7 @@ def _reference_backward(prob, tab, steps, U, X, xN):
     v_k = Qx + U1'Quu U2 + U1'Qu + Qux'U2 follows from v_N = M x_N.
     """
     N = len(U)
-    Qh, Rh, Sh = dlqr.stage_cost_blocks(prob, tab.b, prob.tf / N)
+    Qh, Rh, Sh = dlqr.stage_cost_blocks(prob, tab, prob.tf / N)
     M = [None] * (N + 1)
     M[N], v = prob.M.copy(), prob.M @ xN
     U1, U2 = [None] * N, [None] * N
@@ -98,7 +98,7 @@ def _sweep_args(prob, tab, steps, N):
     """``value_sweep``'s arguments over ``steps``: E, F, G, H step axis last, the stage cost blocks, M_N, N and h."""
     h = prob.tf / N
     return (*(a.transpose(1, 2, 0) for a in (steps.E, steps.F, steps.G, steps.H)),
-            *dlqr.stage_cost_blocks(prob, tab.b, h), prob.M, N, h)
+            *dlqr.stage_cost_blocks(prob, tab, h), prob.M, N, h)
 
 
 def _explicit_tableau(rng, kind):
@@ -113,8 +113,10 @@ def _explicit_tableau(rng, kind):
 # 3-stage Lobatto IIIA: a zero first row above implicit ones
 LOBATTO3A = ButcherTableau(a=[[0, 0, 0], [5 / 24, 1 / 3, -1 / 24], [1 / 6, 2 / 3, 1 / 6]],
                            b=[1 / 6, 2 / 3, 1 / 6], name="lobatto3a")
+# implicit stages 1 and 3 around a zero row: live stages that are not consecutive
+GAPPED = ButcherTableau(a=[[0.25, 0, 0], [0, 0, 0], [0.2, 0.3, 0.25]], b=[0.3, 0.3, 0.4], name="gapped")
 IMPLICIT_TABLEAUS = {"trapezoidal": builtin("trapezoidal"), "lobatto3a": LOBATTO3A, "gauss2": GAUSS2,
-                     "radau2a3": RADAU2A3}
+                     "radau2a3": RADAU2A3, "gapped": GAPPED}
 
 
 def _random_lq(rng, n, m, tf):
@@ -493,6 +495,21 @@ class TestRiccatiScan:
         loop = dlqr.riccati_backward(prob, tab, steps)
         assert all(map(close, vars(scan).values(), vars(loop).values()))
 
+    def test_shared_element_scans_as_its_stacked_copies(self):
+        # DLQR's doubling of one shared element (K = 1) and ILQR's pairing of
+        # N elements (K = N) take different slices at every level
+        rng = np.random.default_rng(8)
+        n = 3
+        A = rng.uniform(-1.0, 1.0, (1, n, n)) / n
+        B, W = rng.standard_normal((1, n, 1)), rng.standard_normal((1, n, n))
+        elem = (A, B @ B.transpose(0, 2, 1), W @ W.transpose(0, 2, 1))
+        for N in range(1, 71):
+            shared, stacked = np.empty((N + 1, n, n)), np.empty((N + 1, n, n))
+            shared[N] = stacked[N] = np.eye(n)
+            dlqr.riccati_scan(elem, shared)
+            dlqr.riccati_scan(tuple(np.repeat(e, N, axis=0) for e in elem), stacked)
+            assert self._rel(shared, stacked) <= 1e-14, N
+
     @pytest.mark.parametrize("broken", ["singular", "not_finite"])
     @pytest.mark.parametrize("kind", ["dlqr", "ilqr"])
     def test_scan_breakdown_is_named(self, monkeypatch, kind, broken):
@@ -747,7 +764,8 @@ class TestStackedLinearization:
     def test_implicit_builder_at_real_sizes(self, K, n, m, kind):
         # trapezoidal and Lobatto IIIA solve the coupling of the stages after
         # a zero first row (2n and 4n unknowns), Gauss-Legendre 2 and Radau
-        # IIA 3 that of all of theirs (2n and 3n)
+        # IIA 3 that of all of theirs (2n and 3n), GAPPED that of the two
+        # around its zero row (2n)
         _check_builder_at_real_size(np.random.default_rng([K, n, m]), IMPLICIT_TABLEAUS[kind], K, n, m)
 
     def test_holds_one_product_term_at_a_time(self):
@@ -929,6 +947,11 @@ class TestBackwardKernel:
     @example(0, "random", 2)
     @example(1, "trapezoidal", 6)
     @example(2, "lobatto3a", 3)
+    # at h = 2 the stage equation θ2 - sin θ2 = c has a singular Newton matrix at θ2 ∈ 2πℤ,
+    # which an undamped Newton from x_k crosses on its way to these well-conditioned roots
+    @example(56, "trapezoidal", 2)
+    @example(17586144, "trapezoidal", 2)
+    @example(2023522454, "trapezoidal", 2)
     @settings(max_examples=40, deadline=None)
     def test_direction_is_quasi_newton_step(self, seed, kind, N):
         # criterion 7's identity dU = -W^{-1} J_d'(U), at its 1e-8, beyond the builtin tableaus
