@@ -60,13 +60,14 @@ MIN_COARSE_STEPS = 25  # ... when that has at least this many steps
 STUDY_TOL = 2e-11
 
 
-def cubic_lagrange(u, h: float, t) -> np.ndarray:
+def cubic_lagrange(u, h: float, t, *more):
     """Values at times t of the 4-point cubic Lagrange interpolant of node values u.
 
     u (L+1, m) holds values at the nodes j h, j = 0..L, with L >= 3; each t
     uses the four nodes around it (the first or last four at the ends), so
-    the result is exact for cubics.  Returns (len(t), m).  ValueError for
-    fewer than four nodes.
+    the result is exact for cubics.  Returns (len(t), m).  Further node
+    values ``more`` on the same nodes share the weights, and then a list of
+    the results comes back, u's first.  ValueError for fewer than four nodes.
     """
     u = np.asarray(u, dtype=float)
     if len(u) < 4:
@@ -74,14 +75,18 @@ def cubic_lagrange(u, h: float, t) -> np.ndarray:
     pos = np.asarray(t, dtype=float) / h
     j = np.clip(np.floor(pos).astype(int) - 1, 0, len(u) - 4)
     r = (pos - j)[:, None]  # position inside the stencil j..j+3
-    return (-(r - 1) * (r - 2) * (r - 3) / 6 * u[j] + r * (r - 2) * (r - 3) / 2 * u[j + 1]
-            - r * (r - 1) * (r - 3) / 2 * u[j + 2] + r * (r - 1) * (r - 2) / 6 * u[j + 3])
+    r1, r2, r3 = r - 1, r - 2, r - 3
+    w = -r1 * r2 * r3 / 6, r * r2 * r3 / 2, r * r1 * r3 / 2, r * r1 * r2 / 6
+    out = [w[0] * np.take(v, j, axis=0) + w[1] * np.take(v, j + 1, axis=0)
+           - w[2] * np.take(v, j + 2, axis=0) + w[3] * np.take(v, j + 3, axis=0)
+           for v in (u, *(np.asarray(v, dtype=float) for v in more))]
+    return out if more else out[0]
 
 
-def _at_stage_times(nodes, h: float, tab: ButcherTableau, tf: float, N: int) -> np.ndarray:
-    """Node values (L+1, w) of step h by ``cubic_lagrange`` at the stage times (k + c_i) tf / N, as (N, s·w)."""
+def _at_stage_times(traj, tab: ButcherTableau, tf: float, N: int) -> list:
+    """Node controls and states of traj by ``cubic_lagrange`` at the stage times (k + c_i) tf / N, as [U, X]."""
     times = ((np.arange(N)[:, None] + tab.c) * (tf / N)).ravel()
-    return cubic_lagrange(nodes, h, times).reshape(N, -1)
+    return [v.reshape(N, -1) for v in cubic_lagrange(traj.u, traj.h, times, traj.x)]
 
 
 def solve_problem(prob, tab: ButcherTableau, N: int, tol=ilqr.DEFAULT_TOL, max_iter=ilqr.DEFAULT_MAX_ITER,
@@ -94,15 +99,16 @@ def solve_problem(prob, tab: ButcherTableau, N: int, tol=ilqr.DEFAULT_TOL, max_i
     ``ilqr.solve`` starts from the previous rung's node controls and node
     states interpolated by ``cubic_lagrange`` at the stage times (k + c_i) h:
     the controls as U0, the states as X0, the start of the first rollout's
-    Newton sweeps; a rung's node controls come from the costates
-    ``ilqr.solve`` returns.  Both starts are passed unnamed, so no name here
-    keeps them alive while the rung runs.  A start trajectory (node controls
-    u and states x at step h, of any tableau; at least four nodes) takes the
-    place of every rung below N with no more steps than it has, and the
-    lowest rung left starts from it; N itself is always solved.  A linear
-    problem is solved directly and reads no start.  info carries Jd, the
-    iteration count and the ILQR iterate log of the finest solve.  tol and
-    max_iter go through ``ilqr.check_stopping_rule`` for either kind.
+    Newton sweeps, both from one call; a rung's node controls come from the
+    costates ``ilqr.solve`` returns.  Both starts are popped from their list
+    into the call, so no name here keeps them alive while the rung runs.  A
+    start trajectory (node controls u and states x at step h, of any
+    tableau; at least four nodes) takes the place of every rung below N
+    with no more steps than it has, and the lowest rung left starts from it;
+    N itself is always solved.  A linear problem is solved directly and
+    reads no start.  info carries Jd, the iteration count and the ILQR
+    iterate log of the finest solve.  tol and max_iter go through
+    ``ilqr.check_stopping_rule`` for either kind.
     """
     ilqr.check_stopping_rule(tol, max_iter)
     dlqr.check_steps(N)
@@ -115,9 +121,8 @@ def solve_problem(prob, tab: ButcherTableau, N: int, tol=ilqr.DEFAULT_TOL, max_i
         ladder.append(ladder[-1] // COARSEN)
     traj = start
     for level in reversed(ladder):
-        state, log, p = ilqr.solve(prob, tab, level, tol=tol, max_iter=max_iter,
-                                   U0=None if traj is None else _at_stage_times(traj.u, traj.h, tab, prob.tf, level),
-                                   X0=None if traj is None else _at_stage_times(traj.x, traj.h, tab, prob.tf, level))
+        starts = [None, None] if traj is None else _at_stage_times(traj, tab, prob.tf, level)
+        state, log, p = ilqr.solve(prob, tab, level, tol=tol, max_iter=max_iter, U0=starts.pop(0), X0=starts.pop())
         u = ilqr.node_controls(prob, state, p)
         traj = dlqr.DiscreteTrajectory(U=state.U, X=state.X, x=state.x, Jd=state.Jd, h=state.h, p=p, u=u)
     return traj, {"Jd": state.Jd, "iterations": len(log), "log": log}
@@ -239,8 +244,12 @@ def write_trajectory_csv(path, traj):
         + [f"u_{i + 1}" for i in range(m)]
         + [f"p_{i + 1}" for i in range(n)]
     )
-    k = np.arange(traj.x.shape[0])
-    _write_table(path, header, np.column_stack([k, k * traj.h, traj.x, traj.u, traj.p]))
+
+    def rows(i, j):  # rows i..j-1: k and t made here, the rest sliced from the trajectory
+        k = np.arange(i, j)
+        return np.column_stack([k, k * traj.h, traj.x[i:j], traj.u[i:j], traj.p[i:j]])
+
+    _write_table(path, header, rows, len(traj.x))
 
 
 def write_order_study_csv(path, study: OrderStudy):
@@ -253,27 +262,32 @@ def write_iterate_log_csv(path, log):
                                  rec.alpha, rec.slope) for rec in log])
 
 
-_TABLE_BLOCK = 512  # rows formatted per block by _write_table
+_TABLE_BLOCK = 960  # rows formatted per block by _write_table
 
 
-def _write_table(path, header, rows):
+def _write_table(path, header, rows, count=None):
     """Write a header line and one line per row, every value as ``"%.17g" % v``.
 
-    ``csvformat.format_rows`` makes the bytes of ``%`` a block of rows at a
-    time with numpy and no Python object per value: the correctly rounded
-    17-digit significand of each value in range (1e-28 <= |v| < 1e16) from an
-    exact double-double product with 10^(16 - X), certified against a half
-    before it is rounded, then its digits, dot, prefix or exponent as bytes.
-    Zeros print as ``0`` and ``-0``; non-finite, subnormal and other values
-    outside the range, those whose estimated X may be off (powers of ten and
-    their neighbours: 5-9 values of a bench trajectory table) and any whose
-    rounding cannot be certified are formatted by ``%`` one by one.
+    rows is the table (an array or a sequence of rows), or, with the row
+    count, a function whose rows(i, j) stacks rows i..j-1, so that only one
+    block of the table is formed at a time.  ``csvformat.format_rows`` makes
+    the bytes of ``%`` a block of rows at a time with numpy and no Python
+    object per value: the correctly rounded 17-digit significand of each
+    value in range (1e-28 <= |v| < 1e16) from an exact double-double product
+    with 10^(16 - X), certified against a half before it is rounded, then
+    its digits, dot, prefix or exponent as bytes.  Zeros print as ``0`` and
+    ``-0``; non-finite, subnormal and other values outside the range, those
+    whose estimated X may be off (powers of ten and their neighbours: 5-9
+    values of a bench trajectory table) and any whose rounding cannot be
+    certified are formatted by ``%`` one by one.
     """
-    rows = np.asarray(rows, dtype=float)
+    if count is None:
+        table = np.asarray(rows, dtype=float)
+        count, rows = len(table), lambda i, j: table[i:j]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for i in range(0, len(rows), _TABLE_BLOCK):
-            fh.write(csvformat.format_rows(rows[i:i + _TABLE_BLOCK]))
+        for i in range(0, count, _TABLE_BLOCK):
+            fh.write(csvformat.format_rows(rows(i, min(i + _TABLE_BLOCK, count))))
 
 
 # ---------------------------------------------------------------------------

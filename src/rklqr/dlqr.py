@@ -26,9 +26,10 @@ doubles; ILQR's N distinct tangent-plane steps (K = N) are N elements.  The
 backward reads E, F, G and H step axis last, as ``step_operators`` builds
 them, each per-step product one einsum; the scan stays stacked.  The
 stage Hessians are factored once each by one batch-last ``cholesky``,
-through which every later solve with them goes.  Implicit stage
-couplings, ILQR's node-control Newton systems and the large batches of
-the scan's combines and of the closed loop go through the batch-last
+through which every later solve with them goes; DLQR, which makes none,
+forms K only where Kc ≻ 0 and M_{k+1} ≻ 0 leave it unproved.  Implicit
+stage couplings, ILQR's node-control Newton systems and the large batches
+of the scan's combines and of the closed loop go through the batch-last
 pivoted ``lu_solve``.
 """
 
@@ -212,16 +213,16 @@ def lu_solve(A, R):
     Gaussian elimination with partial pivoting (Golub and Van Loan, Matrix
     Computations, §3.4) on a copy of [A | R]: column j brings up the row of
     largest |entry| on and below the diagonal, the first of equals, by one
-    conditional swap per row below, then clears those rows with one
-    expression over all B; back substitution takes one expression per row
-    and term.  The copy is contiguous with the batch axis last whatever the
-    strides of A and R, so every expression reads the batch at unit
-    stride; the transposed views that callers pass would otherwise be read
-    at a stride of d + r entries.  Returns X (d, r, B) and ``bad`` (B,),
-    True at every b where a pivot is exactly zero, which is where LAPACK's
-    getrf reports info > 0.  The X of a bad b is meaningless, and nothing
-    warns about it.  A NaN pivot is not flagged and gives NaN.  A and R are
-    only read.
+    conditional swap per row below, skipped where no b swaps, then clears
+    those rows with one expression over all B; back substitution takes one
+    expression per row and term.  The copy is contiguous with the batch
+    axis last whatever the strides of A and R, so every expression reads the
+    batch at unit stride; the transposed views that callers pass would
+    otherwise be read at a stride of d + r entries.  Returns X (d, r, B)
+    and ``bad`` (B,), True at every b where a pivot is exactly zero, which
+    is where LAPACK's getrf reports info > 0.  The X of a bad b is
+    meaningless, and nothing warns about it.  A NaN pivot is not flagged
+    and gives NaN.  A and R are only read.
     """
     d = A.shape[0]
     W = np.empty((d, d + R.shape[1], max(A.shape[-1], R.shape[-1])))  # [A | R], reduced in place
@@ -230,9 +231,10 @@ def lu_solve(A, R):
         for j in range(d - 1):
             for i in range(j + 1, d):
                 up = np.abs(W[i, j]) > np.abs(W[j, j])
-                row = W[j, j:].copy()
-                np.copyto(W[j, j:], W[i, j:], where=up)
-                np.copyto(W[i, j:], row, where=up)
+                if up.any():
+                    row = W[j, j:].copy()
+                    np.copyto(W[j, j:], W[i, j:], where=up)
+                    np.copyto(W[i, j:], row, where=up)
             W[j + 1:, j + 1:] -= (W[j + 1:, j] / W[j, j])[:, None] * W[j, j + 1:]
         X = W[:, d:]
         for i in range(d - 1, -1, -1):
@@ -427,7 +429,7 @@ def _stage_products(E, F, Qh, Rh, Sh):
     return Kc, np.einsum("aik,ajk->ijk", Y, E), Wc
 
 
-def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
+def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float, need_factor=True):
     """Backward sweep of the quadratic value V_k(x) = 1/2 x'M_k x over step operators stacked step axis last.
 
     X_k = E_k x + F_k U and x_{k+1} = G_k x + H_k U, stage cost
@@ -438,7 +440,8 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     M_N and, step axis last, gains (sm, n, N) with U_k = gains_k x_k, the
     stage Hessians K_k = Kc_k + H_k'M_{k+1}H_k (sm, sm, N), their
     ``cholesky`` factor (sm, sm, N), which later solves with K reuse, and
-    the closed loop G_k + H_k gains_k (n, n, N).
+    the closed loop G_k + H_k gains_k (n, n, N).  With ``need_factor`` False
+    K and its factor are None where Kc ≻ 0 unshifted and M_{k+1} ≻ 0 prove K ≻ 0.
 
     Each per-step product is one einsum over the unit-stride step axis.  Kc
     and K are each factored once, by ``cholesky``, also the check that they
@@ -470,8 +473,8 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     """
     Kc, Lc, Wc = _stage_products(E, F, Qh, Rh, Sh)
     factor, bad = cholesky(Kc)
-    n, sigma = G.shape[0], 0.0
-    if bad.any():  # the storage term 1/2 x'Σx, Σ = σI
+    n, sigma, shifted = G.shape[0], 0.0, bad.any()
+    if shifted:  # the storage term 1/2 x'Σx, Σ = σI
         sigma = float(np.linalg.eigvalsh(M_N)[-1])
         Kc = Kc + sigma * np.einsum("aik,ajk->ijk", H, H)
         Lc = Lc + sigma * np.einsum("aik,ajk->ijk", H, G)
@@ -491,14 +494,15 @@ def value_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
     del J
     M = 0.5 * (M + M.transpose(0, 2, 1))
     Mt = np.ascontiguousarray(M[1:].transpose(1, 2, 0))
-    HM = np.einsum("aik,ajk->ijk", H, Mt)
-    K = np.einsum("iak,ajk->ijk", HM, H)
-    K += Kc
-    del Kc, HM
-    factor, bad = cholesky(K)
-    if bad.any():
-        k = int(np.flatnonzero(bad)[-1])
-        raise _hessian_failure(k, h, K, *_stage_products(E, F, Qh, Rh, Sh), G, H)
+    K = factor = None
+    if need_factor or shifted or cholesky(Mt)[1].any():  # else Kc ≻ 0 and every M_{k+1} ≻ 0 make K ≻ 0
+        K = np.einsum("iak,ajk->ijk", np.einsum("aik,ajk->ijk", H, Mt), H)
+        K += Kc
+        factor, bad = cholesky(K)
+        if bad.any():
+            k = int(np.flatnonzero(bad)[-1])
+            raise _hessian_failure(k, h, K, *_stage_products(E, F, Qh, Rh, Sh), G, H)
+    del Kc
     CM = np.einsum("iak,ajk->ijk", C, Mt)
     CM += _identity(n)[:, :, None]
     A = _combine_solve(CM.transpose(2, 0, 1), A.transpose(2, 0, 1)).transpose(1, 2, 0)
@@ -527,20 +531,22 @@ def riccati_backward(prob: LQProblem, tab: ButcherTableau, steps: Linearization)
     v_k = A_k'v_{k+1} + Ew_k + U1_k'l_k from v_N = p_N, and
     U2_k = -K_k^{-1}(l_k + H_k'v_{k+1}) is one solve through K's factor,
     refined once against K.  Where Ew, l and p_N are all zero, as about
-    DLQR's zero trajectory, none of this is formed and U2 is zero.  The cost
-    gradient g_k = l_k + H_k'p_{k+1} could drive it instead, but g carries
-    the rounding of the costates p, which unstable steps grow far past the
-    step itself; v stays near M_k x_k.  It reads the operators through
-    their step-last ``.transpose(1, 2, 0)`` views, each per-step product
-    one einsum (K = 1 broadcasts); U1 and A come back as (N, ·, ·) views.
+    DLQR's zero trajectory, none of this is formed, U2 is zero and
+    ``value_sweep`` needs no factor.  The cost gradient
+    g_k = l_k + H_k'p_{k+1} could drive it instead, but g carries the
+    rounding of the costates p, which unstable steps grow far past the step
+    itself; v stays near M_k x_k.  It reads the operators through their
+    step-last ``.transpose(1, 2, 0)`` views, each per-step product one
+    einsum (K = 1 broadcasts); U1 and A come back as (N, ·, ·) views.
     """
     N = len(steps.l)
     h = prob.tf / N
     E, F, G, H = (a.transpose(1, 2, 0) for a in (steps.E, steps.F, steps.G, steps.H))
+    terms = steps.Ew.any() or steps.l.any() or steps.p[-1].any()
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails as a non-finite stage Hessian
-        M, U1, K, factor, A = value_sweep(E, F, G, H, *stage_cost_blocks(prob, tab, h), prob.M, N, h)
+        M, U1, K, factor, A = value_sweep(E, F, G, H, *stage_cost_blocks(prob, tab, h), prob.M, N, h, terms)
     U1, A = U1.transpose(2, 0, 1), A.transpose(2, 0, 1)
-    if not (steps.Ew.any() or steps.l.any() or steps.p[-1].any()):
+    if not terms:
         return AffineBackwardPass(M=M, U1=U1, U2=np.zeros(steps.l.shape), A=A)
     lu = np.ascontiguousarray(steps.l.T)  # (sm, N), as every operand here
     c = steps.Ew.T + np.einsum("kai,ak->ik", U1, lu)

@@ -184,10 +184,11 @@ def write_spec(obj, path):
         json.dump({**spec, "name": obj.name}, fh)
 
 
-def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float):
+def sequential_sweep(E, F, G, H, Qh, Rh, Sh, M_N, N: int, h: float, need_factor=True):
     """``dlqr.value_sweep`` as a loop of N steps, the reference for its scan.
 
-    It takes and returns the same layouts.  Each K_k is checked by
+    It takes and returns the same layouts, and forms K whatever
+    ``need_factor`` says.  Each K_k is checked by
     ``cholesky`` as the loop reaches it, and its factor kept for the
     caller; the loop's own solves stay LU, and its closed loop is
     G_k + H_k gains_k, so it stays independent of the scan.  It raises

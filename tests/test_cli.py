@@ -303,6 +303,11 @@ class TestCoarseStart:
         t = np.concatenate([[0.0, L * h], rng.uniform(0.0, L * h, 50)])
         got = cli.cubic_lagrange(cubic(np.arange(L + 1) * h), h, t)
         np.testing.assert_allclose(got, cubic(t), rtol=0, atol=1e-12 * np.abs(cubic(t)).max())
+        # further node values share the weights and come out as if interpolated alone
+        nodes = cubic(np.arange(L + 1) * h)
+        shared = cli.cubic_lagrange(nodes[:, :1], h, t, nodes[:, 1:], nodes)
+        for got, v in zip(shared, (nodes[:, :1], nodes[:, 1:], nodes)):
+            np.testing.assert_array_equal(got, cli.cubic_lagrange(v, h, t))
 
     def test_cubic_lagrange_needs_four_nodes(self):
         # three nodes of t would otherwise read 0.3125 at t = 0.5
@@ -386,10 +391,10 @@ class TestCoarseStart:
         prob, tab = builtin_problem("pendulum")[0], builtin("methodB")
         starts, checked = [], []
 
-        def recording_cubic_lagrange(u, h, t):
-            out = cubic_lagrange(u, h, t)
-            if out.shape[1] == prob.n:  # the states, X0
-                starts.append(weakref.ref(out))
+        def recording_cubic_lagrange(u, h, t, *more):
+            out = cubic_lagrange(u, h, t, *more)
+            if more:  # the controls and then the states, whose result X0 reshapes
+                starts.append(weakref.ref(out[-1]))
             return out
 
         def checked_linearize(prob, tab, state):
@@ -467,6 +472,21 @@ class TestCsvWriters:
         cli._write_table(path, header, table)
         expected = _lines(header, [[f"{v:.17g}" for v in row] for row in table.tolist()])
         assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, cli._TABLE_BLOCK + 1])
+    def test_trajectory_blocks_match_percent(self, tmp_path, extra):
+        # the trajectory writer stacks each block's rows from the columns:
+        # one row short of a block, one block, one row past it and two
+        # blocks and a row give the bytes of the whole table's check
+        rows = cli._TABLE_BLOCK + extra
+        rng = np.random.default_rng(rows)
+        vals = rng.choice(np.concatenate([ODD_VALUES, rng.standard_normal(20)]), (rows, 5))
+        traj = DiscreteTrajectory(U=None, X=None, x=vals[:, :2], Jd=0.0, h=0.1, p=vals[:, 3:], u=vals[:, 2:3])
+        k = np.arange(rows)
+        self._check_table(tmp_path / "table.csv", np.column_stack([k, k * traj.h, vals]))
+        cli.write_trajectory_csv(tmp_path / "traj.csv", traj)
+        table, written = ((tmp_path / name).read_bytes().split(b"\n", 1) for name in ("table.csv", "traj.csv"))
+        assert written[0] == b"k,t,x_1,x_2,u_1,p_1,p_2" and written[1] == table[1]
 
     @given(st.lists(st.one_of(st.floats(), st.integers(0, 2**64 - 1).map(
         lambda bits: float(np.array(bits, np.uint64).view(np.float64)))), min_size=1, max_size=60),

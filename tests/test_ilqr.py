@@ -157,8 +157,7 @@ class TestRollout:
         prob, tab, K = pendulum(), builtin("methodC"), 8000
         n, s = prob.n, tab.s
         coarse, _ = cli.solve_problem(prob, tab, 1000)
-        U0 = cli._at_stage_times(coarse.u, coarse.h, tab, prob.tf, K)
-        X0 = cli._at_stage_times(coarse.x, coarse.h, tab, prob.tf, K)
+        U0, X0 = cli._at_stage_times(coarse, tab, prob.tf, K)
         width = n + 1  # the offsets are one input column
         floats = (s * K * (prob.m + 2 * n + n * n) + (K + 1) * n  # U, X, offsets, Jx; x
                   + (s + 1) * n * width * K + s * n * (n + 1) * K + n * width * K)  # step_operators

@@ -547,7 +547,9 @@ class TestRiccatiScan:
     @pytest.mark.parametrize("kind", ["dlqr", "ilqr"])
     def test_stage_hessians_are_factored_once(self, monkeypatch, kind):
         # Kc and K once each, by the batch-last factor; only U2 goes through
-        # K's factor, so every LAPACK solve left is the scan's n x n one
+        # K's factor, so every LAPACK solve left is the scan's n x n one.
+        # DLQR needs no U2: Kc's factor and the check that every M_{k+1} is
+        # positive definite show that K is, so K is never formed
         N = 50
         prob, tab, steps = self._model(kind, N)
         factored, solved = [], []
@@ -565,7 +567,7 @@ class TestRiccatiScan:
         monkeypatch.setattr(np.linalg, "cholesky", None)
         dlqr.riccati_backward(prob, tab, steps)
         sm = tab.s * prob.m
-        assert factored == [(sm, sm, 1 if kind == "dlqr" else N), (sm, sm, N)]
+        assert factored == ([(sm, sm, 1), (prob.n, prob.n, N)] if kind == "dlqr" else [(sm, sm, N), (sm, sm, N)])
         assert solved and set(solved) == {prob.n}
 
     @pytest.mark.parametrize("name, N", [("methodA", 5), ("methodB", 34), ("methodC", 20), ("trapezoidal", 30)])
@@ -616,6 +618,62 @@ class TestRiccatiScan:
                     assert np.abs(got[i] - want[i]).max() <= 1e-12 * np.abs(want[i]).max(), (name, N, i)
                 solved += 1
         assert (solved, failed) == (82, 69)
+
+    @staticmethod
+    def _zero_point_path(prob, tab, N):
+        """DLQR's backward against ``value_sweep``'s K path: "check" where it formed no K, else "K" or "failed".
+
+        Where the backward returns, its M, U1 and A must be the K path's
+        bytes; where it raises, its BackwardFailure must name the step, h and
+        message that ``sequential_sweep`` names.
+        """
+        steps = dlqr.assemble(prob, tab, N)
+        args = _sweep_args(prob, tab, steps, N)
+        factored, failure = [], None
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+            patch.setattr(dlqr, "cholesky", lambda K, cholesky=dlqr.cholesky: factored.append(K.shape) or cholesky(K))
+            try:
+                bp = dlqr.riccati_backward(prob, tab, steps)
+            except BackwardFailure as exc:
+                failure = exc
+        with np.errstate(over="ignore", invalid="ignore"):
+            if failure is not None:
+                with pytest.raises(BackwardFailure) as want:
+                    sequential_sweep(*args)
+                assert (str(failure), failure.step, failure.h) == (str(want.value), want.value.step, want.value.h)
+                return "failed"
+            M, gains, _, _, A = dlqr.value_sweep(*args)
+        for got, want in ((bp.M, M), (bp.U1, gains.transpose(2, 0, 1)), (bp.A, A.transpose(2, 0, 1))):
+            np.testing.assert_array_equal(got, want)
+        # Kc's factor, then M's check or the shifted Kc's factor, then K's
+        assert len(factored) == 3 or factored[1] == (prob.n, prob.n, N)
+        return "K" if len(factored) == 3 else "check"
+
+    def test_zero_point_check_keeps_the_k_path_on_indefinite(self):
+        # every tableau and N <= 60: where INDEFINITE's Kc is indefinite the
+        # shifted scan forms K, and fails where the loop fails; elsewhere
+        # Kc and M_{k+1} = 1 > 0 show K > 0 without it
+        paths = [self._zero_point_path(INDEFINITE, builtin(name), N) for name in BUILTINS for N in range(1, 61)]
+        assert {path: paths.count(path) for path in ("check", "K", "failed")} == {"check": 149, "K": 82, "failed": 69}
+
+    @given(SEEDS, st.integers(1, 60), st.sampled_from(BUILTINS), st.sampled_from(["definite", "singular", "zero"]),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_zero_point_check_keeps_the_k_path(self, seed, N, name, terminal, cross):
+        # random LQ steps, with a convex running cost or one whose cross term
+        # may make Kc indefinite, and M_N positive definite, singular or zero:
+        # a singular M_N fails M's check, so K is formed and checked as before
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        prob = _cross_term_lq(rng, n, m) if cross else _random_lq(rng, n, m, float(rng.uniform(0.3, 3.0)))
+        root = rng.standard_normal((n, n))
+        root[-1] = 0.0  # rank n - 1, the last row and column of root root' exactly zero
+        M_N = {"definite": prob.M, "singular": root @ root.T, "zero": np.zeros((n, n))}[terminal]
+        path = self._zero_point_path(dataclasses.replace(prob, M=M_N), builtin(name), N)
+        if terminal != "definite":
+            assert path != "check"
+        elif not cross:
+            assert path == "check"
 
     @staticmethod
     def _combine_batches(monkeypatch):
