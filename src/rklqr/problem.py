@@ -41,6 +41,7 @@ class QuadraticCost:
     A subclass's ``__post_init__`` works out n and m from its own fields and
     calls ``_freeze``, which stores Q, R, M, S and x0 and the subclass's
     dynamics arrays as read-only float arrays and tf as a float.
+    ``input_matrix`` reads the subclass's ``stage_jacobians``.
     """
 
     @property
@@ -50,6 +51,11 @@ class QuadraticCost:
     @property
     def m(self) -> int:
         return self.R.shape[0]
+
+    def input_matrix(self, x):
+        """Ju at the one point (x, 0): the B(x) of f(x, u) = f0(x) + B(x) u only when f is affine in u."""
+        _, Ju = self.stage_jacobians(np.asarray(x, dtype=float).reshape(1, self.n), np.zeros((1, self.m)))
+        return Ju[0]
 
     def _freeze(self, n: int, m: int, **dynamics):
         """Reshape the cost data to n and m (a None S is zeros), check it all, and store it read-only."""
@@ -108,9 +114,6 @@ class LQProblem(QuadraticCost):
         """AX + BU at the P points of X (P, n) and U (P, m), stacked as (P, n)."""
         return X @ self.A.T + U @ self.B.T
 
-    def input_matrix(self, x):
-        return self.B
-
     def stage_jacobians(self, X, U):
         """A and B broadcast to the P points of X (P, n), without copying."""
         P, n, m = X.shape[0], self.n, self.m
@@ -150,11 +153,6 @@ class NonlinearProblem(QuadraticCost):
         if F.shape != X.shape:
             raise ValueError(f"f_fn must return shape {X.shape} for P = {X.shape[0]} points, not {F.shape}")
         return F
-
-    def input_matrix(self, x):
-        """Ju at the one point (x, 0): the B(x) of f(x, u) = f0(x) + B(x) u only when f is affine in u."""
-        _, Ju = self.stage_jacobians(np.asarray(x, dtype=float).reshape(1, self.n), np.zeros((1, self.m)))
-        return Ju[0]
 
     def stage_jacobians(self, X, U):
         """Jacobians (Jx (P, n, n), Ju (P, n, m)) of f at the P points of X (P, n) and U (P, m)."""

@@ -694,6 +694,21 @@ class TestNodeControls:
             resid = Ju[k].T @ p[k] + prob.R @ u[k]
             assert np.abs(resid).max() < 1e-10
 
+    @pytest.mark.xfail(raises=NodeControlFailure, strict=True,
+                       reason="undamped Newton from the last stage control falls into a 2-cycle at node N")
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_converged_trapezoidal_tanh_solves_stationarity(self, N):
+        # the solve converges (46 and 47 iterations), and at node 3 of N = 3,
+        # -1.0706 sech^2 u + 0.1 u = 0 has the one root u = 1.6029; Newton from
+        # the last stage control -0.4272 runs to -1.94 and -6.29, then cycles
+        # between 4.8e-7 and 10.706
+        prob, tab = pendulum_tanh(), builtin("trapezoidal")
+        state, _, p = ilqr.solve(prob, tab, N)
+        u = ilqr.node_controls(prob, state, p)
+        _, Ju = prob.stage_jacobians(state.x, u)
+        resid = np.einsum("kij,ki->kj", Ju, p) + u @ prob.R.T + state.x @ prob.S
+        assert np.abs(resid).max() < 1e-10
+
     def test_newton_reports_unsolvable_stationarity(self):
         # with a large costate the stationarity quadratic has no real root
         prob, tab = dataclasses.replace(_cubic_problem(), R=[[0.5]], M=5 * np.eye(2), tf=4.0), builtin("methodB")
